@@ -91,23 +91,6 @@ def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) ->
     return grads.reshape(trials, ell, -1).mean(axis=1)
 
 
-def sample_gradient_rows(oracle: MinibatchOracle, X: np.ndarray) -> np.ndarray:
-    """One draw per row of X (R, d) with independent batches per row."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if oracle.full_pass:
-        from .objectives import batch_empirical_gradient
-
-        return batch_empirical_gradient(X, oracle.obj, oracle.data)
-    ell = oracle.batch_size
-    idx = oracle.rng.integers(0, oracle.data.n, size=(X.shape[0], ell))
-    out = np.empty_like(X)
-    for i, row in enumerate(X):
-        out[i] = np.asarray(
-            oracle.obj.grad_f(row, oracle.data.samples[idx[i]]), dtype=float
-        ).mean(axis=0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Variance audits
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ position ``x`` of shape ``(d,)`` and a stack of samples ``Z`` of shape
 ``grad_rows`` hooks evaluate the dataset-averaged loss/gradient for a stack
 of positions ``(R, d)`` at once; they exist purely as fast paths and must
 agree with the averaged single-position evaluators.
+
+The optional ``grad_batches(X, Zs)`` hook is the minibatch fast path: for
+positions ``(R, d)`` and one minibatch per row ``(R, l, z_dim)`` it returns
+``(R, d)`` whose row i must agree with ``grad_f(X[i], Zs[i]).mean(axis=0)``;
+without it :func:`minibatch_gradient_rows` falls back to that per-row loop.
+The built-ins' hooks reproduce the loop's bits.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ class ObjectiveSpec:
     # optional vectorized dataset-mean evaluators, see module docstring
     risk_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     grad_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # optional per-row minibatch means (R, d), (R, l, z_dim) -> (R, d), see above
+    grad_batches: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -179,6 +187,16 @@ def batch_empirical_gradient(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -
     if obj.grad_rows is not None:
         return np.asarray(obj.grad_rows(X, data.samples), dtype=float)
     return np.stack([empirical_gradient(row, obj, data) for row in X])
+
+
+def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
+                            idx: np.ndarray) -> np.ndarray:
+    """Row i averages grad_f at X[i] over data.samples[idx[i]]: (R, d), (R, l) -> (R, d)."""
+    Zs = data.samples[idx]
+    if obj.grad_batches is not None:
+        return np.asarray(obj.grad_batches(X, Zs), dtype=float)
+    return np.stack([np.asarray(obj.grad_f(x, Z), dtype=float).mean(axis=0)
+                     for x, Z in zip(X, Zs)])
 
 
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):
@@ -391,6 +409,9 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
         zbar = Z.mean(axis=0)
         return m0 * (X - c * zbar[None, :])
 
+    def grad_batches(X, Zs):
+        return (m0 * (X[:, None, :] - c * Zs)).mean(axis=1)
+
     if c == 0.0:
         cert = SmoothnessCertificate(A0=0.0, B=0.0, M=m0, m=m0, b=0.0)
     else:
@@ -402,8 +423,8 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
             m=0.5 * m0,
             b=0.5 * m0 * c * c * r * r,
         )
-    return ObjectiveSpec("quadratic", dim, f, grad_f, cert,
-                         risk_rows=risk_rows, grad_rows=grad_rows)
+    return ObjectiveSpec("quadratic", dim, f, grad_f, cert, risk_rows=risk_rows,
+                         grad_rows=grad_rows, grad_batches=grad_batches)
 
 
 def _well_pieces(well_radius: float):
@@ -471,6 +492,9 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         zbar = Z.mean(axis=0)
         return w_prime(X) + c * (X - zbar[None, :])
 
+    def grad_batches(X, Zs):
+        return (w_prime(X)[:, None, :] + c * (X[:, None, :] - Zs)).mean(axis=1)
+
     # Per-coordinate dissipativity t * w'(t) >= t^2 - 1 (tight at |t| = 1);
     # the coupling term contributes (c/2)|x|^2 - (c/2) z_radius^2 by Young.
     cert = SmoothnessCertificate(
@@ -480,8 +504,8 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         m=1.0 + 0.5 * c,
         b=float(dim) + 0.5 * c * rz * rz,
     )
-    return ObjectiveSpec("double_well", dim, f, grad_f, cert,
-                         risk_rows=risk_rows, grad_rows=grad_rows)
+    return ObjectiveSpec("double_well", dim, f, grad_f, cert, risk_rows=risk_rows,
+                         grad_rows=grad_rows, grad_batches=grad_batches)
 
 
 def _log_cosh(t):
@@ -522,6 +546,10 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
         T = X @ Z.T
         return (1.0 + 2.0 * r0) * X - np.tanh(T) @ Z / Z.shape[0]
 
+    def grad_batches(X, Zs):
+        T = (Zs @ X[:, :, None])[:, :, 0]
+        return ((1.0 + 2.0 * r0) * X[:, None, :] - np.tanh(T)[:, :, None] * Zs).mean(axis=1)
+
     cert = SmoothnessCertificate(
         A0=0.5 * rz * rz,
         B=0.0,
@@ -529,8 +557,8 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
         m=0.5 + 2.0 * r0,
         b=0.5 * rz * rz,
     )
-    return ObjectiveSpec("gaussian_mixture", dim, f, grad_f, cert,
-                         risk_rows=risk_rows, grad_rows=grad_rows)
+    return ObjectiveSpec("gaussian_mixture", dim, f, grad_f, cert, risk_rows=risk_rows,
+                         grad_rows=grad_rows, grad_batches=grad_batches)
 
 
 _REGISTRY = {

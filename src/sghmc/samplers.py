@@ -39,6 +39,7 @@ from .objectives import (
     ObjectiveSpec,
     batch_empirical_gradient,
     empirical_gradient,
+    minibatch_gradient_rows,
 )
 from .rng import derive_stream
 
@@ -366,10 +367,6 @@ def run_chain(
     )
 
 
-def _mb_gradient(obj, data, x, idx):
-    return np.asarray(obj.grad_f(x, data.samples[idx]), dtype=float).mean(axis=0)
-
-
 def coupled_run(
     kind,
     cfg_a: SamplerConfig,
@@ -411,13 +408,10 @@ def coupled_run(
     idx_b = derive_stream(cfg_b.seed, "coupled:minibatch", 2) if (mb_b and not share_idx) else None
 
     def gradient(kind_k, cfg_k, x, idx_rng):
-        if kind_k == "exact_sghmc":
+        if kind_k == "exact_sghmc" or cfg_k.batch_size is None:
             return empirical_gradient(x, obj, data)
-        ell = cfg_k.batch_size if cfg_k.batch_size is not None else data.n
-        if cfg_k.batch_size is None:
-            return empirical_gradient(x, obj, data)
-        idx = idx_rng.integers(0, data.n, size=ell)
-        return _mb_gradient(obj, data, x, idx)
+        idx = idx_rng.integers(0, data.n, size=(1, cfg_k.batch_size))
+        return minibatch_gradient_rows(x[None, :], obj, data, idx)[0]
 
     rec = [(0, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(va - vb)))]
     ra = [(0, xa.copy(), va.copy())]
@@ -425,9 +419,8 @@ def coupled_run(
     for k in range(1, steps + 1):
         xi = noise.standard_normal(cfg_a.dim)
         if share_idx:
-            idx = idx_shared.integers(0, data.n, size=cfg_a.batch_size)
-            ga = _mb_gradient(obj, data, xa, idx)
-            gb = _mb_gradient(obj, data, xb, idx)
+            idx = idx_shared.integers(0, data.n, size=(1, cfg_a.batch_size)).repeat(2, axis=0)
+            ga, gb = minibatch_gradient_rows(np.stack([xa, xb]), obj, data, idx)
         else:
             ga = gradient(kind_a, cfg_a, xa, idx_a)
             gb = gradient(kind_b, cfg_b, xb, idx_b)
@@ -512,10 +505,8 @@ def ensemble_run(
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
     idx_rng = None
-    ell = None
     if kind in ("sgld", "sghmc") and cfg.batch_size is not None:
         idx_rng = derive_stream(cfg.seed, f"{purpose}:minibatch")
-        ell = cfg.batch_size
 
     lam, gamma = cfg.lam, cfg.gamma
     noise = cfg.noise_scale
@@ -533,10 +524,8 @@ def ensemble_run(
 
     for k in range(1, steps + 1):
         if idx_rng is not None:
-            idx = idx_rng.integers(0, data.n, size=(replicas, ell))
-            G = np.empty_like(X)
-            for i in range(replicas):
-                G[i] = _mb_gradient(obj, data, X[i], idx[i])
+            idx = idx_rng.integers(0, data.n, size=(replicas, cfg.batch_size))
+            G = minibatch_gradient_rows(X, obj, data, idx)
         else:
             G = batch_empirical_gradient(X, obj, data)
         xi = noise_rng.standard_normal((replicas, cfg.dim))
@@ -623,10 +612,7 @@ def coupled_ensemble_run(
     def grads(X, idx):
         if idx is None:
             return batch_empirical_gradient(X, obj, data)
-        G = np.empty_like(X)
-        for i in range(X.shape[0]):
-            G[i] = _mb_gradient(obj, data, X[i], idx[i])
-        return G
+        return minibatch_gradient_rows(X, obj, data, idx)
 
     def record(k, out):
         dx2 = np.sum((Xa - Xb) ** 2, axis=1)
@@ -660,7 +646,7 @@ def coupled_ensemble_run(
             Vb_new = Vb - cfg_b.lam * (cfg_b.gamma * Vb + Gb) + cfg_b.noise_scale * xi
             Xb = Xb + cfg_b.lam * Vb
             Vb = Vb_new
-        if not (np.all(np.isfinite(Xa)) and np.all(np.isfinite(Xb))):
+        if not all(np.all(np.isfinite(A)) for A in (Xa, Va, Xb, Vb)):
             raise DivergenceError(f"coupled ensemble diverged at step {k}", step=k)
         if k % record_every == 0:
             record(k, rows)
@@ -727,15 +713,13 @@ def brownian_coupled_distance(
         dB = sqrt_lref * xi_fine.sum(axis=0)
         if minibatch:
             idx = idx_rng.integers(0, data.n, size=(replicas, cfg.batch_size))
-            G = np.empty_like(X)
-            for i in range(replicas):
-                G[i] = _mb_gradient(obj, data, X[i], idx[i])
+            G = minibatch_gradient_rows(X, obj, data, idx)
         else:
             G = batch_empirical_gradient(X, obj, data)
         V_new = V - cfg.lam * (cfg.gamma * V + G) + amp * dB
         X = X + cfg.lam * V
         V = V_new
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xr))):
+        if not all(np.all(np.isfinite(A)) for A in (X, V, Xr, Vr)):
             raise DivergenceError(f"rate coupling diverged at coarse step {k}", step=k)
     d2 = np.sum((X - Xr) ** 2, axis=1) + np.sum((V - Vr) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

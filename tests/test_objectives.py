@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,11 @@ from sghmc import (
     quad_growth_sandwich,
     quadratic,
 )
-from sghmc.objectives import batch_empirical_gradient, batch_empirical_risk
+from sghmc.objectives import (
+    batch_empirical_gradient,
+    batch_empirical_risk,
+    minibatch_gradient_rows,
+)
 from sghmc.rng import derive_stream
 
 from conftest import ball_probes
@@ -121,6 +126,30 @@ class TestEmpiricalGradient:
             for i, x in enumerate(X):
                 assert np.allclose(G[i], empirical_gradient(x, obj, data), atol=1e-12)
                 assert R[i] == pytest.approx(empirical_risk(x, obj, data), rel=1e-12)
+
+
+class TestMinibatchGradientRows:
+    @pytest.fixture(scope="class")
+    def suite(self, builtin_suite):
+        data = builtin_suite[0][1]
+        coupled = quadratic(2, m0=1.5, coupling=1.0, z_radius=data.max_norm())
+        return builtin_suite + [(coupled, data)]
+
+    @pytest.mark.parametrize("replicas", [1, 3, 64])
+    @pytest.mark.parametrize("ell", [1, 32])
+    def test_hook_and_fallback_equal_grad_f_loop(self, suite, replicas, ell):
+        rng = derive_stream(21, "minibatch-rows", replicas * 100 + ell)
+        for obj, data in suite:
+            X = ball_probes(rng, replicas, obj.dim, 4.0)
+            idx = rng.integers(0, data.n, size=(replicas, ell))
+            want = np.stack([np.asarray(obj.grad_f(x, data.samples[i])).mean(axis=0)
+                             for x, i in zip(X, idx)])
+            got = obj.grad_batches(X, data.samples[idx])
+            assert got.shape == (replicas, obj.dim)
+            assert np.array_equal(got, want), obj.name
+            loop = dataclasses.replace(obj, grad_batches=None)
+            assert np.array_equal(minibatch_gradient_rows(X, loop, data, idx), want)
+            assert np.array_equal(minibatch_gradient_rows(X, obj, data, idx), want)
 
 
 class TestAudit:

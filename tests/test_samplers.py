@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from sghmc import (
     coupled_run,
     exact_sghmc_step,
     gaussian_init,
+    gaussian_mixture,
     make_dataset,
     make_oracle,
     point_init,
@@ -310,6 +313,15 @@ class TestBrownianCoupling:
         d = brownian_coupled_distance(cfg, 0.05, obj, data2, t_end=2.0, replicas=8)
         assert d == 0.0
 
+    def test_velocity_divergence_raises(self, data2):
+        # the first step overflows only the momenta (lam * G = 2e308)
+        obj = quadratic(2, m0=1.0)
+        cfg = _cfg(lam=1e308, init=point_init([2.0, 0.0], [0.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as err:
+            brownian_coupled_distance(cfg, 1e308, obj, data2, t_end=1e308, replicas=2)
+        assert err.value.step == 1
+
     def test_distance_shrinks_with_step(self, data2):
         obj = quadratic(2, m0=1.0)
         dists = []
@@ -340,3 +352,69 @@ class TestEnsembles:
         # started far out: the sup is attained near the start, above the tail
         assert res.running_max["x2"] >= res.series["x2"][-1]
         assert res.running_max["x2"] == pytest.approx(9.0, rel=0.2)
+
+    def test_coupled_velocity_divergence_raises(self, data2):
+        # the noise scale sqrt(2 gamma lam / beta) overflows: after one step
+        # the positions are still finite, the momenta are not
+        obj = quadratic(2, m0=1.0)
+        cfg_a = _cfg(lam=1e308, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        cfg_b = _cfg(lam=1e308, init=point_init([-1.0, 0.0], [0.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                ensemble_run("sghmc", cfg_a, obj, data2, steps=1, replicas=2)
+            assert err.value.step == 1
+            with pytest.raises(DivergenceError) as err:
+                coupled_ensemble_run("sghmc", cfg_a, cfg_b, obj, data2, steps=1,
+                                     replicas=2, record_every=1)
+            assert err.value.step == 1
+
+
+class TestMinibatchEnsembles:
+    """Stacked minibatch gradients against the per-replica grad_f loop."""
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        data = make_dataset("gaussian", 1000, 2, seed=5)
+        return gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm()), data
+
+    @staticmethod
+    def _mb_cfg(**kw):
+        return _cfg(lam=0.05, batch_size=32, seed=2024, init=gaussian_init(0.0, 1.0), **kw)
+
+    def test_golden_mixture_ensemble(self, mixture):
+        obj, data = mixture
+        res = ensemble_run("sghmc", self._mb_cfg(), obj, data, steps=200, replicas=64,
+                           record_every=50)
+        digest = hashlib.sha256()
+        for a in (res.X, res.V):
+            digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        assert digest.hexdigest() == (
+            "c5ddd64382e14da0e8a51e57e3e4bb72ad8a3e7b94d7b7ef6f4213b0be1e2e5c"
+        )
+
+    @pytest.mark.parametrize("kind", ["sghmc", "sgld"])
+    def test_fallback_bit_identical(self, mixture, kind):
+        obj, data = mixture
+        loop = dataclasses.replace(obj, grad_batches=None)
+        cfg = self._mb_cfg()
+        a = ensemble_run(kind, cfg, obj, data, steps=50, replicas=8, record_every=10)
+        b = ensemble_run(kind, cfg, loop, data, steps=50, replicas=8, record_every=10)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.V, b.V)
+        cfg_b = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        a = coupled_ensemble_run(kind, cfg, cfg_b, obj, data, steps=50, replicas=8)
+        b = coupled_ensemble_run(kind, cfg, cfg_b, loop, data, steps=50, replicas=8)
+        for name in ("mean_sep", "rms_sep", "rms_dx", "rms_dv"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for pair in (kind, (kind, "exact_sghmc")):  # shared, then own indices
+            a = coupled_run(pair, cfg, cfg_b, obj, data, steps=50, thin=10)
+            b = coupled_run(pair, cfg, cfg_b, loop, data, steps=50, thin=10)
+            assert all(np.array_equal(u.xs, w.xs) and np.array_equal(u.vs, w.vs)
+                       for u, w in zip(a[:2], b[:2]))
+
+    def test_rate_coupling_fallback_bit_identical(self, mixture):
+        obj, data = mixture
+        loop = dataclasses.replace(obj, grad_batches=None)
+        cfg = self._mb_cfg()
+        a = brownian_coupled_distance(cfg, 0.0125, obj, data, t_end=1.0, replicas=8)
+        b = brownian_coupled_distance(cfg, 0.0125, loop, data, t_end=1.0, replicas=8)
+        assert a == b
