@@ -45,14 +45,16 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, kind=args.kind)
         else:
             cfg = ExperimentConfig.from_dict({"kind": args.kind})
+        over = {}
         if args.seed is not None:
-            cfg.sampler = dataclasses.replace(cfg.sampler, seed=args.seed)
+            over["sampler"] = dataclasses.replace(cfg.sampler, seed=args.seed)
         if args.out is not None:
-            cfg.out = args.out
+            over["out"] = args.out
         if args.replicas is not None:
-            cfg.replicas = args.replicas
+            over["replicas"] = args.replicas
         if args.strict:
-            cfg.strict = True
+            over["strict"] = True
+        cfg = dataclasses.replace(cfg, **over)  # re-validates the overridden config
         manifest = run_experiment(cfg)
     except ConfigurationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

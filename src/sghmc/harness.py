@@ -145,6 +145,13 @@ class ExperimentConfig:
     audit: dict = field(default_factory=dict)
     pilot_steps: int = 0
 
+    def __post_init__(self):
+        for name in ("steps", "replicas", "thin"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.burn_in < 0:
+            raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
+
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
         if "config" in d and isinstance(d["config"], dict):

@@ -15,6 +15,19 @@ Five dynamics are implemented on top of one empirical risk:
 The momentum update uses the pre-update momentum in the position update
 (``x' = x + lam * v``); this ordering is observable and pinned by tests.
 
+The update is written once, in the Euler kernel ``_euler``, for (d,) chains
+and (R, d) replica blocks alike. ``_move`` steps a list of chains on one
+shared Gaussian block, drawing minibatch indices once per index stream;
+``_check`` stops a non-finite run with EvaluationError naming the dataset
+sample whose gradient was non-finite, or else with DivergenceError. All
+runners but ``brownian_coupled_distance``, which keeps its fine/coarse loop,
+step through one loop, ``_advance``, that yields each step to the caller's
+recorder (trajectory thinning, functionals and tail sums, or separations).
+Single chains average per-sample gradients (``empirical_gradient``) while
+ensembles call the objective's ``grad_rows`` / ``grad_batches`` hooks; the
+two differ in the last bits, so ``run_chain`` is not bit-equal to
+``ensemble_run(replicas=1)`` on hooked objectives.
+
 Coupled runs advance two chains on shared randomness: the realized distance
 between them upper-bounds the Wasserstein distance between their laws, which
 is the desk-scale route to checking contraction and discretization rates.
@@ -32,8 +45,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
-from .gradient_oracle import MinibatchOracle, make_oracle, sample_gradient
+from .errors import ConfigurationError, DivergenceError, EvaluationError
+from .gradient_oracle import MinibatchOracle, sample_gradient
 from .objectives import (
     Dataset,
     ObjectiveSpec,
@@ -174,13 +187,129 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
+# The Euler kernel and the stepping loop
+# ---------------------------------------------------------------------------
+
+def _euler(kind, X, V, G, xi, lam, gamma, c):
+    """One Euler step of (d,) or (R, d) states; returns (X', V').
+
+    Momentum kinds: V' = V - lam (gamma V + G) + c xi and X' = X + lam V
+    (pre-update momentum). ``"sgld"``: X' = X - lam G + c xi and V' = V.
+    """
+    if kind == "sgld":
+        return X - lam * G + c * xi, V
+    return X + lam * V, V - lam * (gamma * V + G) + c * xi
+
+
+def _gradient(X, obj, data, idx):
+    """Full-dataset (``idx`` None) or minibatch gradient at (d,) or (R, d) positions.
+
+    A single chain averages its per-sample gradients; a block calls the
+    objective's ``grad_rows`` / ``grad_batches`` hooks.
+    """
+    if X.ndim == 1:
+        if idx is None:
+            return empirical_gradient(X, obj, data)
+        return np.asarray(obj.grad_f(X, data.samples[idx]), dtype=float).mean(axis=0)
+    if idx is None:
+        return batch_empirical_gradient(X, obj, data)
+    return minibatch_gradient_rows(X, obj, data, idx)
+
+
+class _Chain:
+    """A chain, or an (R, d) block of replicas, moved by :func:`_move`.
+
+    ``lam`` and ``c`` (noise coefficient) default to cfg's. ``idx_rng``
+    draws minibatch indices, shared by chains holding the same generator; it
+    is dropped for ``exact_sghmc`` or without a batch size.
+    """
+
+    def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None):
+        self.kind, self.cfg, self.X, self.V = kind, cfg, X, V
+        minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
+        self.idx_rng = idx_rng if minibatch else None
+        self.lam = cfg.lam if lam is None else lam
+        if c is None and kind == "sgld":
+            c = 0.0 if math.isinf(cfg.beta) else math.sqrt(2.0 * cfg.lam / cfg.beta)
+        self.c = cfg.noise_scale if c is None else c
+
+
+def _move(chains, xi, obj, data):
+    """One :func:`_euler` step of each chain on the shared noise ``xi``, with
+    one index draw per minibatch stream; returns the (X, G, idx) each step
+    took, for :func:`_check`."""
+    rng = idx = None
+    taken = []
+    for ch in chains:
+        if ch.idx_rng is not rng:
+            rng = ch.idx_rng
+            idx = None if rng is None else rng.integers(
+                0, data.n, size=ch.X.shape[:-1] + (ch.cfg.batch_size,))
+        G = _gradient(ch.X, obj, data, idx)
+        taken.append((ch.X, G, idx))
+        ch.X, ch.V = _euler(ch.kind, ch.X, ch.V, G, xi, ch.lam, ch.cfg.gamma, ch.c)
+    return taken
+
+
+def _check(chains, taken, obj, data, message, step) -> None:
+    """Raise unless every chain state is finite: EvaluationError when a
+    gradient in ``taken`` is non-finite at finite positions because
+    ``grad_f`` is non-finite on one of its samples (``idx`` None: all of
+    them), DivergenceError with ``message.format(step)`` otherwise."""
+    if all(np.isfinite(ch.X).all() and np.isfinite(ch.V).all() for ch in chains):
+        return
+    for X, G, idx in taken:
+        X, G = np.atleast_2d(X), np.atleast_2d(G)
+        for i in np.flatnonzero(np.isfinite(X).all(axis=1) & ~np.isfinite(G).all(axis=1)):
+            rows = np.arange(data.n) if idx is None else np.atleast_2d(idx)[i]
+            bad = ~np.isfinite(obj.grad_f(X[i], data.samples[rows])).all(axis=1)
+            if bad.any():
+                j = int(rows[np.argmax(bad)])
+                raise EvaluationError(
+                    f"objective {obj.name!r} returned a non-finite gradient at sample index {j}",
+                    sample_index=j,
+                )
+    raise DivergenceError(message.format(step), step=step)
+
+
+def _advance(chains, obj, data, steps, noise_rng, label="chain"):
+    """The stepping loop of the runners: after each step k = 1..steps, all
+    chains moved on one shared Gaussian block and checked, it yields k to
+    the caller's recorder."""
+    message = label + " diverged at step {}"
+    for k in range(1, steps + 1):
+        taken = _move(chains, noise_rng.standard_normal(chains[0].X.shape), obj, data)
+        _check(chains, taken, obj, data, message, k)
+        yield k
+
+
+def _traced(chains, obj, data, steps, thin, noise_rng):
+    """Advance the chains; a Trajectory of each at step 0 and every thin-th step."""
+    steps_rec = [0]
+    xs = [[ch.X.copy()] for ch in chains]
+    vs = [[ch.V.copy()] for ch in chains]
+    for k in _advance(chains, obj, data, steps, noise_rng):
+        if k % thin == 0:
+            steps_rec.append(k)
+            for ch, x, v in zip(chains, xs, vs):
+                x.append(ch.X.copy())
+                v.append(ch.V.copy())
+    return [Trajectory(np.asarray(steps_rec), np.asarray(x), np.asarray(v), thin, ch.cfg, ch.kind)
+            for ch, x, v in zip(chains, xs, vs)]
+
+
+# ---------------------------------------------------------------------------
 # Single steps
 # ---------------------------------------------------------------------------
 
-def _check_finite(x: np.ndarray, v: Optional[np.ndarray], step: int) -> None:
-    ok = np.all(np.isfinite(x)) and (v is None or np.all(np.isfinite(v)))
-    if not ok:
-        raise DivergenceError(f"chain diverged at step {step}", step=step)
+def _step(kind, state, cfg, g, xi) -> ChainState:
+    if xi is None:
+        xi = state.rng.standard_normal(cfg.dim)
+    ch = _Chain(kind, cfg, state.x, state.v)
+    ch.X, ch.V = _euler(kind, ch.X, ch.V, g, xi, ch.lam, cfg.gamma, ch.c)
+    _check([ch], (), None, None, "chain diverged at step {}", state.step + 1)
+    v = ch.V.copy() if kind == "sgld" else ch.V
+    return ChainState(x=ch.X, v=v, step=state.step + 1, rng=state.rng)
 
 
 def sghmc_step(
@@ -197,13 +326,7 @@ def sghmc_step(
     ``xi`` overrides the Gaussian draw (recorded-noise replay); by default a
     fresh standard normal vector is taken from the state's stream.
     """
-    g = sample_gradient(oracle, state.x)
-    if xi is None:
-        xi = state.rng.standard_normal(cfg.dim)
-    v_new = state.v - cfg.lam * (cfg.gamma * state.v + g) + cfg.noise_scale * xi
-    x_new = state.x + cfg.lam * state.v
-    _check_finite(x_new, v_new, state.step + 1)
-    return ChainState(x=x_new, v=v_new, step=state.step + 1, rng=state.rng)
+    return _step("sghmc", state, cfg, sample_gradient(oracle, state.x), xi)
 
 
 def exact_sghmc_step(
@@ -214,13 +337,7 @@ def exact_sghmc_step(
     xi: Optional[np.ndarray] = None,
 ) -> ChainState:
     """Momentum Euler step with the full-dataset gradient."""
-    g = empirical_gradient(state.x, obj, data)
-    if xi is None:
-        xi = state.rng.standard_normal(cfg.dim)
-    v_new = state.v - cfg.lam * (cfg.gamma * state.v + g) + cfg.noise_scale * xi
-    x_new = state.x + cfg.lam * state.v
-    _check_finite(x_new, v_new, state.step + 1)
-    return ChainState(x=x_new, v=v_new, step=state.step + 1, rng=state.rng)
+    return _step("exact_sghmc", state, cfg, empirical_gradient(state.x, obj, data), xi)
 
 
 def sgld_step(
@@ -230,13 +347,7 @@ def sgld_step(
     xi: Optional[np.ndarray] = None,
 ) -> ChainState:
     """One overdamped Euler step: x' = x - lam g(x) + sqrt(2 lam / beta) xi."""
-    g = sample_gradient(oracle, state.x)
-    if xi is None:
-        xi = state.rng.standard_normal(cfg.dim)
-    scale = 0.0 if math.isinf(cfg.beta) else math.sqrt(2.0 * cfg.lam / cfg.beta)
-    x_new = state.x - cfg.lam * g + scale * xi
-    _check_finite(x_new, None, state.step + 1)
-    return ChainState(x=x_new, v=state.v.copy(), step=state.step + 1, rng=state.rng)
+    return _step("sgld", state, cfg, sample_gradient(oracle, state.x), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +409,9 @@ def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale
         noise = 0.0
     else:
         noise = math.sqrt(2.0 * cfg.gamma * time_scale * substep / cfg.beta)
-    rec_steps = [0]
-    rec_x = [x.copy()]
-    rec_v = [v.copy()]
-    for k in range(1, nsteps + 1):
-        g = empirical_gradient(x, obj, data)
-        xi = noise_rng.standard_normal(cfg.dim)
-        v_new = v - time_scale * substep * (cfg.gamma * v + g) + noise * xi
-        x_new = x + time_scale * substep * v
-        _check_finite(x_new, v_new, k)
-        x, v = x_new, v_new
-        if k % thin == 0:
-            rec_steps.append(k)
-            rec_x.append(x.copy())
-            rec_v.append(v.copy())
-    return Trajectory(
-        steps=np.asarray(rec_steps),
-        xs=np.asarray(rec_x),
-        vs=np.asarray(rec_v),
-        thin=thin,
-        config=cfg,
-        kind="underdamped" if time_scale == 1.0 else "auxiliary",
-    )
+    kind = "underdamped" if time_scale == 1.0 else "auxiliary"
+    chain = _Chain(kind, cfg, x, v, lam=time_scale * substep, c=noise)
+    return _traced([chain], obj, data, nsteps, thin, noise_rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,31 +432,8 @@ def run_chain(
     if steps < 1 or thin < 1:
         raise ConfigurationError("steps and thin must be >= 1")
     state = make_chain_state(cfg, purpose=f"{kind}")
-    oracle = None
-    if kind in ("sgld", "sghmc"):
-        oracle = make_oracle(obj, data, cfg.batch_size, cfg.seed, purpose=f"{kind}:minibatch")
-    rec_steps = [0]
-    rec_x = [state.x.copy()]
-    rec_v = [state.v.copy()]
-    for _ in range(steps):
-        if kind == "sghmc":
-            state = sghmc_step(state, cfg, oracle)
-        elif kind == "exact_sghmc":
-            state = exact_sghmc_step(state, cfg, obj, data)
-        else:
-            state = sgld_step(state, cfg, oracle)
-        if state.step % thin == 0:
-            rec_steps.append(state.step)
-            rec_x.append(state.x.copy())
-            rec_v.append(state.v.copy())
-    return Trajectory(
-        steps=np.asarray(rec_steps),
-        xs=np.asarray(rec_x),
-        vs=np.asarray(rec_v),
-        thin=thin,
-        config=cfg,
-        kind=kind,
-    )
+    chain = _Chain(kind, cfg, state.x, state.v, derive_stream(cfg.seed, f"{kind}:minibatch"))
+    return _traced([chain], obj, data, steps, thin, state.rng)[0]
 
 
 def coupled_run(
@@ -392,70 +461,21 @@ def coupled_run(
             raise ConfigurationError(f"unknown chain kind {k!r}")
     if cfg_a.dim != cfg_b.dim:
         raise ConfigurationError("coupled chains must share the dimension")
+    if steps < 1 or thin < 1:
+        raise ConfigurationError("steps and thin must be >= 1")
     noise = derive_stream(cfg_a.seed, "coupled:noise")
-    init_a = derive_stream(cfg_a.seed, "coupled:init", 0)
-    init_b = derive_stream(cfg_b.seed, "coupled:init", 1)
-    xa, va = cfg_a.init.sample(cfg_a.dim, init_a)
-    xb, vb = cfg_b.init.sample(cfg_b.dim, init_b)
-
-    mb_a = kind_a in ("sgld", "sghmc")
-    mb_b = kind_b in ("sgld", "sghmc")
-    share_idx = (
-        mb_a and mb_b and cfg_a.batch_size == cfg_b.batch_size and cfg_a.batch_size is not None
-    )
-    idx_shared = derive_stream(cfg_a.seed, "coupled:minibatch") if share_idx else None
-    idx_a = derive_stream(cfg_a.seed, "coupled:minibatch", 1) if (mb_a and not share_idx) else None
-    idx_b = derive_stream(cfg_b.seed, "coupled:minibatch", 2) if (mb_b and not share_idx) else None
-
-    def gradient(kind_k, cfg_k, x, idx_rng):
-        if kind_k == "exact_sghmc" or cfg_k.batch_size is None:
-            return empirical_gradient(x, obj, data)
-        idx = idx_rng.integers(0, data.n, size=(1, cfg_k.batch_size))
-        return minibatch_gradient_rows(x[None, :], obj, data, idx)[0]
-
-    rec = [(0, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(va - vb)))]
-    ra = [(0, xa.copy(), va.copy())]
-    rb = [(0, xb.copy(), vb.copy())]
-    for k in range(1, steps + 1):
-        xi = noise.standard_normal(cfg_a.dim)
-        if share_idx:
-            idx = idx_shared.integers(0, data.n, size=(1, cfg_a.batch_size)).repeat(2, axis=0)
-            ga, gb = minibatch_gradient_rows(np.stack([xa, xb]), obj, data, idx)
-        else:
-            ga = gradient(kind_a, cfg_a, xa, idx_a)
-            gb = gradient(kind_b, cfg_b, xb, idx_b)
-        if kind_a == "sgld":
-            scale_a = 0.0 if math.isinf(cfg_a.beta) else math.sqrt(2 * cfg_a.lam / cfg_a.beta)
-            xa = xa - cfg_a.lam * ga + scale_a * xi
-        else:
-            va_new = va - cfg_a.lam * (cfg_a.gamma * va + ga) + cfg_a.noise_scale * xi
-            xa = xa + cfg_a.lam * va
-            va = va_new
-        if kind_b == "sgld":
-            scale_b = 0.0 if math.isinf(cfg_b.beta) else math.sqrt(2 * cfg_b.lam / cfg_b.beta)
-            xb = xb - cfg_b.lam * gb + scale_b * xi
-        else:
-            vb_new = vb - cfg_b.lam * (cfg_b.gamma * vb + gb) + cfg_b.noise_scale * xi
-            xb = xb + cfg_b.lam * vb
-            vb = vb_new
-        _check_finite(xa, va, k)
-        _check_finite(xb, vb, k)
-        if k % thin == 0:
-            rec.append((k, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(va - vb))))
-            ra.append((k, xa.copy(), va.copy()))
-            rb.append((k, xb.copy(), vb.copy()))
-
-    def pack(rows, cfg_k, kind_k):
-        return Trajectory(
-            steps=np.asarray([r[0] for r in rows]),
-            xs=np.asarray([r[1] for r in rows]),
-            vs=np.asarray([r[2] for r in rows]),
-            thin=thin,
-            config=cfg_k,
-            kind=kind_k,
-        )
-
-    return pack(ra, cfg_a, kind_a), pack(rb, cfg_b, kind_b), np.asarray(rec)
+    xa, va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled:init", 0))
+    xb, vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled:init", 1))
+    a = _Chain(kind_a, cfg_a, xa, va, derive_stream(cfg_a.seed, "coupled:minibatch", 1))
+    b = _Chain(kind_b, cfg_b, xb, vb, derive_stream(cfg_b.seed, "coupled:minibatch", 2))
+    if a.idx_rng is not None and b.idx_rng is not None and cfg_a.batch_size == cfg_b.batch_size:
+        a.idx_rng = b.idx_rng = derive_stream(cfg_a.seed, "coupled:minibatch")
+    ta, tb = _traced([a, b], obj, data, steps, thin, noise)
+    distances = np.asarray([
+        (k, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(va - vb)))
+        for k, xa, xb, va, vb in zip(ta.steps, ta.xs, tb.xs, ta.vs, tb.vs)
+    ])
+    return ta, tb, distances
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +524,7 @@ def ensemble_run(
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
-    idx_rng = None
-    if kind in ("sgld", "sghmc") and cfg.batch_size is not None:
-        idx_rng = derive_stream(cfg.seed, f"{purpose}:minibatch")
-
-    lam, gamma = cfg.lam, cfg.gamma
-    noise = cfg.noise_scale
-    sgld_noise = 0.0 if math.isinf(cfg.beta) else math.sqrt(2.0 * lam / cfg.beta)
+    chain = _Chain(kind, cfg, X, V, derive_stream(cfg.seed, f"{purpose}:minibatch"))
 
     rec_steps = [0]
     series = {name: [float(np.mean(fn(X, V)))] for name, fn in functionals.items()}
@@ -522,21 +536,8 @@ def ensemble_run(
     sum_v2 = np.zeros(cfg.dim)
     tail_n = 0
 
-    for k in range(1, steps + 1):
-        if idx_rng is not None:
-            idx = idx_rng.integers(0, data.n, size=(replicas, cfg.batch_size))
-            G = minibatch_gradient_rows(X, obj, data, idx)
-        else:
-            G = batch_empirical_gradient(X, obj, data)
-        xi = noise_rng.standard_normal((replicas, cfg.dim))
-        if kind == "sgld":
-            X = X - lam * G + sgld_noise * xi
-        else:
-            V_new = V - lam * (gamma * V + G) + noise * xi
-            X = X + lam * V
-            V = V_new
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(V)):
-            raise DivergenceError(f"ensemble diverged at step {k}", step=k)
+    for k in _advance([chain], obj, data, steps, noise_rng, "ensemble"):
+        X, V = chain.X, chain.V
         for name, fn in functionals.items():
             val = float(np.mean(fn(X, V)))
             if val > running_max[name]:
@@ -567,8 +568,8 @@ def ensemble_run(
         tail_var_x=var_x,
         tail_mean_v=mean_v,
         tail_var_v=var_v,
-        X=X,
-        V=V,
+        X=chain.X,
+        V=chain.V,
         tail_samples=tail_n,
     )
 
@@ -596,60 +597,38 @@ def coupled_ensemble_run(
     """Replicated synchronous coupling of two chains of the same kind.
 
     Both chains see the same Gaussian draws (and the same minibatch indices
-    when minibatching); the replica-averaged separation series is the
-    empirical contraction diagnostic.
+    when minibatching, so their batch sizes must agree); the
+    replica-averaged separation series is the empirical contraction
+    diagnostic.
     """
-    if kind not in ("sghmc", "exact_sghmc", "sgld"):
+    if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
     if cfg_a.dim != cfg_b.dim:
         raise ConfigurationError("coupled chains must share the dimension")
+    if cfg_a.batch_size != cfg_b.batch_size:
+        raise ConfigurationError("coupled chains must share the batch size")
     noise_rng = derive_stream(cfg_a.seed, f"{purpose}:noise")
     Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, f"{purpose}:init", 0), size=replicas)
     Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, f"{purpose}:init", 1), size=replicas)
-    minibatch = kind in ("sgld", "sghmc") and cfg_a.batch_size is not None
-    idx_rng = derive_stream(cfg_a.seed, f"{purpose}:minibatch") if minibatch else None
+    idx_rng = derive_stream(cfg_a.seed, f"{purpose}:minibatch")
+    a = _Chain(kind, cfg_a, Xa, Va, idx_rng)
+    b = _Chain(kind, cfg_b, Xb, Vb, idx_rng)
 
-    def grads(X, idx):
-        if idx is None:
-            return batch_empirical_gradient(X, obj, data)
-        return minibatch_gradient_rows(X, obj, data, idx)
-
-    def record(k, out):
-        dx2 = np.sum((Xa - Xb) ** 2, axis=1)
-        dv2 = np.sum((Va - Vb) ** 2, axis=1)
-        out.append(
-            (
-                k,
-                float(np.mean(np.sqrt(dx2 + dv2))),
-                float(np.sqrt(np.mean(dx2 + dv2))),
-                float(np.sqrt(np.mean(dx2))),
-                float(np.sqrt(np.mean(dv2))),
-            )
+    def separation(k):
+        dx2 = np.sum((a.X - b.X) ** 2, axis=1)
+        dv2 = np.sum((a.V - b.V) ** 2, axis=1)
+        return (
+            k,
+            float(np.mean(np.sqrt(dx2 + dv2))),
+            float(np.sqrt(np.mean(dx2 + dv2))),
+            float(np.sqrt(np.mean(dx2))),
+            float(np.sqrt(np.mean(dv2))),
         )
 
-    rows = []
-    record(0, rows)
-    for k in range(1, steps + 1):
-        xi = noise_rng.standard_normal((replicas, cfg_a.dim))
-        idx = idx_rng.integers(0, data.n, size=(replicas, cfg_a.batch_size)) if minibatch else None
-        Ga = grads(Xa, idx)
-        Gb = grads(Xb, idx)
-        if kind == "sgld":
-            sa = 0.0 if math.isinf(cfg_a.beta) else math.sqrt(2 * cfg_a.lam / cfg_a.beta)
-            sb = 0.0 if math.isinf(cfg_b.beta) else math.sqrt(2 * cfg_b.lam / cfg_b.beta)
-            Xa = Xa - cfg_a.lam * Ga + sa * xi
-            Xb = Xb - cfg_b.lam * Gb + sb * xi
-        else:
-            Va_new = Va - cfg_a.lam * (cfg_a.gamma * Va + Ga) + cfg_a.noise_scale * xi
-            Xa = Xa + cfg_a.lam * Va
-            Va = Va_new
-            Vb_new = Vb - cfg_b.lam * (cfg_b.gamma * Vb + Gb) + cfg_b.noise_scale * xi
-            Xb = Xb + cfg_b.lam * Vb
-            Vb = Vb_new
-        if not all(np.all(np.isfinite(A)) for A in (Xa, Va, Xb, Vb)):
-            raise DivergenceError(f"coupled ensemble diverged at step {k}", step=k)
+    rows = [separation(0)]
+    for k in _advance([a, b], obj, data, steps, noise_rng, "coupled ensemble"):
         if k % record_every == 0:
-            record(k, rows)
+            rows.append(separation(k))
     arr = np.asarray(rows)
     return CoupledEnsembleResult(
         steps=arr[:, 0].astype(int),
@@ -691,35 +670,22 @@ def brownian_coupled_distance(
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
-    Xr, Vr = X.copy(), V.copy()
-    minibatch = cfg.batch_size is not None
-    idx_rng = derive_stream(cfg.seed, f"{purpose}:minibatch") if minibatch else None
-
     if math.isinf(cfg.beta):
         amp = 0.0
     else:
         amp = math.sqrt(2.0 * cfg.gamma / cfg.beta)
     sqrt_lref = math.sqrt(lambda_ref)
+    ref = _Chain("exact_sghmc", cfg, X.copy(), V.copy(), lam=lambda_ref, c=amp * sqrt_lref)
+    coarse = _Chain("sghmc", cfg, X, V, derive_stream(cfg.seed, f"{purpose}:minibatch"), c=amp)
 
     for k in range(1, n_coarse + 1):
         xi_fine = noise_rng.standard_normal((r, replicas, cfg.dim))
         # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j
-        for j in range(r):
-            G = batch_empirical_gradient(Xr, obj, data)
-            Vr_new = Vr - lambda_ref * (cfg.gamma * Vr + G) + amp * sqrt_lref * xi_fine[j]
-            Xr = Xr + lambda_ref * Vr
-            Vr = Vr_new
+        taken = []
+        for xi in xi_fine:
+            taken += _move([ref], xi, obj, data)
         # coarse: one step with the summed increment
-        dB = sqrt_lref * xi_fine.sum(axis=0)
-        if minibatch:
-            idx = idx_rng.integers(0, data.n, size=(replicas, cfg.batch_size))
-            G = minibatch_gradient_rows(X, obj, data, idx)
-        else:
-            G = batch_empirical_gradient(X, obj, data)
-        V_new = V - cfg.lam * (cfg.gamma * V + G) + amp * dB
-        X = X + cfg.lam * V
-        V = V_new
-        if not all(np.all(np.isfinite(A)) for A in (X, V, Xr, Vr)):
-            raise DivergenceError(f"rate coupling diverged at coarse step {k}", step=k)
-    d2 = np.sum((X - Xr) ** 2, axis=1) + np.sum((V - Vr) ** 2, axis=1)
+        taken += _move([coarse], sqrt_lref * xi_fine.sum(axis=0), obj, data)
+        _check([ref, coarse], taken, obj, data, "rate coupling diverged at coarse step {}", k)
+    d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

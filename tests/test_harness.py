@@ -227,6 +227,23 @@ class TestCli:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
 
+    @pytest.mark.parametrize("kind, over, argv", [
+        ("gibbs-check", {}, ["--replicas", "0"]),
+        ("rate-study", {}, ["--replicas", "0"]),
+        ("sample", {"replicas": -1}, []),
+        ("couple", {"thin": 0}, []),
+        ("sample", {"steps": 0}, []),
+        ("gibbs-check", {"burn_in": -1}, []),
+    ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
+            "burn-in-neg"])
+    def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv):
+        doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path), *argv]) == EXIT_VALIDATION
+        assert "must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_flag_overrides(self, tmp_path):
         doc = base_config(out=str(tmp_path / "o1"))
         path = tmp_path / "cfg.json"

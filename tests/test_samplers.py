@@ -7,12 +7,15 @@ import pytest
 from scipy.linalg import expm
 
 from sghmc import (
+    ConfigurationError,
     DivergenceError,
+    EvaluationError,
     ObjectiveSpec,
     SamplerConfig,
     SmoothnessCertificate,
     auxiliary_integrate,
     coupled_run,
+    double_well,
     exact_sghmc_step,
     gaussian_init,
     gaussian_mixture,
@@ -298,6 +301,12 @@ class TestCoupledRuns:
             terminal[ell] = math.sqrt(sq / 16)
         assert terminal[1] > terminal[4] > terminal[16]
 
+    @pytest.mark.parametrize("batches", [(None, 8), (8, None), (8, 900)])
+    def test_coupled_ensemble_rejects_mismatched_batch_sizes(self, data2, batches):
+        cfg_a, cfg_b = (_cfg(batch_size=b) for b in batches)
+        with pytest.raises(ConfigurationError, match="batch size"):
+            coupled_ensemble_run("sghmc", cfg_a, cfg_b, quadratic(2), data2, steps=5, replicas=2)
+
     def test_shared_index_stream_same_batches(self, data2):
         obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
         cfg = _cfg(lam=0.005, seed=9, batch_size=3,
@@ -418,3 +427,201 @@ class TestMinibatchEnsembles:
         a = brownian_coupled_distance(cfg, 0.0125, obj, data, t_end=1.0, replicas=8)
         b = brownian_coupled_distance(cfg, 0.0125, loop, data, t_end=1.0, replicas=8)
         assert a == b
+
+
+class TestGoldenOutputs:
+    """Pins of every runner's outputs (first 16 hex digits of their SHA-256)
+    and of its step of divergence at lam = 5: a change to an update, a
+    stream, a draw order or a recorder shows up here."""
+
+    STEPS = 60
+    CASES = [(name, batch) for name in ("double_well", "gaussian_mixture") for batch in (None, 8)]
+
+    @staticmethod
+    def _pair(batch, lam=0.05):
+        cfg = _cfg(lam=lam, batch_size=batch, seed=11, init=gaussian_init(0.0, 1.0))
+        return cfg, dataclasses.replace(cfg, init=point_init([1.0, -1.0], [0.0, 0.5]))
+
+    RUNNERS = [f"{r}:{k}" for r in ("run_chain", "ensemble_run", "coupled_ensemble_run")
+               for k in ("sgld", "sghmc", "exact_sghmc")] + [
+        "coupled_run:shared", "coupled_run:separate", "brownian_coupled_distance",
+        "underdamped_integrate", "auxiliary_integrate", "sghmc_step", "exact_sghmc_step",
+        "sgld_step",
+    ]
+
+    @staticmethod
+    def outputs(runner, cfg, cfg_b, obj, data, n, h):
+        """The arrays ``runner`` returns after ``n`` steps; ``h`` is the
+        integrators' effective step (the auxiliary substep times cfg.lam)."""
+        name, _, kind = runner.partition(":")
+        if name == "run_chain":
+            t = run_chain(kind, cfg, obj, data, steps=n, thin=7)
+            return [t.steps, t.xs, t.vs]
+        if name == "ensemble_run":
+            r = ensemble_run(kind, cfg, obj, data, steps=n, replicas=4, record_every=7,
+                             burn_in=20, functionals={"x2": lambda X, V: np.sum(X * X, axis=1)})
+            return [r.steps, r.series["x2"], [r.running_max["x2"], r.tail_samples],
+                    r.tail_mean_x, r.tail_var_x, r.tail_mean_v, r.tail_var_v, r.X, r.V]
+        if name == "coupled_ensemble_run":
+            r = coupled_ensemble_run(kind, cfg, cfg_b, obj, data, steps=n, replicas=4,
+                                     record_every=7)
+            return [r.steps, r.mean_sep, r.rms_sep, r.rms_dx, r.rms_dv]
+        if name == "coupled_run":
+            pair = ("sgld", "sghmc") if kind == "shared" else ("sghmc", "exact_sghmc")
+            ta, tb, dist = coupled_run(pair, cfg, cfg_b, obj, data, steps=n, thin=7)
+            return [ta.steps, ta.xs, ta.vs, tb.xs, tb.vs, dist]
+        if name == "brownian_coupled_distance":
+            return [brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=n * cfg.lam,
+                                              replicas=4)]
+        if name.endswith("_integrate"):
+            sub = h if name == "underdamped_integrate" else h / cfg.lam
+            integrate = underdamped_integrate if name == "underdamped_integrate" \
+                else auxiliary_integrate
+            t = integrate(cfg, obj, data, t_end=n * sub, substep=sub, thin=7)
+            return [t.steps, t.xs, t.vs]
+        step_fn = {"sghmc_step": sghmc_step, "exact_sghmc_step": exact_sghmc_step,
+                   "sgld_step": sgld_step}[name]
+        args = (obj, data) if step_fn is exact_sghmc_step else (
+            make_oracle(obj, data, cfg.batch_size, seed=3),)
+        st, out = make_chain_state(cfg), []
+        for _ in range(n):
+            st = step_fn(st, cfg, *args)
+            out += [st.x, st.v]
+        return out
+
+    # digests in CASES order: double_well/None, double_well/8, gaussian_mixture/None, .../8
+    GOLDEN = {
+        "auxiliary_integrate":
+            "efd19f52ab1b0ae8 efd19f52ab1b0ae8 6cc73eade5981450 6cc73eade5981450",
+        "brownian_coupled_distance":
+            "11aa703daf0a1bf2 2ceff951597961f1 27778a90ddf68114 083863b842625973",
+        "coupled_ensemble_run:exact_sghmc":
+            "b4e6579052ddc2ae b4e6579052ddc2ae ca29d532fd000800 ca29d532fd000800",
+        "coupled_ensemble_run:sghmc":
+            "b4e6579052ddc2ae 126997441a91cff2 ca29d532fd000800 b9a973736702d237",
+        "coupled_ensemble_run:sgld":
+            "09002111519cbcec 8777b247aa1a6e10 79c043d74e168aa1 3c608a74e8218bb8",
+        "coupled_run:separate":
+            "0433aa3847d45688 82f7cb7b69e77b8d 3a584a22be765224 1f972f4b55811018",
+        "coupled_run:shared":
+            "e7e94b314b9c10f0 0c961b0903e5050d 7e36e5a162d44fd0 fb58e1bcac2d6ed9",
+        "ensemble_run:exact_sghmc":
+            "8461636d97bba483 8461636d97bba483 38e583af2cbfc641 38e583af2cbfc641",
+        "ensemble_run:sghmc":
+            "8461636d97bba483 90a8b386d9d92bb5 38e583af2cbfc641 0cbd4080822ef379",
+        "ensemble_run:sgld":
+            "d87755840a6ff55e a811e6a73e638573 a11a425f936a76a7 cff660b688f0af9c",
+        "exact_sghmc_step":
+            "17c12ae5df3e0e28 17c12ae5df3e0e28 c6a095afe737e634 c6a095afe737e634",
+        "run_chain:exact_sghmc":
+            "e48253eca4f66d8a e48253eca4f66d8a f2ff96a85390fe08 f2ff96a85390fe08",
+        "run_chain:sghmc":
+            "365a91d764230d06 973feb9c01298758 f2a9142619ec5a6a ec03291cfb47973b",
+        "run_chain:sgld":
+            "302a8bc16f4c1271 59d5eaa3a6dd9208 b8419a8ee6ce1919 56bd1be54a5d3e2c",
+        "sghmc_step":
+            "17c12ae5df3e0e28 5360463d81913da5 c6a095afe737e634 caca8c110992e5fb",
+        "sgld_step":
+            "66300c3b62430865 ae368053c48ca559 bb3467ad6fd79b4d 1902fd77e023ba86",
+        "underdamped_integrate":
+            "efd19f52ab1b0ae8 efd19f52ab1b0ae8 6cc73eade5981450 6cc73eade5981450",
+    }
+    # DivergenceError.step at lam = 5 on the quadratic, batch_size None and 8
+    DIVERGENCE_STEP = {
+        "auxiliary_integrate": (505, 505),
+        "brownian_coupled_distance": (507, 506),
+        "coupled_ensemble_run:exact_sghmc": (507, 507),
+        "coupled_ensemble_run:sghmc": (507, 507),
+        "coupled_ensemble_run:sgld": (512, 512),
+        "coupled_run:separate": (505, 505),
+        "coupled_run:shared": (505, 507),
+        "ensemble_run:exact_sghmc": (507, 507),
+        "ensemble_run:sghmc": (507, 507),
+        "ensemble_run:sgld": (512, 512),
+        "exact_sghmc_step": (505, 505),
+        "run_chain:exact_sghmc": (505, 505),
+        "run_chain:sghmc": (505, 508),
+        "run_chain:sgld": (510, 513),
+        "sghmc_step": (505, 507),
+        "sgld_step": (509, 512),
+        "underdamped_integrate": (505, 505),
+    }
+
+    @classmethod
+    def digests(cls, runner):
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        objs = {"double_well": double_well(2, coupling=0.1, z_radius=data.max_norm()),
+                "gaussian_mixture": gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm())}
+        out = []
+        for name, batch in cls.CASES:
+            cfg, cfg_b = cls._pair(batch)
+            h = hashlib.sha256()
+            for a in cls.outputs(runner, cfg, cfg_b, objs[name], data, cls.STEPS, cfg.lam):
+                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+            out.append(h.hexdigest()[:16])
+        return tuple(out)
+
+    @classmethod
+    def divergence_steps(cls, runner):
+        # lam = 5 on the quadratic: the momentum recursion grows like k 4^k
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        out = []
+        for batch in (None, 8):
+            cfg, cfg_b = cls._pair(batch, lam=5.0)
+            cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+                cls.outputs(runner, cfg, cfg_b, quadratic(2, m0=1.0), data, 2000, cfg.lam)
+            out.append(err.value.step)
+        return tuple(out)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_outputs_and_divergence_step_pinned(self, runner):
+        assert self.digests(runner) == tuple(self.GOLDEN[runner].split())
+        assert self.divergence_steps(runner) == self.DIVERGENCE_STEP[runner]
+
+
+class TestNonFiniteGradients:
+    """A NaN component gradient is an EvaluationError naming a dataset sample
+    on every path, whichever hook computes the dataset or minibatch mean."""
+
+    @staticmethod
+    def _objective(hook):
+        def grad_f(x, Z):
+            return np.where(Z[:, :1] > 2.0, np.nan, x[None, :] - 0.5 * Z)
+
+        hooks = {
+            "grad_rows": lambda X, Z: np.stack([grad_f(x, Z).mean(axis=0) for x in X]),
+            "grad_batches": lambda X, Zs: np.stack([grad_f(x, Z).mean(axis=0)
+                                                    for x, Z in zip(X, Zs)]),
+        }
+        return ObjectiveSpec(
+            "nan-tail", 2, lambda x, Z: 0.5 * np.sum((x[None, :] - 0.5 * Z) ** 2, axis=1),
+            grad_f, SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0),
+            **({hook: hooks[hook]} if hook else {}),
+        )
+
+    RUNNERS = {
+        "run_chain": lambda c, o, d: run_chain("sghmc", c, o, d, steps=200, thin=10),
+        "coupled_run": lambda c, o, d: coupled_run("sghmc", c, c, o, d, steps=200, thin=10),
+        "ensemble_run": lambda c, o, d: ensemble_run("sghmc", c, o, d, steps=200, replicas=4),
+        "coupled_ensemble_run": lambda c, o, d: coupled_ensemble_run(
+            "sghmc", c, dataclasses.replace(c, init=point_init([1.0, 0.0], [0.0, 0.0])), o, d,
+            steps=200, replicas=4),
+        "brownian_coupled_distance": lambda c, o, d: brownian_coupled_distance(
+            c, c.lam / 2, o, d, t_end=200 * c.lam, replicas=4),
+    }
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("batch", [None, 32])
+    @pytest.mark.parametrize("hook", [None, "grad_rows", "grad_batches"])
+    def test_evaluation_error_names_a_bad_sample(self, data2, hook, batch, runner):
+        bad = data2.samples[:, 0] > 2.0
+        assert 0 < bad.sum() < 10
+        cfg = _cfg(lam=0.05, batch_size=batch, seed=5, init=gaussian_init(0.0, 1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+            self.RUNNERS[runner](cfg, self._objective(hook), data2)
+        assert bad[err.value.sample_index]
+        assert f"sample index {err.value.sample_index}" in str(err.value)
+        if batch is None or runner == "brownian_coupled_distance":
+            # full-dataset gradients name the first bad sample
+            assert err.value.sample_index == int(np.argmax(bad))
