@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .objectives import Dataset, ObjectiveSpec, empirical_gradient
+from .objectives import Dataset, ObjectiveSpec, empirical_gradient, minibatch_gradient_rows
 from .rng import derive_stream
 
 
@@ -75,8 +75,7 @@ def sample_gradient(oracle: MinibatchOracle, x: np.ndarray) -> np.ndarray:
     if oracle.full_pass:
         return empirical_gradient(x, oracle.obj, oracle.data)
     idx = oracle.rng.integers(0, oracle.data.n, size=oracle.batch_size)
-    grads = np.asarray(oracle.obj.grad_f(x, oracle.data.samples[idx]), dtype=float)
-    return grads.mean(axis=0)
+    return minibatch_gradient_rows(x, oracle.obj, oracle.data, idx)
 
 
 def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) -> np.ndarray:

@@ -159,17 +159,41 @@ def empirical_risk(x: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> float:
     return float(vals.mean())
 
 
+# Beyond this certified gradient bound B + M |x|, products such as |x|^2 or
+# <x, z> may overflow in a valid objective.
+_OVERFLOW_BOUND = math.sqrt(np.finfo(float).max)
+
+
+def _reject_nonfinite_gradient(x, obj: ObjectiveSpec, grads, rows=None) -> None:
+    """Raise EvaluationError naming the first sample whose row of
+    ``grads = grad_f(x, data.samples[rows])`` is non-finite (``rows`` None:
+    the whole dataset, in order).
+
+    Nothing is raised where the certificate bounds the gradients at x only by
+    B + M |x| > sqrt(float max): a non-finite value there is an overflow, as
+    when a chain diverges, and not a fault of the objective.
+    """
+    bad = ~np.isfinite(grads).all(axis=1)
+    norm = float(np.hypot.reduce(x))  # |x|, free of overflow
+    if not bad.any() or obj.cert.B + obj.cert.M * norm > _OVERFLOW_BOUND:
+        return
+    j = int(np.argmax(bad)) if rows is None else int(rows[np.argmax(bad)])
+    raise EvaluationError(
+        f"objective {obj.name!r} returned a non-finite gradient at sample index {j}",
+        sample_index=j,
+    )
+
+
 def empirical_gradient(x: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np.ndarray:
-    """Dataset average of the component-loss gradient at x."""
+    """Dataset average of the component-loss gradient at x.
+
+    A non-finite per-sample gradient raises EvaluationError unless x is so
+    large that it may be an overflow; then the non-finite mean is returned.
+    """
     x = np.asarray(x, dtype=float)
     grads = np.asarray(obj.grad_f(x, data.samples), dtype=float)
-    bad = ~np.isfinite(grads)
-    if bad.any():
-        idx = int(np.argmax(bad.any(axis=1)))
-        raise EvaluationError(
-            f"objective {obj.name!r} returned a non-finite gradient at sample index {idx}",
-            sample_index=idx,
-        )
+    if not np.isfinite(grads).all():
+        _reject_nonfinite_gradient(x, obj, grads)
     return grads.mean(axis=0)
 
 
@@ -191,12 +215,16 @@ def batch_empirical_gradient(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -
 
 def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
                             idx: np.ndarray) -> np.ndarray:
-    """Row i averages grad_f at X[i] over data.samples[idx[i]]: (R, d), (R, l) -> (R, d)."""
-    Zs = data.samples[idx]
+    """Row i averages grad_f at X[i] over data.samples[idx[i]]: (R, d), (R, l) -> (R, d).
+
+    A single position (d,) with indices (l,) gives the mean of grad_f over
+    that minibatch, (d,).
+    """
+    if X.ndim == 1:
+        return np.asarray(obj.grad_f(X, data.samples[idx]), dtype=float).mean(axis=0)
     if obj.grad_batches is not None:
-        return np.asarray(obj.grad_batches(X, Zs), dtype=float)
-    return np.stack([np.asarray(obj.grad_f(x, Z), dtype=float).mean(axis=0)
-                     for x, Z in zip(X, Zs)])
+        return np.asarray(obj.grad_batches(X, data.samples[idx]), dtype=float)
+    return np.stack([minibatch_gradient_rows(x, obj, data, i) for x, i in zip(X, idx)])
 
 
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):

@@ -17,12 +17,12 @@ The momentum update uses the pre-update momentum in the position update
 
 The update is written once, in the Euler kernel ``_euler``, for (d,) chains
 and (R, d) replica blocks alike. ``_move`` steps a list of chains on one
-shared Gaussian block, drawing minibatch indices once per index stream;
-``_check`` stops a non-finite run with EvaluationError naming the dataset
-sample whose gradient was non-finite, or else with DivergenceError. All
-runners but ``brownian_coupled_distance``, which keeps its fine/coarse loop,
-step through one loop, ``_advance``, that yields each step to the caller's
-recorder (trajectory thinning, functionals and tail sums, or separations).
+shared Gaussian block, drawing minibatch indices once per index stream.
+``_check`` stops a non-finite run: with EvaluationError naming the sample
+where grad_f failed at a finite position below the certificate's overflow
+scale, else with DivergenceError. All runners but
+``brownian_coupled_distance``, which keeps its fine/coarse loop, step
+through ``_advance``, which yields each step to the caller's recorder.
 Single chains average per-sample gradients (``empirical_gradient``) while
 ensembles call the objective's ``grad_rows`` / ``grad_batches`` hooks; the
 two differ in the last bits, so ``run_chain`` is not bit-equal to
@@ -45,11 +45,12 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, EvaluationError
+from .errors import ConfigurationError, DivergenceError
 from .gradient_oracle import MinibatchOracle, sample_gradient
 from .objectives import (
     Dataset,
     ObjectiveSpec,
+    _reject_nonfinite_gradient,
     batch_empirical_gradient,
     empirical_gradient,
     minibatch_gradient_rows,
@@ -201,27 +202,19 @@ def _euler(kind, X, V, G, xi, lam, gamma, c):
     return X + lam * V, V - lam * (gamma * V + G) + c * xi
 
 
-def _gradient(X, obj, data, idx):
-    """Full-dataset (``idx`` None) or minibatch gradient at (d,) or (R, d) positions.
-
-    A single chain averages its per-sample gradients; a block calls the
-    objective's ``grad_rows`` / ``grad_batches`` hooks.
-    """
-    if X.ndim == 1:
-        if idx is None:
-            return empirical_gradient(X, obj, data)
-        return np.asarray(obj.grad_f(X, data.samples[idx]), dtype=float).mean(axis=0)
-    if idx is None:
-        return batch_empirical_gradient(X, obj, data)
-    return minibatch_gradient_rows(X, obj, data, idx)
+def _noise(kind, cfg) -> float:
+    """Gaussian coefficient of one ``kind`` step at cfg.lam."""
+    if kind != "sgld":
+        return cfg.noise_scale
+    return 0.0 if math.isinf(cfg.beta) else math.sqrt(2.0 * cfg.lam / cfg.beta)
 
 
 class _Chain:
     """A chain, or an (R, d) block of replicas, moved by :func:`_move`.
 
-    ``lam`` and ``c`` (noise coefficient) default to cfg's. ``idx_rng``
-    draws minibatch indices, shared by chains holding the same generator; it
-    is dropped for ``exact_sghmc`` or without a batch size.
+    ``lam`` and ``c`` (noise coefficient) default to cfg's. A minibatch chain
+    draws indices from ``idx_rng``, shared by the chains holding the same
+    generator. ``prev`` is the position and indices of the last step.
     """
 
     def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None):
@@ -229,46 +222,41 @@ class _Chain:
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
         self.lam = cfg.lam if lam is None else lam
-        if c is None and kind == "sgld":
-            c = 0.0 if math.isinf(cfg.beta) else math.sqrt(2.0 * cfg.lam / cfg.beta)
-        self.c = cfg.noise_scale if c is None else c
+        self.c = _noise(kind, cfg) if c is None else c
+        self.prev = None
 
 
-def _move(chains, xi, obj, data):
+def _move(chains, xi, obj, data) -> None:
     """One :func:`_euler` step of each chain on the shared noise ``xi``, with
-    one index draw per minibatch stream; returns the (X, G, idx) each step
-    took, for :func:`_check`."""
+    one index draw per minibatch stream."""
     rng = idx = None
-    taken = []
     for ch in chains:
         if ch.idx_rng is not rng:
             rng = ch.idx_rng
             idx = None if rng is None else rng.integers(
                 0, data.n, size=ch.X.shape[:-1] + (ch.cfg.batch_size,))
-        G = _gradient(ch.X, obj, data, idx)
-        taken.append((ch.X, G, idx))
+        if idx is not None:
+            G = minibatch_gradient_rows(ch.X, obj, data, idx)
+        elif ch.X.ndim == 1:
+            G = empirical_gradient(ch.X, obj, data)
+        else:
+            G = batch_empirical_gradient(ch.X, obj, data)
+        ch.prev = (ch.X, idx)
         ch.X, ch.V = _euler(ch.kind, ch.X, ch.V, G, xi, ch.lam, ch.cfg.gamma, ch.c)
-    return taken
 
 
-def _check(chains, taken, obj, data, message, step) -> None:
-    """Raise unless every chain state is finite: EvaluationError when a
-    gradient in ``taken`` is non-finite at finite positions because
-    ``grad_f`` is non-finite on one of its samples (``idx`` None: all of
-    them), DivergenceError with ``message.format(step)`` otherwise."""
+def _check(chains, obj, data, message, step) -> None:
+    """Raise unless every chain state is finite: EvaluationError if grad_f is
+    non-finite on a sample at a finite position that a chain just left,
+    DivergenceError with ``message.format(step)`` otherwise."""
     if all(np.isfinite(ch.X).all() and np.isfinite(ch.V).all() for ch in chains):
         return
-    for X, G, idx in taken:
-        X, G = np.atleast_2d(X), np.atleast_2d(G)
-        for i in np.flatnonzero(np.isfinite(X).all(axis=1) & ~np.isfinite(G).all(axis=1)):
+    for ch in chains:
+        X, idx = ch.prev
+        for i, x in enumerate(np.atleast_2d(X)):
             rows = np.arange(data.n) if idx is None else np.atleast_2d(idx)[i]
-            bad = ~np.isfinite(obj.grad_f(X[i], data.samples[rows])).all(axis=1)
-            if bad.any():
-                j = int(rows[np.argmax(bad)])
-                raise EvaluationError(
-                    f"objective {obj.name!r} returned a non-finite gradient at sample index {j}",
-                    sample_index=j,
-                )
+            if np.isfinite(x).all():
+                _reject_nonfinite_gradient(x, obj, obj.grad_f(x, data.samples[rows]), rows)
     raise DivergenceError(message.format(step), step=step)
 
 
@@ -278,8 +266,8 @@ def _advance(chains, obj, data, steps, noise_rng, label="chain"):
     the caller's recorder."""
     message = label + " diverged at step {}"
     for k in range(1, steps + 1):
-        taken = _move(chains, noise_rng.standard_normal(chains[0].X.shape), obj, data)
-        _check(chains, taken, obj, data, message, k)
+        _move(chains, noise_rng.standard_normal(chains[0].X.shape), obj, data)
+        _check(chains, obj, data, message, k)
         yield k
 
 
@@ -305,11 +293,10 @@ def _traced(chains, obj, data, steps, thin, noise_rng):
 def _step(kind, state, cfg, g, xi) -> ChainState:
     if xi is None:
         xi = state.rng.standard_normal(cfg.dim)
-    ch = _Chain(kind, cfg, state.x, state.v)
-    ch.X, ch.V = _euler(kind, ch.X, ch.V, g, xi, ch.lam, cfg.gamma, ch.c)
-    _check([ch], (), None, None, "chain diverged at step {}", state.step + 1)
-    v = ch.V.copy() if kind == "sgld" else ch.V
-    return ChainState(x=ch.X, v=v, step=state.step + 1, rng=state.rng)
+    x, v = _euler(kind, state.x, state.v, g, xi, cfg.lam, cfg.gamma, _noise(kind, cfg))
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise DivergenceError(f"chain diverged at step {state.step + 1}", step=state.step + 1)
+    return ChainState(x=x, v=v.copy() if kind == "sgld" else v, step=state.step + 1, rng=state.rng)
 
 
 def sghmc_step(
@@ -398,6 +385,8 @@ def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale
         raise ConfigurationError("t_end must be >= 0")
     if substep <= 0:
         raise ConfigurationError("substep must be > 0")
+    if thin < 1:
+        raise ConfigurationError("thin must be >= 1")
     if noise_rng is None:
         noise_rng = derive_stream(cfg.seed, "integrate:noise")
     if init is None:
@@ -681,11 +670,10 @@ def brownian_coupled_distance(
     for k in range(1, n_coarse + 1):
         xi_fine = noise_rng.standard_normal((r, replicas, cfg.dim))
         # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j
-        taken = []
         for xi in xi_fine:
-            taken += _move([ref], xi, obj, data)
+            _move([ref], xi, obj, data)
         # coarse: one step with the summed increment
-        taken += _move([coarse], sqrt_lref * xi_fine.sum(axis=0), obj, data)
-        _check([ref, coarse], taken, obj, data, "rate coupling diverged at coarse step {}", k)
+        _move([coarse], sqrt_lref * xi_fine.sum(axis=0), obj, data)
+        _check([ref, coarse], obj, data, "rate coupling diverged at coarse step {}", k)
     d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

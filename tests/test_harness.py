@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sghmc import ConfigurationError
+from sghmc import ConfigurationError, double_well, make_dataset
 from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from sghmc.harness import (
     ExperimentConfig,
@@ -13,7 +13,7 @@ from sghmc.harness import (
     sghmc_quadratic_stationary,
     validate_config,
 )
-from sghmc.samplers import SamplerConfig, gaussian_init
+from sghmc.samplers import SamplerConfig, gaussian_init, point_init
 
 
 def base_config(**over):
@@ -197,6 +197,17 @@ class TestRateStudy:
         flags = {r["lambda"]: r["flag"] for r in table["rows"]}
         assert flags[5.0] == "diverged"
         assert flags[0.5] == "ok"
+
+    def test_divergent_point_dropped_on_double_well(self):
+        # the double well's gradient overflows a step before the chain state
+        # does; that is a divergence too, not an objective fault
+        data = make_dataset("gaussian", 100, 2, seed=7)
+        obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
+        base = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
+                             dim=2, seed=11, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
+        assert {r["lambda"]: r["flag"] for r in table["rows"]}[1.0] == "diverged"
 
 
 class TestDiscreteStationaryOracle:

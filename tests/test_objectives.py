@@ -82,6 +82,19 @@ class TestEmpiricalRisk:
             empirical_gradient(np.zeros(1), obj, data)
         assert err.value.sample_index == 5
 
+    def test_gradient_overflow_is_not_a_fault(self):
+        # the certificate allows |grad f(x, z)| up to B + M |x|: past
+        # sqrt(float max) an overflow is the caller's divergence to report
+        data = make_dataset("gaussian", 10, 2, seed=1)
+        obj = quadratic(2, m0=3.0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(empirical_gradient(np.array([1e308, 0.0]), obj, data)).any()
+        nan_obj = ObjectiveSpec("nan-grad", 2, obj.f, lambda x, Z: np.full((Z.shape[0], 2), np.nan),
+                                obj.cert)
+        with pytest.raises(EvaluationError):
+            empirical_gradient(np.array([1e150, 0.0]), nan_obj, data)
+        assert np.isnan(empirical_gradient(np.array([1e160, 0.0]), nan_obj, data)).all()
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
             literal_dataset([])

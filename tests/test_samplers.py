@@ -166,6 +166,13 @@ class TestIntegrators:
         assert len(traj) == 1
         assert traj.xs[0] == pytest.approx([0.5])
 
+    @pytest.mark.parametrize("integrate", [underdamped_integrate, auxiliary_integrate])
+    def test_thin_below_one_rejected(self, data1, integrate):
+        cfg = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
+                            dim=1, seed=1, init=point_init([0.5], [0.0]))
+        with pytest.raises(ConfigurationError, match="thin must be >= 1"):
+            integrate(cfg, quadratic(1, m0=1.0), data1, t_end=1.0, substep=0.1, thin=0)
+
     def test_quadratic_equilibrium_moments(self, data2):
         obj = quadratic(2, m0=1.0)
         x2, v2 = [], []
@@ -561,16 +568,41 @@ class TestGoldenOutputs:
             out.append(h.hexdigest()[:16])
         return tuple(out)
 
+    # The same on the double well. Its gradient grows 11 times as fast as x
+    # beyond the wells, so in most runners it overflows one step before the
+    # state does: the step is still a divergence, not an objective fault.
+    DOUBLE_WELL_DIVERGENCE_STEP = {
+        "auxiliary_integrate": (254, 254),
+        "brownian_coupled_distance": (129, 129),
+        "coupled_ensemble_run:exact_sghmc": (255, 255),
+        "coupled_ensemble_run:sghmc": (255, 255),
+        "coupled_ensemble_run:sgld": (179, 179),
+        "coupled_run:separate": (254, 254),
+        "coupled_run:shared": (178, 179),
+        "ensemble_run:exact_sghmc": (255, 255),
+        "ensemble_run:sghmc": (255, 255),
+        "ensemble_run:sgld": (179, 179),
+        "exact_sghmc_step": (254, 254),
+        "run_chain:exact_sghmc": (254, 254),
+        "run_chain:sghmc": (254, 255),
+        "run_chain:sgld": (178, 179),
+        "sghmc_step": (254, 255),
+        "sgld_step": (178, 179),
+        "underdamped_integrate": (254, 254),
+    }
+
     @classmethod
-    def divergence_steps(cls, runner):
+    def divergence_steps(cls, runner, objective="quadratic"):
         # lam = 5 on the quadratic: the momentum recursion grows like k 4^k
         data = make_dataset("gaussian", 200, 2, seed=7)
+        obj = quadratic(2, m0=1.0) if objective == "quadratic" else double_well(
+            2, coupling=0.1, z_radius=data.max_norm())
         out = []
         for batch in (None, 8):
             cfg, cfg_b = cls._pair(batch, lam=5.0)
             cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-                cls.outputs(runner, cfg, cfg_b, quadratic(2, m0=1.0), data, 2000, cfg.lam)
+                cls.outputs(runner, cfg, cfg_b, obj, data, 2000, cfg.lam)
             out.append(err.value.step)
         return tuple(out)
 
@@ -578,6 +610,8 @@ class TestGoldenOutputs:
     def test_outputs_and_divergence_step_pinned(self, runner):
         assert self.digests(runner) == tuple(self.GOLDEN[runner].split())
         assert self.divergence_steps(runner) == self.DIVERGENCE_STEP[runner]
+        assert self.divergence_steps(runner, "double_well") == \
+            self.DOUBLE_WELL_DIVERGENCE_STEP[runner]
 
 
 class TestNonFiniteGradients:
