@@ -1,0 +1,8 @@
+"""``python -m sghmc <kind> ...`` runs the command-line entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

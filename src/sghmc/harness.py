@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from . import __version__
-from .errors import ConfigurationError, DivergenceError, NumericalError
+from .errors import ConfigurationError, DivergenceError
 from .gradient_oracle import estimate_delta, make_oracle
 from .metrics import SampleCloud, rho_distance_cloud
 from .objectives import (
@@ -412,7 +412,11 @@ def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int, q: int
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Dispatch a validated config, write outputs, and return the manifest."""
+    """Dispatch a validated config, write outputs, and return the manifest.
+
+    A run that diverges writes its manifest too, with the step and message
+    under ``divergence``, before the DivergenceError propagates.
+    """
     if cfg.kind not in KINDS:
         raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
     start = time.perf_counter()
@@ -423,21 +427,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     findings = validate_config(cfg)
     s = cfg.sampler
 
-    if cfg.kind == "validate":
-        _write(out / "findings.json", json.dumps(findings, indent=2))
-        outputs.append(str(out / "findings.json"))
-        results["findings"] = findings
+    def write_manifest() -> RunManifest:
         manifest = RunManifest(
             config=cfg.to_dict(),
             version=__version__,
             seeds={"sampler": s.seed, "dataset": int(cfg.dataset.get("seed", 7))},
             wall_time_s=time.perf_counter() - start,
-            divergence=[],
+            divergence=divergence,
             outputs=outputs,
             findings=findings,
             results=_jsonable(results),
         )
         _write(out / "manifest.json", manifest.to_json())
+        return manifest
+
+    if cfg.kind == "validate":
+        _write(out / "findings.json", json.dumps(findings, indent=2))
+        outputs.append(str(out / "findings.json"))
+        results["findings"] = findings
+        manifest = write_manifest()
         if cfg.strict and any(f["level"] in ("warning", "violation") for f in findings):
             raise ConfigurationError("strict mode: validation findings present")
         return manifest
@@ -448,7 +456,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             + "; ".join(f["message"] for f in findings if f["level"] != "info")
         )
     obj, data = materialize(cfg)
+    try:
+        _run_kind(cfg, obj, data, out, outputs, results, divergence)
+    except DivergenceError as exc:
+        divergence.append({"step": exc.step, "message": str(exc)})
+        write_manifest()
+        raise
+    return write_manifest()
 
+
+def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, results: dict,
+              divergence: list) -> None:
+    """Run every kind but ``validate``, appending to the manifest's lists."""
+    s = cfg.sampler
     if cfg.kind == "audit":
         probes = int(cfg.audit.get("probes", 1000))
         radius = cfg.audit.get("radius")
@@ -478,10 +498,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
                 "integral of the Lyapunov functional under the initial law"),
             "Lambda_c": theory.ConstantEntry("Lambda_c", cc.Lambda_c, "exact", "fixed point with alpha_c"),
             "alpha_c": theory.ConstantEntry("alpha_c", cc.alpha_c, "exact", "(1 + 1/Lambda_c) M / gamma^2"),
-            "c_star": theory.ConstantEntry("c_star", cc.c_star, "exact", "contraction rate"),
-            "C_star": theory.ConstantEntry("C_star", cc.C_star, "exact", "contraction prefactor"),
-            "epsilon_c": theory.ConstantEntry("epsilon_c", cc.epsilon_c, "exact",
-                                              "4 c_star / (gamma (d + A_c))"),
+            "c_star": theory.ConstantEntry("c_star", cc.c_star, "exact", "contraction rate",
+                                           cc.log_c_star),
+            "C_star": theory.ConstantEntry("C_star", cc.C_star, "exact", "contraction prefactor",
+                                           cc.log_C_star),
+            "epsilon_c": theory.ConstantEntry(
+                "epsilon_c", cc.epsilon_c, "exact", "4 c_star / (gamma (d + A_c))",
+                cc.log_c_star + math.log(4.0 / (s.gamma * (s.dim + cc.A_c)))),
             "eta_c": theory.ConstantEntry("eta_c", cc.eta_c, "exact", "1 / Lambda_c"),
             "R_1": theory.ConstantEntry("R_1", cc.R_1, "exact", "flat radius of h"),
             "C_c_x": theory.ConstantEntry("C_c_x", moment.C_c_x, "exact", "continuous x moment bound"),
@@ -508,24 +531,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         results["lambda_cap"] = moment.lambda_cap
 
     elif cfg.kind == "sample":
-        try:
-            traj = run_chain(cfg.chain, s, obj, data, steps=cfg.steps, thin=cfg.thin)
-        except DivergenceError as exc:
-            divergence.append({"step": exc.step, "message": str(exc)})
-            raise
+        traj = run_chain(cfg.chain, s, obj, data, steps=cfg.steps, thin=cfg.thin)
         traj.to_csv(out / "trajectory.csv")
         outputs.append(str(out / "trajectory.csv"))
         results["recorded_states"] = len(traj)
 
     elif cfg.kind == "couple":
         cfg_b = cfg.sampler_b or s
-        try:
-            _, _, distances = coupled_run(
-                cfg.chain, s, cfg_b, obj, data, steps=cfg.steps, thin=cfg.thin
-            )
-        except DivergenceError as exc:
-            divergence.append({"step": exc.step, "message": str(exc)})
-            raise
+        _, _, distances = coupled_run(
+            cfg.chain, s, cfg_b, obj, data, steps=cfg.steps, thin=cfg.thin
+        )
         lines = ["step,dist_x,dist_v"]
         for row in distances:
             lines.append(f"{int(row[0])},{row[1]:.17g},{row[2]:.17g}")
@@ -554,6 +569,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             if row["flag"] == "diverged"
         )
         results.update({"slope": table["slope"], "rows": table["rows"]})
+        if all(row["flag"] == "diverged" for row in table["rows"]):
+            raise DivergenceError("every grid point diverged", step=0)
 
     elif cfg.kind == "gibbs-check":
         results.update(_gibbs_check(cfg, obj, data))
@@ -564,19 +581,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         results.update(_risk_bound(cfg, obj, data))
         _write(out / "risk.json", json.dumps(results, indent=2))
         outputs.append(str(out / "risk.json"))
-
-    manifest = RunManifest(
-        config=cfg.to_dict(),
-        version=__version__,
-        seeds={"sampler": s.seed, "dataset": int(cfg.dataset.get("seed", 7))},
-        wall_time_s=time.perf_counter() - start,
-        divergence=divergence,
-        outputs=outputs,
-        findings=findings,
-        results=_jsonable(results),
-    )
-    _write(out / "manifest.json", manifest.to_json())
-    return manifest
 
 
 def _jsonable(obj):
@@ -684,7 +688,7 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
         lambda_star=risk.get("lambda_star"),
     )
     out = {
-        "B_1": bound.B_1,
+        "B_1": theory.in_range(bound.B_1, bound.log_B_1),
         "B_2": bound.B_2,
         "B_3": bound.B_3,
         "inputs": bound.inputs,
@@ -693,13 +697,8 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
         "delta": delta,
     }
     if "eps" in risk:
-        try:
-            cap, k_min = theory.iteration_budget(
-                cc, proof["C_tilde"].value, float(risk["eps"]), p, w_rho
-            )
-            out["budget"] = {"eps": float(risk["eps"]), "cap": cap, "k_min": k_min}
-        except NumericalError as exc:
-            out["budget"] = {"eps": float(risk["eps"]), "error": str(exc)}
+        cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], float(risk["eps"]), p, w_rho)
+        out["budget"] = {"eps": float(risk["eps"]), "cap": cap, "k_min": k_min}
     return out
 
 
@@ -716,8 +715,9 @@ def rate_study(
 
     For each lambda the chain at that step size is synchronously coupled (one
     Brownian path) to a full-gradient reference at lambda / divisor and
-    compared at matched physical time ``t_end``. Divergent grid points are
-    dropped with a flag; the log-log slope is fitted over the survivors.
+    compared at matched physical time ``t_end``. Divergent grid points, and
+    runaway ones whose distance is not finite, are dropped with a flag; the
+    log-log slope is fitted over the survivors (None below two).
     """
     lambdas = sorted(set(float(l) for l in lambdas), reverse=True)
     if len(lambdas) < 1:
@@ -734,12 +734,13 @@ def rate_study(
             dist = brownian_coupled_distance(
                 cfg, lam / lambda_ref_divisor, obj, data, t_end, replicas
             )
-            rows.append({"lambda": lam, "distance": dist, "flag": "ok"})
         except DivergenceError:
+            dist = math.inf
+        if math.isfinite(dist):
+            rows.append({"lambda": lam, "distance": dist, "flag": "ok"})
+        else:  # diverged, or ran away so far that the squared distance overflowed
             rows.append({"lambda": lam, "distance": float("nan"), "flag": "diverged"})
     good = [r for r in rows if r["flag"] == "ok"]
-    if not good:
-        raise DivergenceError("every grid point diverged", step=0)
     slope = None
     if len(good) >= 2 and all(r["distance"] > 0 for r in good):
         lx = np.log([r["lambda"] for r in good])

@@ -487,6 +487,11 @@ class EnsembleResult:
     tail_samples: int = 0
 
 
+def _check_replicas(replicas: int) -> None:
+    if replicas < 1:
+        raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
+
+
 def ensemble_run(
     kind: str,
     cfg: SamplerConfig,
@@ -509,6 +514,7 @@ def ensemble_run(
     """
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
+    _check_replicas(replicas)
     functionals = dict(functionals or {})
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
@@ -596,6 +602,7 @@ def coupled_ensemble_run(
         raise ConfigurationError("coupled chains must share the dimension")
     if cfg_a.batch_size != cfg_b.batch_size:
         raise ConfigurationError("coupled chains must share the batch size")
+    _check_replicas(replicas)
     noise_rng = derive_stream(cfg_a.seed, f"{purpose}:noise")
     Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, f"{purpose}:init", 0), size=replicas)
     Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, f"{purpose}:init", 1), size=replicas)
@@ -656,6 +663,7 @@ def brownian_coupled_distance(
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
+    _check_replicas(replicas)
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)

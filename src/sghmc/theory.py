@@ -199,8 +199,10 @@ class ContractionConstants:
     ``c_star`` is the contraction rate, ``C_star`` the prefactor; the
     auxiliary pair (Lambda_c, alpha_c) solves a two-way fixed point, and
     ``eta_c = 1 / Lambda_c`` follows from substituting L_c = beta M into the
-    two displays that define alpha_c. ``log_c_star`` is kept alongside
-    ``c_star`` because the rate is exponentially small in (beta + d).
+    two displays that define alpha_c. c* and C* are exponential in
+    Lambda_c = O(beta + d), so the logs are the evaluated quantities:
+    ``c_star = exp(log_c_star)`` reads 0.0 below float range, ``C_star =
+    exp(log_C_star)`` reads inf above it, and ``epsilon_c`` follows c_star.
     """
 
     c_star: float
@@ -216,6 +218,20 @@ class ContractionConstants:
     A_c: float
     lambda_c: float
     log_c_star: float
+    log_C_star: float
+
+
+def _exp(x: float) -> float:
+    """exp(x), reading inf above float range (math.exp raises there)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ln(x: float) -> float:
+    """Natural log, reading -inf at 0."""
+    return math.log(x) if x > 0 else -math.inf
 
 
 def _resolve_alpha_lambda(mg2: float, lam_c: float, a_c: float, d: int):
@@ -242,15 +258,6 @@ def _resolve_alpha_lambda(mg2: float, lam_c: float, a_c: float, d: int):
     return alpha, lam_of_alpha(alpha)
 
 
-def _log_c_star(mg2: float, lam_c: float, Lam: float, gamma: float, p: float) -> float:
-    log_terms = (
-        math.log(lam_c) + math.log(mg2),
-        0.5 * math.log(Lam) - Lam + math.log(mg2),
-        0.5 * math.log(Lam) - Lam,
-    )
-    return math.log(gamma / (384.0 * p)) + min(log_terms)
-
-
 def contraction_constants(
     drift: DriftConstants,
     cert: SmoothnessCertificate,
@@ -264,6 +271,8 @@ def contraction_constants(
     alpha_c = (1 + 1/Lambda_c) M / gamma^2 and Lambda_c is an explicit
     function of alpha_c; the pair is solved by damped iteration from
     alpha_c = M / gamma^2 to relative tolerance 1e-13 (both residuals).
+    c* and C* are evaluated once, in log space, so a stiff regime yields
+    finite logs instead of an error.
     """
     if not (1.0 <= p <= 2.0):
         raise ConfigurationError("contraction constants require p in [1, 2]")
@@ -273,13 +282,12 @@ def contraction_constants(
     mg2 = cert.M / gamma**2
     alpha, Lam = _resolve_alpha_lambda(mg2, lam_c, a_c, d)
     one = 1.0 + 2.0 * alpha + 2.0 * alpha * alpha
-    log_c_star = _log_c_star(mg2, lam_c, Lam, gamma, p)
+    log_c_star = math.log(gamma / (384.0 * p)) + min(
+        math.log(lam_c) + math.log(mg2),
+        0.5 * math.log(Lam) - Lam + math.log(mg2),
+        0.5 * math.log(Lam) - Lam,
+    )
     c_star = math.exp(log_c_star)
-    if c_star == 0.0:
-        raise NumericalError(
-            f"contraction rate underflowed (Lambda_c = {Lam:.3g}); "
-            "the regime is out of floating-point range"
-        )
     eps_c = 4.0 * c_star / (gamma * (d + a_c))
     eta_c = 1.0 / Lam
     L_c = beta * cert.M
@@ -290,19 +298,20 @@ def contraction_constants(
         * math.sqrt(d + a_c)
         / (math.sqrt(beta) * gamma * math.sqrt(lam_c - 2.0 * lam_c * lam_c))
     )
-    inner = (
+    # C* = 2^{1/p} exp((2 + Lambda_c)/p) ((1 + gamma)/min(1, alpha_c)) max(1, inner)^{1/p}
+    # with inner = 4 (max(1, R_1^{p-2}) / min(1, R_1)) one (d + A_c) / (beta gamma c*)
+    log_inner = math.log(
         4.0
         * (max(1.0, R_1 ** (p - 2.0)) / min(1.0, R_1))
         * one
         * (d + a_c)
-        / (beta * gamma * c_star)
+        / (beta * gamma)
+    ) - log_c_star
+    log_C_star = (
+        (math.log(2.0) + 2.0 + Lam + max(0.0, log_inner)) / p
+        + math.log((1.0 + gamma) / min(1.0, alpha))
     )
-    C_star = (
-        2.0 ** (1.0 / p)
-        * math.exp((2.0 + Lam) / p)
-        * ((1.0 + gamma) / min(1.0, alpha))
-        * max(1.0, inner) ** (1.0 / p)
-    )
+    C_star = _exp(log_C_star)
     return ContractionConstants(
         c_star=c_star,
         C_star=C_star,
@@ -317,15 +326,17 @@ def contraction_constants(
         A_c=a_c,
         lambda_c=lam_c,
         log_c_star=log_c_star,
+        log_C_star=log_C_star,
     )
 
 
 def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, nodes: int):
-    """Simpson grid evaluation of h on [0, r_eff]; returns (s, h(s), g(s)).
+    """Simpson grid evaluation of h on [0, r_eff]; returns (s, h(s)).
 
     h(r) = int_0^r phi(s) g(s) ds with g(s) = 1 - (9/4) c* gamma beta
     int_0^s Phi(u) / phi(u) du, so h' = phi g >= 0 and h'' <= 0 as long as g
-    stays nonnegative; g turning negative bounds the validity radius.
+    stays nonnegative; g turning negative bounds the validity radius (a
+    NumericalError, not repaired).
     """
     n = max(2, int(nodes))
     if n % 2:
@@ -338,8 +349,11 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
     Phi = cumulative_simpson(phi, x=s, initial=0.0)
     inner = cumulative_simpson(Phi / phi, x=s, initial=0.0)
     g = 1.0 - 2.25 * cc.c_star * gamma * beta * inner
+    if np.any(g < 0.0):
+        j = int(np.argmax(g < 0.0))
+        raise NumericalError(f"h correction factor went negative at r = {s[j]:.6g}")
     h = cumulative_simpson(phi * g, x=s, initial=0.0)
-    return s, h, g
+    return s, h
 
 
 def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float,
@@ -358,10 +372,7 @@ def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float,
     r_eff = min(r, cc.R_1)
     if r_eff == 0.0:
         return 0.0
-    s, h_vals, g = _h_grid(cc, beta, gamma, r_eff, nodes)
-    if np.any(g < 0.0):
-        j = int(np.argmax(g < 0.0))
-        raise NumericalError(f"h correction factor went negative at r = {s[j]:.6g}")
+    _, h_vals = _h_grid(cc, beta, gamma, r_eff, nodes)
     return float(h_vals[-1])
 
 
@@ -373,11 +384,7 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
     rho-distance of clouds interpolates on this profile).
     """
     r_eff = cc.R_1 if r_max is None else min(r_max, cc.R_1)
-    s, h_vals, g = _h_grid(cc, beta, gamma, r_eff, nodes)
-    if np.any(g < 0.0):
-        j = int(np.argmax(g < 0.0))
-        raise NumericalError(f"h correction factor went negative at r = {s[j]:.6g}")
-    return s, h_vals
+    return _h_grid(cc, beta, gamma, r_eff, nodes)
 
 
 def r_semimetric(cc: ContractionConstants, state_a, state_b, gamma: float) -> float:
@@ -469,22 +476,33 @@ def moment_bound_constants(
 # Proof-constant chain
 # ---------------------------------------------------------------------------
 
+def in_range(value: float, log_value: float):
+    """``value`` itself when it is in float range, else a record of it with its
+    status ('underflow' or 'overflow') and the log10 of the true quantity."""
+    if (value != 0.0 and math.isfinite(value)) or not math.isfinite(log_value):
+        return value
+    status = "underflow" if value == 0.0 else "overflow"
+    return {"value": value, "status": status, "log10": log_value / math.log(10.0)}
+
+
 @dataclass(frozen=True)
 class ConstantEntry:
     name: str
     value: float
     status: str  # "exact" | "empirical"
     formula: str
+    log: Optional[float] = None  # natural log, for entries evaluated in log space
 
 
 def constants_to_json(table: Mapping[str, ConstantEntry], indent: int = 2) -> str:
-    return json.dumps(
-        {
-            k: {"value": e.value, "status": e.status, "formula_ref": e.formula}
-            for k, e in table.items()
-        },
-        indent=indent,
-    )
+    """Entries read {value, status, formula_ref}; one evaluated in log space
+    whose value left float range takes the status and log10 of in_range."""
+    doc = {}
+    for k, e in table.items():
+        doc[k] = {"value": e.value, "status": e.status, "formula_ref": e.formula}
+        if e.log is not None and isinstance(flagged := in_range(e.value, e.log), dict):
+            doc[k].update(flagged)
+    return json.dumps(doc, indent=indent)
 
 
 def proof_constants(
@@ -543,27 +561,28 @@ def proof_constants(
     }
     if pilot_sup_v2 is not None:
         c18 = c17 * (1.0 + 2.0 * cc.epsilon_c * math.sqrt(max(pilot_sup_v2, 0.0)))
-        # e^{-c} / (1 - e^{-c}) with c tiny: use expm1 to avoid cancellation
-        tail = math.exp(-cc.c_star) / (-math.expm1(-cc.c_star))
-        c_tilde = 2.0 * max(
-            c2, c3, c7, cc.C_star * (c18 * c16) ** (1.0 / cc.p) * tail
+        # log(e^{-c*} / (1 - e^{-c*})) = -log(expm1(c*)); below e^-40,
+        # expm1(c*) is c* to float precision (and c* may have underflowed to 0)
+        log_tail = -math.log(math.expm1(cc.c_star)) if cc.log_c_star > -40.0 else -cc.log_c_star
+        log_c_tilde = math.log(2.0) + max(
+            math.log(c2),
+            math.log(c3),
+            math.log(c7),
+            cc.log_C_star + math.log(c18 * c16) / cc.p + log_tail,
         )
-        formula = "2 max(c_2, c_3, c_7, C* (c_18 c_16)^{1/p} e^{-c*} / (1 - e^{-c*}))"
-        if not math.isfinite(c_tilde) and math.isfinite(cc.C_star):
-            # the product left float range; its magnitude is still well defined
-            log10 = (
-                math.log10(cc.C_star)
-                + math.log10(c18 * c16) / cc.p
-                + math.log10(tail)
-            )
-            formula += f" [overflowed; log10 ~ {log10:.1f}]"
         table["c_18"] = ConstantEntry(
             "c_18",
             c18,
             "empirical",
             "c_17 (1 + 2 eps_c sqrt(sup_k E V^2)) [pilot-estimated sup]",
         )
-        table["C_tilde"] = ConstantEntry("C_tilde", c_tilde, "empirical", formula)
+        table["C_tilde"] = ConstantEntry(
+            "C_tilde",
+            _exp(log_c_tilde),
+            "empirical",
+            "2 max(c_2, c_3, c_7, C* (c_18 c_16)^{1/p} e^{-c*} / (1 - e^{-c*}))",
+            log_c_tilde,
+        )
     return table
 
 
@@ -579,11 +598,13 @@ class RiskBound:
     B_1: float
     B_2: float
     B_3: float
+    log_B_1: float
     inputs: dict = field(default_factory=dict)
 
     def to_json(self, indent=2) -> str:
+        b1 = in_range(self.B_1, self.log_B_1)
         return json.dumps(
-            {"B_1": self.B_1, "B_2": self.B_2, "B_3": self.B_3, "inputs": self.inputs},
+            {"B_1": b1, "B_2": self.B_2, "B_3": self.B_3, "inputs": self.inputs},
             indent=indent,
         )
 
@@ -647,12 +668,12 @@ def risk_bound(
             raise ConfigurationError("supply either c_ls or lambda_star")
         c_ls = log_sobolev_constant(cert, beta, d, lambda_star)
     M, B, m, b = cert.M, cert.B, cert.m, cert.b
-    c_tilde = proof["C_tilde"].value
+    c_tilde = proof["C_tilde"]
     expo = 1.0 / (2.0 * p)
-    b1 = (M * sigma + B) * (
-        c_tilde * (lam**expo + delta**expo)
-        + cc.C_star * w_rho_init ** (1.0 / p) * math.exp(-cc.c_star * k * lam)
-    )
+    log_b1 = _ln(M * sigma + B) + float(np.logaddexp(
+        c_tilde.log + _ln(lam**expo + delta**expo),
+        cc.log_C_star + _ln(w_rho_init) / p - cc.c_star * k * lam,
+    ))
     b2 = (4.0 * beta * c_ls / n) * ((M * M / m) * (b + d / beta) + B * B)
     b3 = (d / (2.0 * beta)) * math.log((math.e * M / m) * (b * beta / d + 1.0))
     inputs = {
@@ -669,47 +690,39 @@ def risk_bound(
         "d": d,
         "beta": beta,
         "gamma": gamma,
-        "C_tilde": c_tilde,
-        "C_star": cc.C_star,
-        "c_star": cc.c_star,
+        "C_tilde": in_range(c_tilde.value, c_tilde.log),
+        "C_star": in_range(cc.C_star, cc.log_C_star),
+        "c_star": in_range(cc.c_star, cc.log_c_star),
     }
-    return RiskBound(B_1=b1, B_2=b2, B_3=b3, inputs=inputs)
+    return RiskBound(B_1=_exp(log_b1), B_2=b2, B_3=b3, log_B_1=log_b1, inputs=inputs)
 
 
-def iteration_budget(cc: ContractionConstants, c_tilde: float, eps: float,
+def iteration_budget(cc: ContractionConstants, c_tilde, eps: float,
                      p: float, w_rho_init: float):
     """Step-size/noise cap and minimum iteration count for accuracy eps.
 
     Returns ``(cap, k_min)`` where the run must satisfy
     lam^{1/(2p)} + delta^{1/(2p)} <= cap = eps / (2 C~) and k >= k_min.
     When the initial transient is already below eps (log argument <= 1) the
-    budget is zero.
+    budget is zero. ``c_tilde`` is C~ or its proof_constants entry (which
+    keeps the log of a C~ beyond float range); both results go through in_range.
     """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
-    if not math.isfinite(c_tilde):
-        raise NumericalError("C_tilde is beyond float range; the budget is undefined")
-    cap = eps / (2.0 * c_tilde)
-    log_arg = math.log(cc.C_star) + math.log(w_rho_init) / p - math.log(eps)
+    log_ct = c_tilde.log if isinstance(c_tilde, ConstantEntry) else math.log(c_tilde)
+    log_cap = math.log(eps) - math.log(2.0) - log_ct
+    cap = in_range(_exp(log_cap), log_cap)
+    log_arg = cc.log_C_star + math.log(w_rho_init) / p - math.log(eps)
     if log_arg <= 0.0:
         return cap, 0
-    k_real = ((2.0 * c_tilde) ** (2.0 * p) / cc.c_star) * eps ** (-2.0 * p) * log_arg
-    if math.isfinite(k_real):
-        return cap, int(math.ceil(k_real))
-    # the direct product can overflow while the count is still meaningful;
-    # retry in log space and report the magnitude when even that is too large
     log_k = (
-        2.0 * p * (math.log(2.0) + math.log(c_tilde))
+        2.0 * p * (math.log(2.0) + log_ct)
         - cc.log_c_star
         - 2.0 * p * math.log(eps)
         + math.log(log_arg)
     )
-    if log_k < 700.0:
-        return cap, int(math.ceil(math.exp(log_k)))
-    raise NumericalError(
-        f"iteration budget exceeds the floating-point range "
-        f"(log10 k_min ~ {log_k / math.log(10.0):.1f})"
-    )
+    k_real = _exp(log_k)
+    return cap, int(math.ceil(k_real)) if math.isfinite(k_real) else in_range(k_real, log_k)
 
 
 # ---------------------------------------------------------------------------
@@ -739,49 +752,25 @@ def scaling_orders(betas: Sequence[float], ds: Sequence[int],
         raise ConfigurationError("scaling_orders needs nonempty ranges")
     rows = []
     lam_c = 0.5 * lambda_c_cap(cert, gamma)
-    mg2 = cert.M / gamma**2
     for beta in betas:
-        a_c = max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY)
+        drift = DriftConstants(lam_c, max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY))
         for d in ds:
-            # log-space evaluation: the table must survive regimes where
-            # c_star underflows and C_star overflows
-            alpha, Lam = _resolve_alpha_lambda(mg2, lam_c, a_c, d)
-            one = 1.0 + 2.0 * alpha + 2.0 * alpha * alpha
-            log_c = _log_c_star(mg2, lam_c, Lam, gamma, p)
-            r1 = (
-                4.0 * math.sqrt(1.2) * math.sqrt(one) * math.sqrt(d + a_c)
-                / (math.sqrt(beta) * gamma * math.sqrt(lam_c - 2.0 * lam_c * lam_c))
-            )
-            log_inner = (
-                math.log(4.0)
-                + math.log(max(1.0, r1 ** (p - 2.0)) / min(1.0, r1))
-                + math.log(one)
-                + math.log(d + a_c)
-                - math.log(beta)
-                - math.log(gamma)
-                - log_c
-            )
-            log_C = (
-                math.log(2.0) / p
-                + (2.0 + Lam) / p
-                + math.log((1.0 + gamma) / min(1.0, alpha))
-                + max(0.0, log_inner) / p
-            )
+            cc = contraction_constants(drift, cert, gamma, beta, d, p)
             rows.append(
                 {
                     "beta": float(beta),
                     "d": int(d),
-                    "A_c": a_c,
-                    "Lambda_c": Lam,
-                    "alpha_c": alpha,
-                    "c_star": math.exp(log_c) if log_c > -745.0 else 0.0,
-                    "log_c_star": log_c,
-                    "C_star": math.exp(log_C) if log_C < 709.0 else math.inf,
-                    "log_C_star": log_C,
-                    "R_1": r1,
-                    "A_c_over_beta": a_c / beta,
-                    "Lambda_c_over_beta_plus_d": Lam / (beta + d),
-                    "R_1_over_sqrt_1_plus_d_over_beta": r1 / math.sqrt(1.0 + d / beta),
+                    "A_c": cc.A_c,
+                    "Lambda_c": cc.Lambda_c,
+                    "alpha_c": cc.alpha_c,
+                    "c_star": cc.c_star,
+                    "log_c_star": cc.log_c_star,
+                    "C_star": cc.C_star,
+                    "log_C_star": cc.log_C_star,
+                    "R_1": cc.R_1,
+                    "A_c_over_beta": cc.A_c / beta,
+                    "Lambda_c_over_beta_plus_d": cc.Lambda_c / (beta + d),
+                    "R_1_over_sqrt_1_plus_d_over_beta": cc.R_1 / math.sqrt(1.0 + d / beta),
                 }
             )
     return {"rows": rows, "asserted_orders": dict(ASSERTED_ORDERS)}

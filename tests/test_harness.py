@@ -1,12 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sghmc import ConfigurationError, double_well, make_dataset
+from sghmc import ConfigurationError, DivergenceError, double_well, make_dataset
+from sghmc import harness
 from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from sghmc.harness import (
     ExperimentConfig,
+    load_config,
     materialize,
     rate_study,
     run_experiment,
@@ -165,6 +172,69 @@ class TestExperiments:
             run_experiment(ExperimentConfig.from_dict(doc))
 
 
+def _unflagged_non_finite(doc, path=""):
+    """Paths of non-finite numbers that sit outside an underflow/overflow record."""
+    if isinstance(doc, dict):
+        if doc.get("status") in ("underflow", "overflow"):
+            assert math.isfinite(doc["log10"]), path
+            return []
+        return [p for k, v in doc.items() for p in _unflagged_non_finite(v, f"{path}/{k}")]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _unflagged_non_finite(v, f"{path}/{i}")]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return [path]
+    if isinstance(doc, str) and doc.lower() in ("inf", "-inf", "nan", "infinity", "-infinity"):
+        return [path]
+    return []
+
+
+class TestStiffObjectives:
+    """The double well and the mixture have Lambda_c of order 1e4: c* and C~
+    leave float range and are reported through their log10."""
+
+    OBJECTIVES = {
+        "double_well": ({"coupling": 0.1}, 11),
+        "gaussian_mixture": ({"ridge": 0.05}, 13),
+    }
+
+    def _run(self, tmp_path, kind, name, **over):
+        params, seed = self.OBJECTIVES[name]
+        doc = base_config(kind=kind, out=str(tmp_path / "o"), **over)
+        doc["objective"] = {"name": name, "params": params}
+        doc["dataset"]["seed"] = seed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path)]) == EXIT_OK
+        return tmp_path / "o"
+
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    def test_constants_complete_with_flagged_entries(self, tmp_path, name):
+        out = self._run(tmp_path, "constants", name, pilot_steps=500)
+        table = json.loads((out / "constants.json").read_text())
+        assert _unflagged_non_finite(table) == []
+        assert table["c_star"]["status"] == "underflow"
+        assert table["epsilon_c"]["status"] == "underflow"
+        assert table["C_star"]["status"] == "overflow"
+        assert table["C_tilde"]["status"] == "overflow"
+        assert table["c_star"]["log10"] < -7000 and table["C_tilde"]["log10"] > 14000
+        assert table["lambda_c"]["status"] == "exact" and "log10" not in table["lambda_c"]
+        assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    def test_risk_bound_completes_with_flagged_entries(self, tmp_path, name):
+        out = self._run(tmp_path, "risk-bound", name, pilot_steps=500, replicas=2,
+                        risk={"p": 2.0, "q": 1, "lambda_star": 1.0, "eps": 0.1})
+        risk = json.loads((out / "risk.json").read_text())
+        assert _unflagged_non_finite(risk) == []
+        assert risk["B_1"]["status"] == "overflow"
+        assert risk["inputs"]["C_star"]["status"] == "overflow"
+        assert risk["inputs"]["C_tilde"]["status"] == "overflow"
+        assert risk["inputs"]["c_star"]["status"] == "underflow"
+        assert risk["budget"]["cap"]["status"] == "underflow"
+        assert risk["budget"]["k_min"]["status"] == "overflow"
+        assert math.isfinite(risk["B_2"]) and math.isfinite(risk["B_3"])
+
+
 class TestRateStudy:
     def test_slope_and_monotone(self, quad_obj, quad_data):
         base = SamplerConfig(lam=0.1, gamma=2.0, beta=1.0, batch_size=None,
@@ -209,6 +279,32 @@ class TestRateStudy:
             table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
         assert {r["lambda"]: r["flag"] for r in table["rows"]}[1.0] == "diverged"
 
+    def test_runaway_point_with_overflowing_distance_dropped(self):
+        # at lam=5 both chains run away to |x| ~ 1e300 and stay finite, but
+        # their squared distance overflows; lam=1 diverges outright
+        data = make_dataset("gaussian", 100, 2, seed=7)
+        obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
+        base = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
+                             dim=2, seed=11, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
+        row = table["rows"][0]
+        assert row["lambda"] == 5.0 and row["flag"] == "diverged"
+        assert math.isnan(row["distance"])
+        assert table["slope"] is None
+
+    def test_non_finite_distance_left_out_of_slope(self, quad_obj, quad_data, monkeypatch):
+        def distance(cfg, lambda_ref, obj, data, t_end, replicas):
+            return math.inf if cfg.lam == 0.4 else cfg.lam**2
+
+        monkeypatch.setattr(harness, "brownian_coupled_distance", distance)
+        base = SamplerConfig(lam=0.1, gamma=2.0, beta=1.0, batch_size=None,
+                             dim=2, seed=9, init=gaussian_init(0.0, 1.0))
+        table = rate_study(quad_obj, quad_data, base, lambdas=[0.4, 0.2, 0.1], replicas=4)
+        row = table["rows"][0]
+        assert row["flag"] == "diverged" and math.isnan(row["distance"])
+        assert table["slope"] == pytest.approx(2.0, rel=1e-12)
+
 
 class TestDiscreteStationaryOracle:
     def test_bias_vanishes_with_step(self):
@@ -237,6 +333,55 @@ class TestCli:
         path.write_text(json.dumps(doc))
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
+
+    def test_divergent_run_leaves_manifest(self, tmp_path):
+        doc = base_config(out=str(tmp_path / "d1"), steps=5000)
+        doc["sampler"]["lambda"] = 5.0
+        doc["sampler"]["init"] = {"kind": "point", "x0": [1, 0], "v0": [0, 0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
+        manifest_path = tmp_path / "d1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["outputs"] == []
+        [record] = manifest["divergence"]
+        assert record["step"] >= 1 and "diverged" in record["message"]
+        assert load_config(manifest_path).sampler.lam == 5.0
+        # the manifest reproduces the run, divergence step included
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sample", "--config", str(manifest_path),
+                         "--out", str(tmp_path / "d2")]) == EXIT_DIVERGENCE
+        again = json.loads((tmp_path / "d2" / "manifest.json").read_text())
+        assert again["divergence"] == manifest["divergence"]
+
+    def test_fully_divergent_rate_study_exits_divergence(self, tmp_path):
+        doc = base_config(kind="rate-study", out=str(tmp_path / "r"),
+                          rate={"lambdas": [5.0], "t_end": 3000.0})
+        doc["sampler"]["init"] = {"kind": "point", "x0": [1, 0], "v0": [0, 0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["rate-study", "--config", str(path)]) == EXIT_DIVERGENCE
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["divergence"] == [
+            {"lambda": 5.0, "message": "dropped"},
+            {"step": 0, "message": "every grid point diverged"},
+        ]
+
+    def test_module_entry_point(self, tmp_path):
+        doc = base_config(kind="validate", out=str(tmp_path / "v"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sghmc", "validate", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "v" / "manifest.json").exists()
 
     @pytest.mark.parametrize("kind, over, argv", [
         ("gibbs-check", {}, ["--replicas", "0"]),

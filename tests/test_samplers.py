@@ -384,6 +384,16 @@ class TestEnsembles:
                                      replicas=2, record_every=1)
             assert err.value.step == 1
 
+    @pytest.mark.parametrize("runner", [
+        lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=0),
+        lambda obj, data: coupled_ensemble_run("sghmc", _cfg(), _cfg(), obj, data, steps=10,
+                                               replicas=0),
+        lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, 1.0, 0),
+    ], ids=["ensemble_run", "coupled_ensemble_run", "brownian_coupled_distance"])
+    def test_zero_replicas_rejected(self, data2, runner):
+        with pytest.raises(ConfigurationError, match="replicas must be >= 1"):
+            runner(quadratic(2, m0=1.0), data2)
+
 
 class TestMinibatchEnsembles:
     """Stacked minibatch gradients against the per-replica grad_f loop."""

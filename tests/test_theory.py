@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from sghmc import (
     CertificationError,
     ConfigurationError,
+    NumericalError,
     ObjectiveSpec,
     SmoothnessCertificate,
     point_init,
@@ -130,6 +132,18 @@ class TestContractionConstants:
         with pytest.raises(ConfigurationError):
             theory.contraction_constants(quad_theory["drift"], quad_obj.cert, GAMMA, BETA, 2, p=3.0)
 
+    @pytest.mark.parametrize("which", [1, 2], ids=["double_well", "gaussian_mixture"])
+    def test_stiff_certificate_stays_in_log_space(self, builtin_suite, which):
+        # Lambda_c is 1.67e4 (double well) and 4.04e4 (mixture): c* and C*
+        # leave float range, their logs do not
+        obj, data = builtin_suite[which]
+        drift = theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data)
+        cc = theory.contraction_constants(drift, obj.cert, GAMMA, BETA, 2)
+        assert cc.c_star == 0.0 and cc.epsilon_c == 0.0
+        assert cc.C_star == math.inf
+        assert math.isfinite(cc.log_c_star) and cc.log_c_star < -745.0
+        assert math.isfinite(cc.log_C_star) and cc.log_C_star > 710.0
+
 
 class TestHFunction:
     def test_zero_at_zero(self, quad_theory):
@@ -159,6 +173,13 @@ class TestHFunction:
     def test_negative_r_rejected(self, quad_theory):
         with pytest.raises(ConfigurationError):
             theory.h_function(quad_theory["cc"], BETA, GAMMA, -1.0)
+
+    def test_negative_correction_factor_reported(self, quad_theory):
+        fast = dataclasses.replace(quad_theory["cc"], c_star=1.0)
+        with pytest.raises(NumericalError, match="went negative at r = "):
+            theory.h_function(fast, BETA, GAMMA, fast.R_1)
+        with pytest.raises(NumericalError, match="went negative at r = "):
+            theory.h_profile(fast, BETA, GAMMA)
 
     def test_matches_adaptive_quadrature(self, quad_theory):
         # independent oracle: nested adaptive quadrature instead of the
@@ -251,6 +272,7 @@ class TestProofConstants:
             c_star=cc.c_star, C_star=cc.C_star, Lambda_c=cc.Lambda_c, alpha_c=0.5,
             epsilon_c=cc.epsilon_c, R_1=cc.R_1, L_c=cc.L_c, eta_c=cc.eta_c, p=2.0,
             d=2, A_c=cc.A_c, lambda_c=cc.lambda_c, log_c_star=cc.log_c_star,
+            log_C_star=cc.log_C_star,
         )
         cert = SmoothnessCertificate(A0=0, B=0, M=1, m=1, b=0)
         table = theory.proof_constants(cert, quad_theory["moment"], 2.0, BETA, 0.0, fake)
@@ -393,7 +415,7 @@ class TestIterationBudget:
         return theory.ContractionConstants(
             c_star=c_star, C_star=C_star, Lambda_c=10.0, alpha_c=0.3,
             epsilon_c=1e-3, R_1=5.0, L_c=1.0, eta_c=0.1, p=2.0, d=2, A_c=1.0,
-            lambda_c=0.125, log_c_star=math.log(c_star),
+            lambda_c=0.125, log_c_star=math.log(c_star), log_C_star=math.log(C_star),
         )
 
     def test_hand_value(self):
@@ -437,6 +459,16 @@ class TestScalingOrders:
         rows = {(r["beta"], r["d"]): r for r in table["rows"]}
         ratios = [rows[k]["Lambda_c_over_beta_plus_d"] for k in ((1.0, 2), (2.0, 4), (4.0, 8))]
         assert max(ratios) / min(ratios) <= 4.0
+
+    def test_rows_are_contraction_constants(self):
+        lam_c = 0.5 * theory.lambda_c_cap(self.CERT, GAMMA)
+        table = theory.scaling_orders([1.0, 2.0, 4.0], [2, 4, 8], self.CERT, GAMMA)
+        for row in table["rows"]:
+            drift = theory.DriftConstants(lam_c, row["A_c"])
+            cc = theory.contraction_constants(drift, self.CERT, GAMMA, row["beta"], row["d"])
+            for key in ("A_c", "Lambda_c", "alpha_c", "c_star", "log_c_star", "C_star",
+                        "log_C_star", "R_1"):
+                assert row[key] == getattr(cc, key), key
 
     def test_survives_underflow_regime(self):
         stiff = SmoothnessCertificate(A0=1.0, B=0.5, M=12.0, m=1.0, b=2.0)
