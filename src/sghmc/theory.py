@@ -347,8 +347,14 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
     )
     phi = np.exp(-a * s * s)
     Phi = cumulative_simpson(phi, x=s, initial=0.0)
-    inner = cumulative_simpson(Phi / phi, x=s, initial=0.0)
-    g = 1.0 - 2.25 * cc.c_star * gamma * beta * inner
+    # Phi / phi ~ exp(a s^2) overflows on the wide grids of stiff certificates:
+    # there it is carried relative to exp(shift), c* through its log, and the
+    # negligible terms near s = 0 read 0; other grids have shift 0
+    shift = max(0.0, a * r_eff * r_eff - 600.0)
+    with np.errstate(over="ignore"):
+        inner = cumulative_simpson(Phi / np.exp(shift - a * s * s), x=s, initial=0.0)
+    scaled_c_star = cc.c_star if shift == 0.0 else _exp(cc.log_c_star + shift)
+    g = 1.0 - 2.25 * scaled_c_star * gamma * beta * inner
     if np.any(g < 0.0):
         j = int(np.argmax(g < 0.0))
         raise NumericalError(f"h correction factor went negative at r = {s[j]:.6g}")
@@ -519,27 +525,34 @@ def proof_constants(
     All entries are exact formula evaluations except ``c_18`` (which needs
     the sup over the chain of E[V^2]; supplied as ``pilot_sup_v2`` from a
     pilot run) and hence ``C_tilde``. Without pilot statistics those two
-    entries are absent.
+    entries are absent. c_7 is exponential in M^2, so it and the entries built
+    on it are evaluated in log space, like C*, and keep finite logs.
     """
     M, B = cert.M, cert.B
     cax, cav = moment.C_a_x, moment.C_a_v
     ccx, ccv = moment.C_c_x, moment.C_c_v
-    root = math.sqrt(M * M * cax + B * B)
-    c2 = 4.0 * math.exp(M) * root
-    c3 = 2.0 * math.exp(M) * root
+    log_m2 = _ln(4.0 * M**2)
+    log_root2 = _ln(M * M * cax + B * B)
+    log_c2 = math.log(4.0) + M + 0.5 * log_root2
+    log_c3 = math.log(2.0) + M + 0.5 * log_root2
     c8 = 3.0 * gamma**2 * cav + 6.0 * M**2 * cax + 6.0 * B**2 + 6.0 * gamma / beta
     c9 = max(4.0 * gamma**2 * c8 + 4.0 * M**2 * cav, 2.0 * c8)
     c10 = max(4.0 * gamma**2 + 2.0, 4.0 * M**2)
-    c7 = math.sqrt(2.0 * c9) * math.exp(c10 / 2.0)
+    log_c7 = 0.5 * math.log(2.0 * c9) + c10 / 2.0
+    log_c2_c7 = float(np.logaddexp(log_c2, log_c7))
     c14 = 3.0 * gamma**2 * ccv + 6.0 * M**2 * ccx + 6.0 * B**2 + 6.0 * gamma / beta
-    c15 = max(2.0 * (M**2 * cax + B**2) + 4.0 * M**2 * c3**2, 4.0 * M**2 * (c2 + c7) ** 2)
-    c16 = max(c2 + c7, c3, math.sqrt(c14), math.sqrt(c15))
+    log_c15 = max(float(np.logaddexp(math.log(2.0) + log_root2, log_m2 + 2.0 * log_c3)),
+                  log_m2 + 2.0 * log_c2_c7)
+    log_c16 = max(log_c2_c7, log_c3, 0.5 * math.log(c14), 0.5 * log_c15)
     c17 = 3.0 * max(1.0 + cc.alpha_c, 1.0 / gamma)
 
+    def exact_log(name, log_value, formula):
+        return ConstantEntry(name, _exp(log_value), "exact", formula, log_value)
+
     table = {
-        "c_2": ConstantEntry("c_2", c2, "exact", "4 exp(M) sqrt(M^2 C_a_x + B^2)"),
-        "c_3": ConstantEntry("c_3", c3, "exact", "2 exp(M) sqrt(M^2 C_a_x + B^2)"),
-        "c_7": ConstantEntry("c_7", c7, "exact", "sqrt(2 c_9 exp(c_10))"),
+        "c_2": exact_log("c_2", log_c2, "4 exp(M) sqrt(M^2 C_a_x + B^2)"),
+        "c_3": exact_log("c_3", log_c3, "2 exp(M) sqrt(M^2 C_a_x + B^2)"),
+        "c_7": exact_log("c_7", log_c7, "sqrt(2 c_9 exp(c_10))"),
         "c_8": ConstantEntry(
             "c_8", c8, "exact", "3 g^2 C_a_v + 6 M^2 C_a_x + 6 B^2 + 6 g / beta"
         ),
@@ -548,15 +561,10 @@ def proof_constants(
         "c_14": ConstantEntry(
             "c_14", c14, "exact", "3 g^2 C_c_v + 6 M^2 C_c_x + 6 B^2 + 6 g / beta"
         ),
-        "c_15": ConstantEntry(
-            "c_15",
-            c15,
-            "exact",
-            "max(2 (M^2 C_a_x + B^2) + 4 M^2 c_3^2, 4 M^2 (c_2 + c_7)^2)",
+        "c_15": exact_log(
+            "c_15", log_c15, "max(2 (M^2 C_a_x + B^2) + 4 M^2 c_3^2, 4 M^2 (c_2 + c_7)^2)"
         ),
-        "c_16": ConstantEntry(
-            "c_16", c16, "exact", "max(c_2 + c_7, c_3, sqrt(c_14), sqrt(c_15))"
-        ),
+        "c_16": exact_log("c_16", log_c16, "max(c_2 + c_7, c_3, sqrt(c_14), sqrt(c_15))"),
         "c_17": ConstantEntry("c_17", c17, "exact", "3 max(1 + alpha_c, 1/gamma)"),
     }
     if pilot_sup_v2 is not None:
@@ -565,10 +573,10 @@ def proof_constants(
         # expm1(c*) is c* to float precision (and c* may have underflowed to 0)
         log_tail = -math.log(math.expm1(cc.c_star)) if cc.log_c_star > -40.0 else -cc.log_c_star
         log_c_tilde = math.log(2.0) + max(
-            math.log(c2),
-            math.log(c3),
-            math.log(c7),
-            cc.log_C_star + math.log(c18 * c16) / cc.p + log_tail,
+            log_c2,
+            log_c3,
+            log_c7,
+            cc.log_C_star + (math.log(c18) + log_c16) / cc.p + log_tail,
         )
         table["c_18"] = ConstantEntry(
             "c_18",

@@ -197,11 +197,11 @@ class TestStiffObjectives:
         "gaussian_mixture": ({"ridge": 0.05}, 13),
     }
 
-    def _run(self, tmp_path, kind, name, **over):
+    def _run(self, tmp_path, kind, name, data_seed=None, **over):
         params, seed = self.OBJECTIVES[name]
         doc = base_config(kind=kind, out=str(tmp_path / "o"), **over)
         doc["objective"] = {"name": name, "params": params}
-        doc["dataset"]["seed"] = seed
+        doc["dataset"]["seed"] = seed if data_seed is None else data_seed
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main([kind, "--config", str(path)]) == EXIT_OK
@@ -233,6 +233,24 @@ class TestStiffObjectives:
         assert risk["budget"]["cap"]["status"] == "underflow"
         assert risk["budget"]["k_min"]["status"] == "overflow"
         assert math.isfinite(risk["B_2"]) and math.isfinite(risk["B_3"])
+
+    def test_steep_mixture_completes_with_flagged_entries(self, tmp_path):
+        # data seed 31 gives the mixture M = 24.5: c_7 ~ exp(2 M^2) leaves
+        # float range, and on the rho-distance grid exp(-a s^2) underflows
+        (tmp_path / "c").mkdir()
+        (tmp_path / "r").mkdir()
+        out = self._run(tmp_path / "c", "constants", "gaussian_mixture", data_seed=31,
+                        pilot_steps=500)
+        table = json.loads((out / "constants.json").read_text())
+        assert _unflagged_non_finite(table) == []
+        assert table["c_7"]["status"] == "overflow" and table["c_16"]["status"] == "overflow"
+        out = self._run(tmp_path / "r", "risk-bound", "gaussian_mixture", data_seed=31,
+                        pilot_steps=500, replicas=2,
+                        risk={"p": 2.0, "q": 1, "lambda_star": 1.0, "eps": 0.1})
+        risk = json.loads((out / "risk.json").read_text())
+        assert _unflagged_non_finite(risk) == []
+        assert risk["B_1"]["status"] == "overflow"
+        assert math.isfinite(risk["inputs"]["w_rho_init"]) and risk["inputs"]["w_rho_init"] > 0
 
 
 class TestRateStudy:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -181,6 +182,40 @@ class TestHFunction:
         with pytest.raises(NumericalError, match="went negative at r = "):
             theory.h_profile(fast, BETA, GAMMA)
 
+    @pytest.mark.parametrize("which", [1, 2], ids=["double_well", "gaussian_mixture"])
+    def test_stiff_profile_stays_finite(self, builtin_suite, which):
+        # a R_1^2 is 1.7e4 and 5.6e4: exp(-a s^2) underflows on the grid and
+        # Phi / phi overflows, while c* Phi / phi stays negligible, so g = 1
+        # and h(R_1) is the Gaussian integral sqrt(pi / a) / 2
+        obj, data = builtin_suite[which]
+        drift = theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data)
+        cc = theory.contraction_constants(drift, obj.cert, GAMMA, BETA, 2)
+        grid, h_vals = theory.h_profile(cc, BETA, GAMMA)
+        a = (1 + cc.eta_c) * cc.L_c / 8
+        assert a * cc.R_1**2 > 1e4
+        assert np.all(np.isfinite(h_vals)) and np.all(np.diff(h_vals) >= 0.0)
+        assert h_vals[-1] == pytest.approx(math.sqrt(math.pi / a) / 2, rel=1e-9)
+
+    def test_shifted_inner_integral_matches_direct(self, quad_theory):
+        # a R_1^2 = 650 takes the shifted path, yet exp(-a s^2) still fits in
+        # float, so the unshifted formula is the oracle; c* is chosen so that
+        # g falls well below 1 without turning negative
+        from scipy.integrate import cumulative_simpson
+
+        cc = quad_theory["cc"]
+        L_c = 8.0 * 650.0 / cc.R_1**2 / (1 + cc.eta_c)
+        c_star = 1e-281
+        stiff = dataclasses.replace(cc, L_c=L_c, c_star=c_star, log_c_star=math.log(c_star),
+                                    epsilon_c=0.0)
+        grid, got = theory.h_profile(stiff, BETA, GAMMA, nodes=2000)
+        a = (1 + cc.eta_c) * L_c / 8
+        phi = np.exp(-a * grid * grid)
+        Phi = cumulative_simpson(phi, x=grid, initial=0.0)
+        g = 1.0 - 2.25 * c_star * GAMMA * BETA * cumulative_simpson(Phi / phi, x=grid, initial=0.0)
+        assert 0.0 < g.min() < 0.9
+        want = cumulative_simpson(phi * g, x=grid, initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
     def test_matches_adaptive_quadrature(self, quad_theory):
         # independent oracle: nested adaptive quadrature instead of the
         # composite-Simpson cumulative pass
@@ -323,6 +358,23 @@ class TestProofConstants:
             if base is None:
                 base = val
         assert abs(val - base) / base <= 0.10
+
+    def test_steep_certificate_stays_in_log_space(self, quad_theory):
+        # M = 25: c_10 = 4 M^2 = 2500, so exp(c_10 / 2) and everything built
+        # on c_7 leave float range; their logs do not
+        cert = SmoothnessCertificate(A0=10.0, B=0.0, M=25.0, m=0.6, b=10.0)
+        table = theory.proof_constants(cert, quad_theory["moment"], GAMMA, BETA, 0.0,
+                                       quad_theory["cc"], pilot_sup_v2=50.0)
+        c9, c10 = table["c_9"].value, table["c_10"].value
+        assert table["c_7"].log == pytest.approx(0.5 * math.log(2 * c9) + c10 / 2, rel=1e-15)
+        for key in ("c_7", "c_15", "c_16", "C_tilde"):
+            assert table[key].value == math.inf and math.isfinite(table[key].log), key
+        assert table["C_tilde"].log >= math.log(2.0) + table["c_7"].log
+        doc = json.loads(theory.constants_to_json(table))
+        for key in ("c_7", "c_15", "c_16", "C_tilde"):
+            assert doc[key]["status"] == "overflow"
+            assert doc[key]["log10"] == pytest.approx(table[key].log / math.log(10.0))
+        assert doc["c_2"]["status"] == "exact" and "log10" not in doc["c_2"]
 
     def test_json_serialization(self, quad_obj, quad_theory):
         table = theory.proof_constants(
