@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .objectives import Dataset, ObjectiveSpec, empirical_gradient, minibatch_gradient_rows
+from .objectives import (
+    Dataset,
+    ObjectiveSpec,
+    _reject_nonfinite_gradient,
+    empirical_gradient,
+    minibatch_gradient_rows,
+)
 from .rng import derive_stream
 
 
@@ -70,12 +76,17 @@ def make_oracle(
 
 
 def sample_gradient(oracle: MinibatchOracle, x: np.ndarray) -> np.ndarray:
-    """One stochastic gradient draw at x; advances the oracle's stream."""
+    """One stochastic gradient draw at x; advances the oracle's stream. A
+    non-finite mean re-evaluates its batch to name a faulty sample."""
     x = np.asarray(x, dtype=float)
+    obj, data = oracle.obj, oracle.data
     if oracle.full_pass:
-        return empirical_gradient(x, oracle.obj, oracle.data)
-    idx = oracle.rng.integers(0, oracle.data.n, size=oracle.batch_size)
-    return minibatch_gradient_rows(x, oracle.obj, oracle.data, idx)
+        return empirical_gradient(x, obj, data)
+    idx = oracle.rng.integers(0, data.n, size=oracle.batch_size)
+    g = minibatch_gradient_rows(x, obj, data, idx)
+    if not np.isfinite(g).all():
+        _reject_nonfinite_gradient(x, obj, obj.grad_f(x, data.samples[idx]), idx)
+    return g
 
 
 def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) -> np.ndarray:
@@ -156,15 +167,6 @@ class VarianceCurve:
 
     points: list  # (batch_size, variance)
     slope: Optional[float]
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(
-            {
-                "points": [{"batch_size": int(l), "variance": float(v)} for l, v in self.points],
-                "slope": self.slope,
-            },
-            indent=indent,
-        )
 
 
 def variance_scaling_curve(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from . import __version__
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, SghmcError
 from .gradient_oracle import estimate_delta, make_oracle
 from .metrics import SampleCloud, rho_distance_cloud
 from .objectives import (
@@ -247,42 +247,45 @@ def validate_config(cfg: ExperimentConfig) -> list:
     Findings are informational by default; ``--strict`` escalates warnings
     and violations to a failing exit status.
     """
-    findings = []
+    return _build(cfg)[2]
+
+
+def _lyapunov(cfg: ExperimentConfig, obj, data, probes: int):
+    """(drift, lyap, mu0): the drift constants certified on ``probes`` points,
+    the Lyapunov function and its integral under the initial law."""
+    s = cfg.sampler
+    drift = theory.derive_drift_constants(obj.cert, s.gamma, s.beta, obj, data, probes=probes)
+    lyap = theory.LyapunovParams(s.beta, s.gamma, drift.lambda_c, obj, data)
+    return drift, lyap, theory.initial_lyapunov_integral(s.init, lyap, s.dim)
+
+
+def _build(cfg: ExperimentConfig):
+    """Materialize a config and check it: (obj, data, findings). A config that
+    does not materialize gives obj = data = None and a single violation."""
     try:
         obj, data = materialize(cfg)
     except ConfigurationError as exc:
-        return [_finding("violation", "objective", str(exc))]
+        return None, None, [_finding("violation", "objective", str(exc))]
+    findings = []
     s = cfg.sampler
     if math.isfinite(s.beta):
         try:
-            drift = theory.derive_drift_constants(
-                obj.cert, s.gamma, s.beta, obj, data, probes=256
-            )
-            lyap = theory.LyapunovParams(s.beta, s.gamma, drift.lambda_c, obj, data)
-            mu0 = theory.initial_lyapunov_integral(s.init, lyap, s.dim)
+            drift, _, mu0 = _lyapunov(cfg, obj, data, probes=256)
             moment = theory.moment_bound_constants(
                 drift, obj.cert, s.gamma, s.beta, s.dim, mu0
             )
-            if s.lam > moment.lambda_cap:
-                findings.append(
-                    _finding(
-                        "warning",
-                        "inadmissible-step",
-                        f"step size {s.lam:g} exceeds the moment-bound cap "
-                        f"{moment.lambda_cap:g}",
-                        lambda_cap=moment.lambda_cap,
-                    )
+            ok = not s.lam > moment.lambda_cap
+            findings.append(
+                _finding(
+                    "info" if ok else "warning",
+                    "admissible-step" if ok else "inadmissible-step",
+                    f"step size {s.lam:g} "
+                    + ("is within the cap" if ok else "exceeds the moment-bound cap")
+                    + f" {moment.lambda_cap:g}",
+                    lambda_cap=moment.lambda_cap,
                 )
-            else:
-                findings.append(
-                    _finding(
-                        "info",
-                        "admissible-step",
-                        f"step size {s.lam:g} is within the cap {moment.lambda_cap:g}",
-                        lambda_cap=moment.lambda_cap,
-                    )
-                )
-        except Exception as exc:  # certification trouble is a finding, not a crash
+            )
+        except SghmcError as exc:  # certification trouble is a finding, not a crash
             findings.append(_finding("warning", "certification", str(exc)))
     if cfg.risk:
         p = float(cfg.risk.get("p", 2.0))
@@ -312,7 +315,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 f"quadratic growth {curv:g})",
             )
         )
-    return findings
+    return obj, data, findings
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +355,21 @@ class RunManifest:
     results: dict = field(default_factory=dict)
 
     def to_json(self, indent=2) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "version": self.version,
-                "seeds": self.seeds,
-                "wall_time_s": self.wall_time_s,
-                "divergence": self.divergence,
-                "outputs": self.outputs,
-                "findings": self.findings,
-                "results": self.results,
-            },
-            indent=indent,
-        )
+        return theory.to_json(asdict(self), indent)
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, doc) -> None:
+    """Write text as is, a callable as ``doc(path)`` and anything else as JSON."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if callable(doc):
+        doc(path)
+    else:
+        path.write_text(doc if isinstance(doc, str) else theory.to_json(doc), encoding="utf-8")
 
 
 def _theory_chain(cfg: ExperimentConfig, obj, data, p: float = 2.0, delta: float = 0.0):
     s = cfg.sampler
-    drift = theory.derive_drift_constants(obj.cert, s.gamma, s.beta, obj, data)
-    lyap = theory.LyapunovParams(s.beta, s.gamma, drift.lambda_c, obj, data)
-    mu0 = theory.initial_lyapunov_integral(s.init, lyap, s.dim)
+    drift, lyap, mu0 = _lyapunov(cfg, obj, data, probes=1000)
     cc = theory.contraction_constants(drift, obj.cert, s.gamma, s.beta, s.dim, p)
     moment = theory.moment_bound_constants(drift, obj.cert, s.gamma, s.beta, s.dim, mu0, delta)
     return drift, lyap, mu0, cc, moment
@@ -396,7 +388,7 @@ def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int, q: int
     def radial(X, V):
         return np.sum(X * X, axis=1) ** q
 
-    res = ensemble_run(
+    return ensemble_run(
         cfg.chain,
         s,
         obj,
@@ -408,68 +400,75 @@ def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int, q: int
         functionals={"v2": v2, "v2q": v2q, "radial2q": radial},
         purpose="pilot",
     )
-    return res
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Dispatch a validated config, write outputs, and return the manifest.
+    """Materialize and check a config once, run its kind, write the outputs
+    and the manifest, and return the manifest.
 
     A run that diverges writes its manifest too, with the step and message
-    under ``divergence``, before the DivergenceError propagates.
+    under ``divergence``, before the DivergenceError propagates. In strict
+    mode, warning or violation findings keep every kind but ``validate`` from
+    running and writing anything; ``validate`` raises ConfigurationError for
+    them once its manifest is written, and a failed audit raises it after
+    ``audit.json`` and before the manifest.
     """
     if cfg.kind not in KINDS:
         raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
     start = time.perf_counter()
-    out = Path(cfg.out)
-    outputs = []
-    divergence = []
-    results = {}
-    findings = validate_config(cfg)
-    s = cfg.sampler
-
-    def write_manifest() -> RunManifest:
-        manifest = RunManifest(
-            config=cfg.to_dict(),
-            version=__version__,
-            seeds={"sampler": s.seed, "dataset": int(cfg.dataset.get("seed", 7))},
-            wall_time_s=time.perf_counter() - start,
-            divergence=divergence,
-            outputs=outputs,
-            findings=findings,
-            results=_jsonable(results),
-        )
-        _write(out / "manifest.json", manifest.to_json())
-        return manifest
-
-    if cfg.kind == "validate":
-        _write(out / "findings.json", json.dumps(findings, indent=2))
-        outputs.append(str(out / "findings.json"))
-        results["findings"] = findings
-        manifest = write_manifest()
-        if cfg.strict and any(f["level"] in ("warning", "violation") for f in findings):
-            raise ConfigurationError("strict mode: validation findings present")
-        return manifest
-
-    if cfg.strict and any(f["level"] in ("warning", "violation") for f in findings):
+    obj, data, findings = _build(cfg)
+    blocking = [f["message"] for f in findings if f["level"] != "info"] if cfg.strict else []
+    if blocking and cfg.kind != "validate":
         raise ConfigurationError(
-            "strict mode: validation findings block the run: "
-            + "; ".join(f["message"] for f in findings if f["level"] != "info")
-        )
-    obj, data = materialize(cfg)
+            "strict mode: validation findings block the run: " + "; ".join(blocking))
+    if obj is None and cfg.kind != "validate":
+        raise ConfigurationError(findings[0]["message"])
+    out = Path(cfg.out)
+    manifest = RunManifest(
+        config=cfg.to_dict(),
+        version=__version__,
+        seeds={"sampler": cfg.sampler.seed, "dataset": int(cfg.dataset.get("seed", 7))},
+        wall_time_s=0.0,
+        divergence=[],
+        outputs=[],
+        findings=findings,
+    )
+
+    def emit(name: str, doc) -> None:
+        """The one writer of a run's outputs (see ``_write``)."""
+        _write(out / name, doc)
+        manifest.outputs.append(str(out / name))
+
+    def finish() -> None:
+        manifest.wall_time_s = time.perf_counter() - start
+        manifest.results = theory.jsonable(manifest.results)
+        _write(out / "manifest.json", manifest.to_json())
+
     try:
-        _run_kind(cfg, obj, data, out, outputs, results, divergence)
+        objection = _run_kind(cfg, obj, data, emit, manifest)
     except DivergenceError as exc:
-        divergence.append({"step": exc.step, "message": str(exc)})
-        write_manifest()
+        manifest.divergence.append({"step": exc.step, "message": str(exc)})
+        finish()
         raise
-    return write_manifest()
+    if cfg.strict and objection:
+        raise ConfigurationError("strict mode: " + objection)
+    finish()
+    if blocking:
+        raise ConfigurationError("strict mode: validation findings present")
+    return manifest
 
 
-def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, results: dict,
-              divergence: list) -> None:
-    """Run every kind but ``validate``, appending to the manifest's lists."""
+def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> Optional[str]:
+    """Run one kind: its outputs go through ``emit``, its results and dropped
+    grid points into the manifest. Returns what strict mode holds against the
+    result (a failed audit), else None."""
     s = cfg.sampler
-    if cfg.kind == "audit":
+    results = manifest.results
+    if cfg.kind == "validate":
+        emit("findings.json", manifest.findings)
+        results["findings"] = manifest.findings
+
+    elif cfg.kind == "audit":
         probes = int(cfg.audit.get("probes", 1000))
         radius = cfg.audit.get("radius")
         report = audit_assumptions(
@@ -477,11 +476,10 @@ def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, result
             radius=None if radius is None else float(radius),
             seed=int(cfg.audit.get("seed", s.seed)),
         )
-        _write(out / "audit.json", report.to_json())
-        outputs.append(str(out / "audit.json"))
+        emit("audit.json", report.to_json())
         results["all_passed"] = report.all_passed
-        if cfg.strict and not report.all_passed:
-            raise ConfigurationError("strict mode: assumption audit failed")
+        if not report.all_passed:
+            return "assumption audit failed"
 
     elif cfg.kind == "constants":
         p = float(cfg.risk.get("p", 2.0))
@@ -525,15 +523,13 @@ def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, result
             theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
                                    pilot_sup_v2=pilot_sup_v2)
         )
-        _write(out / "constants.json", theory.constants_to_json(table))
-        outputs.append(str(out / "constants.json"))
+        emit("constants.json", theory.constants_to_json(table))
         results["lambda_c"] = drift.lambda_c
         results["lambda_cap"] = moment.lambda_cap
 
     elif cfg.kind == "sample":
         traj = run_chain(cfg.chain, s, obj, data, steps=cfg.steps, thin=cfg.thin)
-        traj.to_csv(out / "trajectory.csv")
-        outputs.append(str(out / "trajectory.csv"))
+        emit("trajectory.csv", traj.to_csv)
         results["recorded_states"] = len(traj)
 
     elif cfg.kind == "couple":
@@ -541,11 +537,8 @@ def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, result
         _, _, distances = coupled_run(
             cfg.chain, s, cfg_b, obj, data, steps=cfg.steps, thin=cfg.thin
         )
-        lines = ["step,dist_x,dist_v"]
-        for row in distances:
-            lines.append(f"{int(row[0])},{row[1]:.17g},{row[2]:.17g}")
-        _write(out / "distances.csv", "\n".join(lines) + "\n")
-        outputs.append(str(out / "distances.csv"))
+        emit("distances.csv", "step,dist_x,dist_v\n" + "".join(
+            f"{int(row[0])},{row[1]:.17g},{row[2]:.17g}\n" for row in distances))
         results["final_dist_x"] = float(distances[-1, 1])
         results["final_dist_v"] = float(distances[-1, 2])
 
@@ -559,12 +552,9 @@ def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, result
             t_end=float(cfg.rate.get("t_end", 5.0)),
             replicas=cfg.replicas,
         )
-        lines = ["lambda,distance,flag"]
-        for row in table["rows"]:
-            lines.append(f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}")
-        _write(out / "rate.csv", "\n".join(lines) + "\n")
-        outputs.append(str(out / "rate.csv"))
-        divergence.extend(
+        emit("rate.csv", "lambda,distance,flag\n" + "".join(
+            f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}\n" for row in table["rows"]))
+        manifest.divergence.extend(
             {"lambda": row["lambda"], "message": "dropped"} for row in table["rows"]
             if row["flag"] == "diverged"
         )
@@ -574,27 +564,11 @@ def _run_kind(cfg: ExperimentConfig, obj, data, out: Path, outputs: list, result
 
     elif cfg.kind == "gibbs-check":
         results.update(_gibbs_check(cfg, obj, data))
-        _write(out / "gibbs.json", json.dumps(results, indent=2))
-        outputs.append(str(out / "gibbs.json"))
+        emit("gibbs.json", results)
 
     elif cfg.kind == "risk-bound":
         results.update(_risk_bound(cfg, obj, data))
-        _write(out / "risk.json", json.dumps(results, indent=2))
-        outputs.append(str(out / "risk.json"))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    return obj
+        emit("risk.json", results)
 
 
 def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dict:
@@ -726,10 +700,7 @@ def rate_study(
         raise ConfigurationError("step sizes must be positive")
     rows = []
     for lam in lambdas:
-        cfg = SamplerConfig(
-            lam=lam, gamma=base.gamma, beta=base.beta, batch_size=base.batch_size,
-            dim=base.dim, seed=base.seed, init=base.init,
-        )
+        cfg = replace(base, lam=lam)
         try:
             dist = brownian_coupled_distance(
                 cfg, lam / lambda_ref_divisor, obj, data, t_end, replicas

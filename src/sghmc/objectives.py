@@ -29,7 +29,6 @@ The built-ins' hooks reproduce the loop's bits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -285,7 +284,9 @@ class AuditReport:
         raise KeyError(assumption)
 
     def to_json(self, indent=2) -> str:
-        return json.dumps([e.to_dict() for e in self.entries], indent=indent)
+        from .theory import to_json  # theory imports this module
+
+        return to_json([e.to_dict() for e in self.entries], indent)
 
 
 def default_probe_radius(cert: SmoothnessCertificate) -> float:

@@ -91,6 +91,8 @@ def derive_drift_constants(
     should any probe violate the inequality, halves lambda_c and doubles A_c
     up to 20 times before giving up with the witnessing probe.
     """
+    if not gamma > 0:
+        raise ConfigurationError("friction gamma must be positive here")
     lam_c = 0.5 * lambda_c_cap(cert, gamma)
     a_c = max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY)
     if radius is None:
@@ -335,8 +337,8 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
 
     h(r) = int_0^r phi(s) g(s) ds with g(s) = 1 - (9/4) c* gamma beta
     int_0^s Phi(u) / phi(u) du, so h' = phi g >= 0 and h'' <= 0 as long as g
-    stays nonnegative; g turning negative bounds the validity radius (a
-    NumericalError, not repaired).
+    stays nonnegative; g turning negative (or NaN) bounds the validity radius
+    (a NumericalError, not repaired).
     """
     n = max(2, int(nodes))
     if n % 2:
@@ -355,9 +357,11 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
         inner = cumulative_simpson(Phi / np.exp(shift - a * s * s), x=s, initial=0.0)
     scaled_c_star = cc.c_star if shift == 0.0 else _exp(cc.log_c_star + shift)
     g = 1.0 - 2.25 * scaled_c_star * gamma * beta * inner
-    if np.any(g < 0.0):
-        j = int(np.argmax(g < 0.0))
-        raise NumericalError(f"h correction factor went negative at r = {s[j]:.6g}")
+    bad = ~(g >= 0.0)  # NaN included
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = "went negative" if g[j] < 0.0 else "is NaN"
+        raise NumericalError(f"h correction factor {what} at r = {s[j]:.6g}")
     h = cumulative_simpson(phi * g, x=s, initial=0.0)
     return s, h
 
@@ -491,6 +495,26 @@ def in_range(value: float, log_value: float):
     return {"value": value, "status": status, "log10": log_value / math.log(10.0)}
 
 
+def jsonable(doc):
+    """``doc`` with numpy values as Python values and every non-finite float
+    as the string 'inf', '-inf' or 'nan'."""
+    if isinstance(doc, (np.ndarray, np.generic)):
+        doc = doc.tolist()
+    if isinstance(doc, dict):
+        return {k: jsonable(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [jsonable(v) for v in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return str(doc)
+    return doc
+
+
+def to_json(doc, indent: int = 2) -> str:
+    """Strict JSON text of ``doc`` (see ``jsonable``): the encoding of every
+    JSON file a run writes."""
+    return json.dumps(jsonable(doc), indent=indent, allow_nan=False)
+
+
 @dataclass(frozen=True)
 class ConstantEntry:
     name: str
@@ -508,7 +532,7 @@ def constants_to_json(table: Mapping[str, ConstantEntry], indent: int = 2) -> st
         doc[k] = {"value": e.value, "status": e.status, "formula_ref": e.formula}
         if e.log is not None and isinstance(flagged := in_range(e.value, e.log), dict):
             doc[k].update(flagged)
-    return json.dumps(doc, indent=indent)
+    return to_json(doc, indent)
 
 
 def proof_constants(
@@ -608,13 +632,6 @@ class RiskBound:
     B_3: float
     log_B_1: float
     inputs: dict = field(default_factory=dict)
-
-    def to_json(self, indent=2) -> str:
-        b1 = in_range(self.B_1, self.log_B_1)
-        return json.dumps(
-            {"B_1": b1, "B_2": self.B_2, "B_3": self.B_3, "inputs": self.inputs},
-            indent=indent,
-        )
 
 
 def check_pq(p: float, q: int) -> None:

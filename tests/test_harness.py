@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from sghmc.harness import (
     sghmc_quadratic_stationary,
     validate_config,
 )
+from sghmc.objectives import AuditEntry, AuditReport
 from sghmc.samplers import SamplerConfig, gaussian_init, point_init
 
 
@@ -108,6 +110,13 @@ class TestValidate:
         entry = [f for f in findings if f["code"] == "initial-law"][0]
         assert entry["level"] == "info"
 
+    def test_zero_friction_is_a_certification_finding(self):
+        doc = base_config(kind="validate")
+        doc["sampler"]["gamma"] = 0.0
+        findings = validate_config(ExperimentConfig.from_dict(doc))
+        [entry] = [f for f in findings if f["code"] == "certification"]
+        assert entry["level"] == "warning" and "gamma must be positive" in entry["message"]
+
 
 class TestExperiments:
     def test_constants_table(self, tmp_path):
@@ -170,6 +179,23 @@ class TestExperiments:
         doc["sampler"]["lambda"] = 0.5
         with pytest.raises(ConfigurationError):
             run_experiment(ExperimentConfig.from_dict(doc))
+
+    def test_strict_block_writes_nothing(self, tmp_path):
+        doc = base_config(out=str(tmp_path / "s"), strict=True)
+        doc["sampler"]["lambda"] = 0.5
+        with pytest.raises(ConfigurationError, match="block the run: step size 0.5 exceeds"):
+            run_experiment(ExperimentConfig.from_dict(doc))
+        assert not (tmp_path / "s").exists()
+
+    def test_strict_failed_audit_writes_no_manifest(self, tmp_path, monkeypatch):
+        failed = AuditReport([AuditEntry("dissipativity", False, -1.0, {})])
+        monkeypatch.setattr(harness, "audit_assumptions", lambda *a, **k: failed)
+        doc = base_config(kind="audit", out=str(tmp_path / "a"), strict=True)
+        with pytest.raises(ConfigurationError, match="strict mode: assumption audit failed"):
+            run_experiment(ExperimentConfig.from_dict(doc))
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["audit.json"]
+        doc["strict"] = False
+        assert run_experiment(ExperimentConfig.from_dict(doc)).results["all_passed"] is False
 
 
 def _unflagged_non_finite(doc, path=""):
@@ -252,6 +278,24 @@ class TestStiffObjectives:
         assert risk["B_1"]["status"] == "overflow"
         assert math.isfinite(risk["inputs"]["w_rho_init"]) and risk["inputs"]["w_rho_init"] > 0
 
+    @pytest.mark.parametrize("kind", ["constants", "risk-bound"])
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    def test_every_json_output_is_strict(self, tmp_path, kind, name):
+        # a value beyond float range is the string "inf" inside its record,
+        # never the bare Infinity token that strict parsers reject
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        over = {"pilot_steps": 500}
+        if kind == "risk-bound":
+            over.update(replicas=2, risk={"p": 2.0, "q": 1, "lambda_star": 1.0, "eps": 0.1})
+        out = self._run(tmp_path, kind, name, **over)
+        paths = sorted(out.glob("*.json"))
+        assert [p.name for p in paths] == sorted(
+            ["manifest.json", "constants.json" if kind == "constants" else "risk.json"])
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
+
 
 class TestRateStudy:
     def test_slope_and_monotone(self, quad_obj, quad_data):
@@ -322,6 +366,59 @@ class TestRateStudy:
         row = table["rows"][0]
         assert row["flag"] == "diverged" and math.isnan(row["distance"])
         assert table["slope"] == pytest.approx(2.0, rel=1e-12)
+
+
+def _golden_digests(out: Path) -> dict:
+    """First 16 hex digits of the SHA-256 of every output of a run, and of its
+    manifest without the wall time and the output paths."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()[:16]
+               for p in manifest["outputs"]}
+    del manifest["wall_time_s"], manifest["config"]["out"]
+    manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+    digests["manifest.json"] = hashlib.sha256(
+        json.dumps(manifest, indent=2).encode()).hexdigest()[:16]
+    return digests
+
+
+class TestGoldenRuns:
+    """Pins of every file each kind writes on the quadratic: a change to a
+    config default, a derivation, an output format or the manifest shows up
+    here."""
+
+    CONFIGS = {
+        "audit": {"audit": {"probes": 300}},
+        "validate": {"risk": {"p": 2.0, "q": 1}},
+        "sample": {},
+        "couple": {"thin": 20, "sampler_b": {"init": {"kind": "point", "x0": [-1, 0],
+                                                      "v0": [0, 0]}}},
+        "rate-study": {"replicas": 4, "rate": {"lambdas": [0.1, 0.05], "t_end": 1.0}},
+        "constants": {"pilot_steps": 500, "risk": {"p": 2.0, "delta": 0.1}},
+        "risk-bound": {"steps": 1000, "pilot_steps": 500, "replicas": 2,
+                       "risk": {"p": 2.0, "q": 1, "lambda_star": 1.0, "eps": 0.1}},
+        "gibbs-check": {"steps": 4000, "replicas": 8},
+    }
+
+    # recorded before the run pipeline was merged; never re-record
+    PINS = {
+        "audit": {"audit.json": "45d7692e93e2c442", "manifest.json": "c7aa139ac443557f"},
+        "validate": {"findings.json": "93866b932ee90b51", "manifest.json": "3426d95c9fc25016"},
+        "sample": {"trajectory.csv": "7aeeea6e52f06e93", "manifest.json": "30fd543b780671c8"},
+        "couple": {"distances.csv": "bbc47517c5856a9c", "manifest.json": "13f2255ebd6c0c24"},
+        "rate-study": {"rate.csv": "688394dfd90f68b0", "manifest.json": "3f0739c02a74ea9a"},
+        "constants": {"constants.json": "064232b898ca188e", "manifest.json": "5fb433ade0549808"},
+        "risk-bound": {"risk.json": "ff3201524fc00f92", "manifest.json": "71e2c362e70fc1bf"},
+        "gibbs-check": {"gibbs.json": "605a2fb23462d3fb", "manifest.json": "31e896441e2e6bef"},
+    }
+
+    @pytest.mark.parametrize("kind", list(CONFIGS))
+    def test_outputs_pinned(self, tmp_path, kind):
+        doc = base_config(kind=kind, out=str(tmp_path / "o"), **self.CONFIGS[kind])
+        doc["sampler"]["init"] = {"kind": "point", "x0": [1, 0], "v0": [0, 0]}
+        if kind == "risk-bound":
+            doc["sampler"]["batch_size"] = 10  # measures delta
+        run_experiment(ExperimentConfig.from_dict(doc))
+        assert _golden_digests(tmp_path / "o") == self.PINS[kind]
 
 
 class TestDiscreteStationaryOracle:
@@ -417,6 +514,16 @@ class TestCli:
         assert main([kind, "--config", str(path), *argv]) == EXIT_VALIDATION
         assert "must be >=" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("kind", ["constants", "risk-bound"])
+    def test_zero_friction_exits_validation(self, tmp_path, capsys, kind):
+        doc = base_config(kind=kind, out=str(tmp_path / "z"), pilot_steps=200,
+                          risk={"p": 2.0, "q": 1, "lambda_star": 1.0})
+        doc["sampler"]["gamma"] = 0.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+        assert "gamma must be positive" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         doc = base_config(out=str(tmp_path / "o1"))

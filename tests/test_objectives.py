@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from sghmc import (
     quadratic,
 )
 from sghmc.objectives import (
+    AuditEntry,
+    AuditReport,
     batch_empirical_gradient,
     batch_empirical_risk,
     minibatch_gradient_rows,
@@ -193,6 +196,12 @@ class TestAudit:
         report = audit_assumptions(quad_obj, quad_data, probes=50, radius=2.0)
         doc = report.to_json()
         assert '"assumption"' in doc and '"margin"' in doc and '"witness"' in doc
+
+    def test_report_json_is_strict(self):
+        entry = AuditEntry("dissipativity", False, math.inf, {"x": [1.0, 0.0]})
+        doc = json.loads(AuditReport([entry]).to_json())
+        assert doc == [{"assumption": "dissipativity", "pass": False, "margin": "inf",
+                        "witness": {"x": [1.0, 0.0]}}]
 
     def test_probe_floor(self, quad_obj, quad_data):
         with pytest.raises(ConfigurationError):

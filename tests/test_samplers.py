@@ -669,3 +669,15 @@ class TestNonFiniteGradients:
         if batch is None or runner == "brownian_coupled_distance":
             # full-dataset gradients name the first bad sample
             assert err.value.sample_index == int(np.argmax(bad))
+
+    @pytest.mark.parametrize("step", [sghmc_step, sgld_step], ids=["sghmc", "sgld"])
+    def test_single_step_names_a_bad_sample(self, data2, step):
+        bad = data2.samples[:, 0] > 2.0
+        cfg = _cfg(lam=0.05, batch_size=32, seed=5, init=gaussian_init(0.0, 1.0))
+        oracle = make_oracle(self._objective(None), data2, 32, seed=3)
+        state = make_chain_state(cfg)
+        with pytest.raises(EvaluationError) as err:
+            for _ in range(200):
+                state = step(state, cfg, oracle)
+        assert bad[err.value.sample_index]
+        assert f"sample index {err.value.sample_index}" in str(err.value)

@@ -26,6 +26,10 @@ class TestDriftConstants:
         # min(1/4, 1/(1 + 0 + 2)) / 2 = 1/8 for (m, M, B, gamma) = (1, 1, 0, 2)
         assert quad_theory["drift"].lambda_c == pytest.approx(0.125, abs=0)
 
+    def test_zero_friction_rejected(self, quad_obj, quad_data):
+        with pytest.raises(ConfigurationError, match="gamma must be positive"):
+            theory.derive_drift_constants(quad_obj.cert, 0.0, BETA, quad_obj, quad_data)
+
     def test_degenerate_certificate_floors_A_c(self, quad_obj, quad_data, quad_theory):
         a_c = quad_theory["drift"].A_c
         assert a_c > 0.0
@@ -181,6 +185,11 @@ class TestHFunction:
             theory.h_function(fast, BETA, GAMMA, fast.R_1)
         with pytest.raises(NumericalError, match="went negative at r = "):
             theory.h_profile(fast, BETA, GAMMA)
+
+    def test_nan_correction_factor_reported(self, quad_theory):
+        broken = dataclasses.replace(quad_theory["cc"], c_star=math.nan)
+        with pytest.raises(NumericalError, match="is NaN at r = "):
+            theory.h_function(broken, BETA, GAMMA, broken.R_1)
 
     @pytest.mark.parametrize("which", [1, 2], ids=["double_well", "gaussian_mixture"])
     def test_stiff_profile_stays_finite(self, builtin_suite, which):
@@ -382,6 +391,10 @@ class TestProofConstants:
         )
         doc = theory.constants_to_json(table)
         assert '"status"' in doc and '"formula_ref"' in doc
+
+    def test_strict_encoding_of_numpy_and_non_finite_values(self):
+        doc = {"a": np.asarray(np.inf), "b": np.float64(-np.inf), "c": np.array([1.0, np.nan])}
+        assert json.loads(theory.to_json(doc)) == {"a": "inf", "b": "-inf", "c": [1.0, "nan"]}
 
 
 class TestRiskBound:
