@@ -12,7 +12,6 @@ noise level ``delta`` consumed by the bound calculators in :mod:`.theory`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ from .objectives import (
     minibatch_gradient_rows,
 )
 from .rng import derive_stream
+from .theory import to_json
 
 
 @dataclass
@@ -83,7 +83,7 @@ def sample_gradient(oracle: MinibatchOracle, x: np.ndarray) -> np.ndarray:
     if oracle.full_pass:
         return empirical_gradient(x, obj, data)
     idx = oracle.rng.integers(0, data.n, size=oracle.batch_size)
-    g = minibatch_gradient_rows(x, obj, data, idx)
+    g = minibatch_gradient_rows(x[None], obj, data, idx[None])[0]
     if not np.isfinite(g).all():
         _reject_nonfinite_gradient(x, obj, obj.grad_f(x, data.samples[idx]), idx)
     return g
@@ -114,16 +114,13 @@ class VarianceReport:
     trials: int = 0
 
     def to_json(self, indent=2) -> str:
-        return json.dumps(
+        return to_json(
             {
                 "delta_hat": self.delta_hat,
                 "trials": self.trials,
-                "per_probe": [
-                    {"x": np.asarray(x).tolist(), "ratio": float(r)}
-                    for x, r in self.per_probe
-                ],
+                "per_probe": [{"x": x, "ratio": r} for x, r in self.per_probe],
             },
-            indent=indent,
+            indent,
         )
 
 

@@ -98,14 +98,12 @@ def _init_to_dict(init: InitialLaw) -> dict:
 
 
 def _parse_sampler(d: dict) -> SamplerConfig:
-    beta = d.get("beta", 1.0)
-    if isinstance(beta, str):
-        beta = float(beta)
+    batch_size = d.get("batch_size")
     return SamplerConfig(
         lam=float(d.get("lambda", 0.01)),
         gamma=float(d.get("gamma", 2.0)),
-        beta=float(beta),
-        batch_size=d.get("batch_size"),
+        beta=float(d.get("beta", 1.0)),
+        batch_size=None if batch_size is None else int(batch_size),
         dim=int(d.get("dim", 1)),
         seed=int(d.get("seed", 0)),
         init=_parse_init(d.get("init", {})),
@@ -154,34 +152,39 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
+        """A value that does not convert to its field's type is a
+        ConfigurationError."""
         if "config" in d and isinstance(d["config"], dict):
             d = d["config"]  # accept a manifest document as a config
         kind = kind or d.get("kind")
         if kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {KINDS}")
-        sampler = _parse_sampler(d.get("sampler", {}))
-        sampler_b = None
-        if "sampler_b" in d:
-            merged = {**d.get("sampler", {}), **d["sampler_b"]}
-            sampler_b = _parse_sampler(merged)
-        return cls(
-            kind=kind,
-            objective=dict(d.get("objective", {"name": "quadratic", "params": {}})),
-            dataset=dict(d.get("dataset", {"generator": "gaussian", "n": 100, "seed": 7})),
-            sampler=sampler,
-            sampler_b=sampler_b,
-            steps=int(d.get("steps", 10000)),
-            replicas=int(d.get("replicas", 8)),
-            thin=int(d.get("thin", 100)),
-            burn_in=int(d.get("burn_in", 0)),
-            out=str(d.get("out", "runs/out")),
-            strict=bool(d.get("strict", False)),
-            chain=str(d.get("chain", "sghmc")),
-            rate=dict(d.get("rate", {})),
-            risk=dict(d.get("risk", {})),
-            audit=dict(d.get("audit", {})),
-            pilot_steps=int(d.get("pilot_steps", 0)),
-        )
+        try:
+            sampler = _parse_sampler(d.get("sampler", {}))
+            sampler_b = None
+            if "sampler_b" in d:
+                merged = {**d.get("sampler", {}), **d["sampler_b"]}
+                sampler_b = _parse_sampler(merged)
+            return cls(
+                kind=kind,
+                objective=dict(d.get("objective", {"name": "quadratic", "params": {}})),
+                dataset=dict(d.get("dataset", {"generator": "gaussian", "n": 100, "seed": 7})),
+                sampler=sampler,
+                sampler_b=sampler_b,
+                steps=int(d.get("steps", 10000)),
+                replicas=int(d.get("replicas", 8)),
+                thin=int(d.get("thin", 100)),
+                burn_in=int(d.get("burn_in", 0)),
+                out=str(d.get("out", "runs/out")),
+                strict=bool(d.get("strict", False)),
+                chain=str(d.get("chain", "sghmc")),
+                rate=dict(d.get("rate", {})),
+                risk=dict(d.get("risk", {})),
+                audit=dict(d.get("audit", {})),
+                pilot_steps=int(d.get("pilot_steps", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed config value: {exc}") from exc
 
     def to_dict(self) -> dict:
         d = {
@@ -576,11 +579,16 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
         raise ConfigurationError("gibbs-check needs the quadratic objective (exact law known)")
     s = cfg.sampler
     m0 = float(cfg.objective.get("params", {}).get("m0", 1.0))
+    burn_in = cfg.burn_in or max(cfg.steps // 10, 2000)
+    if cfg.steps <= burn_in:
+        raise ConfigurationError(
+            f"gibbs-check steps must be >= {burn_in + 1} to keep a tail sample after "
+            f"burn_in {burn_in}, got {cfg.steps}")
     res = ensemble_run(
         cfg.chain, s, obj, data,
         steps=cfg.steps, replicas=cfg.replicas,
         record_every=max(1, cfg.thin),
-        burn_in=cfg.burn_in or max(cfg.steps // 10, 2000),
+        burn_in=burn_in,
         purpose="gibbs",
     )
     expected_x = 1.0 / (s.beta * m0)
@@ -698,6 +706,8 @@ def rate_study(
         raise ConfigurationError("rate study needs at least one step size")
     if any(l <= 0 for l in lambdas):
         raise ConfigurationError("step sizes must be positive")
+    if not lambda_ref_divisor >= 1:
+        raise ConfigurationError(f"ref_divisor must be >= 1, got {lambda_ref_divisor}")
     rows = []
     for lam in lambdas:
         cfg = replace(base, lam=lam)

@@ -16,7 +16,6 @@ long-run law is estimated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -26,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError
 from .rng import derive_stream
-from .theory import ContractionConstants, LyapunovParams, h_profile
+from .theory import ContractionConstants, LyapunovParams, h_profile, to_json
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,9 @@ def quad_growth_continuity_check(
 
 def distance_report(metric: str, value: float, p: float, n: int, method: str,
                     flags=(), indent: int = 2) -> str:
-    """Serialize a distance measurement to the common JSON shape."""
-    return json.dumps(
+    """Serialize a distance measurement to the common JSON shape (strict
+    JSON: a non-finite value reads "inf", "-inf" or "nan")."""
+    return to_json(
         {
             "metric": metric,
             "p": p,
@@ -246,7 +246,7 @@ def distance_report(metric: str, value: float, p: float, n: int, method: str,
             "method": method,
             "flags": list(flags),
         },
-        indent=indent,
+        indent,
     )
 
 

@@ -216,14 +216,13 @@ def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
                             idx: np.ndarray) -> np.ndarray:
     """Row i averages grad_f at X[i] over data.samples[idx[i]]: (R, d), (R, l) -> (R, d).
 
-    A single position (d,) with indices (l,) gives the mean of grad_f over
-    that minibatch, (d,).
+    Positions are always a stack: a single chain is one row, (1, d) with
+    indices (1, l).
     """
-    if X.ndim == 1:
-        return np.asarray(obj.grad_f(X, data.samples[idx]), dtype=float).mean(axis=0)
     if obj.grad_batches is not None:
         return np.asarray(obj.grad_batches(X, data.samples[idx]), dtype=float)
-    return np.stack([minibatch_gradient_rows(x, obj, data, i) for x, i in zip(X, idx)])
+    return np.stack([np.asarray(obj.grad_f(x, data.samples[i]), dtype=float).mean(axis=0)
+                     for x, i in zip(X, idx)])
 
 
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):

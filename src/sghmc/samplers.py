@@ -15,24 +15,24 @@ Five dynamics are implemented on top of one empirical risk:
 The momentum update uses the pre-update momentum in the position update
 (``x' = x + lam * v``); this ordering is observable and pinned by tests.
 
-The update is written once, in the Euler kernel ``_euler``, for (d,) chains
-and (R, d) replica blocks alike. ``_move`` steps a list of chains on one
-shared Gaussian block, drawing minibatch indices once per index stream.
+Every runner steps (R, d) blocks of replicas, and a single chain is an
+ensemble of one, a (1, d) block whose row is sliced out only where a
+Trajectory records it; so ``run_chain`` is bit-equal to
+``ensemble_run(replicas=1)`` with the same purpose. The update is written
+once, in the Euler kernel ``_euler``. ``_move`` steps a list of blocks on one
+shared Gaussian block, drawing minibatch indices once per index stream, with
+gradients from ``batch_empirical_gradient`` / ``minibatch_gradient_rows``.
 ``_check`` stops a non-finite run: with EvaluationError naming the sample
 where grad_f failed at a finite position below the certificate's overflow
 scale, else with DivergenceError. All runners but
 ``brownian_coupled_distance``, which keeps its fine/coarse loop, step
-through ``_advance``, which yields each step to the caller's recorder.
-Single chains average per-sample gradients (``empirical_gradient``) while
-ensembles call the objective's ``grad_rows`` / ``grad_batches`` hooks; the
-two differ in the last bits, so ``run_chain`` is not bit-equal to
-``ensemble_run(replicas=1)`` on hooked objectives.
+through ``_advance``, which yields each step to the caller's recorder. The
+single-step functions (``sghmc_step`` and the like) keep their (d,) states.
 
 Coupled runs advance two chains on shared randomness: the realized distance
 between them upper-bounds the Wasserstein distance between their laws, which
 is the desk-scale route to checking contraction and discretization rates.
-Ensemble variants advance all replicas as ``(R, d)`` blocks for speed; every
-stream is derived from the config seed via :mod:`.rng`, so runs are
+Every stream is derived from the config seed via :mod:`.rng`, so runs are
 reproducible bit-for-bit.
 """
 
@@ -192,7 +192,7 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _euler(kind, X, V, G, xi, lam, gamma, c):
-    """One Euler step of (d,) or (R, d) states; returns (X', V').
+    """One Euler step of an (R, d) block, or of one (d,) state; returns (X', V').
 
     Momentum kinds: V' = V - lam (gamma V + G) + c xi and X' = X + lam V
     (pre-update momentum). ``"sgld"``: X' = X - lam G + c xi and V' = V.
@@ -210,7 +210,7 @@ def _noise(kind, cfg) -> float:
 
 
 class _Chain:
-    """A chain, or an (R, d) block of replicas, moved by :func:`_move`.
+    """An (R, d) block of replicas (a single chain is (1, d)), moved by :func:`_move`.
 
     ``lam`` and ``c`` (noise coefficient) default to cfg's. A minibatch chain
     draws indices from ``idx_rng``, shared by the chains holding the same
@@ -234,13 +234,11 @@ def _move(chains, xi, obj, data) -> None:
         if ch.idx_rng is not rng:
             rng = ch.idx_rng
             idx = None if rng is None else rng.integers(
-                0, data.n, size=ch.X.shape[:-1] + (ch.cfg.batch_size,))
-        if idx is not None:
-            G = minibatch_gradient_rows(ch.X, obj, data, idx)
-        elif ch.X.ndim == 1:
-            G = empirical_gradient(ch.X, obj, data)
-        else:
+                0, data.n, size=(len(ch.X), ch.cfg.batch_size))
+        if idx is None:
             G = batch_empirical_gradient(ch.X, obj, data)
+        else:
+            G = minibatch_gradient_rows(ch.X, obj, data, idx)
         ch.prev = (ch.X, idx)
         ch.X, ch.V = _euler(ch.kind, ch.X, ch.V, G, xi, ch.lam, ch.cfg.gamma, ch.c)
 
@@ -253,8 +251,8 @@ def _check(chains, obj, data, message, step) -> None:
         return
     for ch in chains:
         X, idx = ch.prev
-        for i, x in enumerate(np.atleast_2d(X)):
-            rows = np.arange(data.n) if idx is None else np.atleast_2d(idx)[i]
+        for i, x in enumerate(X):
+            rows = np.arange(data.n) if idx is None else idx[i]
             if np.isfinite(x).all():
                 _reject_nonfinite_gradient(x, obj, obj.grad_f(x, data.samples[rows]), rows)
     raise DivergenceError(message.format(step), step=step)
@@ -272,16 +270,16 @@ def _advance(chains, obj, data, steps, noise_rng, label="chain"):
 
 
 def _traced(chains, obj, data, steps, thin, noise_rng):
-    """Advance the chains; a Trajectory of each at step 0 and every thin-th step."""
+    """Advance the (1, d) chains; a Trajectory of each at step 0 and every thin-th step."""
     steps_rec = [0]
-    xs = [[ch.X.copy()] for ch in chains]
-    vs = [[ch.V.copy()] for ch in chains]
+    xs = [[ch.X[0].copy()] for ch in chains]
+    vs = [[ch.V[0].copy()] for ch in chains]
     for k in _advance(chains, obj, data, steps, noise_rng):
         if k % thin == 0:
             steps_rec.append(k)
             for ch, x, v in zip(chains, xs, vs):
-                x.append(ch.X.copy())
-                v.append(ch.V.copy())
+                x.append(ch.X[0].copy())
+                v.append(ch.V[0].copy())
     return [Trajectory(np.asarray(steps_rec), np.asarray(x), np.asarray(v), thin, ch.cfg, ch.kind)
             for ch, x, v in zip(chains, xs, vs)]
 
@@ -385,14 +383,13 @@ def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale
         raise ConfigurationError("t_end must be >= 0")
     if substep <= 0:
         raise ConfigurationError("substep must be > 0")
-    if thin < 1:
-        raise ConfigurationError("thin must be >= 1")
+    _check_sizes(thin=thin)
     if noise_rng is None:
         noise_rng = derive_stream(cfg.seed, "integrate:noise")
     if init is None:
-        x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, "integrate:init"))
+        x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, "integrate:init"), size=1)
     else:
-        x, v = (np.asarray(init[0], dtype=float).copy(), np.asarray(init[1], dtype=float).copy())
+        x, v = (np.array(init[0], dtype=float, ndmin=2), np.array(init[1], dtype=float, ndmin=2))
     nsteps = int(round(t_end / substep))
     if math.isinf(cfg.beta):
         noise = 0.0
@@ -418,11 +415,10 @@ def run_chain(
     """Iterate the chosen step op, recording every thin-th state (incl. init)."""
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}; known: {CHAIN_KINDS}")
-    if steps < 1 or thin < 1:
-        raise ConfigurationError("steps and thin must be >= 1")
-    state = make_chain_state(cfg, purpose=f"{kind}")
-    chain = _Chain(kind, cfg, state.x, state.v, derive_stream(cfg.seed, f"{kind}:minibatch"))
-    return _traced([chain], obj, data, steps, thin, state.rng)[0]
+    _check_sizes(steps=steps, thin=thin)
+    x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, f"{kind}:init"), size=1)
+    chain = _Chain(kind, cfg, x, v, derive_stream(cfg.seed, f"{kind}:minibatch"))
+    return _traced([chain], obj, data, steps, thin, derive_stream(cfg.seed, f"{kind}:noise"))[0]
 
 
 def coupled_run(
@@ -450,11 +446,10 @@ def coupled_run(
             raise ConfigurationError(f"unknown chain kind {k!r}")
     if cfg_a.dim != cfg_b.dim:
         raise ConfigurationError("coupled chains must share the dimension")
-    if steps < 1 or thin < 1:
-        raise ConfigurationError("steps and thin must be >= 1")
+    _check_sizes(steps=steps, thin=thin)
     noise = derive_stream(cfg_a.seed, "coupled:noise")
-    xa, va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled:init", 0))
-    xb, vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled:init", 1))
+    xa, va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled:init", 0), size=1)
+    xb, vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled:init", 1), size=1)
     a = _Chain(kind_a, cfg_a, xa, va, derive_stream(cfg_a.seed, "coupled:minibatch", 1))
     b = _Chain(kind_b, cfg_b, xb, vb, derive_stream(cfg_b.seed, "coupled:minibatch", 2))
     if a.idx_rng is not None and b.idx_rng is not None and cfg_a.batch_size == cfg_b.batch_size:
@@ -487,9 +482,10 @@ class EnsembleResult:
     tail_samples: int = 0
 
 
-def _check_replicas(replicas: int) -> None:
-    if replicas < 1:
-        raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
+def _check_sizes(**sizes) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 def ensemble_run(
@@ -514,7 +510,7 @@ def ensemble_run(
     """
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
-    _check_replicas(replicas)
+    _check_sizes(steps=steps, replicas=replicas, record_every=record_every)
     functionals = dict(functionals or {})
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
@@ -602,7 +598,7 @@ def coupled_ensemble_run(
         raise ConfigurationError("coupled chains must share the dimension")
     if cfg_a.batch_size != cfg_b.batch_size:
         raise ConfigurationError("coupled chains must share the batch size")
-    _check_replicas(replicas)
+    _check_sizes(steps=steps, replicas=replicas, record_every=record_every)
     noise_rng = derive_stream(cfg_a.seed, f"{purpose}:noise")
     Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, f"{purpose}:init", 0), size=replicas)
     Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, f"{purpose}:init", 1), size=replicas)
@@ -656,6 +652,8 @@ def brownian_coupled_distance(
 
     Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
     """
+    if not lambda_ref > 0:
+        raise ConfigurationError(f"lambda_ref must be > 0, got {lambda_ref}")
     ratio = cfg.lam / lambda_ref
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
@@ -663,7 +661,7 @@ def brownian_coupled_distance(
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
-    _check_replicas(replicas)
+    _check_sizes(replicas=replicas)
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)

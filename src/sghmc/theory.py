@@ -180,13 +180,10 @@ def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int,
 
     Exact for a point mass, Monte Carlo (``mc_draws`` draws) for a Gaussian.
     """
-    if init.kind == "point":
-        x0 = np.zeros(dim) if init.x0 is None else np.asarray(init.x0, dtype=float)
-        v0 = np.zeros(dim) if init.v0 is None else np.asarray(init.v0, dtype=float)
-        return lyap.value(x0, v0)
     rng = derive_stream(seed, "mu0:lyapunov")
-    X = init.mean + init.scale * rng.standard_normal((mc_draws, dim))
-    V = init.mean + init.scale * rng.standard_normal((mc_draws, dim))
+    if init.kind == "point":
+        return lyap.value(*init.sample(dim, rng))
+    X, V = init.sample(dim, rng, size=mc_draws)
     return float(np.mean(lyap.value_rows(X, V)))
 
 

@@ -399,12 +399,13 @@ class TestGoldenRuns:
         "gibbs-check": {"steps": 4000, "replicas": 8},
     }
 
-    # recorded before the run pipeline was merged; never re-record
+    # recorded before the run pipeline was merged (sample and couple again when
+    # single chains became ensembles of one); never re-record
     PINS = {
         "audit": {"audit.json": "45d7692e93e2c442", "manifest.json": "c7aa139ac443557f"},
         "validate": {"findings.json": "93866b932ee90b51", "manifest.json": "3426d95c9fc25016"},
-        "sample": {"trajectory.csv": "7aeeea6e52f06e93", "manifest.json": "30fd543b780671c8"},
-        "couple": {"distances.csv": "bbc47517c5856a9c", "manifest.json": "13f2255ebd6c0c24"},
+        "sample": {"trajectory.csv": "ad6efd2c62390280", "manifest.json": "30fd543b780671c8"},
+        "couple": {"distances.csv": "7f056c5c7212826d", "manifest.json": "1d1b5fec00cab82f"},
         "rate-study": {"rate.csv": "688394dfd90f68b0", "manifest.json": "3f0739c02a74ea9a"},
         "constants": {"constants.json": "064232b898ca188e", "manifest.json": "5fb433ade0549808"},
         "risk-bound": {"risk.json": "ff3201524fc00f92", "manifest.json": "71e2c362e70fc1bf"},
@@ -505,8 +506,10 @@ class TestCli:
         ("couple", {"thin": 0}, []),
         ("sample", {"steps": 0}, []),
         ("gibbs-check", {"burn_in": -1}, []),
+        ("gibbs-check", {"steps": 1500}, []),
+        ("rate-study", {"rate": {"ref_divisor": 0}}, []),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
-            "burn-in-neg"])
+            "burn-in-neg", "gibbs-no-tail", "ref-divisor-0"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         path = tmp_path / "cfg.json"
@@ -514,6 +517,30 @@ class TestCli:
         assert main([kind, "--config", str(path), *argv]) == EXIT_VALIDATION
         assert "must be >=" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("sampler, over", [
+        ({"lambda": "fast"}, {}),
+        ({}, {"steps": "ten"}),
+        ({"batch_size": "eight"}, {}),
+        ({"init": {"kind": "point", "x0": [1, 2, 3]}}, {}),
+    ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length"])
+    def test_malformed_config_value_exits_validation(self, tmp_path, capsys, sampler, over):
+        doc = base_config(out=str(tmp_path / "r"), **over)
+        doc["sampler"].update(sampler)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--config", str(path)]) == EXIT_VALIDATION
+        assert "validation failure" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_integer_string_batch_size_parsed(self, tmp_path):
+        doc = base_config(out=str(tmp_path / "b"), steps=200)
+        doc["sampler"]["batch_size"] = "8"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--config", str(path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config"]["sampler"]["batch_size"] == 8
 
     @pytest.mark.parametrize("kind", ["constants", "risk-bound"])
     def test_zero_friction_exits_validation(self, tmp_path, capsys, kind):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -259,6 +260,15 @@ def test_distance_report_shape():
     doc = distance_report("w2", 1.5, 2.0, 64, "assignment", flags=["resampled"])
     for key in ('"metric"', '"p"', '"n"', '"value"', '"method"', '"flags"'):
         assert key in doc
+
+
+def test_distance_report_is_strict_json():
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(distance_report("w2", math.inf, 2.0, 64, "assignment"),
+                     parse_constant=reject)
+    assert doc["value"] == "inf"
 
 
 def test_measure_flags_resampling():

@@ -237,6 +237,34 @@ class TestIntegrators:
                 assert abs(ma - mu) <= 3.0 * se
 
 
+class TestSingleChainIsEnsembleOfOne:
+    """A single chain steps the (1, d) block of an ensemble of one: same
+    streams, same gradient hooks, same bits."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        return data, {
+            "quadratic": quadratic(2, m0=1.0),
+            "double_well": double_well(2, coupling=0.1, z_radius=data.max_norm()),
+            "gaussian_mixture": gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm()),
+        }
+
+    @pytest.mark.parametrize("init", ["gaussian", "point"])
+    @pytest.mark.parametrize("kind", ["sgld", "sghmc", "exact_sghmc"])
+    @pytest.mark.parametrize("batch", [None, 8])
+    @pytest.mark.parametrize("name", ["quadratic", "double_well", "gaussian_mixture"])
+    def test_run_chain_bit_equal_to_ensemble_of_one(self, problems, name, batch, kind, init):
+        data, objs = problems
+        law = (gaussian_init(0.0, 1.0) if init == "gaussian"
+               else point_init([1.0, -1.0], [0.0, 0.5]))
+        cfg = _cfg(lam=0.05, batch_size=batch, seed=11, init=law)
+        traj = run_chain(kind, cfg, objs[name], data, steps=100, thin=50)
+        ens = ensemble_run(kind, cfg, objs[name], data, steps=100, replicas=1,
+                           record_every=50, purpose=kind)
+        assert np.array_equal(traj.xs[-1], ens.X[0]) and np.array_equal(traj.vs[-1], ens.V[0])
+
+
 class TestRunChain:
     def test_single_step_trajectory_length(self, data2):
         obj = quadratic(2, m0=1.0)
@@ -394,6 +422,27 @@ class TestEnsembles:
         with pytest.raises(ConfigurationError, match="replicas must be >= 1"):
             runner(quadratic(2, m0=1.0), data2)
 
+    @pytest.mark.parametrize("runner, message", [
+        (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=0, replicas=2),
+         "steps must be >= 1"),
+        (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=2,
+                                        record_every=0), "record_every must be >= 1"),
+        (lambda obj, data: coupled_ensemble_run("sghmc", _cfg(), _cfg(), obj, data, steps=0,
+                                                replicas=2), "steps must be >= 1"),
+        (lambda obj, data: coupled_ensemble_run("sghmc", _cfg(), _cfg(), obj, data, steps=10,
+                                                replicas=2, record_every=0),
+         "record_every must be >= 1"),
+        (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.0, obj, data, 1.0, 2),
+         "lambda_ref must be > 0"),
+        (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), -0.05, obj, data, 1.0, 2),
+         "lambda_ref must be > 0"),
+    ], ids=["ensemble_run-steps-0", "ensemble_run-record-every-0",
+            "coupled_ensemble_run-steps-0", "coupled_ensemble_run-record-every-0",
+            "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg"])
+    def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
+        with pytest.raises(ConfigurationError, match=message):
+            runner(quadratic(2, m0=1.0), data2)
+
 
 class TestMinibatchEnsembles:
     """Stacked minibatch gradients against the per-replica grad_f loop."""
@@ -509,7 +558,7 @@ class TestGoldenOutputs:
     # digests in CASES order: double_well/None, double_well/8, gaussian_mixture/None, .../8
     GOLDEN = {
         "auxiliary_integrate":
-            "efd19f52ab1b0ae8 efd19f52ab1b0ae8 6cc73eade5981450 6cc73eade5981450",
+            "7d023cdfc87f86a8 7d023cdfc87f86a8 1888494cb3d5f674 1888494cb3d5f674",
         "brownian_coupled_distance":
             "11aa703daf0a1bf2 2ceff951597961f1 27778a90ddf68114 083863b842625973",
         "coupled_ensemble_run:exact_sghmc":
@@ -519,9 +568,9 @@ class TestGoldenOutputs:
         "coupled_ensemble_run:sgld":
             "09002111519cbcec 8777b247aa1a6e10 79c043d74e168aa1 3c608a74e8218bb8",
         "coupled_run:separate":
-            "0433aa3847d45688 82f7cb7b69e77b8d 3a584a22be765224 1f972f4b55811018",
+            "63ee2100b63a7c59 e9e21c606198c2dc 4c83c426d5bc4af3 9215072c0dd1c8e8",
         "coupled_run:shared":
-            "e7e94b314b9c10f0 0c961b0903e5050d 7e36e5a162d44fd0 fb58e1bcac2d6ed9",
+            "553ce09874c8fcee 0c961b0903e5050d 2b5953d55af24398 fb58e1bcac2d6ed9",
         "ensemble_run:exact_sghmc":
             "8461636d97bba483 8461636d97bba483 38e583af2cbfc641 38e583af2cbfc641",
         "ensemble_run:sghmc":
@@ -531,37 +580,37 @@ class TestGoldenOutputs:
         "exact_sghmc_step":
             "17c12ae5df3e0e28 17c12ae5df3e0e28 c6a095afe737e634 c6a095afe737e634",
         "run_chain:exact_sghmc":
-            "e48253eca4f66d8a e48253eca4f66d8a f2ff96a85390fe08 f2ff96a85390fe08",
+            "597f83ffae78e145 597f83ffae78e145 43b8163490b3aabc 43b8163490b3aabc",
         "run_chain:sghmc":
-            "365a91d764230d06 973feb9c01298758 f2a9142619ec5a6a ec03291cfb47973b",
+            "ae7eeb30515195d4 973feb9c01298758 38c0919eee6d77e4 ec03291cfb47973b",
         "run_chain:sgld":
-            "302a8bc16f4c1271 59d5eaa3a6dd9208 b8419a8ee6ce1919 56bd1be54a5d3e2c",
+            "dbc98f990bf01477 59d5eaa3a6dd9208 2a1c814258a135ed 56bd1be54a5d3e2c",
         "sghmc_step":
             "17c12ae5df3e0e28 5360463d81913da5 c6a095afe737e634 caca8c110992e5fb",
         "sgld_step":
             "66300c3b62430865 ae368053c48ca559 bb3467ad6fd79b4d 1902fd77e023ba86",
         "underdamped_integrate":
-            "efd19f52ab1b0ae8 efd19f52ab1b0ae8 6cc73eade5981450 6cc73eade5981450",
+            "7d023cdfc87f86a8 7d023cdfc87f86a8 1888494cb3d5f674 1888494cb3d5f674",
     }
     # DivergenceError.step at lam = 5 on the quadratic, batch_size None and 8
     DIVERGENCE_STEP = {
-        "auxiliary_integrate": (505, 505),
+        "auxiliary_integrate": (507, 507),
         "brownian_coupled_distance": (507, 506),
         "coupled_ensemble_run:exact_sghmc": (507, 507),
         "coupled_ensemble_run:sghmc": (507, 507),
         "coupled_ensemble_run:sgld": (512, 512),
-        "coupled_run:separate": (505, 505),
-        "coupled_run:shared": (505, 507),
+        "coupled_run:separate": (507, 507),
+        "coupled_run:shared": (507, 507),
         "ensemble_run:exact_sghmc": (507, 507),
         "ensemble_run:sghmc": (507, 507),
         "ensemble_run:sgld": (512, 512),
         "exact_sghmc_step": (505, 505),
-        "run_chain:exact_sghmc": (505, 505),
-        "run_chain:sghmc": (505, 508),
-        "run_chain:sgld": (510, 513),
+        "run_chain:exact_sghmc": (507, 507),
+        "run_chain:sghmc": (508, 508),
+        "run_chain:sgld": (513, 513),
         "sghmc_step": (505, 507),
         "sgld_step": (509, 512),
-        "underdamped_integrate": (505, 505),
+        "underdamped_integrate": (507, 507),
     }
 
     @classmethod
@@ -579,26 +628,27 @@ class TestGoldenOutputs:
         return tuple(out)
 
     # The same on the double well. Its gradient grows 11 times as fast as x
-    # beyond the wells, so in most runners it overflows one step before the
+    # beyond the wells, so a sum of per-sample gradients over the dataset
+    # (the step functions' full-dataset mean) overflows one step before the
     # state does: the step is still a divergence, not an objective fault.
     DOUBLE_WELL_DIVERGENCE_STEP = {
-        "auxiliary_integrate": (254, 254),
+        "auxiliary_integrate": (255, 255),
         "brownian_coupled_distance": (129, 129),
         "coupled_ensemble_run:exact_sghmc": (255, 255),
         "coupled_ensemble_run:sghmc": (255, 255),
         "coupled_ensemble_run:sgld": (179, 179),
-        "coupled_run:separate": (254, 254),
-        "coupled_run:shared": (178, 179),
+        "coupled_run:separate": (255, 255),
+        "coupled_run:shared": (179, 179),
         "ensemble_run:exact_sghmc": (255, 255),
         "ensemble_run:sghmc": (255, 255),
         "ensemble_run:sgld": (179, 179),
         "exact_sghmc_step": (254, 254),
-        "run_chain:exact_sghmc": (254, 254),
-        "run_chain:sghmc": (254, 255),
-        "run_chain:sgld": (178, 179),
+        "run_chain:exact_sghmc": (255, 255),
+        "run_chain:sghmc": (255, 255),
+        "run_chain:sgld": (179, 179),
         "sghmc_step": (254, 255),
         "sgld_step": (178, 179),
-        "underdamped_integrate": (254, 254),
+        "underdamped_integrate": (255, 255),
     }
 
     @classmethod
