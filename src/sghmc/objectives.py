@@ -20,6 +20,11 @@ position ``x`` of shape ``(d,)`` and a stack of samples ``Z`` of shape
 of positions ``(R, d)`` at once; they exist purely as fast paths and must
 agree with the averaged single-position evaluators.
 
+A Dataset holds a read-only copy of its samples, and the samplers pass the
+hooks that same ``Z = data.samples`` on every step; the built-in hooks take
+its mean sample and mean squared norm from :func:`_moments`, which keeps
+them for that array instead of recomputing them each step.
+
 The optional ``grad_batches(X, Zs)`` hook is the minibatch fast path: for
 positions ``(R, d)`` and one minibatch per row ``(R, l, z_dim)`` it returns
 ``(R, d)`` whose row i must agree with ``grad_f(X[i], Zs[i]).mean(axis=0)``;
@@ -89,7 +94,10 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n samples plus the generator metadata needed to regenerate them."""
+    """n samples plus the generator metadata needed to regenerate them.
+
+    ``samples`` is a read-only (n, z_dim) copy of the values passed in.
+    """
 
     samples: np.ndarray  # shape (n, z_dim)
     generator_id: str
@@ -101,6 +109,10 @@ class Dataset:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ConfigurationError("dataset must contain at least one sample")
+        # a read-only copy of its own: the samples cannot change under the
+        # caller's array, and _moments may keep their moments
+        arr = arr.copy()
+        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -143,6 +155,30 @@ def literal_dataset(values) -> Dataset:
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
+
+# (Z, zbar, m2) of the last cacheable Z; it keeps that one array alive. It is
+# replaced whole, so concurrent callers can at worst recompute.
+_MOMENTS_CACHE = (None, None, None)
+
+
+def _moments(Z: np.ndarray):
+    """The mean sample ``zbar`` (z_dim,) and mean squared norm ``m2`` of Z (n, z_dim).
+
+    They are kept for the last read-only Z that owns its data (a Dataset's
+    samples, whose values cannot change) and recomputed for any writable
+    array or view.
+    """
+    global _MOMENTS_CACHE
+    cached, zbar, m2 = _MOMENTS_CACHE
+    if Z is cached and not Z.flags.writeable:
+        return zbar, m2
+    zbar = Z.mean(axis=0)
+    m2 = float(np.mean(np.sum(Z * Z, axis=1)))
+    if not Z.flags.writeable and Z.flags.owndata:
+        zbar.flags.writeable = False
+        _MOMENTS_CACHE = (Z, zbar, m2)
+    return zbar, m2
+
 
 def empirical_risk(x: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> float:
     """Dataset average of the component loss at x."""
@@ -196,9 +232,15 @@ def empirical_gradient(x: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np.n
     return grads.mean(axis=0)
 
 
+def _stack(X) -> np.ndarray:
+    """X as a float stack of positions: a (d,) position becomes (1, d)."""
+    X = np.asarray(X, dtype=float)
+    return X if X.ndim >= 2 else X.reshape(1, -1)
+
+
 def batch_empirical_risk(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np.ndarray:
     """Empirical risk for a stack of positions (R, d) -> (R,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _stack(X)
     if obj.risk_rows is not None:
         return np.asarray(obj.risk_rows(X, data.samples), dtype=float)
     return np.array([empirical_risk(row, obj, data) for row in X])
@@ -206,7 +248,7 @@ def batch_empirical_risk(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np
 
 def batch_empirical_gradient(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np.ndarray:
     """Empirical gradient for a stack of positions (R, d) -> (R, d)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _stack(X)
     if obj.grad_rows is not None:
         return np.asarray(obj.grad_rows(X, data.samples), dtype=float)
     return np.stack([empirical_gradient(row, obj, data) for row in X])
@@ -429,12 +471,11 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
         return m0 * (x[None, :] - c * Z)
 
     def risk_rows(X, Z):
-        zbar = Z.mean(axis=0)
-        m2 = float(np.mean(np.sum(Z * Z, axis=1)))
+        zbar, m2 = _moments(Z)
         return 0.5 * m0 * (np.sum(X * X, axis=1) - 2.0 * c * (X @ zbar) + c * c * m2)
 
     def grad_rows(X, Z):
-        zbar = Z.mean(axis=0)
+        zbar, _ = _moments(Z)
         return m0 * (X - c * zbar[None, :])
 
     def grad_batches(X, Zs):
@@ -510,14 +551,13 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         return w_prime(x)[None, :] + c * (x[None, :] - Z)
 
     def risk_rows(X, Z):
-        zbar = Z.mean(axis=0)
-        m2 = float(np.mean(np.sum(Z * Z, axis=1)))
+        zbar, m2 = _moments(Z)
         base = np.sum(w(X), axis=1) + 0.25 * X.shape[1]
         quad = 0.5 * c * (np.sum(X * X, axis=1) - 2.0 * (X @ zbar) + m2)
         return base + quad
 
     def grad_rows(X, Z):
-        zbar = Z.mean(axis=0)
+        zbar, _ = _moments(Z)
         return w_prime(X) + c * (X - zbar[None, :])
 
     def grad_batches(X, Zs):
@@ -567,7 +607,7 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
 
     def risk_rows(X, Z):
         T = X @ Z.T
-        m2 = float(np.mean(np.sum(Z * Z, axis=1)))
+        _, m2 = _moments(Z)
         return (0.5 + r0) * np.sum(X * X, axis=1) + 0.5 * m2 - np.mean(_log_cosh(T), axis=1)
 
     def grad_rows(X, Z):

@@ -19,14 +19,19 @@ Every runner steps (R, d) blocks of replicas, and a single chain is an
 ensemble of one, a (1, d) block whose row is sliced out only where a
 Trajectory records it; so ``run_chain`` is bit-equal to
 ``ensemble_run(replicas=1)`` with the same purpose. The update is written
-once, in the Euler kernel ``_euler``. ``_move`` steps a list of blocks on one
-shared Gaussian block, drawing minibatch indices once per index stream, with
-gradients from ``batch_empirical_gradient`` / ``minibatch_gradient_rows``.
-``_check`` stops a non-finite run: with EvaluationError naming the sample
-where grad_f failed at a finite position below the certificate's overflow
-scale, else with DivergenceError. All runners but
-``brownian_coupled_distance``, which keeps its fine/coarse loop, step
-through ``_advance``, which yields each step to the caller's recorder. The
+once, in the in-place Euler kernel ``_euler``. Every runner steps through
+``_advance``: it draws the shared Gaussian noise in blocks capped by
+``_BLOCK_BYTES`` (the same draws, in the same order, as one per step), and
+each chain steps through one preallocated history buffer. ``_move`` takes
+one step of every chain, drawing minibatch indices once per step and index
+stream, with gradients from ``batch_empirical_gradient`` /
+``minibatch_gradient_rows``; the reference chain of
+``brownian_coupled_distance`` takes several fine steps per step. One
+``isfinite`` per chain and step guards the run, and ``_reject`` stops a
+non-finite one: with EvaluationError naming the sample where grad_f failed
+at a finite position below the certificate's overflow scale, else with
+DivergenceError. Each finished block goes to the runner's recorder, which
+reads its rows; results are copies, never views of a buffer. The
 single-step functions (``sghmc_step`` and the like) keep their (d,) states.
 
 Coupled runs advance two chains on shared randomness: the realized distance
@@ -135,6 +140,9 @@ class SamplerConfig:
             raise ConfigurationError("dimension must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError("batch size must be >= 1 or None")
+        if self.init.kind == "point" and any(
+                a is not None and np.shape(a) != (self.dim,) for a in (self.init.x0, self.init.v0)):
+            raise ConfigurationError("point initial law has wrong dimension")
 
     @property
     def noise_scale(self) -> float:
@@ -191,15 +199,35 @@ class Trajectory:
 # The Euler kernel and the stepping loop
 # ---------------------------------------------------------------------------
 
-def _euler(kind, X, V, G, xi, lam, gamma, c):
-    """One Euler step of an (R, d) block, or of one (d,) state; returns (X', V').
+# Byte cap of the blocks a run steps through at a time: the shared noise and,
+# per chain, its scaled increments and its (x, v) history. A block holds at
+# least one step, whatever the cap.
+_BLOCK_BYTES = 1 << 16
 
-    Momentum kinds: V' = V - lam (gamma V + G) + c xi and X' = X + lam V
-    (pre-update momentum). ``"sgld"``: X' = X - lam G + c xi and V' = V.
+
+def _euler(kind, X, V, G, inc, lam, gamma, out) -> None:
+    """One Euler step of an (R, d) block, or of one (d,) state, written to
+    ``out = (X', V')``, which must not overlap X or V.
+
+    Momentum kinds: V' = V - lam (gamma V + G) + inc and X' = X + lam V
+    (pre-update momentum). ``"sgld"``: X' = X - lam G + inc and V' = V.
+    ``inc`` is the scaled Gaussian increment ``c * xi``. In-place ufuncs
+    keep the operation order of those formulas, so the bits are theirs.
     """
+    Xn, Vn = out[0], out[1]
     if kind == "sgld":
-        return X - lam * G + c * xi, V
-    return X + lam * V, V - lam * (gamma * V + G) + c * xi
+        np.multiply(G, lam, out=Xn)
+        np.subtract(X, Xn, out=Xn)
+        Xn += inc
+        Vn[...] = V
+        return
+    np.multiply(V, lam, out=Xn)
+    Xn += X
+    np.multiply(V, gamma, out=Vn)
+    Vn += G
+    Vn *= lam
+    np.subtract(V, Vn, out=Vn)
+    Vn += inc
 
 
 def _noise(kind, cfg) -> float:
@@ -210,45 +238,62 @@ def _noise(kind, cfg) -> float:
 
 
 class _Chain:
-    """An (R, d) block of replicas (a single chain is (1, d)), moved by :func:`_move`.
+    """An (R, d) block of replicas (a single chain is (1, d)), stepped by
+    :func:`_advance`.
 
     ``lam`` and ``c`` (noise coefficient) default to cfg's. A minibatch chain
     draws indices from ``idx_rng``, shared by the chains holding the same
-    generator. ``prev`` is the position and indices of the last step.
+    generator. A chain takes ``sub`` Euler steps per loop step, one on each
+    of the step's noise draws; with ``fold`` set it takes one step on their
+    sum times ``fold``. ``X`` and ``V`` are the state before and after the
+    run; during it the state lives in ``_advance``'s history buffer ``H``.
     """
 
-    def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None):
+    def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None, sub=1, fold=None):
         self.kind, self.cfg, self.X, self.V = kind, cfg, X, V
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
         self.lam = cfg.lam if lam is None else lam
         self.c = _noise(kind, cfg) if c is None else c
+        self.sub, self.fold = sub, fold
         self.prev = None
 
+    def increments(self, xi):
+        """The scaled increments (steps, sub, R, d) of a (steps, fine, R, d) noise block."""
+        if self.fold is None:
+            return self.c * xi
+        return self.c * (self.fold * xi.sum(axis=1, keepdims=True))
 
-def _move(chains, xi, obj, data) -> None:
-    """One :func:`_euler` step of each chain on the shared noise ``xi``, with
-    one index draw per minibatch stream."""
+
+def _move(chains, incs, j, obj, data) -> None:
+    """Step each chain from row j of its history to row j + 1, with one index
+    draw per minibatch stream; ``prev`` keeps the position and indices of its
+    last Euler step."""
     rng = idx = None
-    for ch in chains:
+    for ch, inc in zip(chains, incs):
         if ch.idx_rng is not rng:
             rng = ch.idx_rng
             idx = None if rng is None else rng.integers(
-                0, data.n, size=(len(ch.X), ch.cfg.batch_size))
-        if idx is None:
-            G = batch_empirical_gradient(ch.X, obj, data)
-        else:
-            G = minibatch_gradient_rows(ch.X, obj, data, idx)
-        ch.prev = (ch.X, idx)
-        ch.X, ch.V = _euler(ch.kind, ch.X, ch.V, G, xi, ch.lam, ch.cfg.gamma, ch.c)
+                0, data.n, size=(ch.H.shape[2], ch.cfg.batch_size))
+        src = ch.H[j]
+        for i in range(ch.sub):
+            # substeps alternate between two scratch states, so the
+            # position each step leaves stays intact for _reject
+            dst = ch.H[j + 1] if i == ch.sub - 1 else ch.scratch[i % 2]
+            X = src[0]
+            if idx is None:
+                G = batch_empirical_gradient(X, obj, data)
+            else:
+                G = minibatch_gradient_rows(X, obj, data, idx)
+            _euler(ch.kind, X, src[1], G, inc[j, i], ch.lam, ch.cfg.gamma, dst)
+            src = dst
+        ch.prev = (X, idx)
 
 
-def _check(chains, obj, data, message, step) -> None:
-    """Raise unless every chain state is finite: EvaluationError if grad_f is
-    non-finite on a sample at a finite position that a chain just left,
-    DivergenceError with ``message.format(step)`` otherwise."""
-    if all(np.isfinite(ch.X).all() and np.isfinite(ch.V).all() for ch in chains):
-        return
+def _reject(chains, obj, data, message, step) -> None:
+    """Stop a run whose state at ``step`` is not finite: EvaluationError if
+    grad_f is non-finite on a sample at a finite position that a chain just
+    left, DivergenceError with ``message.format(step)`` otherwise."""
     for ch in chains:
         X, idx = ch.prev
         for i, x in enumerate(X):
@@ -258,30 +303,65 @@ def _check(chains, obj, data, message, step) -> None:
     raise DivergenceError(message.format(step), step=step)
 
 
-def _advance(chains, obj, data, steps, noise_rng, label="chain"):
-    """The stepping loop of the runners: after each step k = 1..steps, all
-    chains moved on one shared Gaussian block and checked, it yields k to
-    the caller's recorder."""
-    message = label + " diverged at step {}"
-    for k in range(1, steps + 1):
-        _move(chains, noise_rng.standard_normal(chains[0].X.shape), obj, data)
-        _check(chains, obj, data, message, k)
-        yield k
+def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at step {}"):
+    """The stepping loop of every runner.
+
+    The chains share one Gaussian stream, drawn in blocks of at most
+    ``_BLOCK_BYTES`` (with the chains' buffers), so a block's draws are the
+    per-step draws in order. Each chain steps through its own history buffer
+    ``H`` of shape (block + 1, 2, R, d): row 0 is the state before the block,
+    row j the state after its j-th step, checked finite as it is written.
+    After each block it yields ``(k0, n)``, the block's first step index
+    minus one and its length; the caller's recorder reads rows 1..n of each
+    ``H`` before the loop goes on. Once it is exhausted, each chain's ``X``
+    and ``V`` hold fresh copies of the final state. A run stopped by an
+    error has drawn its whole last block from ``noise_rng``.
+    """
+    R, d = chains[0].X.shape
+    fine = max(ch.sub for ch in chains)
+    per_step = 8 * R * d * (fine + sum(ch.sub + 2 for ch in chains))
+    block = max(1, min(steps, _BLOCK_BYTES // per_step))
+    for ch in chains:
+        ch.H = np.empty((block + 1, 2, R, d))
+        ch.H[0, 0], ch.H[0, 1] = ch.X, ch.V
+        ch.scratch = np.empty((2, 2, R, d)) if ch.sub > 1 else None
+    for k0 in range(0, steps, block):
+        n = min(block, steps - k0)
+        xi = noise_rng.standard_normal((n, fine, R, d))
+        incs = [ch.increments(xi) for ch in chains]
+        for j in range(n):
+            _move(chains, incs, j, obj, data)
+            for ch in chains:
+                if not np.isfinite(ch.H[j + 1]).all():
+                    _reject(chains, obj, data, message, k0 + j + 1)
+        yield k0, n
+        for ch in chains:
+            ch.H[0] = ch.H[n]
+    for ch in chains:
+        ch.X, ch.V = ch.H[0, 0].copy(), ch.H[0, 1].copy()
+        ch.H = ch.scratch = None
+
+
+def _recorded(k0, n, every):
+    """The steps k0 + 1 .. k0 + n that are multiples of ``every``."""
+    return range(k0 + every - k0 % every, k0 + n + 1, every)
 
 
 def _traced(chains, obj, data, steps, thin, noise_rng):
     """Advance the (1, d) chains; a Trajectory of each at step 0 and every thin-th step."""
     steps_rec = [0]
-    xs = [[ch.X[0].copy()] for ch in chains]
-    vs = [[ch.V[0].copy()] for ch in chains]
-    for k in _advance(chains, obj, data, steps, noise_rng):
-        if k % thin == 0:
-            steps_rec.append(k)
-            for ch, x, v in zip(chains, xs, vs):
-                x.append(ch.X[0].copy())
-                v.append(ch.V[0].copy())
-    return [Trajectory(np.asarray(steps_rec), np.asarray(x), np.asarray(v), thin, ch.cfg, ch.kind)
-            for ch, x, v in zip(chains, xs, vs)]
+    rows = [[np.stack([ch.X, ch.V], axis=1)] for ch in chains]
+    for k0, n in _advance(chains, obj, data, steps, noise_rng):
+        ks = _recorded(k0, n, thin)
+        steps_rec.extend(ks)
+        for ch, r in zip(chains, rows):
+            r.append(ch.H[ks.start - k0:n + 1:thin, :, 0].copy())
+    out = []
+    for ch, r in zip(chains, rows):
+        xv = np.concatenate(r)
+        out.append(Trajectory(np.asarray(steps_rec), xv[:, 0].copy(), xv[:, 1].copy(),
+                              thin, ch.cfg, ch.kind))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +371,11 @@ def _traced(chains, obj, data, steps, thin, noise_rng):
 def _step(kind, state, cfg, g, xi) -> ChainState:
     if xi is None:
         xi = state.rng.standard_normal(cfg.dim)
-    x, v = _euler(kind, state.x, state.v, g, xi, cfg.lam, cfg.gamma, _noise(kind, cfg))
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+    out = np.empty((2, cfg.dim))
+    _euler(kind, state.x, state.v, g, _noise(kind, cfg) * xi, cfg.lam, cfg.gamma, out)
+    if not np.isfinite(out).all():
         raise DivergenceError(f"chain diverged at step {state.step + 1}", step=state.step + 1)
-    return ChainState(x=x, v=v.copy() if kind == "sgld" else v, step=state.step + 1, rng=state.rng)
+    return ChainState(x=out[0], v=out[1], step=state.step + 1, rng=state.rng)
 
 
 def sghmc_step(
@@ -520,31 +601,29 @@ def ensemble_run(
     rec_steps = [0]
     series = {name: [float(np.mean(fn(X, V)))] for name, fn in functionals.items()}
     running_max = {name: series[name][0] for name in functionals}
-
-    sum_x = np.zeros(cfg.dim)
-    sum_x2 = np.zeros(cfg.dim)
-    sum_v = np.zeros(cfg.dim)
-    sum_v2 = np.zeros(cfg.dim)
+    # [sum, sum of squares] x [x, v], each summed over replicas, then over
+    # steps in step order
+    tail_sums = np.zeros((2, 2, cfg.dim))
     tail_n = 0
 
-    for k in _advance([chain], obj, data, steps, noise_rng, "ensemble"):
-        X, V = chain.X, chain.V
+    for k0, n in _advance([chain], obj, data, steps, noise_rng, "ensemble diverged at step {}"):
+        block = chain.H[1:n + 1]
+        ks = _recorded(k0, n, record_every)
+        rec_steps.extend(ks)
         for name, fn in functionals.items():
-            val = float(np.mean(fn(X, V)))
-            if val > running_max[name]:
-                running_max[name] = val
-            if k % record_every == 0:
-                series[name].append(val)
-        if k % record_every == 0:
-            rec_steps.append(k)
-        if k > burn_in:
-            sum_x += X.sum(axis=0)
-            sum_x2 += (X * X).sum(axis=0)
-            sum_v += V.sum(axis=0)
-            sum_v2 += (V * V).sum(axis=0)
-            tail_n += replicas
+            vals = [float(np.mean(fn(X, V))) for X, V in block]
+            running_max[name] = max(running_max[name], *vals)
+            series[name].extend(vals[k - k0 - 1] for k in ks)
+        t = max(0, burn_in - k0)  # the block's first row past burn-in
+        if t < n:
+            tail = block[t:]
+            sums = np.stack([tail.sum(axis=2), (tail * tail).sum(axis=2)], axis=1)
+            sums[0] += tail_sums
+            tail_sums = np.add.accumulate(sums, axis=0)[-1]
+            tail_n += (n - t) * replicas
 
     if tail_n > 0:
+        (sum_x, sum_v), (sum_x2, sum_v2) = tail_sums
         mean_x = sum_x / tail_n
         var_x = sum_x2 / tail_n - mean_x**2
         mean_v = sum_v / tail_n
@@ -606,9 +685,9 @@ def coupled_ensemble_run(
     a = _Chain(kind, cfg_a, Xa, Va, idx_rng)
     b = _Chain(kind, cfg_b, Xb, Vb, idx_rng)
 
-    def separation(k):
-        dx2 = np.sum((a.X - b.X) ** 2, axis=1)
-        dv2 = np.sum((a.V - b.V) ** 2, axis=1)
+    def separation(k, A, B):
+        dx2 = np.sum((A[0] - B[0]) ** 2, axis=1)
+        dv2 = np.sum((A[1] - B[1]) ** 2, axis=1)
         return (
             k,
             float(np.mean(np.sqrt(dx2 + dv2))),
@@ -617,10 +696,11 @@ def coupled_ensemble_run(
             float(np.sqrt(np.mean(dv2))),
         )
 
-    rows = [separation(0)]
-    for k in _advance([a, b], obj, data, steps, noise_rng, "coupled ensemble"):
-        if k % record_every == 0:
-            rows.append(separation(k))
+    rows = [separation(0, (Xa, Va), (Xb, Vb))]
+    for k0, n in _advance([a, b], obj, data, steps, noise_rng,
+                          "coupled ensemble diverged at step {}"):
+        rows.extend(separation(k, a.H[k - k0], b.H[k - k0])
+                    for k in _recorded(k0, n, record_every))
     arr = np.asarray(rows)
     return CoupledEnsembleResult(
         steps=arr[:, 0].astype(int),
@@ -670,16 +750,13 @@ def brownian_coupled_distance(
     else:
         amp = math.sqrt(2.0 * cfg.gamma / cfg.beta)
     sqrt_lref = math.sqrt(lambda_ref)
-    ref = _Chain("exact_sghmc", cfg, X.copy(), V.copy(), lam=lambda_ref, c=amp * sqrt_lref)
-    coarse = _Chain("sghmc", cfg, X, V, derive_stream(cfg.seed, f"{purpose}:minibatch"), c=amp)
-
-    for k in range(1, n_coarse + 1):
-        xi_fine = noise_rng.standard_normal((r, replicas, cfg.dim))
-        # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j
-        for xi in xi_fine:
-            _move([ref], xi, obj, data)
-        # coarse: one step with the summed increment
-        _move([coarse], sqrt_lref * xi_fine.sum(axis=0), obj, data)
-        _check([ref, coarse], obj, data, "rate coupling diverged at coarse step {}", k)
+    # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j;
+    # coarse: one step with the summed increment
+    ref = _Chain("exact_sghmc", cfg, X, V, lam=lambda_ref, c=amp * sqrt_lref, sub=r)
+    coarse = _Chain("sghmc", cfg, X, V, derive_stream(cfg.seed, f"{purpose}:minibatch"), c=amp,
+                    fold=sqrt_lref)
+    for _ in _advance([ref, coarse], obj, data, n_coarse, noise_rng,
+                      "rate coupling diverged at coarse step {}"):
+        pass
     d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

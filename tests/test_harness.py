@@ -518,18 +518,21 @@ class TestCli:
         assert "must be >=" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("sampler, over", [
-        ({"lambda": "fast"}, {}),
-        ({}, {"steps": "ten"}),
-        ({"batch_size": "eight"}, {}),
-        ({"init": {"kind": "point", "x0": [1, 2, 3]}}, {}),
-    ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length"])
-    def test_malformed_config_value_exits_validation(self, tmp_path, capsys, sampler, over):
-        doc = base_config(out=str(tmp_path / "r"), **over)
+    @pytest.mark.parametrize("kind, sampler, over", [
+        ("sample", {"lambda": "fast"}, {}),
+        ("sample", {}, {"steps": "ten"}),
+        ("sample", {"batch_size": "eight"}, {}),
+        ("sample", {"init": {"kind": "point", "x0": [1, 2, 3]}}, {}),
+        ("validate", {"init": {"kind": "point", "x0": [1, 2, 3]}}, {}),
+        ("validate", {"init": {"kind": "point", "v0": [0.5]}}, {}),
+    ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
+            "x0-wrong-length-validate", "v0-wrong-length-validate"])
+    def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
+        doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        assert main(["sample", "--config", str(path)]) == EXIT_VALIDATION
+        assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
         assert "validation failure" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 

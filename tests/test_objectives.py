@@ -7,12 +7,14 @@ import pytest
 
 from sghmc import (
     ConfigurationError,
+    Dataset,
     EvaluationError,
     ObjectiveSpec,
     SmoothnessCertificate,
     audit_assumptions,
     double_well,
     empirical_gradient,
+    gaussian_mixture,
     empirical_risk,
     literal_dataset,
     make_dataset,
@@ -23,6 +25,7 @@ from sghmc.objectives import (
     AuditEntry,
     AuditReport,
     batch_empirical_gradient,
+    _moments,
     batch_empirical_risk,
     minibatch_gradient_rows,
 )
@@ -166,6 +169,71 @@ class TestMinibatchGradientRows:
             loop = dataclasses.replace(obj, grad_batches=None)
             assert np.array_equal(minibatch_gradient_rows(X, loop, data, idx), want)
             assert np.array_equal(minibatch_gradient_rows(X, obj, data, idx), want)
+
+
+class TestMomentCache:
+    """The hooks' dataset moments are kept for a Dataset's read-only samples
+    and never returned stale."""
+
+    @staticmethod
+    def uncached(Z):
+        # the formulas the hooks evaluated on every call before the cache
+        return Z.mean(axis=0), float(np.mean(np.sum(Z * Z, axis=1)))
+
+    @staticmethod
+    def hooks(z_radius):
+        objs = (quadratic(2, m0=1.3, coupling=0.7, z_radius=z_radius),
+                double_well(2, coupling=0.1, z_radius=z_radius),
+                gaussian_mixture(2, ridge=0.05, z_radius=z_radius))
+        return [hook for obj in objs for hook in (obj.risk_rows, obj.grad_rows)]
+
+    def test_alternating_datasets_bit_identical(self):
+        datasets = [make_dataset("gaussian", n, 2, seed=s) for n, s in ((100, 7), (37, 8))]
+        hooks = self.hooks(max(d.max_norm() for d in datasets))
+        X = derive_stream(3, "probe").standard_normal((5, 2))
+        for _ in range(2):
+            for data in datasets:
+                zbar, m2 = _moments(data.samples)
+                want_zbar, want_m2 = self.uncached(data.samples)
+                assert np.array_equal(zbar, want_zbar) and m2 == want_m2
+                # a writable copy always takes the uncached path
+                fresh = data.samples.copy()
+                for hook in hooks:
+                    assert np.array_equal(hook(X, data.samples), hook(X, fresh))
+
+    def test_writable_array_changed_in_place_is_not_stale(self):
+        data = make_dataset("gaussian", 50, 2, seed=7)
+        hooks = self.hooks(10.0 * data.max_norm())
+        X = derive_stream(3, "probe").standard_normal((5, 2))
+        Z = data.samples.copy()
+        before = [hook(X, Z) for hook in hooks]
+        _moments(Z)
+        Z *= 2.0
+        (zbar, m2), (want_zbar, want_m2) = _moments(Z), self.uncached(Z)
+        assert np.array_equal(zbar, want_zbar) and m2 == want_m2
+        after = [hook(X, Z) for hook in hooks]
+        assert all(not np.array_equal(a, b) for a, b in zip(before, after))
+        assert all(np.array_equal(a, hook(X, Z.copy())) for a, hook in zip(after, hooks))
+
+    def test_views_of_cached_samples_recomputed(self):
+        data = make_dataset("gaussian", 50, 2, seed=7)
+        _moments(data.samples)
+        head = data.samples[:10]
+        assert not head.flags.writeable
+        zbar, m2 = _moments(head)
+        want_zbar, want_m2 = self.uncached(head)
+        assert np.array_equal(zbar, want_zbar) and m2 == want_m2
+
+    @pytest.mark.parametrize("shape", [(20, 2), (20,)])
+    def test_dataset_copies_samples_read_only(self, shape):
+        arr = derive_stream(5, "samples").standard_normal(shape)
+        data = Dataset(arr, "literal", 0)
+        assert arr.flags.writeable and not data.samples.flags.writeable
+        assert data.samples.flags.owndata and not np.shares_memory(arr, data.samples)
+        arr += 1.0
+        assert not np.array_equal(data.samples.ravel(), arr)
+        with pytest.raises(ValueError):
+            data.samples[0, 0] = 0.0
 
 
 class TestAudit:

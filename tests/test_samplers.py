@@ -28,6 +28,7 @@ from sghmc import (
     sgld_step,
     underdamped_integrate,
 )
+from sghmc import samplers
 from sghmc.samplers import (
     brownian_coupled_distance,
     coupled_ensemble_run,
@@ -731,3 +732,82 @@ class TestNonFiniteGradients:
                 state = step(state, cfg, oracle)
         assert bad[err.value.sample_index]
         assert f"sample index {err.value.sample_index}" in str(err.value)
+
+
+class TestNoiseBlocks:
+    """Runs step through blocks of noise and history of at most
+    ``samplers._BLOCK_BYTES`` bytes; where the blocks end never shows. A cap
+    of one byte steps one-step blocks, the loop as it was before blocks."""
+
+    # At 1000 bytes ensemble_run steps 3-step blocks (4 replicas in 2-d), so
+    # its burn-in of 20 ends inside a block; run_chain steps 15-step blocks
+    # and coupled_run 8-step ones, so the divergence runs end in a partial
+    # block. At 2600 bytes the blocks are 10, 40 and 23 steps.
+    CAPS = [1, 1000, 2600]
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("runner", TestGoldenOutputs.RUNNERS)
+    def test_outputs_and_divergence_steps_unchanged(self, monkeypatch, runner, cap):
+        monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)
+        TestGoldenOutputs().test_outputs_and_divergence_step_pinned(runner)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("runner", sorted(TestNonFiniteGradients.RUNNERS))
+    @pytest.mark.parametrize("batch", [None, 32])
+    def test_evaluation_error_sample_unchanged(self, monkeypatch, data2, batch, runner, cap):
+        cfg = _cfg(lam=0.05, batch_size=batch, seed=5, init=gaussian_init(0.0, 1.0))
+        obj = TestNonFiniteGradients._objective("grad_batches")
+        found = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)
+            with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+                TestNonFiniteGradients.RUNNERS[runner](cfg, obj, data2)
+            found.append(err.value.sample_index)
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("replicas", [1, 64, 5000])
+    def test_buffers_do_not_grow_with_steps(self, data2, replicas):
+        cfg = _cfg(batch_size=8)
+        blocks = []
+        for steps in (100, 10**9):
+            X, V = cfg.init.sample(cfg.dim, derive_stream(0, "init"), size=replicas)
+            chain = samplers._Chain("sghmc", cfg, X, V, derive_stream(0, "minibatch"))
+            run = samplers._advance([chain], quadratic(2), data2, steps, derive_stream(0, "noise"))
+            _, n = next(run)
+            # one step always fits; beyond it the history stays within the cap
+            assert n == 1 or chain.H.nbytes <= samplers._BLOCK_BYTES
+            blocks.append(len(chain.H))
+            run.close()
+        assert blocks[0] == min(101, blocks[1])  # a short run takes one block
+
+
+class TestResultsOwnTheirArrays:
+    """Returned arrays never share memory with each other, with a later
+    run's results or with a buffer the stepping loop keeps using."""
+
+    @staticmethod
+    def arrays(data):
+        cfg = _cfg(lam=0.05, seed=3, init=gaussian_init(0.0, 1.0))
+        obj = quadratic(2, m0=1.0)
+        out = []
+        for _ in range(2):
+            ens = ensemble_run("sghmc", cfg, obj, data, steps=40, replicas=3, record_every=7)
+            traj = run_chain("sghmc", cfg, obj, data, steps=40, thin=7)
+            ta, tb, _ = coupled_run("sghmc", cfg, cfg, obj, data, steps=40, thin=7)
+            integ = underdamped_integrate(cfg, obj, data, t_end=2.0, substep=0.05, thin=7)
+            out += [ens.X, ens.V, traj.xs, traj.vs, ta.xs, ta.vs, tb.xs, tb.vs,
+                    integ.xs, integ.vs]
+        return out
+
+    def test_no_shared_memory(self, data2):
+        arrays = self.arrays(data2)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_later_runs_leave_results_unchanged(self, data2):
+        first = self.arrays(data2)
+        kept = [a.copy() for a in first]
+        self.arrays(data2)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
