@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from . import __version__
 from .errors import ConfigurationError, DivergenceError, SghmcError
@@ -330,13 +329,14 @@ def sghmc_quadratic_stationary(lam: float, gamma: float, beta: float, m0: float)
     on the decoupled quadratic objective (the discretization-bias oracle).
 
     The chain is linear per coordinate; its stationary covariance solves the
-    discrete Lyapunov equation Sigma = A Sigma A^T + Q.
+    discrete Lyapunov equation Sigma = A Sigma A^T + Q, solved directly as
+    (I - A kron A) vec Sigma = vec Q (scipy's method below size 10).
     Returns (var_x, var_v).
     """
     A = np.array([[1.0 - lam * gamma, -lam * m0], [lam, 1.0]])
     q = 2.0 * gamma * lam / beta
     Q = np.array([[q, 0.0], [0.0, 0.0]])
-    sigma = solve_discrete_lyapunov(A, Q)
+    sigma = np.linalg.solve(np.eye(4) - np.kron(A, A), Q.flatten()).reshape(2, 2)
     return float(sigma[1, 1]), float(sigma[0, 0])
 
 

@@ -30,8 +30,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_simpson
-from scipy.special import gammaln
 
 from .errors import CertificationError, ConfigurationError, NumericalError
 from .objectives import (
@@ -329,6 +327,34 @@ def contraction_constants(
     )
 
 
+def _cumulative_simpson(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Cumulative composite Simpson integral of y over the nodes s (at least
+    three, increasing), 0 at s[0].
+
+    The unequal-interval rule of scipy's ``cumulative_simpson(y, x=s,
+    initial=0.0)`` (eqn (8) of Cartwright, J. Math. Sci. Math. Educ. 12(2),
+    2017) in scipy's operation order, so it returns scipy's bits: the parabola
+    through nodes k, k+1, k+2 gives the integral over [s_k, s_{k+1}] (h1) and,
+    run on the reversed arrays, over [s_{k+1}, s_{k+2}] (h2); even intervals
+    take h1, odd ones and the last take h2, and the cumulative sum follows.
+    """
+    def first_halves(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          - x21x21_x31x32 * y[2:])
+
+    dx = np.diff(s)
+    h1 = first_halves(y, dx)
+    h2 = first_halves(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(dx.size)
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    return np.concatenate(([0.0], np.cumsum(sub)))
+
+
 def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, nodes: int):
     """Simpson grid evaluation of h on [0, r_eff]; returns (s, h(s)).
 
@@ -345,13 +371,13 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
         gamma**2 * beta * cc.epsilon_c * max(1.0, 1.0 / (2.0 * cc.alpha_c)) / 2.0
     )
     phi = np.exp(-a * s * s)
-    Phi = cumulative_simpson(phi, x=s, initial=0.0)
+    Phi = _cumulative_simpson(phi, s)
     # Phi / phi ~ exp(a s^2) overflows on the wide grids of stiff certificates:
     # there it is carried relative to exp(shift), c* through its log, and the
     # negligible terms near s = 0 read 0; other grids have shift 0
     shift = max(0.0, a * r_eff * r_eff - 600.0)
     with np.errstate(over="ignore"):
-        inner = cumulative_simpson(Phi / np.exp(shift - a * s * s), x=s, initial=0.0)
+        inner = _cumulative_simpson(Phi / np.exp(shift - a * s * s), s)
     scaled_c_star = cc.c_star if shift == 0.0 else _exp(cc.log_c_star + shift)
     g = 1.0 - 2.25 * scaled_c_star * gamma * beta * inner
     bad = ~(g >= 0.0)  # NaN included
@@ -359,7 +385,7 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
         j = int(np.argmax(bad))
         what = "went negative" if g[j] < 0.0 else "is NaN"
         raise NumericalError(f"h correction factor {what} at r = {s[j]:.6g}")
-    h = cumulative_simpson(phi * g, x=s, initial=0.0)
+    h = _cumulative_simpson(phi * g, s)
     return s, h
 
 
@@ -806,7 +832,7 @@ def gaussian_norm_moment(d: int, j: int) -> float:
     """E |xi|^j for a standard Gaussian in R^d (chi distribution moment)."""
     if j < 0:
         raise ConfigurationError("moment order must be >= 0")
-    return float(2.0 ** (j / 2.0) * math.exp(gammaln((d + j) / 2.0) - gammaln(d / 2.0)))
+    return float(2.0 ** (j / 2.0) * math.exp(math.lgamma((d + j) / 2.0) - math.lgamma(d / 2.0)))
 
 
 def lyapunov_moment_certificate(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -431,6 +432,16 @@ class TestDiscreteStationaryOracle:
         vx3, _ = sghmc_quadratic_stationary(1e-5, 2.0, 1.0, 1.0)
         assert vx3 == pytest.approx(1.0, rel=1e-3)
 
+    def test_matches_scipy_lyapunov_solver(self):
+        from scipy.linalg import solve_discrete_lyapunov
+
+        for lam, gamma, beta, m0 in itertools.product(
+                (1e-5, 1e-3, 0.01, 0.1), (0.5, 2.0, 5.0), (0.1, 1.0, 10.0), (0.2, 1.0, 3.0)):
+            A = np.array([[1.0 - lam * gamma, -lam * m0], [lam, 1.0]])
+            Q = np.array([[2.0 * gamma * lam / beta, 0.0], [0.0, 0.0]])
+            sigma = solve_discrete_lyapunov(A, Q)
+            assert sghmc_quadratic_stationary(lam, gamma, beta, m0) == (sigma[1, 1], sigma[0, 0])
+
 
 class TestCli:
     def test_validate_exit_codes(self, tmp_path):
@@ -498,6 +509,32 @@ class TestCli:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (tmp_path / "v" / "manifest.json").exists()
+
+    def test_no_scipy_on_the_import_path(self, tmp_path):
+        # scipy is a test-only dependency: importing the package and running
+        # the short kinds in a fresh process must load none of it
+        runs = []
+        for kind in ("constants", "risk-bound", "gibbs-check", "validate"):
+            doc = base_config(kind=kind, out=str(tmp_path / kind),
+                              **TestGoldenRuns.CONFIGS[kind])
+            if kind == "risk-bound":
+                doc["sampler"]["batch_size"] = 10
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            runs.append([kind, "--config", str(path)])
+        script = "\n".join([
+            "import json, sys",
+            "import sghmc, sghmc.cli",
+            *(f"assert sghmc.cli.main({argv!r}) == 0" for argv in runs),
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
     @pytest.mark.parametrize("kind, over, argv", [
         ("gibbs-check", {}, ["--replicas", "0"]),

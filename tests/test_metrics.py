@@ -7,6 +7,7 @@ import pytest
 
 from sghmc import (
     ConfigurationError,
+    NumericalError,
     SampleCloud,
     empirical_moments,
     quad_growth_continuity_check,
@@ -15,7 +16,7 @@ from sghmc import (
     wasserstein_1d,
     wasserstein_exact_small,
 )
-from sghmc.metrics import distance_report, measure
+from sghmc.metrics import _assignment, distance_report, measure
 from sghmc.rng import derive_stream
 
 
@@ -128,6 +129,68 @@ class TestWassersteinExact:
         base = wasserstein_exact_small(SampleCloud(a), SampleCloud(b), 2.0)
         scaled = wasserstein_exact_small(SampleCloud(2.5 * a), SampleCloud(2.5 * b), 2.0)
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
+
+
+class TestAssignment:
+    """The assignment solver against scipy's, which stays a test-only oracle."""
+
+    def test_matches_scipy_column_order(self):
+        # continuous costs on clouds in d >= 2 have a unique optimal matching
+        from scipy.optimize import linear_sum_assignment
+
+        rng = derive_stream(15, "lsap-oracle")
+        for n in range(1, 65):
+            for d, p in ((2, 2.0), (3, 1.0), (4, 3.0)):
+                a = rng.standard_normal((n, d))
+                b = rng.standard_normal((n, d)) + rng.uniform(0.0, 2.0)
+                cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) ** p
+                np.testing.assert_array_equal(_assignment(cost), linear_sum_assignment(cost)[1])
+
+    def test_tied_costs_reach_the_optimum(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = derive_stream(16, "lsap-ties")
+        for n in (2, 5, 17, 40, 64):
+            for scale in (1.0, 3.0, 10.0):
+                a = rng.standard_normal((n, 2))
+                b = rng.standard_normal((n, 2))
+                cost = np.round(scale * np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+                rows, cols = linear_sum_assignment(cost)
+                got = _assignment(cost)
+                np.testing.assert_array_equal(np.sort(got), np.arange(n))
+                assert cost[rows, got].sum() == cost[rows, cols].sum()
+
+    @pytest.mark.parametrize("fault", ["nan-entry", "inf-row"])
+    def test_non_finite_cost_is_numerical_error(self, fault):
+        cost = derive_stream(17, "lsap-fault").uniform(size=(6, 6))
+        if fault == "nan-entry":
+            cost[2, 3] = np.nan
+        else:
+            cost[4] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            _assignment(cost)
+
+    def test_overflowing_wasserstein_cost_is_numerical_error(self):
+        # |a_0 - b_j| overflows: row 0 of the cost matrix is all inf
+        rng = derive_stream(18, "lsap-overflow")
+        a = rng.standard_normal((6, 2))
+        a[0] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            wasserstein_exact_small(a, rng.standard_normal((6, 2)), 2.0)
+
+    @pytest.mark.parametrize("fault", ["nan-entry", "inf-row"])
+    def test_overflowing_rho_cost_is_numerical_error(self, quad_theory, fault):
+        # V overflows at a point with a huge velocity: its row of the cost is
+        # h(r) * inf = inf, and h(0) * inf = NaN where the other cloud holds it too
+        cc, lyap = quad_theory["cc"], quad_theory["lyap"]
+        rng = derive_stream(19, "rho-overflow")
+        a = rng.standard_normal((6, 4))
+        a[0, 2:] = 1e200
+        b = rng.standard_normal((6, 4))
+        if fault == "nan-entry":
+            b[3] = a[0]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            rho_distance_cloud(SampleCloud(a), SampleCloud(b), cc, lyap)
 
 
 class TestSlicedWasserstein:

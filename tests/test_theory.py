@@ -225,6 +225,19 @@ class TestHFunction:
         want = cumulative_simpson(phi * g, x=grid, initial=0.0)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    def test_simpson_port_matches_scipy(self):
+        # the private port keeps scipy's unequal-interval operation order, so
+        # it returns the same bits on every grid length, odd or even
+        from scipy.integrate import cumulative_simpson
+
+        for nodes in (*range(3, 40), 64, 65, 257, 1000, 2001, 4097):
+            for r in (1e-3, 0.7, 13.0):
+                s = np.linspace(0.0, r, nodes)
+                for y in (np.exp(-2.0 * s * s), np.exp(-0.1 * s * s) * (1.0 - 0.3 * s),
+                          np.cos(5.0 * s)):
+                    want = cumulative_simpson(y, x=s, initial=0.0)
+                    np.testing.assert_array_equal(theory._cumulative_simpson(y, s), want)
+
     def test_matches_adaptive_quadrature(self, quad_theory):
         # independent oracle: nested adaptive quadrature instead of the
         # composite-Simpson cumulative pass
@@ -558,6 +571,22 @@ class TestLyapunovMomentCertificate:
         for d in (1, 2, 5):
             assert theory.gaussian_norm_moment(d, 2) == pytest.approx(d)
             assert theory.gaussian_norm_moment(d, 4) == pytest.approx(d * d + 2 * d)
+
+    def test_gaussian_moments_match_gammaln_and_products(self):
+        # exp(lgamma - lgamma) turns the lgamma values' rounding (a few ulp of
+        # their magnitude) into relative error, so the tolerance scales with it
+        from scipy.special import gammaln
+
+        eps = np.finfo(float).eps
+        for d in range(1, 21):
+            for j in range(0, 17):
+                got = theory.gaussian_norm_moment(d, j)
+                scale = max(1.0, abs(math.lgamma((d + j) / 2)), abs(math.lgamma(d / 2)))
+                ref = 2.0 ** (j / 2.0) * math.exp(gammaln((d + j) / 2.0) - gammaln(d / 2.0))
+                assert abs(got - ref) <= 4 * eps * scale * ref
+                if j % 2 == 0:
+                    exact = math.prod(range(d, d + j, 2))  # d (d + 2) ... (d + j - 2)
+                    assert abs(got - exact) <= 1e-15 * scale * exact
 
     def test_monte_carlo_moment_agreement(self):
         rng = derive_stream(43, "chi-mc")
