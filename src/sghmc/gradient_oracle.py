@@ -1,9 +1,9 @@
 """Unbiased stochastic gradients via minibatch subsampling with replacement.
 
 The oracle draws batch indices i.i.d. uniformly over the dataset (with
-replacement) and averages the per-sample gradients, which is unbiased for the
-empirical gradient by construction. A degenerate full-pass mode iterates the
-whole dataset deterministically and is exactly the empirical gradient.
+replacement) and averages their gradients with ``minibatch_gradient_rows``, the
+chains' estimator, which is unbiased for the empirical gradient by construction.
+``batch_size=None`` (as in ``SamplerConfig``) is exactly the empirical gradient.
 
 The second half of the module estimates the oracle's variance profile: the
 ratio of E|g - grad F|^2 to 2 (M^2 |x|^2 + B^2) defines the operational
@@ -40,16 +40,11 @@ class MinibatchOracle:
 
     obj: ObjectiveSpec
     data: Dataset
-    batch_size: int
+    batch_size: Optional[int]  # None: the full gradient
     rng: np.random.Generator
-    full_pass: bool = False
 
     def __post_init__(self):
-        if self.data.n < 1:
-            raise ConfigurationError("oracle needs a nonempty dataset")
-        if self.full_pass:
-            self.batch_size = self.data.n
-        if self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError("batch size must be >= 1")
 
 
@@ -63,15 +58,13 @@ def make_oracle(
 ) -> MinibatchOracle:
     """Build an oracle with a stream derived from (seed, purpose, replica).
 
-    ``batch_size=None`` selects the deterministic full-pass mode.
+    ``batch_size=None`` gives the deterministic full gradient.
     """
-    full = batch_size is None
     return MinibatchOracle(
         obj=obj,
         data=data,
-        batch_size=data.n if full else int(batch_size),
+        batch_size=None if batch_size is None else int(batch_size),
         rng=derive_stream(seed, purpose, replica),
-        full_pass=full,
     )
 
 
@@ -80,7 +73,7 @@ def sample_gradient(oracle: MinibatchOracle, x: np.ndarray) -> np.ndarray:
     non-finite mean re-evaluates its batch to name a faulty sample."""
     x = np.asarray(x, dtype=float)
     obj, data = oracle.obj, oracle.data
-    if oracle.full_pass:
+    if oracle.batch_size is None:
         return empirical_gradient(x, obj, data)
     idx = oracle.rng.integers(0, data.n, size=oracle.batch_size)
     g = minibatch_gradient_rows(x[None], obj, data, idx[None])[0]
@@ -90,15 +83,14 @@ def sample_gradient(oracle: MinibatchOracle, x: np.ndarray) -> np.ndarray:
 
 
 def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) -> np.ndarray:
-    """``trials`` independent draws at x, shape (trials, d). Vectorized."""
+    """``trials`` independent draws at x via ``minibatch_gradient_rows``: (trials, d)."""
     x = np.asarray(x, dtype=float)
-    if oracle.full_pass:
+    if oracle.batch_size is None:
         g = empirical_gradient(x, oracle.obj, oracle.data)
         return np.broadcast_to(g, (trials, g.size)).copy()
-    ell = oracle.batch_size
-    idx = oracle.rng.integers(0, oracle.data.n, size=(trials, ell))
-    grads = np.asarray(oracle.obj.grad_f(x, oracle.data.samples[idx.ravel()]), dtype=float)
-    return grads.reshape(trials, ell, -1).mean(axis=1)
+    idx = oracle.rng.integers(0, oracle.data.n, size=(trials, oracle.batch_size))
+    X = np.broadcast_to(x, (trials, x.size))
+    return minibatch_gradient_rows(X, oracle.obj, oracle.data, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +179,7 @@ def variance_scaling_curve(
     full = empirical_gradient(x, obj, data)
     points = []
     for i, ell in enumerate(sizes):
-        oracle = MinibatchOracle(
-            obj=obj, data=data, batch_size=ell, rng=derive_stream(seed, "variance-curve", i)
-        )
-        draws = sample_gradient_many(oracle, x, trials)
+        draws = sample_gradient_many(make_oracle(obj, data, ell, seed, "variance-curve", i), x, trials)
         var = float(np.mean(np.sum((draws - full[None, :]) ** 2, axis=1)))
         points.append((ell, var))
     slope = None

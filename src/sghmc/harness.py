@@ -132,7 +132,7 @@ class ExperimentConfig:
     steps: int = 10000
     replicas: int = 8
     thin: int = 100
-    burn_in: int = 0
+    burn_in: Optional[int] = None  # None: max(steps // 10, 2000) for gibbs-check, else 0
     out: str = "runs/out"
     strict: bool = False
     sampler_b: Optional[SamplerConfig] = None
@@ -146,6 +146,8 @@ class ExperimentConfig:
         for name in ("steps", "replicas", "thin"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.burn_in is None:
+            self.burn_in = max(self.steps // 10, 2000) if self.kind == "gibbs-check" else 0
         if self.burn_in < 0:
             raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
 
@@ -173,7 +175,7 @@ class ExperimentConfig:
                 steps=int(d.get("steps", 10000)),
                 replicas=int(d.get("replicas", 8)),
                 thin=int(d.get("thin", 100)),
-                burn_in=int(d.get("burn_in", 0)),
+                burn_in=None if d.get("burn_in") is None else int(d["burn_in"]),
                 out=str(d.get("out", "runs/out")),
                 strict=bool(d.get("strict", False)),
                 chain=str(d.get("chain", "sghmc")),
@@ -215,24 +217,39 @@ def load_config(path, kind: Optional[str] = None) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh), kind=kind)
 
 
+def _config_value(block: dict, key: str, default, kind=float):
+    """``block[key]`` (``default`` if absent) converted by ``kind``; None where
+    the default is None. A value of a nested config block that does not
+    convert is a ConfigurationError."""
+    value = block.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
+
+
 def materialize(cfg: ExperimentConfig):
-    """Build (objective, dataset) from a config, deriving z_radius if needed."""
+    """Build (objective, dataset) from a config, deriving z_radius if needed.
+    A generator or objective the config cannot name, and objective parameters
+    that the factory does not take or of the wrong type, are a
+    ConfigurationError."""
     ds = cfg.dataset
-    data = make_dataset(
-        generator_id=ds.get("generator", "gaussian"),
-        n=int(ds.get("n", 100)),
-        z_dim=int(ds.get("z_dim", cfg.sampler.dim)),
-        seed=int(ds.get("seed", 7)),
-    )
     name = cfg.objective.get("name", "quadratic")
-    params = dict(cfg.objective.get("params", {}))
-    needs_radius = name in _DATA_COUPLED or (
-        name == "quadratic" and params.get("coupling", 0.0) != 0.0
-    )
-    if needs_radius:
-        params.setdefault("z_radius", data.max_norm())
-    obj = make_objective(name, cfg.sampler.dim, **params)
-    return obj, data
+    try:
+        data = make_dataset(
+            generator_id=ds.get("generator", "gaussian"),
+            n=_config_value(ds, "n", 100, int),
+            z_dim=_config_value(ds, "z_dim", cfg.sampler.dim, int),
+            seed=_config_value(ds, "seed", 7, int),
+        )
+        params = dict(cfg.objective.get("params", {}))
+        if name in _DATA_COUPLED or (name == "quadratic" and params.get("coupling", 0.0) != 0.0):
+            params.setdefault("z_radius", data.max_norm())
+        return make_objective(name, cfg.sampler.dim, **params), data
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed dataset or objective config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +307,9 @@ def _build(cfg: ExperimentConfig):
         except SghmcError as exc:  # certification trouble is a finding, not a crash
             findings.append(_finding("warning", "certification", str(exc)))
     if cfg.risk:
-        p = float(cfg.risk.get("p", 2.0))
-        q = cfg.risk.get("q", 1)
         try:
-            theory.check_pq(p, int(q))
+            p, q = _config_value(cfg.risk, "p", 2.0), _config_value(cfg.risk, "q", 1, int)
+            theory.check_pq(p, q)
             findings.append(_finding("info", "pq-pairing", f"(p, q) = ({p}, {q}) is valid"))
         except ConfigurationError as exc:
             findings.append(_finding("violation", "pq-pairing", str(exc)))
@@ -430,7 +446,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(
         config=cfg.to_dict(),
         version=__version__,
-        seeds={"sampler": cfg.sampler.seed, "dataset": int(cfg.dataset.get("seed", 7))},
+        seeds={"sampler": cfg.sampler.seed, "dataset": _config_value(cfg.dataset, "seed", 7, int)},
         wall_time_s=0.0,
         divergence=[],
         outputs=[],
@@ -472,12 +488,10 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
         results["findings"] = manifest.findings
 
     elif cfg.kind == "audit":
-        probes = int(cfg.audit.get("probes", 1000))
-        radius = cfg.audit.get("radius")
         report = audit_assumptions(
-            obj, data, probes=probes,
-            radius=None if radius is None else float(radius),
-            seed=int(cfg.audit.get("seed", s.seed)),
+            obj, data, probes=_config_value(cfg.audit, "probes", 1000, int),
+            radius=_config_value(cfg.audit, "radius", None),
+            seed=_config_value(cfg.audit, "seed", s.seed, int),
         )
         emit("audit.json", report.to_json())
         results["all_passed"] = report.all_passed
@@ -485,8 +499,8 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
             return "assumption audit failed"
 
     elif cfg.kind == "constants":
-        p = float(cfg.risk.get("p", 2.0))
-        delta = float(cfg.risk.get("delta", 0.0))
+        p = _config_value(cfg.risk, "p", 2.0)
+        delta = _config_value(cfg.risk, "delta", 0.0)
         drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, p, delta)
         table = {
             "lambda_c": theory.ConstantEntry("lambda_c", drift.lambda_c, "exact",
@@ -550,9 +564,10 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
             obj,
             data,
             s,
-            lambdas=[float(l) for l in cfg.rate.get("lambdas", [0.1, 0.05, 0.025, 0.0125])],
-            lambda_ref_divisor=float(cfg.rate.get("ref_divisor", 16.0)),
-            t_end=float(cfg.rate.get("t_end", 5.0)),
+            lambdas=_config_value(cfg.rate, "lambdas", [0.1, 0.05, 0.025, 0.0125],
+                                  lambda ls: [float(l) for l in ls]),
+            lambda_ref_divisor=_config_value(cfg.rate, "ref_divisor", 16.0),
+            t_end=_config_value(cfg.rate, "t_end", 5.0),
             replicas=cfg.replicas,
         )
         emit("rate.csv", "lambda,distance,flag\n" + "".join(
@@ -579,16 +594,15 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
         raise ConfigurationError("gibbs-check needs the quadratic objective (exact law known)")
     s = cfg.sampler
     m0 = float(cfg.objective.get("params", {}).get("m0", 1.0))
-    burn_in = cfg.burn_in or max(cfg.steps // 10, 2000)
-    if cfg.steps <= burn_in:
+    if cfg.steps <= cfg.burn_in:
         raise ConfigurationError(
-            f"gibbs-check steps must be >= {burn_in + 1} to keep a tail sample after "
-            f"burn_in {burn_in}, got {cfg.steps}")
+            f"gibbs-check steps must be >= {cfg.burn_in + 1} to keep a tail sample after "
+            f"burn_in {cfg.burn_in}, got {cfg.steps}")
     res = ensemble_run(
         cfg.chain, s, obj, data,
         steps=cfg.steps, replicas=cfg.replicas,
         record_every=max(1, cfg.thin),
-        burn_in=burn_in,
+        burn_in=cfg.burn_in,
         purpose="gibbs",
     )
     expected_x = 1.0 / (s.beta * m0)
@@ -615,21 +629,20 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
 def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dict:
     s = cfg.sampler
     risk = cfg.risk
-    p = float(risk.get("p", 2.0))
-    q = int(risk.get("q", 1))
+    p = _config_value(risk, "p", 2.0)
+    q = _config_value(risk, "q", 1, int)
     theory.check_pq(p, q)
-    k = int(risk.get("k", cfg.steps))
+    k = _config_value(risk, "k", cfg.steps, int)
+    eps, sigma = _config_value(risk, "eps", None), _config_value(risk, "sigma", None)
+    c_ls, lambda_star = _config_value(risk, "c_ls", None), _config_value(risk, "lambda_star", None)
 
     # noise level: explicit, or measured for minibatch runs, else 0
-    if "delta" in risk:
-        delta = float(risk["delta"])
-    elif s.batch_size is not None:
+    delta = _config_value(risk, "delta", None if s.batch_size is not None else 0.0)
+    if delta is None:
         oracle = make_oracle(obj, data, s.batch_size, s.seed, purpose="risk:delta")
         probe_rng = derive_stream(s.seed, "risk:probes")
         probes = [np.zeros(s.dim)] + [probe_rng.standard_normal(s.dim) for _ in range(7)]
         delta = estimate_delta(oracle, probes, trials=400).delta_hat
-    else:
-        delta = 0.0
 
     drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, p, delta)
     pilot_steps = cfg.pilot_steps or max(2000, min(cfg.steps, 20000))
@@ -639,9 +652,7 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
         pilot_sup_v2=pilot.running_max["v2"],
     )
 
-    if "sigma" in risk:
-        sigma = float(risk["sigma"])
-    else:
+    if sigma is None:
         sigma = pilot.running_max["radial2q"] ** (1.0 / (2.0 * q))
         coupling = float(cfg.objective.get("params", {}).get("coupling", 0.0))
         if obj.name == "quadratic" and coupling == 0.0:
@@ -666,8 +677,7 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
     bound = theory.risk_bound(
         cc, proof, obj.cert, s.gamma, s.beta, s.dim, data.n,
         s.lam, delta, k, p, q, sigma, w_rho,
-        c_ls=risk.get("c_ls"),
-        lambda_star=risk.get("lambda_star"),
+        c_ls=c_ls, lambda_star=lambda_star,
     )
     out = {
         "B_1": theory.in_range(bound.B_1, bound.log_B_1),
@@ -678,9 +688,9 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
         "sigma": sigma,
         "delta": delta,
     }
-    if "eps" in risk:
-        cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], float(risk["eps"]), p, w_rho)
-        out["budget"] = {"eps": float(risk["eps"]), "cap": cap, "k_min": k_min}
+    if eps is not None:
+        cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], eps, p, w_rho)
+        out["budget"] = {"eps": eps, "cap": cap, "k_min": k_min}
     return out
 
 

@@ -8,10 +8,9 @@ Three Wasserstein estimators cover the desk-scale needs:
 * ``sliced_wasserstein``    -- seeded random-projection surrogate for larger
   clouds in higher dimension.
 
-``rho_distance_cloud`` solves the same assignment problem under the
-contraction semimetric rho (built from the comparison function h and the
-Lyapunov functional), which is how the distance of an initial law from a
-long-run law is estimated.
+``rho_distance_cloud`` solves the same assignment problem on the contraction
+semimetric's cost matrix ``theory.rho_cost`` (the one evaluation of rho), which
+is how the distance of an initial law from a long-run law is estimated.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .rng import derive_stream
-from .theory import ContractionConstants, LyapunovParams, h_profile, to_json
+from .theory import ContractionConstants, LyapunovParams, rho_cost
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,8 @@ def wasserstein_1d(a, b, p: float = 2.0, resample_seed: int = 0) -> float:
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != 1 or b.dim != 1:
         raise ConfigurationError("wasserstein_1d requires dimension 1")
-    if p < 1:
-        raise ConfigurationError("order p must be >= 1")
+    if not p >= 1:
+        raise ConfigurationError(f"order p must be >= 1, got {p}")
     xa = a.points[:, 0]
     xb = b.points[:, 0]
     if xa.size != xb.size:
@@ -154,8 +153,8 @@ def wasserstein_exact_small(a, b, p: float = 2.0) -> float:
         raise ConfigurationError("exact solver is capped at 64 points")
     if a.dim != b.dim:
         raise ConfigurationError("clouds must share the dimension")
-    if p < 1:
-        raise ConfigurationError("order p must be >= 1")
+    if not p >= 1:
+        raise ConfigurationError(f"order p must be >= 1, got {p}")
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** p
     return float(np.mean(cost[np.arange(a.n), _assignment(cost)]) ** (1.0 / p))
@@ -171,8 +170,8 @@ def sliced_wasserstein(a, b, p: float = 2.0, n_projections: int = 128, seed: int
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != b.dim:
         raise ConfigurationError("clouds must share the dimension")
-    if p < 1:
-        raise ConfigurationError("order p must be >= 1")
+    if not p >= 1:
+        raise ConfigurationError(f"order p must be >= 1, got {p}")
     rng = derive_stream(seed, "sliced:directions")
     dirs = rng.standard_normal((n_projections, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -197,7 +196,7 @@ def rho_distance_cloud(a, b, cc: ContractionConstants, lyap: LyapunovParams,
     """Empirical rho-transport distance between clouds in phase space.
 
     Points live in R^{2d} as (x, v) concatenations. The assignment problem is
-    solved exactly on the cost rho((x_i, v_i), (x_j, v_j)); the result is the
+    solved exactly on the matrix ``theory.rho_cost``; the result is the
     minimum over assignments of the average rho.
     """
     a, b = _as_cloud(a), _as_cloud(b)
@@ -207,23 +206,7 @@ def rho_distance_cloud(a, b, cc: ContractionConstants, lyap: LyapunovParams,
         raise ConfigurationError("rho distance is capped at 64 points")
     if a.dim != b.dim or a.dim % 2:
         raise ConfigurationError("phase-space clouds need even, equal dimension")
-    d = a.dim // 2
-    gamma = lyap.gamma
-    Xa, Va = a.points[:, :d], a.points[:, d:]
-    Xb, Vb = b.points[:, :d], b.points[:, d:]
-    DX = Xa[:, None, :] - Xb[None, :, :]
-    DXV = DX + (Va[:, None, :] - Vb[None, :, :]) / gamma
-    r = cc.alpha_c * np.linalg.norm(DX, axis=2) + np.linalg.norm(DXV, axis=2)
-    r_eff = np.minimum(r, cc.R_1)
-    r_max = float(r_eff.max())
-    if r_max <= 0.0:
-        h_r = np.zeros_like(r)
-    else:
-        grid, h_vals = h_profile(cc, lyap.beta, gamma, r_max=r_max, nodes=nodes)
-        h_r = np.interp(r_eff, grid, h_vals)
-    va = lyap.value_rows(Xa, Va)
-    vb = lyap.value_rows(Xb, Vb)
-    cost = h_r * (1.0 + cc.epsilon_c * (va[:, None] + vb[None, :]))
+    cost = rho_cost(cc, lyap, a.points, b.points, nodes)
     return float(np.mean(cost[np.arange(a.n), _assignment(cost)]))
 
 
@@ -269,8 +252,8 @@ def quad_growth_continuity_check(
     The inequality lhs <= rhs is the property under test; this op only
     evaluates the two sides.
     """
-    if p <= 1:
-        raise ConfigurationError("p must be > 1")
+    if not p > 1:
+        raise ConfigurationError(f"order p must be > 1, got {p}")
     if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
         raise ConfigurationError(f"(p, q) = ({p}, {q}) violates 1/p + 1/q = 1")
     a, b = _as_cloud(a), _as_cloud(b)
@@ -287,23 +270,6 @@ def quad_growth_continuity_check(
     sigma = 0.5 * max(mo_a, mo_b)
     rhs = (c1 * sigma + c2) * wasserstein_exact_small(a, b, p)
     return lhs, rhs
-
-
-def distance_report(metric: str, value: float, p: float, n: int, method: str,
-                    flags=(), indent: int = 2) -> str:
-    """Serialize a distance measurement to the common JSON shape (strict
-    JSON: a non-finite value reads "inf", "-inf" or "nan")."""
-    return to_json(
-        {
-            "metric": metric,
-            "p": p,
-            "n": n,
-            "value": value,
-            "method": method,
-            "flags": list(flags),
-        },
-        indent,
-    )
 
 
 def measure(metric: str, a, b, p: float = 2.0, seed: int = 0,

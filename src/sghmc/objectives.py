@@ -335,6 +335,14 @@ def default_probe_radius(cert: SmoothnessCertificate) -> float:
     return 10.0 * max(1.0, math.sqrt(cert.b / cert.m))
 
 
+def ball_probes(rng: np.random.Generator, k: int, dim: int, radius: float) -> np.ndarray:
+    """k points (k, dim) drawn uniformly from the ball of the given radius:
+    a direction, then a radius with density proportional to r^(dim-1)."""
+    u = rng.standard_normal((k, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u * (radius * rng.uniform(0.0, 1.0, size=(k, 1)) ** (1.0 / dim))
+
+
 def audit_assumptions(
     obj: ObjectiveSpec,
     data: Dataset,
@@ -353,7 +361,8 @@ def audit_assumptions(
     * dissipativity ``<x, grad f> - m |x|^2 + b >= 0``,
     * the origin bounds ``|f(0,z)| <= A0`` and ``|grad f(0,z)| <= B``.
 
-    Failures are report entries with a witnessing point, never exceptions.
+    One walk over the probes evaluates grad_f at each probe and its Lipschitz
+    partner. Failures are report entries with a witnessing point, never exceptions.
     """
     if probes < 2:
         raise ConfigurationError("audit needs at least 2 probes")
@@ -362,69 +371,43 @@ def audit_assumptions(
     if radius is None:
         radius = default_probe_radius(cert)
     rng = derive_stream(seed, "audit:probes")
-
-    # uniform in the ball of the given radius
-    def ball(k):
-        u = rng.standard_normal((k, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        r = radius * rng.uniform(0.0, 1.0, size=(k, 1)) ** (1.0 / d)
-        return u * r
-
-    X = ball(probes)
+    X = ball_probes(rng, probes, d, radius)
+    X2 = ball_probes(rng, probes, d, radius)  # Lipschitz partners
     Z = data.samples
-    entries = []
-
-    # (a) non-negativity over probes x samples
-    min_val = math.inf
-    min_wit = None
-    for i, x in enumerate(X):
-        vals = np.asarray(obj.f(x, Z), dtype=float)
+    min_val, min_wit = math.inf, None  # (a) non-negativity over probes x samples
+    max_ratio, lip_wit = 0.0, None  # (b) Lipschitz ratio over random pairs
+    min_margin, dis_wit = math.inf, None  # (c) dissipativity margin
+    for x1, x2 in zip(X, X2):
+        vals = np.asarray(obj.f(x1, Z), dtype=float)
         j = int(np.argmin(vals))
         if vals[j] < min_val:
             min_val = float(vals[j])
-            min_wit = {"x": x.tolist(), "sample_index": j}
-    entries.append(
-        AuditEntry("non_negativity", min_val >= 0.0, min_val, min_wit)
-    )
-
-    # (b) empirical Lipschitz ratio over random pairs (and all samples)
-    X2 = ball(probes)
-    max_ratio = 0.0
-    lip_wit = None
-    for x1, x2 in zip(X, X2):
+            min_wit = {"x": x1.tolist(), "sample_index": j}
+        grads = np.asarray(obj.grad_f(x1, Z), dtype=float)
+        margins = grads @ x1 - cert.m * float(x1 @ x1) + cert.b
+        j = int(np.argmin(margins))
+        if margins[j] < min_margin:
+            min_margin = float(margins[j])
+            dis_wit = {"x": x1.tolist(), "sample_index": j}
         gap = np.linalg.norm(x1 - x2)
         if gap < 1e-12:
             continue
-        diff = np.linalg.norm(
-            np.asarray(obj.grad_f(x1, Z)) - np.asarray(obj.grad_f(x2, Z)), axis=1
-        )
+        diff = np.linalg.norm(grads - np.asarray(obj.grad_f(x2, Z)), axis=1)
         j = int(np.argmax(diff))
         ratio = float(diff[j] / gap)
         if ratio > max_ratio:
             max_ratio = ratio
             lip_wit = {"x1": x1.tolist(), "x2": x2.tolist(), "sample_index": j}
-    entries.append(
+    entries = [
+        AuditEntry("non_negativity", min_val >= 0.0, min_val, min_wit),
         AuditEntry(
             "gradient_lipschitz",
             max_ratio <= cert.M * (1.0 + 1e-9),
             cert.M - max_ratio,
             {"max_ratio_found": max_ratio, "note": "pass means no violation found", **(lip_wit or {})},
-        )
-    )
-
-    # (c) dissipativity margin
-    min_margin = math.inf
-    dis_wit = None
-    for x in X:
-        grads = np.asarray(obj.grad_f(x, Z), dtype=float)
-        margins = grads @ x - cert.m * float(x @ x) + cert.b
-        j = int(np.argmin(margins))
-        if margins[j] < min_margin:
-            min_margin = float(margins[j])
-            dis_wit = {"x": x.tolist(), "sample_index": j}
-    entries.append(
-        AuditEntry("dissipativity", min_margin >= -1e-9, min_margin, dis_wit)
-    )
+        ),
+        AuditEntry("dissipativity", min_margin >= -1e-9, min_margin, dis_wit),
+    ]
 
     # (d) origin bounds
     origin = np.zeros(d)

@@ -9,7 +9,7 @@ empirical pilot statistics. The chain of quantities:
   initial law;
 * contraction constants (Lambda_c, alpha_c, c*, C*, epsilon_c, R_1) and the
   concave comparison function h, evaluated by composite Simpson quadrature;
-* the semimetrics r and rho built from h and V;
+* the semimetrics r and rho built from h and V (one evaluation of rho);
 * uniform second-moment bounds (C^c/C^a families) and the step-size cap;
 * the proof-constant chain c_2 ... c_18 and the aggregate C~ (the last two
   need sup-moment pilot statistics and are flagged "empirical");
@@ -36,6 +36,7 @@ from .objectives import (
     Dataset,
     ObjectiveSpec,
     SmoothnessCertificate,
+    ball_probes,
     batch_empirical_gradient,
     batch_empirical_risk,
     default_probe_radius,
@@ -72,6 +73,13 @@ def lambda_c_cap(cert: SmoothnessCertificate, gamma: float) -> float:
     return min(0.25, cert.m / (cert.M + 2.0 * cert.B + gamma**2 / 2.0))
 
 
+def closed_form_drift(cert: SmoothnessCertificate, gamma: float, beta: float) -> DriftConstants:
+    """The unverified starting pair: lambda_c at half its cap and
+    A_c = (beta/2)(b + 2B + A0), floored at the smallest positive float."""
+    return DriftConstants(0.5 * lambda_c_cap(cert, gamma),
+                          max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY))
+
+
 def derive_drift_constants(
     cert: SmoothnessCertificate,
     gamma: float,
@@ -84,35 +92,28 @@ def derive_drift_constants(
 ) -> DriftConstants:
     """Half the printed caps, then verify the drift inequality on probes.
 
-    Starts from lambda_c = min{1/4, m/(M + 2B + gamma^2/2)} / 2 and
-    A_c = (beta/2)(b + 2B + A0) (floored at the smallest positive float) and,
-    should any probe violate the inequality, halves lambda_c and doubles A_c
-    up to 20 times before giving up with the witnessing probe.
+    Starts from the closed-form pair (``closed_form_drift``) with
+    lambda_c = min{1/4, m/(M + 2B + gamma^2/2)} / 2 and, should any probe
+    violate the inequality, halves lambda_c and doubles A_c up to 20 times
+    before giving up with the witnessing probe.
     """
     if not gamma > 0:
         raise ConfigurationError("friction gamma must be positive here")
-    lam_c = 0.5 * lambda_c_cap(cert, gamma)
-    a_c = max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY)
+    drift = closed_form_drift(cert, gamma, beta)
     if radius is None:
         radius = default_probe_radius(cert)
-    rng = derive_stream(seed, "drift:probes")
-    d = obj.dim
-    U = rng.standard_normal((probes, d))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    R = radius * rng.uniform(0.0, 1.0, size=(probes, 1)) ** (1.0 / d)
-    X = U * R
+    X = ball_probes(derive_stream(seed, "drift:probes"), probes, obj.dim, radius)
     risks = batch_empirical_risk(X, obj, data)
     grads = batch_empirical_gradient(X, obj, data)
     lhs = np.sum(grads * X, axis=1)
     norm2 = np.sum(X * X, axis=1)
     for _ in range(21):
-        rhs = 2.0 * lam_c * (risks + gamma**2 * norm2 / 4.0) - 2.0 * a_c / beta
+        rhs = 2.0 * drift.lambda_c * (risks + gamma**2 * norm2 / 4.0) - 2.0 * drift.A_c / beta
         slack = lhs - rhs
         j = int(np.argmin(slack))
         if slack[j] >= -1e-9 * (1.0 + np.abs(rhs[j])):
-            return DriftConstants(lambda_c=lam_c, A_c=a_c)
-        lam_c *= 0.5
-        a_c *= 2.0
+            return drift
+        drift = DriftConstants(0.5 * drift.lambda_c, 2.0 * drift.A_c)
     raise CertificationError(
         "drift inequality could not be certified after 20 shrinks",
         witness={"x": X[j].tolist(), "slack": float(slack[j])},
@@ -154,11 +155,6 @@ class LyapunovParams:
             - self.lambda_c * np.sum(X * X, axis=1)
         )
         return self.beta * batch_empirical_risk(X, self.obj, self.data) + 0.25 * self.beta * g * g * quad
-
-
-def lyapunov(params: LyapunovParams, x, v) -> float:
-    """Evaluate the Lyapunov functional at a single (x, v)."""
-    return params.value(x, v)
 
 
 def lyapunov_lower_bound(params: LyapunovParams, x, v) -> float:
@@ -413,12 +409,16 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
               r_max: Optional[float] = None, nodes: int = 4096):
     """Vector of h over an even grid on [0, min(r_max, R_1)].
 
-    One cumulative pass; useful when many evaluations are needed (the
-    rho-distance of clouds interpolates on this profile).
+    One cumulative pass; useful when many evaluations are needed (``rho_cost``
+    interpolates on this profile).
     """
     r_eff = cc.R_1 if r_max is None else min(r_max, cc.R_1)
     return _h_grid(cc, beta, gamma, r_eff, nodes)
 
+
+# ---------------------------------------------------------------------------
+# The semimetrics r and rho
+# ---------------------------------------------------------------------------
 
 def r_semimetric(cc: ContractionConstants, state_a, state_b, gamma: float) -> float:
     """r = alpha_c |x1 - x2| + |x1 - x2 + (v1 - v2) / gamma|."""
@@ -430,14 +430,37 @@ def r_semimetric(cc: ContractionConstants, state_a, state_b, gamma: float) -> fl
     )
 
 
+def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray, B: np.ndarray,
+             nodes: int = 4096) -> np.ndarray:
+    """rho = h(r) (1 + eps_c V(x1, v1) + eps_c V(x2, v2)) between the (x, v)
+    rows of A (n, 2d) and B (k, 2d): (n, k). The one evaluation of rho, the
+    cost W_rho of B_1 is measured in (``metrics.rho_distance_cloud``): r is
+    capped at R_1, where h is flat, and h interpolated on one ``h_profile``."""
+    d = A.shape[1] // 2
+    gamma = lyap.gamma
+    Xa, Va = A[:, :d], A[:, d:]
+    Xb, Vb = B[:, :d], B[:, d:]
+    DX = Xa[:, None, :] - Xb[None, :, :]
+    DXV = DX + (Va[:, None, :] - Vb[None, :, :]) / gamma
+    r = cc.alpha_c * np.linalg.norm(DX, axis=2) + np.linalg.norm(DXV, axis=2)
+    r_eff = np.minimum(r, cc.R_1)
+    r_max = float(r_eff.max())
+    if r_max <= 0.0:
+        h_r = np.zeros_like(r)
+    else:
+        grid, h_vals = h_profile(cc, lyap.beta, gamma, r_max=r_max, nodes=nodes)
+        h_r = np.interp(r_eff, grid, h_vals)
+    va = lyap.value_rows(Xa, Va)
+    vb = lyap.value_rows(Xb, Vb)
+    return h_r * (1.0 + cc.epsilon_c * (va[:, None] + vb[None, :]))
+
+
 def rho_semimetric(cc: ContractionConstants, lyap: LyapunovParams,
                    state_a, state_b, nodes: int = 4096) -> float:
-    """rho = h(r) (1 + eps_c V(x1,v1) + eps_c V(x2,v2))."""
-    r = r_semimetric(cc, state_a, state_b, lyap.gamma)
-    h = h_function(cc, lyap.beta, lyap.gamma, r, nodes=nodes)
-    va = lyap.value(*state_a)
-    vb = lyap.value(*state_b)
-    return h * (1.0 + cc.epsilon_c * va + cc.epsilon_c * vb)
+    """rho between two states (x, v): the 1x1 entry of ``rho_cost``."""
+    a, b = (np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])[None]
+            for x, v in (state_a, state_b))
+    return float(rho_cost(cc, lyap, a, b, nodes)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -790,18 +813,17 @@ def scaling_orders(betas: Sequence[float], ds: Sequence[int],
                    cert: SmoothnessCertificate, gamma: float, p: float = 2.0):
     """Tabulate the contraction constants over a (beta, d) grid.
 
-    Drift constants are taken at their closed-form values (half cap for
-    lambda_c, the floor for A_c) without probe verification, since no
-    concrete objective is attached. Each row carries the computed values and
+    Drift constants are taken at their closed-form values
+    (``closed_form_drift``) without probe verification, since no concrete
+    objective is attached. Each row carries the computed values and
     the normalizations matching the asserted growth orders, so order claims
     can be read off side by side.
     """
     if not betas or not ds:
         raise ConfigurationError("scaling_orders needs nonempty ranges")
     rows = []
-    lam_c = 0.5 * lambda_c_cap(cert, gamma)
     for beta in betas:
-        drift = DriftConstants(lam_c, max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY))
+        drift = closed_form_drift(cert, gamma, beta)
         for d in ds:
             cc = contraction_constants(drift, cert, gamma, beta, d, p)
             rows.append(

@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 
 from sghmc import make_dataset, quadratic, double_well, gaussian_mixture
 from sghmc import theory
+from sghmc.objectives import ball_probes  # noqa: F401 -- uniform-ball probe points for the tests
 
 GAMMA = 2.0
 BETA = 1.0
@@ -40,10 +40,3 @@ def builtin_suite():
     data_m = make_dataset("gaussian", 100, 2, seed=13)
     suite.append((gaussian_mixture(2, ridge=0.05, z_radius=data_m.max_norm()), data_m))
     return suite
-
-
-def ball_probes(rng, n, dim, radius):
-    u = rng.standard_normal((n, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = radius * rng.uniform(0, 1, size=(n, 1)) ** (1.0 / dim)
-    return u * r

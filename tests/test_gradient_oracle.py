@@ -12,6 +12,7 @@ from sghmc import (
     variance_scaling_curve,
 )
 from sghmc.gradient_oracle import MinibatchOracle, sample_gradient_many
+from sghmc.objectives import minibatch_gradient_rows
 from sghmc.rng import derive_stream
 
 
@@ -38,6 +39,18 @@ def test_unbiasedness_three_sigma(coupled_quad):
     se = draws.std(axis=0) / np.sqrt(draws.shape[0])
     full = empirical_gradient(x, obj, data)
     assert np.all(np.abs(mean - full) <= 3.0 * se)
+
+
+@pytest.mark.parametrize("ell", [1, 5])
+def test_many_draws_are_the_chains_minibatch_mean(builtin_suite, ell):
+    # the oracle averages through the estimator the chains step with: its
+    # draws equal minibatch_gradient_rows on a twin oracle's indices, bit for bit
+    x = np.array([0.7, -1.3])
+    for obj, data in builtin_suite:
+        draws = sample_gradient_many(make_oracle(obj, data, ell, seed=5), x, 300)
+        idx = make_oracle(obj, data, ell, seed=5).rng.integers(0, data.n, size=(300, ell))
+        want = minibatch_gradient_rows(np.tile(x, (300, 1)), obj, data, idx)
+        assert np.array_equal(draws, want), obj.name
 
 
 def test_same_seed_same_draws(coupled_quad):

@@ -410,7 +410,8 @@ class TestGoldenRuns:
         "rate-study": {"rate.csv": "688394dfd90f68b0", "manifest.json": "3f0739c02a74ea9a"},
         "constants": {"constants.json": "064232b898ca188e", "manifest.json": "5fb433ade0549808"},
         "risk-bound": {"risk.json": "ff3201524fc00f92", "manifest.json": "71e2c362e70fc1bf"},
-        "gibbs-check": {"gibbs.json": "605a2fb23462d3fb", "manifest.json": "31e896441e2e6bef"},
+        # the manifest echoes the burn-in that ran (2000, resolved from the default)
+        "gibbs-check": {"gibbs.json": "605a2fb23462d3fb", "manifest.json": "8d5e0c3e7983cac9"},
     }
 
     @pytest.mark.parametrize("kind", list(CONFIGS))
@@ -562,8 +563,14 @@ class TestCli:
         ("sample", {"init": {"kind": "point", "x0": [1, 2, 3]}}, {}),
         ("validate", {"init": {"kind": "point", "x0": [1, 2, 3]}}, {}),
         ("validate", {"init": {"kind": "point", "v0": [0.5]}}, {}),
+        ("risk-bound", {}, {"risk": {"p": "two", "q": 1, "lambda_star": 1.0}}),
+        ("rate-study", {}, {"rate": {"t_end": "x"}}),
+        ("sample", {}, {"dataset": {"generator": "gaussian", "n": "many", "z_dim": 2}}),
+        ("sample", {}, {"objective": {"name": "quadratic", "params": {"m0": "one"}}}),
+        ("sample", {}, {"objective": {"name": "quadratic", "params": {"m00": 1}}}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
-            "x0-wrong-length-validate", "v0-wrong-length-validate"])
+            "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
+            "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param"])
     def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)
@@ -572,6 +579,21 @@ class TestCli:
         assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
         assert "validation failure" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_gibbs_explicit_zero_burn_in(self, tmp_path):
+        doc = base_config(kind="gibbs-check", out=str(tmp_path / "g"), steps=1500, burn_in=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gibbs-check", "--config", str(path)]) == EXIT_OK
+        assert json.loads((tmp_path / "g" / "gibbs.json").read_text())["tail_samples"] == 1500 * 4
+        manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+        assert manifest["config"]["burn_in"] == 0
+
+    def test_burn_in_default_resolved_once(self):
+        # the manifest echoes the burn-in that ran, so a re-run reproduces it
+        assert ExperimentConfig.from_dict(base_config(kind="gibbs-check", steps=40_000)).burn_in == 4000
+        assert ExperimentConfig.from_dict(base_config(kind="gibbs-check", steps=4000)).burn_in == 2000
+        assert ExperimentConfig.from_dict(base_config(kind="sample")).burn_in == 0
 
     def test_integer_string_batch_size_parsed(self, tmp_path):
         doc = base_config(out=str(tmp_path / "b"), steps=200)

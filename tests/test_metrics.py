@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from sghmc import (
     wasserstein_1d,
     wasserstein_exact_small,
 )
-from sghmc.metrics import _assignment, distance_report, measure
+from sghmc.metrics import _assignment, measure
 from sghmc.rng import derive_stream
 
 
@@ -317,21 +316,18 @@ class TestQuadGrowthContinuity:
         a = SampleCloud(np.zeros((4, 2)))
         with pytest.raises(ConfigurationError):
             quad_growth_continuity_check(lambda W: np.zeros(4), (1.0, 0.0), a, a, 2.0, 3.0)
+        for p in (1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="order p"):
+                quad_growth_continuity_check(lambda W: np.zeros(4), (1.0, 0.0), a, a, p, 2.0)
 
 
-def test_distance_report_shape():
-    doc = distance_report("w2", 1.5, 2.0, 64, "assignment", flags=["resampled"])
-    for key in ('"metric"', '"p"', '"n"', '"value"', '"method"', '"flags"'):
-        assert key in doc
-
-
-def test_distance_report_is_strict_json():
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    doc = json.loads(distance_report("w2", math.inf, 2.0, 64, "assignment"),
-                     parse_constant=reject)
-    assert doc["value"] == "inf"
+@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("estimator", [wasserstein_1d, wasserstein_exact_small, sliced_wasserstein])
+def test_order_below_one_or_nan_rejected(estimator, p):
+    a = SampleCloud(np.arange(4.0))
+    b = SampleCloud(np.arange(4.0) + 1.0)
+    with pytest.raises(ConfigurationError, match="order p"):
+        estimator(a, b, p)
 
 
 def test_measure_flags_resampling():

@@ -271,6 +271,19 @@ class TestAudit:
         assert doc == [{"assumption": "dissipativity", "pass": False, "margin": "inf",
                         "witness": {"x": [1.0, 0.0]}}]
 
+    def test_one_walk_over_the_probes(self, builtin_suite):
+        # grad_f runs at each probe and at its Lipschitz partner, and once at
+        # the origin
+        obj, data = builtin_suite[1]
+        calls = []
+
+        def grad_f(x, Z):
+            calls.append(1)
+            return obj.grad_f(x, Z)
+
+        audit_assumptions(dataclasses.replace(obj, grad_f=grad_f), data, probes=50)
+        assert len(calls) == 2 * 50 + 1
+
     def test_probe_floor(self, quad_obj, quad_data):
         with pytest.raises(ConfigurationError):
             audit_assumptions(quad_obj, quad_data, probes=1)

@@ -1,0 +1,42 @@
+"""The benchmark's tracer (perfbench/tracing.py) patches package names given
+as strings; each one must resolve, so that deleting or renaming a traced name
+fails the tests and not only the benchmark's self-check."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import sghmc.objectives
+import sghmc.rng
+from sghmc import quadratic
+from sghmc.samplers import Trajectory
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_targets_resolve(tracing):
+    for module, attr, _, _ in tracing.SPAN_TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_timed_spec_replaces_the_evaluators(tracing):
+    spec = quadratic(2)
+    timed = tracing.Tracer().timed_spec(spec)
+    for name in ("f", "grad_f", "risk_rows", "grad_rows"):
+        assert callable(getattr(timed, name)) and getattr(timed, name) is not getattr(spec, name)
+
+
+def test_installed_wrappers_resolve():
+    assert callable(Trajectory.to_csv)
+    assert callable(sghmc.objectives.make_objective)
+    assert callable(sghmc.rng.derive_stream)

@@ -15,6 +15,8 @@ from sghmc import (
     quadratic,
 )
 from sghmc import theory
+from sghmc.metrics import SampleCloud, rho_distance_cloud
+from sghmc.objectives import make_dataset
 from sghmc.samplers import SamplerConfig, ensemble_run
 from sghmc.rng import derive_stream
 
@@ -76,7 +78,7 @@ class TestLyapunov:
         assert lyap.value(np.zeros(2), np.zeros(2)) == pytest.approx(want)
 
     def test_hand_value(self, quad_theory):
-        got = theory.lyapunov(quad_theory["lyap"], np.array([1.0, 0.0]), np.zeros(2))
+        got = quad_theory["lyap"].value(np.array([1.0, 0.0]), np.zeros(2))
         assert got == pytest.approx(1.375)
 
     def test_lower_bound_on_probes(self, builtin_suite):
@@ -280,6 +282,24 @@ class TestSemimetrics:
             assert theory.rho_semimetric(cc, lyap, a, b, nodes=512) == pytest.approx(
                 theory.rho_semimetric(cc, lyap, b, a, nodes=512), rel=1e-12
             )
+
+    @pytest.mark.parametrize("which", ["coupled_quadratic", "double_well"])
+    def test_rho_is_the_one_point_cloud_distance(self, builtin_suite, which):
+        # one evaluation of rho: the semimetric of two states is the rho
+        # distance of the two one-point clouds, bit for bit
+        if which == "coupled_quadratic":
+            data = make_dataset("gaussian", 100, 2, seed=7)
+            obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data.max_norm())
+        else:
+            obj, data = builtin_suite[1]
+        drift = theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data, probes=200)
+        lyap = theory.LyapunovParams(BETA, GAMMA, drift.lambda_c, obj, data)
+        cc = theory.contraction_constants(drift, obj.cert, GAMMA, BETA, 2)
+        rng = derive_stream(43, "rho-one-point")
+        for _ in range(50):
+            a, b = rng.standard_normal((2, 4))
+            rho = theory.rho_semimetric(cc, lyap, (a[:2], a[2:]), (b[:2], b[2:]))
+            assert rho == rho_distance_cloud(SampleCloud(a[None]), SampleCloud(b[None]), cc, lyap)
 
     def test_rho_dominated_by_weighted_norm(self, quad_theory):
         # pointwise comparison: rho <= c_17 (1 + eps V(a) + eps V(b)) * |a - b|
