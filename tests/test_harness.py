@@ -423,6 +423,34 @@ class TestGoldenRuns:
         run_experiment(ExperimentConfig.from_dict(doc))
         assert _golden_digests(tmp_path / "o") == self.PINS[kind]
 
+    # series and running_max of the pilot's three functionals (600 steps,
+    # q = 2) on the built-in double well and mixture; never re-record
+    PILOT_PINS = {
+        ("double_well", 2, None): "795b31ae4960955f",
+        ("double_well", 2, 10): "31f3d9b470c764cf",
+        ("double_well", 8, None): "550a6429138a189a",
+        ("double_well", 8, 10): "cac28627dc155732",
+        ("gaussian_mixture", 2, None): "1f7b5e8a38e99337",
+        ("gaussian_mixture", 2, 10): "0f98e734e10358b8",
+        ("gaussian_mixture", 8, None): "a5da0b47261bb2e9",
+        ("gaussian_mixture", 8, 10): "3ee8a915a13ac502",
+    }
+
+    @pytest.mark.parametrize("name, replicas, batch", list(PILOT_PINS))
+    def test_pilot_statistics_pinned(self, builtin_suite, name, replicas, batch):
+        obj, data = next((o, d) for o, d in builtin_suite if o.name == name)
+        doc = base_config(kind="constants", replicas=replicas)
+        doc["sampler"].update(lam=0.02, batch_size=batch,
+                              init={"kind": "gaussian", "mean": 0.0, "scale": 1.0})
+        cfg = ExperimentConfig.from_dict(doc)
+        lyap = harness._lyapunov(cfg, obj, data, probes=256)[1]
+        pilot = harness._pilot_statistics(cfg, obj, data, lyap, steps=600, q=2)
+        h = hashlib.sha256(np.asarray(pilot.steps, dtype=float).tobytes())
+        for key in ("v2", "v2q", "radial2q"):
+            h.update(pilot.series[key].tobytes())
+            h.update(np.float64(pilot.running_max[key]).tobytes())
+        assert h.hexdigest()[:16] == self.PILOT_PINS[name, replicas, batch]
+
 
 class TestDiscreteStationaryOracle:
     def test_bias_vanishes_with_step(self):
