@@ -97,14 +97,13 @@ def _init_to_dict(init: InitialLaw) -> dict:
 
 
 def _parse_sampler(d: dict) -> SamplerConfig:
-    batch_size = d.get("batch_size")
     return SamplerConfig(
         lam=float(d.get("lambda", 0.01)),
         gamma=float(d.get("gamma", 2.0)),
         beta=float(d.get("beta", 1.0)),
-        batch_size=None if batch_size is None else int(batch_size),
-        dim=int(d.get("dim", 1)),
-        seed=int(d.get("seed", 0)),
+        batch_size=_config_value(d, "batch_size", None, _integer),
+        dim=_config_value(d, "dim", 1, _integer),
+        seed=_config_value(d, "seed", 0, _integer),
         init=_parse_init(d.get("init", {})),
     )
 
@@ -150,6 +149,8 @@ class ExperimentConfig:
             self.burn_in = max(self.steps // 10, 2000) if self.kind == "gibbs-check" else 0
         if self.burn_in < 0:
             raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.pilot_steps < 0:
+            raise ConfigurationError(f"pilot_steps must be >= 0, got {self.pilot_steps}")
 
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
@@ -160,6 +161,10 @@ class ExperimentConfig:
         kind = kind or d.get("kind")
         if kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {KINDS}")
+        strict = d.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ConfigurationError(
+                f"malformed config value 'strict': {strict!r} is not a boolean")
         try:
             sampler = _parse_sampler(d.get("sampler", {}))
             sampler_b = None
@@ -172,17 +177,17 @@ class ExperimentConfig:
                 dataset=dict(d.get("dataset", {"generator": "gaussian", "n": 100, "seed": 7})),
                 sampler=sampler,
                 sampler_b=sampler_b,
-                steps=int(d.get("steps", 10000)),
-                replicas=int(d.get("replicas", 8)),
-                thin=int(d.get("thin", 100)),
-                burn_in=None if d.get("burn_in") is None else int(d["burn_in"]),
+                steps=_config_value(d, "steps", 10000, _integer),
+                replicas=_config_value(d, "replicas", 8, _integer),
+                thin=_config_value(d, "thin", 100, _integer),
+                burn_in=_config_value(d, "burn_in", None, _integer),
                 out=str(d.get("out", "runs/out")),
-                strict=bool(d.get("strict", False)),
+                strict=strict,
                 chain=str(d.get("chain", "sghmc")),
                 rate=dict(d.get("rate", {})),
                 risk=dict(d.get("risk", {})),
                 audit=dict(d.get("audit", {})),
-                pilot_steps=int(d.get("pilot_steps", 0)),
+                pilot_steps=_config_value(d, "pilot_steps", 0, _integer),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed config value: {exc}") from exc
@@ -219,8 +224,8 @@ def load_config(path, kind: Optional[str] = None) -> ExperimentConfig:
 
 def _config_value(block: dict, key: str, default, kind=float):
     """``block[key]`` (``default`` if absent) converted by ``kind``; None where
-    the default is None. A value of a nested config block that does not
-    convert is a ConfigurationError."""
+    the default is None. A config value that does not convert is a
+    ConfigurationError."""
     value = block.get(key, default)
     if value is None and default is None:
         return None
@@ -228,6 +233,16 @@ def _config_value(block: dict, key: str, default, kind=float):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """``int(value)`` for an integer config field (the ``kind`` of its
+    :func:`_config_value`): integral floats (2000.0) and integer strings
+    convert; a non-integral number or a boolean is a ValueError instead of
+    being truncated or read as 0/1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def materialize(cfg: ExperimentConfig):
@@ -240,9 +255,9 @@ def materialize(cfg: ExperimentConfig):
     try:
         data = make_dataset(
             generator_id=ds.get("generator", "gaussian"),
-            n=_config_value(ds, "n", 100, int),
-            z_dim=_config_value(ds, "z_dim", cfg.sampler.dim, int),
-            seed=_config_value(ds, "seed", 7, int),
+            n=_config_value(ds, "n", 100, _integer),
+            z_dim=_config_value(ds, "z_dim", cfg.sampler.dim, _integer),
+            seed=_config_value(ds, "seed", 7, _integer),
         )
         params = dict(cfg.objective.get("params", {}))
         if name in _DATA_COUPLED or (name == "quadratic" and params.get("coupling", 0.0) != 0.0):
@@ -308,7 +323,7 @@ def _build(cfg: ExperimentConfig):
             findings.append(_finding("warning", "certification", str(exc)))
     if cfg.risk:
         try:
-            p, q = _config_value(cfg.risk, "p", 2.0), _config_value(cfg.risk, "q", 1, int)
+            p, q = _config_value(cfg.risk, "p", 2.0), _config_value(cfg.risk, "q", 1, _integer)
             theory.check_pq(p, q)
             findings.append(_finding("info", "pq-pairing", f"(p, q) = ({p}, {q}) is valid"))
         except ConfigurationError as exc:
@@ -446,7 +461,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(
         config=cfg.to_dict(),
         version=__version__,
-        seeds={"sampler": cfg.sampler.seed, "dataset": _config_value(cfg.dataset, "seed", 7, int)},
+        seeds={"sampler": cfg.sampler.seed,
+               "dataset": _config_value(cfg.dataset, "seed", 7, _integer)},
         wall_time_s=0.0,
         divergence=[],
         outputs=[],
@@ -489,9 +505,9 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
 
     elif cfg.kind == "audit":
         report = audit_assumptions(
-            obj, data, probes=_config_value(cfg.audit, "probes", 1000, int),
+            obj, data, probes=_config_value(cfg.audit, "probes", 1000, _integer),
             radius=_config_value(cfg.audit, "radius", None),
-            seed=_config_value(cfg.audit, "seed", s.seed, int),
+            seed=_config_value(cfg.audit, "seed", s.seed, _integer),
         )
         emit("audit.json", report.to_json())
         results["all_passed"] = report.all_passed
@@ -630,9 +646,9 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
     s = cfg.sampler
     risk = cfg.risk
     p = _config_value(risk, "p", 2.0)
-    q = _config_value(risk, "q", 1, int)
+    q = _config_value(risk, "q", 1, _integer)
     theory.check_pq(p, q)
-    k = _config_value(risk, "k", cfg.steps, int)
+    k = _config_value(risk, "k", cfg.steps, _integer)
     eps, sigma = _config_value(risk, "eps", None), _config_value(risk, "sigma", None)
     c_ls, lambda_star = _config_value(risk, "c_ls", None), _config_value(risk, "lambda_star", None)
 

@@ -31,7 +31,9 @@ stream, with gradients from ``batch_empirical_gradient`` /
 non-finite one: with EvaluationError naming the sample where grad_f failed
 at a finite position below the certificate's overflow scale, else with
 DivergenceError. Each finished block goes to the runner's recorder, which
-reads its rows; results are copies, never views of a buffer. The
+reads its rows; results are copies, never views of a buffer.
+``ensemble_run`` calls each functional once per block, on the block's
+stacked rows, so functionals must treat rows independently. The
 single-step functions (``sghmc_step`` and the like) keep their (d,) states.
 
 Coupled runs advance two chains on shared randomness: the realized distance
@@ -583,7 +585,9 @@ def ensemble_run(
 ) -> EnsembleResult:
     """Advance ``replicas`` independent chains in lockstep.
 
-    ``functionals`` maps names to callables ``(X, V) -> (R,)``; for each the
+    ``functionals`` maps names to row-wise callables ``(X, V) -> (rows,)``,
+    called on the initial state and then once per block on its stacked
+    (steps * R, d) rows, so they must treat rows independently; for each the
     replica mean is recorded every ``record_every`` steps and its running
     maximum over *all* steps is tracked (that is the empirical sup used by
     the moment-bound checks). Per-coordinate first and second moments of x
@@ -610,8 +614,9 @@ def ensemble_run(
         block = chain.H[1:n + 1]
         ks = _recorded(k0, n, record_every)
         rec_steps.extend(ks)
+        rows = block[:, 0].reshape(-1, cfg.dim), block[:, 1].reshape(-1, cfg.dim)
         for name, fn in functionals.items():
-            vals = [float(np.mean(fn(X, V))) for X, V in block]
+            vals = fn(*rows).reshape(n, replicas).mean(axis=1).tolist()
             running_max[name] = max(running_max[name], *vals)
             series[name].extend(vals[k - k0 - 1] for k in ks)
         t = max(0, burn_in - k0)  # the block's first row past burn-in

@@ -58,6 +58,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(base_config(kind="frobnicate"))
 
+    def test_strict_must_be_a_boolean(self):
+        assert ExperimentConfig.from_dict(base_config(strict=False)).strict is False
+        with pytest.raises(ConfigurationError, match="malformed config value 'strict'"):
+            ExperimentConfig.from_dict(base_config(strict="false"))
+
+    def test_integral_floats_accepted(self):
+        doc = base_config(steps=2000.0, replicas=4.0, thin=10.0, burn_in=0.0, pilot_steps=500.0)
+        doc["sampler"].update(dim=2.0, seed=42.0, batch_size=10.0)
+        cfg = ExperimentConfig.from_dict(doc)
+        values = (cfg.steps, cfg.replicas, cfg.thin, cfg.burn_in, cfg.pilot_steps,
+                  cfg.sampler.dim, cfg.sampler.seed, cfg.sampler.batch_size)
+        assert values == (2000, 4, 10, 0, 500, 2, 42, 10)
+        assert all(type(v) is int for v in values)
+
     def test_manifest_document_accepted(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(out=str(tmp_path / "a")))
         man = run_experiment(cfg)
@@ -98,6 +112,12 @@ class TestValidate:
         bad = base_config(risk={"p": 1.5, "q": 1})
         codes = {f["code"]: f["level"] for f in validate_config(ExperimentConfig.from_dict(bad))}
         assert codes.get("pq-pairing") == "violation"
+
+    def test_non_integer_q_is_a_pq_violation(self):
+        doc = base_config(kind="validate", risk={"p": 2.0, "q": 1.5})
+        [entry] = [f for f in validate_config(ExperimentConfig.from_dict(doc))
+                   if f["code"] == "pq-pairing"]
+        assert entry["level"] == "violation" and "1.5" in entry["message"]
 
     def test_gaussian_init_scale_warning(self):
         wide = base_config()
@@ -574,8 +594,11 @@ class TestCli:
         ("gibbs-check", {"burn_in": -1}, []),
         ("gibbs-check", {"steps": 1500}, []),
         ("rate-study", {"rate": {"ref_divisor": 0}}, []),
+        ("constants", {"pilot_steps": -5}, []),
+        ("risk-bound", {"pilot_steps": -5}, []),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
-            "burn-in-neg", "gibbs-no-tail", "ref-divisor-0"])
+            "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "pilot-steps-neg-constants",
+            "pilot-steps-neg-risk-bound"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         path = tmp_path / "cfg.json"
@@ -596,9 +619,21 @@ class TestCli:
         ("sample", {}, {"dataset": {"generator": "gaussian", "n": "many", "z_dim": 2}}),
         ("sample", {}, {"objective": {"name": "quadratic", "params": {"m0": "one"}}}),
         ("sample", {}, {"objective": {"name": "quadratic", "params": {"m00": 1}}}),
+        ("sample", {}, {"steps": 1500.7}),
+        ("validate", {}, {"steps": 1500.7}),
+        ("gibbs-check", {}, {"replicas": 2.5}),
+        ("sample", {}, {"replicas": True}),
+        ("constants", {}, {"pilot_steps": 100.5}),
+        ("sample", {"seed": 4.5}, {}),
+        ("sample", {}, {"dataset": {"generator": "gaussian", "n": 100.5, "z_dim": 2}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1.5, "lambda_star": 1.0}}),
+        ("sample", {}, {"strict": "false"}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
-            "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param"])
+            "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
+            "steps-fractional", "steps-fractional-validate", "replicas-fractional", "replicas-true",
+            "pilot-steps-fractional", "seed-fractional", "dataset-n-fractional",
+            "risk-q-fractional", "strict-string"])
     def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)

@@ -28,7 +28,7 @@ from sghmc import (
     sgld_step,
     underdamped_integrate,
 )
-from sghmc import samplers
+from sghmc import samplers, theory
 from sghmc.samplers import (
     brownian_coupled_distance,
     coupled_ensemble_run,
@@ -397,6 +397,39 @@ class TestEnsembles:
         # started far out: the sup is attained near the start, above the tail
         assert res.running_max["x2"] >= res.series["x2"][-1]
         assert res.running_max["x2"] == pytest.approx(9.0, rel=0.2)
+
+    def test_functionals_called_once_per_block(self, data2):
+        rows = []
+
+        def x2(X, V):
+            rows.append(len(X))
+            return np.sum(X * X, axis=1)
+
+        ensemble_run("sghmc", _cfg(seed=8), quadratic(2, m0=1.0), data2, steps=1000,
+                     replicas=8, functionals={"x2": x2})
+        # step 0, then blocks of 128 steps (64 KB over 512 B per step at R = 8, d = 2)
+        assert rows == [8] + [128 * 8] * 7 + [104 * 8]
+
+    @pytest.mark.parametrize("replicas", [2, 8])
+    def test_functionals_match_step_by_step_evaluation(self, replicas):
+        data = make_dataset("gaussian", 100, 2, seed=13)
+        obj = gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm())
+        lyap = theory.LyapunovParams(1.0, 2.0, 0.25, obj, data)
+        fns = {"v2": lambda X, V: lyap.value_rows(X, V) ** 2,
+               "x2": lambda X, V: np.sum(X * X, axis=1)}
+        cfg = _cfg(lam=0.02, batch_size=10, seed=5, init=gaussian_init(0.0, 1.0))
+        steps = 160  # more than one block at R = 8
+        res = ensemble_run("sghmc", cfg, obj, data, steps, replicas, record_every=1,
+                           functionals=fns)
+        # the state after k steps is the final state of a k-step run
+        states = [cfg.init.sample(2, derive_stream(cfg.seed, "ensemble:init"), size=replicas)]
+        for k in range(1, steps + 1):
+            r = ensemble_run("sghmc", cfg, obj, data, k, replicas)
+            states.append((r.X, r.V))
+        for name, fn in fns.items():
+            ref = [float(np.mean(fn(X, V))) for X, V in states]
+            assert res.series[name].tolist() == ref
+            assert res.running_max[name] == max(ref)
 
     def test_coupled_velocity_divergence_raises(self, data2):
         # the noise scale sqrt(2 gamma lam / beta) overflows: after one step
