@@ -457,12 +457,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             "strict mode: validation findings block the run: " + "; ".join(blocking))
     if obj is None and cfg.kind != "validate":
         raise ConfigurationError(findings[0]["message"])
+    try:
+        data_seed = _config_value(cfg.dataset, "seed", 7, _integer)
+    except ConfigurationError:  # already the violation finding of _build
+        data_seed = None
     out = Path(cfg.out)
     manifest = RunManifest(
         config=cfg.to_dict(),
         version=__version__,
-        seeds={"sampler": cfg.sampler.seed,
-               "dataset": _config_value(cfg.dataset, "seed", 7, _integer)},
+        seeds={"sampler": cfg.sampler.seed, "dataset": data_seed},
         wall_time_s=0.0,
         divergence=[],
         outputs=[],

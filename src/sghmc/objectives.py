@@ -29,7 +29,14 @@ The optional ``grad_batches(X, Zs)`` hook is the minibatch fast path: for
 positions ``(R, d)`` and one minibatch per row ``(R, l, z_dim)`` it returns
 ``(R, d)`` whose row i must agree with ``grad_f(X[i], Zs[i]).mean(axis=0)``;
 without it :func:`minibatch_gradient_rows` falls back to that per-row loop.
-The built-ins' hooks reproduce the loop's bits.
+``Zs`` may be a strided view, so a custom hook must accept any strides: for
+z_dim > 1 its memory is in ``(l, R, z_dim)`` order (``Zs.transpose(1, 0, 2)``
+is C-contiguous). numpy sums in memory order, and the built-ins reduce over
+l on that leading axis. That adds the l terms one after another, as the
+per-row loop does, so the hooks keep the loop's bits, and it is several
+times faster than reducing the middle axis of a C-ordered block. With
+z_dim = 1, ``Zs`` is a C-ordered ``(R, l, 1)`` block instead: the loop sums
+a one-column minibatch pairwise, and only a contiguous l axis does the same.
 """
 
 from __future__ import annotations
@@ -262,7 +269,11 @@ def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
     indices (1, l).
     """
     if obj.grad_batches is not None:
-        return np.asarray(obj.grad_batches(X, data.samples[idx]), dtype=float)
+        # Zs's memory order sets the order the hooks sum over l in (see the
+        # module docstring): the loop's order, fast
+        Zs = (np.take(data.samples, idx, axis=0) if data.z_dim == 1
+              else np.take(data.samples, idx.T, axis=0).transpose(1, 0, 2))
+        return np.asarray(obj.grad_batches(X, Zs), dtype=float)
     return np.stack([np.asarray(obj.grad_f(x, data.samples[i]), dtype=float).mean(axis=0)
                      for x, i in zip(X, idx)])
 
@@ -599,7 +610,8 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
 
     def grad_batches(X, Zs):
         T = (Zs @ X[:, :, None])[:, :, 0]
-        return ((1.0 + 2.0 * r0) * X[:, None, :] - np.tanh(T)[:, :, None] * Zs).mean(axis=1)
+        G = (1.0 + 2.0 * r0) * X - np.tanh(T.T)[:, :, None] * Zs.transpose(1, 0, 2)
+        return G.mean(axis=0)  # (l, R, d): l is the leading axis
 
     cert = SmoothnessCertificate(
         A0=0.5 * rz * rz,

@@ -132,10 +132,10 @@ class SamplerConfig:
     def __post_init__(self):
         # lam = 0 and gamma = 0 are accepted as degenerate limits (identity
         # step / free particle); theory ops still require strict positivity.
-        if self.lam < 0:
-            raise ConfigurationError("step size must be >= 0")
-        if self.gamma < 0:
-            raise ConfigurationError("friction must be >= 0")
+        if not 0 <= self.lam < math.inf:  # NaN fails every comparison
+            raise ConfigurationError(f"step size must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigurationError(f"friction must be finite and >= 0, got {self.gamma}")
         if not (self.beta > 0):
             raise ConfigurationError("inverse temperature must be > 0 (inf allowed)")
         if self.dim < 1:

@@ -420,22 +420,14 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
 # The semimetrics r and rho
 # ---------------------------------------------------------------------------
 
-def r_semimetric(cc: ContractionConstants, state_a, state_b, gamma: float) -> float:
-    """r = alpha_c |x1 - x2| + |x1 - x2 + (v1 - v2) / gamma|."""
-    x1, v1 = (np.asarray(state_a[0], dtype=float), np.asarray(state_a[1], dtype=float))
-    x2, v2 = (np.asarray(state_b[0], dtype=float), np.asarray(state_b[1], dtype=float))
-    dx = x1 - x2
-    return cc.alpha_c * float(np.linalg.norm(dx)) + float(
-        np.linalg.norm(dx + (v1 - v2) / gamma)
-    )
-
-
 def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray, B: np.ndarray,
              nodes: int = 4096) -> np.ndarray:
     """rho = h(r) (1 + eps_c V(x1, v1) + eps_c V(x2, v2)) between the (x, v)
-    rows of A (n, 2d) and B (k, 2d): (n, k). The one evaluation of rho, the
-    cost W_rho of B_1 is measured in (``metrics.rho_distance_cloud``): r is
-    capped at R_1, where h is flat, and h interpolated on one ``h_profile``."""
+    rows of A (n, 2d) and B (k, 2d): (n, k), with the semimetric
+    r = alpha_c |x1 - x2| + |x1 - x2 + (v1 - v2) / gamma|. The one evaluation
+    of r and rho, the cost W_rho of B_1 is measured in
+    (``metrics.rho_distance_cloud``): r is capped at R_1, where h is flat, and
+    h interpolated on one ``h_profile``."""
     d = A.shape[1] // 2
     gamma = lyap.gamma
     Xa, Va = A[:, :d], A[:, d:]

@@ -628,12 +628,17 @@ class TestCli:
         ("sample", {}, {"dataset": {"generator": "gaussian", "n": 100.5, "z_dim": 2}}),
         ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1.5, "lambda_star": 1.0}}),
         ("sample", {}, {"strict": "false"}),
+        ("sample", {"lambda": math.nan}, {}),
+        ("sample", {"gamma": math.nan}, {}),
+        ("sample", {"lambda": math.inf}, {}),
+        ("validate", {"lambda": math.nan}, {}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
             "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
             "steps-fractional", "steps-fractional-validate", "replicas-fractional", "replicas-true",
             "pilot-steps-fractional", "seed-fractional", "dataset-n-fractional",
-            "risk-q-fractional", "strict-string"])
+            "risk-q-fractional", "strict-string", "lambda-nan", "gamma-nan", "lambda-inf",
+            "lambda-nan-validate"])
     def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)
@@ -642,6 +647,21 @@ class TestCli:
         assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
         assert "validation failure" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("dataset", [{"n": "many"}, {"seed": "x"}, {"seed": 1.5}],
+                             ids=["n-many", "seed-x", "seed-fractional"])
+    def test_malformed_dataset_is_a_validate_violation(self, tmp_path, dataset):
+        # every malformed dataset value is the same finding, with a manifest
+        doc = base_config(kind="validate", out=str(tmp_path / "v"))
+        doc["dataset"].update(dataset)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        [finding] = json.loads((tmp_path / "v" / "findings.json").read_text())
+        assert finding["level"] == "violation" and finding["code"] == "objective"
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert manifest["seeds"]["dataset"] == (7 if "n" in dataset else None)
+        assert main(["validate", "--config", str(path), "--strict"]) == EXIT_VALIDATION
 
     def test_gibbs_explicit_zero_burn_in(self, tmp_path):
         doc = base_config(kind="gibbs-check", out=str(tmp_path / "g"), steps=1500, burn_in=0)

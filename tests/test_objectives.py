@@ -154,21 +154,66 @@ class TestMinibatchGradientRows:
         coupled = quadratic(2, m0=1.5, coupling=1.0, z_radius=data.max_norm())
         return builtin_suite + [(coupled, data)]
 
-    @pytest.mark.parametrize("replicas", [1, 3, 64])
-    @pytest.mark.parametrize("ell", [1, 32])
-    def test_hook_and_fallback_equal_grad_f_loop(self, suite, replicas, ell):
-        rng = derive_stream(21, "minibatch-rows", replicas * 100 + ell)
+    @staticmethod
+    def check(suite, replicas, ell, seed):
+        rng = derive_stream(21, "minibatch-rows", seed)
         for obj, data in suite:
             X = ball_probes(rng, replicas, obj.dim, 4.0)
             idx = rng.integers(0, data.n, size=(replicas, ell))
             want = np.stack([np.asarray(obj.grad_f(x, data.samples[i])).mean(axis=0)
                              for x, i in zip(X, idx)])
-            got = obj.grad_batches(X, data.samples[idx])
-            assert got.shape == (replicas, obj.dim)
-            assert np.array_equal(got, want), obj.name
+            # the hook on a C-ordered block, and for z_dim > 1 on the
+            # (l, R, z)-ordered view that minibatch_gradient_rows passes
+            views = [data.samples[idx]]
+            if data.z_dim > 1:
+                views.append(np.take(data.samples, idx.T, axis=0).transpose(1, 0, 2))
+            for Zs in views:
+                got = obj.grad_batches(X, Zs)
+                assert got.shape == (replicas, obj.dim)
+                assert np.array_equal(got, want), obj.name
             loop = dataclasses.replace(obj, grad_batches=None)
             assert np.array_equal(minibatch_gradient_rows(X, loop, data, idx), want)
             assert np.array_equal(minibatch_gradient_rows(X, obj, data, idx), want)
+
+    @pytest.mark.parametrize("replicas", [1, 3, 7, 64])
+    @pytest.mark.parametrize("ell", [1, 3, 32])
+    def test_hook_and_fallback_equal_grad_f_loop(self, suite, replicas, ell):
+        self.check(suite, replicas, ell, replicas * 100 + ell)
+
+    @pytest.mark.parametrize("z_dim", [1, 20])
+    @pytest.mark.parametrize("replicas, ell", [(7, 3), (64, 32)])
+    def test_hook_and_fallback_equal_grad_f_loop_in_z_dim(self, z_dim, replicas, ell):
+        # z_dim = 1 is the case where the loop sums each minibatch pairwise
+        data = make_dataset("gaussian", 100, z_dim, seed=17)
+        r = data.max_norm()
+        suite = [(quadratic(z_dim), data),
+                 (quadratic(z_dim, m0=1.5, coupling=1.0, z_radius=r), data),
+                 (double_well(z_dim, coupling=0.1, z_radius=r), data),
+                 (gaussian_mixture(z_dim, ridge=0.05, z_radius=r), data)]
+        self.check(suite, replicas, ell, 1000 * z_dim + replicas * 100 + ell)
+
+    @pytest.mark.parametrize("z_dim", [1, 2, 20])
+    def test_hook_gets_the_layout_that_keeps_the_bits(self, z_dim):
+        # a guard on the gather: the hooks' bits and speed depend on the
+        # memory order of Zs, which a plain data.samples[idx] would change
+        data = make_dataset("gaussian", 50, z_dim, seed=5)
+        obj = quadratic(z_dim)
+        seen = []
+
+        def spy(X, Zs):
+            seen.append(Zs)
+            return obj.grad_batches(X, Zs)
+
+        rng = derive_stream(23, "layout-spy", z_dim)
+        X = rng.standard_normal((7, z_dim))
+        idx = rng.integers(0, data.n, size=(7, 5))
+        minibatch_gradient_rows(X, dataclasses.replace(obj, grad_batches=spy), data, idx)
+        (Zs,) = seen
+        assert Zs.shape == (7, 5, z_dim) and np.array_equal(Zs, data.samples[idx])
+        if z_dim == 1:
+            assert Zs.flags.c_contiguous
+        else:
+            assert Zs.transpose(1, 0, 2).flags.c_contiguous
 
 
 class TestMomentCache:

@@ -262,16 +262,24 @@ class TestHFunction:
 
 class TestSemimetrics:
     def test_identical_pair_zero(self, quad_theory):
+        # r(s, s) = 0 and h(0) = 0: rho_cost of a cloud with itself has a zero diagonal
         cc, lyap = quad_theory["cc"], quad_theory["lyap"]
         s = (np.array([1.0, 2.0]), np.array([0.5, -0.5]))
-        assert theory.r_semimetric(cc, s, s, GAMMA) == 0.0
+        A = derive_stream(35, "rho-diagonal").standard_normal((3, 4))
+        assert np.all(np.diag(theory.rho_cost(cc, lyap, A, A)) == 0.0)
         assert theory.rho_semimetric(cc, lyap, s, s) == 0.0
 
     def test_unit_position_gap(self, quad_theory):
-        cc = quad_theory["cc"]
-        a = (np.array([1.0, 0.0]), np.zeros(2))
-        b = (np.array([0.0, 0.0]), np.zeros(2))
-        assert theory.r_semimetric(cc, a, b, GAMMA) == pytest.approx(cc.alpha_c + 1.0)
+        # r = alpha_c |dx| + |dx + dv / gamma|: alpha_c + 1 for a unit gap in
+        # x, 1 for a gap of gamma in v; rho_cost weighs h(r) by the Lyapunov term
+        cc, lyap = quad_theory["cc"], quad_theory["lyap"]
+        b = np.zeros((1, 4))
+        for a, r in (([1.0, 0.0, 0.0, 0.0], cc.alpha_c + 1.0), ([0.0, 0.0, GAMMA, 0.0], 1.0)):
+            a = np.array([a])
+            weight = 1.0 + cc.epsilon_c * (lyap.value(a[0, :2], a[0, 2:])
+                                           + lyap.value(b[0, :2], b[0, 2:]))
+            want = theory.h_function(cc, BETA, GAMMA, r) * weight
+            assert theory.rho_cost(cc, lyap, a, b)[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_symmetry(self, quad_theory):
         cc, lyap = quad_theory["cc"], quad_theory["lyap"]
