@@ -22,7 +22,6 @@ from .objectives import (
     ObjectiveSpec,
     SmoothnessCertificate,
     audit_assumptions,
-    builtin_names,
     double_well,
     empirical_gradient,
     empirical_risk,
@@ -60,8 +59,6 @@ from .samplers import (
 )
 from .metrics import (
     SampleCloud,
-    empirical_moments,
-    measure,
     quad_growth_continuity_check,
     rho_distance_cloud,
     sliced_wasserstein,

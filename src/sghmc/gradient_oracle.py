@@ -26,7 +26,6 @@ from .objectives import (
     minibatch_gradient_rows,
 )
 from .rng import derive_stream
-from .theory import to_json
 
 
 @dataclass
@@ -104,16 +103,6 @@ class VarianceReport:
     delta_hat: float
     per_probe: list = field(default_factory=list)  # (probe, ratio) pairs
     trials: int = 0
-
-    def to_json(self, indent=2) -> str:
-        return to_json(
-            {
-                "delta_hat": self.delta_hat,
-                "trials": self.trials,
-                "per_probe": [{"x": x, "ratio": r} for x, r in self.per_probe],
-            },
-            indent,
-        )
 
 
 def estimate_delta(

@@ -82,7 +82,8 @@ def _parse_init(d: dict) -> InitialLaw:
         return point_init(x0 if x0 is not None else np.zeros_like(v0),
                           v0 if v0 is not None else np.zeros_like(x0))
     if kind == "gaussian":
-        return gaussian_init(mean=float(d.get("mean", 0.0)), scale=float(d.get("scale", 1.0)))
+        return gaussian_init(mean=_config_value(d, "mean", 0.0),
+                             scale=_config_value(d, "scale", 1.0))
     raise ConfigurationError(f"unknown initial law kind {kind!r}")
 
 
@@ -98,9 +99,9 @@ def _init_to_dict(init: InitialLaw) -> dict:
 
 def _parse_sampler(d: dict) -> SamplerConfig:
     return SamplerConfig(
-        lam=float(d.get("lambda", 0.01)),
-        gamma=float(d.get("gamma", 2.0)),
-        beta=float(d.get("beta", 1.0)),
+        lam=_config_value(d, "lambda", 0.01),
+        gamma=_config_value(d, "gamma", 2.0),
+        beta=_config_value(d, "beta", 1.0),
         batch_size=_config_value(d, "batch_size", None, _integer),
         dim=_config_value(d, "dim", 1, _integer),
         seed=_config_value(d, "seed", 0, _integer),
@@ -222,7 +223,16 @@ def load_config(path, kind: Optional[str] = None) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh), kind=kind)
 
 
-def _config_value(block: dict, key: str, default, kind=float):
+def _real(value) -> float:
+    """``float(value)`` for a real config field (the default ``kind`` of
+    :func:`_config_value`): numbers and numeric strings such as ``"inf"``
+    convert; a boolean is a ValueError instead of being read as 0.0/1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _config_value(block: dict, key: str, default, kind=_real):
     """``block[key]`` (``default`` if absent) converted by ``kind``; None where
     the default is None. A config value that does not convert is a
     ConfigurationError."""
@@ -584,7 +594,7 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
             data,
             s,
             lambdas=_config_value(cfg.rate, "lambdas", [0.1, 0.05, 0.025, 0.0125],
-                                  lambda ls: [float(l) for l in ls]),
+                                  lambda ls: [_real(l) for l in ls]),
             lambda_ref_divisor=_config_value(cfg.rate, "ref_divisor", 16.0),
             t_end=_config_value(cfg.rate, "t_end", 5.0),
             replicas=cfg.replicas,

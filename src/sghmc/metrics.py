@@ -1,4 +1,4 @@
-"""Distances between empirical measures and empirical moment summaries.
+"""Distances between empirical measures.
 
 Three Wasserstein estimators cover the desk-scale needs:
 
@@ -172,6 +172,8 @@ def sliced_wasserstein(a, b, p: float = 2.0, n_projections: int = 128, seed: int
         raise ConfigurationError("clouds must share the dimension")
     if not p >= 1:
         raise ConfigurationError(f"order p must be >= 1, got {p}")
+    if not n_projections >= 1:
+        raise ConfigurationError(f"n_projections must be >= 1, got {n_projections}")
     rng = derive_stream(seed, "sliced:directions")
     dirs = rng.standard_normal((n_projections, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -208,29 +210,6 @@ def rho_distance_cloud(a, b, cc: ContractionConstants, lyap: LyapunovParams,
         raise ConfigurationError("phase-space clouds need even, equal dimension")
     cost = rho_cost(cc, lyap, a.points, b.points, nodes)
     return float(np.mean(cost[np.arange(a.n), _assignment(cost)]))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    mean: np.ndarray
-    variance: np.ndarray  # per coordinate
-    radial_moment: float
-    order: int
-
-
-def empirical_moments(a, order: int) -> MomentReport:
-    """Per-coordinate mean and variance, plus the radial moment (1/n) sum |w|^order."""
-    a = _as_cloud(a)
-    if order < 1:
-        raise ConfigurationError("moment order must be a positive integer")
-    pts = a.points
-    radial = float(np.mean(np.linalg.norm(pts, axis=1) ** order))
-    return MomentReport(
-        mean=pts.mean(axis=0),
-        variance=pts.var(axis=0),
-        radial_moment=radial,
-        order=order,
-    )
 
 
 def quad_growth_continuity_check(
@@ -270,35 +249,3 @@ def quad_growth_continuity_check(
     sigma = 0.5 * max(mo_a, mo_b)
     rhs = (c1 * sigma + c2) * wasserstein_exact_small(a, b, p)
     return lhs, rhs
-
-
-def measure(metric: str, a, b, p: float = 2.0, seed: int = 0,
-            n_projections: int = 128) -> dict:
-    """Compute a distance and its report dict in one step.
-
-    ``metric`` is one of ``w1d``, ``exact``, ``sliced``. Unequal cloud sizes
-    (where the estimator resamples with replacement) are flagged.
-    """
-    a, b = _as_cloud(a), _as_cloud(b)
-    flags = []
-    if a.n != b.n:
-        flags.append("resampled")
-    if metric == "w1d":
-        value = wasserstein_1d(a, b, p, resample_seed=seed)
-        method = "order-statistics"
-    elif metric == "exact":
-        value = wasserstein_exact_small(a, b, p)
-        method = "assignment"
-    elif metric == "sliced":
-        value = sliced_wasserstein(a, b, p, n_projections=n_projections, seed=seed)
-        method = f"sliced-{n_projections}"
-    else:
-        raise ConfigurationError(f"unknown metric {metric!r}; use w1d, exact or sliced")
-    return {
-        "metric": metric,
-        "p": p,
-        "n": max(a.n, b.n),
-        "value": value,
-        "method": method,
-        "flags": flags,
-    }

@@ -645,7 +645,3 @@ def make_objective(name: str, dim: int, **params) -> ObjectiveSpec:
             f"unknown objective {name!r}; known: {sorted(_REGISTRY)}"
         )
     return _REGISTRY[name](dim, **params)
-
-
-def builtin_names():
-    return sorted(_REGISTRY)

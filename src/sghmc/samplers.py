@@ -84,8 +84,10 @@ class InitialLaw:
     def __post_init__(self):
         if self.kind not in ("point", "gaussian"):
             raise ConfigurationError(f"unknown initial law kind {self.kind!r}")
-        if self.kind == "gaussian" and self.scale <= 0:
-            raise ConfigurationError("gaussian initial law needs scale > 0")
+        if self.kind == "gaussian" and not 0 < self.scale < math.inf:  # NaN fails too
+            raise ConfigurationError(f"gaussian initial law needs finite scale > 0, got {self.scale}")
+        if not all(np.isfinite(a).all() for a in (self.mean, self.x0, self.v0) if a is not None):
+            raise ConfigurationError("initial law has a non-finite mean, x0 or v0")
 
     def sample(self, dim: int, rng: np.random.Generator, size: Optional[int] = None):
         """Draw (x, v); with ``size`` draw stacked replicas of shape (size, dim)."""
@@ -145,13 +147,6 @@ class SamplerConfig:
         if self.init.kind == "point" and any(
                 a is not None and np.shape(a) != (self.dim,) for a in (self.init.x0, self.init.v0)):
             raise ConfigurationError("point initial law has wrong dimension")
-
-    @property
-    def noise_scale(self) -> float:
-        """Gaussian coefficient of one discrete step: sqrt(2 gamma lam / beta)."""
-        if math.isinf(self.beta):
-            return 0.0
-        return math.sqrt(2.0 * self.gamma * self.lam / self.beta)
 
 
 @dataclass
@@ -232,11 +227,15 @@ def _euler(kind, X, V, G, inc, lam, gamma, out) -> None:
     Vn += inc
 
 
-def _noise(kind, cfg) -> float:
-    """Gaussian coefficient of one ``kind`` step at cfg.lam."""
-    if kind != "sgld":
-        return cfg.noise_scale
-    return 0.0 if math.isinf(cfg.beta) else math.sqrt(2.0 * cfg.lam / cfg.beta)
+def _noise(rate, beta) -> float:
+    """Gaussian coefficient sqrt(2 rate / beta) of one step, 0 at beta = inf."""
+    return 0.0 if math.isinf(beta) else math.sqrt(2.0 * rate / beta)
+
+
+def _step_noise(kind, cfg) -> float:
+    """Gaussian coefficient of one ``kind`` step at cfg.lam: its rate is
+    gamma * lam for the momentum kinds and lam for sgld."""
+    return _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
 
 
 class _Chain:
@@ -256,7 +255,7 @@ class _Chain:
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
         self.lam = cfg.lam if lam is None else lam
-        self.c = _noise(kind, cfg) if c is None else c
+        self.c = _step_noise(kind, cfg) if c is None else c
         self.sub, self.fold = sub, fold
         self.prev = None
 
@@ -374,7 +373,7 @@ def _step(kind, state, cfg, g, xi) -> ChainState:
     if xi is None:
         xi = state.rng.standard_normal(cfg.dim)
     out = np.empty((2, cfg.dim))
-    _euler(kind, state.x, state.v, g, _noise(kind, cfg) * xi, cfg.lam, cfg.gamma, out)
+    _euler(kind, state.x, state.v, g, _step_noise(kind, cfg) * xi, cfg.lam, cfg.gamma, out)
     if not np.isfinite(out).all():
         raise DivergenceError(f"chain diverged at step {state.step + 1}", step=state.step + 1)
     return ChainState(x=out[0], v=out[1], step=state.step + 1, rng=state.rng)
@@ -474,12 +473,9 @@ def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale
     else:
         x, v = (np.array(init[0], dtype=float, ndmin=2), np.array(init[1], dtype=float, ndmin=2))
     nsteps = int(round(t_end / substep))
-    if math.isinf(cfg.beta):
-        noise = 0.0
-    else:
-        noise = math.sqrt(2.0 * cfg.gamma * time_scale * substep / cfg.beta)
     kind = "underdamped" if time_scale == 1.0 else "auxiliary"
-    chain = _Chain(kind, cfg, x, v, lam=time_scale * substep, c=noise)
+    chain = _Chain(kind, cfg, x, v, lam=time_scale * substep,
+                   c=_noise(cfg.gamma * time_scale * substep, cfg.beta))
     return _traced([chain], obj, data, nsteps, thin, noise_rng)[0]
 
 
@@ -750,10 +746,7 @@ def brownian_coupled_distance(
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
-    if math.isinf(cfg.beta):
-        amp = 0.0
-    else:
-        amp = math.sqrt(2.0 * cfg.gamma / cfg.beta)
+    amp = _noise(cfg.gamma, cfg.beta)
     sqrt_lref = math.sqrt(lambda_ref)
     # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j;
     # coarse: one step with the summed increment

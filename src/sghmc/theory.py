@@ -351,14 +351,34 @@ def _cumulative_simpson(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(sub)))
 
 
-def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, nodes: int):
-    """Simpson grid evaluation of h on [0, r_eff]; returns (s, h(s)).
+def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float,
+               nodes: int = 4096) -> float:
+    """The concave comparison function h evaluated at r.
 
-    h(r) = int_0^r phi(s) g(s) ds with g(s) = 1 - (9/4) c* gamma beta
-    int_0^s Phi(u) / phi(u) du, so h' = phi g >= 0 and h'' <= 0 as long as g
-    stays nonnegative; g turning negative (or NaN) bounds the validity radius
-    (a NumericalError, not repaired).
+    h(r) = integral_0^{min(r, R_1)} phi(s) g(s) ds with a Gaussian weight phi
+    and the correction factor g carrying the contraction rate; h(0) = 0,
+    h'(0+) = 1, and h is constant on [R_1, inf). It is the last entry of
+    ``h_profile`` on [0, min(r, R_1)].
     """
+    if r < 0:
+        raise ConfigurationError("h is defined on r >= 0")
+    if r == 0.0:
+        return 0.0
+    return float(h_profile(cc, beta, gamma, r, nodes)[1][-1])
+
+
+def h_profile(cc: ContractionConstants, beta: float, gamma: float,
+              r_max: Optional[float] = None, nodes: int = 4096):
+    """h over an even grid on [0, r_eff], r_eff = min(r_max, R_1); returns (s, h(s)).
+
+    One cumulative pass of composite Simpson with the given number of nodes
+    (``rho_cost`` interpolates on this profile). With g(s) = 1 - (9/4) c*
+    gamma beta int_0^s Phi(u) / phi(u) du, h' = phi g >= 0 and h'' <= 0 as
+    long as g stays nonnegative; g turning negative (or NaN) before r_eff
+    means the construction has left its validity range, and that radius is
+    reported as a NumericalError, not repaired.
+    """
+    r_eff = cc.R_1 if r_max is None else min(r_max, cc.R_1)
     n = max(2, int(nodes))
     if n % 2:
         n += 1
@@ -383,37 +403,6 @@ def _h_grid(cc: ContractionConstants, beta: float, gamma: float, r_eff: float, n
         raise NumericalError(f"h correction factor {what} at r = {s[j]:.6g}")
     h = _cumulative_simpson(phi * g, s)
     return s, h
-
-
-def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float,
-               nodes: int = 4096) -> float:
-    """The concave comparison function h evaluated at r.
-
-    h(r) = integral_0^{min(r, R_1)} phi(s) g(s) ds with a Gaussian weight phi
-    and the correction factor g carrying the contraction rate; h(0) = 0,
-    h'(0+) = 1, and h is constant on [R_1, inf). Composite Simpson with the
-    given number of nodes. If g turns negative before min(r, R_1) the
-    construction has left its validity range; that radius is reported, not
-    repaired.
-    """
-    if r < 0:
-        raise ConfigurationError("h is defined on r >= 0")
-    r_eff = min(r, cc.R_1)
-    if r_eff == 0.0:
-        return 0.0
-    _, h_vals = _h_grid(cc, beta, gamma, r_eff, nodes)
-    return float(h_vals[-1])
-
-
-def h_profile(cc: ContractionConstants, beta: float, gamma: float,
-              r_max: Optional[float] = None, nodes: int = 4096):
-    """Vector of h over an even grid on [0, min(r_max, R_1)].
-
-    One cumulative pass; useful when many evaluations are needed (``rho_cost``
-    interpolates on this profile).
-    """
-    r_eff = cc.R_1 if r_max is None else min(r_max, cc.R_1)
-    return _h_grid(cc, beta, gamma, r_eff, nodes)
 
 
 # ---------------------------------------------------------------------------

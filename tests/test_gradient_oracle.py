@@ -125,12 +125,6 @@ class TestEstimateDelta:
         mid = float(np.median(estimates))
         assert all(abs(e - mid) / mid <= 0.10 for e in estimates)
 
-    def test_report_serializes(self, coupled_quad):
-        obj, data = coupled_quad
-        oracle = make_oracle(obj, data, 2, seed=5)
-        doc = estimate_delta(oracle, [np.ones(2)], trials=200).to_json()
-        assert '"delta_hat"' in doc and '"per_probe"' in doc
-
 
 class TestVarianceCurve:
     def test_inverse_batch_slope(self, coupled_quad):

@@ -632,13 +632,19 @@ class TestCli:
         ("sample", {"gamma": math.nan}, {}),
         ("sample", {"lambda": math.inf}, {}),
         ("validate", {"lambda": math.nan}, {}),
+        ("sample", {"lambda": True}, {}),
+        ("sample", {"init": {"kind": "gaussian", "scale": math.nan}}, {}),
+        ("sample", {"init": {"kind": "gaussian", "mean": math.inf}}, {}),
+        ("sample", {"init": {"kind": "point", "x0": [math.nan, 0]}}, {}),
+        ("validate", {"init": {"kind": "gaussian", "scale": math.nan}}, {}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
             "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
             "steps-fractional", "steps-fractional-validate", "replicas-fractional", "replicas-true",
             "pilot-steps-fractional", "seed-fractional", "dataset-n-fractional",
             "risk-q-fractional", "strict-string", "lambda-nan", "gamma-nan", "lambda-inf",
-            "lambda-nan-validate"])
+            "lambda-nan-validate", "lambda-true", "init-scale-nan", "init-mean-inf",
+            "init-x0-nan", "init-scale-nan-validate"])
     def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)

@@ -8,14 +8,13 @@ from sghmc import (
     ConfigurationError,
     NumericalError,
     SampleCloud,
-    empirical_moments,
     quad_growth_continuity_check,
     rho_distance_cloud,
     sliced_wasserstein,
     wasserstein_1d,
     wasserstein_exact_small,
 )
-from sghmc.metrics import _assignment, measure
+from sghmc.metrics import _assignment
 from sghmc.rng import derive_stream
 
 
@@ -225,6 +224,12 @@ class TestSlicedWasserstein:
         b = SampleCloud(rng.standard_normal((50, 2)))
         assert sliced_wasserstein(a, b, 2.0, seed=5) == sliced_wasserstein(a, b, 2.0, seed=5)
 
+    @pytest.mark.parametrize("n_projections", [0, -3])
+    def test_projection_count_guard(self, n_projections):
+        a = SampleCloud(np.arange(4.0))
+        with pytest.raises(ConfigurationError, match="n_projections"):
+            sliced_wasserstein(a, a, 2.0, n_projections)
+
 
 class TestRhoDistance:
     def test_identical_zero_and_symmetry(self, quad_theory):
@@ -265,22 +270,6 @@ class TestRhoDistance:
         odd = SampleCloud(np.zeros((4, 3)))
         with pytest.raises(ConfigurationError):
             rho_distance_cloud(odd, odd, cc, lyap)
-
-
-class TestMoments:
-    def test_single_point_zero_variance(self):
-        m = empirical_moments(SampleCloud(np.array([[1.0, 2.0]])), 2)
-        assert np.all(m.variance == 0.0)
-
-    def test_gaussian_radial_second(self):
-        rng = derive_stream(15, "mom2")
-        m = empirical_moments(SampleCloud(rng.standard_normal((100_000, 2))), 2)
-        assert m.radial_moment == pytest.approx(2.0, rel=0.02)
-
-    def test_gaussian_fourth(self):
-        rng = derive_stream(16, "mom4")
-        m = empirical_moments(SampleCloud(rng.standard_normal((100_000, 1))), 4)
-        assert m.radial_moment == pytest.approx(3.0, rel=0.05)
 
 
 class TestQuadGrowthContinuity:
@@ -328,15 +317,3 @@ def test_order_below_one_or_nan_rejected(estimator, p):
     b = SampleCloud(np.arange(4.0) + 1.0)
     with pytest.raises(ConfigurationError, match="order p"):
         estimator(a, b, p)
-
-
-def test_measure_flags_resampling():
-    a = SampleCloud(np.arange(10.0))
-    b = SampleCloud(np.arange(7.0))
-    rep = measure("w1d", a, b, p=1.0, seed=3)
-    assert rep["flags"] == ["resampled"]
-    assert rep["n"] == 10
-    same = measure("w1d", a, a, p=1.0)
-    assert same["flags"] == [] and same["value"] == 0.0
-    with pytest.raises(ConfigurationError):
-        measure("nope", a, a)

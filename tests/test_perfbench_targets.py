@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) patches package names given
-as strings; each one must resolve, so that deleting or renaming a traced name
-fails the tests and not only the benchmark's self-check."""
+as strings, and its workloads (perfbench/workloads.py) call package names;
+each one must resolve, so that deleting or renaming a traced or called name
+fails the tests and not only the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +15,8 @@ import sghmc.rng
 from sghmc import quadratic
 from sghmc.samplers import Trajectory
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +43,14 @@ def test_installed_wrappers_resolve():
     assert callable(Trajectory.to_csv)
     assert callable(sghmc.objectives.make_objective)
     assert callable(sghmc.rng.derive_stream)
+
+
+def test_workload_calls_resolve():
+    # every sghmc.<module>.<name> that the workloads reach, found in their source
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    names = {(node.value.attr, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+             and isinstance(node.value.value, ast.Name) and node.value.value.id == "sghmc"}
+    assert ("harness", "sghmc_quadratic_stationary") in names
+    for module, attr in sorted(names):
+        assert hasattr(importlib.import_module(f"sghmc.{module}"), attr), f"sghmc.{module}.{attr}"
