@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -22,6 +23,7 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 
 
+@functools.cache  # one parser per process: main may run many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sghmc",

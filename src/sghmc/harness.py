@@ -258,8 +258,8 @@ def _integer(value) -> int:
 def materialize(cfg: ExperimentConfig):
     """Build (objective, dataset) from a config, deriving z_radius if needed.
     A generator or objective the config cannot name, and objective parameters
-    that the factory does not take or of the wrong type, are a
-    ConfigurationError."""
+    that the factory does not take or of the wrong type (a built-in's are
+    real numbers, read by :func:`_real`), are a ConfigurationError."""
     ds = cfg.dataset
     name = cfg.objective.get("name", "quadratic")
     try:
@@ -270,6 +270,8 @@ def materialize(cfg: ExperimentConfig):
             seed=_config_value(ds, "seed", 7, _integer),
         )
         params = dict(cfg.objective.get("params", {}))
+        if name == "quadratic" or name in _DATA_COUPLED:  # built-ins take real numbers only
+            params = {key: _config_value(params, key, None) for key in params}
         if name in _DATA_COUPLED or (name == "quadratic" and params.get("coupling", 0.0) != 0.0):
             params.setdefault("z_radius", data.max_norm())
         return make_objective(name, cfg.sampler.dim, **params), data
@@ -622,7 +624,7 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
     if obj.name != "quadratic":
         raise ConfigurationError("gibbs-check needs the quadratic objective (exact law known)")
     s = cfg.sampler
-    m0 = float(cfg.objective.get("params", {}).get("m0", 1.0))
+    m0 = _config_value(cfg.objective.get("params", {}), "m0", 1.0)
     if cfg.steps <= cfg.burn_in:
         raise ConfigurationError(
             f"gibbs-check steps must be >= {cfg.burn_in + 1} to keep a tail sample after "
@@ -683,9 +685,9 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
 
     if sigma is None:
         sigma = pilot.running_max["radial2q"] ** (1.0 / (2.0 * q))
-        coupling = float(cfg.objective.get("params", {}).get("coupling", 0.0))
-        if obj.name == "quadratic" and coupling == 0.0:
-            m0 = float(cfg.objective.get("params", {}).get("m0", 1.0))
+        params = cfg.objective.get("params", {})
+        if obj.name == "quadratic" and _config_value(params, "coupling", 0.0) == 0.0:
+            m0 = _config_value(params, "m0", 1.0)
             gibbs = (s.beta * m0) ** (-0.5 * 2 * q) * theory.gaussian_norm_moment(s.dim, 2 * q)
             sigma = max(sigma, gibbs ** (1.0 / (2.0 * q)))
 

@@ -470,7 +470,7 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
 
     def grad_rows(X, Z):
         zbar, _ = _moments(Z)
-        return m0 * (X - c * zbar[None, :])
+        return m0 * (X - c * zbar)
 
     def grad_batches(X, Zs):
         return (m0 * (X[:, None, :] - c * Zs)).mean(axis=1)

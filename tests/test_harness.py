@@ -619,6 +619,8 @@ class TestCli:
         ("sample", {}, {"dataset": {"generator": "gaussian", "n": "many", "z_dim": 2}}),
         ("sample", {}, {"objective": {"name": "quadratic", "params": {"m0": "one"}}}),
         ("sample", {}, {"objective": {"name": "quadratic", "params": {"m00": 1}}}),
+        ("sample", {}, {"objective": {"name": "quadratic", "params": {"m0": True}}}),
+        ("sample", {}, {"objective": {"name": "quadratic", "params": {"coupling": True}}}),
         ("sample", {}, {"steps": 1500.7}),
         ("validate", {}, {"steps": 1500.7}),
         ("gibbs-check", {}, {"replicas": 2.5}),
@@ -640,6 +642,7 @@ class TestCli:
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
             "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
+            "objective-m0-true", "objective-coupling-true",
             "steps-fractional", "steps-fractional-validate", "replicas-fractional", "replicas-true",
             "pilot-steps-fractional", "seed-fractional", "dataset-n-fractional",
             "risk-q-fractional", "strict-string", "lambda-nan", "gamma-nan", "lambda-inf",
@@ -668,6 +671,19 @@ class TestCli:
         manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
         assert manifest["seeds"]["dataset"] == (7 if "n" in dataset else None)
         assert main(["validate", "--config", str(path), "--strict"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("params", [{"m0": True}, {"coupling": True}],
+                             ids=["m0-true", "coupling-true"])
+    def test_boolean_objective_parameter_is_a_validate_violation(self, tmp_path, params):
+        # a boolean is not a number, so it is not read as 0 or 1
+        doc = base_config(kind="validate", out=str(tmp_path / "v"),
+                          objective={"name": "quadratic", "params": params})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        [finding] = json.loads((tmp_path / "v" / "findings.json").read_text())
+        assert finding["level"] == "violation" and finding["code"] == "objective"
+        assert "not a number" in finding["message"]
 
     def test_gibbs_explicit_zero_burn_in(self, tmp_path):
         doc = base_config(kind="gibbs-check", out=str(tmp_path / "g"), steps=1500, burn_in=0)
@@ -712,6 +728,19 @@ class TestCli:
         ]) == EXIT_OK
         man = json.loads((tmp_path / "o2" / "manifest.json").read_text())
         assert man["seeds"]["sampler"] == 17
+
+    def test_flags_do_not_outlive_their_call(self, tmp_path):
+        # main builds its parser once per process; the flags of one call
+        # must not reach the next
+        doc = base_config(out=str(tmp_path / "f"), steps=200)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        configs = []
+        for flags in (["--strict", "--replicas", "3"], []):
+            assert main(["sample", "--config", str(path)] + flags) == EXIT_OK
+            configs.append(json.loads((tmp_path / "f" / "manifest.json").read_text())["config"])
+        assert (configs[0]["strict"], configs[0]["replicas"]) == (True, 3)
+        assert (configs[1]["strict"], configs[1]["replicas"]) == (False, doc["replicas"])
 
     def test_manifest_rerun_identical(self, tmp_path):
         doc = base_config(out=str(tmp_path / "m1"))

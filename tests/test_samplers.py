@@ -708,6 +708,32 @@ class TestGoldenOutputs:
             self.DOUBLE_WELL_DIVERGENCE_STEP[runner]
 
 
+class TestTailMoments:
+    """Pins of ``ensemble_run``'s pooled tail moments, where the order of the
+    replica sum shows: at d = 1 the replica axis is contiguous, and numpy
+    sums it pairwise from 8 replicas on. The burn-in of 21 steps ends inside
+    a block (blocks of 292, 32, 146 and 16 steps in CASES order)."""
+
+    CASES = [(d, R) for d in (1, 2) for R in (7, 64)]
+    GOLDEN = {(1, 7): "46674f95ff9da360", (1, 64): "bdd735ddaecf00cb",
+              (2, 7): "301ff6168efe1d71", (2, 64): "1a1aabc1acadf2e8"}
+
+    @staticmethod
+    def digest(d, R):
+        data = make_dataset("gaussian", 200, d, seed=7)
+        obj = double_well(d, coupling=0.1, z_radius=data.max_norm())
+        cfg = _cfg(lam=0.05, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
+        r = ensemble_run("exact_sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=21)
+        h = hashlib.sha256()
+        for a in (r.tail_mean_x, r.tail_var_x, r.tail_mean_v, r.tail_var_v):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("d, R", CASES)
+    def test_tail_moments_pinned(self, d, R):
+        assert self.digest(d, R) == self.GOLDEN[(d, R)]
+
+
 class TestNonFiniteGradients:
     """A NaN component gradient is an EvaluationError naming a dataset sample
     on every path, whichever hook computes the dataset or minibatch mean."""
@@ -783,6 +809,12 @@ class TestNoiseBlocks:
     def test_outputs_and_divergence_steps_unchanged(self, monkeypatch, runner, cap):
         monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)
         TestGoldenOutputs().test_outputs_and_divergence_step_pinned(runner)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("d, R", TestTailMoments.CASES)
+    def test_tail_moments_unchanged(self, monkeypatch, d, R, cap):
+        monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)
+        TestTailMoments().test_tail_moments_pinned(d, R)
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("runner", sorted(TestNonFiniteGradients.RUNNERS))
