@@ -36,7 +36,6 @@ from .objectives import (
 from .gradient_oracle import (
     MinibatchOracle,
     VarianceCurve,
-    VarianceReport,
     estimate_delta,
     make_oracle,
     sample_gradient,

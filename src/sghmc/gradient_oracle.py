@@ -12,7 +12,7 @@ noise level ``delta`` consumed by the bound calculators in :mod:`.theory`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,28 +96,19 @@ def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) ->
 # Variance audits
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VarianceReport:
-    """Estimated noise level of a minibatch oracle."""
-
-    delta_hat: float
-    per_probe: list = field(default_factory=list)  # (probe, ratio) pairs
-    trials: int = 0
-
-
 def estimate_delta(
     oracle: MinibatchOracle, probes: Sequence[np.ndarray], trials: int
-) -> VarianceReport:
-    """Monte-Carlo estimate of the oracle's relative variance level.
+) -> float:
+    """Monte-Carlo estimate of the oracle's relative variance level delta_hat.
 
     For each probe x the mean squared deviation E|g(x) - grad F(x)|^2 is
     estimated over ``trials`` fresh draws and divided by
-    2 (M^2 |x|^2 + B^2); ``delta_hat`` is the maximum ratio over probes.
+    2 (M^2 |x|^2 + B^2); delta_hat is the maximum ratio over probes.
     """
     if trials < 100:
         raise ConfigurationError("estimate_delta needs trials >= 100")
     cert = oracle.obj.cert
-    per_probe = []
+    ratios = []
     for x in probes:
         x = np.asarray(x, dtype=float)
         full = empirical_gradient(x, oracle.obj, oracle.data)
@@ -134,9 +125,8 @@ def estimate_delta(
                 )
         else:
             ratio = msd / denom
-        per_probe.append((x, ratio))
-    delta_hat = max((r for _, r in per_probe), default=0.0)
-    return VarianceReport(delta_hat=float(delta_hat), per_probe=per_probe, trials=trials)
+        ratios.append(ratio)
+    return float(max(ratios, default=0.0))
 
 
 @dataclass

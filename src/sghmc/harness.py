@@ -259,18 +259,24 @@ def materialize(cfg: ExperimentConfig):
     """Build (objective, dataset) from a config, deriving z_radius if needed.
     A generator or objective the config cannot name, and objective parameters
     that the factory does not take or of the wrong type (a built-in's are
-    real numbers, read by :func:`_real`), are a ConfigurationError."""
+    real numbers, read by :func:`_real`), are a ConfigurationError; so is a
+    built-in's dataset whose z_dim is not the sampler's dim."""
     ds = cfg.dataset
     name = cfg.objective.get("name", "quadratic")
+    builtin = name == "quadratic" or name in _DATA_COUPLED
     try:
+        z_dim = _config_value(ds, "z_dim", cfg.sampler.dim, _integer)
+        if builtin and z_dim != cfg.sampler.dim:
+            raise ConfigurationError(f"objective {name!r} needs dataset z_dim = sampler dim "
+                                     f"{cfg.sampler.dim}, got {z_dim}")
         data = make_dataset(
             generator_id=ds.get("generator", "gaussian"),
             n=_config_value(ds, "n", 100, _integer),
-            z_dim=_config_value(ds, "z_dim", cfg.sampler.dim, _integer),
+            z_dim=z_dim,
             seed=_config_value(ds, "seed", 7, _integer),
         )
         params = dict(cfg.objective.get("params", {}))
-        if name == "quadratic" or name in _DATA_COUPLED:  # built-ins take real numbers only
+        if builtin:  # built-ins take real numbers only
             params = {key: _config_value(params, key, None) for key in params}
         if name in _DATA_COUPLED or (name == "quadratic" and params.get("coupling", 0.0) != 0.0):
             params.setdefault("z_radius", data.max_norm())
@@ -296,27 +302,36 @@ def validate_config(cfg: ExperimentConfig) -> list:
     return _build(cfg)[2]
 
 
-def _lyapunov(cfg: ExperimentConfig, obj, data, probes: int):
-    """(drift, lyap, mu0): the drift constants certified on ``probes`` points,
-    the Lyapunov function and its integral under the initial law."""
+def _certify(cfg: ExperimentConfig, obj, data):
+    """(drift, lyap, mu0): the certified drift constants, the Lyapunov
+    function and its integral under the initial law. The kinds that tabulate
+    the theory chain check the drift inequality on the default 1000 probes;
+    the others, which need it only for the step-size finding, on 256, since
+    the cost grows with probes x samples."""
     s = cfg.sampler
+    probes = 1000 if cfg.kind in ("constants", "risk-bound") else 256
     drift = theory.derive_drift_constants(obj.cert, s.gamma, s.beta, obj, data, probes=probes)
     lyap = theory.LyapunovParams(s.beta, s.gamma, drift.lambda_c, obj, data)
     return drift, lyap, theory.initial_lyapunov_integral(s.init, lyap, s.dim)
 
 
 def _build(cfg: ExperimentConfig):
-    """Materialize a config and check it: (obj, data, findings). A config that
-    does not materialize gives obj = data = None and a single violation."""
+    """Materialize a config, certify it once and check it: (obj, data,
+    findings, certified), where ``certified`` is :func:`_certify`'s triple,
+    or None at beta = inf and where certification failed (a finding). A
+    config that does not materialize gives obj = data = certified = None and
+    a single violation."""
     try:
         obj, data = materialize(cfg)
     except ConfigurationError as exc:
-        return None, None, [_finding("violation", "objective", str(exc))]
+        return None, None, [_finding("violation", "objective", str(exc))], None
     findings = []
+    certified = None
     s = cfg.sampler
     if math.isfinite(s.beta):
         try:
-            drift, _, mu0 = _lyapunov(cfg, obj, data, probes=256)
+            certified = _certify(cfg, obj, data)
+            drift, _, mu0 = certified
             moment = theory.moment_bound_constants(
                 drift, obj.cert, s.gamma, s.beta, s.dim, mu0
             )
@@ -360,7 +375,7 @@ def _build(cfg: ExperimentConfig):
                 f"quadratic growth {curv:g})",
             )
         )
-    return obj, data, findings
+    return obj, data, findings, certified
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +428,11 @@ def _write(path: Path, doc) -> None:
         path.write_text(doc if isinstance(doc, str) else theory.to_json(doc), encoding="utf-8")
 
 
-def _theory_chain(cfg: ExperimentConfig, obj, data, p: float = 2.0, delta: float = 0.0):
+def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: float):
+    """``certified`` (see :func:`_build`) with the contraction and moment
+    constants; without it, :func:`_certify` runs again to raise its error."""
     s = cfg.sampler
-    drift, lyap, mu0 = _lyapunov(cfg, obj, data, probes=1000)
+    drift, lyap, mu0 = certified or _certify(cfg, obj, data)
     cc = theory.contraction_constants(drift, obj.cert, s.gamma, s.beta, s.dim, p)
     moment = theory.moment_bound_constants(drift, obj.cert, s.gamma, s.beta, s.dim, mu0, delta)
     return drift, lyap, mu0, cc, moment
@@ -462,7 +479,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     if cfg.kind not in KINDS:
         raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
     start = time.perf_counter()
-    obj, data, findings = _build(cfg)
+    obj, data, findings, certified = _build(cfg)
     blocking = [f["message"] for f in findings if f["level"] != "info"] if cfg.strict else []
     if blocking and cfg.kind != "validate":
         raise ConfigurationError(
@@ -495,7 +512,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         _write(out / "manifest.json", manifest.to_json())
 
     try:
-        objection = _run_kind(cfg, obj, data, emit, manifest)
+        objection = _run_kind(cfg, obj, data, certified, emit, manifest)
     except DivergenceError as exc:
         manifest.divergence.append({"step": exc.step, "message": str(exc)})
         finish()
@@ -508,7 +525,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> Optional[str]:
+def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
+              manifest: RunManifest) -> Optional[str]:
     """Run one kind: its outputs go through ``emit``, its results and dropped
     grid points into the manifest. Returns what strict mode holds against the
     result (a failed audit), else None."""
@@ -532,34 +550,32 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
     elif cfg.kind == "constants":
         p = _config_value(cfg.risk, "p", 2.0)
         delta = _config_value(cfg.risk, "delta", 0.0)
-        drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, p, delta)
+        drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
         table = {
-            "lambda_c": theory.ConstantEntry("lambda_c", drift.lambda_c, "exact",
+            "lambda_c": theory.ConstantEntry(drift.lambda_c, "exact",
                                              "min(1/4, m/(M + 2B + gamma^2/2)) / 2, probe-verified"),
-            "A_c": theory.ConstantEntry("A_c", drift.A_c, "exact",
+            "A_c": theory.ConstantEntry(drift.A_c, "exact",
                                         "(beta/2)(b + 2B + A0), probe-verified"),
             "mu0_lyapunov": theory.ConstantEntry(
-                "mu0_lyapunov", mu0,
-                "exact" if s.init.kind == "point" else "empirical",
+                mu0, "exact" if s.init.kind == "point" else "empirical",
                 "integral of the Lyapunov functional under the initial law"),
-            "Lambda_c": theory.ConstantEntry("Lambda_c", cc.Lambda_c, "exact", "fixed point with alpha_c"),
-            "alpha_c": theory.ConstantEntry("alpha_c", cc.alpha_c, "exact", "(1 + 1/Lambda_c) M / gamma^2"),
-            "c_star": theory.ConstantEntry("c_star", cc.c_star, "exact", "contraction rate",
-                                           cc.log_c_star),
-            "C_star": theory.ConstantEntry("C_star", cc.C_star, "exact", "contraction prefactor",
+            "Lambda_c": theory.ConstantEntry(cc.Lambda_c, "exact", "fixed point with alpha_c"),
+            "alpha_c": theory.ConstantEntry(cc.alpha_c, "exact", "(1 + 1/Lambda_c) M / gamma^2"),
+            "c_star": theory.ConstantEntry(cc.c_star, "exact", "contraction rate", cc.log_c_star),
+            "C_star": theory.ConstantEntry(cc.C_star, "exact", "contraction prefactor",
                                            cc.log_C_star),
             "epsilon_c": theory.ConstantEntry(
-                "epsilon_c", cc.epsilon_c, "exact", "4 c_star / (gamma (d + A_c))",
+                cc.epsilon_c, "exact", "4 c_star / (gamma (d + A_c))",
                 cc.log_c_star + math.log(4.0 / (s.gamma * (s.dim + cc.A_c)))),
-            "eta_c": theory.ConstantEntry("eta_c", cc.eta_c, "exact", "1 / Lambda_c"),
-            "R_1": theory.ConstantEntry("R_1", cc.R_1, "exact", "flat radius of h"),
-            "C_c_x": theory.ConstantEntry("C_c_x", moment.C_c_x, "exact", "continuous x moment bound"),
-            "C_c_v": theory.ConstantEntry("C_c_v", moment.C_c_v, "exact", "continuous v moment bound"),
-            "C_a_x": theory.ConstantEntry("C_a_x", moment.C_a_x, "exact", "discrete x moment bound"),
-            "C_a_v": theory.ConstantEntry("C_a_v", moment.C_a_v, "exact", "discrete v moment bound"),
-            "K_1": theory.ConstantEntry("K_1", moment.K_1, "exact", "discrete drift constant"),
-            "K_2": theory.ConstantEntry("K_2", moment.K_2, "exact", "2 B^2 (1/2 + gamma + delta)"),
-            "lambda_cap": theory.ConstantEntry("lambda_cap", moment.lambda_cap, "exact",
+            "eta_c": theory.ConstantEntry(cc.eta_c, "exact", "1 / Lambda_c"),
+            "R_1": theory.ConstantEntry(cc.R_1, "exact", "flat radius of h"),
+            "C_c_x": theory.ConstantEntry(moment.C_c_x, "exact", "continuous x moment bound"),
+            "C_c_v": theory.ConstantEntry(moment.C_c_v, "exact", "continuous v moment bound"),
+            "C_a_x": theory.ConstantEntry(moment.C_a_x, "exact", "discrete x moment bound"),
+            "C_a_v": theory.ConstantEntry(moment.C_a_v, "exact", "discrete v moment bound"),
+            "K_1": theory.ConstantEntry(moment.K_1, "exact", "discrete drift constant"),
+            "K_2": theory.ConstantEntry(moment.K_2, "exact", "2 B^2 (1/2 + gamma + delta)"),
+            "lambda_cap": theory.ConstantEntry(moment.lambda_cap, "exact",
                                                "step-size cap for the moment bounds"),
         }
         pilot_sup_v2 = None
@@ -616,7 +632,7 @@ def _run_kind(cfg: ExperimentConfig, obj, data, emit, manifest: RunManifest) -> 
         emit("gibbs.json", results)
 
     elif cfg.kind == "risk-bound":
-        results.update(_risk_bound(cfg, obj, data))
+        results.update(_risk_bound(cfg, obj, data, certified))
         emit("risk.json", results)
 
 
@@ -624,7 +640,7 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
     if obj.name != "quadratic":
         raise ConfigurationError("gibbs-check needs the quadratic objective (exact law known)")
     s = cfg.sampler
-    m0 = _config_value(cfg.objective.get("params", {}), "m0", 1.0)
+    m0 = obj.cert.M  # the quadratic's M is its m0
     if cfg.steps <= cfg.burn_in:
         raise ConfigurationError(
             f"gibbs-check steps must be >= {cfg.burn_in + 1} to keep a tail sample after "
@@ -657,7 +673,7 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
     }
 
 
-def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dict:
+def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certified) -> dict:
     s = cfg.sampler
     risk = cfg.risk
     p = _config_value(risk, "p", 2.0)
@@ -673,9 +689,9 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
         oracle = make_oracle(obj, data, s.batch_size, s.seed, purpose="risk:delta")
         probe_rng = derive_stream(s.seed, "risk:probes")
         probes = [np.zeros(s.dim)] + [probe_rng.standard_normal(s.dim) for _ in range(7)]
-        delta = estimate_delta(oracle, probes, trials=400).delta_hat
+        delta = estimate_delta(oracle, probes, trials=400)
 
-    drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, p, delta)
+    drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
     pilot_steps = cfg.pilot_steps or max(2000, min(cfg.steps, 20000))
     pilot = _pilot_statistics(cfg, obj, data, lyap, pilot_steps, q=q)
     proof = theory.proof_constants(
@@ -685,9 +701,8 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dic
 
     if sigma is None:
         sigma = pilot.running_max["radial2q"] ** (1.0 / (2.0 * q))
-        params = cfg.objective.get("params", {})
-        if obj.name == "quadratic" and _config_value(params, "coupling", 0.0) == 0.0:
-            m0 = _config_value(params, "m0", 1.0)
+        if obj.name == "quadratic" and obj.cert.B == 0.0:  # uncoupled; its M is its m0
+            m0 = obj.cert.M
             gibbs = (s.beta * m0) ** (-0.5 * 2 * q) * theory.gaussian_norm_moment(s.dim, 2 * q)
             sigma = max(sigma, gibbs ** (1.0 / (2.0 * q)))
 
@@ -747,8 +762,10 @@ def rate_study(
         raise ConfigurationError("rate study needs at least one step size")
     if any(l <= 0 for l in lambdas):
         raise ConfigurationError("step sizes must be positive")
-    if not lambda_ref_divisor >= 1:
-        raise ConfigurationError(f"ref_divisor must be >= 1, got {lambda_ref_divisor}")
+    if not 1 <= lambda_ref_divisor < math.inf:
+        raise ConfigurationError(f"ref_divisor must be >= 1 and finite, got {lambda_ref_divisor}")
+    if not 0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end must be > 0 and finite, got {t_end}")
     rows = []
     for lam in lambdas:
         cfg = replace(base, lam=lam)

@@ -348,7 +348,10 @@ def default_probe_radius(cert: SmoothnessCertificate) -> float:
 
 def ball_probes(rng: np.random.Generator, k: int, dim: int, radius: float) -> np.ndarray:
     """k points (k, dim) drawn uniformly from the ball of the given radius:
-    a direction, then a radius with density proportional to r^(dim-1)."""
+    a direction, then a radius with density proportional to r^(dim-1). A
+    radius that is not finite and > 0 is a ConfigurationError."""
+    if not 0 < radius < math.inf:  # NaN fails too
+        raise ConfigurationError(f"probe radius must be finite and > 0, got {radius}")
     u = rng.standard_normal((k, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return u * (radius * rng.uniform(0.0, 1.0, size=(k, 1)) ** (1.0 / dim))

@@ -172,9 +172,6 @@ class Trajectory:
     steps: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
-    thin: int
-    config: SamplerConfig
-    kind: str = ""
 
     def __len__(self):
         return len(self.steps)
@@ -370,8 +367,7 @@ def _traced(chains, obj, data, steps, thin, noise_rng):
     out = []
     for ch, r in zip(chains, rows):
         xv = np.concatenate(r)
-        out.append(Trajectory(np.asarray(steps_rec), xv[:, 0].copy(), xv[:, 1].copy(),
-                              thin, ch.cfg, ch.kind))
+        out.append(Trajectory(np.asarray(steps_rec), xv[:, 0].copy(), xv[:, 1].copy()))
     return out
 
 
@@ -483,8 +479,7 @@ def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale
     else:
         x, v = (np.array(init[0], dtype=float, ndmin=2), np.array(init[1], dtype=float, ndmin=2))
     nsteps = int(round(t_end / substep))
-    kind = "underdamped" if time_scale == 1.0 else "auxiliary"
-    chain = _Chain(kind, cfg, x, v, lam=time_scale * substep,
+    chain = _Chain("exact_sghmc", cfg, x, v, lam=time_scale * substep,
                    c=_noise(cfg.gamma * time_scale * substep, cfg.beta))
     return _traced([chain], obj, data, nsteps, thin, noise_rng)[0]
 

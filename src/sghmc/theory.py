@@ -99,6 +99,8 @@ def derive_drift_constants(
     """
     if not gamma > 0:
         raise ConfigurationError("friction gamma must be positive here")
+    if not 0 < beta < math.inf:
+        raise ConfigurationError("beta must be positive and finite here")
     drift = closed_form_drift(cert, gamma, beta)
     if radius is None:
         radius = default_probe_radius(cert)
@@ -207,9 +209,7 @@ class ContractionConstants:
     L_c: float
     eta_c: float
     p: float
-    d: int
     A_c: float
-    lambda_c: float
     log_c_star: float
     log_C_star: float
 
@@ -315,9 +315,7 @@ def contraction_constants(
         L_c=L_c,
         eta_c=eta_c,
         p=p,
-        d=d,
         A_c=a_c,
-        lambda_c=lam_c,
         log_c_star=log_c_star,
         log_C_star=log_C_star,
     )
@@ -461,7 +459,6 @@ class MomentBoundConstants:
     K_1: float
     K_2: float
     lambda_cap: float
-    lyapunov_mu0_integral: float
 
 
 def moment_bound_constants(
@@ -477,8 +474,10 @@ def moment_bound_constants(
 
     The continuous-time envelopes use 5 (d + A_c) / lambda_c in the bracket,
     the discrete-time ones 8 (d + A_c) / lambda_c; with B = 0 the first arm
-    of the step cap is vacuous (infinite).
+    of the step cap is vacuous (infinite). delta must be finite and >= 0.
     """
+    if not 0 <= delta < math.inf:  # NaN fails too
+        raise ConfigurationError(f"noise level delta must be finite and >= 0, got {delta}")
     lam_c, a_c = drift.lambda_c, drift.A_c
     M, B = cert.M, cert.B
     one = 1.0 - 2.0 * lam_c
@@ -505,7 +504,6 @@ def moment_bound_constants(
         K_1=K1,
         K_2=K2,
         lambda_cap=lambda_cap,
-        lyapunov_mu0_integral=mu0,
     )
 
 
@@ -544,7 +542,6 @@ def to_json(doc, indent: int = 2) -> str:
 
 @dataclass(frozen=True)
 class ConstantEntry:
-    name: str
     value: float
     status: str  # "exact" | "empirical"
     formula: str
@@ -597,26 +594,21 @@ def proof_constants(
     log_c16 = max(log_c2_c7, log_c3, 0.5 * math.log(c14), 0.5 * log_c15)
     c17 = 3.0 * max(1.0 + cc.alpha_c, 1.0 / gamma)
 
-    def exact_log(name, log_value, formula):
-        return ConstantEntry(name, _exp(log_value), "exact", formula, log_value)
+    def exact_log(log_value, formula):
+        return ConstantEntry(_exp(log_value), "exact", formula, log_value)
 
     table = {
-        "c_2": exact_log("c_2", log_c2, "4 exp(M) sqrt(M^2 C_a_x + B^2)"),
-        "c_3": exact_log("c_3", log_c3, "2 exp(M) sqrt(M^2 C_a_x + B^2)"),
-        "c_7": exact_log("c_7", log_c7, "sqrt(2 c_9 exp(c_10))"),
-        "c_8": ConstantEntry(
-            "c_8", c8, "exact", "3 g^2 C_a_v + 6 M^2 C_a_x + 6 B^2 + 6 g / beta"
-        ),
-        "c_9": ConstantEntry("c_9", c9, "exact", "max(4 g^2 c_8 + 4 M^2 C_a_v, 2 c_8)"),
-        "c_10": ConstantEntry("c_10", c10, "exact", "max(4 g^2 + 2, 4 M^2)"),
-        "c_14": ConstantEntry(
-            "c_14", c14, "exact", "3 g^2 C_c_v + 6 M^2 C_c_x + 6 B^2 + 6 g / beta"
-        ),
+        "c_2": exact_log(log_c2, "4 exp(M) sqrt(M^2 C_a_x + B^2)"),
+        "c_3": exact_log(log_c3, "2 exp(M) sqrt(M^2 C_a_x + B^2)"),
+        "c_7": exact_log(log_c7, "sqrt(2 c_9 exp(c_10))"),
+        "c_8": ConstantEntry(c8, "exact", "3 g^2 C_a_v + 6 M^2 C_a_x + 6 B^2 + 6 g / beta"),
+        "c_9": ConstantEntry(c9, "exact", "max(4 g^2 c_8 + 4 M^2 C_a_v, 2 c_8)"),
+        "c_10": ConstantEntry(c10, "exact", "max(4 g^2 + 2, 4 M^2)"),
+        "c_14": ConstantEntry(c14, "exact", "3 g^2 C_c_v + 6 M^2 C_c_x + 6 B^2 + 6 g / beta"),
         "c_15": exact_log(
-            "c_15", log_c15, "max(2 (M^2 C_a_x + B^2) + 4 M^2 c_3^2, 4 M^2 (c_2 + c_7)^2)"
-        ),
-        "c_16": exact_log("c_16", log_c16, "max(c_2 + c_7, c_3, sqrt(c_14), sqrt(c_15))"),
-        "c_17": ConstantEntry("c_17", c17, "exact", "3 max(1 + alpha_c, 1/gamma)"),
+            log_c15, "max(2 (M^2 C_a_x + B^2) + 4 M^2 c_3^2, 4 M^2 (c_2 + c_7)^2)"),
+        "c_16": exact_log(log_c16, "max(c_2 + c_7, c_3, sqrt(c_14), sqrt(c_15))"),
+        "c_17": ConstantEntry(c17, "exact", "3 max(1 + alpha_c, 1/gamma)"),
     }
     if pilot_sup_v2 is not None:
         c18 = c17 * (1.0 + 2.0 * cc.epsilon_c * math.sqrt(max(pilot_sup_v2, 0.0)))
@@ -630,13 +622,8 @@ def proof_constants(
             cc.log_C_star + (math.log(c18) + log_c16) / cc.p + log_tail,
         )
         table["c_18"] = ConstantEntry(
-            "c_18",
-            c18,
-            "empirical",
-            "c_17 (1 + 2 eps_c sqrt(sup_k E V^2)) [pilot-estimated sup]",
-        )
+            c18, "empirical", "c_17 (1 + 2 eps_c sqrt(sup_k E V^2)) [pilot-estimated sup]")
         table["C_tilde"] = ConstantEntry(
-            "C_tilde",
             _exp(log_c_tilde),
             "empirical",
             "2 max(c_2, c_3, c_7, C* (c_18 c_16)^{1/p} e^{-c*} / (1 - e^{-c*}))",
@@ -674,7 +661,7 @@ def check_pq(p: float, q: int) -> None:
 def log_sobolev_constant(cert: SmoothnessCertificate, beta: float, d: int,
                          lambda_star: float) -> float:
     """c_LS from the certificate and a user-supplied uniform spectral gap."""
-    if lambda_star <= 0:
+    if not lambda_star > 0:  # NaN fails too
         raise ConfigurationError("lambda_star must be positive")
     m, M = cert.m, cert.M
     return (2.0 * m * m + 8.0 * M * M) / (m * m * M * beta) + (
@@ -711,14 +698,21 @@ def risk_bound(
     user-supplied spectral gap ``lambda_star``. ``sigma`` is the 2q-moment
     scale and ``w_rho_init`` the rho-distance of the initial law from the
     long-run law, both supplied by the caller (typically pilot estimates).
+    sigma must be finite and >= 0, k >= 0 and c_ls finite and > 0.
     """
     check_pq(p, q)
+    if not 0 <= sigma < math.inf:
+        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
+    if k < 0:
+        raise ConfigurationError(f"iteration count k must be >= 0, got {k}")
     if "C_tilde" not in proof:
         raise ConfigurationError("risk_bound needs the empirical C_tilde entry")
     if c_ls is None:
         if lambda_star is None:
             raise ConfigurationError("supply either c_ls or lambda_star")
         c_ls = log_sobolev_constant(cert, beta, d, lambda_star)
+    if not 0 < c_ls < math.inf:
+        raise ConfigurationError(f"c_ls must be finite and > 0, got {c_ls}")
     M, B, m, b = cert.M, cert.B, cert.m, cert.b
     c_tilde = proof["C_tilde"]
     expo = 1.0 / (2.0 * p)
@@ -759,7 +753,7 @@ def iteration_budget(cc: ContractionConstants, c_tilde, eps: float,
     budget is zero. ``c_tilde`` is C~ or its proof_constants entry (which
     keeps the log of a C~ beyond float range); both results go through in_range.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ConfigurationError("eps must be positive")
     log_ct = c_tilde.log if isinstance(c_tilde, ConstantEntry) else math.log(c_tilde)
     log_cap = math.log(eps) - math.log(2.0) - log_ct

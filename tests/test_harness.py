@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sghmc import ConfigurationError, DivergenceError, double_well, make_dataset
-from sghmc import harness
+from sghmc import harness, theory
 from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from sghmc.harness import (
     ExperimentConfig,
@@ -463,13 +463,28 @@ class TestGoldenRuns:
         doc["sampler"].update(lam=0.02, batch_size=batch,
                               init={"kind": "gaussian", "mean": 0.0, "scale": 1.0})
         cfg = ExperimentConfig.from_dict(doc)
-        lyap = harness._lyapunov(cfg, obj, data, probes=256)[1]
+        lyap = harness._certify(cfg, obj, data)[1]
         pilot = harness._pilot_statistics(cfg, obj, data, lyap, steps=600, q=2)
         h = hashlib.sha256(np.asarray(pilot.steps, dtype=float).tobytes())
         for key in ("v2", "v2q", "radial2q"):
             h.update(pilot.series[key].tobytes())
             h.update(np.float64(pilot.running_max[key]).tobytes())
         assert h.hexdigest()[:16] == self.PILOT_PINS[name, replicas, batch]
+
+
+class TestCertifyOnce:
+    @pytest.mark.parametrize("kind", ["constants", "risk-bound"])
+    def test_run_certifies_once(self, tmp_path, monkeypatch, kind):
+        # the findings and the theory chain share one certified drift pair
+        calls = {}
+        for name in ("derive_drift_constants", "initial_lyapunov_integral"):
+            def counted(*args, _fn=getattr(theory, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(theory, name, counted)
+        doc = base_config(kind=kind, out=str(tmp_path / "o"), **TestGoldenRuns.CONFIGS[kind])
+        run_experiment(ExperimentConfig.from_dict(doc))
+        assert calls == {"derive_drift_constants": 1, "initial_lyapunov_integral": 1}
 
 
 class TestDiscreteStationaryOracle:
@@ -594,11 +609,12 @@ class TestCli:
         ("gibbs-check", {"burn_in": -1}, []),
         ("gibbs-check", {"steps": 1500}, []),
         ("rate-study", {"rate": {"ref_divisor": 0}}, []),
+        ("rate-study", {"rate": {"ref_divisor": "inf"}}, []),
         ("constants", {"pilot_steps": -5}, []),
         ("risk-bound", {"pilot_steps": -5}, []),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
-            "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "pilot-steps-neg-constants",
-            "pilot-steps-neg-risk-bound"])
+            "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "ref-divisor-inf",
+            "pilot-steps-neg-constants", "pilot-steps-neg-risk-bound"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         path = tmp_path / "cfg.json"
@@ -639,6 +655,19 @@ class TestCli:
         ("sample", {"init": {"kind": "gaussian", "mean": math.inf}}, {}),
         ("sample", {"init": {"kind": "point", "x0": [math.nan, 0]}}, {}),
         ("validate", {"init": {"kind": "gaussian", "scale": math.nan}}, {}),
+        ("audit", {}, {"audit": {"radius": "nan"}}),
+        ("audit", {}, {"audit": {"radius": 0}}),
+        ("audit", {}, {"audit": {"radius": -3}}),
+        ("sample", {}, {"dataset": {"generator": "gaussian", "n": 100, "z_dim": 3}}),
+        ("sample", {}, {"dataset": {"generator": "gaussian", "n": 100, "z_dim": 0}}),
+        ("constants", {}, {"risk": {"delta": -0.5}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": 1.0, "delta": -0.5}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": 1.0, "sigma": -1}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "c_ls": -1}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": 1.0, "k": -5}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": "nan"}}),
+        ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": 1.0, "eps": "nan"}}),
+        ("rate-study", {}, {"rate": {"t_end": "nan"}}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
             "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
@@ -647,7 +676,10 @@ class TestCli:
             "pilot-steps-fractional", "seed-fractional", "dataset-n-fractional",
             "risk-q-fractional", "strict-string", "lambda-nan", "gamma-nan", "lambda-inf",
             "lambda-nan-validate", "lambda-true", "init-scale-nan", "init-mean-inf",
-            "init-x0-nan", "init-scale-nan-validate"])
+            "init-x0-nan", "init-scale-nan-validate", "audit-radius-nan", "audit-radius-0",
+            "audit-radius-neg", "dataset-z-dim-3", "dataset-z-dim-0", "constants-delta-neg",
+            "risk-delta-neg", "risk-sigma-neg", "risk-c-ls-neg", "risk-k-neg", "risk-lambda-star-nan",
+            "risk-eps-nan", "rate-t-end-nan"])
     def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)
@@ -671,6 +703,31 @@ class TestCli:
         manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
         assert manifest["seeds"]["dataset"] == (7 if "n" in dataset else None)
         assert main(["validate", "--config", str(path), "--strict"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("z_dim", [3, 0])
+    def test_dataset_width_is_a_validate_violation(self, tmp_path, z_dim):
+        # a built-in objective reads samples of the sampler's dimension
+        doc = base_config(kind="validate", out=str(tmp_path / "v"))
+        doc["dataset"]["z_dim"] = z_dim
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        [finding] = json.loads((tmp_path / "v" / "findings.json").read_text())
+        assert finding["level"] == "violation" and finding["code"] == "objective"
+        assert "z_dim" in finding["message"]
+
+    @pytest.mark.parametrize("kind", ["constants", "risk-bound"])
+    def test_infinite_beta_is_rejected_before_certifying(self, tmp_path, capsys, kind):
+        doc = base_config(kind=kind, out=str(tmp_path / "r"), **TestGoldenRuns.CONFIGS[kind])
+        doc["sampler"]["beta"] = "inf"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+        assert "beta must be positive and finite here" in capsys.readouterr().err
+        # validate skips the certification at beta = inf, as before
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == EXIT_OK
+        findings = json.loads((tmp_path / "v" / "findings.json").read_text())
+        assert [f["code"] for f in findings] == ["pq-pairing", "initial-law"]
 
     @pytest.mark.parametrize("params", [{"m0": True}, {"coupling": True}],
                              ids=["m0-true", "coupling-true"])

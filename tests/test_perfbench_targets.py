@@ -6,6 +6,7 @@ fails the tests and not only the benchmark."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,29 @@ def tracing():
 def test_span_targets_resolve(tracing):
     for module, attr, _, _ in tracing.SPAN_TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_work_functions_read_parameters_of_their_target(tracing):
+    # a work function reads its target's bound arguments as a["name"], so a
+    # renamed or removed parameter must fail here, not only under --trace 1
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    [targets] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPAN_TARGETS"]]
+    checked = 0
+    for entry in targets.elts:
+        module, attr, _, work = (ast.literal_eval(e) if isinstance(e, ast.Constant) else e
+                                 for e in entry.elts)
+        if work is None:
+            continue
+        fn = functions[work.id] if isinstance(work, ast.Name) else work
+        arg = fn.args.args[0].arg
+        keys = {node.slice.value for node in ast.walk(fn) if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == arg}
+        params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        assert keys and keys <= set(params), f"{module}.{attr} lacks {sorted(keys - set(params))}"
+        checked += 1
+    assert checked == sum(work is not None for *_, work in tracing.SPAN_TARGETS)
 
 
 def test_timed_spec_replaces_the_evaluators(tracing):

@@ -32,6 +32,17 @@ class TestDriftConstants:
         with pytest.raises(ConfigurationError, match="gamma must be positive"):
             theory.derive_drift_constants(quad_obj.cert, 0.0, BETA, quad_obj, quad_data)
 
+    def test_infinite_beta_rejected(self, quad_obj, quad_data):
+        # up front, not after 21 NaN passes over the probes
+        with pytest.raises(ConfigurationError, match="beta must be positive and finite here"):
+            theory.derive_drift_constants(quad_obj.cert, GAMMA, math.inf, quad_obj, quad_data)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -3.0, math.inf])
+    def test_probe_radius_must_be_finite_and_positive(self, quad_obj, quad_data, radius):
+        with pytest.raises(ConfigurationError, match="probe radius"):
+            theory.derive_drift_constants(quad_obj.cert, GAMMA, BETA, quad_obj, quad_data,
+                                          radius=radius)
+
     def test_degenerate_certificate_floors_A_c(self, quad_obj, quad_data, quad_theory):
         a_c = quad_theory["drift"].A_c
         assert a_c > 0.0
@@ -342,6 +353,12 @@ class TestMomentBounds:
             assert mom.C_a_v > mom.C_c_v
             assert mom.lambda_cap > 0
 
+    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
+    def test_noise_level_must_be_finite_and_nonnegative(self, quad_obj, quad_theory, delta):
+        with pytest.raises(ConfigurationError, match="delta"):
+            theory.moment_bound_constants(quad_theory["drift"], quad_obj.cert, GAMMA, BETA, 2,
+                                          0.0, delta)
+
     def test_zero_B_makes_first_cap_arm_vacuous(self, quad_theory):
         mom = quad_theory["moment"]
         assert mom.K_2 == 0.0
@@ -356,7 +373,7 @@ class TestProofConstants:
         fake = type(cc)(
             c_star=cc.c_star, C_star=cc.C_star, Lambda_c=cc.Lambda_c, alpha_c=0.5,
             epsilon_c=cc.epsilon_c, R_1=cc.R_1, L_c=cc.L_c, eta_c=cc.eta_c, p=2.0,
-            d=2, A_c=cc.A_c, lambda_c=cc.lambda_c, log_c_star=cc.log_c_star,
+            A_c=cc.A_c, log_c_star=cc.log_c_star,
             log_C_star=cc.log_C_star,
         )
         cert = SmoothnessCertificate(A0=0, B=0, M=1, m=1, b=0)
@@ -484,6 +501,18 @@ class TestRiskBound:
         with pytest.raises(ConfigurationError):
             theory.check_pq(1.5, 1)
 
+    @pytest.mark.parametrize("over, what", [
+        ({"sigma": -1.0}, "sigma"), ({"sigma": math.nan}, "sigma"), ({"k": -5}, "k must"),
+        ({"c_ls": -1.0}, "c_ls"), ({"c_ls": math.inf}, "c_ls"),
+    ], ids=["sigma-neg", "sigma-nan", "k-neg", "c-ls-neg", "c-ls-inf"])
+    def test_out_of_range_inputs_rejected(self, quad_theory, proof, over, what):
+        cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
+        kw = dict(k=10, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
+        kw.update(over)
+        with pytest.raises(ConfigurationError, match=what):
+            theory.risk_bound(quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
+                              **kw)
+
     def test_c_ls_from_spectral_gap(self):
         cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
         got = theory.log_sobolev_constant(cert, beta=1.0, d=1, lambda_star=2.0)
@@ -520,8 +549,8 @@ class TestIterationBudget:
     def _cc(c_star, C_star):
         return theory.ContractionConstants(
             c_star=c_star, C_star=C_star, Lambda_c=10.0, alpha_c=0.3,
-            epsilon_c=1e-3, R_1=5.0, L_c=1.0, eta_c=0.1, p=2.0, d=2, A_c=1.0,
-            lambda_c=0.125, log_c_star=math.log(c_star), log_C_star=math.log(C_star),
+            epsilon_c=1e-3, R_1=5.0, L_c=1.0, eta_c=0.1, p=2.0, A_c=1.0,
+            log_c_star=math.log(c_star), log_C_star=math.log(C_star),
         )
 
     def test_hand_value(self):
