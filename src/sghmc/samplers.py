@@ -26,26 +26,30 @@ each chain steps through one preallocated history buffer. ``_move`` takes
 one step of every chain, drawing minibatch indices once per step and index
 stream, with the gradient evaluator that ``_gradient`` binds once per run
 from the objective's hooks; the reference chain of
-``brownian_coupled_distance`` takes several fine steps per step. One
-``isfinite`` per chain and step guards the run, and ``_reject`` stops a
-non-finite one: with EvaluationError naming the sample where grad_f failed
-at a finite position below the certificate's overflow scale, else with
-DivergenceError. Each finished block goes to the runner's recorder, which
-reads its rows; results are copies, never views of a buffer.
-``ensemble_run`` calls each functional once per block, on the block's
-stacked rows, so functionals must treat rows independently. The
-single-step functions (``sghmc_step`` and the like) keep their (d,) states.
+``brownian_coupled_distance`` takes several fine steps per step. Each block
+is checked finite once per chain; one that fails is replayed step by step,
+and ``_reject`` stops the run at its first non-finite state: with
+EvaluationError naming the sample where grad_f failed at a finite position
+below the certificate's overflow scale, else with DivergenceError. The loop,
+hooks included, and the runners that read its states ignore numpy's overflow
+and invalid warnings: a runaway state ends as a value or a DivergenceError.
+Each finished block goes to the runner's recorder, which reads its rows;
+results are copies, never views of a buffer. ``ensemble_run`` calls each
+functional once per block, on the block's stacked rows, so functionals must
+treat rows independently. The single-step functions (``sghmc_step`` and the
+like) keep their (d,) states.
 
-Coupled runs advance two chains on shared randomness: the realized distance
-between them upper-bounds the Wasserstein distance between their laws, which
-is the desk-scale route to checking contraction and discretization rates.
-Every stream is derived from the config seed via :mod:`.rng`, so runs are
-reproducible bit-for-bit.
+Coupled runs advance two chains on shared randomness, as one paired (2R, d)
+block when they step alike: the realized distance between them upper-bounds
+the Wasserstein distance between their laws, which is the desk-scale route
+to checking contraction and discretization rates. Every stream is derived
+from the config seed via :mod:`.rng`, so runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
@@ -199,28 +203,28 @@ class Trajectory:
 _BLOCK_BYTES = 1 << 16
 
 
-def _euler(kind, X, V, G, inc, lam, gamma, out) -> None:
-    """One Euler step of an (R, d) block, or of one (d,) state, written to
-    ``out = (X', V')``, which must not overlap X or V.
+def _euler(kind, S, G, inc, coef, out) -> None:
+    """One Euler step of the (2, R, d) state ``S = (X, V)`` of an (R, d)
+    block, written to ``out = (X', V')``, which must not overlap S;
+    ``coef`` is the (2, 1, 1) column (lam, gamma).
 
     Momentum kinds: V' = V - lam (gamma V + G) + inc and X' = X + lam V
     (pre-update momentum). ``"sgld"``: X' = X - lam G + inc and V' = V.
     ``inc`` is the scaled Gaussian increment ``c * xi``. In-place ufuncs
-    keep the operation order of those formulas, so the bits are theirs.
+    round as those formulas do, so the bits are theirs: one product gives
+    (lam V, gamma V), and a + b as b + a and a - b as a + (-b) are exact.
     """
-    Xn, Vn = out[0], out[1]
+    lam, Vn = coef[0, 0, 0], out[1]
     if kind == "sgld":
-        np.multiply(G, lam, out=Xn)
-        np.subtract(X, Xn, out=Xn)
-        Xn += inc
-        Vn[...] = V
+        np.multiply(G, -lam, out=out[0])
+        out[0] += S[0]
+        out[0] += inc
+        Vn[...] = S[1]
         return
-    np.multiply(V, lam, out=Xn)
-    Xn += X
-    np.multiply(V, gamma, out=Vn)
+    np.multiply(S[1], coef, out=out)
     Vn += G
-    Vn *= lam
-    np.subtract(V, Vn, out=Vn)
+    Vn *= -lam
+    out += S
     Vn += inc
 
 
@@ -245,22 +249,32 @@ class _Chain:
     of the step's noise draws; with ``fold`` set it takes one step on their
     sum times ``fold``. ``X`` and ``V`` are the state before and after the
     run; during it the state lives in ``_advance``'s history buffer ``H``.
+    Its ``copies`` stacked parts step on the same noise and indices.
     """
 
-    def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None, sub=1, fold=None):
+    def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None, sub=1, fold=None,
+                 copies=1):
         self.kind, self.cfg, self.X, self.V = kind, cfg, X, V
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
         self.lam = cfg.lam if lam is None else lam
+        self.coef = np.array([self.lam, cfg.gamma]).reshape(2, 1, 1)
         self.c = _step_noise(kind, cfg) if c is None else c
-        self.sub, self.fold = sub, fold
+        self.sub, self.fold, self.copies = sub, fold, copies
         self.prev = None
 
     def increments(self, xi):
-        """The scaled increments (steps, sub, R, d) of a (steps, fine, R, d) noise block."""
-        if self.fold is None:
-            return self.c * xi
-        return self.c * (self.fold * xi.sum(axis=1, keepdims=True))
+        """The scaled increments (steps, sub, copies R, d) of a (steps, fine, R, d) noise block."""
+        inc = self.c * (xi if self.fold is None else self.fold * xi.sum(axis=1, keepdims=True))
+        return inc if self.copies == 1 else np.tile(inc, (1, 1, self.copies, 1))
+
+
+def _paired(a, b):
+    """Coupled chains a and b as one (2R, d) chain of 2 copies if they step alike."""
+    if (a.kind, a.lam, a.cfg.gamma, a.c, a.idx_rng) != (b.kind, b.lam, b.cfg.gamma, b.c, b.idx_rng):
+        return [a, b]
+    return [_Chain(a.kind, a.cfg, np.concatenate([a.X, b.X]), np.concatenate([a.V, b.V]),
+                   a.idx_rng, a.lam, a.c, copies=2)]
 
 
 def _gradient(ch, obj, data):
@@ -283,17 +297,16 @@ def _move(chains, incs, j, data) -> None:
         if ch.idx_rng is not rng:
             rng = ch.idx_rng
             idx = None if rng is None else rng.integers(
-                0, data.n, size=(ch.H.shape[2], ch.cfg.batch_size))
+                0, data.n, size=(len(ch.X) // ch.copies, ch.cfg.batch_size))
+            idx = idx if idx is None or ch.copies == 1 else np.tile(idx, (ch.copies, 1))
         src = ch.H[j]
         for i in range(ch.sub - 1):
             # substeps alternate between two scratch states, so the
             # position each step leaves stays intact for _reject
-            _euler(ch.kind, src[0], src[1], ch.grad(src[0], idx), inc[j, i], ch.lam,
-                   ch.cfg.gamma, ch.scratch[i % 2])
+            _euler(ch.kind, src, ch.grad(src[0], idx), inc[j, i], ch.coef, ch.scratch[i % 2])
             src = ch.scratch[i % 2]
         X = src[0]
-        _euler(ch.kind, X, src[1], ch.grad(X, idx), inc[j, ch.sub - 1], ch.lam, ch.cfg.gamma,
-               ch.H[j + 1])
+        _euler(ch.kind, src, ch.grad(X, idx), inc[j, ch.sub - 1], ch.coef, ch.H[j + 1])
         ch.prev = (X, idx)
 
 
@@ -310,6 +323,24 @@ def _reject(chains, obj, data, message, step) -> None:
     raise DivergenceError(message.format(step), step=step)
 
 
+def _step_block(chains, obj, data, incs, n, message, k0) -> None:
+    """Step the chains through rows 1..n, check them finite once, and on a failure
+    replay the block on the same draws, checking each step, to stop where it failed."""
+    saved = [(ch.idx_rng, ch.idx_rng.bit_generator.state) for ch in chains if ch.idx_rng is not None]
+    with suppress(Exception):  # the replay raises it again or stops before it
+        for j in range(n):
+            _move(chains, incs, j, data)
+        if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
+            return
+    for rng, state in saved:
+        rng.bit_generator.state = state
+    for j in range(n):
+        _move(chains, incs, j, data)
+        for ch in chains:
+            if not np.isfinite(ch.H[j + 1]).all():
+                _reject(chains, obj, data, message, k0 + j + 1)
+
+
 def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at step {}"):
     """The stepping loop of every runner.
 
@@ -317,31 +348,27 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
     ``_BLOCK_BYTES`` (with the chains' buffers), so a block's draws are the
     per-step draws in order. Each chain steps through its own history buffer
     ``H`` of shape (block + 1, 2, R, d): row 0 is the state before the block,
-    row j the state after its j-th step, checked finite as it is written.
+    row j the state after its j-th step, checked by ``_step_block``.
     After each block it yields ``(k0, n)``, the block's first step index
     minus one and its length; the caller's recorder reads rows 1..n of each
     ``H`` before the loop goes on. Once it is exhausted, each chain's ``X``
     and ``V`` hold fresh copies of the final state. A run stopped by an
     error has drawn its whole last block from ``noise_rng``.
     """
-    R, d = chains[0].X.shape
+    R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
     fine = max(ch.sub for ch in chains)
-    per_step = 8 * R * d * (fine + sum(ch.sub + 2 for ch in chains))
+    per_step = 8 * d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
     block = max(1, min(steps, _BLOCK_BYTES // per_step))
     for ch in chains:
-        ch.H = np.empty((block + 1, 2, R, d))
+        ch.H = np.empty((block + 1, 2, len(ch.X), d))
         ch.H[0, 0], ch.H[0, 1] = ch.X, ch.V
-        ch.scratch = np.empty((2, 2, R, d)) if ch.sub > 1 else None
+        ch.scratch = np.empty((2, 2, len(ch.X), d)) if ch.sub > 1 else None
         ch.grad = _gradient(ch, obj, data)
     for k0 in range(0, steps, block):
         n = min(block, steps - k0)
         xi = noise_rng.standard_normal((n, fine, R, d))
-        incs = [ch.increments(xi) for ch in chains]
-        for j in range(n):
-            _move(chains, incs, j, data)
-            for ch in chains:
-                if not np.isfinite(ch.H[j + 1]).all():
-                    _reject(chains, obj, data, message, k0 + j + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _step_block(chains, obj, data, [ch.increments(xi) for ch in chains], n, message, k0)
         yield k0, n
         for ch in chains:
             ch.H[0] = ch.H[n]
@@ -356,19 +383,16 @@ def _recorded(k0, n, every):
 
 
 def _traced(chains, obj, data, steps, thin, noise_rng):
-    """Advance the (1, d) chains; a Trajectory of each at step 0 and every thin-th step."""
+    """Advance the chains; a Trajectory of each row at step 0 and every thin-th step."""
     steps_rec = [0]
-    rows = [[np.stack([ch.X, ch.V], axis=1)] for ch in chains]
+    rows = [[np.stack([ch.X, ch.V])[None]] for ch in chains]
     for k0, n in _advance(chains, obj, data, steps, noise_rng):
         ks = _recorded(k0, n, thin)
         steps_rec.extend(ks)
         for ch, r in zip(chains, rows):
-            r.append(ch.H[ks.start - k0:n + 1:thin, :, 0].copy())
-    out = []
-    for ch, r in zip(chains, rows):
-        xv = np.concatenate(r)
-        out.append(Trajectory(np.asarray(steps_rec), xv[:, 0].copy(), xv[:, 1].copy()))
-    return out
+            r.append(ch.H[ks.start - k0:n + 1:thin].copy())
+    return [Trajectory(np.asarray(steps_rec), xv[:, 0, i].copy(), xv[:, 1, i].copy())
+            for xv in map(np.concatenate, rows) for i in range(xv.shape[2])]
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +402,12 @@ def _traced(chains, obj, data, steps, thin, noise_rng):
 def _step(kind, state, cfg, g, xi) -> ChainState:
     if xi is None:
         xi = state.rng.standard_normal(cfg.dim)
-    out = np.empty((2, cfg.dim))
-    _euler(kind, state.x, state.v, g, _step_noise(kind, cfg) * xi, cfg.lam, cfg.gamma, out)
+    out = np.empty((2, 1, cfg.dim))
+    _euler(kind, np.stack([state.x, state.v])[:, None], g, _step_noise(kind, cfg) * xi,
+           np.array([cfg.lam, cfg.gamma]).reshape(2, 1, 1), out)
     if not np.isfinite(out).all():
         raise DivergenceError(f"chain diverged at step {state.step + 1}", step=state.step + 1)
-    return ChainState(x=out[0], v=out[1], step=state.step + 1, rng=state.rng)
+    return ChainState(x=out[0, 0], v=out[1, 0], step=state.step + 1, rng=state.rng)
 
 
 def sghmc_step(
@@ -505,6 +530,7 @@ def run_chain(
     return _traced([chain], obj, data, steps, thin, derive_stream(cfg.seed, f"{kind}:noise"))[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coupled_run(
     kind,
     cfg_a: SamplerConfig,
@@ -519,7 +545,8 @@ def coupled_run(
     ``kind`` is a single chain kind or a pair ``(kind_a, kind_b)``. The two
     chains share one Gaussian stream in lockstep; a minibatch index stream is
     shared when both chains consume minibatches of equal size. They may
-    differ in init, step size, or gradient mode.
+    differ in init, step size, or gradient mode; chains of one kind, step,
+    friction, noise coefficient and index stream (or none) step as one block.
 
     Returns ``(traj_a, traj_b, distances)`` where ``distances`` is an array
     of rows ``(step, |x_a - x_b|, |v_a - v_b|)`` at each thinned step.
@@ -538,7 +565,7 @@ def coupled_run(
     b = _Chain(kind_b, cfg_b, xb, vb, derive_stream(cfg_b.seed, "coupled:minibatch", 2))
     if a.idx_rng is not None and b.idx_rng is not None and cfg_a.batch_size == cfg_b.batch_size:
         a.idx_rng = b.idx_rng = derive_stream(cfg_a.seed, "coupled:minibatch")
-    ta, tb = _traced([a, b], obj, data, steps, thin, noise)
+    ta, tb = _traced(_paired(a, b), obj, data, steps, thin, noise)
     distances = np.asarray([
         (k, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(va - vb)))
         for k, xa, xb, va, vb in zip(ta.steps, ta.xs, tb.xs, ta.vs, tb.vs)
@@ -572,6 +599,7 @@ def _check_sizes(**sizes) -> None:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ensemble_run(
     kind: str,
     cfg: SamplerConfig,
@@ -669,6 +697,7 @@ class CoupledEnsembleResult:
     rms_dv: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coupled_ensemble_run(
     kind: str,
     cfg_a: SamplerConfig,
@@ -682,10 +711,10 @@ def coupled_ensemble_run(
 ) -> CoupledEnsembleResult:
     """Replicated synchronous coupling of two chains of the same kind.
 
-    Both chains see the same Gaussian draws (and the same minibatch indices
-    when minibatching, so their batch sizes must agree); the
-    replica-averaged separation series is the empirical contraction
-    diagnostic.
+    Both chains see the same Gaussian draws (and the same minibatch indices when
+    minibatching, so their batch sizes must agree), as one (2R, d) block when
+    they share step, friction and noise coefficient; the replica-averaged
+    separation series is the empirical contraction diagnostic.
     """
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
@@ -698,8 +727,7 @@ def coupled_ensemble_run(
     Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, f"{purpose}:init", 0), size=replicas)
     Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, f"{purpose}:init", 1), size=replicas)
     idx_rng = derive_stream(cfg_a.seed, f"{purpose}:minibatch")
-    a = _Chain(kind, cfg_a, Xa, Va, idx_rng)
-    b = _Chain(kind, cfg_b, Xb, Vb, idx_rng)
+    chains = _paired(_Chain(kind, cfg_a, Xa, Va, idx_rng), _Chain(kind, cfg_b, Xb, Vb, idx_rng))
 
     def separation(k, A, B):
         dx2 = np.sum((A[0] - B[0]) ** 2, axis=1)
@@ -713,9 +741,10 @@ def coupled_ensemble_run(
         )
 
     rows = [separation(0, (Xa, Va), (Xb, Vb))]
-    for k0, n in _advance([a, b], obj, data, steps, noise_rng,
+    for k0, n in _advance(chains, obj, data, steps, noise_rng,
                           "coupled ensemble diverged at step {}"):
-        rows.extend(separation(k, a.H[k - k0], b.H[k - k0])
+        rows.extend(separation(k, *(half for ch in chains
+                                    for half in np.split(ch.H[k - k0], ch.copies, axis=1)))
                     for k in _recorded(k0, n, record_every))
     arr = np.asarray(rows)
     return CoupledEnsembleResult(
@@ -727,6 +756,7 @@ def coupled_ensemble_run(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brownian_coupled_distance(
     cfg: SamplerConfig,
     lambda_ref: float,

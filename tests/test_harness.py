@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,9 +345,8 @@ class TestRateStudy:
     def test_divergent_point_dropped(self, quad_obj, quad_data):
         base = SamplerConfig(lam=5.0, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = rate_study(quad_obj, quad_data, base,
-                               lambdas=[5.0, 0.5], t_end=3000.0, replicas=4)
+        table = rate_study(quad_obj, quad_data, base,
+                           lambdas=[5.0, 0.5], t_end=3000.0, replicas=4)
         flags = {r["lambda"]: r["flag"] for r in table["rows"]}
         assert flags[5.0] == "diverged"
         assert flags[0.5] == "ok"
@@ -358,8 +358,7 @@ class TestRateStudy:
         obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
         base = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=11, init=point_init([1.0, 0.0], [0.0, 0.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
+        table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
         assert {r["lambda"]: r["flag"] for r in table["rows"]}[1.0] == "diverged"
 
     def test_runaway_point_with_overflowing_distance_dropped(self):
@@ -369,8 +368,7 @@ class TestRateStudy:
         obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
         base = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=11, init=point_init([1.0, 0.0], [0.0, 0.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
+        table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
         row = table["rows"][0]
         assert row["lambda"] == 5.0 and row["flag"] == "diverged"
         assert math.isnan(row["distance"])
@@ -522,8 +520,7 @@ class TestCli:
         doc["sampler"]["init"] = {"kind": "point", "x0": [1, 0], "v0": [0, 0]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
+        assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
 
     def test_divergent_run_leaves_manifest(self, tmp_path):
         doc = base_config(out=str(tmp_path / "d1"), steps=5000)
@@ -531,8 +528,7 @@ class TestCli:
         doc["sampler"]["init"] = {"kind": "point", "x0": [1, 0], "v0": [0, 0]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
+        assert main(["sample", "--config", str(path)]) == EXIT_DIVERGENCE
         manifest_path = tmp_path / "d1" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         assert manifest["outputs"] == []
@@ -540,9 +536,8 @@ class TestCli:
         assert record["step"] >= 1 and "diverged" in record["message"]
         assert load_config(manifest_path).sampler.lam == 5.0
         # the manifest reproduces the run, divergence step included
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["sample", "--config", str(manifest_path),
-                         "--out", str(tmp_path / "d2")]) == EXIT_DIVERGENCE
+        assert main(["sample", "--config", str(manifest_path),
+                     "--out", str(tmp_path / "d2")]) == EXIT_DIVERGENCE
         again = json.loads((tmp_path / "d2" / "manifest.json").read_text())
         assert again["divergence"] == manifest["divergence"]
 
@@ -552,13 +547,54 @@ class TestCli:
         doc["sampler"]["init"] = {"kind": "point", "x0": [1, 0], "v0": [0, 0]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["rate-study", "--config", str(path)]) == EXIT_DIVERGENCE
+        assert main(["rate-study", "--config", str(path)]) == EXIT_DIVERGENCE
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["divergence"] == [
             {"lambda": 5.0, "message": "dropped"},
             {"step": 0, "message": "every grid point diverged"},
         ]
+
+    # divergent runs exit 3; the runaway ones, a couple run and a rate-study
+    # point whose states grow to about 1e300 and stay finite, exit 0
+    RUNAWAY = {
+        "sample": ("sample", 5.0, False, {"steps": 5000}, EXIT_DIVERGENCE),
+        "couple": ("couple", 5.0, False, {"steps": 5000, "sampler_b": {"init": {
+            "kind": "point", "x0": [-1.0, 0.0], "v0": [0.0, 0.0]}}}, EXIT_DIVERGENCE),
+        "gibbs-check": ("gibbs-check", 5.0, False, {"steps": 5000}, EXIT_DIVERGENCE),
+        "rate-study": ("rate-study", 5.0, False,
+                       {"rate": {"lambdas": [5.0], "t_end": 3000.0}}, EXIT_DIVERGENCE),
+        "couple-runaway": ("couple", 5.0, True, {"steps": 140, "thin": 20}, EXIT_OK),
+        "rate-study-runaway": ("rate-study", 1.0, True,
+                               {"rate": {"lambdas": [5.0, 0.1], "t_end": 700.0}}, EXIT_OK),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RUNAWAY))
+    def test_runaway_runs_raise_no_warnings(self, tmp_path, case):
+        # the stepping loop and the runners that read its states own their
+        # floating-point errors: under warnings-as-errors a run exits as it
+        # does with warnings ignored and leaves the same manifest, a valid config
+        kind, lam, well, over, code = self.RUNAWAY[case]
+        manifests = []
+        for action in ("error", "ignore"):
+            out = tmp_path / action
+            doc = base_config(kind=kind, out=str(out), **over)
+            doc["sampler"].update({"lambda": lam, "init": {"kind": "point", "x0": [1, 0],
+                                                           "v0": [0, 0]}})
+            if well:  # the double well of TestRateStudy
+                doc["objective"] = {"name": "double_well", "params": {"coupling": 0.1}}
+                doc["sampler"]["seed"] = 11
+            path = tmp_path / f"{action}.json"
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main([kind, "--config", str(path)]) == code
+            assert load_config(out / "manifest.json").kind == kind
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["wall_time_s"], manifest["config"]["out"]
+            manifest["outputs"] = [(Path(p).name, Path(p).read_bytes())
+                                   for p in manifest["outputs"]]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     def test_module_entry_point(self, tmp_path):
         doc = base_config(kind="validate", out=str(tmp_path / "v"))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestSteps:
     def test_divergence_carries_step_index(self, data2):
         obj = quadratic(2, m0=1.0)
         cfg = _cfg(lam=5.0, init=point_init([1.0, 0.0], [0.0, 0.0]))
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             run_chain("exact_sghmc", cfg, obj, data2, steps=10_000, thin=100)
         assert err.value.step >= 1
 
@@ -362,8 +363,7 @@ class TestBrownianCoupling:
         # the first step overflows only the momenta (lam * G = 2e308)
         obj = quadratic(2, m0=1.0)
         cfg = _cfg(lam=1e308, init=point_init([2.0, 0.0], [0.0, 0.0]))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             brownian_coupled_distance(cfg, 1e308, obj, data2, t_end=1e308, replicas=2)
         assert err.value.step == 1
 
@@ -437,14 +437,13 @@ class TestEnsembles:
         obj = quadratic(2, m0=1.0)
         cfg_a = _cfg(lam=1e308, init=point_init([1.0, 0.0], [0.0, 0.0]))
         cfg_b = _cfg(lam=1e308, init=point_init([-1.0, 0.0], [0.0, 0.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as err:
-                ensemble_run("sghmc", cfg_a, obj, data2, steps=1, replicas=2)
-            assert err.value.step == 1
-            with pytest.raises(DivergenceError) as err:
-                coupled_ensemble_run("sghmc", cfg_a, cfg_b, obj, data2, steps=1,
-                                     replicas=2, record_every=1)
-            assert err.value.step == 1
+        with pytest.raises(DivergenceError) as err:
+            ensemble_run("sghmc", cfg_a, obj, data2, steps=1, replicas=2)
+        assert err.value.step == 1
+        with pytest.raises(DivergenceError) as err:
+            coupled_ensemble_run("sghmc", cfg_a, cfg_b, obj, data2, steps=1,
+                                 replicas=2, record_every=1)
+        assert err.value.step == 1
 
     @pytest.mark.parametrize("runner", [
         lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=0),
@@ -544,7 +543,8 @@ class TestGoldenOutputs:
 
     RUNNERS = [f"{r}:{k}" for r in ("run_chain", "ensemble_run", "coupled_ensemble_run")
                for k in ("sgld", "sghmc", "exact_sghmc")] + [
-        "coupled_run:shared", "coupled_run:separate", "brownian_coupled_distance",
+        "coupled_run:shared", "coupled_run:separate", "coupled_run:sgld", "coupled_run:sghmc",
+        "coupled_run:exact_sghmc", "brownian_coupled_distance",
         "underdamped_integrate", "auxiliary_integrate", "sghmc_step", "exact_sghmc_step",
         "sgld_step",
     ]
@@ -567,7 +567,9 @@ class TestGoldenOutputs:
                                      record_every=7)
             return [r.steps, r.mean_sep, r.rms_sep, r.rms_dx, r.rms_dv]
         if name == "coupled_run":
-            pair = ("sgld", "sghmc") if kind == "shared" else ("sghmc", "exact_sghmc")
+            # mixed kinds step as two chains, one kind as one paired block
+            pair = {"shared": ("sgld", "sghmc"), "separate": ("sghmc", "exact_sghmc")}.get(
+                kind, kind)
             ta, tb, dist = coupled_run(pair, cfg, cfg_b, obj, data, steps=n, thin=7)
             return [ta.steps, ta.xs, ta.vs, tb.xs, tb.vs, dist]
         if name == "brownian_coupled_distance":
@@ -605,6 +607,12 @@ class TestGoldenOutputs:
             "63ee2100b63a7c59 e9e21c606198c2dc 4c83c426d5bc4af3 9215072c0dd1c8e8",
         "coupled_run:shared":
             "553ce09874c8fcee 0c961b0903e5050d 2b5953d55af24398 fb58e1bcac2d6ed9",
+        "coupled_run:sgld":
+            "c59447286c44d77b 249d914931a7671f f4c9327c61447694 0d486575ab32b8dc",
+        "coupled_run:sghmc":
+            "63ee2100b63a7c59 28ea60d177db606d adfc1152e82a70d7 fc661c187664837b",
+        "coupled_run:exact_sghmc":
+            "63ee2100b63a7c59 63ee2100b63a7c59 adfc1152e82a70d7 adfc1152e82a70d7",
         "ensemble_run:exact_sghmc":
             "8461636d97bba483 8461636d97bba483 38e583af2cbfc641 38e583af2cbfc641",
         "ensemble_run:sghmc":
@@ -635,6 +643,9 @@ class TestGoldenOutputs:
         "coupled_ensemble_run:sgld": (512, 512),
         "coupled_run:separate": (507, 507),
         "coupled_run:shared": (507, 507),
+        "coupled_run:sgld": (512, 512),
+        "coupled_run:sghmc": (507, 507),
+        "coupled_run:exact_sghmc": (507, 507),
         "ensemble_run:exact_sghmc": (507, 507),
         "ensemble_run:sghmc": (507, 507),
         "ensemble_run:sgld": (512, 512),
@@ -673,6 +684,9 @@ class TestGoldenOutputs:
         "coupled_ensemble_run:sgld": (179, 179),
         "coupled_run:separate": (255, 255),
         "coupled_run:shared": (179, 179),
+        "coupled_run:sgld": (179, 179),
+        "coupled_run:sghmc": (255, 255),
+        "coupled_run:exact_sghmc": (255, 255),
         "ensemble_run:exact_sghmc": (255, 255),
         "ensemble_run:sghmc": (255, 255),
         "ensemble_run:sgld": (179, 179),
@@ -695,7 +709,9 @@ class TestGoldenOutputs:
         for batch in (None, 8):
             cfg, cfg_b = cls._pair(batch, lam=5.0)
             cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
-            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            # the single-step functions step outside the loop's error state
+            quiet = np.errstate(all="ignore") if runner.endswith("_step") else nullcontext()
+            with quiet, pytest.raises(DivergenceError) as err:
                 cls.outputs(runner, cfg, cfg_b, obj, data, 2000, cfg.lam)
             out.append(err.value.step)
         return tuple(out)
@@ -706,6 +722,40 @@ class TestGoldenOutputs:
         assert self.divergence_steps(runner) == self.DIVERGENCE_STEP[runner]
         assert self.divergence_steps(runner, "double_well") == \
             self.DOUBLE_WELL_DIVERGENCE_STEP[runner]
+
+
+class TestStrictHooks:
+    """Gradient hooks that raise on a non-finite position: the loop steps a
+    block on past a divergence and checks it once, so it must replay the
+    block to stop where a check per step stops, with the same class and
+    step, before a hook sees the non-finite state."""
+
+    @staticmethod
+    def _strict(obj):
+        def strict(hook):
+            def call(X, Z):
+                if not np.isfinite(X).all():
+                    raise ValueError("non-finite position")
+                return hook(X, Z)
+            return call
+
+        return dataclasses.replace(obj, grad_rows=strict(obj.grad_rows),
+                                   grad_batches=strict(obj.grad_batches))
+
+    # the single-step functions take their gradients from grad_f
+    @pytest.mark.parametrize("runner", [r for r in TestGoldenOutputs.RUNNERS
+                                        if not r.endswith("_step")])
+    def test_divergence_step_of_the_built_in(self, runner):
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        obj = self._strict(quadratic(2, m0=1.0))
+        steps = []
+        for batch in (None, 8):  # full-gradient and minibatch chains
+            cfg, cfg_b = TestGoldenOutputs._pair(batch, lam=5.0)
+            cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
+            with pytest.raises(DivergenceError) as err:
+                TestGoldenOutputs.outputs(runner, cfg, cfg_b, obj, data, 2000, cfg.lam)
+            steps.append(err.value.step)
+        assert tuple(steps) == TestGoldenOutputs.DIVERGENCE_STEP[runner]
 
 
 class TestTailMoments:
@@ -739,9 +789,9 @@ class TestNonFiniteGradients:
     on every path, whichever hook computes the dataset or minibatch mean."""
 
     @staticmethod
-    def _objective(hook):
+    def _objective(hook, cut=2.0):
         def grad_f(x, Z):
-            return np.where(Z[:, :1] > 2.0, np.nan, x[None, :] - 0.5 * Z)
+            return np.where(Z[:, :1] > cut, np.nan, x[None, :] - 0.5 * Z)
 
         hooks = {
             "grad_rows": lambda X, Z: np.stack([grad_f(x, Z).mean(axis=0) for x in X]),
@@ -772,13 +822,27 @@ class TestNonFiniteGradients:
         bad = data2.samples[:, 0] > 2.0
         assert 0 < bad.sum() < 10
         cfg = _cfg(lam=0.05, batch_size=batch, seed=5, init=gaussian_init(0.0, 1.0))
-        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+        with pytest.raises(EvaluationError) as err:
             self.RUNNERS[runner](cfg, self._objective(hook), data2)
         assert bad[err.value.sample_index]
         assert f"sample index {err.value.sample_index}" in str(err.value)
         if batch is None or runner == "brownian_coupled_distance":
             # full-dataset gradients name the first bad sample
             assert err.value.sample_index == int(np.argmax(bad))
+
+    # With 14 bad samples, a batch of 2 draws one within a few steps; these
+    # are the samples a check per step names. A block that fails is replayed
+    # on the index draws of its first pass, so it names them too.
+    FIRST_DRAWN_BAD = {"coupled_ensemble_run": 90, "coupled_run": 27, "ensemble_run": 2,
+                       "run_chain": 10}
+
+    @pytest.mark.parametrize("runner", sorted(FIRST_DRAWN_BAD))
+    def test_replay_draws_the_same_indices(self, data2, runner):
+        assert (data2.samples[:, 0] > 1.0).sum() == 14
+        cfg = _cfg(lam=0.05, batch_size=2, seed=5, init=gaussian_init(0.0, 1.0))
+        with pytest.raises(EvaluationError) as err:
+            self.RUNNERS[runner](cfg, self._objective("grad_batches", cut=1.0), data2)
+        assert err.value.sample_index == self.FIRST_DRAWN_BAD[runner]
 
     @pytest.mark.parametrize("step", [sghmc_step, sgld_step], ids=["sghmc", "sgld"])
     def test_single_step_names_a_bad_sample(self, data2, step):
@@ -826,7 +890,7 @@ class TestNoiseBlocks:
         for patch in (False, True):
             if patch:
                 monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)
-            with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as err:
+            with pytest.raises(EvaluationError) as err:
                 TestNonFiniteGradients.RUNNERS[runner](cfg, obj, data2)
             found.append(err.value.sample_index)
         assert found[0] == found[1]
