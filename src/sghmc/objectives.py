@@ -18,7 +18,10 @@ position ``x`` of shape ``(d,)`` and a stack of samples ``Z`` of shape
 ``(k, z_dim)`` and return ``(k,)`` / ``(k, d)``. The optional ``risk_rows`` /
 ``grad_rows`` hooks evaluate the dataset-averaged loss/gradient for a stack
 of positions ``(R, d)`` at once; they exist purely as fast paths and must
-agree with the averaged single-position evaluators.
+agree with the averaged single-position evaluators. ``batch_empirical_risk``
+and ``batch_empirical_gradient`` call them on chunks of rows, so that
+rows x n x 8 bytes stays within ``_ROW_BYTES``; a hook must treat rows
+independently.
 
 A Dataset holds a read-only copy of its samples, and the samplers pass the
 hooks that same ``Z = data.samples`` on every step; the built-in hooks take
@@ -245,11 +248,28 @@ def _stack(X) -> np.ndarray:
     return X if X.ndim >= 2 else X.reshape(1, -1)
 
 
+# Byte cap of the (rows, n) intermediates of one call of a dataset-wide row
+# hook. Below glibc's 128 KB mmap threshold they reuse heap memory; larger
+# ones fault in fresh pages on every call.
+_ROW_BYTES = 1 << 16
+
+
+def _by_rows(hook, X, Z) -> np.ndarray:
+    """``hook(X, Z)`` on chunks of at most _ROW_BYTES / (8 n) rows (at least
+    one). A hook that reduces over Z with BLAS may round a chunked row apart
+    from one call: the kernel depends on the row count."""
+    rows = max(1, _ROW_BYTES // (8 * len(Z)))
+    if len(X) <= rows:
+        return np.asarray(hook(X, Z), dtype=float)
+    return np.concatenate([np.asarray(hook(X[i:i + rows], Z), dtype=float)
+                           for i in range(0, len(X), rows)])
+
+
 def batch_empirical_risk(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np.ndarray:
     """Empirical risk for a stack of positions (R, d) -> (R,)."""
     X = _stack(X)
     if obj.risk_rows is not None:
-        return np.asarray(obj.risk_rows(X, data.samples), dtype=float)
+        return _by_rows(obj.risk_rows, X, data.samples)
     return np.array([empirical_risk(row, obj, data) for row in X])
 
 
@@ -257,7 +277,7 @@ def batch_empirical_gradient(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -
     """Empirical gradient for a stack of positions (R, d) -> (R, d)."""
     X = _stack(X)
     if obj.grad_rows is not None:
-        return np.asarray(obj.grad_rows(X, data.samples), dtype=float)
+        return _by_rows(obj.grad_rows, X, data.samples)
     return np.stack([empirical_gradient(row, obj, data) for row in X])
 
 

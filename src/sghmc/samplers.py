@@ -21,14 +21,16 @@ Trajectory records it; so ``run_chain`` is bit-equal to
 ``ensemble_run(replicas=1)`` with the same purpose. The update is written
 once, in the in-place Euler kernel ``_euler``. Every runner steps through
 ``_advance``: it draws the shared Gaussian noise in blocks capped by
-``_BLOCK_BYTES`` (the same draws, in the same order, as one per step), and
-each chain steps through one preallocated history buffer. ``_move`` takes
-one step of every chain, drawing minibatch indices once per step and index
-stream, with the gradient evaluator that ``_gradient`` binds once per run
-from the objective's hooks; the reference chain of
-``brownian_coupled_distance`` takes several fine steps per step. Each block
-is checked finite once per chain; one that fails is replayed step by step,
-and ``_reject`` stops the run at its first non-finite state: with
+``_BLOCK_BYTES`` (256 KB; the same draws, in the same order, as one per
+step), and each chain steps through one preallocated history buffer.
+``_sweep`` steps one chain through a block in one loop, with the gradient
+evaluator that ``_gradient`` binds once per run from the objective's hooks;
+the chains sweep one after another, drawing minibatch indices once per step
+and index stream (a chain that shares a stream takes the draws the first one
+kept), and the reference chain of ``brownian_coupled_distance`` takes
+several fine steps per step. Each block is checked finite once per chain;
+one that fails is replayed step by step, all chains at each step, and
+``_reject`` stops the run at its first non-finite state: with
 EvaluationError naming the sample where grad_f failed at a finite position
 below the certificate's overflow scale, else with DivergenceError. The loop,
 hooks included, and the runners that read its states ignore numpy's overflow
@@ -200,7 +202,7 @@ class Trajectory:
 # Byte cap of the blocks a run steps through at a time: the shared noise and,
 # per chain, its scaled increments and its (x, v) history. A block holds at
 # least one step, whatever the cap.
-_BLOCK_BYTES = 1 << 16
+_BLOCK_BYTES = 1 << 18
 
 
 def _euler(kind, S, G, inc, coef, out) -> None:
@@ -248,8 +250,9 @@ class _Chain:
     generator. A chain takes ``sub`` Euler steps per loop step, one on each
     of the step's noise draws; with ``fold`` set it takes one step on their
     sum times ``fold``. ``X`` and ``V`` are the state before and after the
-    run; during it the state lives in ``_advance``'s history buffer ``H``.
-    Its ``copies`` stacked parts step on the same noise and indices.
+    run; during it the state lives in ``_advance``'s history buffer ``H``,
+    which :func:`_sweep` steps through. Its ``copies`` stacked parts step on
+    the same noise and indices.
     """
 
     def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None, sub=1, fold=None,
@@ -288,26 +291,32 @@ def _gradient(ch, obj, data):
     return lambda X, idx: np.asarray(grad_rows(X, Z), dtype=float)
 
 
-def _move(chains, incs, j, data) -> None:
-    """Step each chain from row j of its history to row j + 1, with one index
-    draw per minibatch stream; ``prev`` keeps the position and indices of its
-    last Euler step."""
-    rng = idx = None
-    for ch, inc in zip(chains, incs):
-        if ch.idx_rng is not rng:
-            rng = ch.idx_rng
-            idx = None if rng is None else rng.integers(
-                0, data.n, size=(len(ch.X) // ch.copies, ch.cfg.batch_size))
-            idx = idx if idx is None or ch.copies == 1 else np.tile(idx, (ch.copies, 1))
-        src = ch.H[j]
-        for i in range(ch.sub - 1):
+def _sweep(ch, incs, j0, j1, drawn, n_data) -> None:
+    """Step chain ``ch`` from row j0 of its history to row j1, taking step j
+    on its increments ``incs[j]``. A minibatch chain takes step j on one
+    index draw: its own, or ``drawn[j]`` of a stream it shares, which the
+    stream's first chain appends. ``prev`` keeps the position and indices
+    of its last Euler step."""
+    H, grad, kind, coef, sub, rng = ch.H, ch.grad, ch.kind, ch.coef, ch.sub, ch.idx_rng
+    idx = None
+    for j, src, out, last in zip(range(j0, j1), H[j0:j1], H[j0 + 1:j1 + 1], incs[j0:j1, sub - 1]):
+        if rng is not None:
+            if drawn is None or len(drawn) == j:
+                idx = rng.integers(0, n_data, size=(len(ch.X) // ch.copies, ch.cfg.batch_size))
+                if drawn is not None:
+                    drawn.append(idx)
+            else:
+                idx = drawn[j]
+            if ch.copies > 1:
+                idx = np.tile(idx, (ch.copies, 1))
+        for i in range(sub - 1):
             # substeps alternate between two scratch states, so the
             # position each step leaves stays intact for _reject
-            _euler(ch.kind, src, ch.grad(src[0], idx), inc[j, i], ch.coef, ch.scratch[i % 2])
+            _euler(kind, src, grad(src[0], idx), incs[j, i], coef, ch.scratch[i % 2])
             src = ch.scratch[i % 2]
         X = src[0]
-        _euler(ch.kind, src, ch.grad(X, idx), inc[j, ch.sub - 1], ch.coef, ch.H[j + 1])
-        ch.prev = (X, idx)
+        _euler(kind, src, grad(X, idx), last, coef, out)
+    ch.prev = (X, idx)
 
 
 def _reject(chains, obj, data, message, step) -> None:
@@ -324,18 +333,25 @@ def _reject(chains, obj, data, message, step) -> None:
 
 
 def _step_block(chains, obj, data, incs, n, message, k0) -> None:
-    """Step the chains through rows 1..n, check them finite once, and on a failure
-    replay the block on the same draws, checking each step, to stop where it failed."""
-    saved = [(ch.idx_rng, ch.idx_rng.bit_generator.state) for ch in chains if ch.idx_rng is not None]
+    """Sweep each chain in turn through rows 1..n, check them finite once, and
+    on a failure replay the block in step order on the same draws, checking
+    each step, to stop where it failed."""
+    streams = [ch.idx_rng for ch in chains if ch.idx_rng is not None]
+    saved = [(rng, rng.bit_generator.state) for rng in streams]
+    # the streams that two chains share: their draws are kept for the second
+    shared = [id(rng) for rng in streams if streams.count(rng) > 1]
     with suppress(Exception):  # the replay raises it again or stops before it
-        for j in range(n):
-            _move(chains, incs, j, data)
+        drawn = {k: [] for k in shared}
+        for ch, inc in zip(chains, incs):
+            _sweep(ch, inc, 0, n, drawn.get(id(ch.idx_rng)), data.n)
         if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
             return
     for rng, state in saved:
         rng.bit_generator.state = state
+    drawn = {k: [] for k in shared}
     for j in range(n):
-        _move(chains, incs, j, data)
+        for ch, inc in zip(chains, incs):
+            _sweep(ch, inc, j, j + 1, drawn.get(id(ch.idx_rng)), data.n)
         for ch in chains:
             if not np.isfinite(ch.H[j + 1]).all():
                 _reject(chains, obj, data, message, k0 + j + 1)
@@ -348,7 +364,8 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
     ``_BLOCK_BYTES`` (with the chains' buffers), so a block's draws are the
     per-step draws in order. Each chain steps through its own history buffer
     ``H`` of shape (block + 1, 2, R, d): row 0 is the state before the block,
-    row j the state after its j-th step, checked by ``_step_block``.
+    row j the state after its j-th step. ``_step_block`` sweeps each chain
+    through the block in turn and checks it.
     After each block it yields ``(k0, n)``, the block's first step index
     minus one and its length; the caller's recorder reads rows 1..n of each
     ``H`` before the loop goes on. Once it is exhausted, each chain's ``X``
@@ -492,10 +509,10 @@ def auxiliary_integrate(
 
 
 def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale):
-    if t_end < 0:
-        raise ConfigurationError("t_end must be >= 0")
-    if substep <= 0:
-        raise ConfigurationError("substep must be > 0")
+    if not 0 <= t_end < math.inf:  # NaN fails every comparison
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
+    if not 0 < substep < math.inf:
+        raise ConfigurationError(f"substep must be finite and > 0, got {substep}")
     _check_sizes(thin=thin)
     if noise_rng is None:
         noise_rng = derive_stream(cfg.seed, "integrate:noise")
@@ -625,6 +642,8 @@ def ensemble_run(
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
     _check_sizes(steps=steps, replicas=replicas, record_every=record_every)
+    if burn_in < 0:
+        raise ConfigurationError(f"burn_in must be >= 0, got {burn_in}")
     functionals = dict(functionals or {})
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
@@ -784,6 +803,8 @@ def brownian_coupled_distance(
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
         raise ConfigurationError("cfg.lam must be an integer multiple of lambda_ref")
+    if not math.isfinite(t_end):
+        raise ConfigurationError(f"t_end must be finite, got {t_end}")
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")

@@ -21,6 +21,7 @@ from sghmc import (
     quad_growth_sandwich,
     quadratic,
 )
+from sghmc import objectives
 from sghmc.objectives import (
     AuditEntry,
     AuditReport,
@@ -214,6 +215,50 @@ class TestMinibatchGradientRows:
             assert Zs.flags.c_contiguous
         else:
             assert Zs.transpose(1, 0, 2).flags.c_contiguous
+
+
+class TestRowChunks:
+    """``batch_empirical_risk`` and ``batch_empirical_gradient`` pass a hook
+    at most ``objectives._ROW_BYTES / (8 n)`` rows at a time."""
+
+    @staticmethod
+    def objective(name, d, data):
+        r = data.max_norm()
+        return {"quadratic": lambda: quadratic(d, m0=1.3, coupling=0.7, z_radius=r),
+                "double_well": lambda: double_well(d, coupling=0.1, z_radius=r),
+                "gaussian_mixture": lambda: gaussian_mixture(d, ridge=0.05, z_radius=r)}[name]()
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["quadratic", "double_well", "gaussian_mixture"])
+    def test_chunks_match_one_call(self, monkeypatch, name, d, rows):
+        data = make_dataset("gaussian", 200, d, seed=3)
+        obj = self.objective(name, d, data)
+        X = 3.0 * derive_stream(5, "chunks").standard_normal((50, d))
+        evaluations = (batch_empirical_risk, batch_empirical_gradient)
+        one = [f(X, obj, data) for f in evaluations]
+        sizes = []
+
+        def counted(hook):
+            def call(X, Z):
+                sizes.append(len(X))
+                return hook(X, Z)
+            return call
+
+        obj = dataclasses.replace(obj, risk_rows=counted(obj.risk_rows),
+                                  grad_rows=counted(obj.grad_rows))
+        monkeypatch.setattr(objectives, "_ROW_BYTES", rows * 8 * data.n + 7)
+        chunked = [f(X, obj, data) for f in evaluations]
+        assert sizes == 2 * ([rows] * (50 // rows) + [50 % rows] * (50 % rows > 0))
+        for a, b in zip(one, chunked):
+            assert a.shape == b.shape
+            if name == "gaussian_mixture" or rows == 1:
+                # BLAS products round by their kernel, which depends on the
+                # row count: the mixture reduces over the samples in one, and
+                # numpy takes a 1-row X @ zbar as a dot product
+                np.testing.assert_allclose(b, a, rtol=1e-14, atol=1e-14)
+            else:
+                assert np.array_equal(a, b)
 
 
 class TestMomentCache:

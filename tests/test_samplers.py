@@ -407,8 +407,10 @@ class TestEnsembles:
 
         ensemble_run("sghmc", _cfg(seed=8), quadratic(2, m0=1.0), data2, steps=1000,
                      replicas=8, functionals={"x2": x2})
-        # step 0, then blocks of 128 steps (64 KB over 512 B per step at R = 8, d = 2)
-        assert rows == [8] + [128 * 8] * 7 + [104 * 8]
+        # step 0, then blocks of the cap over 512 B per step at R = 8, d = 2
+        block = min(1000, samplers._BLOCK_BYTES // 512)
+        full, last = divmod(1000, block)
+        assert rows == [8] + [block * 8] * full + [last * 8] * (last > 0)
 
     @pytest.mark.parametrize("replicas", [2, 8])
     def test_functionals_match_step_by_step_evaluation(self, replicas):
@@ -469,9 +471,21 @@ class TestEnsembles:
          "lambda_ref must be > 0"),
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), -0.05, obj, data, 1.0, 2),
          "lambda_ref must be > 0"),
+        (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=2,
+                                        burn_in=-5), "burn_in must be >= 0"),
+        *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
+           "t_end must be finite") for t in (math.nan, math.inf)],
+        *[(lambda obj, data, f=f, t=t, h=h: f(_cfg(), obj, data, t_end=t, substep=h),
+           "must be finite")
+          for f in (underdamped_integrate, auxiliary_integrate)
+          for t, h in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan))],
     ], ids=["ensemble_run-steps-0", "ensemble_run-record-every-0",
             "coupled_ensemble_run-steps-0", "coupled_ensemble_run-record-every-0",
-            "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg"])
+            "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg",
+            "ensemble_run-burn-in-neg", "brownian_coupled_distance-t-end-nan",
+            "brownian_coupled_distance-t-end-inf"] + [
+        f"{f}-{case}" for f in ("underdamped_integrate", "auxiliary_integrate")
+        for case in ("t-end-nan", "t-end-inf", "substep-nan")])
     def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
         with pytest.raises(ConfigurationError, match=message):
             runner(quadratic(2, m0=1.0), data2)
@@ -762,7 +776,7 @@ class TestTailMoments:
     """Pins of ``ensemble_run``'s pooled tail moments, where the order of the
     replica sum shows: at d = 1 the replica axis is contiguous, and numpy
     sums it pairwise from 8 replicas on. The burn-in of 21 steps ends inside
-    a block (blocks of 292, 32, 146 and 16 steps in CASES order)."""
+    a block (blocks of 200, 128, 200 and 64 steps in CASES order)."""
 
     CASES = [(d, R) for d in (1, 2) for R in (7, 64)]
     GOLDEN = {(1, 7): "46674f95ff9da360", (1, 64): "bdd735ddaecf00cb",
@@ -811,6 +825,9 @@ class TestNonFiniteGradients:
         "coupled_ensemble_run": lambda c, o, d: coupled_ensemble_run(
             "sghmc", c, dataclasses.replace(c, init=point_init([1.0, 0.0], [0.0, 0.0])), o, d,
             steps=200, replicas=4),
+        # two chains apart on one index stream
+        "coupled_ensemble_run:two-lambda": lambda c, o, d: coupled_ensemble_run(
+            "sghmc", c, dataclasses.replace(c, lam=c.lam / 2), o, d, steps=200, replicas=4),
         "brownian_coupled_distance": lambda c, o, d: brownian_coupled_distance(
             c, c.lam / 2, o, d, t_end=200 * c.lam, replicas=4),
     }
@@ -833,8 +850,8 @@ class TestNonFiniteGradients:
     # With 14 bad samples, a batch of 2 draws one within a few steps; these
     # are the samples a check per step names. A block that fails is replayed
     # on the index draws of its first pass, so it names them too.
-    FIRST_DRAWN_BAD = {"coupled_ensemble_run": 90, "coupled_run": 27, "ensemble_run": 2,
-                       "run_chain": 10}
+    FIRST_DRAWN_BAD = {"coupled_ensemble_run": 90, "coupled_ensemble_run:two-lambda": 90,
+                       "coupled_run": 27, "ensemble_run": 2, "run_chain": 10}
 
     @pytest.mark.parametrize("runner", sorted(FIRST_DRAWN_BAD))
     def test_replay_draws_the_same_indices(self, data2, runner):
@@ -909,6 +926,60 @@ class TestNoiseBlocks:
             blocks.append(len(chain.H))
             run.close()
         assert blocks[0] == min(101, blocks[1])  # a short run takes one block
+
+
+class TestTwoStepCoupling:
+    """Pins of ``coupled_ensemble_run`` with cfg_b at half cfg's step size.
+    Its two chains step apart, and with minibatches they share one index
+    stream, one draw a step, so a change to the draw order shows here."""
+
+    KINDS = ("sgld", "sghmc", "exact_sghmc")
+    # digests in TestGoldenOutputs.CASES order
+    GOLDEN = {
+        "sgld": "ce10b05637fb031c 03449a9ca312b267 1bcd1fc1ef8604d6 cec45dce59539fde",
+        "sghmc": "44f2adc540379b4b 6fbd5a141789f4ef c2c6c55866cff878 9f13c8483b5cbdc6",
+        "exact_sghmc": "44f2adc540379b4b 44f2adc540379b4b c2c6c55866cff878 c2c6c55866cff878",
+    }
+    # DivergenceError.step at lam = 5 on the quadratic, batch_size None and 8
+    DIVERGENCE_STEP = {"sgld": (512, 511), "sghmc": (507, 507), "exact_sghmc": (507, 507)}
+
+    @staticmethod
+    def outputs(kind, batch, obj, data, steps, lam=0.05):
+        cfg, cfg_b = TestGoldenOutputs._pair(batch, lam)
+        r = coupled_ensemble_run(kind, cfg, dataclasses.replace(cfg_b, lam=lam / 2), obj, data,
+                                 steps=steps, replicas=4, record_every=5)
+        return [r.steps, r.mean_sep, r.rms_sep, r.rms_dx, r.rms_dv]
+
+    @classmethod
+    def digests(cls, kind):
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        objs = {"double_well": double_well(2, coupling=0.1, z_radius=data.max_norm()),
+                "gaussian_mixture": gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm())}
+        out = []
+        for name, batch in TestGoldenOutputs.CASES:
+            h = hashlib.sha256()
+            for a in cls.outputs(kind, batch, objs[name], data, TestGoldenOutputs.STEPS):
+                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+            out.append(h.hexdigest()[:16])
+        return tuple(out)
+
+    @classmethod
+    def divergence_steps(cls, kind):
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        out = []
+        for batch in (None, 8):
+            with pytest.raises(DivergenceError) as err:
+                cls.outputs(kind, batch, quadratic(2, m0=1.0), data, 2000, lam=5.0)
+            out.append(err.value.step)
+        return tuple(out)
+
+    @pytest.mark.parametrize("cap", [None] + TestNoiseBlocks.CAPS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_outputs_and_divergence_step_pinned(self, monkeypatch, kind, cap):
+        if cap is not None:
+            monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)
+        assert self.digests(kind) == tuple(self.GOLDEN[kind].split())
+        assert self.divergence_steps(kind) == self.DIVERGENCE_STEP[kind]
 
 
 class TestResultsOwnTheirArrays:

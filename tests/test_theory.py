@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from sghmc import (
     point_init,
     quadratic,
 )
-from sghmc import theory
+from sghmc import objectives, theory
 from sghmc.metrics import SampleCloud, rho_distance_cloud
-from sghmc.objectives import make_dataset
+from sghmc.objectives import gaussian_mixture, make_dataset
 from sghmc.samplers import SamplerConfig, ensemble_run
 from sghmc.rng import derive_stream
 
@@ -66,6 +67,28 @@ class TestDriftConstants:
                 - 2 * drift.A_c / BETA
             )
             assert np.all(lhs - rhs >= -1e-8 * (1 + np.abs(rhs)))
+
+    def test_chunked_probes_certify_the_same_pair(self, monkeypatch):
+        data = make_dataset("gaussian", 1000, 2, seed=5)
+        obj = gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm())
+        pairs = []
+        for cap in (1 << 40, 7 * 8 * data.n):  # one (1000, n) call, then 7-row chunks
+            monkeypatch.setattr(objectives, "_ROW_BYTES", cap)
+            pairs.append(theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data))
+        assert pairs[0] == pairs[1]
+
+    def test_certification_memory_is_bounded(self):
+        # one (1000, n) evaluation of the mixture's hooks at n = 2e4 peaks
+        # near 600 MB; in chunks of objectives._ROW_BYTES it stays under 1 MB
+        data = make_dataset("gaussian", 20_000, 2, seed=5)
+        obj = gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm())
+        tracemalloc.start()
+        try:
+            theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_unsatisfiable_certificate_errors(self, quad_data):
         # claim dissipativity the objective cannot deliver: f ~ -|x| direction
