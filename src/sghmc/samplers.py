@@ -658,6 +658,8 @@ def ensemble_run(
     # steps, 2, d), the replicas are a leading axis, added in that order about
     # 2.5 times as fast as a block's middle axis. Not at d = 1: numpy sums a
     # block's contiguous replica axis pairwise, which the copy would not keep.
+    # The copy moves each (d,) row as one item: at d = 2, 4 times as fast.
+    row = np.dtype((np.void, 8 * cfg.dim))
     tail_sums = np.zeros((2, 2, cfg.dim))
     tail_n = 0
 
@@ -678,7 +680,7 @@ def ensemble_run(
                 sums = np.stack([tail.sum(axis=2), (tail * tail).sum(axis=2)], axis=1)
             else:
                 buf = np.empty((replicas, 2, n - t, 2, cfg.dim))
-                buf[:, 0] = tail.transpose(2, 0, 1, 3)
+                buf[:, 0].view(row)[..., 0] = tail.view(row)[..., 0].transpose(2, 0, 1)
                 np.multiply(buf[:, 0], buf[:, 0], out=buf[:, 1])
                 sums = np.add.reduce(buf, axis=0).transpose(1, 0, 2, 3)
             sums[0] += tail_sums
