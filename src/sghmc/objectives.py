@@ -18,10 +18,7 @@ position ``x`` of shape ``(d,)`` and a stack of samples ``Z`` of shape
 ``(k, z_dim)`` and return ``(k,)`` / ``(k, d)``. The optional ``risk_rows`` /
 ``grad_rows`` hooks evaluate the dataset-averaged loss/gradient for a stack
 of positions ``(R, d)`` at once; they exist purely as fast paths and must
-agree with the averaged single-position evaluators. ``batch_empirical_risk``
-and ``batch_empirical_gradient`` call them on chunks of rows, so that
-rows x n x 8 bytes stays within ``_ROW_BYTES``; a hook must treat rows
-independently.
+agree with the averaged single-position evaluators.
 
 A Dataset holds a read-only copy of its samples, and the samplers pass the
 hooks that same ``Z = data.samples`` on every step; the built-in hooks take
@@ -248,28 +245,11 @@ def _stack(X) -> np.ndarray:
     return X if X.ndim >= 2 else X.reshape(1, -1)
 
 
-# Byte cap of the (rows, n) intermediates of one call of a dataset-wide row
-# hook. Below glibc's 128 KB mmap threshold they reuse heap memory; larger
-# ones fault in fresh pages on every call.
-_ROW_BYTES = 1 << 16
-
-
-def _by_rows(hook, X, Z) -> np.ndarray:
-    """``hook(X, Z)`` on chunks of at most _ROW_BYTES / (8 n) rows (at least
-    one). A hook that reduces over Z with BLAS may round a chunked row apart
-    from one call: the kernel depends on the row count."""
-    rows = max(1, _ROW_BYTES // (8 * len(Z)))
-    if len(X) <= rows:
-        return np.asarray(hook(X, Z), dtype=float)
-    return np.concatenate([np.asarray(hook(X[i:i + rows], Z), dtype=float)
-                           for i in range(0, len(X), rows)])
-
-
 def batch_empirical_risk(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -> np.ndarray:
     """Empirical risk for a stack of positions (R, d) -> (R,)."""
     X = _stack(X)
     if obj.risk_rows is not None:
-        return _by_rows(obj.risk_rows, X, data.samples)
+        return np.asarray(obj.risk_rows(X, data.samples), dtype=float)
     return np.array([empirical_risk(row, obj, data) for row in X])
 
 
@@ -277,7 +257,7 @@ def batch_empirical_gradient(X: np.ndarray, obj: ObjectiveSpec, data: Dataset) -
     """Empirical gradient for a stack of positions (R, d) -> (R, d)."""
     X = _stack(X)
     if obj.grad_rows is not None:
-        return _by_rows(obj.grad_rows, X, data.samples)
+        return np.asarray(obj.grad_rows(X, data.samples), dtype=float)
     return np.stack([empirical_gradient(row, obj, data) for row in X])
 
 
@@ -593,10 +573,32 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
                          grad_rows=grad_rows, grad_batches=grad_batches)
 
 
+# Byte cap of the mixture hooks' (rows, n) temporaries: under glibc's 128 KB
+# mmap threshold they reuse heap memory instead of faulting in fresh pages.
+_ROW_BYTES = 1 << 16
+
+
+def _row_chunked(hook):
+    """``hook(X, Z)`` on chunks of at most _ROW_BYTES / (8 n) rows of X (one
+    at least). BLAS may round a chunked row apart: its kernel depends on the
+    row count."""
+    def chunked(X, Z):
+        rows = max(1, _ROW_BYTES // (8 * len(Z)))
+        if len(X) <= rows:
+            return hook(X, Z)
+        return np.concatenate([hook(X[i:i + rows], Z) for i in range(0, len(X), rows)])
+    return chunked
+
+
 def _log_cosh(t):
-    # stable for large |t|: log cosh t = |t| + log1p(exp(-2|t|)) - log 2
+    # stable for large |t|: log cosh t = |t| + log1p(exp(-2|t|)) - log 2, in
+    # place: past glibc's mmap threshold each temporary faults in fresh pages
     a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+    u = np.multiply(a, -2.0)
+    np.log1p(np.exp(u, out=u), out=u)
+    u += a
+    u -= math.log(2.0)
+    return u
 
 
 def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> ObjectiveSpec:
@@ -622,11 +624,13 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
         t = Z @ x
         return (1.0 + 2.0 * r0) * x[None, :] - np.tanh(t)[:, None] * Z
 
+    @_row_chunked
     def risk_rows(X, Z):
         T = X @ Z.T
         _, m2 = _moments(Z)
         return (0.5 + r0) * np.sum(X * X, axis=1) + 0.5 * m2 - np.mean(_log_cosh(T), axis=1)
 
+    @_row_chunked
     def grad_rows(X, Z):
         T = X @ Z.T
         return (1.0 + 2.0 * r0) * X - np.tanh(T) @ Z / Z.shape[0]

@@ -23,14 +23,13 @@ once, in the in-place Euler kernel ``_euler``. Every runner steps through
 ``_advance``: it draws the shared Gaussian noise in blocks capped by
 ``_BLOCK_BYTES`` (256 KB; the same draws, in the same order, as one per
 step), and each chain steps through one preallocated history buffer.
-``_sweep`` steps one chain through a block in one loop, with the gradient
-evaluator that ``_gradient`` binds once per run from the objective's hooks;
-the chains sweep one after another, drawing minibatch indices once per step
-and index stream (a chain that shares a stream takes the draws the first one
-kept), and the reference chain of ``brownian_coupled_distance`` takes
-several fine steps per step. Each block is checked finite once per chain;
-one that fails is replayed step by step, all chains at each step, and
-``_reject`` stops the run at its first non-finite state: with
+``_sweep`` steps one chain through a block in one loop, on the block's
+index draws of its stream and with the gradient evaluator that
+``_gradient`` binds once per run; the reference chain of
+``brownian_coupled_distance`` takes several fine steps per step. Each block
+is checked finite once per chain; one that fails is replayed step by step,
+all chains at each step, and ``_reject`` stops the run at its first
+non-finite state: with
 EvaluationError naming the sample where grad_f failed at a finite position
 below the certificate's overflow scale, else with DivergenceError. The loop,
 hooks included, and the runners that read its states ignore numpy's overflow
@@ -200,8 +199,8 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 # Byte cap of the blocks a run steps through at a time: the shared noise and,
-# per chain, its scaled increments and its (x, v) history. A block holds at
-# least one step, whatever the cap.
+# per chain, its scaled increments, its (x, v) history and its minibatch
+# indices. A block holds at least one step, whatever the cap.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -291,24 +290,16 @@ def _gradient(ch, obj, data):
     return lambda X, idx: np.asarray(grad_rows(X, Z), dtype=float)
 
 
-def _sweep(ch, incs, j0, j1, drawn, n_data) -> None:
+def _sweep(ch, incs, j0, j1, draws) -> None:
     """Step chain ``ch`` from row j0 of its history to row j1, taking step j
-    on its increments ``incs[j]``. A minibatch chain takes step j on one
-    index draw: its own, or ``drawn[j]`` of a stream it shares, which the
-    stream's first chain appends. ``prev`` keeps the position and indices
-    of its last Euler step."""
-    H, grad, kind, coef, sub, rng = ch.H, ch.grad, ch.kind, ch.coef, ch.sub, ch.idx_rng
+    on its increments ``incs[j]`` and, for a minibatch chain, on the index
+    draw ``draws[j]``. ``prev`` keeps the position and indices of its last
+    Euler step."""
+    H, grad, kind, coef, sub = ch.H, ch.grad, ch.kind, ch.coef, ch.sub
     idx = None
     for j, src, out, last in zip(range(j0, j1), H[j0:j1], H[j0 + 1:j1 + 1], incs[j0:j1, sub - 1]):
-        if rng is not None:
-            if drawn is None or len(drawn) == j:
-                idx = rng.integers(0, n_data, size=(len(ch.X) // ch.copies, ch.cfg.batch_size))
-                if drawn is not None:
-                    drawn.append(idx)
-            else:
-                idx = drawn[j]
-            if ch.copies > 1:
-                idx = np.tile(idx, (ch.copies, 1))
+        if draws is not None:
+            idx = draws[j] if ch.copies == 1 else np.tile(draws[j], (ch.copies, 1))
         for i in range(sub - 1):
             # substeps alternate between two scratch states, so the
             # position each step leaves stays intact for _reject
@@ -333,25 +324,22 @@ def _reject(chains, obj, data, message, step) -> None:
 
 
 def _step_block(chains, obj, data, incs, n, message, k0) -> None:
-    """Sweep each chain in turn through rows 1..n, check them finite once, and
-    on a failure replay the block in step order on the same draws, checking
-    each step, to stop where it failed."""
-    streams = [ch.idx_rng for ch in chains if ch.idx_rng is not None]
-    saved = [(rng, rng.bit_generator.state) for rng in streams]
-    # the streams that two chains share: their draws are kept for the second
-    shared = [id(rng) for rng in streams if streams.count(rng) > 1]
+    """Draw each index stream's per-step indices for the block, which every
+    chain on the stream reads; sweep each chain in turn through rows 1..n and
+    check them finite once; on a failure replay the block in step order on
+    the same draws, checking each step, to stop where it failed."""
+    sizes = {ch.idx_rng: (len(ch.X) // ch.copies, ch.cfg.batch_size)
+             for ch in chains if ch.idx_rng is not None}
+    draws = {rng: [rng.integers(0, data.n, size=size) for _ in range(n)]
+             for rng, size in sizes.items()}
     with suppress(Exception):  # the replay raises it again or stops before it
-        drawn = {k: [] for k in shared}
         for ch, inc in zip(chains, incs):
-            _sweep(ch, inc, 0, n, drawn.get(id(ch.idx_rng)), data.n)
+            _sweep(ch, inc, 0, n, draws.get(ch.idx_rng))
         if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
             return
-    for rng, state in saved:
-        rng.bit_generator.state = state
-    drawn = {k: [] for k in shared}
     for j in range(n):
         for ch, inc in zip(chains, incs):
-            _sweep(ch, inc, j, j + 1, drawn.get(id(ch.idx_rng)), data.n)
+            _sweep(ch, inc, j, j + 1, draws.get(ch.idx_rng))
         for ch in chains:
             if not np.isfinite(ch.H[j + 1]).all():
                 _reject(chains, obj, data, message, k0 + j + 1)
@@ -361,20 +349,22 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
     """The stepping loop of every runner.
 
     The chains share one Gaussian stream, drawn in blocks of at most
-    ``_BLOCK_BYTES`` (with the chains' buffers), so a block's draws are the
-    per-step draws in order. Each chain steps through its own history buffer
-    ``H`` of shape (block + 1, 2, R, d): row 0 is the state before the block,
-    row j the state after its j-th step. ``_step_block`` sweeps each chain
-    through the block in turn and checks it.
-    After each block it yields ``(k0, n)``, the block's first step index
+    ``_BLOCK_BYTES`` (with the chains' buffers and index draws), so a
+    block's draws are the per-step draws in order. Each chain steps through
+    its own history buffer ``H`` of shape (block + 1, 2, R, d): row 0 is the
+    state before the block, row j the state after its j-th step.
+    ``_step_block`` sweeps each chain through the block in turn and checks
+    it. After each block it yields ``(k0, n)``, the block's first step index
     minus one and its length; the caller's recorder reads rows 1..n of each
     ``H`` before the loop goes on. Once it is exhausted, each chain's ``X``
     and ``V`` hold fresh copies of the final state. A run stopped by an
-    error has drawn its whole last block from ``noise_rng``.
+    error has drawn its whole last block from ``noise_rng`` and from its
+    index streams.
     """
     R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
     fine = max(ch.sub for ch in chains)
-    per_step = 8 * d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
+    per_step = 8 * (d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
+                    + sum(R * ch.cfg.batch_size for ch in chains if ch.idx_rng is not None))
     block = max(1, min(steps, _BLOCK_BYTES // per_step))
     for ch in chains:
         ch.H = np.empty((block + 1, 2, len(ch.X), d))

@@ -218,8 +218,10 @@ class TestMinibatchGradientRows:
 
 
 class TestRowChunks:
-    """``batch_empirical_risk`` and ``batch_empirical_gradient`` pass a hook
-    at most ``objectives._ROW_BYTES / (8 n)`` rows at a time."""
+    """The mixture's dataset-wide hooks take at most
+    ``objectives._ROW_BYTES / (8 n)`` rows of X at a time; the quadratic's
+    and the double well's read the dataset moments and take every row in
+    one call."""
 
     @staticmethod
     def objective(name, d, data):
@@ -227,6 +229,21 @@ class TestRowChunks:
         return {"quadratic": lambda: quadratic(d, m0=1.3, coupling=0.7, z_radius=r),
                 "double_well": lambda: double_well(d, coupling=0.1, z_radius=r),
                 "gaussian_mixture": lambda: gaussian_mixture(d, ridge=0.05, z_radius=r)}[name]()
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_hook_sees_chunks_of_rows(self, monkeypatch, rows):
+        Z = np.zeros((200, 2))
+        X = derive_stream(5, "chunk-rows").standard_normal((50, 2))
+        sizes = []
+
+        def hook(X, Z):
+            sizes.append(len(X))
+            return 2.0 * X
+
+        monkeypatch.setattr(objectives, "_ROW_BYTES", rows * 8 * len(Z) + 7)
+        out = objectives._row_chunked(hook)(X, Z)
+        assert sizes == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
+        assert np.array_equal(out, 2.0 * X)
 
     @pytest.mark.parametrize("rows", [1, 3, 16])
     @pytest.mark.parametrize("d", [1, 2])
@@ -237,25 +254,13 @@ class TestRowChunks:
         X = 3.0 * derive_stream(5, "chunks").standard_normal((50, d))
         evaluations = (batch_empirical_risk, batch_empirical_gradient)
         one = [f(X, obj, data) for f in evaluations]
-        sizes = []
-
-        def counted(hook):
-            def call(X, Z):
-                sizes.append(len(X))
-                return hook(X, Z)
-            return call
-
-        obj = dataclasses.replace(obj, risk_rows=counted(obj.risk_rows),
-                                  grad_rows=counted(obj.grad_rows))
         monkeypatch.setattr(objectives, "_ROW_BYTES", rows * 8 * data.n + 7)
         chunked = [f(X, obj, data) for f in evaluations]
-        assert sizes == 2 * ([rows] * (50 // rows) + [50 % rows] * (50 % rows > 0))
         for a, b in zip(one, chunked):
             assert a.shape == b.shape
-            if name == "gaussian_mixture" or rows == 1:
+            if name == "gaussian_mixture":
                 # BLAS products round by their kernel, which depends on the
-                # row count: the mixture reduces over the samples in one, and
-                # numpy takes a 1-row X @ zbar as a dot product
+                # row count, and the mixture reduces over the samples in one
                 np.testing.assert_allclose(b, a, rtol=1e-14, atol=1e-14)
             else:
                 assert np.array_equal(a, b)

@@ -398,17 +398,29 @@ class TestEnsembles:
         assert res.running_max["x2"] >= res.series["x2"][-1]
         assert res.running_max["x2"] == pytest.approx(9.0, rel=0.2)
 
-    def test_functionals_called_once_per_block(self, data2):
+    @staticmethod
+    def block_rows(data, batch_size):
         rows = []
 
         def x2(X, V):
             rows.append(len(X))
             return np.sum(X * X, axis=1)
 
-        ensemble_run("sghmc", _cfg(seed=8), quadratic(2, m0=1.0), data2, steps=1000,
-                     replicas=8, functionals={"x2": x2})
+        ensemble_run("sghmc", _cfg(seed=8, batch_size=batch_size), quadratic(2, m0=1.0),
+                     data, steps=1000, replicas=8, functionals={"x2": x2})
+        return rows
+
+    def test_functionals_called_once_per_block(self, data2):
+        rows = self.block_rows(data2, None)
         # step 0, then blocks of the cap over 512 B per step at R = 8, d = 2
         block = min(1000, samplers._BLOCK_BYTES // 512)
+        full, last = divmod(1000, block)
+        assert rows == [8] + [block * 8] * full + [last * 8] * (last > 0)
+
+    def test_blocks_hold_the_index_draws(self, data2):
+        rows = self.block_rows(data2, 32)
+        # a minibatch step adds its (8, 32) index draw to the 512 B
+        block = min(1000, samplers._BLOCK_BYTES // (512 + 8 * 8 * 32))
         full, last = divmod(1000, block)
         assert rows == [8] + [block * 8] * full + [last * 8] * (last > 0)
 
