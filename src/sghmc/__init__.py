@@ -38,22 +38,17 @@ from .gradient_oracle import (
     VarianceCurve,
     estimate_delta,
     make_oracle,
-    sample_gradient,
     variance_scaling_curve,
 )
 from .samplers import (
-    ChainState,
     InitialLaw,
     SamplerConfig,
     Trajectory,
     auxiliary_integrate,
     coupled_run,
-    exact_sghmc_step,
     gaussian_init,
     point_init,
     run_chain,
-    sghmc_step,
-    sgld_step,
     underdamped_integrate,
 )
 from .metrics import (

@@ -21,7 +21,6 @@ from .errors import ConfigurationError
 from .objectives import (
     Dataset,
     ObjectiveSpec,
-    _reject_nonfinite_gradient,
     empirical_gradient,
     minibatch_gradient_rows,
 )
@@ -67,20 +66,6 @@ def make_oracle(
     )
 
 
-def sample_gradient(oracle: MinibatchOracle, x: np.ndarray) -> np.ndarray:
-    """One stochastic gradient draw at x; advances the oracle's stream. A
-    non-finite mean re-evaluates its batch to name a faulty sample."""
-    x = np.asarray(x, dtype=float)
-    obj, data = oracle.obj, oracle.data
-    if oracle.batch_size is None:
-        return empirical_gradient(x, obj, data)
-    idx = oracle.rng.integers(0, data.n, size=oracle.batch_size)
-    g = minibatch_gradient_rows(x[None], obj, data, idx[None])[0]
-    if not np.isfinite(g).all():
-        _reject_nonfinite_gradient(x, obj, obj.grad_f(x, data.samples[idx]), idx)
-    return g
-
-
 def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) -> np.ndarray:
     """``trials`` independent draws at x via ``minibatch_gradient_rows``: (trials, d)."""
     x = np.asarray(x, dtype=float)
@@ -107,6 +92,8 @@ def estimate_delta(
     """
     if trials < 100:
         raise ConfigurationError("estimate_delta needs trials >= 100")
+    if len(probes) == 0:
+        raise ConfigurationError("estimate_delta needs at least one probe")
     cert = oracle.obj.cert
     ratios = []
     for x in probes:
@@ -126,7 +113,7 @@ def estimate_delta(
         else:
             ratio = msd / denom
         ratios.append(ratio)
-    return float(max(ratios, default=0.0))
+    return float(max(ratios))
 
 
 @dataclass
@@ -154,6 +141,8 @@ def variance_scaling_curve(
         raise ConfigurationError("batch sizes must be >= 1")
     if len(set(sizes)) != len(sizes):
         raise ConfigurationError("batch sizes must be distinct")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     x = np.asarray(x, dtype=float)
     full = empirical_gradient(x, obj, data)
     points = []

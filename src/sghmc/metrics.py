@@ -119,8 +119,7 @@ def wasserstein_1d(a, b, p: float = 2.0, resample_seed: int = 0) -> float:
 
     Sorting both clouds realizes the optimal coupling in one dimension.
     Unequal sizes are handled by resampling the smaller cloud with
-    replacement up to the larger size (deterministic in ``resample_seed``);
-    the serialization helper flags when that happened.
+    replacement up to the larger size (deterministic in ``resample_seed``).
     """
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != 1 or b.dim != 1:

@@ -1,16 +1,16 @@
 """Discrete and continuous Langevin dynamics, plus coupled runs.
 
-Five dynamics are implemented on top of one empirical risk:
+The runners step the chain kinds of ``CHAIN_KINDS`` on one empirical risk:
 
-* ``sgld_step``        -- overdamped Euler step with minibatch gradients,
-* ``sghmc_step``       -- underdamped (momentum) Euler step with minibatch
-                          gradients,
-* ``exact_sghmc_step`` -- the same recursion with the full-dataset gradient,
-* ``underdamped_integrate`` -- fine Euler-Maruyama path of the underdamped
-                          SDE (the near-continuous reference process),
-* ``auxiliary_integrate``   -- the time-scaled variant whose clock runs a
-                          factor ``lambda`` slower; at ``lambda = 1`` it
-                          coincides with the underdamped path.
+* ``"sgld"``        -- overdamped Euler step with minibatch gradients,
+* ``"sghmc"``       -- underdamped (momentum) Euler step with minibatch
+                       gradients,
+* ``"exact_sghmc"`` -- the same recursion with the full-dataset gradient.
+
+Two integrators give the continuous references: ``underdamped_integrate``,
+the fine Euler-Maruyama path of the underdamped SDE, and
+``auxiliary_integrate``, the time-scaled variant whose clock runs a factor
+``lambda`` slower; at ``lambda = 1`` it coincides with the underdamped path.
 
 The momentum update uses the pre-update momentum in the position update
 (``x' = x + lam * v``); this ordering is observable and pinned by tests.
@@ -37,8 +37,7 @@ and invalid warnings: a runaway state ends as a value or a DivergenceError.
 Each finished block goes to the runner's recorder, which reads its rows;
 results are copies, never views of a buffer. ``ensemble_run`` calls each
 functional once per block, on the block's stacked rows, so functionals must
-treat rows independently. The single-step functions (``sghmc_step`` and the
-like) keep their (d,) states.
+treat rows independently.
 
 Coupled runs advance two chains on shared randomness, as one paired (2R, d)
 block when they step alike: the realized distance between them upper-bounds
@@ -58,13 +57,11 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .gradient_oracle import MinibatchOracle, sample_gradient
 from .objectives import (
     Dataset,
     ObjectiveSpec,
     _reject_nonfinite_gradient,
     batch_empirical_gradient,
-    empirical_gradient,
     minibatch_gradient_rows,
 )
 from .rng import derive_stream
@@ -155,22 +152,6 @@ class SamplerConfig:
 
 
 @dataclass
-class ChainState:
-    """Single-owner chain state; the noise stream advances with the chain."""
-
-    x: np.ndarray
-    v: np.ndarray
-    step: int
-    rng: np.random.Generator
-
-
-def make_chain_state(cfg: SamplerConfig, purpose: str = "chain", replica: int = 0) -> ChainState:
-    init_rng = derive_stream(cfg.seed, f"{purpose}:init", replica)
-    x, v = cfg.init.sample(cfg.dim, init_rng)
-    return ChainState(x=x, v=v, step=0, rng=derive_stream(cfg.seed, f"{purpose}:noise", replica))
-
-
-@dataclass
 class Trajectory:
     """Thinned record of a run: states at step indices 0, thin, 2*thin, ..."""
 
@@ -234,12 +215,6 @@ def _noise(rate, beta) -> float:
     return 0.0 if math.isinf(beta) else math.sqrt(2.0 * rate / beta)
 
 
-def _step_noise(kind, cfg) -> float:
-    """Gaussian coefficient of one ``kind`` step at cfg.lam: its rate is
-    gamma * lam for the momentum kinds and lam for sgld."""
-    return _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
-
-
 class _Chain:
     """An (R, d) block of replicas (a single chain is (1, d)), stepped by
     :func:`_advance`.
@@ -261,7 +236,9 @@ class _Chain:
         self.idx_rng = idx_rng if minibatch else None
         self.lam = cfg.lam if lam is None else lam
         self.coef = np.array([self.lam, cfg.gamma]).reshape(2, 1, 1)
-        self.c = _step_noise(kind, cfg) if c is None else c
+        if c is None:  # the noise rate is gamma * lam for the momentum kinds, lam for sgld
+            c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
+        self.c = c
         self.sub, self.fold, self.copies = sub, fold, copies
         self.prev = None
 
@@ -403,59 +380,6 @@ def _traced(chains, obj, data, steps, thin, noise_rng):
 
 
 # ---------------------------------------------------------------------------
-# Single steps
-# ---------------------------------------------------------------------------
-
-def _step(kind, state, cfg, g, xi) -> ChainState:
-    if xi is None:
-        xi = state.rng.standard_normal(cfg.dim)
-    out = np.empty((2, 1, cfg.dim))
-    _euler(kind, np.stack([state.x, state.v])[:, None], g, _step_noise(kind, cfg) * xi,
-           np.array([cfg.lam, cfg.gamma]).reshape(2, 1, 1), out)
-    if not np.isfinite(out).all():
-        raise DivergenceError(f"chain diverged at step {state.step + 1}", step=state.step + 1)
-    return ChainState(x=out[0, 0], v=out[1, 0], step=state.step + 1, rng=state.rng)
-
-
-def sghmc_step(
-    state: ChainState,
-    cfg: SamplerConfig,
-    oracle: MinibatchOracle,
-    xi: Optional[np.ndarray] = None,
-) -> ChainState:
-    """One momentum Euler step with a stochastic gradient.
-
-    v' = v - lam * (gamma v + g(x)) + sqrt(2 gamma lam / beta) xi,
-    x' = x + lam * v   (pre-update momentum).
-
-    ``xi`` overrides the Gaussian draw (recorded-noise replay); by default a
-    fresh standard normal vector is taken from the state's stream.
-    """
-    return _step("sghmc", state, cfg, sample_gradient(oracle, state.x), xi)
-
-
-def exact_sghmc_step(
-    state: ChainState,
-    cfg: SamplerConfig,
-    obj: ObjectiveSpec,
-    data: Dataset,
-    xi: Optional[np.ndarray] = None,
-) -> ChainState:
-    """Momentum Euler step with the full-dataset gradient."""
-    return _step("exact_sghmc", state, cfg, empirical_gradient(state.x, obj, data), xi)
-
-
-def sgld_step(
-    state: ChainState,
-    cfg: SamplerConfig,
-    oracle: MinibatchOracle,
-    xi: Optional[np.ndarray] = None,
-) -> ChainState:
-    """One overdamped Euler step: x' = x - lam g(x) + sqrt(2 lam / beta) xi."""
-    return _step("sgld", state, cfg, sample_gradient(oracle, state.x), xi)
-
-
-# ---------------------------------------------------------------------------
 # Continuous-time reference processes (fine Euler-Maruyama)
 # ---------------------------------------------------------------------------
 
@@ -467,7 +391,6 @@ def underdamped_integrate(
     substep: float,
     thin: int = 100,
     noise_rng: Optional[np.random.Generator] = None,
-    init: Optional[tuple] = None,
 ) -> Trajectory:
     """Euler-Maruyama path of dV = -(gamma V + grad F) dt + sqrt(2 gamma / beta) dB,
     dX = V dt, on [0, t_end] with the given substep.
@@ -475,7 +398,7 @@ def underdamped_integrate(
     ``thin`` records every thin-th substep; ``t_end = 0`` yields only the
     initial state. The returned trajectory's ``steps`` are substep indices.
     """
-    return _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale=1.0)
+    return _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, time_scale=1.0)
 
 
 def auxiliary_integrate(
@@ -486,7 +409,6 @@ def auxiliary_integrate(
     substep: float,
     thin: int = 100,
     noise_rng: Optional[np.random.Generator] = None,
-    init: Optional[tuple] = None,
 ) -> Trajectory:
     """Euler-Maruyama path of the slowed dynamics
     dV = -lam (gamma V + grad F) dt + sqrt(2 gamma lam / beta) dB, dX = lam V dt.
@@ -495,10 +417,10 @@ def auxiliary_integrate(
     shared noise stream and the same substep the two coincide to floating
     point at ``lam = 1``.
     """
-    return _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale=cfg.lam)
+    return _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, time_scale=cfg.lam)
 
 
-def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale):
+def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, time_scale):
     if not 0 <= t_end < math.inf:  # NaN fails every comparison
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     if not 0 < substep < math.inf:
@@ -506,10 +428,7 @@ def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, init, time_scale
     _check_sizes(thin=thin)
     if noise_rng is None:
         noise_rng = derive_stream(cfg.seed, "integrate:noise")
-    if init is None:
-        x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, "integrate:init"), size=1)
-    else:
-        x, v = (np.array(init[0], dtype=float, ndmin=2), np.array(init[1], dtype=float, ndmin=2))
+    x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, "integrate:init"), size=1)
     nsteps = int(round(t_end / substep))
     chain = _Chain("exact_sghmc", cfg, x, v, lam=time_scale * substep,
                    c=_noise(cfg.gamma * time_scale * substep, cfg.beta))

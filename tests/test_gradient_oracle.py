@@ -8,7 +8,6 @@ from sghmc import (
     make_dataset,
     make_oracle,
     quadratic,
-    sample_gradient,
     variance_scaling_curve,
 )
 from sghmc.gradient_oracle import MinibatchOracle, sample_gradient_many
@@ -27,7 +26,7 @@ def test_full_pass_equals_empirical_gradient(coupled_quad):
     obj, data = coupled_quad
     oracle = make_oracle(obj, data, None, seed=1)
     x = np.array([0.4, -1.2])
-    assert np.array_equal(sample_gradient(oracle, x), empirical_gradient(x, obj, data))
+    assert np.array_equal(sample_gradient_many(oracle, x, 1)[0], empirical_gradient(x, obj, data))
 
 
 def test_unbiasedness_three_sigma(coupled_quad):
@@ -56,8 +55,8 @@ def test_many_draws_are_the_chains_minibatch_mean(builtin_suite, ell):
 def test_same_seed_same_draws(coupled_quad):
     obj, data = coupled_quad
     x = np.array([1.0, 2.0])
-    a = sample_gradient(make_oracle(obj, data, 4, seed=99), x)
-    b = sample_gradient(make_oracle(obj, data, 4, seed=99), x)
+    a = sample_gradient_many(make_oracle(obj, data, 4, seed=99), x, 1)
+    b = sample_gradient_many(make_oracle(obj, data, 4, seed=99), x, 1)
     assert np.array_equal(a, b)
 
 
@@ -65,7 +64,8 @@ def test_stream_advances(coupled_quad):
     obj, data = coupled_quad
     oracle = make_oracle(obj, data, 4, seed=99)
     x = np.array([1.0, 2.0])
-    assert not np.array_equal(sample_gradient(oracle, x), sample_gradient(oracle, x))
+    first = sample_gradient_many(oracle, x, 1)
+    assert not np.array_equal(first, sample_gradient_many(oracle, x, 1))
 
 
 class TestEstimateDelta:
@@ -107,6 +107,12 @@ class TestEstimateDelta:
         oracle = make_oracle(obj, data, 2, seed=1)
         with pytest.raises(ConfigurationError):
             estimate_delta(oracle, [np.zeros(2)], trials=10)
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_no_probes_rejected(self, coupled_quad, batch):
+        obj, data = coupled_quad
+        with pytest.raises(ConfigurationError, match="at least one probe"):
+            estimate_delta(make_oracle(obj, data, batch, seed=1), [], trials=200)
 
     def test_stable_across_probe_radii(self, coupled_quad):
         # the max ratio is attained near the origin, so probe sets that
@@ -154,6 +160,9 @@ class TestVarianceCurve:
             variance_scaling_curve(obj, data, np.zeros(2), [2, 2], trials=500)
         with pytest.raises(ConfigurationError):
             variance_scaling_curve(obj, data, np.zeros(2), [0], trials=500)
+        for trials in (0, -3):
+            with pytest.raises(ConfigurationError, match="trials must be >= 1"):
+                variance_scaling_curve(obj, data, np.zeros(2), [1, 2], trials=trials)
 
 
 def test_batch_size_validation(coupled_quad):

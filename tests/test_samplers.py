@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -17,24 +16,20 @@ from sghmc import (
     auxiliary_integrate,
     coupled_run,
     double_well,
-    exact_sghmc_step,
     gaussian_init,
     gaussian_mixture,
     make_dataset,
-    make_oracle,
     point_init,
     quadratic,
     run_chain,
-    sghmc_step,
-    sgld_step,
     underdamped_integrate,
 )
 from sghmc import samplers, theory
 from sghmc.samplers import (
+    CHAIN_KINDS,
     brownian_coupled_distance,
     coupled_ensemble_run,
     ensemble_run,
-    make_chain_state,
 )
 from sghmc.rng import derive_stream
 
@@ -69,69 +64,50 @@ def _cfg(**kw):
 
 
 class TestSteps:
-    def test_zero_step_size_fixes_state(self, data2):
-        obj = quadratic(2, m0=1.0)
-        cfg = _cfg(lam=0.0, init=point_init([1.0, -1.0], [0.5, 0.5]))
-        oracle = make_oracle(obj, data2, None, seed=1)
-        st = make_chain_state(cfg)
-        for step_fn, args in (
-            (sghmc_step, (cfg, oracle)),
-            (exact_sghmc_step, (cfg, obj, data2)),
-            (sgld_step, (cfg, oracle)),
-        ):
-            out = step_fn(st, *args)
-            assert np.array_equal(out.x, st.x)
-            assert np.array_equal(out.v, st.v)
-            assert out.step == st.step + 1
-            st = make_chain_state(cfg)
+    """The update equations, one step of ``run_chain``: a trajectory at
+    ``steps=1, thin=1`` holds the initial state and the state after it."""
 
-    def test_free_particle(self, data2):
+    @pytest.mark.parametrize("batch", [None, 8])
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_zero_step_size_fixes_state(self, data2, kind, batch):
+        cfg = _cfg(lam=0.0, batch_size=batch, init=point_init([1.0, -1.0], [0.5, 0.5]))
+        traj = run_chain(kind, cfg, quadratic(2, m0=1.0), data2, steps=1, thin=1)
+        assert list(traj.steps) == [0, 1]
+        assert np.array_equal(traj.xs[1], traj.xs[0])
+        assert np.array_equal(traj.vs[1], traj.vs[0])
+
+    @pytest.mark.parametrize("kind", ["sghmc", "exact_sghmc"])
+    def test_free_particle(self, data2, kind):
         # no friction, no force, no noise: straight-line motion
-        obj = zero_objective(2)
         cfg = _cfg(lam=0.5, gamma=0.0, beta=math.inf,
                    init=point_init([1.0, 0.0], [2.0, -1.0]))
-        st = make_chain_state(cfg)
-        out = sghmc_step(st, cfg, make_oracle(obj, data2, None, seed=1))
-        assert np.allclose(out.v, st.v)
-        assert np.allclose(out.x, st.x + 0.5 * st.v)
+        traj = run_chain(kind, cfg, zero_objective(2), data2, steps=1, thin=1)
+        assert np.allclose(traj.vs[1], traj.vs[0])
+        assert np.allclose(traj.xs[1], traj.xs[0] + 0.5 * traj.vs[0])
 
-    def test_pinned_noise_replay(self, data2):
-        obj = quadratic(2, m0=1.0)
+    @pytest.mark.parametrize("kind", ["sghmc", "exact_sghmc"])
+    def test_pinned_noise(self, data2, kind):
+        # at rest at the minimum the first step is the noise alone:
+        # v_1 = sqrt(2 gamma lam / beta) xi_1 with xi_1 the first draw of the stream
         cfg = _cfg(lam=0.1, gamma=1.0, beta=1.0)
-        st = make_chain_state(cfg)
-        out = sghmc_step(st, cfg, make_oracle(obj, data2, None, seed=1),
-                         xi=np.array([1.0, 0.0]))
-        assert out.v == pytest.approx([math.sqrt(0.2), 0.0])
-        assert np.array_equal(out.x, np.zeros(2))
+        traj = run_chain(kind, cfg, quadratic(2, m0=1.0), data2, steps=1, thin=1)
+        xi = derive_stream(cfg.seed, f"{kind}:noise").standard_normal(cfg.dim)
+        assert np.array_equal(traj.vs[1], math.sqrt(0.2) * xi)
+        assert np.array_equal(traj.xs[1], np.zeros(2))
 
     def test_exact_matches_full_pass_under_shared_noise(self, data2):
         obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
         cfg = _cfg(lam=0.02, init=point_init([1.0, 1.0], [0.0, 0.0]))
-        noise = derive_stream(3, "pin")
-        st_a = make_chain_state(cfg)
-        st_b = make_chain_state(cfg)
-        oracle = make_oracle(obj, data2, None, seed=5)
-        for _ in range(10):
-            xi = noise.standard_normal(2)
-            st_a = sghmc_step(st_a, cfg, oracle, xi=xi)
-            st_b = exact_sghmc_step(st_b, cfg, obj, data2, xi=xi)
-        assert np.array_equal(st_a.x, st_b.x)
-        assert np.array_equal(st_a.v, st_b.v)
-
-    def test_exact_step_pinned_noise(self, data2):
-        obj = quadratic(2, m0=1.0)
-        cfg = _cfg(lam=0.1, gamma=1.0, beta=1.0)
-        st = make_chain_state(cfg)
-        out = exact_sghmc_step(st, cfg, obj, data2, xi=np.array([1.0, 0.0]))
-        assert out.v == pytest.approx([math.sqrt(0.2), 0.0])
-        assert np.array_equal(out.x, np.zeros(2))
+        _, _, dist = coupled_run(("sghmc", "exact_sghmc"), cfg, cfg, obj, data2,
+                                 steps=10, thin=1)
+        assert len(dist) == 11
+        assert np.all(dist[:, 1:] == 0.0)
 
     def test_sgld_pinned_arithmetic(self, data2):
-        obj = quadratic(2, m0=1.0)
-        cfg = _cfg(lam=0.1, init=point_init([1.0, 0.0], [0.0, 0.0]))
-        st = make_chain_state(cfg)
-        out = sgld_step(st, cfg, make_oracle(obj, data2, None, seed=1), xi=np.zeros(2))
-        assert out.x == pytest.approx([0.9, 0.0])
+        # beta = inf: no noise, x_1 = x_0 - lam grad F(x_0)
+        cfg = _cfg(lam=0.1, beta=math.inf, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        traj = run_chain("sgld", cfg, quadratic(2, m0=1.0), data2, steps=1, thin=1)
+        assert traj.xs[1] == pytest.approx([0.9, 0.0])
 
     def test_divergence_carries_step_index(self, data2):
         obj = quadratic(2, m0=1.0)
@@ -571,8 +547,7 @@ class TestGoldenOutputs:
                for k in ("sgld", "sghmc", "exact_sghmc")] + [
         "coupled_run:shared", "coupled_run:separate", "coupled_run:sgld", "coupled_run:sghmc",
         "coupled_run:exact_sghmc", "brownian_coupled_distance",
-        "underdamped_integrate", "auxiliary_integrate", "sghmc_step", "exact_sghmc_step",
-        "sgld_step",
+        "underdamped_integrate", "auxiliary_integrate",
     ]
 
     @staticmethod
@@ -601,21 +576,11 @@ class TestGoldenOutputs:
         if name == "brownian_coupled_distance":
             return [brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=n * cfg.lam,
                                               replicas=4)]
-        if name.endswith("_integrate"):
-            sub = h if name == "underdamped_integrate" else h / cfg.lam
-            integrate = underdamped_integrate if name == "underdamped_integrate" \
-                else auxiliary_integrate
-            t = integrate(cfg, obj, data, t_end=n * sub, substep=sub, thin=7)
-            return [t.steps, t.xs, t.vs]
-        step_fn = {"sghmc_step": sghmc_step, "exact_sghmc_step": exact_sghmc_step,
-                   "sgld_step": sgld_step}[name]
-        args = (obj, data) if step_fn is exact_sghmc_step else (
-            make_oracle(obj, data, cfg.batch_size, seed=3),)
-        st, out = make_chain_state(cfg), []
-        for _ in range(n):
-            st = step_fn(st, cfg, *args)
-            out += [st.x, st.v]
-        return out
+        sub = h if name == "underdamped_integrate" else h / cfg.lam
+        integrate = underdamped_integrate if name == "underdamped_integrate" \
+            else auxiliary_integrate
+        t = integrate(cfg, obj, data, t_end=n * sub, substep=sub, thin=7)
+        return [t.steps, t.xs, t.vs]
 
     # digests in CASES order: double_well/None, double_well/8, gaussian_mixture/None, .../8
     GOLDEN = {
@@ -645,18 +610,12 @@ class TestGoldenOutputs:
             "8461636d97bba483 90a8b386d9d92bb5 38e583af2cbfc641 0cbd4080822ef379",
         "ensemble_run:sgld":
             "d87755840a6ff55e a811e6a73e638573 a11a425f936a76a7 cff660b688f0af9c",
-        "exact_sghmc_step":
-            "17c12ae5df3e0e28 17c12ae5df3e0e28 c6a095afe737e634 c6a095afe737e634",
         "run_chain:exact_sghmc":
             "597f83ffae78e145 597f83ffae78e145 43b8163490b3aabc 43b8163490b3aabc",
         "run_chain:sghmc":
             "ae7eeb30515195d4 973feb9c01298758 38c0919eee6d77e4 ec03291cfb47973b",
         "run_chain:sgld":
             "dbc98f990bf01477 59d5eaa3a6dd9208 2a1c814258a135ed 56bd1be54a5d3e2c",
-        "sghmc_step":
-            "17c12ae5df3e0e28 5360463d81913da5 c6a095afe737e634 caca8c110992e5fb",
-        "sgld_step":
-            "66300c3b62430865 ae368053c48ca559 bb3467ad6fd79b4d 1902fd77e023ba86",
         "underdamped_integrate":
             "7d023cdfc87f86a8 7d023cdfc87f86a8 1888494cb3d5f674 1888494cb3d5f674",
     }
@@ -675,12 +634,9 @@ class TestGoldenOutputs:
         "ensemble_run:exact_sghmc": (507, 507),
         "ensemble_run:sghmc": (507, 507),
         "ensemble_run:sgld": (512, 512),
-        "exact_sghmc_step": (505, 505),
         "run_chain:exact_sghmc": (507, 507),
         "run_chain:sghmc": (508, 508),
         "run_chain:sgld": (513, 513),
-        "sghmc_step": (505, 507),
-        "sgld_step": (509, 512),
         "underdamped_integrate": (507, 507),
     }
 
@@ -698,10 +654,8 @@ class TestGoldenOutputs:
             out.append(h.hexdigest()[:16])
         return tuple(out)
 
-    # The same on the double well. Its gradient grows 11 times as fast as x
-    # beyond the wells, so a sum of per-sample gradients over the dataset
-    # (the step functions' full-dataset mean) overflows one step before the
-    # state does: the step is still a divergence, not an objective fault.
+    # The same on the double well, whose gradient grows 11 times as fast as
+    # x beyond the wells.
     DOUBLE_WELL_DIVERGENCE_STEP = {
         "auxiliary_integrate": (255, 255),
         "brownian_coupled_distance": (129, 129),
@@ -716,12 +670,9 @@ class TestGoldenOutputs:
         "ensemble_run:exact_sghmc": (255, 255),
         "ensemble_run:sghmc": (255, 255),
         "ensemble_run:sgld": (179, 179),
-        "exact_sghmc_step": (254, 254),
         "run_chain:exact_sghmc": (255, 255),
         "run_chain:sghmc": (255, 255),
         "run_chain:sgld": (179, 179),
-        "sghmc_step": (254, 255),
-        "sgld_step": (178, 179),
         "underdamped_integrate": (255, 255),
     }
 
@@ -735,9 +686,7 @@ class TestGoldenOutputs:
         for batch in (None, 8):
             cfg, cfg_b = cls._pair(batch, lam=5.0)
             cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
-            # the single-step functions step outside the loop's error state
-            quiet = np.errstate(all="ignore") if runner.endswith("_step") else nullcontext()
-            with quiet, pytest.raises(DivergenceError) as err:
+            with pytest.raises(DivergenceError) as err:
                 cls.outputs(runner, cfg, cfg_b, obj, data, 2000, cfg.lam)
             out.append(err.value.step)
         return tuple(out)
@@ -768,9 +717,7 @@ class TestStrictHooks:
         return dataclasses.replace(obj, grad_rows=strict(obj.grad_rows),
                                    grad_batches=strict(obj.grad_batches))
 
-    # the single-step functions take their gradients from grad_f
-    @pytest.mark.parametrize("runner", [r for r in TestGoldenOutputs.RUNNERS
-                                        if not r.endswith("_step")])
+    @pytest.mark.parametrize("runner", TestGoldenOutputs.RUNNERS)
     def test_divergence_step_of_the_built_in(self, runner):
         data = make_dataset("gaussian", 200, 2, seed=7)
         obj = self._strict(quadratic(2, m0=1.0))
@@ -832,6 +779,7 @@ class TestNonFiniteGradients:
 
     RUNNERS = {
         "run_chain": lambda c, o, d: run_chain("sghmc", c, o, d, steps=200, thin=10),
+        "run_chain:sgld": lambda c, o, d: run_chain("sgld", c, o, d, steps=200, thin=10),
         "coupled_run": lambda c, o, d: coupled_run("sghmc", c, c, o, d, steps=200, thin=10),
         "ensemble_run": lambda c, o, d: ensemble_run("sghmc", c, o, d, steps=200, replicas=4),
         "coupled_ensemble_run": lambda c, o, d: coupled_ensemble_run(
@@ -872,18 +820,6 @@ class TestNonFiniteGradients:
         with pytest.raises(EvaluationError) as err:
             self.RUNNERS[runner](cfg, self._objective("grad_batches", cut=1.0), data2)
         assert err.value.sample_index == self.FIRST_DRAWN_BAD[runner]
-
-    @pytest.mark.parametrize("step", [sghmc_step, sgld_step], ids=["sghmc", "sgld"])
-    def test_single_step_names_a_bad_sample(self, data2, step):
-        bad = data2.samples[:, 0] > 2.0
-        cfg = _cfg(lam=0.05, batch_size=32, seed=5, init=gaussian_init(0.0, 1.0))
-        oracle = make_oracle(self._objective(None), data2, 32, seed=3)
-        state = make_chain_state(cfg)
-        with pytest.raises(EvaluationError) as err:
-            for _ in range(200):
-                state = step(state, cfg, oracle)
-        assert bad[err.value.sample_index]
-        assert f"sample index {err.value.sample_index}" in str(err.value)
 
 
 class TestNoiseBlocks:
