@@ -92,6 +92,40 @@ class TestConfig:
         obj, data = materialize(ExperimentConfig.from_dict(doc))
         assert obj.cert.B == pytest.approx(0.1 * data.max_norm())
 
+    # a config that sets every optional key, a Gaussian init and beta = inf
+    EVERY_KEY = {
+        "kind": "couple",
+        "sampler": {"lambda": 0.02, "gamma": 1.5, "beta": "inf", "batch_size": 10, "dim": 2,
+                    "seed": 5, "init": {"kind": "gaussian", "mean": 0.5, "scale": 0.25}},
+        "sampler_b": {"seed": 6, "init": {"kind": "point", "x0": [1, 0], "v0": [0, 1]}},
+        "rate": {"lambdas": [0.1, 0.05], "t_end": 1.0},
+        "risk": {"p": 2.0, "q": 1, "delta": 0.1},
+        "audit": {"probes": 300},
+        "pilot_steps": 500,
+        "chain": "exact_sghmc",
+        "strict": True,
+    }
+
+    # echoes of the defaults ({"kind": k} is the CLI's path without --config;
+    # gibbs-check resolves burn_in to 2000) and of EVERY_KEY; never re-record
+    ECHO_PINS = {
+        "audit": "de455188a8ac8784",
+        "constants": "8ea3fccdf1ec2215",
+        "sample": "9247875eda531bfa",
+        "couple": "6f29693c4b73e57c",
+        "rate-study": "e183fbe29abf4caa",
+        "gibbs-check": "181af5cfe2252ccc",
+        "risk-bound": "330055057245202e",
+        "validate": "3b639aac339e4864",
+        "every-key": "782349fc7b0cc618",
+    }
+
+    @pytest.mark.parametrize("case", list(ECHO_PINS))
+    def test_echo_pinned(self, case):
+        doc = self.EVERY_KEY if case == "every-key" else {"kind": case}
+        echo = json.dumps(ExperimentConfig.from_dict(doc).to_dict())
+        assert hashlib.sha256(echo.encode()).hexdigest()[:16] == self.ECHO_PINS[case]
+
 
 class TestValidate:
     def test_inadmissible_step_flagged(self):
