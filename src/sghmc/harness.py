@@ -1,7 +1,10 @@
 """Experiment orchestration: configs, seeded runs, verification suites, output.
 
-A single JSON document describes an experiment (objective, dataset, sampler,
-kind-specific knobs); the harness materializes the pieces, dispatches on the
+A single JSON object describes an experiment. The fields of
+``ExperimentConfig`` are its top-level keys, with their defaults, and each of
+its blocks (objective, dataset, sampler, kind-specific knobs) is a JSON object;
+a config that cannot be read, or a value that does not convert, is a
+ConfigurationError. The harness materializes the pieces, dispatches on the
 experiment kind, and writes CSV data plus a JSON manifest sufficient to
 reproduce the run bit-for-bit. CLI flags override config fields
 (flag > config > default).
@@ -21,10 +24,11 @@ Experiment kinds:
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +47,7 @@ from .objectives import (
 )
 from .rng import derive_stream
 from .samplers import (
+    CHAIN_KINDS,
     InitialLaw,
     SamplerConfig,
     brownian_coupled_distance,
@@ -54,16 +59,8 @@ from .samplers import (
 )
 from . import theory
 
-KINDS = (
-    "audit",
-    "constants",
-    "sample",
-    "couple",
-    "rate-study",
-    "gibbs-check",
-    "risk-bound",
-    "validate",
-)
+KINDS = ("audit", "constants", "sample", "couple", "rate-study", "gibbs-check", "risk-bound",
+         "validate")
 
 _DATA_COUPLED = ("double_well", "gaussian_mixture")
 
@@ -72,11 +69,59 @@ _DATA_COUPLED = ("double_well", "gaussian_mixture")
 # Config parsing
 # ---------------------------------------------------------------------------
 
+# the blocks that a config without them runs on, and the risk orders' defaults
+_OBJECTIVE = {"name": "quadratic", "params": {}}
+_DATASET = {"generator": "gaussian", "n": 100, "seed": 7}
+_RISK_P, _RISK_Q = 2.0, 1
+
+
+def _real(value) -> float:
+    """A real config value: a number or a numeric string such as ``"inf"``;
+    a boolean is a ValueError instead of being read as 0.0/1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integer config value: an integer, an integral float (2000.0) or an
+    integer string; a non-integral number or a boolean is a ValueError
+    instead of being truncated or read as 0/1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean")
+    return value
+
+
+def _object(value) -> dict:
+    """A copy of a config block, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{value!r} is not an object")
+    return dict(value)
+
+
+def _config_value(block: dict, key: str, default, kind=_real):
+    """``block[key]`` (``default`` if absent) converted by ``kind``; None where
+    the default is None. A config value that does not convert is a
+    ConfigurationError."""
+    value = block.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
+
+
 def _parse_init(d: dict) -> InitialLaw:
     kind = d.get("kind", "point")
     if kind == "point":
-        x0 = d.get("x0")
-        v0 = d.get("v0")
+        x0, v0 = d.get("x0"), d.get("v0")
         if x0 is None and v0 is None:
             return InitialLaw(kind="point")
         return point_init(x0 if x0 is not None else np.zeros_like(v0),
@@ -97,52 +142,68 @@ def _init_to_dict(init: InitialLaw) -> dict:
     return {"kind": "gaussian", "mean": init.mean, "scale": init.scale}
 
 
-def _parse_sampler(d: dict) -> SamplerConfig:
+# (config key, SamplerConfig field, default, converter) of each sampler key
+_SAMPLER_KEYS = (
+    ("lambda", "lam", 0.01, _real),
+    ("gamma", "gamma", 2.0, _real),
+    ("beta", "beta", 1.0, _real),
+    ("batch_size", "batch_size", None, _integer),
+    ("dim", "dim", 1, _integer),
+    ("seed", "seed", 0, _integer),
+)
+
+
+def _parse_sampler(d) -> SamplerConfig:
+    d = _object(d)
     return SamplerConfig(
-        lam=_config_value(d, "lambda", 0.01),
-        gamma=_config_value(d, "gamma", 2.0),
-        beta=_config_value(d, "beta", 1.0),
-        batch_size=_config_value(d, "batch_size", None, _integer),
-        dim=_config_value(d, "dim", 1, _integer),
-        seed=_config_value(d, "seed", 0, _integer),
-        init=_parse_init(d.get("init", {})),
+        **{name: _config_value(d, key, default, kind)
+           for key, name, default, kind in _SAMPLER_KEYS},
+        init=_parse_init(_config_value(d, "init", {}, _object)),
     )
 
 
 def _sampler_to_dict(cfg: SamplerConfig) -> dict:
-    return {
-        "lambda": cfg.lam,
-        "gamma": cfg.gamma,
-        "beta": cfg.beta if math.isfinite(cfg.beta) else "inf",
-        "batch_size": cfg.batch_size,
-        "dim": cfg.dim,
-        "seed": cfg.seed,
-        "init": _init_to_dict(cfg.init),
-    }
+    d = {key: getattr(cfg, name) for key, name, _, _ in _SAMPLER_KEYS}
+    return {**d, "beta": cfg.beta if math.isfinite(cfg.beta) else "inf",
+            "init": _init_to_dict(cfg.init)}
+
+
+# the converter of each ExperimentConfig field, by its annotation (a string
+# under ``from __future__ import annotations``)
+_CONVERTERS = {"str": str, "bool": _boolean, "int": _integer, "Optional[int]": _integer,
+               "dict": _object, "SamplerConfig": _parse_sampler,
+               "Optional[SamplerConfig]": _parse_sampler}
+_OPTIONAL = {"optional": True}  # metadata: the echo leaves the field out while unset
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (see module docstring for kinds)."""
+    """Validated experiment description (see module docstring for kinds).
+
+    Its fields are the config's top-level keys, with their defaults."""
 
     kind: str
-    objective: dict
-    dataset: dict
-    sampler: SamplerConfig
+    objective: dict = field(default_factory=lambda: copy.deepcopy(_OBJECTIVE))
+    dataset: dict = field(default_factory=lambda: dict(_DATASET))
+    sampler: SamplerConfig = field(default_factory=lambda: _parse_sampler({}))
     steps: int = 10000
     replicas: int = 8
     thin: int = 100
     burn_in: Optional[int] = None  # None: max(steps // 10, 2000) for gibbs-check, else 0
     out: str = "runs/out"
     strict: bool = False
-    sampler_b: Optional[SamplerConfig] = None
     chain: str = "sghmc"
-    rate: dict = field(default_factory=dict)
-    risk: dict = field(default_factory=dict)
-    audit: dict = field(default_factory=dict)
-    pilot_steps: int = 0
+    sampler_b: Optional[SamplerConfig] = field(default=None, metadata=_OPTIONAL)
+    rate: dict = field(default_factory=dict, metadata=_OPTIONAL)
+    risk: dict = field(default_factory=dict, metadata=_OPTIONAL)
+    audit: dict = field(default_factory=dict, metadata=_OPTIONAL)
+    pilot_steps: int = field(default=0, metadata=_OPTIONAL)
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigurationError(f"unknown experiment kind {self.kind!r}; known: {KINDS}")
+        if self.chain not in CHAIN_KINDS:
+            raise ConfigurationError(f"unknown chain kind {self.chain!r}; known: {CHAIN_KINDS}")
         for name in ("steps", "replicas", "thin"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -155,104 +216,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
-        """A value that does not convert to its field's type is a
-        ConfigurationError."""
-        if "config" in d and isinstance(d["config"], dict):
+        """The config of a JSON document, or of a manifest's ``config``: each
+        key present converts by its field's type, and sampler_b's keys
+        override sampler's. A document or block that is not a JSON object, or
+        a value that does not convert, is a ConfigurationError."""
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"malformed config: {d!r} is not an object")
+        if isinstance(d.get("config"), dict):
             d = d["config"]  # accept a manifest document as a config
-        kind = kind or d.get("kind")
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {KINDS}")
-        strict = d.get("strict", False)
-        if not isinstance(strict, bool):
-            raise ConfigurationError(
-                f"malformed config value 'strict': {strict!r} is not a boolean")
-        try:
-            sampler = _parse_sampler(d.get("sampler", {}))
-            sampler_b = None
-            if "sampler_b" in d:
-                merged = {**d.get("sampler", {}), **d["sampler_b"]}
-                sampler_b = _parse_sampler(merged)
-            return cls(
-                kind=kind,
-                objective=dict(d.get("objective", {"name": "quadratic", "params": {}})),
-                dataset=dict(d.get("dataset", {"generator": "gaussian", "n": 100, "seed": 7})),
-                sampler=sampler,
-                sampler_b=sampler_b,
-                steps=_config_value(d, "steps", 10000, _integer),
-                replicas=_config_value(d, "replicas", 8, _integer),
-                thin=_config_value(d, "thin", 100, _integer),
-                burn_in=_config_value(d, "burn_in", None, _integer),
-                out=str(d.get("out", "runs/out")),
-                strict=strict,
-                chain=str(d.get("chain", "sghmc")),
-                rate=dict(d.get("rate", {})),
-                risk=dict(d.get("risk", {})),
-                audit=dict(d.get("audit", {})),
-                pilot_steps=_config_value(d, "pilot_steps", 0, _integer),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed config value: {exc}") from exc
+        if "sampler_b" in d:
+            d = {**d, "sampler_b": {**_config_value(d, "sampler", {}, _object),
+                                    **_config_value(d, "sampler_b", {}, _object)}}
+        values = {f.name: _config_value(d, f.name, f.default, _CONVERTERS[f.type])
+                  for f in fields(cls)[1:] if f.name in d}
+        return cls(kind or d.get("kind"), **values)
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "objective": self.objective,
-            "dataset": self.dataset,
-            "sampler": _sampler_to_dict(self.sampler),
-            "steps": self.steps,
-            "replicas": self.replicas,
-            "thin": self.thin,
-            "burn_in": self.burn_in,
-            "out": self.out,
-            "strict": self.strict,
-            "chain": self.chain,
-        }
-        if self.sampler_b is not None:
-            d["sampler_b"] = _sampler_to_dict(self.sampler_b)
-        for key in ("rate", "risk", "audit"):
-            block = getattr(self, key)
-            if block:
-                d[key] = block
-        if self.pilot_steps:
-            d["pilot_steps"] = self.pilot_steps
-        return d
+        """The JSON echo that :meth:`from_dict` reads back; it leaves out the
+        optional fields that are unset."""
+        return {f.name: _sampler_to_dict(v) if isinstance(v, SamplerConfig) else v
+                for f in fields(self) if (v := getattr(self, f.name)) or not f.metadata}
 
 
 def load_config(path, kind: Optional[str] = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh), kind=kind)
-
-
-def _real(value) -> float:
-    """``float(value)`` for a real config field (the default ``kind`` of
-    :func:`_config_value`): numbers and numeric strings such as ``"inf"``
-    convert; a boolean is a ValueError instead of being read as 0.0/1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _config_value(block: dict, key: str, default, kind=_real):
-    """``block[key]`` (``default`` if absent) converted by ``kind``; None where
-    the default is None. A config value that does not convert is a
-    ConfigurationError."""
-    value = block.get(key, default)
-    if value is None and default is None:
-        return None
+    """The config of a JSON file; a file that cannot be read or is not JSON
+    is a ConfigurationError."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """``int(value)`` for an integer config field (the ``kind`` of its
-    :func:`_config_value`): integral floats (2000.0) and integer strings
-    convert; a non-integral number or a boolean is a ValueError instead of
-    being truncated or read as 0/1."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise ConfigurationError(f"unreadable config {str(path)!r}: {exc}") from exc
+    return ExperimentConfig.from_dict(doc, kind=kind)
 
 
 def materialize(cfg: ExperimentConfig):
@@ -262,7 +256,7 @@ def materialize(cfg: ExperimentConfig):
     real numbers, read by :func:`_real`), are a ConfigurationError; so is a
     built-in's dataset whose z_dim is not the sampler's dim."""
     ds = cfg.dataset
-    name = cfg.objective.get("name", "quadratic")
+    name = cfg.objective.get("name", _OBJECTIVE["name"])
     builtin = name == "quadratic" or name in _DATA_COUPLED
     try:
         z_dim = _config_value(ds, "z_dim", cfg.sampler.dim, _integer)
@@ -270,12 +264,12 @@ def materialize(cfg: ExperimentConfig):
             raise ConfigurationError(f"objective {name!r} needs dataset z_dim = sampler dim "
                                      f"{cfg.sampler.dim}, got {z_dim}")
         data = make_dataset(
-            generator_id=ds.get("generator", "gaussian"),
-            n=_config_value(ds, "n", 100, _integer),
+            generator_id=ds.get("generator", _DATASET["generator"]),
+            n=_config_value(ds, "n", _DATASET["n"], _integer),
             z_dim=z_dim,
-            seed=_config_value(ds, "seed", 7, _integer),
+            seed=_config_value(ds, "seed", _DATASET["seed"], _integer),
         )
-        params = dict(cfg.objective.get("params", {}))
+        params = _config_value(cfg.objective, "params", _OBJECTIVE["params"], _object)
         if builtin:  # built-ins take real numbers only
             params = {key: _config_value(params, key, None) for key in params}
         if name in _DATA_COUPLED or (name == "quadratic" and params.get("coupling", 0.0) != 0.0):
@@ -350,7 +344,8 @@ def _build(cfg: ExperimentConfig):
             findings.append(_finding("warning", "certification", str(exc)))
     if cfg.risk:
         try:
-            p, q = _config_value(cfg.risk, "p", 2.0), _config_value(cfg.risk, "q", 1, _integer)
+            p = _config_value(cfg.risk, "p", _RISK_P)
+            q = _config_value(cfg.risk, "q", _RISK_Q, _integer)
             theory.check_pq(p, q)
             findings.append(_finding("info", "pq-pairing", f"(p, q) = ({p}, {q}) is valid"))
         except ConfigurationError as exc:
@@ -415,8 +410,8 @@ class RunManifest:
     findings: list
     results: dict = field(default_factory=dict)
 
-    def to_json(self, indent=2) -> str:
-        return theory.to_json(asdict(self), indent)
+    def to_json(self) -> str:
+        return theory.to_json(asdict(self))
 
 
 def _write(path: Path, doc) -> None:
@@ -440,27 +435,15 @@ def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: 
 
 def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int, q: int = 2):
     """Short ensemble tracking sup of E V^2, E V^{2q} and the 2q radial moment."""
-    s = cfg.sampler
-
-    def v2(X, V):
-        return lyap.value_rows(X, V) ** 2
-
-    def v2q(X, V):
-        return lyap.value_rows(X, V) ** (2 * q)
-
-    def radial(X, V):
-        return np.sum(X * X, axis=1) ** q
-
     return ensemble_run(
-        cfg.chain,
-        s,
-        obj,
-        data,
+        cfg.chain, cfg.sampler, obj, data,
         steps=steps,
         replicas=min(cfg.replicas, 8),
         record_every=max(1, steps // 50),
         burn_in=steps // 2,
-        functionals={"v2": v2, "v2q": v2q, "radial2q": radial},
+        functionals={"v2": lambda X, V: lyap.value_rows(X, V) ** 2,
+                     "v2q": lambda X, V: lyap.value_rows(X, V) ** (2 * q),
+                     "radial2q": lambda X, V: np.sum(X * X, axis=1) ** q},
         purpose="pilot",
     )
 
@@ -476,8 +459,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     them once its manifest is written, and a failed audit raises it after
     ``audit.json`` and before the manifest.
     """
-    if cfg.kind not in KINDS:
-        raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
     start = time.perf_counter()
     obj, data, findings, certified = _build(cfg)
     blocking = [f["message"] for f in findings if f["level"] != "info"] if cfg.strict else []
@@ -487,7 +468,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     if obj is None and cfg.kind != "validate":
         raise ConfigurationError(findings[0]["message"])
     try:
-        data_seed = _config_value(cfg.dataset, "seed", 7, _integer)
+        data_seed = _config_value(cfg.dataset, "seed", _DATASET["seed"], _integer)
     except ConfigurationError:  # already the violation finding of _build
         data_seed = None
     out = Path(cfg.out)
@@ -548,7 +529,7 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
             return "assumption audit failed"
 
     elif cfg.kind == "constants":
-        p = _config_value(cfg.risk, "p", 2.0)
+        p = _config_value(cfg.risk, "p", _RISK_P)
         delta = _config_value(cfg.risk, "delta", 0.0)
         drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
         table = {
@@ -676,8 +657,8 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
 def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certified) -> dict:
     s = cfg.sampler
     risk = cfg.risk
-    p = _config_value(risk, "p", 2.0)
-    q = _config_value(risk, "q", 1, _integer)
+    p = _config_value(risk, "p", _RISK_P)
+    q = _config_value(risk, "q", _RISK_Q, _integer)
     theory.check_pq(p, q)
     k = _config_value(risk, "k", cfg.steps, _integer)
     eps, sigma = _config_value(risk, "eps", None), _config_value(risk, "sigma", None)

@@ -738,6 +738,8 @@ class TestCli:
         ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": "nan"}}),
         ("risk-bound", {}, {"risk": {"p": 2.0, "q": 1, "lambda_star": 1.0, "eps": "nan"}}),
         ("rate-study", {}, {"rate": {"t_end": "nan"}}),
+        ("validate", {}, {"chain": "bogus"}),
+        ("sample", {}, {"chain": "bogus"}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
             "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
@@ -749,13 +751,40 @@ class TestCli:
             "init-x0-nan", "init-scale-nan-validate", "audit-radius-nan", "audit-radius-0",
             "audit-radius-neg", "dataset-z-dim-3", "dataset-z-dim-0", "constants-delta-neg",
             "risk-delta-neg", "risk-sigma-neg", "risk-c-ls-neg", "risk-k-neg", "risk-lambda-star-nan",
-            "risk-eps-nan", "rate-t-end-nan"])
+            "risk-eps-nan", "rate-t-end-nan", "chain-bogus-validate", "chain-bogus"])
     def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         doc["sampler"].update(sampler)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+        assert "validation failure" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("block", ["sampler", "sampler_b", "init", "objective", "dataset",
+                                       "rate", "risk", "audit"])
+    @pytest.mark.parametrize("kind", ["validate", "couple"])
+    def test_non_object_block_exits_validation(self, tmp_path, capsys, kind, block):
+        doc = base_config(kind=kind, out=str(tmp_path / "r"))
+        (doc["sampler"] if block == "init" else doc)[block] = "x"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+        assert f"malformed config value '{block}': 'x' is not an object" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("text", [
+        None,
+        b'{"kind": "validate", "steps": 1',
+        b"\xff\xfe{}",
+        json.dumps([base_config(kind="validate")]).encode(),
+    ], ids=["missing", "truncated", "not-utf-8", "list"])
+    def test_unreadable_config_exits_validation(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_bytes(text)
+        assert main(["validate", "--config", str(path),
+                     "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
         assert "validation failure" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
