@@ -42,8 +42,27 @@ class MinibatchOracle:
     rng: np.random.Generator
 
     def __post_init__(self):
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch size must be >= 1")
+        if self.batch_size is not None:
+            self.batch_size = _batch_size(self.batch_size)
+
+
+def _batch_size(ell) -> int:
+    """A batch size as an int >= 1; a fractional or boolean one is a
+    ConfigurationError instead of being truncated."""
+    if isinstance(ell, bool) or not ell >= 1 or ell % 1:  # NaN fails too
+        raise ConfigurationError(f"batch size must be an integer >= 1, got {ell!r}")
+    return int(ell)
+
+
+def _probe(obj: ObjectiveSpec, x) -> np.ndarray:
+    """A probe position as a float array; one that is not a finite point of
+    the objective's dimension is a ConfigurationError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (obj.dim,):
+        raise ConfigurationError(f"probe must have shape ({obj.dim},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigurationError(f"probe must be finite, got {x}")
+    return x
 
 
 def make_oracle(
@@ -61,14 +80,16 @@ def make_oracle(
     return MinibatchOracle(
         obj=obj,
         data=data,
-        batch_size=None if batch_size is None else int(batch_size),
+        batch_size=batch_size,
         rng=derive_stream(seed, purpose, replica),
     )
 
 
 def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) -> np.ndarray:
     """``trials`` independent draws at x via ``minibatch_gradient_rows``: (trials, d)."""
-    x = np.asarray(x, dtype=float)
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    x = _probe(oracle.obj, x)
     if oracle.batch_size is None:
         g = empirical_gradient(x, oracle.obj, oracle.data)
         return np.broadcast_to(g, (trials, g.size)).copy()
@@ -96,8 +117,7 @@ def estimate_delta(
         raise ConfigurationError("estimate_delta needs at least one probe")
     cert = oracle.obj.cert
     ratios = []
-    for x in probes:
-        x = np.asarray(x, dtype=float)
+    for x in [_probe(oracle.obj, x) for x in probes]:
         full = empirical_gradient(x, oracle.obj, oracle.data)
         draws = sample_gradient_many(oracle, x, trials)
         msd = float(np.mean(np.sum((draws - full[None, :]) ** 2, axis=1)))
@@ -136,14 +156,12 @@ def variance_scaling_curve(
 
     A single batch size yields a curve of length one and no slope.
     """
-    sizes = [int(l) for l in batch_sizes]
-    if any(l < 1 for l in sizes):
-        raise ConfigurationError("batch sizes must be >= 1")
+    sizes = [_batch_size(l) for l in batch_sizes]
+    if not sizes:
+        raise ConfigurationError("variance_scaling_curve needs at least one batch size")
     if len(set(sizes)) != len(sizes):
         raise ConfigurationError("batch sizes must be distinct")
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    x = np.asarray(x, dtype=float)
+    x = _probe(obj, x)
     full = empirical_gradient(x, obj, data)
     points = []
     for i, ell in enumerate(sizes):

@@ -114,6 +114,38 @@ class TestEstimateDelta:
         with pytest.raises(ConfigurationError, match="at least one probe"):
             estimate_delta(make_oracle(obj, data, batch, seed=1), [], trials=200)
 
+    @pytest.mark.parametrize("probe, match", [
+        (np.zeros(3), r"probe must have shape \(2,\)"),
+        (np.zeros((1, 2)), r"probe must have shape \(2,\)"),
+        (np.array([np.nan, 0.0]), "probe must be finite"),
+        (np.array([np.inf, 0.0]), "probe must be finite"),
+    ], ids=["length-3", "row", "nan", "inf"])
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_malformed_probe_rejected(self, coupled_quad, batch, probe, match):
+        obj, data = coupled_quad
+        oracle = make_oracle(obj, data, batch, seed=1)
+        with pytest.raises(ConfigurationError, match=match):
+            estimate_delta(oracle, [np.zeros(2), probe], trials=200)
+        with pytest.raises(ConfigurationError, match=match):
+            sample_gradient_many(oracle, probe, 5)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_draw_count_checked(self, coupled_quad, trials):
+        obj, data = coupled_quad
+        with pytest.raises(ConfigurationError, match="trials must be >= 1"):
+            sample_gradient_many(make_oracle(obj, data, 2, seed=1), np.zeros(2), trials)
+
+    @pytest.mark.parametrize("batch", [2.5, 0.5, True, float("nan"), float("inf")])
+    def test_non_integral_batch_size_rejected(self, coupled_quad, batch):
+        obj, data = coupled_quad
+        with pytest.raises(ConfigurationError, match="batch size must be an integer"):
+            make_oracle(obj, data, batch, seed=1)
+
+    def test_integral_batch_size_converted(self, coupled_quad):
+        obj, data = coupled_quad
+        assert type(make_oracle(obj, data, 2.0, seed=1).batch_size) is int
+        assert make_oracle(obj, data, np.int64(3), seed=1).batch_size == 3
+
     def test_stable_across_probe_radii(self, coupled_quad):
         # the max ratio is attained near the origin, so probe sets that
         # include it give a stable delta_hat across radii
@@ -163,6 +195,15 @@ class TestVarianceCurve:
         for trials in (0, -3):
             with pytest.raises(ConfigurationError, match="trials must be >= 1"):
                 variance_scaling_curve(obj, data, np.zeros(2), [1, 2], trials=trials)
+        with pytest.raises(ConfigurationError, match="at least one batch size"):
+            variance_scaling_curve(obj, data, np.zeros(2), [], trials=10)
+        for sizes in ([1.7, 2.2], [2.5], [True], [float("nan")]):
+            with pytest.raises(ConfigurationError, match="batch size must be an integer"):
+                variance_scaling_curve(obj, data, np.zeros(2), sizes, trials=10)
+        with pytest.raises(ConfigurationError, match=r"probe must have shape \(2,\)"):
+            variance_scaling_curve(obj, data, np.zeros(3), [1, 2], trials=10)
+        with pytest.raises(ConfigurationError, match="probe must be finite"):
+            variance_scaling_curve(obj, data, np.array([np.nan, 0.0]), [1, 2], trials=10)
 
 
 def test_batch_size_validation(coupled_quad):
