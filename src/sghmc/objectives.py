@@ -335,10 +335,10 @@ class AuditReport:
                 return e
         raise KeyError(assumption)
 
-    def to_json(self, indent=2) -> str:
+    def to_json(self) -> str:
         from .theory import to_json  # theory imports this module
 
-        return to_json([e.to_dict() for e in self.entries], indent)
+        return to_json([e.to_dict() for e in self.entries])
 
 
 def default_probe_radius(cert: SmoothnessCertificate) -> float:

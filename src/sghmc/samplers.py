@@ -637,7 +637,6 @@ def coupled_ensemble_run(
     steps: int,
     replicas: int,
     record_every: int = 10,
-    purpose: str = "coupled-ensemble",
 ) -> CoupledEnsembleResult:
     """Replicated synchronous coupling of two chains of the same kind.
 
@@ -653,10 +652,12 @@ def coupled_ensemble_run(
     if cfg_a.batch_size != cfg_b.batch_size:
         raise ConfigurationError("coupled chains must share the batch size")
     _check_sizes(steps=steps, replicas=replicas, record_every=record_every)
-    noise_rng = derive_stream(cfg_a.seed, f"{purpose}:noise")
-    Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, f"{purpose}:init", 0), size=replicas)
-    Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, f"{purpose}:init", 1), size=replicas)
-    idx_rng = derive_stream(cfg_a.seed, f"{purpose}:minibatch")
+    noise_rng = derive_stream(cfg_a.seed, "coupled-ensemble:noise")
+    Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled-ensemble:init", 0),
+                               size=replicas)
+    Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled-ensemble:init", 1),
+                               size=replicas)
+    idx_rng = derive_stream(cfg_a.seed, "coupled-ensemble:minibatch")
     chains = _paired(_Chain(kind, cfg_a, Xa, Va, idx_rng), _Chain(kind, cfg_b, Xb, Vb, idx_rng))
 
     def separation(k, A, B):
@@ -694,7 +695,6 @@ def brownian_coupled_distance(
     data: Dataset,
     t_end: float,
     replicas: int,
-    purpose: str = "rate",
 ) -> float:
     """Terminal RMS distance between a chain at cfg.lam and a finer reference.
 
@@ -720,15 +720,15 @@ def brownian_coupled_distance(
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
     _check_sizes(replicas=replicas)
-    noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
-    init_rng = derive_stream(cfg.seed, f"{purpose}:init")
+    noise_rng = derive_stream(cfg.seed, "rate:noise")
+    init_rng = derive_stream(cfg.seed, "rate:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
     amp = _noise(cfg.gamma, cfg.beta)
     sqrt_lref = math.sqrt(lambda_ref)
     # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j;
     # coarse: one step with the summed increment
     ref = _Chain("exact_sghmc", cfg, X, V, lam=lambda_ref, c=amp * sqrt_lref, sub=r)
-    coarse = _Chain("sghmc", cfg, X, V, derive_stream(cfg.seed, f"{purpose}:minibatch"), c=amp,
+    coarse = _Chain("sghmc", cfg, X, V, derive_stream(cfg.seed, "rate:minibatch"), c=amp,
                     fold=sqrt_lref)
     for _ in _advance([ref, coarse], obj, data, n_coarse, noise_rng,
                       "rate coupling diverged at coarse step {}"):

@@ -170,16 +170,15 @@ def lyapunov_lower_bound(params: LyapunovParams, x, v) -> float:
     )
 
 
-def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int,
-                              mc_draws: int = 4096, seed: int = 0) -> float:
+def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int) -> float:
     """Integral of the Lyapunov functional under the initial law.
 
-    Exact for a point mass, Monte Carlo (``mc_draws`` draws) for a Gaussian.
+    Exact for a point mass, Monte Carlo (4096 draws) for a Gaussian.
     """
-    rng = derive_stream(seed, "mu0:lyapunov")
+    rng = derive_stream(0, "mu0:lyapunov")
     if init.kind == "point":
         return lyap.value(*init.sample(dim, rng))
-    X, V = init.sample(dim, rng, size=mc_draws)
+    X, V = init.sample(dim, rng, size=4096)
     return float(np.mean(lyap.value_rows(X, V)))
 
 
@@ -534,10 +533,10 @@ def jsonable(doc):
     return doc
 
 
-def to_json(doc, indent: int = 2) -> str:
+def to_json(doc) -> str:
     """Strict JSON text of ``doc`` (see ``jsonable``): the encoding of every
     JSON file a run writes."""
-    return json.dumps(jsonable(doc), indent=indent, allow_nan=False)
+    return json.dumps(jsonable(doc), indent=2, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -548,7 +547,7 @@ class ConstantEntry:
     log: Optional[float] = None  # natural log, for entries evaluated in log space
 
 
-def constants_to_json(table: Mapping[str, ConstantEntry], indent: int = 2) -> str:
+def constants_to_json(table: Mapping[str, ConstantEntry]) -> str:
     """Entries read {value, status, formula_ref}; one evaluated in log space
     whose value left float range takes the status and log10 of in_range."""
     doc = {}
@@ -556,7 +555,7 @@ def constants_to_json(table: Mapping[str, ConstantEntry], indent: int = 2) -> st
         doc[k] = {"value": e.value, "status": e.status, "formula_ref": e.formula}
         if e.log is not None and isinstance(flagged := in_range(e.value, e.log), dict):
             doc[k].update(flagged)
-    return to_json(doc, indent)
+    return to_json(doc)
 
 
 def proof_constants(
