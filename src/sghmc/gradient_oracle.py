@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 from .objectives import (
     Dataset,
     ObjectiveSpec,
+    _batch_size,
     empirical_gradient,
     minibatch_gradient_rows,
 )
@@ -44,14 +45,6 @@ class MinibatchOracle:
     def __post_init__(self):
         if self.batch_size is not None:
             self.batch_size = _batch_size(self.batch_size)
-
-
-def _batch_size(ell) -> int:
-    """A batch size as an int >= 1; a fractional or boolean one is a
-    ConfigurationError instead of being truncated."""
-    if isinstance(ell, bool) or not ell >= 1 or ell % 1:  # NaN fails too
-        raise ConfigurationError(f"batch size must be an integer >= 1, got {ell!r}")
-    return int(ell)
 
 
 def _probe(obj: ObjectiveSpec, x) -> np.ndarray:

@@ -6,8 +6,8 @@ its blocks (objective, dataset, sampler, kind-specific knobs) is a JSON object;
 a config that cannot be read, or a value that does not convert, is a
 ConfigurationError. The harness materializes the pieces, dispatches on the
 experiment kind, and writes CSV data plus a JSON manifest sufficient to
-reproduce the run bit-for-bit. CLI flags override config fields
-(flag > config > default).
+reproduce the run bit-for-bit; every JSON file is encoded here, by
+:func:`to_json`. CLI flags override config fields (flag > config > default).
 
 Experiment kinds:
 
@@ -92,10 +92,13 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a boolean")
-    return value
+def _instance(kind: type, name: str):
+    """A converter that takes a value of type ``kind`` as is and no other value."""
+    def convert(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not {name}")
+        return value
+    return convert
 
 
 def _object(value) -> dict:
@@ -170,9 +173,9 @@ def _sampler_to_dict(cfg: SamplerConfig) -> dict:
 
 # the converter of each ExperimentConfig field, by its annotation (a string
 # under ``from __future__ import annotations``)
-_CONVERTERS = {"str": str, "bool": _boolean, "int": _integer, "Optional[int]": _integer,
-               "dict": _object, "SamplerConfig": _parse_sampler,
-               "Optional[SamplerConfig]": _parse_sampler}
+_CONVERTERS = {"str": _instance(str, "a string"), "bool": _instance(bool, "a boolean"),
+               "int": _integer, "Optional[int]": _integer, "dict": _object,
+               "SamplerConfig": _parse_sampler, "Optional[SamplerConfig]": _parse_sampler}
 _OPTIONAL = {"optional": True}  # metadata: the echo leaves the field out while unset
 
 
@@ -410,8 +413,25 @@ class RunManifest:
     findings: list
     results: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return theory.to_json(asdict(self))
+
+def jsonable(doc):
+    """``doc`` with numpy values as Python values and every non-finite float
+    as the string 'inf', '-inf' or 'nan'."""
+    if isinstance(doc, (np.ndarray, np.generic)):
+        doc = doc.tolist()
+    if isinstance(doc, dict):
+        return {k: jsonable(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [jsonable(v) for v in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return str(doc)
+    return doc
+
+
+def to_json(doc) -> str:
+    """Strict JSON text of ``doc`` (see ``jsonable``): the encoding of every
+    JSON file a run writes."""
+    return json.dumps(jsonable(doc), indent=2, allow_nan=False)
 
 
 def _write(path: Path, doc) -> None:
@@ -420,7 +440,18 @@ def _write(path: Path, doc) -> None:
     if callable(doc):
         doc(path)
     else:
-        path.write_text(doc if isinstance(doc, str) else theory.to_json(doc), encoding="utf-8")
+        path.write_text(doc if isinstance(doc, str) else to_json(doc), encoding="utf-8")
+
+
+def _constants_doc(table) -> dict:
+    """A ConstantEntry table's entries as {value, status, formula_ref}; one in log
+    space whose value left float range takes the status and log10 of in_range."""
+    doc = {}
+    for k, e in table.items():
+        doc[k] = {"value": e.value, "status": e.status, "formula_ref": e.formula}
+        if e.log is not None and isinstance(flagged := theory.in_range(e.value, e.log), dict):
+            doc[k].update(flagged)
+    return doc
 
 
 def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: float):
@@ -489,8 +520,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     def finish() -> None:
         manifest.wall_time_s = time.perf_counter() - start
-        manifest.results = theory.jsonable(manifest.results)
-        _write(out / "manifest.json", manifest.to_json())
+        manifest.results = jsonable(manifest.results)
+        _write(out / "manifest.json", asdict(manifest))
 
     try:
         objection = _run_kind(cfg, obj, data, certified, emit, manifest)
@@ -523,7 +554,7 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
             radius=_config_value(cfg.audit, "radius", None),
             seed=_config_value(cfg.audit, "seed", s.seed, _integer),
         )
-        emit("audit.json", report.to_json())
+        emit("audit.json", [e.to_dict() for e in report.entries])
         results["all_passed"] = report.all_passed
         if not report.all_passed:
             return "assumption audit failed"
@@ -545,9 +576,8 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
             "c_star": theory.ConstantEntry(cc.c_star, "exact", "contraction rate", cc.log_c_star),
             "C_star": theory.ConstantEntry(cc.C_star, "exact", "contraction prefactor",
                                            cc.log_C_star),
-            "epsilon_c": theory.ConstantEntry(
-                cc.epsilon_c, "exact", "4 c_star / (gamma (d + A_c))",
-                cc.log_c_star + math.log(4.0 / (s.gamma * (s.dim + cc.A_c)))),
+            "epsilon_c": theory.ConstantEntry(cc.epsilon_c, "exact",
+                                              "4 c_star / (gamma (d + A_c))", cc.log_epsilon_c),
             "eta_c": theory.ConstantEntry(cc.eta_c, "exact", "1 / Lambda_c"),
             "R_1": theory.ConstantEntry(cc.R_1, "exact", "flat radius of h"),
             "C_c_x": theory.ConstantEntry(moment.C_c_x, "exact", "continuous x moment bound"),
@@ -568,7 +598,7 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
             theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
                                    pilot_sup_v2=pilot_sup_v2)
         )
-        emit("constants.json", theory.constants_to_json(table))
+        emit("constants.json", _constants_doc(table))
         results["lambda_c"] = drift.lambda_c
         results["lambda_cap"] = moment.lambda_cap
 
@@ -694,11 +724,9 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certif
     chain_steps = max(cfg.steps, 200 * cloud_n)
     tail = run_chain(cfg.chain, s, obj, data, steps=chain_steps,
                      thin=max(1, chain_steps // cloud_n))
-    Xl = tail.xs[-cloud_n:]
-    Vl = tail.vs[-cloud_n:]
-    n_avail = min(len(Xl), cloud_n)
-    init_cloud = SampleCloud(np.hstack([Xi[:n_avail], Vi[:n_avail]]))
-    long_cloud = SampleCloud(np.hstack([Xl[:n_avail], Vl[:n_avail]]))
+    # thin <= chain_steps / cloud_n, so the tail records cloud_n + 1 states at least
+    init_cloud = SampleCloud(np.hstack([Xi, Vi]))
+    long_cloud = SampleCloud(np.hstack([tail.xs[-cloud_n:], tail.vs[-cloud_n:]]))
     w_rho = rho_distance_cloud(init_cloud, long_cloud, cc, lyap)
 
     bound = theory.risk_bound(
@@ -726,9 +754,9 @@ def rate_study(
     data: Dataset,
     base: SamplerConfig,
     lambdas,
-    lambda_ref_divisor: float = 16.0,
-    t_end: float = 5.0,
-    replicas: int = 32,
+    lambda_ref_divisor: float,
+    t_end: float,
+    replicas: int,
 ) -> dict:
     """Coupled distance to a finer reference across a decreasing step grid.
 
@@ -743,8 +771,8 @@ def rate_study(
         raise ConfigurationError("rate study needs at least one step size")
     if any(l <= 0 for l in lambdas):
         raise ConfigurationError("step sizes must be positive")
-    if not 1 <= lambda_ref_divisor < math.inf:
-        raise ConfigurationError(f"ref_divisor must be >= 1 and finite, got {lambda_ref_divisor}")
+    if not 1 <= lambda_ref_divisor < math.inf or lambda_ref_divisor % 1:
+        raise ConfigurationError(f"ref_divisor must be >= 1 and integral, got {lambda_ref_divisor}")
     if not 0 < t_end < math.inf:
         raise ConfigurationError(f"t_end must be > 0 and finite, got {t_end}")
     rows = []

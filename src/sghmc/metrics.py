@@ -192,8 +192,7 @@ def sliced_wasserstein(a, b, p: float = 2.0, n_projections: int = 128, seed: int
     return float(np.mean(powers) ** (1.0 / p))
 
 
-def rho_distance_cloud(a, b, cc: ContractionConstants, lyap: LyapunovParams,
-                       nodes: int = 4096) -> float:
+def rho_distance_cloud(a, b, cc: ContractionConstants, lyap: LyapunovParams) -> float:
     """Empirical rho-transport distance between clouds in phase space.
 
     Points live in R^{2d} as (x, v) concatenations. The assignment problem is
@@ -207,7 +206,7 @@ def rho_distance_cloud(a, b, cc: ContractionConstants, lyap: LyapunovParams,
         raise ConfigurationError("rho distance is capped at 64 points")
     if a.dim != b.dim or a.dim % 2:
         raise ConfigurationError("phase-space clouds need even, equal dimension")
-    cost = rho_cost(cc, lyap, a.points, b.points, nodes)
+    cost = rho_cost(cc, lyap, a.points, b.points)
     return float(np.mean(cost[np.arange(a.n), _assignment(cost)]))
 
 

@@ -278,6 +278,14 @@ def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
                      for x, i in zip(X, idx)])
 
 
+def _batch_size(ell) -> int:
+    """A batch size as an int >= 1 (an integral float converts); a fractional
+    or boolean one is a ConfigurationError instead of being truncated."""
+    if isinstance(ell, bool) or not ell >= 1 or ell % 1:  # NaN fails too
+        raise ConfigurationError(f"batch size must be an integer >= 1, got {ell!r}")
+    return int(ell)
+
+
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):
     """Quadratic-growth envelope around f(x, z).
 
@@ -329,17 +337,6 @@ class AuditReport:
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def entry(self, assumption: str) -> AuditEntry:
-        for e in self.entries:
-            if e.assumption == assumption:
-                return e
-        raise KeyError(assumption)
-
-    def to_json(self) -> str:
-        from .theory import to_json  # theory imports this module
-
-        return to_json([e.to_dict() for e in self.entries])
-
 
 def default_probe_radius(cert: SmoothnessCertificate) -> float:
     """Default audit radius: covers the dissipativity crossover region."""
@@ -360,13 +357,14 @@ def ball_probes(rng: np.random.Generator, k: int, dim: int, radius: float) -> np
 def audit_assumptions(
     obj: ObjectiveSpec,
     data: Dataset,
-    probes: int = 1000,
-    radius: Optional[float] = None,
-    seed: int = 0,
+    probes: int,
+    radius: Optional[float],
+    seed: int,
 ) -> AuditReport:
     """Numerically audit the certificate of ``obj`` against its dataset.
 
-    Checks, over ``probes`` random points in the ball of the given radius and
+    Checks, over ``probes`` random points in the ball of the given radius
+    (None: ``default_probe_radius``), drawn from a stream of ``seed``, and
     over all dataset samples:
 
     * non-negativity of f,

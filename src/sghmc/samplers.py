@@ -60,6 +60,7 @@ from .errors import ConfigurationError, DivergenceError
 from .objectives import (
     Dataset,
     ObjectiveSpec,
+    _batch_size,
     _reject_nonfinite_gradient,
     batch_empirical_gradient,
     minibatch_gradient_rows,
@@ -91,19 +92,16 @@ class InitialLaw:
         if not all(np.isfinite(a).all() for a in (self.mean, self.x0, self.v0) if a is not None):
             raise ConfigurationError("initial law has a non-finite mean, x0 or v0")
 
-    def sample(self, dim: int, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw (x, v); with ``size`` draw stacked replicas of shape (size, dim)."""
+    def sample(self, dim: int, rng: np.random.Generator, size: int):
+        """Draw ``size`` stacked replicas (x, v), each of shape (size, dim)."""
         if self.kind == "point":
             x0 = np.zeros(dim) if self.x0 is None else np.asarray(self.x0, dtype=float)
             v0 = np.zeros(dim) if self.v0 is None else np.asarray(self.v0, dtype=float)
             if x0.shape != (dim,) or v0.shape != (dim,):
                 raise ConfigurationError("point initial law has wrong dimension")
-            if size is None:
-                return x0.copy(), v0.copy()
             return np.tile(x0, (size, 1)), np.tile(v0, (size, 1))
-        shape = (dim,) if size is None else (size, dim)
-        x = self.mean + self.scale * rng.standard_normal(shape)
-        v = self.mean + self.scale * rng.standard_normal(shape)
+        x = self.mean + self.scale * rng.standard_normal((size, dim))
+        v = self.mean + self.scale * rng.standard_normal((size, dim))
         return x, v
 
 
@@ -144,8 +142,8 @@ class SamplerConfig:
             raise ConfigurationError("inverse temperature must be > 0 (inf allowed)")
         if self.dim < 1:
             raise ConfigurationError("dimension must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch size must be >= 1 or None")
+        if self.batch_size is not None:
+            object.__setattr__(self, "batch_size", _batch_size(self.batch_size))
         if self.init.kind == "point" and any(
                 a is not None and np.shape(a) != (self.dim,) for a in (self.init.x0, self.init.v0)):
             raise ConfigurationError("point initial law has wrong dimension")

@@ -18,12 +18,11 @@ empirical pilot statistics. The chain of quantities:
 
 Entries are exact evaluations of their defining formulas; nothing is tuned.
 Quantities that cannot be computed in closed form are estimated and labelled
-as such, never silently substituted.
+as such, never silently substituted. The harness encodes the results as JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -87,24 +86,22 @@ def derive_drift_constants(
     obj: ObjectiveSpec,
     data: Dataset,
     probes: int = 1000,
-    radius: Optional[float] = None,
-    seed: int = 0,
 ) -> DriftConstants:
     """Half the printed caps, then verify the drift inequality on probes.
 
     Starts from the closed-form pair (``closed_form_drift``) with
     lambda_c = min{1/4, m/(M + 2B + gamma^2/2)} / 2 and, should any probe
     violate the inequality, halves lambda_c and doubles A_c up to 20 times
-    before giving up with the witnessing probe.
+    before giving up with the witnessing probe. The probes are drawn from the
+    ball of radius ``default_probe_radius(cert)``.
     """
     if not gamma > 0:
         raise ConfigurationError("friction gamma must be positive here")
     if not 0 < beta < math.inf:
         raise ConfigurationError("beta must be positive and finite here")
     drift = closed_form_drift(cert, gamma, beta)
-    if radius is None:
-        radius = default_probe_radius(cert)
-    X = ball_probes(derive_stream(seed, "drift:probes"), probes, obj.dim, radius)
+    radius = default_probe_radius(cert)
+    X = ball_probes(derive_stream(0, "drift:probes"), probes, obj.dim, radius)
     risks = batch_empirical_risk(X, obj, data)
     grads = batch_empirical_gradient(X, obj, data)
     lhs = np.sum(grads * X, axis=1)
@@ -176,9 +173,9 @@ def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int) -> float:
     Exact for a point mass, Monte Carlo (4096 draws) for a Gaussian.
     """
     rng = derive_stream(0, "mu0:lyapunov")
+    X, V = init.sample(dim, rng, size=1 if init.kind == "point" else 4096)
     if init.kind == "point":
-        return lyap.value(*init.sample(dim, rng))
-    X, V = init.sample(dim, rng, size=4096)
+        return lyap.value(X[0], V[0])
     return float(np.mean(lyap.value_rows(X, V)))
 
 
@@ -196,7 +193,8 @@ class ContractionConstants:
     two displays that define alpha_c. c* and C* are exponential in
     Lambda_c = O(beta + d), so the logs are the evaluated quantities:
     ``c_star = exp(log_c_star)`` reads 0.0 below float range, ``C_star =
-    exp(log_C_star)`` reads inf above it, and ``epsilon_c`` follows c_star.
+    exp(log_C_star)`` reads inf above it, and ``epsilon_c`` follows c_star
+    (``log_epsilon_c`` is its log).
     """
 
     c_star: float
@@ -211,6 +209,7 @@ class ContractionConstants:
     A_c: float
     log_c_star: float
     log_C_star: float
+    log_epsilon_c: float
 
 
 def _exp(x: float) -> float:
@@ -281,6 +280,7 @@ def contraction_constants(
     )
     c_star = math.exp(log_c_star)
     eps_c = 4.0 * c_star / (gamma * (d + a_c))
+    log_eps_c = log_c_star + math.log(4.0 / (gamma * (d + a_c)))
     eta_c = 1.0 / Lam
     L_c = beta * cert.M
     R_1 = (
@@ -317,6 +317,7 @@ def contraction_constants(
         A_c=a_c,
         log_c_star=log_c_star,
         log_C_star=log_C_star,
+        log_epsilon_c=log_eps_c,
     )
 
 
@@ -348,8 +349,11 @@ def _cumulative_simpson(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(sub)))
 
 
-def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float,
-               nodes: int = 4096) -> float:
+# Intervals of the composite-Simpson grid on which h is evaluated (even)
+_H_INTERVALS = 4096
+
+
+def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float) -> float:
     """The concave comparison function h evaluated at r.
 
     h(r) = integral_0^{min(r, R_1)} phi(s) g(s) ds with a Gaussian weight phi
@@ -361,14 +365,14 @@ def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float,
         raise ConfigurationError("h is defined on r >= 0")
     if r == 0.0:
         return 0.0
-    return float(h_profile(cc, beta, gamma, r, nodes)[1][-1])
+    return float(h_profile(cc, beta, gamma, r)[1][-1])
 
 
 def h_profile(cc: ContractionConstants, beta: float, gamma: float,
-              r_max: Optional[float] = None, nodes: int = 4096):
+              r_max: Optional[float] = None):
     """h over an even grid on [0, r_eff], r_eff = min(r_max, R_1); returns (s, h(s)).
 
-    One cumulative pass of composite Simpson with the given number of nodes
+    One cumulative pass of composite Simpson over ``_H_INTERVALS`` intervals
     (``rho_cost`` interpolates on this profile). With g(s) = 1 - (9/4) c*
     gamma beta int_0^s Phi(u) / phi(u) du, h' = phi g >= 0 and h'' <= 0 as
     long as g stays nonnegative; g turning negative (or NaN) before r_eff
@@ -376,10 +380,7 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
     reported as a NumericalError, not repaired.
     """
     r_eff = cc.R_1 if r_max is None else min(r_max, cc.R_1)
-    n = max(2, int(nodes))
-    if n % 2:
-        n += 1
-    s = np.linspace(0.0, r_eff, n + 1)
+    s = np.linspace(0.0, r_eff, _H_INTERVALS + 1)
     a = (1.0 + cc.eta_c) * cc.L_c / 8.0 + (
         gamma**2 * beta * cc.epsilon_c * max(1.0, 1.0 / (2.0 * cc.alpha_c)) / 2.0
     )
@@ -406,8 +407,8 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
 # The semimetrics r and rho
 # ---------------------------------------------------------------------------
 
-def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray, B: np.ndarray,
-             nodes: int = 4096) -> np.ndarray:
+def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray,
+             B: np.ndarray) -> np.ndarray:
     """rho = h(r) (1 + eps_c V(x1, v1) + eps_c V(x2, v2)) between the (x, v)
     rows of A (n, 2d) and B (k, 2d): (n, k), with the semimetric
     r = alpha_c |x1 - x2| + |x1 - x2 + (v1 - v2) / gamma|. The one evaluation
@@ -426,7 +427,7 @@ def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray, B: n
     if r_max <= 0.0:
         h_r = np.zeros_like(r)
     else:
-        grid, h_vals = h_profile(cc, lyap.beta, gamma, r_max=r_max, nodes=nodes)
+        grid, h_vals = h_profile(cc, lyap.beta, gamma, r_max=r_max)
         h_r = np.interp(r_eff, grid, h_vals)
     va = lyap.value_rows(Xa, Va)
     vb = lyap.value_rows(Xb, Vb)
@@ -434,11 +435,11 @@ def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray, B: n
 
 
 def rho_semimetric(cc: ContractionConstants, lyap: LyapunovParams,
-                   state_a, state_b, nodes: int = 4096) -> float:
+                   state_a, state_b) -> float:
     """rho between two states (x, v): the 1x1 entry of ``rho_cost``."""
     a, b = (np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])[None]
             for x, v in (state_a, state_b))
-    return float(rho_cost(cc, lyap, a, b, nodes)[0, 0])
+    return float(rho_cost(cc, lyap, a, b)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -519,43 +520,12 @@ def in_range(value: float, log_value: float):
     return {"value": value, "status": status, "log10": log_value / math.log(10.0)}
 
 
-def jsonable(doc):
-    """``doc`` with numpy values as Python values and every non-finite float
-    as the string 'inf', '-inf' or 'nan'."""
-    if isinstance(doc, (np.ndarray, np.generic)):
-        doc = doc.tolist()
-    if isinstance(doc, dict):
-        return {k: jsonable(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [jsonable(v) for v in doc]
-    if isinstance(doc, float) and not math.isfinite(doc):
-        return str(doc)
-    return doc
-
-
-def to_json(doc) -> str:
-    """Strict JSON text of ``doc`` (see ``jsonable``): the encoding of every
-    JSON file a run writes."""
-    return json.dumps(jsonable(doc), indent=2, allow_nan=False)
-
-
 @dataclass(frozen=True)
 class ConstantEntry:
     value: float
     status: str  # "exact" | "empirical"
     formula: str
     log: Optional[float] = None  # natural log, for entries evaluated in log space
-
-
-def constants_to_json(table: Mapping[str, ConstantEntry]) -> str:
-    """Entries read {value, status, formula_ref}; one evaluated in log space
-    whose value left float range takes the status and log10 of in_range."""
-    doc = {}
-    for k, e in table.items():
-        doc[k] = {"value": e.value, "status": e.status, "formula_ref": e.formula}
-        if e.log is not None and isinstance(flagged := in_range(e.value, e.log), dict):
-            doc[k].update(flagged)
-    return to_json(doc)
 
 
 def proof_constants(
@@ -742,19 +712,19 @@ def risk_bound(
     return RiskBound(B_1=_exp(log_b1), B_2=b2, B_3=b3, log_B_1=log_b1, inputs=inputs)
 
 
-def iteration_budget(cc: ContractionConstants, c_tilde, eps: float,
+def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: float,
                      p: float, w_rho_init: float):
     """Step-size/noise cap and minimum iteration count for accuracy eps.
 
     Returns ``(cap, k_min)`` where the run must satisfy
     lam^{1/(2p)} + delta^{1/(2p)} <= cap = eps / (2 C~) and k >= k_min.
     When the initial transient is already below eps (log argument <= 1) the
-    budget is zero. ``c_tilde`` is C~ or its proof_constants entry (which
-    keeps the log of a C~ beyond float range); both results go through in_range.
+    budget is zero. ``c_tilde`` is the C~ entry of ``proof_constants``, whose
+    log stays finite beyond float range; both results go through in_range.
     """
     if not eps > 0:  # NaN fails too
         raise ConfigurationError("eps must be positive")
-    log_ct = c_tilde.log if isinstance(c_tilde, ConstantEntry) else math.log(c_tilde)
+    log_ct = c_tilde.log
     log_cap = math.log(eps) - math.log(2.0) - log_ct
     cap = in_range(_exp(log_cap), log_cap)
     log_arg = cc.log_C_star + math.log(w_rho_init) / p - math.log(eps)
@@ -784,8 +754,8 @@ ASSERTED_ORDERS = {
 
 
 def scaling_orders(betas: Sequence[float], ds: Sequence[int],
-                   cert: SmoothnessCertificate, gamma: float, p: float = 2.0):
-    """Tabulate the contraction constants over a (beta, d) grid.
+                   cert: SmoothnessCertificate, gamma: float):
+    """Tabulate the contraction constants (at p = 2) over a (beta, d) grid.
 
     Drift constants are taken at their closed-form values
     (``closed_form_drift``) without probe verification, since no concrete
@@ -799,7 +769,7 @@ def scaling_orders(betas: Sequence[float], ds: Sequence[int],
     for beta in betas:
         drift = closed_form_drift(cert, gamma, beta)
         for d in ds:
-            cc = contraction_constants(drift, cert, gamma, beta, d, p)
+            cc = contraction_constants(drift, cert, gamma, beta, d)
             rows.append(
                 {
                     "beta": float(beta),

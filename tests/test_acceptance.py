@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from sghmc.harness import (
     rate_study,
     run_experiment,
     sghmc_quadratic_stationary,
+    to_json,
 )
 from sghmc.samplers import coupled_ensemble_run, ensemble_run, gaussian_init
 from sghmc.rng import derive_stream
@@ -163,7 +165,7 @@ def test_criterion_4_constant_formulas(quad_obj, quad_theory):
     checks["h flat beyond R1"] = all(
         theory.h_function(cc, BETA, GAMMA, r) == h_r1 for r in (1.5 * cc.R_1, 3 * cc.R_1)
     )
-    grid, h_vals = theory.h_profile(cc, BETA, GAMMA, nodes=2000)
+    grid, h_vals = theory.h_profile(cc, BETA, GAMMA)
     full = np.linspace(0, 2 * cc.R_1, 1000)
     h_full = np.where(full <= cc.R_1, np.interp(full, grid, h_vals), h_vals[-1])
     checks["h concave on grid"] = bool(np.all(np.diff(h_full, 2) <= 1e-6 * h_vals[-1]))
@@ -298,7 +300,7 @@ def test_criterion_8_inequality_suite(builtin_suite, quad_theory):
     for _ in range(100):
         sa = (rng.standard_normal(2), rng.standard_normal(2))
         sb = (rng.standard_normal(2), rng.standard_normal(2))
-        rho = theory.rho_semimetric(cc, lyap, sa, sb, nodes=512)
+        rho = theory.rho_semimetric(cc, lyap, sa, sb)
         gap = math.sqrt(float(np.sum((sa[0] - sb[0]) ** 2) + np.sum((sa[1] - sb[1]) ** 2)))
         bound = c17 * (1 + cc.epsilon_c * (lyap.value(*sa) + lyap.value(*sb))) * gap
         rho_ok &= rho <= bound * (1 + 1e-9)
@@ -328,7 +330,7 @@ def test_criterion_9_reproducibility(tmp_path):
     }
     man = run_experiment(ExperimentConfig.from_dict(doc))
     # a rerun driven purely by the manifest must give identical bytes
-    manifest = json.loads(man.to_json())
+    manifest = json.loads(to_json(asdict(man)))
     manifest["config"]["out"] = str(tmp_path / "b")
     run_experiment(ExperimentConfig.from_dict(manifest))
     csv_a = (tmp_path / "a" / "trajectory.csv").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -76,7 +77,7 @@ class TestConfig:
     def test_manifest_document_accepted(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(out=str(tmp_path / "a")))
         man = run_experiment(cfg)
-        doc = json.loads(man.to_json())
+        doc = json.loads(harness.to_json(dataclasses.asdict(man)))
         again = ExperimentConfig.from_dict(doc)
         assert again.sampler.seed == cfg.sampler.seed
 
@@ -358,7 +359,8 @@ class TestRateStudy:
         base = SamplerConfig(lam=0.1, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
         table = rate_study(quad_obj, quad_data, base,
-                           lambdas=[0.1, 0.05, 0.025, 0.0125], t_end=5.0, replicas=32)
+                           lambdas=[0.1, 0.05, 0.025, 0.0125], lambda_ref_divisor=16.0,
+                           t_end=5.0, replicas=32)
         dists = [r["distance"] for r in table["rows"]]
         assert all(dists[i] >= dists[i + 1] for i in range(len(dists) - 1))
         assert table["slope"] >= 0.25
@@ -371,8 +373,10 @@ class TestRateStudy:
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
         mini = SamplerConfig(lam=0.05, gamma=2.0, beta=1.0, batch_size=1,
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
-        t_full = rate_study(obj, quad_data, full, lambdas=[0.05, 0.025], t_end=3.0, replicas=32)
-        t_mini = rate_study(obj, quad_data, mini, lambdas=[0.05, 0.025], t_end=3.0, replicas=32)
+        t_full = rate_study(obj, quad_data, full, lambdas=[0.05, 0.025], lambda_ref_divisor=16.0,
+                            t_end=3.0, replicas=32)
+        t_mini = rate_study(obj, quad_data, mini, lambdas=[0.05, 0.025], lambda_ref_divisor=16.0,
+                            t_end=3.0, replicas=32)
         for rf, rm in zip(t_full["rows"], t_mini["rows"]):
             assert rm["distance"] > rf["distance"]
 
@@ -380,7 +384,8 @@ class TestRateStudy:
         base = SamplerConfig(lam=5.0, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
         table = rate_study(quad_obj, quad_data, base,
-                           lambdas=[5.0, 0.5], t_end=3000.0, replicas=4)
+                           lambdas=[5.0, 0.5], lambda_ref_divisor=16.0, t_end=3000.0,
+                           replicas=4)
         flags = {r["lambda"]: r["flag"] for r in table["rows"]}
         assert flags[5.0] == "diverged"
         assert flags[0.5] == "ok"
@@ -392,7 +397,8 @@ class TestRateStudy:
         obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
         base = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=11, init=point_init([1.0, 0.0], [0.0, 0.0]))
-        table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
+        table = rate_study(obj, data, base, lambdas=[5.0, 1.0], lambda_ref_divisor=16.0,
+                           t_end=700.0, replicas=4)
         assert {r["lambda"]: r["flag"] for r in table["rows"]}[1.0] == "diverged"
 
     def test_runaway_point_with_overflowing_distance_dropped(self):
@@ -402,7 +408,8 @@ class TestRateStudy:
         obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
         base = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=11, init=point_init([1.0, 0.0], [0.0, 0.0]))
-        table = rate_study(obj, data, base, lambdas=[5.0, 1.0], t_end=700.0, replicas=4)
+        table = rate_study(obj, data, base, lambdas=[5.0, 1.0], lambda_ref_divisor=16.0,
+                           t_end=700.0, replicas=4)
         row = table["rows"][0]
         assert row["lambda"] == 5.0 and row["flag"] == "diverged"
         assert math.isnan(row["distance"])
@@ -415,7 +422,8 @@ class TestRateStudy:
         monkeypatch.setattr(harness, "brownian_coupled_distance", distance)
         base = SamplerConfig(lam=0.1, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
-        table = rate_study(quad_obj, quad_data, base, lambdas=[0.4, 0.2, 0.1], replicas=4)
+        table = rate_study(quad_obj, quad_data, base, lambdas=[0.4, 0.2, 0.1],
+                           lambda_ref_divisor=16.0, t_end=5.0, replicas=4)
         row = table["rows"][0]
         assert row["flag"] == "diverged" and math.isnan(row["distance"])
         assert table["slope"] == pytest.approx(2.0, rel=1e-12)
@@ -680,10 +688,12 @@ class TestCli:
         ("gibbs-check", {"steps": 1500}, []),
         ("rate-study", {"rate": {"ref_divisor": 0}}, []),
         ("rate-study", {"rate": {"ref_divisor": "inf"}}, []),
+        ("rate-study", {"rate": {"ref_divisor": 2.5}}, []),
         ("constants", {"pilot_steps": -5}, []),
         ("risk-bound", {"pilot_steps": -5}, []),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
             "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "ref-divisor-inf",
+            "ref-divisor-fractional",
             "pilot-steps-neg-constants", "pilot-steps-neg-risk-bound"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
@@ -740,6 +750,8 @@ class TestCli:
         ("rate-study", {}, {"rate": {"t_end": "nan"}}),
         ("validate", {}, {"chain": "bogus"}),
         ("sample", {}, {"chain": "bogus"}),
+        ("validate", {}, {"out": None}),
+        ("validate", {}, {"out": 5}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
             "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
@@ -751,15 +763,18 @@ class TestCli:
             "init-x0-nan", "init-scale-nan-validate", "audit-radius-nan", "audit-radius-0",
             "audit-radius-neg", "dataset-z-dim-3", "dataset-z-dim-0", "constants-delta-neg",
             "risk-delta-neg", "risk-sigma-neg", "risk-c-ls-neg", "risk-k-neg", "risk-lambda-star-nan",
-            "risk-eps-nan", "rate-t-end-nan", "chain-bogus-validate", "chain-bogus"])
-    def test_malformed_config_value_exits_validation(self, tmp_path, capsys, kind, sampler, over):
-        doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
+            "risk-eps-nan", "rate-t-end-nan", "chain-bogus-validate", "chain-bogus",
+            "out-null", "out-number"])
+    def test_malformed_config_value_exits_validation(self, tmp_path, capsys, monkeypatch, kind,
+                                                     sampler, over):
+        monkeypatch.chdir(tmp_path)  # where an "out" read as a relative path would land
+        doc = base_config(kind=kind, **{"out": str(tmp_path / "r"), **over})
         doc["sampler"].update(sampler)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
         assert "validation failure" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("block", ["sampler", "sampler_b", "init", "objective", "dataset",
                                        "rate", "risk", "audit"])

@@ -1,0 +1,59 @@
+"""The package's import graph: modules import their siblings at the top only,
+and no two modules import each other, directly or through others."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sghmc"
+# every module but the package's __init__, which imports them all
+MODULES = {p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+
+
+def _sibling_imports(node):
+    """The sibling modules an import statement names (``from . import x``,
+    ``from .x import y``, ``import sghmc.x``)."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        names = [node.module] if node.module else [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("sghmc."):
+        names = [node.module.split(".")[1]]
+    elif isinstance(node, ast.Import):
+        names = [a.name.split(".")[1] for a in node.names if a.name.startswith("sghmc.")]
+    else:
+        return []
+    return [n for n in names if n in MODULES]
+
+
+def _graph():
+    """(edges, nested): the siblings each module imports, and every sibling
+    import made inside a function or class."""
+    edges, nested = {}, []
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        edges[name] = {s for node in ast.walk(tree) for s in _sibling_imports(node)}
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [f"{name}.{scope.name} imports {s}" for node in ast.walk(scope)
+                           for s in _sibling_imports(node)]
+    return edges, nested
+
+
+def test_no_sibling_import_inside_a_function():
+    assert _graph()[1] == []
+
+
+def test_sibling_imports_form_no_cycle():
+    edges, _ = _graph()
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if name not in done:
+            path.append(name)
+            for sibling in sorted(edges[name]):
+                visit(sibling)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(edges):
+        visit(name)

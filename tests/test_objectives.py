@@ -22,6 +22,7 @@ from sghmc import (
     quadratic,
 )
 from sghmc import objectives
+from sghmc.harness import to_json
 from sghmc.objectives import (
     AuditEntry,
     AuditReport,
@@ -336,7 +337,7 @@ class TestAudit:
         obj = quadratic(2, m0=1.3)
         data = make_dataset("gaussian", 20, 2, seed=5)
         report = audit_assumptions(obj, data, probes=200, radius=5.0, seed=2)
-        entry = report.entry("dissipativity")
+        [entry] = [e for e in report.entries if e.assumption == "dissipativity"]
         assert entry.passed
         assert entry.margin == pytest.approx(0.0, abs=1e-9)
 
@@ -346,23 +347,23 @@ class TestAudit:
         obj = ObjectiveSpec("lying", 2, good.f, good.grad_f, bad_cert)
         data = make_dataset("gaussian", 20, 2, seed=5)
         report = audit_assumptions(obj, data, probes=300, radius=5.0, seed=2)
-        entry = report.entry("gradient_lipschitz")
+        [entry] = [e for e in report.entries if e.assumption == "gradient_lipschitz"]
         assert not entry.passed
         assert "x1" in entry.witness and "x2" in entry.witness
 
     def test_builtins_pass(self, builtin_suite):
         for obj, data in builtin_suite:
             report = audit_assumptions(obj, data, probes=500, radius=10.0, seed=0)
-            assert report.all_passed, report.to_json()
+            assert report.all_passed, [e.to_dict() for e in report.entries]
 
     def test_report_serializes(self, quad_obj, quad_data):
-        report = audit_assumptions(quad_obj, quad_data, probes=50, radius=2.0)
-        doc = report.to_json()
+        report = audit_assumptions(quad_obj, quad_data, probes=50, radius=2.0, seed=0)
+        doc = to_json([e.to_dict() for e in report.entries])
         assert '"assumption"' in doc and '"margin"' in doc and '"witness"' in doc
 
     def test_report_json_is_strict(self):
         entry = AuditEntry("dissipativity", False, math.inf, {"x": [1.0, 0.0]})
-        doc = json.loads(AuditReport([entry]).to_json())
+        doc = json.loads(to_json([e.to_dict() for e in AuditReport([entry]).entries]))
         assert doc == [{"assumption": "dissipativity", "pass": False, "margin": "inf",
                         "witness": {"x": [1.0, 0.0]}}]
 
@@ -376,12 +377,13 @@ class TestAudit:
             calls.append(1)
             return obj.grad_f(x, Z)
 
-        audit_assumptions(dataclasses.replace(obj, grad_f=grad_f), data, probes=50)
+        audit_assumptions(dataclasses.replace(obj, grad_f=grad_f), data, probes=50, radius=None,
+                          seed=0)
         assert len(calls) == 2 * 50 + 1
 
     def test_probe_floor(self, quad_obj, quad_data):
         with pytest.raises(ConfigurationError):
-            audit_assumptions(quad_obj, quad_data, probes=1)
+            audit_assumptions(quad_obj, quad_data, probes=1, radius=None, seed=0)
 
 
 class TestQuadGrowthSandwich:

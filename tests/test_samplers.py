@@ -63,6 +63,18 @@ def _cfg(**kw):
     return SamplerConfig(**base)
 
 
+class TestSamplerConfig:
+    @pytest.mark.parametrize("batch", [2.5, True, math.nan, 0])
+    def test_non_integral_batch_size_rejected(self, batch):
+        with pytest.raises(ConfigurationError, match="batch size must be an integer >= 1"):
+            _cfg(batch_size=batch)
+
+    @pytest.mark.parametrize("batch", [2.0, np.float64(2.0), np.int64(2)])
+    def test_integral_batch_size_converted(self, batch):
+        cfg = _cfg(batch_size=batch)
+        assert cfg.batch_size == 2 and type(cfg.batch_size) is int
+
+
 class TestSteps:
     """The update equations, one step of ``run_chain``: a trajectory at
     ``steps=1, thin=1`` holds the initial state and the state after it."""

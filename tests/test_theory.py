@@ -15,7 +15,7 @@ from sghmc import (
     point_init,
     quadratic,
 )
-from sghmc import objectives, theory
+from sghmc import harness, objectives, theory
 from sghmc.metrics import SampleCloud, rho_distance_cloud
 from sghmc.objectives import gaussian_mixture, make_dataset
 from sghmc.samplers import SamplerConfig, ensemble_run
@@ -38,12 +38,6 @@ class TestDriftConstants:
         with pytest.raises(ConfigurationError, match="beta must be positive and finite here"):
             theory.derive_drift_constants(quad_obj.cert, GAMMA, math.inf, quad_obj, quad_data)
 
-    @pytest.mark.parametrize("radius", [math.nan, 0.0, -3.0, math.inf])
-    def test_probe_radius_must_be_finite_and_positive(self, quad_obj, quad_data, radius):
-        with pytest.raises(ConfigurationError, match="probe radius"):
-            theory.derive_drift_constants(quad_obj.cert, GAMMA, BETA, quad_obj, quad_data,
-                                          radius=radius)
-
     def test_degenerate_certificate_floors_A_c(self, quad_obj, quad_data, quad_theory):
         a_c = quad_theory["drift"].A_c
         assert a_c > 0.0
@@ -52,7 +46,7 @@ class TestDriftConstants:
     def test_builtins_verify_on_probes(self, builtin_suite):
         for obj, data in builtin_suite:
             drift = theory.derive_drift_constants(
-                obj.cert, GAMMA, BETA, obj, data, probes=1000, radius=10.0
+                obj.cert, GAMMA, BETA, obj, data, probes=1000
             )
             # re-verify on an independent probe set
             rng = derive_stream(23, "drift-recheck")
@@ -203,7 +197,7 @@ class TestHFunction:
 
     def test_monotone_and_concave_on_grid(self, quad_theory):
         cc = quad_theory["cc"]
-        grid, h_vals = theory.h_profile(cc, BETA, GAMMA, nodes=2000)
+        grid, h_vals = theory.h_profile(cc, BETA, GAMMA)
         full = np.linspace(0, 2 * cc.R_1, 1000)
         h_full = np.where(full <= cc.R_1, np.interp(full, grid, h_vals), h_vals[-1])
         dh = np.diff(h_full)
@@ -252,7 +246,7 @@ class TestHFunction:
         c_star = 1e-281
         stiff = dataclasses.replace(cc, L_c=L_c, c_star=c_star, log_c_star=math.log(c_star),
                                     epsilon_c=0.0)
-        grid, got = theory.h_profile(stiff, BETA, GAMMA, nodes=2000)
+        grid, got = theory.h_profile(stiff, BETA, GAMMA)
         a = (1 + cc.eta_c) * L_c / 8
         phi = np.exp(-a * grid * grid)
         Phi = cumulative_simpson(phi, x=grid, initial=0.0)
@@ -321,8 +315,8 @@ class TestSemimetrics:
         for _ in range(100):
             a = (rng.standard_normal(2), rng.standard_normal(2))
             b = (rng.standard_normal(2), rng.standard_normal(2))
-            assert theory.rho_semimetric(cc, lyap, a, b, nodes=512) == pytest.approx(
-                theory.rho_semimetric(cc, lyap, b, a, nodes=512), rel=1e-12
+            assert theory.rho_semimetric(cc, lyap, a, b) == pytest.approx(
+                theory.rho_semimetric(cc, lyap, b, a), rel=1e-12
             )
 
     @pytest.mark.parametrize("which", ["coupled_quadratic", "double_well"])
@@ -351,7 +345,7 @@ class TestSemimetrics:
         for _ in range(1000):
             a = (rng.standard_normal(2), rng.standard_normal(2))
             b = (rng.standard_normal(2), rng.standard_normal(2))
-            rho = theory.rho_semimetric(cc, lyap, a, b, nodes=512)
+            rho = theory.rho_semimetric(cc, lyap, a, b)
             gap = math.sqrt(
                 float(np.sum((a[0] - b[0]) ** 2)) + float(np.sum((a[1] - b[1]) ** 2))
             )
@@ -397,7 +391,7 @@ class TestProofConstants:
             c_star=cc.c_star, C_star=cc.C_star, Lambda_c=cc.Lambda_c, alpha_c=0.5,
             epsilon_c=cc.epsilon_c, R_1=cc.R_1, L_c=cc.L_c, eta_c=cc.eta_c, p=2.0,
             A_c=cc.A_c, log_c_star=cc.log_c_star,
-            log_C_star=cc.log_C_star,
+            log_C_star=cc.log_C_star, log_epsilon_c=cc.log_epsilon_c,
         )
         cert = SmoothnessCertificate(A0=0, B=0, M=1, m=1, b=0)
         table = theory.proof_constants(cert, quad_theory["moment"], 2.0, BETA, 0.0, fake)
@@ -460,7 +454,7 @@ class TestProofConstants:
         for key in ("c_7", "c_15", "c_16", "C_tilde"):
             assert table[key].value == math.inf and math.isfinite(table[key].log), key
         assert table["C_tilde"].log >= math.log(2.0) + table["c_7"].log
-        doc = json.loads(theory.constants_to_json(table))
+        doc = json.loads(harness.to_json(harness._constants_doc(table)))
         for key in ("c_7", "c_15", "c_16", "C_tilde"):
             assert doc[key]["status"] == "overflow"
             assert doc[key]["log10"] == pytest.approx(table[key].log / math.log(10.0))
@@ -470,12 +464,12 @@ class TestProofConstants:
         table = theory.proof_constants(
             quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0, quad_theory["cc"]
         )
-        doc = theory.constants_to_json(table)
+        doc = harness.to_json(harness._constants_doc(table))
         assert '"status"' in doc and '"formula_ref"' in doc
 
     def test_strict_encoding_of_numpy_and_non_finite_values(self):
         doc = {"a": np.asarray(np.inf), "b": np.float64(-np.inf), "c": np.array([1.0, np.nan])}
-        assert json.loads(theory.to_json(doc)) == {"a": "inf", "b": "-inf", "c": [1.0, "nan"]}
+        assert json.loads(harness.to_json(doc)) == {"a": "inf", "b": "-inf", "c": [1.0, "nan"]}
 
 
 class TestRiskBound:
@@ -574,24 +568,27 @@ class TestIterationBudget:
             c_star=c_star, C_star=C_star, Lambda_c=10.0, alpha_c=0.3,
             epsilon_c=1e-3, R_1=5.0, L_c=1.0, eta_c=0.1, p=2.0, A_c=1.0,
             log_c_star=math.log(c_star), log_C_star=math.log(C_star),
+            log_epsilon_c=math.log(1e-3),
         )
+
+    C_TILDE = theory.ConstantEntry(10.0, "empirical", "C~", math.log(10.0))
 
     def test_hand_value(self):
         cc = self._cc(0.01, 5.0)
-        cap, k_min = theory.iteration_budget(cc, 10.0, 0.5, 2.0, 1.0)
+        cap, k_min = theory.iteration_budget(cc, self.C_TILDE, 0.5, 2.0, 1.0)
         assert cap == pytest.approx(0.5 / 20.0)
         want = math.ceil((20.0**4 / 0.01) * 0.5**-4 * math.log(5.0 / 0.5))
         assert k_min == want
 
     def test_zero_when_already_converged(self):
         cc = self._cc(0.01, 5.0)
-        _, k_min = theory.iteration_budget(cc, 10.0, 5.0, 2.0, 1.0)
+        _, k_min = theory.iteration_budget(cc, self.C_TILDE, 5.0, 2.0, 1.0)
         assert k_min == 0
 
     def test_waiting_shrinks_fast_in_eps(self):
         cc = self._cc(0.01, 50.0)
-        _, k1 = theory.iteration_budget(cc, 10.0, 0.25, 2.0, 1.0)
-        _, k2 = theory.iteration_budget(cc, 10.0, 0.5, 2.0, 1.0)
+        _, k1 = theory.iteration_budget(cc, self.C_TILDE, 0.25, 2.0, 1.0)
+        _, k2 = theory.iteration_budget(cc, self.C_TILDE, 0.5, 2.0, 1.0)
         assert k1 > k2 * 2**4
 
 
