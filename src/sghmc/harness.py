@@ -3,11 +3,13 @@
 A single JSON object describes an experiment. The fields of
 ``ExperimentConfig`` are its top-level keys, with their defaults, and each of
 its blocks (objective, dataset, sampler, kind-specific knobs) is a JSON object;
-a config that cannot be read, or a value that does not convert, is a
-ConfigurationError. The harness materializes the pieces, dispatches on the
-experiment kind, and writes CSV data plus a JSON manifest sufficient to
-reproduce the run bit-for-bit; every JSON file is encoded here, by
-:func:`to_json`. CLI flags override config fields (flag > config > default).
+one key table declares the keys and defaults of each of the sampler, rate,
+risk and audit blocks. A config that cannot be read, a key that is not
+declared, or a value that does not convert, is a ConfigurationError. The
+harness materializes the pieces, dispatches on the experiment kind, and
+writes CSV data plus a JSON manifest sufficient to reproduce the run
+bit-for-bit; every JSON file is encoded here, by :func:`to_json`. CLI flags
+override config fields (flag > config > default).
 
 Experiment kinds:
 
@@ -29,6 +31,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -69,10 +72,9 @@ _DATA_COUPLED = ("double_well", "gaussian_mixture")
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# the blocks that a config without them runs on, and the risk orders' defaults
+# the blocks that a config without them runs on
 _OBJECTIVE = {"name": "quadratic", "params": {}}
 _DATASET = {"generator": "gaussian", "n": 100, "seed": 7}
-_RISK_P, _RISK_Q = 2.0, 1
 
 
 def _real(value) -> float:
@@ -90,6 +92,20 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _order(value):
+    """The moment order q: an integer where it is integral, else the real
+    number, which :func:`theory.check_pq` reports as out of range."""
+    value = _real(value)
+    return int(value) if value.is_integer() else value
+
+
+def _reals(value) -> list:
+    """A JSON list of real config values; a string is not split into them."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list")
+    return [_real(v) for v in value]
 
 
 def _instance(kind: type, name: str):
@@ -117,11 +133,30 @@ def _config_value(block: dict, key: str, default, kind=_real):
         return None
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
 
 
-def _parse_init(d: dict) -> InitialLaw:
+def _block(table, value) -> dict:
+    """The keys that a config block sets, each converted by its (key,
+    default, converter) entry of ``table``. A block that is not a JSON object
+    and a key that the table does not declare are a ValueError, a value that
+    does not convert a ConfigurationError."""
+    block = _object(value)
+    entries = {key: (default, kind) for key, default, kind in table}
+    for key in block:
+        if key not in entries:
+            raise ValueError(f"unknown key {key!r}")
+    return {key: _config_value(block, key, *entries[key]) for key in block}
+
+
+def _with_defaults(table, block: dict) -> dict:
+    """A converted block with the table's default of each key it leaves out."""
+    return {key: block.get(key, default) for key, default, _ in table}
+
+
+def _parse_init(d) -> InitialLaw:
+    d = _object(d)
     kind = d.get("kind", "point")
     if kind == "point":
         x0, v0 = d.get("x0"), d.get("v0")
@@ -145,34 +180,52 @@ def _init_to_dict(init: InitialLaw) -> dict:
     return {"kind": "gaussian", "mean": init.mean, "scale": init.scale}
 
 
-# (config key, SamplerConfig field, default, converter) of each sampler key
+# (key, default, converter) of each key that a block may set, the sampler's in
+# the order of its echo; a None default is resolved where the value is used
 _SAMPLER_KEYS = (
-    ("lambda", "lam", 0.01, _real),
-    ("gamma", "gamma", 2.0, _real),
-    ("beta", "beta", 1.0, _real),
-    ("batch_size", "batch_size", None, _integer),
-    ("dim", "dim", 1, _integer),
-    ("seed", "seed", 0, _integer),
+    ("lambda", 0.01, _real),  # SamplerConfig.lam
+    ("gamma", 2.0, _real),
+    ("beta", 1.0, _real),
+    ("batch_size", None, _integer),
+    ("dim", 1, _integer),
+    ("seed", 0, _integer),
+    ("init", InitialLaw(kind="point"), _parse_init),
+)
+_RATE_KEYS = (
+    ("lambdas", (0.1, 0.05, 0.025, 0.0125), _reals),
+    ("ref_divisor", 16.0, _real),
+    ("t_end", 5.0, _real),
+)
+_RISK_KEYS = (
+    ("p", 2.0, _real),
+    ("q", 1, _order),
+    ("k", None, _integer),  # None: steps
+    ("delta", None, _real),  # None: 0, or measured by a minibatch risk-bound run
+    ("sigma", None, _real),  # None: from the pilot's radial moment
+    ("eps", None, _real),  # None: no iteration budget
+    ("c_ls", None, _real),
+    ("lambda_star", None, _real),
+)
+_AUDIT_KEYS = (
+    ("probes", 1000, _integer),
+    ("radius", None, _real),  # None: the certificate's default probe radius
+    ("seed", None, _integer),  # None: the sampler seed
 )
 
 
-def _parse_sampler(d) -> SamplerConfig:
-    d = _object(d)
-    return SamplerConfig(
-        **{name: _config_value(d, key, default, kind)
-           for key, name, default, kind in _SAMPLER_KEYS},
-        init=_parse_init(_config_value(d, "init", {}, _object)),
-    )
+def _parse_sampler(value) -> SamplerConfig:
+    d = _with_defaults(_SAMPLER_KEYS, _block(_SAMPLER_KEYS, value))
+    return SamplerConfig(lam=d.pop("lambda"), **d)
 
 
 def _sampler_to_dict(cfg: SamplerConfig) -> dict:
-    d = {key: getattr(cfg, name) for key, name, _, _ in _SAMPLER_KEYS}
+    d = {key: getattr(cfg, "lam" if key == "lambda" else key) for key, _, _ in _SAMPLER_KEYS}
     return {**d, "beta": cfg.beta if math.isfinite(cfg.beta) else "inf",
             "init": _init_to_dict(cfg.init)}
 
 
 # the converter of each ExperimentConfig field, by its annotation (a string
-# under ``from __future__ import annotations``)
+# under ``from __future__ import annotations``) or by its block's key table
 _CONVERTERS = {"str": _instance(str, "a string"), "bool": _instance(bool, "a boolean"),
                "int": _integer, "Optional[int]": _integer, "dict": _object,
                "SamplerConfig": _parse_sampler, "Optional[SamplerConfig]": _parse_sampler}
@@ -197,9 +250,9 @@ class ExperimentConfig:
     strict: bool = False
     chain: str = "sghmc"
     sampler_b: Optional[SamplerConfig] = field(default=None, metadata=_OPTIONAL)
-    rate: dict = field(default_factory=dict, metadata=_OPTIONAL)
-    risk: dict = field(default_factory=dict, metadata=_OPTIONAL)
-    audit: dict = field(default_factory=dict, metadata=_OPTIONAL)
+    rate: dict = field(default_factory=dict, metadata={**_OPTIONAL, "keys": _RATE_KEYS})
+    risk: dict = field(default_factory=dict, metadata={**_OPTIONAL, "keys": _RISK_KEYS})
+    audit: dict = field(default_factory=dict, metadata={**_OPTIONAL, "keys": _AUDIT_KEYS})
     pilot_steps: int = field(default=0, metadata=_OPTIONAL)
 
     def __post_init__(self):
@@ -220,17 +273,21 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
         """The config of a JSON document, or of a manifest's ``config``: each
-        key present converts by its field's type, and sampler_b's keys
-        override sampler's. A document or block that is not a JSON object, or
-        a value that does not convert, is a ConfigurationError."""
+        key present converts by its field's type or its block's key table, and
+        sampler_b's keys override sampler's. A document or block that is not a
+        JSON object, a key that is not declared, and a value that does not
+        convert are a ConfigurationError."""
         if not isinstance(d, dict):
             raise ConfigurationError(f"malformed config: {d!r} is not an object")
         if isinstance(d.get("config"), dict):
             d = d["config"]  # accept a manifest document as a config
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise ConfigurationError(f"unknown config key {unknown[0]!r}")
         if "sampler_b" in d:
             d = {**d, "sampler_b": {**_config_value(d, "sampler", {}, _object),
                                     **_config_value(d, "sampler_b", {}, _object)}}
-        values = {f.name: _config_value(d, f.name, f.default, _CONVERTERS[f.type])
+        values = {f.name: _config_value(d, f.name, f.default, partial(_block, f.metadata["keys"])
+                                        if "keys" in f.metadata else _CONVERTERS[f.type])
                   for f in fields(cls)[1:] if f.name in d}
         return cls(kind or d.get("kind"), **values)
 
@@ -329,28 +386,21 @@ def _build(cfg: ExperimentConfig):
         try:
             certified = _certify(cfg, obj, data)
             drift, _, mu0 = certified
-            moment = theory.moment_bound_constants(
-                drift, obj.cert, s.gamma, s.beta, s.dim, mu0
-            )
+            moment = theory.moment_bound_constants(drift, obj.cert, s.gamma, s.beta, s.dim, mu0)
             ok = not s.lam > moment.lambda_cap
-            findings.append(
-                _finding(
-                    "info" if ok else "warning",
-                    "admissible-step" if ok else "inadmissible-step",
-                    f"step size {s.lam:g} "
-                    + ("is within the cap" if ok else "exceeds the moment-bound cap")
-                    + f" {moment.lambda_cap:g}",
-                    lambda_cap=moment.lambda_cap,
-                )
-            )
+            findings.append(_finding(
+                "info" if ok else "warning", "admissible-step" if ok else "inadmissible-step",
+                f"step size {s.lam:g} "
+                + ("is within the cap" if ok else "exceeds the moment-bound cap")
+                + f" {moment.lambda_cap:g}", lambda_cap=moment.lambda_cap))
         except SghmcError as exc:  # certification trouble is a finding, not a crash
             findings.append(_finding("warning", "certification", str(exc)))
     if cfg.risk:
+        risk = _with_defaults(_RISK_KEYS, cfg.risk)
         try:
-            p = _config_value(cfg.risk, "p", _RISK_P)
-            q = _config_value(cfg.risk, "q", _RISK_Q, _integer)
-            theory.check_pq(p, q)
-            findings.append(_finding("info", "pq-pairing", f"(p, q) = ({p}, {q}) is valid"))
+            theory.check_pq(risk["p"], risk["q"])
+            findings.append(_finding("info", "pq-pairing",
+                                     f"(p, q) = ({risk['p']}, {risk['q']}) is valid"))
         except ConfigurationError as exc:
             findings.append(_finding("violation", "pq-pairing", str(exc)))
     # initial-law integrability: a point mass is always fine; a Gaussian needs
@@ -363,16 +413,11 @@ def _build(cfg: ExperimentConfig):
     elif math.isfinite(s.beta):
         curv = max(s.beta * (obj.cert.M / 2.0 + s.gamma**2 / 2.0), 0.75 * s.beta)
         ok = 1.0 / (2.0 * init.scale**2) > curv
-        findings.append(
-            _finding(
-                "info" if ok else "warning",
-                "initial-law",
-                "gaussian initial law "
-                + ("satisfies" if ok else "may violate")
-                + f" the exponential-moment condition (scale {init.scale:g}, "
-                f"quadratic growth {curv:g})",
-            )
-        )
+        findings.append(_finding(
+            "info" if ok else "warning", "initial-law",
+            "gaussian initial law " + ("satisfies" if ok else "may violate")
+            + f" the exponential-moment condition (scale {init.scale:g}, "
+            f"quadratic growth {curv:g})"))
     return obj, data, findings, certified
 
 
@@ -467,11 +512,8 @@ def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: 
 def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int, q: int = 2):
     """Short ensemble tracking sup of E V^2, E V^{2q} and the 2q radial moment."""
     return ensemble_run(
-        cfg.chain, cfg.sampler, obj, data,
-        steps=steps,
-        replicas=min(cfg.replicas, 8),
-        record_every=max(1, steps // 50),
-        burn_in=steps // 2,
+        cfg.chain, cfg.sampler, obj, data, steps=steps, replicas=min(cfg.replicas, 8),
+        record_every=max(1, steps // 50), burn_in=steps // 2,
         functionals={"v2": lambda X, V: lyap.value_rows(X, V) ** 2,
                      "v2q": lambda X, V: lyap.value_rows(X, V) ** (2 * q),
                      "radial2q": lambda X, V: np.sum(X * X, axis=1) ** q},
@@ -503,15 +545,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     except ConfigurationError:  # already the violation finding of _build
         data_seed = None
     out = Path(cfg.out)
-    manifest = RunManifest(
-        config=cfg.to_dict(),
-        version=__version__,
-        seeds={"sampler": cfg.sampler.seed, "dataset": data_seed},
-        wall_time_s=0.0,
-        divergence=[],
-        outputs=[],
-        findings=findings,
-    )
+    manifest = RunManifest(config=cfg.to_dict(), version=__version__,
+                           seeds={"sampler": cfg.sampler.seed, "dataset": data_seed},
+                           wall_time_s=0.0, divergence=[], outputs=[], findings=findings)
 
     def emit(name: str, doc) -> None:
         """The one writer of a run's outputs (see ``_write``)."""
@@ -549,10 +585,10 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
         results["findings"] = manifest.findings
 
     elif cfg.kind == "audit":
+        audit = _with_defaults(_AUDIT_KEYS, cfg.audit)
         report = audit_assumptions(
-            obj, data, probes=_config_value(cfg.audit, "probes", 1000, _integer),
-            radius=_config_value(cfg.audit, "radius", None),
-            seed=_config_value(cfg.audit, "seed", s.seed, _integer),
+            obj, data, probes=audit["probes"], radius=audit["radius"],
+            seed=s.seed if audit["seed"] is None else audit["seed"],
         )
         emit("audit.json", [e.to_dict() for e in report.entries])
         results["all_passed"] = report.all_passed
@@ -560,9 +596,9 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
             return "assumption audit failed"
 
     elif cfg.kind == "constants":
-        p = _config_value(cfg.risk, "p", _RISK_P)
-        delta = _config_value(cfg.risk, "delta", 0.0)
-        drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
+        risk = _with_defaults(_RISK_KEYS, cfg.risk)
+        delta = 0.0 if risk["delta"] is None else risk["delta"]
+        drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, risk["p"], delta)
         table = {
             "lambda_c": theory.ConstantEntry(drift.lambda_c, "exact",
                                              "min(1/4, m/(M + 2B + gamma^2/2)) / 2, probe-verified"),
@@ -594,10 +630,8 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
             pilot = _pilot_statistics(cfg, obj, data, lyap, cfg.pilot_steps)
             pilot_sup_v2 = pilot.running_max["v2"]
             results["pilot_sup_v2"] = pilot_sup_v2
-        table.update(
-            theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
-                                   pilot_sup_v2=pilot_sup_v2)
-        )
+        table.update(theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
+                                            pilot_sup_v2=pilot_sup_v2))
         emit("constants.json", _constants_doc(table))
         results["lambda_c"] = drift.lambda_c
         results["lambda_cap"] = moment.lambda_cap
@@ -609,31 +643,21 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
 
     elif cfg.kind == "couple":
         cfg_b = cfg.sampler_b or s
-        _, _, distances = coupled_run(
-            cfg.chain, s, cfg_b, obj, data, steps=cfg.steps, thin=cfg.thin
-        )
+        _, _, distances = coupled_run(cfg.chain, s, cfg_b, obj, data, steps=cfg.steps,
+                                      thin=cfg.thin)
         emit("distances.csv", "step,dist_x,dist_v\n" + "".join(
             f"{int(row[0])},{row[1]:.17g},{row[2]:.17g}\n" for row in distances))
         results["final_dist_x"] = float(distances[-1, 1])
         results["final_dist_v"] = float(distances[-1, 2])
 
     elif cfg.kind == "rate-study":
-        table = rate_study(
-            obj,
-            data,
-            s,
-            lambdas=_config_value(cfg.rate, "lambdas", [0.1, 0.05, 0.025, 0.0125],
-                                  lambda ls: [_real(l) for l in ls]),
-            lambda_ref_divisor=_config_value(cfg.rate, "ref_divisor", 16.0),
-            t_end=_config_value(cfg.rate, "t_end", 5.0),
-            replicas=cfg.replicas,
-        )
+        rate = _with_defaults(_RATE_KEYS, cfg.rate)
+        table = rate_study(obj, data, s, rate["lambdas"], rate["ref_divisor"], rate["t_end"],
+                           cfg.replicas)
         emit("rate.csv", "lambda,distance,flag\n" + "".join(
             f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}\n" for row in table["rows"]))
-        manifest.divergence.extend(
-            {"lambda": row["lambda"], "message": "dropped"} for row in table["rows"]
-            if row["flag"] == "diverged"
-        )
+        manifest.divergence.extend({"lambda": row["lambda"], "message": "dropped"}
+                                   for row in table["rows"] if row["flag"] == "diverged")
         results.update({"slope": table["slope"], "rows": table["rows"]})
         if all(row["flag"] == "diverged" for row in table["rows"]):
             raise DivergenceError("every grid point diverged", step=0)
@@ -656,13 +680,8 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
         raise ConfigurationError(
             f"gibbs-check steps must be >= {cfg.burn_in + 1} to keep a tail sample after "
             f"burn_in {cfg.burn_in}, got {cfg.steps}")
-    res = ensemble_run(
-        cfg.chain, s, obj, data,
-        steps=cfg.steps, replicas=cfg.replicas,
-        record_every=max(1, cfg.thin),
-        burn_in=cfg.burn_in,
-        purpose="gibbs",
-    )
+    res = ensemble_run(cfg.chain, s, obj, data, steps=cfg.steps, replicas=cfg.replicas,
+                       record_every=max(1, cfg.thin), burn_in=cfg.burn_in, purpose="gibbs")
     expected_x = 1.0 / (s.beta * m0)
     expected_v = 1.0 / s.beta
     var_x = float(np.mean(res.tail_var_x))
@@ -686,17 +705,16 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
 
 def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certified) -> dict:
     s = cfg.sampler
-    risk = cfg.risk
-    p = _config_value(risk, "p", _RISK_P)
-    q = _config_value(risk, "q", _RISK_Q, _integer)
+    risk = _with_defaults(_RISK_KEYS, cfg.risk)
+    p, q, sigma = risk["p"], risk["q"], risk["sigma"]
     theory.check_pq(p, q)
-    k = _config_value(risk, "k", cfg.steps, _integer)
-    eps, sigma = _config_value(risk, "eps", None), _config_value(risk, "sigma", None)
-    c_ls, lambda_star = _config_value(risk, "c_ls", None), _config_value(risk, "lambda_star", None)
+    k = cfg.steps if risk["k"] is None else risk["k"]
 
     # noise level: explicit, or measured for minibatch runs, else 0
-    delta = _config_value(risk, "delta", None if s.batch_size is not None else 0.0)
-    if delta is None:
+    delta = risk["delta"]
+    if delta is None and s.batch_size is None:
+        delta = 0.0
+    elif delta is None:
         oracle = make_oracle(obj, data, s.batch_size, s.seed, purpose="risk:delta")
         probe_rng = derive_stream(s.seed, "risk:probes")
         probes = [np.zeros(s.dim)] + [probe_rng.standard_normal(s.dim) for _ in range(7)]
@@ -705,10 +723,8 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certif
     drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
     pilot_steps = cfg.pilot_steps or max(2000, min(cfg.steps, 20000))
     pilot = _pilot_statistics(cfg, obj, data, lyap, pilot_steps, q=q)
-    proof = theory.proof_constants(
-        obj.cert, moment, s.gamma, s.beta, delta, cc,
-        pilot_sup_v2=pilot.running_max["v2"],
-    )
+    proof = theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
+                                   pilot_sup_v2=pilot.running_max["v2"])
 
     if sigma is None:
         sigma = pilot.running_max["radial2q"] ** (1.0 / (2.0 * q))
@@ -729,35 +745,19 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certif
     long_cloud = SampleCloud(np.hstack([tail.xs[-cloud_n:], tail.vs[-cloud_n:]]))
     w_rho = rho_distance_cloud(init_cloud, long_cloud, cc, lyap)
 
-    bound = theory.risk_bound(
-        cc, proof, obj.cert, s.gamma, s.beta, s.dim, data.n,
-        s.lam, delta, k, p, q, sigma, w_rho,
-        c_ls=c_ls, lambda_star=lambda_star,
-    )
-    out = {
-        "B_1": theory.in_range(bound.B_1, bound.log_B_1),
-        "B_2": bound.B_2,
-        "B_3": bound.B_3,
-        "inputs": bound.inputs,
-        "w_rho_init": w_rho,
-        "sigma": sigma,
-        "delta": delta,
-    }
-    if eps is not None:
+    bound = theory.risk_bound(cc, proof, obj.cert, s.gamma, s.beta, s.dim, data.n, s.lam, delta,
+                              k, p, q, sigma, w_rho,
+                              c_ls=risk["c_ls"], lambda_star=risk["lambda_star"])
+    out = {"B_1": theory.in_range(bound.B_1, bound.log_B_1), "B_2": bound.B_2, "B_3": bound.B_3,
+           "inputs": bound.inputs, "w_rho_init": w_rho, "sigma": sigma, "delta": delta}
+    if (eps := risk["eps"]) is not None:
         cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], eps, p, w_rho)
         out["budget"] = {"eps": eps, "cap": cap, "k_min": k_min}
     return out
 
 
-def rate_study(
-    obj: ObjectiveSpec,
-    data: Dataset,
-    base: SamplerConfig,
-    lambdas,
-    lambda_ref_divisor: float,
-    t_end: float,
-    replicas: int,
-) -> dict:
+def rate_study(obj: ObjectiveSpec, data: Dataset, base: SamplerConfig, lambdas,
+               lambda_ref_divisor: float, t_end: float, replicas: int) -> dict:
     """Coupled distance to a finer reference across a decreasing step grid.
 
     For each lambda the chain at that step size is synchronously coupled (one
@@ -777,11 +777,9 @@ def rate_study(
         raise ConfigurationError(f"t_end must be > 0 and finite, got {t_end}")
     rows = []
     for lam in lambdas:
-        cfg = replace(base, lam=lam)
         try:
-            dist = brownian_coupled_distance(
-                cfg, lam / lambda_ref_divisor, obj, data, t_end, replicas
-            )
+            dist = brownian_coupled_distance(replace(base, lam=lam), lam / lambda_ref_divisor,
+                                             obj, data, t_end, replicas)
         except DivergenceError:
             dist = math.inf
         if math.isfinite(dist):

@@ -621,8 +621,8 @@ def check_pq(p: float, q: int) -> None:
     """The pairing 1/p + 1/(2q) = 1 with integer q (so p = 2q / (2q - 1))."""
     if not (1.0 < p <= 2.0):
         raise ConfigurationError("p must lie in (1, 2]")
-    if int(q) != q or q < 1:
-        raise ConfigurationError("q must be a positive integer")
+    if not (q >= 1 and q % 1 == 0):  # NaN and inf fail too
+        raise ConfigurationError(f"q must be a positive integer, got {q}")
     if abs(1.0 / p + 1.0 / (2.0 * q) - 1.0) > 1e-9:
         raise ConfigurationError(f"(p, q) = ({p}, {q}) violates 1/p + 1/(2q) = 1")
 

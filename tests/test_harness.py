@@ -74,6 +74,16 @@ class TestConfig:
         assert values == (2000, 4, 10, 0, 500, 2, 42, 10)
         assert all(type(v) is int for v in values)
 
+    def test_blocks_converted_at_load(self):
+        # the echo lists the keys the config gave, as the kinds read them
+        doc = base_config(kind="rate-study", rate={"t_end": "2", "lambdas": [1, "0.5"]},
+                          risk={"q": 2.0, "k": None}, audit={"probes": 300.0})
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.rate == {"t_end": 2.0, "lambdas": [1.0, 0.5]}
+        assert cfg.risk == {"q": 2, "k": None} and type(cfg.risk["q"]) is int
+        assert cfg.audit == {"probes": 300} and type(cfg.audit["probes"]) is int
+        assert cfg.to_dict()["rate"] == cfg.rate
+
     def test_manifest_document_accepted(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(out=str(tmp_path / "a")))
         man = run_experiment(cfg)
@@ -500,7 +510,7 @@ class TestGoldenRuns:
     def test_pilot_statistics_pinned(self, builtin_suite, name, replicas, batch):
         obj, data = next((o, d) for o, d in builtin_suite if o.name == name)
         doc = base_config(kind="constants", replicas=replicas)
-        doc["sampler"].update(lam=0.02, batch_size=batch,
+        doc["sampler"].update(batch_size=batch,
                               init={"kind": "gaussian", "mean": 0.0, "scale": 1.0})
         cfg = ExperimentConfig.from_dict(doc)
         lyap = harness._certify(cfg, obj, data)[1]
@@ -712,6 +722,7 @@ class TestCli:
         ("validate", {"init": {"kind": "point", "v0": [0.5]}}, {}),
         ("risk-bound", {}, {"risk": {"p": "two", "q": 1, "lambda_star": 1.0}}),
         ("rate-study", {}, {"rate": {"t_end": "x"}}),
+        ("rate-study", {}, {"rate": {"lambdas": "12"}}),
         ("sample", {}, {"dataset": {"generator": "gaussian", "n": "many", "z_dim": 2}}),
         ("sample", {}, {"objective": {"name": "quadratic", "params": {"m0": "one"}}}),
         ("sample", {}, {"objective": {"name": "quadratic", "params": {"m00": 1}}}),
@@ -754,7 +765,7 @@ class TestCli:
         ("validate", {}, {"out": 5}),
     ], ids=["lambda-fast", "steps-ten", "batch-size-eight", "x0-wrong-length",
             "x0-wrong-length-validate", "v0-wrong-length-validate", "risk-p-two",
-            "rate-t-end-x", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
+            "rate-t-end-x", "rate-lambdas-string", "dataset-n-many", "objective-m0-one", "objective-unknown-param",
             "objective-m0-true", "objective-coupling-true",
             "steps-fractional", "steps-fractional-validate", "replicas-fractional", "replicas-true",
             "pilot-steps-fractional", "seed-fractional", "dataset-n-fractional",
@@ -775,6 +786,55 @@ class TestCli:
         assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
         assert "validation failure" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    # a malformed value and an unknown key of the top level and of each block
+    # that a key table declares, with what the error names
+    BAD_KEYS = {
+        "top-steps-x": ({"steps": "x"}, "malformed config value 'steps'"),
+        "top-unknown": ({"setps": 10}, "unknown config key 'setps'"),
+        "sampler-lambda-x": ({"sampler": {"lambda": "x"}}, "malformed config value 'lambda'"),
+        "sampler-unknown": ({"sampler": {"lamda": 5.0}}, "unknown key 'lamda'"),
+        "sampler-b-gamma-x": ({"sampler_b": {"gamma": "x"}}, "malformed config value 'gamma'"),
+        "sampler-b-unknown": ({"sampler_b": {"lam": 0.02}}, "unknown key 'lam'"),
+        "rate-t-end-x": ({"rate": {"t_end": "x"}}, "malformed config value 't_end'"),
+        "rate-lambdas-string": ({"rate": {"lambdas": "12"}}, "'12' is not a list"),
+        "rate-unknown": ({"rate": {"tend": 0.5}}, "unknown key 'tend'"),
+        "risk-q-x": ({"risk": {"q": "x"}}, "malformed config value 'q'"),
+        "risk-p-x": ({"risk": {"p": "x", "q": 1}}, "malformed config value 'p'"),
+        "risk-unknown": ({"risk": {"p": 2.0, "q": 1, "lamda_star": 1.0}},
+                         "unknown key 'lamda_star'"),
+        "audit-probes-x": ({"audit": {"probes": "x"}}, "malformed config value 'probes'"),
+        "audit-seed-fractional": ({"audit": {"seed": 1.5}}, "malformed config value 'seed'"),
+        "audit-unknown": ({"audit": {"probe": 300}}, "unknown key 'probe'"),
+    }
+
+    @pytest.mark.parametrize("over, message", list(BAD_KEYS.values()), ids=list(BAD_KEYS))
+    @pytest.mark.parametrize("kind", harness.KINDS)
+    def test_malformed_or_unknown_key_exits_before_writing(self, tmp_path, capsys, monkeypatch,
+                                                           kind, over, message):
+        monkeypatch.chdir(tmp_path)  # where the default "out" would land
+        doc = base_config(kind=kind, out=str(tmp_path / "r"))
+        for key, value in over.items():
+            doc[key] = {**doc[key], **value} if key == "sampler" else value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("risk", [{"p": 1.5, "q": 1}, {"p": 2.0, "q": 1.5},
+                                      {"p": 2.0, "q": "inf"}, {"p": 2.0, "q": 0}],
+                             ids=["p-1.5", "q-1.5", "q-inf", "q-0"])
+    def test_pq_range_error_is_a_validate_finding(self, tmp_path, risk):
+        # a number out of the theory's range is a finding, not a load error
+        doc = base_config(kind="validate", out=str(tmp_path / "v"), risk=risk)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        findings = json.loads((tmp_path / "v" / "findings.json").read_text())
+        [entry] = [f for f in findings if f["code"] == "pq-pairing"]
+        assert entry["level"] == "violation"
+        assert main(["validate", "--config", str(path), "--strict"]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("block", ["sampler", "sampler_b", "init", "objective", "dataset",
                                        "rate", "risk", "audit"])
