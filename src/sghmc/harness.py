@@ -72,11 +72,6 @@ _DATA_COUPLED = ("double_well", "gaussian_mixture")
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# the blocks that a config without them runs on
-_OBJECTIVE = {"name": "quadratic", "params": {}}
-_DATASET = {"generator": "gaussian", "n": 100, "seed": 7}
-
-
 def _real(value) -> float:
     """A real config value: a number or a numeric string such as ``"inf"``;
     a boolean is a ValueError instead of being read as 0.0/1.0."""
@@ -117,6 +112,9 @@ def _instance(kind: type, name: str):
     return convert
 
 
+_string = _instance(str, "a string")
+
+
 def _object(value) -> dict:
     """A copy of a config block, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -127,7 +125,9 @@ def _object(value) -> dict:
 def _config_value(block: dict, key: str, default, kind=_real):
     """``block[key]`` (``default`` if absent) converted by ``kind``; None where
     the default is None. A config value that does not convert is a
-    ConfigurationError."""
+    ConfigurationError; one raised inside the value, a block, is prefixed
+    with ``key``, so the message names the path to the key at fault
+    ("audit: malformed config value 'seed': ...")."""
     value = block.get(key, default)
     if value is None and default is None:
         return None
@@ -135,6 +135,8 @@ def _config_value(block: dict, key: str, default, kind=_real):
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from exc
 
 
 def _block(table, value) -> dict:
@@ -155,19 +157,24 @@ def _with_defaults(table, block: dict) -> dict:
     return {key: block.get(key, default) for key, default, _ in table}
 
 
-def _parse_init(d) -> InitialLaw:
-    d = _object(d)
-    kind = d.get("kind", "point")
-    if kind == "point":
-        x0, v0 = d.get("x0"), d.get("v0")
-        if x0 is None and v0 is None:
-            return InitialLaw(kind="point")
-        return point_init(x0 if x0 is not None else np.zeros_like(v0),
-                          v0 if v0 is not None else np.zeros_like(x0))
+def _read_block(name, table, value) -> dict:
+    """Config block ``name`` converted by its key table, with its defaults."""
+    return _with_defaults(table, _config_value({name: value}, name, {}, partial(_block, table)))
+
+
+def _parse_init(value) -> InitialLaw:
+    kind = _object(value).get("kind", "point")
+    table = _INIT_KEYS.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise ConfigurationError(f"unknown initial law kind {kind!r}")
+    d = _with_defaults(table, _block(table, value))
     if kind == "gaussian":
-        return gaussian_init(mean=_config_value(d, "mean", 0.0),
-                             scale=_config_value(d, "scale", 1.0))
-    raise ConfigurationError(f"unknown initial law kind {kind!r}")
+        return gaussian_init(mean=d["mean"], scale=d["scale"])
+    x0, v0 = d["x0"], d["v0"]
+    if x0 is None and v0 is None:
+        return InitialLaw(kind="point")
+    return point_init(x0 if x0 is not None else np.zeros_like(v0),
+                      v0 if v0 is not None else np.zeros_like(x0))
 
 
 def _init_to_dict(init: InitialLaw) -> dict:
@@ -211,6 +218,25 @@ _AUDIT_KEYS = (
     ("radius", None, _real),  # None: the certificate's default probe radius
     ("seed", None, _integer),  # None: the sampler seed
 )
+# the initial law's keys, by its kind
+_INIT_KEYS = {
+    "point": (("kind", "point", _string), ("x0", None, _reals), ("v0", None, _reals)),
+    "gaussian": (("kind", "point", _string), ("mean", 0.0, _real), ("scale", 1.0, _real)),
+}
+# the dataset and objective blocks, which materialize reads
+_DATASET_KEYS = (
+    ("generator", "gaussian", _string),
+    ("n", 100, _integer),
+    ("z_dim", None, _integer),  # None: the sampler's dim
+    ("seed", 7, _integer),
+)
+_OBJECTIVE_KEYS = (
+    ("name", "quadratic", _string),
+    ("params", {}, _object),
+)
+# the blocks that a config without them runs on
+_OBJECTIVE = _with_defaults(_OBJECTIVE_KEYS, {})
+_DATASET = {key: v for key, v in _with_defaults(_DATASET_KEYS, {}).items() if v is not None}
 
 
 def _parse_sampler(value) -> SamplerConfig:
@@ -226,7 +252,7 @@ def _sampler_to_dict(cfg: SamplerConfig) -> dict:
 
 # the converter of each ExperimentConfig field, by its annotation (a string
 # under ``from __future__ import annotations``) or by its block's key table
-_CONVERTERS = {"str": _instance(str, "a string"), "bool": _instance(bool, "a boolean"),
+_CONVERTERS = {"str": _string, "bool": _instance(bool, "a boolean"),
                "int": _integer, "Optional[int]": _integer, "dict": _object,
                "SamplerConfig": _parse_sampler, "Optional[SamplerConfig]": _parse_sampler}
 _OPTIONAL = {"optional": True}  # metadata: the echo leaves the field out while unset
@@ -314,22 +340,20 @@ def materialize(cfg: ExperimentConfig):
     A generator or objective the config cannot name, and objective parameters
     that the factory does not take or of the wrong type (a built-in's are
     real numbers, read by :func:`_real`), are a ConfigurationError; so is a
-    built-in's dataset whose z_dim is not the sampler's dim."""
-    ds = cfg.dataset
-    name = cfg.objective.get("name", _OBJECTIVE["name"])
-    builtin = name == "quadratic" or name in _DATA_COUPLED
+    built-in's dataset whose z_dim is not the sampler's dim, and a key that
+    the dataset or objective block does not declare."""
     try:
-        z_dim = _config_value(ds, "z_dim", cfg.sampler.dim, _integer)
+        ds = _read_block("dataset", _DATASET_KEYS, cfg.dataset)
+        spec = _read_block("objective", _OBJECTIVE_KEYS, cfg.objective)
+        name = spec["name"]
+        z_dim = cfg.sampler.dim if ds["z_dim"] is None else ds["z_dim"]
+        builtin = name == "quadratic" or name in _DATA_COUPLED
         if builtin and z_dim != cfg.sampler.dim:
             raise ConfigurationError(f"objective {name!r} needs dataset z_dim = sampler dim "
                                      f"{cfg.sampler.dim}, got {z_dim}")
-        data = make_dataset(
-            generator_id=ds.get("generator", _DATASET["generator"]),
-            n=_config_value(ds, "n", _DATASET["n"], _integer),
-            z_dim=z_dim,
-            seed=_config_value(ds, "seed", _DATASET["seed"], _integer),
-        )
-        params = _config_value(cfg.objective, "params", _OBJECTIVE["params"], _object)
+        data = make_dataset(generator_id=ds["generator"], n=ds["n"], z_dim=z_dim,
+                            seed=ds["seed"])
+        params = dict(spec["params"])
         if builtin:  # built-ins take real numbers only
             params = {key: _config_value(params, key, None) for key in params}
         if name in _DATA_COUPLED or (name == "quadratic" and params.get("coupling", 0.0) != 0.0):

@@ -469,12 +469,19 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
         zbar, m2 = _moments(Z)
         return 0.5 * m0 * (np.sum(X * X, axis=1) - 2.0 * c * (X @ zbar) + c * c * m2)
 
+    scaled = (None, None)  # (zbar, c * zbar) of the last zbar that _moments gave
+
     def grad_rows(X, Z):
+        nonlocal scaled
         zbar, _ = _moments(Z)
-        return m0 * (X - c * zbar)
+        key, czbar = scaled
+        if key is not zbar:  # a new zbar object: new moments, or a writable Z
+            czbar = c * zbar
+            scaled = (zbar, czbar)
+        return m0 * (X - czbar)
 
     def grad_batches(X, Zs):
-        return (m0 * (X[:, None, :] - c * Zs)).mean(axis=1)
+        return np.add.reduce(m0 * (X[:, None, :] - c * Zs), axis=1) / Zs.shape[1]
 
     if c == 0.0:
         cert = SmoothnessCertificate(A0=0.0, B=0.0, M=m0, m=m0, b=0.0)
@@ -511,8 +518,11 @@ def _well_pieces(well_radius: float):
     def w_prime(t):
         a = np.abs(t)
         inside = t ** 3 - t
+        within = a <= rw
+        if within.all():  # the value np.where picks; NaN and inf fail the test
+            return inside
         out = np.sign(t) * (wp_r + kappa * (a - rw))
-        return np.where(a <= rw, inside, out)
+        return np.where(within, inside, out)
 
     return w, w_prime, kappa
 
@@ -556,7 +566,8 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         return w_prime(X) + c * (X - zbar[None, :])
 
     def grad_batches(X, Zs):
-        return (w_prime(X)[:, None, :] + c * (X[:, None, :] - Zs)).mean(axis=1)
+        return np.add.reduce(w_prime(X)[:, None, :] + c * (X[:, None, :] - Zs),
+                             axis=1) / Zs.shape[1]
 
     # Per-coordinate dissipativity t * w'(t) >= t^2 - 1 (tight at |t| = 1);
     # the coupling term contributes (c/2)|x|^2 - (c/2) z_radius^2 by Young.
@@ -636,7 +647,7 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
     def grad_batches(X, Zs):
         T = (Zs @ X[:, :, None])[:, :, 0]
         G = (1.0 + 2.0 * r0) * X - np.tanh(T.T)[:, :, None] * Zs.transpose(1, 0, 2)
-        return G.mean(axis=0)  # (l, R, d): l is the leading axis
+        return np.add.reduce(G, axis=0) / len(G)  # (l, R, d): l is the leading axis
 
     cert = SmoothnessCertificate(
         A0=0.5 * rz * rz,

@@ -19,12 +19,14 @@ Every runner steps (R, d) blocks of replicas, and a single chain is an
 ensemble of one, a (1, d) block whose row is sliced out only where a
 Trajectory records it; so ``run_chain`` is bit-equal to
 ``ensemble_run(replicas=1)`` with the same purpose. The update is written
-once, in the in-place Euler kernel ``_euler``. Every runner steps through
-``_advance``: it draws the shared Gaussian noise in blocks capped by
-``_BLOCK_BYTES`` (256 KB; the same draws, in the same order, as one per
-step), and each chain steps through one preallocated history buffer.
-``_sweep`` steps one chain through a block in one loop, on the block's
-index draws of its stream and with the gradient evaluator that
+once, in the in-place Euler kernel that ``_kernel`` binds to each chain's
+step size and friction. Every runner steps through ``_advance``: it draws
+the shared Gaussian noise, and each minibatch stream's indices, in blocks
+capped by ``_BLOCK_BYTES`` (256 KB; the same draws, in the same order, as
+one per step), and each chain steps through one preallocated history
+buffer, whose row views it binds once per run and counts in the cap.
+``_sweep`` steps one chain through a block in one loop over those views, on
+the block's index draws of its stream and with the gradient evaluator that
 ``_gradient`` binds once per run; the reference chain of
 ``brownian_coupled_distance`` takes several fine steps per step. Each block
 is checked finite once per chain; one that fails is replayed step by step,
@@ -178,34 +180,56 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 # Byte cap of the blocks a run steps through at a time: the shared noise and,
-# per chain, its scaled increments, its (x, v) history and its minibatch
-# indices. A block holds at least one step, whatever the cap.
+# per chain, its scaled increments, its (x, v) history, the views of its rows
+# and its minibatch indices. A block holds at least one step, whatever the cap.
 _BLOCK_BYTES = 1 << 18
+# Bytes that the bound views of one history row take, counted per chain and
+# step: three views and a tuple, 464 B by sys.getsizeof in CPython 3.11 with
+# numpy 2.4, at any (R, d).
+_ROW_VIEW_BYTES = 512
 
 
-def _euler(kind, S, G, inc, coef, out) -> None:
-    """One Euler step of the (2, R, d) state ``S = (X, V)`` of an (R, d)
-    block, written to ``out = (X', V')``, which must not overlap S;
-    ``coef`` is the (2, 1, 1) column (lam, gamma).
+def _kernel(kind, lam, gamma):
+    """The in-place Euler update of a chain's (R, d) block, bound once per chain:
+    ``step(src, dst, G, inc)`` writes the step from ``src`` to ``dst``, rows
+    ``(S, X, V)`` of bound views of a (2, R, d) state ``S = (X, V)``, which
+    must not overlap.
 
     Momentum kinds: V' = V - lam (gamma V + G) + inc and X' = X + lam V
     (pre-update momentum). ``"sgld"``: X' = X - lam G + inc and V' = V.
     ``inc`` is the scaled Gaussian increment ``c * xi``. In-place ufuncs
-    round as those formulas do, so the bits are theirs: one product gives
-    (lam V, gamma V), and a + b as b + a and a - b as a + (-b) are exact.
+    round as those formulas do, so the bits are theirs: one product with the
+    (2, 1, 1) column (lam, gamma) gives (lam V, gamma V), and a + b as b + a
+    and a - b as a + (-b) are exact. G may be any array-like: each operation
+    that reads it has a float64 operand that is not a Python scalar, so a
+    float32 or list G steps as its float64 copy.
     """
-    lam, Vn = coef[0, 0, 0], out[1]
+    coef = np.array([lam, gamma]).reshape(2, 1, 1)
     if kind == "sgld":
-        np.multiply(G, -lam, out=out[0])
-        out[0] += S[0]
-        out[0] += inc
-        Vn[...] = S[1]
-        return
-    np.multiply(S[1], coef, out=out)
-    Vn += G
-    Vn *= -lam
-    out += S
-    Vn += inc
+        neg_lam = -coef[0, 0, 0]  # a float64 scalar: G * it is float64 for any G
+
+        def step(src, dst, G, inc):
+            Xn = dst[1]
+            np.multiply(G, neg_lam, out=Xn)
+            Xn += src[1]
+            Xn += inc
+            np.copyto(dst[2], src[2])
+        return step
+    neg_lam = -float(lam)
+
+    def step(src, dst, G, inc):
+        S, Sn, Vn = src[0], dst[0], dst[2]
+        np.multiply(src[2], coef, out=Sn)
+        Vn += G
+        Vn *= neg_lam
+        Sn += S
+        Vn += inc
+    return step
+
+
+def _rows(A):
+    """Views ``(S, X, V)`` of each (2, R, d) state S = (X, V) along A's first axis."""
+    return [(S, S[0], S[1]) for S in A]
 
 
 def _noise(rate, beta) -> float:
@@ -233,7 +257,7 @@ class _Chain:
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
         self.lam = cfg.lam if lam is None else lam
-        self.coef = np.array([self.lam, cfg.gamma]).reshape(2, 1, 1)
+        self.step = _kernel(kind, self.lam, cfg.gamma)
         if c is None:  # the noise rate is gamma * lam for the momentum kinds, lam for sgld
             c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
         self.c = c
@@ -256,32 +280,35 @@ def _paired(a, b):
 
 def _gradient(ch, obj, data):
     """A chain's gradient evaluator ``(X, idx) -> (R, d)``, bound once per run
-    from ``obj``'s hooks: minibatch means over idx, else dataset means."""
+    from ``obj``'s hooks: minibatch means over idx, else dataset means. A
+    ``grad_rows`` result goes to the update as it is (see :func:`_kernel`)."""
     if ch.idx_rng is not None:
         return lambda X, idx: minibatch_gradient_rows(X, obj, data, idx)
     if obj.grad_rows is None:
         return lambda X, idx: batch_empirical_gradient(X, obj, data)
     grad_rows, Z = obj.grad_rows, data.samples
-    return lambda X, idx: np.asarray(grad_rows(X, Z), dtype=float)
+    return lambda X, idx: grad_rows(X, Z)
 
 
 def _sweep(ch, incs, j0, j1, draws) -> None:
     """Step chain ``ch`` from row j0 of its history to row j1, taking step j
     on its increments ``incs[j]`` and, for a minibatch chain, on the index
-    draw ``draws[j]``. ``prev`` keeps the position and indices of its last
-    Euler step."""
-    H, grad, kind, coef, sub = ch.H, ch.grad, ch.kind, ch.coef, ch.sub
+    draw ``draws[j]``. It steps through the views of the rows that
+    ``_advance`` bound, so the loop makes no view of them. ``prev`` keeps
+    the position and indices of its last Euler step."""
+    rows, grad, step, sub, scratch = ch.rows, ch.grad, ch.step, ch.sub, ch.scratch
     idx = None
-    for j, src, out, last in zip(range(j0, j1), H[j0:j1], H[j0 + 1:j1 + 1], incs[j0:j1, sub - 1]):
+    for j, src, dst, last in zip(range(j0, j1), rows[j0:j1], rows[j0 + 1:j1 + 1],
+                                 incs[j0:j1, sub - 1]):
         if draws is not None:
-            idx = draws[j] if ch.copies == 1 else np.tile(draws[j], (ch.copies, 1))
+            idx = draws[j]
         for i in range(sub - 1):
             # substeps alternate between two scratch states, so the
             # position each step leaves stays intact for _reject
-            _euler(kind, src, grad(src[0], idx), incs[j, i], coef, ch.scratch[i % 2])
-            src = ch.scratch[i % 2]
-        X = src[0]
-        _euler(kind, src, grad(X, idx), last, coef, out)
+            step(src, scratch[i % 2], grad(src[1], idx), incs[j, i])
+            src = scratch[i % 2]
+        X = src[1]
+        step(src, dst, grad(X, idx), last)
     ch.prev = (X, idx)
 
 
@@ -299,22 +326,26 @@ def _reject(chains, obj, data, message, step) -> None:
 
 
 def _step_block(chains, obj, data, incs, n, message, k0) -> None:
-    """Draw each index stream's per-step indices for the block, which every
-    chain on the stream reads; sweep each chain in turn through rows 1..n and
-    check them finite once; on a failure replay the block in step order on
-    the same draws, checking each step, to stop where it failed."""
-    sizes = {ch.idx_rng: (len(ch.X) // ch.copies, ch.cfg.batch_size)
+    """Draw each index stream's per-step indices for the block in one call,
+    which every chain on the stream reads (the same values, and the same
+    generator state after, as one call per step); sweep each chain in turn
+    through rows 1..n and check them finite once; on a failure replay the
+    block in step order on the same draws, checking each step, to stop where
+    it failed."""
+    sizes = {ch.idx_rng: (n, len(ch.X) // ch.copies, ch.cfg.batch_size)
              for ch in chains if ch.idx_rng is not None}
-    draws = {rng: [rng.integers(0, data.n, size=size) for _ in range(n)]
-             for rng, size in sizes.items()}
+    drawn = {rng: rng.integers(0, data.n, size=size) for rng, size in sizes.items()}
+    # a chain of stacked copies steps each copy on its stream's draws
+    draws = [None if ch.idx_rng is None else drawn[ch.idx_rng] if ch.copies == 1
+             else np.tile(drawn[ch.idx_rng], (1, ch.copies, 1)) for ch in chains]
     with suppress(Exception):  # the replay raises it again or stops before it
-        for ch, inc in zip(chains, incs):
-            _sweep(ch, inc, 0, n, draws.get(ch.idx_rng))
+        for ch, inc, idx in zip(chains, incs, draws):
+            _sweep(ch, inc, 0, n, idx)
         if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
             return
     for j in range(n):
-        for ch, inc in zip(chains, incs):
-            _sweep(ch, inc, j, j + 1, draws.get(ch.idx_rng))
+        for ch, inc, idx in zip(chains, incs, draws):
+            _sweep(ch, inc, j, j + 1, idx)
         for ch in chains:
             if not np.isfinite(ch.H[j + 1]).all():
                 _reject(chains, obj, data, message, k0 + j + 1)
@@ -324,27 +355,34 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
     """The stepping loop of every runner.
 
     The chains share one Gaussian stream, drawn in blocks of at most
-    ``_BLOCK_BYTES`` (with the chains' buffers and index draws), so a
-    block's draws are the per-step draws in order. Each chain steps through
-    its own history buffer ``H`` of shape (block + 1, 2, R, d): row 0 is the
-    state before the block, row j the state after its j-th step.
-    ``_step_block`` sweeps each chain through the block in turn and checks
-    it. After each block it yields ``(k0, n)``, the block's first step index
-    minus one and its length; the caller's recorder reads rows 1..n of each
-    ``H`` before the loop goes on. Once it is exhausted, each chain's ``X``
-    and ``V`` hold fresh copies of the final state. A run stopped by an
-    error has drawn its whole last block from ``noise_rng`` and from its
-    index streams.
+    ``_BLOCK_BYTES`` (with the chains' buffers, index draws and row views),
+    so a block's draws are the per-step draws in order. Each chain steps
+    through its own history buffer ``H`` of shape (block + 1, 2, R, d): row 0
+    is the state before the block, row j the state after its j-th step. The
+    views ``(S, X, V)`` of each row, ``ch.rows``, are bound once per run, at
+    ``_ROW_VIEW_BYTES`` per chain and step of the budget, so that no step
+    makes one. ``_step_block`` sweeps each chain through the block in turn
+    and checks it. After each block it yields ``(k0, n)``, the block's first
+    step index minus one and its length; the caller's recorder reads rows
+    1..n of each ``H`` before the loop goes on. Once it is exhausted, each
+    chain's ``X`` and ``V`` hold fresh copies of the final state, and its
+    buffers and views are released. A run stopped by an error has drawn its
+    whole last block from ``noise_rng`` and from its index streams.
     """
     R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
     fine = max(ch.sub for ch in chains)
-    per_step = 8 * (d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
-                    + sum(R * ch.cfg.batch_size for ch in chains if ch.idx_rng is not None))
+    per_step = (8 * (d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
+                     # a minibatch chain's indices: its stream's draws, and for a chain
+                     # of copies their tiled copy
+                     + sum((R + len(ch.X) * (ch.copies > 1)) * ch.cfg.batch_size
+                           for ch in chains if ch.idx_rng is not None))
+                + _ROW_VIEW_BYTES * len(chains))
     block = max(1, min(steps, _BLOCK_BYTES // per_step))
     for ch in chains:
         ch.H = np.empty((block + 1, 2, len(ch.X), d))
         ch.H[0, 0], ch.H[0, 1] = ch.X, ch.V
-        ch.scratch = np.empty((2, 2, len(ch.X), d)) if ch.sub > 1 else None
+        ch.rows = _rows(ch.H)
+        ch.scratch = _rows(np.empty((2, 2, len(ch.X), d))) if ch.sub > 1 else None
         ch.grad = _gradient(ch, obj, data)
     for k0 in range(0, steps, block):
         n = min(block, steps - k0)
@@ -354,9 +392,10 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
         yield k0, n
         for ch in chains:
             ch.H[0] = ch.H[n]
+            ch.prev = None  # its indices are a view of the block's draws
     for ch in chains:
         ch.X, ch.V = ch.H[0, 0].copy(), ch.H[0, 1].copy()
-        ch.H = ch.scratch = ch.grad = None
+        ch.H = ch.rows = ch.scratch = ch.grad = ch.prev = None
 
 
 def _recorded(k0, n, every):

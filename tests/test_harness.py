@@ -822,6 +822,74 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    # a malformed or unknown key of a block inside a block: the message
+    # names the path of blocks to it
+    BLOCK_PATHS = {
+        "audit-seed": ({"audit": {"seed": 1.5}},
+                       "audit: malformed config value 'seed': 1.5 is not an integer"),
+        "sampler-seed": ({"sampler": {"seed": 1.5}},
+                         "sampler: malformed config value 'seed': 1.5 is not an integer"),
+        "sampler-b-seed": ({"sampler_b": {"seed": 1.5}},
+                           "sampler_b: malformed config value 'seed': 1.5 is not an integer"),
+        "init-scale-x": ({"sampler": {"init": {"kind": "gaussian", "scale": "x"}}},
+                         "sampler: init: malformed config value 'scale'"),
+        "init-x0-x": ({"sampler": {"init": {"kind": "point", "x0": "x"}}},
+                      "sampler: init: malformed config value 'x0': 'x' is not a list"),
+        "init-unknown": ({"sampler": {"init": {"kind": "gaussian", "scael": 0.1}}},
+                         "sampler: malformed config value 'init': unknown key 'scael'"),
+        "init-point-unknown": ({"sampler": {"init": {"kind": "point", "scale": 0.1}}},
+                               "sampler: malformed config value 'init': unknown key 'scale'"),
+        "init-b-unknown": ({"sampler_b": {"init": {"kind": "gaussian", "mean": 0.0, "sd": 1}}},
+                           "sampler_b: malformed config value 'init': unknown key 'sd'"),
+    }
+
+    @pytest.mark.parametrize("over, message", list(BLOCK_PATHS.values()), ids=list(BLOCK_PATHS))
+    @pytest.mark.parametrize("kind", ["sample", "validate", "couple"])
+    def test_error_names_the_block_of_the_key(self, tmp_path, capsys, monkeypatch, kind, over,
+                                              message):
+        monkeypatch.chdir(tmp_path)
+        doc = base_config(kind=kind, out=str(tmp_path / "r"))
+        for key, value in over.items():
+            doc[key] = {**doc[key], **value} if key == "sampler" else value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    # a key that the dataset or objective block does not declare is the
+    # violation of a dataset or objective config that does not materialize
+    DATA_KEYS = {
+        "dataset-unknown": ("dataset", {"nn": 5000},
+                            "malformed config value 'dataset': unknown key 'nn'"),
+        "dataset-seed": ("dataset", {"seed": 1.5},
+                         "dataset: malformed config value 'seed': 1.5 is not an integer"),
+        "objective-unknown": ("objective", {"parms": {"m0": 9}},
+                              "malformed config value 'objective': unknown key 'parms'"),
+        "objective-name": ("objective", {"name": 5},
+                           "objective: malformed config value 'name': 5 is not a string"),
+    }
+
+    @pytest.mark.parametrize("block, value, message", list(DATA_KEYS.values()),
+                             ids=list(DATA_KEYS))
+    @pytest.mark.parametrize("kind", harness.KINDS)
+    def test_dataset_and_objective_keys_declared(self, tmp_path, capsys, monkeypatch, kind, block,
+                                                 value, message):
+        monkeypatch.chdir(tmp_path)
+        doc = base_config(kind=kind, out=str(tmp_path / "r"))
+        doc[block].update(value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        if kind != "validate":
+            assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
+            assert message in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+            return
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        [finding] = json.loads((tmp_path / "r" / "findings.json").read_text())
+        assert finding == {"level": "violation", "code": "objective", "message": message}
+        assert main(["validate", "--config", str(path), "--strict"]) == EXIT_VALIDATION
+
     @pytest.mark.parametrize("risk", [{"p": 1.5, "q": 1}, {"p": 2.0, "q": 1.5},
                                       {"p": 2.0, "q": "inf"}, {"p": 2.0, "q": 0}],
                              ids=["p-1.5", "q-1.5", "q-inf", "q-0"])

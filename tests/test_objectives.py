@@ -29,6 +29,7 @@ from sghmc.objectives import (
     batch_empirical_gradient,
     _moments,
     batch_empirical_risk,
+    _well_pieces,
     minibatch_gradient_rows,
 )
 from sghmc.rng import derive_stream
@@ -311,6 +312,19 @@ class TestMomentCache:
         assert all(not np.array_equal(a, b) for a, b in zip(before, after))
         assert all(np.array_equal(a, hook(X, Z.copy())) for a, hook in zip(after, hooks))
 
+    def test_coupled_quadratic_follows_Z(self):
+        # grad_rows keeps c * zbar for the zbar object _moments returns
+        a, b = (make_dataset("gaussian", n, 2, seed=s) for n, s in ((100, 7), (37, 8)))
+        obj = quadratic(2, m0=1.3, coupling=0.7, z_radius=10.0 * a.max_norm())
+        X = derive_stream(3, "probe").standard_normal((5, 2))
+        Z = b.samples.copy()
+        for samples, change in ((a.samples, 0.0), (b.samples, 0.0), (Z, 0.0), (Z, 1.0),
+                                (Z, 2.0), (a.samples, 0.0)):
+            if change:
+                Z += change  # in place: the same array, new values
+            want = 1.3 * (X - 0.7 * samples.mean(axis=0))
+            assert np.array_equal(obj.grad_rows(X, samples), want)
+
     def test_views_of_cached_samples_recomputed(self):
         data = make_dataset("gaussian", 50, 2, seed=7)
         _moments(data.samples)
@@ -450,3 +464,29 @@ class TestInvariants:
             SmoothnessCertificate(A0=0, B=0, M=0.0, m=0.0, b=0)
         with pytest.raises(ConfigurationError):
             quadratic(2, m0=1.0, coupling=0.5)  # missing z_radius
+
+
+class TestWellDerivative:
+    """``w_prime`` returns t^3 - t without the tail formula when every |t|
+    is within the well radius: the value np.where would pick there."""
+
+    @staticmethod
+    def spliced(t, rw):
+        a = np.abs(t)
+        tail = np.sign(t) * (rw ** 3 - rw + (3.0 * rw * rw - 1.0) * (a - rw))
+        return np.where(a <= rw, t ** 3 - t, tail)
+
+    @pytest.mark.parametrize("rw", [1.5, 2.0, 3.7])
+    def test_equals_the_spliced_formula_bit_for_bit(self, rw):
+        _, w_prime, _ = _well_pieces(rw)
+        points = [0.3, -1.2, 1.0, rw, -rw, np.nextafter(rw, 0.0), np.nextafter(rw, np.inf),
+                  -np.nextafter(rw, np.inf), 2.5 * rw, -7.0, 1e200, 0.0, -0.0,
+                  np.nan, np.inf, -np.inf]
+        inside = [t for t in points if abs(t) <= rw]
+        for t in [np.array([t]) for t in points] + [np.array(points), np.array(inside),
+                                                     np.array(inside).reshape(-1, 2)]:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in the samplers
+                got, want = w_prime(t), self.spliced(t, rw)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -400,15 +402,16 @@ class TestEnsembles:
 
     def test_functionals_called_once_per_block(self, data2):
         rows = self.block_rows(data2, None)
-        # step 0, then blocks of the cap over 512 B per step at R = 8, d = 2
-        block = min(1000, samplers._BLOCK_BYTES // 512)
+        # step 0, then blocks of the cap over 512 B of buffers per step at
+        # R = 8, d = 2, plus the bound views of the step's history row
+        block = min(1000, samplers._BLOCK_BYTES // (512 + samplers._ROW_VIEW_BYTES))
         full, last = divmod(1000, block)
         assert rows == [8] + [block * 8] * full + [last * 8] * (last > 0)
 
     def test_blocks_hold_the_index_draws(self, data2):
         rows = self.block_rows(data2, 32)
         # a minibatch step adds its (8, 32) index draw to the 512 B
-        block = min(1000, samplers._BLOCK_BYTES // (512 + 8 * 8 * 32))
+        block = min(1000, samplers._BLOCK_BYTES // (512 + samplers._ROW_VIEW_BYTES + 8 * 8 * 32))
         full, last = divmod(1000, block)
         assert rows == [8] + [block * 8] * full + [last * 8] * (last > 0)
 
@@ -839,11 +842,11 @@ class TestNoiseBlocks:
     ``samplers._BLOCK_BYTES`` bytes; where the blocks end never shows. A cap
     of one byte steps one-step blocks, the loop as it was before blocks."""
 
-    # At 1000 bytes ensemble_run steps 3-step blocks (4 replicas in 2-d), so
-    # its burn-in of 20 ends inside a block; run_chain steps 15-step blocks
-    # and coupled_run 8-step ones, so the divergence runs end in a partial
-    # block. At 2600 bytes the blocks are 10, 40 and 23 steps.
-    CAPS = [1, 1000, 2600]
+    # At 4800 bytes ensemble_run steps 6-step blocks (4 replicas in 2-d), so
+    # its burn-in of 20 ends inside a block; run_chain steps 8-step blocks
+    # and coupled_run 7-step ones, so the divergence runs end in a partial
+    # block. At 9300 bytes the blocks are 12, 16 and 14 steps.
+    CAPS = [1, 4800, 9300]
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("runner", TestGoldenOutputs.RUNNERS)
@@ -886,6 +889,73 @@ class TestNoiseBlocks:
             blocks.append(len(chain.H))
             run.close()
         assert blocks[0] == min(101, blocks[1])  # a short run takes one block
+
+    class DrawSpy:
+        """An index stream that checks, at each block's draw, that the draws
+        of the blocks before it are gone."""
+
+        def __init__(self, rng):
+            self.rng, self.drawn = rng, []
+
+        def integers(self, *args, **kwargs):
+            assert all(ref() is None for ref in self.drawn)
+            out = self.rng.integers(*args, **kwargs)
+            self.drawn.append(weakref.ref(out))
+            return out
+
+    @pytest.mark.parametrize("replicas, batch", [(1, None), (1, 8), (64, None)])
+    def test_bound_views_fit_the_cap_and_are_released(self, data2, replicas, batch):
+        cfg = _cfg(batch_size=batch)
+        X, V = cfg.init.sample(cfg.dim, derive_stream(0, "init"), size=replicas)
+        spy = self.DrawSpy(derive_stream(0, "minibatch"))
+        chain = samplers._Chain("sghmc", cfg, X, V, spy)
+        run = samplers._advance([chain], quadratic(2), data2, 2000, derive_stream(0, "noise"))
+        next(run)
+        assert len(chain.rows) == len(chain.H) > 1
+        views = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in chain.rows)
+        assert views <= samplers._ROW_VIEW_BYTES * len(chain.rows)
+        assert chain.H.nbytes + views <= samplers._BLOCK_BYTES
+        view = weakref.ref(chain.rows[1][1])
+        for _ in run:
+            pass
+        assert chain.H is chain.rows is chain.prev is None
+        assert view() is None
+        assert (len(spy.drawn) > 1) == bool(batch)  # more than one block was drawn
+
+
+class TestBlockIndexDraws:
+    """A block's minibatch indices are drawn in one call of shape (steps, R,
+    l): the values and the generator state after it must be those of one
+    call per step, rejection-heavy ranges included."""
+
+    @pytest.mark.parametrize("n", [7, 100, 2**31 + 1, 2**32 - 1, 2**40 + 7])
+    @pytest.mark.parametrize("steps, R, ell", [(1, 1, 1), (5, 1, 10), (33, 4, 3), (64, 3, 32)])
+    def test_one_call_is_one_call_per_step(self, n, steps, R, ell):
+        block, per_step = derive_stream(3, "draws"), derive_stream(3, "draws")
+        drawn = block.integers(0, n, size=(steps, R, ell))
+        want = np.stack([per_step.integers(0, n, size=(R, ell)) for _ in range(steps)])
+        assert drawn.dtype == want.dtype and np.array_equal(drawn, want)
+        assert block.bit_generator.state == per_step.bit_generator.state
+        assert block.integers(0, n, size=3).tolist() == per_step.integers(0, n, size=3).tolist()
+
+
+class TestGradRowsResults:
+    """The loop hands a ``grad_rows`` result to the update as it is: one that
+    is a list, or a float32 array, steps as its float64 copy."""
+
+    @pytest.mark.parametrize("convert", [lambda G: G.tolist(), lambda G: G.astype(np.float32)],
+                             ids=["list", "float32"])
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_steps_as_the_float64_copy(self, data2, kind, convert):
+        obj = quadratic(2, m0=1.0, coupling=0.5, z_radius=data2.max_norm())
+        cfg = _cfg(lam=0.05, seed=3, init=gaussian_init(0.0, 1.0))
+        runs = []
+        for hook in (convert, lambda G: np.asarray(convert(G), dtype=float)):
+            spec = dataclasses.replace(obj, grad_rows=lambda X, Z, h=hook: h(obj.grad_rows(X, Z)))
+            r = ensemble_run(kind, cfg, spec, data2, steps=50, replicas=3, burn_in=10)
+            t = run_chain(kind, cfg, spec, data2, steps=50, thin=7)
+            runs.append([r.X, r.V, r.tail_mean_x, r.tail_var_v, t.xs, t.vs])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 class TestTwoStepCoupling:
