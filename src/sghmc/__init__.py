@@ -1,6 +1,6 @@
 """Underdamped Langevin / SGHMC toolkit.
 
-Samplers for the discrete momentum dynamics and their continuous references,
+Samplers for the discrete momentum dynamics and their coupled runs,
 certified smoothness/dissipativity constants for the built-in objectives,
 the full derived-constant chain (contraction rates, moment bounds, risk
 bounds), Wasserstein and rho-semimetric estimators, and a seeded experiment
@@ -44,12 +44,10 @@ from .samplers import (
     InitialLaw,
     SamplerConfig,
     Trajectory,
-    auxiliary_integrate,
     coupled_run,
     gaussian_init,
     point_init,
     run_chain,
-    underdamped_integrate,
 )
 from .metrics import (
     SampleCloud,

@@ -604,6 +604,8 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
     result (a failed audit), else None."""
     s = cfg.sampler
     results = manifest.results
+    if cfg.chain == "sgld" and cfg.kind in ("gibbs-check", "rate-study"):
+        raise ConfigurationError(f"{cfg.kind} needs a momentum chain; chain 'sgld' has none")
     if cfg.kind == "validate":
         emit("findings.json", manifest.findings)
         results["findings"] = manifest.findings
@@ -676,7 +678,8 @@ def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
 
     elif cfg.kind == "rate-study":
         rate = _with_defaults(_RATE_KEYS, cfg.rate)
-        table = rate_study(obj, data, s, rate["lambdas"], rate["ref_divisor"], rate["t_end"],
+        base = s if cfg.chain == "sghmc" else replace(s, batch_size=None)  # full gradients
+        table = rate_study(obj, data, base, rate["lambdas"], rate["ref_divisor"], rate["t_end"],
                            cfg.replicas)
         emit("rate.csv", "lambda,distance,flag\n" + "".join(
             f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}\n" for row in table["rows"]))

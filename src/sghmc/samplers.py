@@ -1,4 +1,4 @@
-"""Discrete and continuous Langevin dynamics, plus coupled runs.
+"""Discrete Langevin dynamics, plus coupled runs.
 
 The runners step the chain kinds of ``CHAIN_KINDS`` on one empirical risk:
 
@@ -6,11 +6,6 @@ The runners step the chain kinds of ``CHAIN_KINDS`` on one empirical risk:
 * ``"sghmc"``       -- underdamped (momentum) Euler step with minibatch
                        gradients,
 * ``"exact_sghmc"`` -- the same recursion with the full-dataset gradient.
-
-Two integrators give the continuous references: ``underdamped_integrate``,
-the fine Euler-Maruyama path of the underdamped SDE, and
-``auxiliary_integrate``, the time-scaled variant whose clock runs a factor
-``lambda`` slower; at ``lambda = 1`` it coincides with the underdamped path.
 
 The momentum update uses the pre-update momentum in the position update
 (``x' = x + lam * v``); this ordering is observable and pinned by tests.
@@ -44,7 +39,9 @@ treat rows independently.
 Coupled runs advance two chains on shared randomness, as one paired (2R, d)
 block when they step alike: the realized distance between them upper-bounds
 the Wasserstein distance between their laws, which is the desk-scale route
-to checking contraction and discretization rates. Every stream is derived
+to checking contraction and discretization rates. The continuous-time
+reference is ``brownian_coupled_distance``'s fine Euler chain, driven by the
+Brownian path whose sums drive the coarse chain. Every stream is derived
 from the config seed via :mod:`.rng`, so runs are reproducible bit-for-bit.
 """
 
@@ -414,62 +411,6 @@ def _traced(chains, obj, data, steps, thin, noise_rng):
             r.append(ch.H[ks.start - k0:n + 1:thin].copy())
     return [Trajectory(np.asarray(steps_rec), xv[:, 0, i].copy(), xv[:, 1, i].copy())
             for xv in map(np.concatenate, rows) for i in range(xv.shape[2])]
-
-
-# ---------------------------------------------------------------------------
-# Continuous-time reference processes (fine Euler-Maruyama)
-# ---------------------------------------------------------------------------
-
-def underdamped_integrate(
-    cfg: SamplerConfig,
-    obj: ObjectiveSpec,
-    data: Dataset,
-    t_end: float,
-    substep: float,
-    thin: int = 100,
-    noise_rng: Optional[np.random.Generator] = None,
-) -> Trajectory:
-    """Euler-Maruyama path of dV = -(gamma V + grad F) dt + sqrt(2 gamma / beta) dB,
-    dX = V dt, on [0, t_end] with the given substep.
-
-    ``thin`` records every thin-th substep; ``t_end = 0`` yields only the
-    initial state. The returned trajectory's ``steps`` are substep indices.
-    """
-    return _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, time_scale=1.0)
-
-
-def auxiliary_integrate(
-    cfg: SamplerConfig,
-    obj: ObjectiveSpec,
-    data: Dataset,
-    t_end: float,
-    substep: float,
-    thin: int = 100,
-    noise_rng: Optional[np.random.Generator] = None,
-) -> Trajectory:
-    """Euler-Maruyama path of the slowed dynamics
-    dV = -lam (gamma V + grad F) dt + sqrt(2 gamma lam / beta) dB, dX = lam V dt.
-
-    Statistically it is the underdamped path run at time ``lam * t``; with a
-    shared noise stream and the same substep the two coincide to floating
-    point at ``lam = 1``.
-    """
-    return _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, time_scale=cfg.lam)
-
-
-def _integrate(cfg, obj, data, t_end, substep, thin, noise_rng, time_scale):
-    if not 0 <= t_end < math.inf:  # NaN fails every comparison
-        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
-    if not 0 < substep < math.inf:
-        raise ConfigurationError(f"substep must be finite and > 0, got {substep}")
-    _check_sizes(thin=thin)
-    if noise_rng is None:
-        noise_rng = derive_stream(cfg.seed, "integrate:noise")
-    x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, "integrate:init"), size=1)
-    nsteps = int(round(t_end / substep))
-    chain = _Chain("exact_sghmc", cfg, x, v, lam=time_scale * substep,
-                   c=_noise(cfg.gamma * time_scale * substep, cfg.beta))
-    return _traced([chain], obj, data, nsteps, thin, noise_rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ empirical pilot statistics. The chain of quantities:
 * uniform second-moment bounds (C^c/C^a families) and the step-size cap;
 * the proof-constant chain c_2 ... c_18 and the aggregate C~ (the last two
   need sup-moment pilot statistics and are flagged "empirical");
-* the three risk-bound terms B_1, B_2, B_3 and the iteration budget;
-* growth orders of the constants across a (beta, d) grid.
+* the three risk-bound terms B_1, B_2, B_3 and the iteration budget.
 
 Entries are exact evaluations of their defining formulas; nothing is tuned.
 Quantities that cannot be computed in closed form are estimated and labelled
@@ -25,10 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import CertificationError, ConfigurationError, NumericalError
 from .objectives import (
@@ -741,56 +739,6 @@ def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: floa
 
 
 # ---------------------------------------------------------------------------
-# Scaling orders across (beta, d)
-# ---------------------------------------------------------------------------
-
-ASSERTED_ORDERS = {
-    "A_c": "O(beta)",
-    "alpha_c": "O(1)",
-    "Lambda_c": "O(beta + d)",
-    "R_1": "O(sqrt(1 + d/beta))",
-    "c_star": "O(sqrt(beta + d) exp(-O(beta + d)))",
-}
-
-
-def scaling_orders(betas: Sequence[float], ds: Sequence[int],
-                   cert: SmoothnessCertificate, gamma: float):
-    """Tabulate the contraction constants (at p = 2) over a (beta, d) grid.
-
-    Drift constants are taken at their closed-form values
-    (``closed_form_drift``) without probe verification, since no concrete
-    objective is attached. Each row carries the computed values and
-    the normalizations matching the asserted growth orders, so order claims
-    can be read off side by side.
-    """
-    if not betas or not ds:
-        raise ConfigurationError("scaling_orders needs nonempty ranges")
-    rows = []
-    for beta in betas:
-        drift = closed_form_drift(cert, gamma, beta)
-        for d in ds:
-            cc = contraction_constants(drift, cert, gamma, beta, d)
-            rows.append(
-                {
-                    "beta": float(beta),
-                    "d": int(d),
-                    "A_c": cc.A_c,
-                    "Lambda_c": cc.Lambda_c,
-                    "alpha_c": cc.alpha_c,
-                    "c_star": cc.c_star,
-                    "log_c_star": cc.log_c_star,
-                    "C_star": cc.C_star,
-                    "log_C_star": cc.log_C_star,
-                    "R_1": cc.R_1,
-                    "A_c_over_beta": cc.A_c / beta,
-                    "Lambda_c_over_beta_plus_d": cc.Lambda_c / (beta + d),
-                    "R_1_over_sqrt_1_plus_d_over_beta": cc.R_1 / math.sqrt(1.0 + d / beta),
-                }
-            )
-    return {"rows": rows, "asserted_orders": dict(ASSERTED_ORDERS)}
-
-
-# ---------------------------------------------------------------------------
 # High-moment certificate for the Lyapunov functional
 # ---------------------------------------------------------------------------
 
@@ -847,7 +795,10 @@ def lyapunov_moment_certificate(
     # E (a + b S + gamma S^2)^{2q} with S = |xi|, expanded over chi moments
     a = gamma * a_c + beta * K2
     b = beta * math.sqrt(P2)
-    coeffs = npoly.polypow([a, b, gamma], 2 * q)
+    base = np.array([a, b, gamma])
+    coeffs = base
+    for _ in range(2 * q - 1):
+        coeffs = np.convolve(coeffs, base)
     e_poly = float(sum(c * gaussian_norm_moment(d, j) for j, c in enumerate(coeffs)))
 
     m1 = max(

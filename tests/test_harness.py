@@ -439,6 +439,42 @@ class TestRateStudy:
         assert table["slope"] == pytest.approx(2.0, rel=1e-12)
 
 
+class TestMomentumKinds:
+    """gibbs-check and rate-study run the momentum recursion: they reject
+    sgld, and rate-study's coarse chain under exact_sghmc takes full
+    gradients."""
+
+    @staticmethod
+    def _run(tmp_path, name, kind, chain, batch_size=None, **over):
+        doc = base_config(kind=kind, chain=chain, out=str(tmp_path / name), **over)
+        doc["sampler"]["batch_size"] = batch_size
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return main([kind, "--config", str(path)])
+
+    @pytest.mark.parametrize("kind", ["gibbs-check", "rate-study"])
+    def test_sgld_exits_before_writing(self, tmp_path, capsys, kind):
+        assert self._run(tmp_path, "r", kind, "sgld", batch_size=10) == EXIT_VALIDATION
+        assert f"{kind} needs a momentum chain" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    @pytest.mark.parametrize("chain", ["sghmc", "exact_sghmc"])
+    def test_gibbs_check_moves_the_momentum(self, tmp_path, chain):
+        assert self._run(tmp_path, "g", "gibbs-check", chain, batch_size=10,
+                         steps=3000) == EXIT_OK
+        assert json.loads((tmp_path / "g" / "gibbs.json").read_text())["empirical_var_v"] > 0.0
+
+    def test_rate_study_exact_sghmc_takes_full_gradients(self, tmp_path):
+        over = {"rate": {"lambdas": [0.1, 0.05], "t_end": 1.0},
+                "objective": {"name": "double_well", "params": {"coupling": 0.1}}}
+        runs = {"exact": ("exact_sghmc", 10), "full": ("sghmc", None), "mini": ("sghmc", 10)}
+        csv = {}
+        for name, (chain, batch) in runs.items():
+            assert self._run(tmp_path, name, "rate-study", chain, batch, **over) == EXIT_OK
+            csv[name] = (tmp_path / name / "rate.csv").read_bytes()
+        assert csv["exact"] == csv["full"] != csv["mini"]
+
+
 def _golden_digests(out: Path) -> dict:
     """First 16 hex digits of the SHA-256 of every output of a run, and of its
     manifest without the wall time and the output paths."""
@@ -663,8 +699,9 @@ class TestCli:
         assert (tmp_path / "v" / "manifest.json").exists()
 
     def test_no_scipy_on_the_import_path(self, tmp_path):
-        # scipy is a test-only dependency: importing the package and running
-        # the short kinds in a fresh process must load none of it
+        # scipy is a test-only dependency, and numpy.polynomial is not needed:
+        # importing the package and running the short kinds in a fresh
+        # process must load neither
         runs = []
         for kind in ("constants", "risk-bound", "gibbs-check", "validate"):
             doc = base_config(kind=kind, out=str(tmp_path / kind),
@@ -678,7 +715,8 @@ class TestCli:
             "import json, sys",
             "import sghmc, sghmc.cli",
             *(f"assert sghmc.cli.main({argv!r}) == 0" for argv in runs),
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+            "print(json.dumps(sorted(m for m in sys.modules",
+            "                        if m.startswith(('scipy', 'numpy.polynomial')))))",
         ])
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

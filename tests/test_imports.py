@@ -1,5 +1,6 @@
 """The package's import graph: modules import their siblings at the top only,
-and no two modules import each other, directly or through others."""
+no two modules import each other, directly or through others, and every name
+a module imports at its top is read in it."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,16 @@ def test_sibling_imports_form_no_cycle():
 
     for name in sorted(edges):
         visit(name)
+
+
+def test_no_unused_module_level_import():
+    unused = []
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{name} imports {a.name} unused" for a in node.names
+                           if (a.asname or a.name.split(".")[0]) not in read]
+    assert unused == []

@@ -6,7 +6,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from sghmc import (
     ConfigurationError,
@@ -15,7 +14,6 @@ from sghmc import (
     ObjectiveSpec,
     SamplerConfig,
     SmoothnessCertificate,
-    auxiliary_integrate,
     coupled_run,
     double_well,
     gaussian_init,
@@ -24,7 +22,6 @@ from sghmc import (
     point_init,
     quadratic,
     run_chain,
-    underdamped_integrate,
 )
 from sghmc import samplers, theory
 from sghmc.samplers import (
@@ -139,94 +136,6 @@ class TestSgldStationary:
                            record_every=10**9, burn_in=15_000)
         got = float(np.mean(res.tail_var_x))
         assert got == pytest.approx(1.0, rel=0.05)
-
-
-class TestIntegrators:
-    def test_friction_only_exponential_decay(self, data1):
-        obj = zero_objective(1)
-        cfg = SamplerConfig(lam=1.0, gamma=1.0, beta=math.inf, batch_size=None,
-                            dim=1, seed=1, init=point_init([0.0], [1.0]))
-        traj = underdamped_integrate(cfg, obj, data1, t_end=1.0, substep=1e-4, thin=10_000)
-        rel = abs(traj.vs[-1, 0] - math.exp(-1.0)) / math.exp(-1.0)
-        assert rel <= 1e-3
-
-    def test_zero_horizon_returns_initial_state_only(self, data1):
-        obj = quadratic(1, m0=1.0)
-        cfg = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
-                            dim=1, seed=1, init=point_init([0.5], [0.0]))
-        traj = underdamped_integrate(cfg, obj, data1, t_end=0.0, substep=0.01)
-        assert len(traj) == 1
-        assert traj.xs[0] == pytest.approx([0.5])
-
-    @pytest.mark.parametrize("integrate", [underdamped_integrate, auxiliary_integrate])
-    def test_thin_below_one_rejected(self, data1, integrate):
-        cfg = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
-                            dim=1, seed=1, init=point_init([0.5], [0.0]))
-        with pytest.raises(ConfigurationError, match="thin must be >= 1"):
-            integrate(cfg, quadratic(1, m0=1.0), data1, t_end=1.0, substep=0.1, thin=0)
-
-    def test_quadratic_equilibrium_moments(self, data2):
-        obj = quadratic(2, m0=1.0)
-        x2, v2 = [], []
-        for rep in range(6):
-            cfg = _cfg(seed=12, init=point_init([0.0, 0.0], [0.0, 0.0]))
-            traj = underdamped_integrate(
-                cfg, obj, data2, t_end=800.0, substep=0.01, thin=50,
-                noise_rng=derive_stream(12, "equilibrium", rep),
-            )
-            burn = len(traj) // 5
-            x2.append(np.mean(traj.xs[burn:] ** 2))
-            v2.append(np.mean(traj.vs[burn:] ** 2))
-        assert float(np.mean(x2)) == pytest.approx(1.0, rel=0.05)
-        assert float(np.mean(v2)) == pytest.approx(1.0, rel=0.05)
-
-    def test_auxiliary_is_underdamped_at_unit_lambda(self, data1):
-        obj = quadratic(1, m0=1.0)
-        cfg = SamplerConfig(lam=1.0, gamma=2.0, beta=1.0, batch_size=None,
-                            dim=1, seed=5, init=point_init([1.0], [0.0]))
-        a = underdamped_integrate(cfg, obj, data1, 2.0, 1e-3, thin=100,
-                                  noise_rng=derive_stream(5, "shared"))
-        b = auxiliary_integrate(cfg, obj, data1, 2.0, 1e-3, thin=100,
-                                noise_rng=derive_stream(5, "shared"))
-        assert np.array_equal(a.xs, b.xs)
-        assert np.array_equal(a.vs, b.vs)
-
-    def test_auxiliary_drift_only_matches_matrix_exponential(self, data1):
-        # noise off: the slowed dynamics solve the damped oscillator with the
-        # clock scaled by lam
-        obj = quadratic(1, m0=1.0)
-        lam, t_end = 0.25, 4.0
-        cfg = SamplerConfig(lam=lam, gamma=1.0, beta=math.inf, batch_size=None,
-                            dim=1, seed=5, init=point_init([1.0], [0.0]))
-        traj = auxiliary_integrate(cfg, obj, data1, t_end=t_end, substep=1e-4, thin=40_000)
-        A = np.array([[-1.0, -1.0], [1.0, 0.0]])  # d/dt (v, x)
-        want_v, want_x = expm(A * lam * t_end) @ np.array([0.0, 1.0])
-        assert traj.vs[-1, 0] == pytest.approx(want_v, abs=1e-4)
-        assert traj.xs[-1, 0] == pytest.approx(want_x, abs=1e-4)
-
-    def test_time_change_law(self, data1):
-        # the slowed process at parameter time t agrees in law with the
-        # underdamped process at time lam * t
-        obj = quadratic(1, m0=1.0)
-        lam, t_par, reps = 0.5, 2.0, 600
-        xa = np.empty(reps)
-        xu = np.empty(reps)
-        va = np.empty(reps)
-        vu = np.empty(reps)
-        for i in range(reps):
-            cfg = SamplerConfig(lam=lam, gamma=2.0, beta=1.0, batch_size=None,
-                                dim=1, seed=0, init=point_init([1.0], [0.0]))
-            ta = auxiliary_integrate(cfg, obj, data1, t_par, 0.02, thin=100,
-                                     noise_rng=derive_stream(900 + i, "aux"))
-            tu = underdamped_integrate(cfg, obj, data1, t_par * lam, 0.02, thin=50,
-                                       noise_rng=derive_stream(5000 + i, "und"))
-            xa[i], va[i] = ta.xs[-1, 0], ta.vs[-1, 0]
-            xu[i], vu[i] = tu.xs[-1, 0], tu.vs[-1, 0]
-        for sa, su in ((xa, xu), (va, vu)):
-            for moment in (1, 2):
-                ma, mu = np.mean(sa**moment), np.mean(su**moment)
-                se = math.sqrt(np.var(sa**moment) / reps + np.var(su**moment) / reps)
-                assert abs(ma - mu) <= 3.0 * se
 
 
 class TestSingleChainIsEnsembleOfOne:
@@ -478,17 +387,11 @@ class TestEnsembles:
                                         burn_in=-5), "burn_in must be >= 0"),
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end must be finite") for t in (math.nan, math.inf)],
-        *[(lambda obj, data, f=f, t=t, h=h: f(_cfg(), obj, data, t_end=t, substep=h),
-           "must be finite")
-          for f in (underdamped_integrate, auxiliary_integrate)
-          for t, h in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan))],
     ], ids=["ensemble_run-steps-0", "ensemble_run-record-every-0",
             "coupled_ensemble_run-steps-0", "coupled_ensemble_run-record-every-0",
             "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg",
             "ensemble_run-burn-in-neg", "brownian_coupled_distance-t-end-nan",
-            "brownian_coupled_distance-t-end-inf"] + [
-        f"{f}-{case}" for f in ("underdamped_integrate", "auxiliary_integrate")
-        for case in ("t-end-nan", "t-end-inf", "substep-nan")])
+            "brownian_coupled_distance-t-end-inf"])
     def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
         with pytest.raises(ConfigurationError, match=message):
             runner(quadratic(2, m0=1.0), data2)
@@ -562,13 +465,11 @@ class TestGoldenOutputs:
                for k in ("sgld", "sghmc", "exact_sghmc")] + [
         "coupled_run:shared", "coupled_run:separate", "coupled_run:sgld", "coupled_run:sghmc",
         "coupled_run:exact_sghmc", "brownian_coupled_distance",
-        "underdamped_integrate", "auxiliary_integrate",
     ]
 
     @staticmethod
-    def outputs(runner, cfg, cfg_b, obj, data, n, h):
-        """The arrays ``runner`` returns after ``n`` steps; ``h`` is the
-        integrators' effective step (the auxiliary substep times cfg.lam)."""
+    def outputs(runner, cfg, cfg_b, obj, data, n):
+        """The arrays ``runner`` returns after ``n`` steps."""
         name, _, kind = runner.partition(":")
         if name == "run_chain":
             t = run_chain(kind, cfg, obj, data, steps=n, thin=7)
@@ -588,19 +489,11 @@ class TestGoldenOutputs:
                 kind, kind)
             ta, tb, dist = coupled_run(pair, cfg, cfg_b, obj, data, steps=n, thin=7)
             return [ta.steps, ta.xs, ta.vs, tb.xs, tb.vs, dist]
-        if name == "brownian_coupled_distance":
-            return [brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=n * cfg.lam,
-                                              replicas=4)]
-        sub = h if name == "underdamped_integrate" else h / cfg.lam
-        integrate = underdamped_integrate if name == "underdamped_integrate" \
-            else auxiliary_integrate
-        t = integrate(cfg, obj, data, t_end=n * sub, substep=sub, thin=7)
-        return [t.steps, t.xs, t.vs]
+        return [brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=n * cfg.lam,
+                                          replicas=4)]
 
     # digests in CASES order: double_well/None, double_well/8, gaussian_mixture/None, .../8
     GOLDEN = {
-        "auxiliary_integrate":
-            "7d023cdfc87f86a8 7d023cdfc87f86a8 1888494cb3d5f674 1888494cb3d5f674",
         "brownian_coupled_distance":
             "11aa703daf0a1bf2 2ceff951597961f1 27778a90ddf68114 083863b842625973",
         "coupled_ensemble_run:exact_sghmc":
@@ -631,12 +524,9 @@ class TestGoldenOutputs:
             "ae7eeb30515195d4 973feb9c01298758 38c0919eee6d77e4 ec03291cfb47973b",
         "run_chain:sgld":
             "dbc98f990bf01477 59d5eaa3a6dd9208 2a1c814258a135ed 56bd1be54a5d3e2c",
-        "underdamped_integrate":
-            "7d023cdfc87f86a8 7d023cdfc87f86a8 1888494cb3d5f674 1888494cb3d5f674",
     }
     # DivergenceError.step at lam = 5 on the quadratic, batch_size None and 8
     DIVERGENCE_STEP = {
-        "auxiliary_integrate": (507, 507),
         "brownian_coupled_distance": (507, 506),
         "coupled_ensemble_run:exact_sghmc": (507, 507),
         "coupled_ensemble_run:sghmc": (507, 507),
@@ -652,7 +542,6 @@ class TestGoldenOutputs:
         "run_chain:exact_sghmc": (507, 507),
         "run_chain:sghmc": (508, 508),
         "run_chain:sgld": (513, 513),
-        "underdamped_integrate": (507, 507),
     }
 
     @classmethod
@@ -664,7 +553,7 @@ class TestGoldenOutputs:
         for name, batch in cls.CASES:
             cfg, cfg_b = cls._pair(batch)
             h = hashlib.sha256()
-            for a in cls.outputs(runner, cfg, cfg_b, objs[name], data, cls.STEPS, cfg.lam):
+            for a in cls.outputs(runner, cfg, cfg_b, objs[name], data, cls.STEPS):
                 h.update(np.ascontiguousarray(a, dtype=float).tobytes())
             out.append(h.hexdigest()[:16])
         return tuple(out)
@@ -672,7 +561,6 @@ class TestGoldenOutputs:
     # The same on the double well, whose gradient grows 11 times as fast as
     # x beyond the wells.
     DOUBLE_WELL_DIVERGENCE_STEP = {
-        "auxiliary_integrate": (255, 255),
         "brownian_coupled_distance": (129, 129),
         "coupled_ensemble_run:exact_sghmc": (255, 255),
         "coupled_ensemble_run:sghmc": (255, 255),
@@ -688,7 +576,6 @@ class TestGoldenOutputs:
         "run_chain:exact_sghmc": (255, 255),
         "run_chain:sghmc": (255, 255),
         "run_chain:sgld": (179, 179),
-        "underdamped_integrate": (255, 255),
     }
 
     @classmethod
@@ -702,7 +589,7 @@ class TestGoldenOutputs:
             cfg, cfg_b = cls._pair(batch, lam=5.0)
             cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
             with pytest.raises(DivergenceError) as err:
-                cls.outputs(runner, cfg, cfg_b, obj, data, 2000, cfg.lam)
+                cls.outputs(runner, cfg, cfg_b, obj, data, 2000)
             out.append(err.value.step)
         return tuple(out)
 
@@ -741,7 +628,7 @@ class TestStrictHooks:
             cfg, cfg_b = TestGoldenOutputs._pair(batch, lam=5.0)
             cfg = dataclasses.replace(cfg, init=point_init([1.0, 0.0], [0.0, 0.0]))
             with pytest.raises(DivergenceError) as err:
-                TestGoldenOutputs.outputs(runner, cfg, cfg_b, obj, data, 2000, cfg.lam)
+                TestGoldenOutputs.outputs(runner, cfg, cfg_b, obj, data, 2000)
             steps.append(err.value.step)
         assert tuple(steps) == TestGoldenOutputs.DIVERGENCE_STEP[runner]
 
@@ -1025,9 +912,7 @@ class TestResultsOwnTheirArrays:
             ens = ensemble_run("sghmc", cfg, obj, data, steps=40, replicas=3, record_every=7)
             traj = run_chain("sghmc", cfg, obj, data, steps=40, thin=7)
             ta, tb, _ = coupled_run("sghmc", cfg, cfg, obj, data, steps=40, thin=7)
-            integ = underdamped_integrate(cfg, obj, data, t_end=2.0, substep=0.05, thin=7)
-            out += [ens.X, ens.V, traj.xs, traj.vs, ta.xs, ta.vs, tb.xs, tb.vs,
-                    integ.xs, integ.vs]
+            out += [ens.X, ens.V, traj.xs, traj.vs, ta.xs, ta.vs, tb.xs, tb.vs]
         return out
 
     def test_no_shared_memory(self, data2):

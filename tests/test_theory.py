@@ -24,7 +24,17 @@ from sghmc.rng import derive_stream
 from conftest import ball_probes, GAMMA, BETA
 
 
+# a certificate with every constant nonzero, for the closed-form checks
+GRID_CERT = SmoothnessCertificate(A0=1.0, B=0.5, M=1.0, m=1.0, b=1.0)
+
+
 class TestDriftConstants:
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+    def test_closed_form_A_c_linear_in_beta(self, beta):
+        # A_c = (beta/2)(b + 2B + A0)
+        drift = theory.closed_form_drift(GRID_CERT, GAMMA, beta)
+        assert drift.A_c / beta == pytest.approx((1.0 + 2 * 0.5 + 1.0) / 2.0)
+
     def test_quadratic_half_cap(self, quad_theory):
         # min(1/4, 1/(1 + 0 + 2)) / 2 = 1/8 for (m, M, B, gamma) = (1, 1, 0, 2)
         assert quad_theory["drift"].lambda_c == pytest.approx(0.125, abs=0)
@@ -162,6 +172,16 @@ class TestContractionConstants:
         small = theory.contraction_constants(drift, quad_obj.cert, GAMMA, 1.0, 2, 2.0)
         large = theory.contraction_constants(drift, quad_obj.cert, GAMMA, 4.0, 8, 2.0)
         assert small.c_star > large.c_star
+
+    def test_lambda_of_order_beta_plus_d(self):
+        # Lambda_c = O(beta + d): Lambda_c / (beta + d) stays within a factor
+        # 4 along the diagonal (beta, d) = (1, 2), (2, 4), (4, 8)
+        ratios = []
+        for beta, d in ((1.0, 2), (2.0, 4), (4.0, 8)):
+            drift = theory.closed_form_drift(GRID_CERT, GAMMA, beta)
+            cc = theory.contraction_constants(drift, GRID_CERT, GAMMA, beta, d)
+            ratios.append(cc.Lambda_c / (beta + d))
+        assert max(ratios) / min(ratios) <= 4.0
 
     def test_p_range(self, quad_obj, quad_theory):
         with pytest.raises(ConfigurationError):
@@ -590,47 +610,6 @@ class TestIterationBudget:
         _, k1 = theory.iteration_budget(cc, self.C_TILDE, 0.25, 2.0, 1.0)
         _, k2 = theory.iteration_budget(cc, self.C_TILDE, 0.5, 2.0, 1.0)
         assert k1 > k2 * 2**4
-
-
-class TestScalingOrders:
-    CERT = SmoothnessCertificate(A0=1.0, B=0.5, M=1.0, m=1.0, b=1.0)
-
-    def test_A_c_linear_in_beta(self):
-        table = theory.scaling_orders([1.0, 2.0, 4.0], [2], self.CERT, GAMMA)
-        for row in table["rows"]:
-            assert row["A_c_over_beta"] == pytest.approx((1 + 1 + 1) / 2.0)
-
-    def test_log_rate_slope_negative(self):
-        table = theory.scaling_orders([1.0, 2.0, 4.0], [2, 4, 8], self.CERT, GAMMA)
-        rows = {(r["beta"], r["d"]): r for r in table["rows"]}
-        diag = [rows[(1.0, 2)], rows[(2.0, 4)], rows[(4.0, 8)]]
-        slope = np.polyfit(
-            [r["beta"] + r["d"] for r in diag], [r["log_c_star"] for r in diag], 1
-        )[0]
-        assert slope < 0.0
-
-    def test_lambda_order_within_factor_four(self):
-        table = theory.scaling_orders([1.0, 2.0, 4.0], [2, 4, 8], self.CERT, GAMMA)
-        rows = {(r["beta"], r["d"]): r for r in table["rows"]}
-        ratios = [rows[k]["Lambda_c_over_beta_plus_d"] for k in ((1.0, 2), (2.0, 4), (4.0, 8))]
-        assert max(ratios) / min(ratios) <= 4.0
-
-    def test_rows_are_contraction_constants(self):
-        lam_c = 0.5 * theory.lambda_c_cap(self.CERT, GAMMA)
-        table = theory.scaling_orders([1.0, 2.0, 4.0], [2, 4, 8], self.CERT, GAMMA)
-        for row in table["rows"]:
-            drift = theory.DriftConstants(lam_c, row["A_c"])
-            cc = theory.contraction_constants(drift, self.CERT, GAMMA, row["beta"], row["d"])
-            for key in ("A_c", "Lambda_c", "alpha_c", "c_star", "log_c_star", "C_star",
-                        "log_C_star", "R_1"):
-                assert row[key] == getattr(cc, key), key
-
-    def test_survives_underflow_regime(self):
-        stiff = SmoothnessCertificate(A0=1.0, B=0.5, M=12.0, m=1.0, b=2.0)
-        table = theory.scaling_orders([1.0], [2], stiff, GAMMA)
-        row = table["rows"][0]
-        assert row["c_star"] == 0.0
-        assert math.isfinite(row["log_c_star"])
 
 
 class TestLyapunovMomentCertificate:
