@@ -464,6 +464,13 @@ class TestMomentumKinds:
                          steps=3000) == EXIT_OK
         assert json.loads((tmp_path / "g" / "gibbs.json").read_text())["empirical_var_v"] > 0.0
 
+    def test_gibbs_check_exact_sghmc_takes_full_gradients(self, tmp_path):
+        for name, batch in (("mini", 10), ("full", None)):
+            assert self._run(tmp_path, name, "gibbs-check", "exact_sghmc", batch,
+                             steps=3000) == EXIT_OK
+        assert (tmp_path / "mini" / "gibbs.json").read_bytes() == \
+            (tmp_path / "full" / "gibbs.json").read_bytes()
+
     def test_rate_study_exact_sghmc_takes_full_gradients(self, tmp_path):
         over = {"rate": {"lambdas": [0.1, 0.05], "t_end": 1.0},
                 "objective": {"name": "double_well", "params": {"coupling": 0.1}}}

@@ -276,6 +276,38 @@ class TestBrownianCoupling:
             )
         assert dists[1] < dists[0]
 
+    def test_friction_only_distance_closed_form(self, data1):
+        # beta = inf and no force: both chains damp v by (1 - gamma h) per step
+        # of size h, so x_k = (1 - (1 - h)^k) / gamma and v_k = (1 - h)^k at
+        # gamma = 1; the distance is that of the two terminal states
+        def state(h, k):
+            return 1.0 - (1.0 - h) ** k, (1.0 - h) ** k
+
+        cfg = SamplerConfig(lam=0.1, gamma=1.0, beta=math.inf, batch_size=None,
+                            dim=1, seed=1, init=point_init([0.0], [1.0]))
+        for r in (2, 16):
+            d = brownian_coupled_distance(cfg, 0.1 / r, zero_objective(1), data1,
+                                          t_end=1.0, replicas=2)
+            (xc, vc), (xr, vr) = state(0.1, 10), state(0.1 / r, 10 * r)
+            assert d == pytest.approx(math.hypot(xc - xr, vc - vr), rel=1e-12)
+
+    def test_drift_only_reference_follows_the_flow(self, data1):
+        # noise off on the quadratic: the coarse chain is the linear recursion
+        # (v, x) <- [[1 - gamma lam, -lam], [lam, 1]] (v, x), and the fine
+        # reference is the Euler path of the damped oscillator, so the
+        # distance is the coarse chain's distance from the flow exp(A t)
+        from scipy.linalg import expm
+
+        lam, t_end = 0.25, 4.0
+        cfg = SamplerConfig(lam=lam, gamma=1.0, beta=math.inf, batch_size=None,
+                            dim=1, seed=5, init=point_init([1.0], [0.0]))
+        d = brownian_coupled_distance(cfg, lam / 2500, quadratic(1, m0=1.0), data1,
+                                      t_end=t_end, replicas=1)
+        coarse = np.linalg.matrix_power(np.array([[1.0 - lam, -lam], [lam, 1.0]]), 16)
+        A = np.array([[-1.0, -1.0], [1.0, 0.0]])  # d/dt (v, x)
+        want = np.linalg.norm((coarse - expm(A * t_end)) @ np.array([0.0, 1.0]))
+        assert d == pytest.approx(want, abs=1e-4)
+
 
 class TestEnsembles:
     def test_gibbs_variances(self, data2):
@@ -387,11 +419,25 @@ class TestEnsembles:
                                         burn_in=-5), "burn_in must be >= 0"),
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end must be finite") for t in (math.nan, math.inf)],
+        (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), math.nan, obj, data, 1.0, 2),
+         "lambda_ref must be > 0"),
+        *[(lambda obj, data, h=h: brownian_coupled_distance(_cfg(lam=0.1), h, obj, data, 1.0, 2),
+           "integer multiple of lambda_ref") for h in (math.inf, 0.03, 0.3)],
+        *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
+           "t_end too short") for t in (0.0, -1.0)],
+        (lambda obj, data: run_chain("sghmc", _cfg(), obj, data, steps=10, thin=0),
+         "thin must be >= 1"),
+        (lambda obj, data: coupled_run("sghmc", _cfg(), _cfg(), obj, data, steps=10, thin=0),
+         "thin must be >= 1"),
     ], ids=["ensemble_run-steps-0", "ensemble_run-record-every-0",
             "coupled_ensemble_run-steps-0", "coupled_ensemble_run-record-every-0",
             "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg",
             "ensemble_run-burn-in-neg", "brownian_coupled_distance-t-end-nan",
-            "brownian_coupled_distance-t-end-inf"])
+            "brownian_coupled_distance-t-end-inf", "brownian_coupled_distance-lambda-ref-nan",
+            "brownian_coupled_distance-lambda-ref-inf",
+            "brownian_coupled_distance-lambda-ref-not-a-divisor",
+            "brownian_coupled_distance-lambda-ref-above-lam", "brownian_coupled_distance-t-end-0",
+            "brownian_coupled_distance-t-end-neg", "run_chain-thin-0", "coupled_run-thin-0"])
     def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
         with pytest.raises(ConfigurationError, match=message):
             runner(quadratic(2, m0=1.0), data2)

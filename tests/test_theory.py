@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -181,6 +182,21 @@ class TestContractionConstants:
             drift = theory.closed_form_drift(GRID_CERT, GAMMA, beta)
             cc = theory.contraction_constants(drift, GRID_CERT, GAMMA, beta, d)
             ratios.append(cc.Lambda_c / (beta + d))
+        assert max(ratios) / min(ratios) <= 4.0
+
+    @pytest.mark.parametrize("order, scale", [
+        ("alpha_c", lambda beta, d: 1.0),
+        ("R_1", lambda beta, d: math.sqrt(1.0 + d / beta)),
+    ], ids=["alpha_c-of-order-one", "R_1-of-order-sqrt-one-plus-d-over-beta"])
+    def test_growth_order_over_the_grid(self, order, scale):
+        # alpha_c = O(1) and R_1 = O(sqrt(1 + d/beta)): the normalised value
+        # stays within a factor 4 over (beta, d) in {1, 2, 4} x {2, 4, 8}
+        ratios = []
+        for beta in (1.0, 2.0, 4.0):
+            drift = theory.closed_form_drift(GRID_CERT, GAMMA, beta)
+            for d in (2, 4, 8):
+                cc = theory.contraction_constants(drift, GRID_CERT, GAMMA, beta, d)
+                ratios.append(getattr(cc, order) / scale(beta, d))
         assert max(ratios) / min(ratios) <= 4.0
 
     def test_p_range(self, quad_obj, quad_theory):
@@ -613,6 +629,27 @@ class TestIterationBudget:
 
 
 class TestLyapunovMomentCertificate:
+    # first 16 hex digits of the SHA-256 of the JSON report (sort_keys) at
+    # gamma = 2, beta = 1, d = 2, lam = 0.01, V_0 = 1 on each built-in's
+    # certificate and GRID_CERT, recorded when the chi-moment polynomial was
+    # raised by numpy.polynomial.polypow
+    REPORTS = {
+        ("quadratic", 1): "3e8df398f07b03ef", ("quadratic", 2): "8c7243f8b8e23c07",
+        ("double_well", 1): "16c1ac21cecfdde0", ("double_well", 2): "61ff9407f9aa7c65",
+        ("gaussian_mixture", 1): "72d14407d7508e47", ("gaussian_mixture", 2): "a8fb4673f92355d6",
+        ("grid", 1): "95b35366cd81f3dc", ("grid", 2): "56596e4e1ddeefdc",
+    }
+
+    @pytest.mark.parametrize("name, q", sorted(REPORTS))
+    def test_report_pinned(self, builtin_suite, name, q):
+        certs = {obj.name: obj.cert for obj, _ in builtin_suite}
+        cert = GRID_CERT if name == "grid" else certs[name]
+        drift = theory.closed_form_drift(cert, GAMMA, BETA)
+        rep = theory.lyapunov_moment_certificate(drift, cert, GAMMA, BETA, 2, q, lam=0.01,
+                                                 v0_lyapunov=1.0)
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()[:16]
+        assert digest == self.REPORTS[name, q]
+
     def test_phi_plug(self, quad_obj, quad_theory):
         drift = quad_theory["drift"]
         lam = 0.02 / (GAMMA * drift.lambda_c)
