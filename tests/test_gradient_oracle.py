@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sghmc import (
     ConfigurationError,
+    double_well,
     empirical_gradient,
     estimate_delta,
+    gaussian_mixture,
     make_dataset,
     make_oracle,
     quadratic,
@@ -210,3 +214,71 @@ def test_batch_size_validation(coupled_quad):
     obj, data = coupled_quad
     with pytest.raises(ConfigurationError):
         MinibatchOracle(obj=obj, data=data, batch_size=0, rng=derive_stream(0, "x"))
+
+
+class TestPinned:
+    """Pins of the three estimators on the built-ins (n = 100, data seed 7) at
+    every batch size, on the eight probes the risk-bound kind draws: a change
+    to a stream, a draw or the order of a sum shows here."""
+
+    SEED = 3
+    BATCHES = (None, 1, 10, 50)
+    # per objective: estimate_delta then sample_gradient_many at BATCHES, then
+    # variance_scaling_curve over the sizes 1, 10 and 50
+    GOLDEN = {
+        "quadratic": "30b3461b3d7b4a1a 8d3de42f63acd863 09c3e46e69916175 47f798177dd61892 "
+                     "2b4f9fed027a059c",
+        "double_well": "20decb2fcbfcb864 3811ae2471987557 aed63101df461c7d 11e58c8ed6b0d589 "
+                       "96436b80003f7c72",
+        "gaussian_mixture": "ceb6d2885d7fc3ba 6674321bd9ef2494 0db1a7d9025eb538 "
+                            "d6b19bb04323692a eaa4da8c36ef439f",
+    }
+
+    @classmethod
+    def objectives(cls):
+        data = make_dataset("gaussian", 100, 2, seed=7)
+        r = data.max_norm()
+        return data, {"quadratic": quadratic(2, m0=1.0),
+                      "double_well": double_well(2, coupling=0.1, z_radius=r),
+                      "gaussian_mixture": gaussian_mixture(2, ridge=0.05, z_radius=r)}
+
+    @classmethod
+    def probes(cls):
+        # as the risk-bound kind draws them
+        rng = derive_stream(cls.SEED, "risk:probes")
+        return [np.zeros(2)] + [rng.standard_normal(2) for _ in range(7)]
+
+    @classmethod
+    def outputs(cls, obj, data, ell):
+        probes = cls.probes()
+        out = [estimate_delta(make_oracle(obj, data, ell, cls.SEED, purpose="risk:delta"),
+                              probes, trials=400)]
+        oracle = make_oracle(obj, data, ell, cls.SEED, purpose="draws")
+        out += [sample_gradient_many(oracle, x, 16) for x in probes]
+        return out
+
+    @classmethod
+    def curve(cls, obj, data):
+        out = []
+        for x in cls.probes():
+            c = variance_scaling_curve(obj, data, x, [1, 10, 50], trials=100, seed=cls.SEED)
+            out += [c.points, c.slope]
+        return out
+
+    @staticmethod
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        return h.hexdigest()[:16]
+
+    @classmethod
+    def digests(cls, name):
+        data, objs = cls.objectives()
+        obj = objs[name]
+        out = [cls.digest(cls.outputs(obj, data, ell)) for ell in cls.BATCHES]
+        return tuple(out + [cls.digest(cls.curve(obj, data))])
+
+    @pytest.mark.parametrize("name", ["quadratic", "double_well", "gaussian_mixture"])
+    def test_outputs_pinned(self, name):
+        assert self.digests(name) == tuple(self.GOLDEN[name].split())
