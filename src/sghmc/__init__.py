@@ -26,7 +26,6 @@ from .objectives import (
     empirical_gradient,
     empirical_risk,
     gaussian_mixture,
-    literal_dataset,
     make_dataset,
     make_objective,
     quad_growth_sandwich,
@@ -34,10 +33,8 @@ from .objectives import (
     register_objective,
 )
 from .gradient_oracle import (
-    MinibatchOracle,
     VarianceCurve,
     estimate_delta,
-    make_oracle,
     variance_scaling_curve,
 )
 from .samplers import (

@@ -1,11 +1,12 @@
 """Unbiased stochastic gradients via minibatch subsampling with replacement.
 
-The oracle draws batch indices i.i.d. uniformly over the dataset (with
-replacement) and averages their gradients with ``minibatch_gradient_rows``, the
-chains' estimator, which is unbiased for the empirical gradient by construction.
-``batch_size=None`` (as in ``SamplerConfig``) is exactly the empirical gradient.
+``sample_gradient_many`` draws batch indices i.i.d. uniformly over the dataset
+(with replacement) from the stream it is given and averages their gradients
+with ``minibatch_gradient_rows``, the chains' estimator, which is unbiased for
+the empirical gradient by construction. ``batch_size=None`` (as in
+``SamplerConfig``) is exactly the empirical gradient and draws nothing.
 
-The second half of the module estimates the oracle's variance profile: the
+The second half of the module estimates the draws' variance profile: the
 ratio of E|g - grad F|^2 to 2 (M^2 |x|^2 + B^2) defines the operational
 noise level ``delta`` consumed by the bound calculators in :mod:`.theory`.
 """
@@ -21,30 +22,11 @@ from .errors import ConfigurationError
 from .objectives import (
     Dataset,
     ObjectiveSpec,
-    _batch_size,
+    _count,
     empirical_gradient,
     minibatch_gradient_rows,
 )
 from .rng import derive_stream
-
-
-@dataclass
-class MinibatchOracle:
-    """Stateful minibatch gradient oracle.
-
-    An instance owns its RNG stream (the stream advances on every draw), so
-    an oracle is single-owner; create one oracle per concurrent consumer with
-    distinct (purpose, replica) derivations.
-    """
-
-    obj: ObjectiveSpec
-    data: Dataset
-    batch_size: Optional[int]  # None: the full gradient
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.batch_size is not None:
-            self.batch_size = _batch_size(self.batch_size)
 
 
 def _probe(obj: ObjectiveSpec, x) -> np.ndarray:
@@ -58,74 +40,53 @@ def _probe(obj: ObjectiveSpec, x) -> np.ndarray:
     return x
 
 
-def make_oracle(
-    obj: ObjectiveSpec,
-    data: Dataset,
-    batch_size: Optional[int],
-    seed: int,
-    purpose: str = "minibatch",
-    replica: int = 0,
-) -> MinibatchOracle:
-    """Build an oracle with a stream derived from (seed, purpose, replica).
-
-    ``batch_size=None`` gives the deterministic full gradient.
-    """
-    return MinibatchOracle(
-        obj=obj,
-        data=data,
-        batch_size=batch_size,
-        rng=derive_stream(seed, purpose, replica),
-    )
-
-
-def sample_gradient_many(oracle: MinibatchOracle, x: np.ndarray, trials: int) -> np.ndarray:
-    """``trials`` independent draws at x via ``minibatch_gradient_rows``: (trials, d)."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    x = _probe(oracle.obj, x)
-    if oracle.batch_size is None:
-        g = empirical_gradient(x, oracle.obj, oracle.data)
+def sample_gradient_many(obj: ObjectiveSpec, data: Dataset, batch_size: Optional[int],
+                         rng: np.random.Generator, x: np.ndarray, trials: int) -> np.ndarray:
+    """``trials`` independent draws at x via ``minibatch_gradient_rows``: (trials, d).
+    ``batch_size=None`` gives the full gradient ``trials`` times."""
+    trials = _count(trials, "trials")
+    x = _probe(obj, x)
+    if batch_size is None:
+        g = empirical_gradient(x, obj, data)
         return np.broadcast_to(g, (trials, g.size)).copy()
-    idx = oracle.rng.integers(0, oracle.data.n, size=(trials, oracle.batch_size))
-    X = np.broadcast_to(x, (trials, x.size))
-    return minibatch_gradient_rows(X, oracle.obj, oracle.data, idx)
+    idx = rng.integers(0, data.n, size=(trials, _count(batch_size, "batch size")))
+    return minibatch_gradient_rows(np.broadcast_to(x, (trials, x.size)), obj, data, idx)
+
+
+def _msd(draws: np.ndarray, full: np.ndarray) -> float:
+    """Mean over the draws (rows) of their squared distance from ``full``."""
+    return float(np.mean(np.sum((draws - full[None, :]) ** 2, axis=1)))
 
 
 # ---------------------------------------------------------------------------
 # Variance audits
 # ---------------------------------------------------------------------------
 
-def estimate_delta(
-    oracle: MinibatchOracle, probes: Sequence[np.ndarray], trials: int
-) -> float:
-    """Monte-Carlo estimate of the oracle's relative variance level delta_hat.
+def estimate_delta(obj: ObjectiveSpec, data: Dataset, batch_size: Optional[int],
+                   rng: np.random.Generator, probes: Sequence[np.ndarray], trials: int) -> float:
+    """Monte-Carlo estimate of the draws' relative variance level delta_hat.
 
     For each probe x the mean squared deviation E|g(x) - grad F(x)|^2 is
-    estimated over ``trials`` fresh draws and divided by
+    estimated over ``trials`` fresh draws from ``rng`` and divided by
     2 (M^2 |x|^2 + B^2); delta_hat is the maximum ratio over probes.
     """
-    if trials < 100:
-        raise ConfigurationError("estimate_delta needs trials >= 100")
+    if not trials >= 100:  # NaN fails too
+        raise ConfigurationError(f"estimate_delta needs trials >= 100, got {trials!r}")
     if len(probes) == 0:
         raise ConfigurationError("estimate_delta needs at least one probe")
-    cert = oracle.obj.cert
+    cert = obj.cert
     ratios = []
-    for x in [_probe(oracle.obj, x) for x in probes]:
-        full = empirical_gradient(x, oracle.obj, oracle.data)
-        draws = sample_gradient_many(oracle, x, trials)
-        msd = float(np.mean(np.sum((draws - full[None, :]) ** 2, axis=1)))
+    for x in [_probe(obj, x) for x in probes]:
+        # the draws come first: they check the batch size before any gradient
+        draws = sample_gradient_many(obj, data, batch_size, rng, x, trials)
+        msd = _msd(draws, empirical_gradient(x, obj, data))
         denom = 2.0 * (cert.M**2 * float(x @ x) + cert.B**2)
-        if denom == 0.0:
-            if msd <= 1e-24:
-                ratio = 0.0
-            else:
-                raise ConfigurationError(
-                    "variance ratio undefined: zero denominator with nonzero "
-                    "gradient noise (M and B both vanish at this probe)"
-                )
-        else:
-            ratio = msd / denom
-        ratios.append(ratio)
+        if denom == 0.0 and not msd <= 1e-24:  # NaN noise raises too
+            raise ConfigurationError(
+                "variance ratio undefined: zero denominator with nonzero "
+                "gradient noise (M and B both vanish at this probe)"
+            )
+        ratios.append(msd / denom if denom else 0.0)
     return float(max(ratios))
 
 
@@ -149,18 +110,18 @@ def variance_scaling_curve(
 
     A single batch size yields a curve of length one and no slope.
     """
-    sizes = [_batch_size(l) for l in batch_sizes]
+    sizes = [_count(l, "batch size") for l in batch_sizes]
     if not sizes:
         raise ConfigurationError("variance_scaling_curve needs at least one batch size")
     if len(set(sizes)) != len(sizes):
         raise ConfigurationError("batch sizes must be distinct")
+    trials = _count(trials, "trials")
     x = _probe(obj, x)
     full = empirical_gradient(x, obj, data)
     points = []
     for i, ell in enumerate(sizes):
-        draws = sample_gradient_many(make_oracle(obj, data, ell, seed, "variance-curve", i), x, trials)
-        var = float(np.mean(np.sum((draws - full[None, :]) ** 2, axis=1)))
-        points.append((ell, var))
+        rng = derive_stream(seed, "variance-curve", i)
+        points.append((ell, _msd(sample_gradient_many(obj, data, ell, rng, x, trials), full)))
     slope = None
     if len(points) >= 2 and all(v > 0 for _, v in points):
         logs = np.log([float(l) for l, _ in points])

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, DivergenceError, SghmcError
-from .gradient_oracle import estimate_delta, make_oracle
+from .gradient_oracle import estimate_delta
 from .metrics import SampleCloud, rho_distance_cloud
 from .objectives import (
     Dataset,
@@ -708,7 +708,7 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
             f"gibbs-check steps must be >= {cfg.burn_in + 1} to keep a tail sample after "
             f"burn_in {cfg.burn_in}, got {cfg.steps}")
     res = ensemble_run(cfg.chain, s, obj, data, steps=cfg.steps, replicas=cfg.replicas,
-                       record_every=max(1, cfg.thin), burn_in=cfg.burn_in, purpose="gibbs")
+                       burn_in=cfg.burn_in, purpose="gibbs")
     expected_x = 1.0 / (s.beta * m0)
     expected_v = 1.0 / s.beta
     var_x = float(np.mean(res.tail_var_x))
@@ -742,10 +742,10 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certif
     if delta is None and s.batch_size is None:
         delta = 0.0
     elif delta is None:
-        oracle = make_oracle(obj, data, s.batch_size, s.seed, purpose="risk:delta")
         probe_rng = derive_stream(s.seed, "risk:probes")
         probes = [np.zeros(s.dim)] + [probe_rng.standard_normal(s.dim) for _ in range(7)]
-        delta = estimate_delta(oracle, probes, trials=400)
+        delta = estimate_delta(obj, data, s.batch_size, derive_stream(s.seed, "risk:delta"),
+                               probes, trials=400)
 
     drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
     pilot_steps = cfg.pilot_steps or max(2000, min(cfg.steps, 20000))

@@ -22,6 +22,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
+from .objectives import _count
 from .rng import derive_stream
 from .theory import ContractionConstants, LyapunovParams, rho_cost
 
@@ -124,8 +125,8 @@ def wasserstein_1d(a, b, p: float = 2.0, resample_seed: int = 0) -> float:
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != 1 or b.dim != 1:
         raise ConfigurationError("wasserstein_1d requires dimension 1")
-    if not p >= 1:
-        raise ConfigurationError(f"order p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:  # NaN fails too
+        raise ConfigurationError(f"order p must be finite and >= 1, got {p}")
     xa = a.points[:, 0]
     xb = b.points[:, 0]
     if xa.size != xb.size:
@@ -152,8 +153,8 @@ def wasserstein_exact_small(a, b, p: float = 2.0) -> float:
         raise ConfigurationError("exact solver is capped at 64 points")
     if a.dim != b.dim:
         raise ConfigurationError("clouds must share the dimension")
-    if not p >= 1:
-        raise ConfigurationError(f"order p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:  # NaN fails too
+        raise ConfigurationError(f"order p must be finite and >= 1, got {p}")
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** p
     return float(np.mean(cost[np.arange(a.n), _assignment(cost)]) ** (1.0 / p))
@@ -169,10 +170,9 @@ def sliced_wasserstein(a, b, p: float = 2.0, n_projections: int = 128, seed: int
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != b.dim:
         raise ConfigurationError("clouds must share the dimension")
-    if not p >= 1:
-        raise ConfigurationError(f"order p must be >= 1, got {p}")
-    if not n_projections >= 1:
-        raise ConfigurationError(f"n_projections must be >= 1, got {n_projections}")
+    if not 1 <= p < math.inf:  # NaN fails too
+        raise ConfigurationError(f"order p must be finite and >= 1, got {p}")
+    n_projections = _count(n_projections, "n_projections")
     rng = derive_stream(seed, "sliced:directions")
     dirs = rng.standard_normal((n_projections, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -229,8 +229,8 @@ def quad_growth_continuity_check(
     The inequality lhs <= rhs is the property under test; this op only
     evaluates the two sides.
     """
-    if not p > 1:
-        raise ConfigurationError(f"order p must be > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ConfigurationError(f"order p must be finite and > 1, got {p}")
     if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
         raise ConfigurationError(f"(p, q) = ({p}, {q}) violates 1/p + 1/q = 1")
     a, b = _as_cloud(a), _as_cloud(b)

@@ -154,11 +154,6 @@ def make_dataset(generator_id: str, n: int, z_dim: int, seed: int) -> Dataset:
     return Dataset(samples=samples, generator_id=generator_id, seed=seed)
 
 
-def literal_dataset(values) -> Dataset:
-    """Wrap explicit sample values (no generator, regeneration not applicable)."""
-    return Dataset(samples=np.asarray(values, dtype=float), generator_id="literal", seed=0)
-
-
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
@@ -278,12 +273,13 @@ def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
                      for x, i in zip(X, idx)])
 
 
-def _batch_size(ell) -> int:
-    """A batch size as an int >= 1 (an integral float converts); a fractional
-    or boolean one is a ConfigurationError instead of being truncated."""
-    if isinstance(ell, bool) or not ell >= 1 or ell % 1:  # NaN fails too
-        raise ConfigurationError(f"batch size must be an integer >= 1, got {ell!r}")
-    return int(ell)
+def _count(value, name: str) -> int:
+    """A count (a batch size, a number of draws) as an int >= 1 (an integral
+    float converts); a fractional, boolean or non-finite one is a
+    ConfigurationError naming the count instead of being truncated."""
+    if isinstance(value, bool) or not 1 <= value < math.inf or value % 1:  # NaN fails too
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):
@@ -584,6 +580,8 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
 
 # Byte cap of the mixture hooks' (rows, n) temporaries: under glibc's 128 KB
 # mmap threshold they reuse heap memory instead of faulting in fresh pages.
+# A chunk holds one row at least, so the cap holds up to n = 8192 only; above
+# that each temporary is one row of 8 n bytes.
 _ROW_BYTES = 1 << 16
 
 

@@ -59,7 +59,7 @@ from .errors import ConfigurationError, DivergenceError
 from .objectives import (
     Dataset,
     ObjectiveSpec,
-    _batch_size,
+    _count,
     _reject_nonfinite_gradient,
     batch_empirical_gradient,
     minibatch_gradient_rows,
@@ -142,7 +142,7 @@ class SamplerConfig:
         if self.dim < 1:
             raise ConfigurationError("dimension must be >= 1")
         if self.batch_size is not None:
-            object.__setattr__(self, "batch_size", _batch_size(self.batch_size))
+            object.__setattr__(self, "batch_size", _count(self.batch_size, "batch size"))
         if self.init.kind == "point" and any(
                 a is not None and np.shape(a) != (self.dim,) for a in (self.init.x0, self.init.v0)):
             raise ConfigurationError("point initial law has wrong dimension")

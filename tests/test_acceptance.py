@@ -20,7 +20,6 @@ from sghmc import (
     empirical_gradient,
     estimate_delta,
     make_dataset,
-    make_oracle,
     point_init,
     quad_growth_continuity_check,
     quad_growth_sandwich,
@@ -219,9 +218,8 @@ def test_criterion_6_oracle_audits(builtin_suite):
     data = make_dataset("gaussian", 50, 2, seed=3)
     obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data.max_norm())
     # unbiasedness at 3 sigma with 1e5 draws
-    oracle = make_oracle(obj, data, 5, seed=11)
     x = np.array([0.7, 0.1])
-    draws = sample_gradient_many(oracle, x, 100_000)
+    draws = sample_gradient_many(obj, data, 5, derive_stream(11, "minibatch"), x, 100_000)
     se = draws.std(axis=0) / math.sqrt(draws.shape[0])
     unbiased = bool(np.all(np.abs(draws.mean(axis=0) - empirical_gradient(x, obj, data))
                            <= 3.0 * se))
@@ -230,8 +228,8 @@ def test_criterion_6_oracle_audits(builtin_suite):
                                    [1, 2, 4, 8, 16], trials=20_000, seed=5)
     slope_ok = -1.15 <= curve.slope <= -0.85
     # full-pass mode is noiseless
-    full = make_oracle(obj, data, None, seed=2)
-    delta0 = estimate_delta(full, [np.zeros(2), np.ones(2)], trials=200) == 0.0
+    delta0 = estimate_delta(obj, data, None, derive_stream(2, "minibatch"),
+                            [np.zeros(2), np.ones(2)], trials=200) == 0.0
     # assumption audits on every built-in
     audits_ok = True
     for bobj, bdata in builtin_suite:

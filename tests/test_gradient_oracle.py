@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -10,11 +11,10 @@ from sghmc import (
     estimate_delta,
     gaussian_mixture,
     make_dataset,
-    make_oracle,
     quadratic,
     variance_scaling_curve,
 )
-from sghmc.gradient_oracle import MinibatchOracle, sample_gradient_many
+from sghmc.gradient_oracle import sample_gradient_many
 from sghmc.objectives import minibatch_gradient_rows
 from sghmc.rng import derive_stream
 
@@ -28,16 +28,15 @@ def coupled_quad():
 
 def test_full_pass_equals_empirical_gradient(coupled_quad):
     obj, data = coupled_quad
-    oracle = make_oracle(obj, data, None, seed=1)
     x = np.array([0.4, -1.2])
-    assert np.array_equal(sample_gradient_many(oracle, x, 1)[0], empirical_gradient(x, obj, data))
+    draw = sample_gradient_many(obj, data, None, derive_stream(1, "minibatch"), x, 1)[0]
+    assert np.array_equal(draw, empirical_gradient(x, obj, data))
 
 
 def test_unbiasedness_three_sigma(coupled_quad):
     obj, data = coupled_quad
-    oracle = make_oracle(obj, data, 5, seed=11)
     x = np.array([0.7, 0.1])
-    draws = sample_gradient_many(oracle, x, 100_000)
+    draws = sample_gradient_many(obj, data, 5, derive_stream(11, "minibatch"), x, 100_000)
     mean = draws.mean(axis=0)
     se = draws.std(axis=0) / np.sqrt(draws.shape[0])
     full = empirical_gradient(x, obj, data)
@@ -46,12 +45,12 @@ def test_unbiasedness_three_sigma(coupled_quad):
 
 @pytest.mark.parametrize("ell", [1, 5])
 def test_many_draws_are_the_chains_minibatch_mean(builtin_suite, ell):
-    # the oracle averages through the estimator the chains step with: its
-    # draws equal minibatch_gradient_rows on a twin oracle's indices, bit for bit
+    # the draws average through the estimator the chains step with: they equal
+    # minibatch_gradient_rows on a twin stream's indices, bit for bit
     x = np.array([0.7, -1.3])
     for obj, data in builtin_suite:
-        draws = sample_gradient_many(make_oracle(obj, data, ell, seed=5), x, 300)
-        idx = make_oracle(obj, data, ell, seed=5).rng.integers(0, data.n, size=(300, ell))
+        draws = sample_gradient_many(obj, data, ell, derive_stream(5, "minibatch"), x, 300)
+        idx = derive_stream(5, "minibatch").integers(0, data.n, size=(300, ell))
         want = minibatch_gradient_rows(np.tile(x, (300, 1)), obj, data, idx)
         assert np.array_equal(draws, want), obj.name
 
@@ -59,34 +58,47 @@ def test_many_draws_are_the_chains_minibatch_mean(builtin_suite, ell):
 def test_same_seed_same_draws(coupled_quad):
     obj, data = coupled_quad
     x = np.array([1.0, 2.0])
-    a = sample_gradient_many(make_oracle(obj, data, 4, seed=99), x, 1)
-    b = sample_gradient_many(make_oracle(obj, data, 4, seed=99), x, 1)
+    a = sample_gradient_many(obj, data, 4, derive_stream(99, "minibatch"), x, 1)
+    b = sample_gradient_many(obj, data, 4, derive_stream(99, "minibatch"), x, 1)
     assert np.array_equal(a, b)
 
 
 def test_stream_advances(coupled_quad):
+    # draws from one stream continue it: a second call draws fresh indices,
+    # the ones a single call of twice the size draws next
     obj, data = coupled_quad
-    oracle = make_oracle(obj, data, 4, seed=99)
+    rng = derive_stream(99, "minibatch")
     x = np.array([1.0, 2.0])
-    first = sample_gradient_many(oracle, x, 1)
-    assert not np.array_equal(first, sample_gradient_many(oracle, x, 1))
+    first = sample_gradient_many(obj, data, 4, rng, x, 1)
+    second = sample_gradient_many(obj, data, 4, rng, x, 1)
+    assert not np.array_equal(first, second)
+    both = sample_gradient_many(obj, data, 4, derive_stream(99, "minibatch"), x, 2)
+    assert np.array_equal(both, np.vstack([first, second]))
+
+
+def test_full_gradient_draws_nothing(coupled_quad):
+    obj, data = coupled_quad
+    rng = derive_stream(99, "minibatch")
+    state = rng.bit_generator.state
+    sample_gradient_many(obj, data, None, rng, np.ones(2), 3)
+    estimate_delta(obj, data, None, rng, [np.ones(2)], trials=100)
+    assert rng.bit_generator.state == state
 
 
 class TestEstimateDelta:
     def test_full_pass_delta_zero(self, coupled_quad):
         obj, data = coupled_quad
-        oracle = make_oracle(obj, data, None, seed=2)
-        assert estimate_delta(oracle, [np.zeros(2), np.ones(2)], trials=200) == 0.0
+        rng = derive_stream(2, "minibatch")
+        assert estimate_delta(obj, data, None, rng, [np.zeros(2), np.ones(2)], trials=200) == 0.0
 
     def test_closed_form_conditional_variance(self):
         # batch size 1 at the origin: E|g - grad F|^2 is exactly the sample
         # variance of the dataset around its mean
         data = make_dataset("gaussian", 100, 1, seed=3)
         obj = quadratic(1, m0=1.0, coupling=1.0, z_radius=data.max_norm())
-        oracle = make_oracle(obj, data, 1, seed=21)
         x = np.zeros(1)
         full = empirical_gradient(x, obj, data)
-        draws = sample_gradient_many(oracle, x, 50_000)
+        draws = sample_gradient_many(obj, data, 1, derive_stream(21, "minibatch"), x, 50_000)
         est = float(np.mean(np.sum((draws - full) ** 2, axis=1)))
         z = data.samples[:, 0]
         exact = float(np.mean((z - z.mean()) ** 2))
@@ -98,25 +110,37 @@ class TestEstimateDelta:
         full = empirical_gradient(x, obj, data)
 
         def msd(ell, seed):
-            oracle = make_oracle(obj, data, ell, seed=seed)
-            draws = sample_gradient_many(oracle, x, 40_000)
+            draws = sample_gradient_many(obj, data, ell, derive_stream(seed, "minibatch"), x,
+                                         40_000)
             return float(np.mean(np.sum((draws - full) ** 2, axis=1)))
 
         v1 = msd(1, 31)
         v4 = msd(4, 32)
         assert v4 == pytest.approx(v1 / 4.0, rel=0.2)
 
-    def test_trials_floor(self, coupled_quad):
+    @pytest.mark.parametrize("trials", [10, 99.0, True, float("nan")])
+    def test_trials_floor(self, coupled_quad, trials):
         obj, data = coupled_quad
-        oracle = make_oracle(obj, data, 2, seed=1)
-        with pytest.raises(ConfigurationError):
-            estimate_delta(oracle, [np.zeros(2)], trials=10)
+        rng = derive_stream(1, "minibatch")
+        with pytest.raises(ConfigurationError, match="needs trials >= 100"):
+            estimate_delta(obj, data, 2, rng, [np.zeros(2)], trials=trials)
+
+    def test_zero_denominator(self, coupled_quad):
+        # at the origin with B = 0 the ratio's denominator vanishes: noiseless
+        # draws give 0, noisy ones (here under a certificate that drops the
+        # coupling's B) have no ratio
+        obj, data = coupled_quad
+        rng = derive_stream(1, "minibatch")
+        assert estimate_delta(quadratic(2, m0=1.0), data, 2, rng, [np.zeros(2)], 100) == 0.0
+        no_b = dataclasses.replace(obj, cert=dataclasses.replace(obj.cert, B=0.0))
+        with pytest.raises(ConfigurationError, match="variance ratio undefined"):
+            estimate_delta(no_b, data, 2, rng, [np.zeros(2)], trials=100)
 
     @pytest.mark.parametrize("batch", [None, 2])
     def test_no_probes_rejected(self, coupled_quad, batch):
         obj, data = coupled_quad
         with pytest.raises(ConfigurationError, match="at least one probe"):
-            estimate_delta(make_oracle(obj, data, batch, seed=1), [], trials=200)
+            estimate_delta(obj, data, batch, derive_stream(1, "minibatch"), [], trials=200)
 
     @pytest.mark.parametrize("probe, match", [
         (np.zeros(3), r"probe must have shape \(2,\)"),
@@ -127,28 +151,60 @@ class TestEstimateDelta:
     @pytest.mark.parametrize("batch", [None, 2])
     def test_malformed_probe_rejected(self, coupled_quad, batch, probe, match):
         obj, data = coupled_quad
-        oracle = make_oracle(obj, data, batch, seed=1)
+        rng = derive_stream(1, "minibatch")
         with pytest.raises(ConfigurationError, match=match):
-            estimate_delta(oracle, [np.zeros(2), probe], trials=200)
+            estimate_delta(obj, data, batch, rng, [np.zeros(2), probe], trials=200)
         with pytest.raises(ConfigurationError, match=match):
-            sample_gradient_many(oracle, probe, 5)
+            sample_gradient_many(obj, data, batch, rng, probe, 5)
 
-    @pytest.mark.parametrize("trials", [0, -2])
-    def test_draw_count_checked(self, coupled_quad, trials):
+    @pytest.mark.parametrize("trials", [0, -2, 2.5, float("inf"), float("nan"), True,
+                                        np.float64(np.inf)])
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_draw_count_checked(self, coupled_quad, batch, trials):
         obj, data = coupled_quad
-        with pytest.raises(ConfigurationError, match="trials must be >= 1"):
-            sample_gradient_many(make_oracle(obj, data, 2, seed=1), np.zeros(2), trials)
+        with pytest.raises(ConfigurationError, match="trials must be an integer >= 1"):
+            sample_gradient_many(obj, data, batch, derive_stream(1, "minibatch"), np.zeros(2),
+                                 trials)
 
-    @pytest.mark.parametrize("batch", [2.5, 0.5, True, float("nan"), float("inf")])
+    @pytest.mark.parametrize("trials", [100.5, float("inf"), np.float64(np.inf)])
+    def test_draw_count_above_floor_checked(self, coupled_quad, trials):
+        obj, data = coupled_quad
+        with pytest.raises(ConfigurationError, match="trials must be an integer >= 1"):
+            estimate_delta(obj, data, 2, derive_stream(1, "minibatch"), [np.zeros(2)], trials)
+
+    def test_integral_draw_count_converted(self, coupled_quad):
+        obj, data = coupled_quad
+        x, probes = np.ones(2), [np.zeros(2), np.ones(2)]
+        want = sample_gradient_many(obj, data, 2, derive_stream(1, "minibatch"), x, 3)
+        got = sample_gradient_many(obj, data, 2, derive_stream(1, "minibatch"), x,
+                                   np.float64(3.0))
+        assert np.array_equal(got, want)
+        want = estimate_delta(obj, data, 2, derive_stream(1, "minibatch"), probes, 200)
+        for trials in (200.0, np.float64(200.0), np.int64(200)):
+            rng = derive_stream(1, "minibatch")
+            assert estimate_delta(obj, data, 2, rng, probes, trials) == want
+
+    @pytest.mark.parametrize("batch", [2.5, 0.5, True, float("nan"), float("inf"),
+                                       np.float64(np.inf)])
     def test_non_integral_batch_size_rejected(self, coupled_quad, batch):
+        # the batch size is checked before any draw
         obj, data = coupled_quad
-        with pytest.raises(ConfigurationError, match="batch size must be an integer"):
-            make_oracle(obj, data, batch, seed=1)
+        rng = derive_stream(1, "minibatch")
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="batch size must be an integer >= 1"):
+            sample_gradient_many(obj, data, batch, rng, np.zeros(2), 5)
+        with pytest.raises(ConfigurationError, match="batch size must be an integer >= 1"):
+            estimate_delta(obj, data, batch, rng, [np.zeros(2)], trials=200)
+        assert rng.bit_generator.state == state
 
     def test_integral_batch_size_converted(self, coupled_quad):
+        # an integral float or numpy integer draws what the int draws
         obj, data = coupled_quad
-        assert type(make_oracle(obj, data, 2.0, seed=1).batch_size) is int
-        assert make_oracle(obj, data, np.int64(3), seed=1).batch_size == 3
+        x = np.array([0.3, -0.2])
+        want = sample_gradient_many(obj, data, 2, derive_stream(1, "minibatch"), x, 50)
+        for batch in (2.0, np.float64(2.0), np.int64(2)):
+            got = sample_gradient_many(obj, data, batch, derive_stream(1, "minibatch"), x, 50)
+            assert np.array_equal(got, want)
 
     def test_stable_across_probe_radii(self, coupled_quad):
         # the max ratio is attained near the origin, so probe sets that
@@ -161,10 +217,20 @@ class TestEstimateDelta:
                 radius * v / np.linalg.norm(v)
                 for v in rng.standard_normal((4, 2))
             ]
-            oracle = make_oracle(obj, data, 2, seed=40 + i)
-            estimates.append(estimate_delta(oracle, probes, trials=20_000))
+            draws = derive_stream(40 + i, "minibatch")
+            estimates.append(estimate_delta(obj, data, 2, draws, probes, trials=20_000))
         mid = float(np.median(estimates))
         assert all(abs(e - mid) / mid <= 0.10 for e in estimates)
+
+
+def test_batch_size_validation(coupled_quad):
+    obj, data = coupled_quad
+    rng = derive_stream(0, "x")
+    for batch in (0, -1):
+        with pytest.raises(ConfigurationError, match="batch size must be an integer >= 1"):
+            sample_gradient_many(obj, data, batch, rng, np.zeros(2), 1)
+        with pytest.raises(ConfigurationError, match="batch size must be an integer >= 1"):
+            estimate_delta(obj, data, batch, rng, [np.zeros(2)], trials=100)
 
 
 class TestVarianceCurve:
@@ -196,8 +262,8 @@ class TestVarianceCurve:
             variance_scaling_curve(obj, data, np.zeros(2), [2, 2], trials=500)
         with pytest.raises(ConfigurationError):
             variance_scaling_curve(obj, data, np.zeros(2), [0], trials=500)
-        for trials in (0, -3):
-            with pytest.raises(ConfigurationError, match="trials must be >= 1"):
+        for trials in (0, -3, 2.5, float("inf"), True, np.float64(np.nan)):
+            with pytest.raises(ConfigurationError, match="trials must be an integer >= 1"):
                 variance_scaling_curve(obj, data, np.zeros(2), [1, 2], trials=trials)
         with pytest.raises(ConfigurationError, match="at least one batch size"):
             variance_scaling_curve(obj, data, np.zeros(2), [], trials=10)
@@ -208,12 +274,6 @@ class TestVarianceCurve:
             variance_scaling_curve(obj, data, np.zeros(3), [1, 2], trials=10)
         with pytest.raises(ConfigurationError, match="probe must be finite"):
             variance_scaling_curve(obj, data, np.array([np.nan, 0.0]), [1, 2], trials=10)
-
-
-def test_batch_size_validation(coupled_quad):
-    obj, data = coupled_quad
-    with pytest.raises(ConfigurationError):
-        MinibatchOracle(obj=obj, data=data, batch_size=0, rng=derive_stream(0, "x"))
 
 
 class TestPinned:
@@ -251,10 +311,10 @@ class TestPinned:
     @classmethod
     def outputs(cls, obj, data, ell):
         probes = cls.probes()
-        out = [estimate_delta(make_oracle(obj, data, ell, cls.SEED, purpose="risk:delta"),
+        out = [estimate_delta(obj, data, ell, derive_stream(cls.SEED, "risk:delta"),
                               probes, trials=400)]
-        oracle = make_oracle(obj, data, ell, cls.SEED, purpose="draws")
-        out += [sample_gradient_many(oracle, x, 16) for x in probes]
+        rng = derive_stream(cls.SEED, "draws")
+        out += [sample_gradient_many(obj, data, ell, rng, x, 16) for x in probes]
         return out
 
     @classmethod

@@ -1,11 +1,14 @@
 """The package's import graph: modules import their siblings at the top only,
 no two modules import each other, directly or through others, and every name
-a module imports at its top is read in it."""
+a module imports at its top is read in it. Every module-level function and
+class is read somewhere that runs it, or is named in the README."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sghmc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sghmc"
 # every module but the package's __init__, which imports them all
 MODULES = {p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
 
@@ -71,3 +74,27 @@ def test_no_unused_module_level_import():
                 unused += [f"{name} imports {a.name} unused" for a in node.names
                            if (a.asname or a.name.split(".")[0]) not in read]
     assert unused == []
+
+
+def _reads(path):
+    """The names a file reads: every loaded ``ast.Name`` and ``ast.Attribute``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_dead_helper():
+    # readers: the package itself, the benchmark and the acceptance criteria;
+    # a name only the unit tests read is a helper nothing needs
+    readers = [*MODULES.values(), *(ROOT / "perfbench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_reads, readers))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    dead = []
+    for name, path in MODULES.items():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in read
+                    and not re.search(rf"\b{re.escape(node.name)}\b", readme)):
+                dead.append(f"{name}.{node.name}")
+    assert dead == []

@@ -224,11 +224,18 @@ class TestSlicedWasserstein:
         b = SampleCloud(rng.standard_normal((50, 2)))
         assert sliced_wasserstein(a, b, 2.0, seed=5) == sliced_wasserstein(a, b, 2.0, seed=5)
 
-    @pytest.mark.parametrize("n_projections", [0, -3])
+    @pytest.mark.parametrize("n_projections", [0, -3, 2.5, math.inf, math.nan, True])
     def test_projection_count_guard(self, n_projections):
         a = SampleCloud(np.arange(4.0))
-        with pytest.raises(ConfigurationError, match="n_projections"):
+        with pytest.raises(ConfigurationError, match="n_projections must be an integer"):
             sliced_wasserstein(a, a, 2.0, n_projections)
+
+    def test_integral_projection_count_converted(self):
+        rng = derive_stream(11, "sw-count")
+        a, b = SampleCloud(rng.standard_normal((20, 2))), SampleCloud(rng.standard_normal((20, 2)))
+        want = sliced_wasserstein(a, b, 2.0, 3, seed=1)
+        for n_projections in (3.0, np.float64(3.0), np.int64(3)):
+            assert sliced_wasserstein(a, b, 2.0, n_projections, seed=1) == want
 
 
 class TestRhoDistance:
@@ -305,12 +312,15 @@ class TestQuadGrowthContinuity:
         a = SampleCloud(np.zeros((4, 2)))
         with pytest.raises(ConfigurationError):
             quad_growth_continuity_check(lambda W: np.zeros(4), (1.0, 0.0), a, a, 2.0, 3.0)
-        for p in (1.0, math.nan):
+        for p in (1.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="order p"):
                 quad_growth_continuity_check(lambda W: np.zeros(4), (1.0, 0.0), a, a, p, 2.0)
+        # 1/inf + 1/1 = 1 holds, but W_inf is not what the order-p estimators compute
+        with pytest.raises(ConfigurationError, match="order p"):
+            quad_growth_continuity_check(lambda W: np.zeros(4), (1.0, 0.0), a, a, math.inf, 1.0)
 
 
-@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
 @pytest.mark.parametrize("estimator", [wasserstein_1d, wasserstein_exact_small, sliced_wasserstein])
 def test_order_below_one_or_nan_rejected(estimator, p):
     a = SampleCloud(np.arange(4.0))

@@ -16,7 +16,6 @@ from sghmc import (
     empirical_gradient,
     gaussian_mixture,
     empirical_risk,
-    literal_dataset,
     make_dataset,
     quad_growth_sandwich,
     quadratic,
@@ -40,12 +39,12 @@ from conftest import ball_probes
 class TestEmpiricalRisk:
     def test_symmetric_midpoint(self):
         obj = quadratic(1, m0=1.0, coupling=1.0, z_radius=3.0)
-        data = literal_dataset([1.0, 3.0])
+        data = Dataset([1.0, 3.0], "literal", seed=0)
         assert empirical_risk(np.array([2.0]), obj, data) == pytest.approx(0.5, abs=0)
 
     def test_single_sample_identity(self):
         obj = quadratic(1, m0=1.0, coupling=1.0, z_radius=2.0)
-        data = literal_dataset([1.5])
+        data = Dataset([1.5], "literal", seed=0)
         x = np.array([0.3])
         want = float(obj.f(x, data.samples)[0])
         assert empirical_risk(x, obj, data) == want
@@ -106,7 +105,7 @@ class TestEmpiricalRisk:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
-            literal_dataset([])
+            Dataset([], "literal", seed=0)
         with pytest.raises(ConfigurationError):
             make_dataset("gaussian", 0, 1, seed=1)
 
@@ -114,7 +113,7 @@ class TestEmpiricalRisk:
 class TestEmpiricalGradient:
     def test_symmetry_zero(self):
         obj = quadratic(1, m0=1.0, coupling=1.0, z_radius=3.0)
-        data = literal_dataset([1.0, 3.0])
+        data = Dataset([1.0, 3.0], "literal", seed=0)
         assert empirical_gradient(np.array([2.0]), obj, data) == pytest.approx(0.0)
 
     def test_origin_gradient_within_B(self, builtin_suite):
