@@ -536,6 +536,63 @@ class TestGoldenRuns:
         run_experiment(ExperimentConfig.from_dict(doc))
         assert _golden_digests(tmp_path / "o") == self.PINS[kind]
 
+    # (output, manifest) digests of every kind on the built-in double well and
+    # mixture (gibbs-check needs the quadratic) at full gradients and at batch
+    # 10, and on the quadratic at batch 10 (risk-bound's is PINS' own),
+    # recorded before the kinds became one table; never re-record
+    BUILTINS = {"double_well": ({"coupling": 0.1}, 11), "gaussian_mixture": ({"ridge": 0.05}, 13)}
+    BUILTIN_PINS = {
+        ("double_well", "audit", None): ("30ea1012248884db", "7f2c80a2efcc54cf"),
+        ("double_well", "audit", 10): ("30ea1012248884db", "ad6de665fd921aae"),
+        ("double_well", "validate", None): ("b874d6b33c81db59", "a5e49998eb66bde6"),
+        ("double_well", "validate", 10): ("b874d6b33c81db59", "275b664e62686fbc"),
+        ("double_well", "sample", None): ("d647cb6aa354594a", "20f2a3afedfae088"),
+        ("double_well", "sample", 10): ("fab0ec46d2346896", "c93f5b3ee3b8f21f"),
+        ("double_well", "couple", None): ("4a9f848e05971a96", "dc74dd70d2c7fc2b"),
+        ("double_well", "couple", 10): ("020a8c6e662c1cc4", "0552fb2acb444e1b"),
+        ("double_well", "rate-study", None): ("6611fc21250bd6fd", "e2334c052cea3277"),
+        ("double_well", "rate-study", 10): ("8e3f5714fb81b9f5", "c275a4409a09a381"),
+        ("double_well", "constants", None): ("a696c35997fb5693", "48f3bd2d9e13955d"),
+        ("double_well", "constants", 10): ("a696c35997fb5693", "0d527b1261337b9c"),
+        ("double_well", "risk-bound", None): ("826cc377cc6c313d", "625a6fc01fc0f0cb"),
+        ("double_well", "risk-bound", 10): ("85f9bb8b8f0c32d4", "ea8ac479b867989f"),
+        ("gaussian_mixture", "audit", None): ("801f30e3262d4371", "cbe5962a8fde6d5e"),
+        ("gaussian_mixture", "audit", 10): ("801f30e3262d4371", "ce10722d0f33a8ef"),
+        ("gaussian_mixture", "validate", None): ("fb18848ebeb511b8", "146c9474d42dc944"),
+        ("gaussian_mixture", "validate", 10): ("fb18848ebeb511b8", "9c5bacd70f6c344d"),
+        ("gaussian_mixture", "sample", None): ("f07666c0c2e00ea5", "ade8fae3e4467b85"),
+        ("gaussian_mixture", "sample", 10): ("0e8b63431e42b140", "43a7677bd271c38e"),
+        ("gaussian_mixture", "couple", None): ("9fb9aa0297540311", "24af8f7d9e93f06a"),
+        ("gaussian_mixture", "couple", 10): ("e3c404b8944f384f", "2a5a38d782605d26"),
+        ("gaussian_mixture", "rate-study", None): ("6527b909bbadb2c5", "a7e556e6dd631d88"),
+        ("gaussian_mixture", "rate-study", 10): ("cc2bf19c952d9155", "656fb3b6a3606a33"),
+        ("gaussian_mixture", "constants", None): ("b4990e5f8751f3a9", "bba76597b8f34307"),
+        ("gaussian_mixture", "constants", 10): ("b4990e5f8751f3a9", "cdd68d81637b4a8e"),
+        ("gaussian_mixture", "risk-bound", None): ("b8482a8589d7f738", "75baf54d66af1000"),
+        ("gaussian_mixture", "risk-bound", 10): ("56b7ea4a01efb389", "50f033701c71c4b3"),
+        ("quadratic", "audit", 10): ("45d7692e93e2c442", "2fc7ac8324bab248"),
+        ("quadratic", "validate", 10): ("93866b932ee90b51", "1f248e77931f05f8"),
+        ("quadratic", "sample", 10): ("b531b8e79480950e", "c76d35942e6acf3d"),
+        ("quadratic", "couple", 10): ("7da548d35810c94f", "81f713ea189a7b87"),
+        ("quadratic", "rate-study", 10): ("233931e1b18aed77", "98eb2ff36ccb6106"),
+        ("quadratic", "constants", 10): ("064232b898ca188e", "31361729e2ce6b9b"),
+        ("quadratic", "gibbs-check", 10): ("605a2fb23462d3fb", "d642555253919c82"),
+    }
+
+    @pytest.mark.parametrize("name, kind, batch", list(BUILTIN_PINS))
+    def test_builtin_outputs_pinned(self, tmp_path, name, kind, batch):
+        doc = base_config(kind=kind, out=str(tmp_path / "o"), **self.CONFIGS[kind])
+        doc["sampler"].update(batch_size=batch,
+                              init={"kind": "point", "x0": [1, 0], "v0": [0, 0]})
+        if name in self.BUILTINS:
+            params, seed = self.BUILTINS[name]
+            doc["objective"] = {"name": name, "params": params}
+            doc["dataset"]["seed"] = seed
+        run_experiment(ExperimentConfig.from_dict(doc))
+        digests = _golden_digests(tmp_path / "o")
+        assert list(digests) == list(self.PINS[kind])
+        assert tuple(digests.values()) == self.BUILTIN_PINS[name, kind, batch]
+
     # series and running_max of the pilot's three functionals (600 steps,
     # q = 2) on the built-in double well and mixture; never re-record
     PILOT_PINS = {
