@@ -2,8 +2,7 @@
 
     sghmc <kind> --config PATH [--seed N] [--out DIR] [--replicas N] [--strict]
 
-Kinds: audit, constants, sample, couple, rate-study, gibbs-check,
-risk-bound, validate. Flags override the corresponding config fields.
+``sghmc --help`` lists the kinds. Flags override the corresponding config fields.
 Exit codes: 0 success, 2 validation failure, 3 divergence.
 """
 
@@ -16,7 +15,7 @@ import json
 import sys
 
 from .errors import ConfigurationError, DivergenceError, SghmcError
-from .harness import KINDS, ExperimentConfig, load_config, run_experiment
+from .harness import _KINDS, ExperimentConfig, load_config, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -30,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Langevin sampler experiments with certified constants",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        sp = sub.add_parser(kind, help=f"run a {kind} experiment")
+    for kind, run in _KINDS.items():
+        sp = sub.add_parser(kind, help=run.__doc__)
         sp.add_argument("--config", required=False, help="JSON config (or manifest) path")
         sp.add_argument("--seed", type=int, default=None, help="override the sampler seed")
         sp.add_argument("--out", default=None, help="override the output directory")

@@ -6,22 +6,13 @@ its blocks (objective, dataset, sampler, kind-specific knobs) is a JSON object;
 one key table declares the keys and defaults of each of the sampler, rate,
 risk and audit blocks. A config that cannot be read, a key that is not
 declared, or a value that does not convert, is a ConfigurationError. The
-harness materializes the pieces, dispatches on the experiment kind, and
+harness materializes the pieces, runs the experiment kind, and
 writes CSV data plus a JSON manifest sufficient to reproduce the run
 bit-for-bit; every JSON file is encoded here, by :func:`to_json`. CLI flags
 override config fields (flag > config > default).
 
-Experiment kinds:
-
-``audit``        certificate audit of an objective on its dataset
-``constants``    the full derived-constants table (optionally with a pilot
-                 chain for the empirical entries)
-``sample``       one thinned chain trajectory
-``couple``       a synchronously coupled pair and its separation series
-``rate-study``   coupled distance against a finer reference across step sizes
-``gibbs-check``  stationary moments of the quadratic objective vs the exact law
-``risk-bound``   the three-term risk bound from pilot-calibrated constants
-``validate``     config findings only (step-size cap, p/q pairing, init law)
+Each experiment kind is one function in ``_KINDS``, whose docstring describes
+the kind in ``sghmc --help``; ``KINDS`` names them in that order.
 """
 
 from __future__ import annotations
@@ -61,9 +52,6 @@ from .samplers import (
     run_chain,
 )
 from . import theory
-
-KINDS = ("audit", "constants", "sample", "couple", "rate-study", "gibbs-check", "risk-bound",
-         "validate")
 
 _DATA_COUPLED = ("double_well", "gaussian_mixture")
 
@@ -260,7 +248,7 @@ _OPTIONAL = {"optional": True}  # metadata: the echo leaves the field out while 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (see module docstring for kinds).
+    """Validated experiment description (see ``KINDS`` for the kinds).
 
     Its fields are the config's top-level keys, with their defaults."""
 
@@ -523,6 +511,35 @@ def _constants_doc(table) -> dict:
     return doc
 
 
+def _constants_table(init: InitialLaw, drift, mu0, cc, moment) -> dict:
+    """The theory chain's ConstantEntry table, before the proof constants."""
+    return {
+        "lambda_c": theory.ConstantEntry(drift.lambda_c, "exact",
+                                         "min(1/4, m/(M + 2B + gamma^2/2)) / 2, probe-verified"),
+        "A_c": theory.ConstantEntry(drift.A_c, "exact", "(beta/2)(b + 2B + A0), probe-verified"),
+        "mu0_lyapunov": theory.ConstantEntry(
+            mu0, "exact" if init.kind == "point" else "empirical",
+            "integral of the Lyapunov functional under the initial law"),
+        "Lambda_c": theory.ConstantEntry(cc.Lambda_c, "exact", "fixed point with alpha_c"),
+        "alpha_c": theory.ConstantEntry(cc.alpha_c, "exact", "(1 + 1/Lambda_c) M / gamma^2"),
+        "c_star": theory.ConstantEntry(cc.c_star, "exact", "contraction rate", cc.log_c_star),
+        "C_star": theory.ConstantEntry(cc.C_star, "exact", "contraction prefactor",
+                                       cc.log_C_star),
+        "epsilon_c": theory.ConstantEntry(cc.epsilon_c, "exact",
+                                          "4 c_star / (gamma (d + A_c))", cc.log_epsilon_c),
+        "eta_c": theory.ConstantEntry(cc.eta_c, "exact", "1 / Lambda_c"),
+        "R_1": theory.ConstantEntry(cc.R_1, "exact", "flat radius of h"),
+        "C_c_x": theory.ConstantEntry(moment.C_c_x, "exact", "continuous x moment bound"),
+        "C_c_v": theory.ConstantEntry(moment.C_c_v, "exact", "continuous v moment bound"),
+        "C_a_x": theory.ConstantEntry(moment.C_a_x, "exact", "discrete x moment bound"),
+        "C_a_v": theory.ConstantEntry(moment.C_a_v, "exact", "discrete v moment bound"),
+        "K_1": theory.ConstantEntry(moment.K_1, "exact", "discrete drift constant"),
+        "K_2": theory.ConstantEntry(moment.K_2, "exact", "2 B^2 (1/2 + gamma + delta)"),
+        "lambda_cap": theory.ConstantEntry(moment.lambda_cap, "exact",
+                                           "step-size cap for the moment bounds"),
+    }
+
+
 def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: float):
     """``certified`` (see :func:`_build`) with the contraction and moment
     constants; without it, :func:`_certify` runs again to raise its error."""
@@ -584,7 +601,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         _write(out / "manifest.json", asdict(manifest))
 
     try:
-        objection = _run_kind(cfg, obj, data, certified, emit, manifest)
+        objection = _KINDS[cfg.kind](cfg, obj, data, certified, emit, manifest)
     except DivergenceError as exc:
         manifest.divergence.append({"step": exc.step, "message": str(exc)})
         finish()
@@ -597,108 +614,76 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _run_kind(cfg: ExperimentConfig, obj, data, certified, emit,
-              manifest: RunManifest) -> Optional[str]:
-    """Run one kind: its outputs go through ``emit``, its results and dropped
-    grid points into the manifest. Returns what strict mode holds against the
-    result (a failed audit), else None."""
+# Experiment kinds, one function each: a kind writes its outputs through ``emit``
+# and its results and dropped grid points into the manifest, and returns what
+# strict mode holds against the result (a failed audit), else None
+
+def _audit(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest):
+    """certificate audit of an objective on its dataset"""
+    audit = _with_defaults(_AUDIT_KEYS, cfg.audit)
+    report = audit_assumptions(obj, data, probes=audit["probes"], radius=audit["radius"],
+                               seed=cfg.sampler.seed if audit["seed"] is None else audit["seed"])
+    emit("audit.json", [e.to_dict() for e in report.entries])
+    manifest.results["all_passed"] = report.all_passed
+    return None if report.all_passed else "assumption audit failed"
+
+
+def _constants(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """the full derived-constants table (with a pilot chain for the empirical entries)"""
     s = cfg.sampler
-    results = manifest.results
-    if cfg.chain == "sgld" and cfg.kind in ("gibbs-check", "rate-study"):
-        raise ConfigurationError(f"{cfg.kind} needs a momentum chain; chain 'sgld' has none")
-    if cfg.kind == "validate":
-        emit("findings.json", manifest.findings)
-        results["findings"] = manifest.findings
-
-    elif cfg.kind == "audit":
-        audit = _with_defaults(_AUDIT_KEYS, cfg.audit)
-        report = audit_assumptions(
-            obj, data, probes=audit["probes"], radius=audit["radius"],
-            seed=s.seed if audit["seed"] is None else audit["seed"],
-        )
-        emit("audit.json", [e.to_dict() for e in report.entries])
-        results["all_passed"] = report.all_passed
-        if not report.all_passed:
-            return "assumption audit failed"
-
-    elif cfg.kind == "constants":
-        risk = _with_defaults(_RISK_KEYS, cfg.risk)
-        delta = 0.0 if risk["delta"] is None else risk["delta"]
-        drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, risk["p"], delta)
-        table = {
-            "lambda_c": theory.ConstantEntry(drift.lambda_c, "exact",
-                                             "min(1/4, m/(M + 2B + gamma^2/2)) / 2, probe-verified"),
-            "A_c": theory.ConstantEntry(drift.A_c, "exact",
-                                        "(beta/2)(b + 2B + A0), probe-verified"),
-            "mu0_lyapunov": theory.ConstantEntry(
-                mu0, "exact" if s.init.kind == "point" else "empirical",
-                "integral of the Lyapunov functional under the initial law"),
-            "Lambda_c": theory.ConstantEntry(cc.Lambda_c, "exact", "fixed point with alpha_c"),
-            "alpha_c": theory.ConstantEntry(cc.alpha_c, "exact", "(1 + 1/Lambda_c) M / gamma^2"),
-            "c_star": theory.ConstantEntry(cc.c_star, "exact", "contraction rate", cc.log_c_star),
-            "C_star": theory.ConstantEntry(cc.C_star, "exact", "contraction prefactor",
-                                           cc.log_C_star),
-            "epsilon_c": theory.ConstantEntry(cc.epsilon_c, "exact",
-                                              "4 c_star / (gamma (d + A_c))", cc.log_epsilon_c),
-            "eta_c": theory.ConstantEntry(cc.eta_c, "exact", "1 / Lambda_c"),
-            "R_1": theory.ConstantEntry(cc.R_1, "exact", "flat radius of h"),
-            "C_c_x": theory.ConstantEntry(moment.C_c_x, "exact", "continuous x moment bound"),
-            "C_c_v": theory.ConstantEntry(moment.C_c_v, "exact", "continuous v moment bound"),
-            "C_a_x": theory.ConstantEntry(moment.C_a_x, "exact", "discrete x moment bound"),
-            "C_a_v": theory.ConstantEntry(moment.C_a_v, "exact", "discrete v moment bound"),
-            "K_1": theory.ConstantEntry(moment.K_1, "exact", "discrete drift constant"),
-            "K_2": theory.ConstantEntry(moment.K_2, "exact", "2 B^2 (1/2 + gamma + delta)"),
-            "lambda_cap": theory.ConstantEntry(moment.lambda_cap, "exact",
-                                               "step-size cap for the moment bounds"),
-        }
-        pilot_sup_v2 = None
-        if cfg.pilot_steps > 0:
-            pilot = _pilot_statistics(cfg, obj, data, lyap, cfg.pilot_steps)
-            pilot_sup_v2 = pilot.running_max["v2"]
-            results["pilot_sup_v2"] = pilot_sup_v2
-        table.update(theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
-                                            pilot_sup_v2=pilot_sup_v2))
-        emit("constants.json", _constants_doc(table))
-        results["lambda_c"] = drift.lambda_c
-        results["lambda_cap"] = moment.lambda_cap
-
-    elif cfg.kind == "sample":
-        traj = run_chain(cfg.chain, s, obj, data, steps=cfg.steps, thin=cfg.thin)
-        emit("trajectory.csv", traj.to_csv)
-        results["recorded_states"] = len(traj)
-
-    elif cfg.kind == "couple":
-        cfg_b = cfg.sampler_b or s
-        _, _, distances = coupled_run(cfg.chain, s, cfg_b, obj, data, steps=cfg.steps,
-                                      thin=cfg.thin)
-        emit("distances.csv", "step,dist_x,dist_v\n" + "".join(
-            f"{int(row[0])},{row[1]:.17g},{row[2]:.17g}\n" for row in distances))
-        results["final_dist_x"] = float(distances[-1, 1])
-        results["final_dist_v"] = float(distances[-1, 2])
-
-    elif cfg.kind == "rate-study":
-        rate = _with_defaults(_RATE_KEYS, cfg.rate)
-        base = s if cfg.chain == "sghmc" else replace(s, batch_size=None)  # full gradients
-        table = rate_study(obj, data, base, rate["lambdas"], rate["ref_divisor"], rate["t_end"],
-                           cfg.replicas)
-        emit("rate.csv", "lambda,distance,flag\n" + "".join(
-            f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}\n" for row in table["rows"]))
-        manifest.divergence.extend({"lambda": row["lambda"], "message": "dropped"}
-                                   for row in table["rows"] if row["flag"] == "diverged")
-        results.update({"slope": table["slope"], "rows": table["rows"]})
-        if all(row["flag"] == "diverged" for row in table["rows"]):
-            raise DivergenceError("every grid point diverged", step=0)
-
-    elif cfg.kind == "gibbs-check":
-        results.update(_gibbs_check(cfg, obj, data))
-        emit("gibbs.json", results)
-
-    elif cfg.kind == "risk-bound":
-        results.update(_risk_bound(cfg, obj, data, certified))
-        emit("risk.json", results)
+    risk = _with_defaults(_RISK_KEYS, cfg.risk)
+    delta = 0.0 if risk["delta"] is None else risk["delta"]
+    drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, risk["p"], delta)
+    table = _constants_table(s.init, drift, mu0, cc, moment)
+    pilot_sup_v2 = None
+    if cfg.pilot_steps > 0:
+        pilot = _pilot_statistics(cfg, obj, data, lyap, cfg.pilot_steps)
+        pilot_sup_v2 = manifest.results["pilot_sup_v2"] = pilot.running_max["v2"]
+    table.update(theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
+                                        pilot_sup_v2=pilot_sup_v2))
+    emit("constants.json", _constants_doc(table))
+    manifest.results.update(lambda_c=drift.lambda_c, lambda_cap=moment.lambda_cap)
 
 
-def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> dict:
+def _sample(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """one thinned chain trajectory"""
+    traj = run_chain(cfg.chain, cfg.sampler, obj, data, steps=cfg.steps, thin=cfg.thin)
+    emit("trajectory.csv", traj.to_csv)
+    manifest.results["recorded_states"] = len(traj)
+
+
+def _couple(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """a synchronously coupled pair and its separation series"""
+    _, _, distances = coupled_run(cfg.chain, cfg.sampler, cfg.sampler_b or cfg.sampler, obj,
+                                  data, steps=cfg.steps, thin=cfg.thin)
+    emit("distances.csv", "step,dist_x,dist_v\n" + "".join(
+        f"{int(row[0])},{row[1]:.17g},{row[2]:.17g}\n" for row in distances))
+    manifest.results.update(final_dist_x=float(distances[-1, 1]),
+                            final_dist_v=float(distances[-1, 2]))
+
+
+def _rate_study(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """coupled distance against a finer reference across step sizes"""
+    if cfg.chain == "sgld":
+        raise ConfigurationError("rate-study needs a momentum chain; chain 'sgld' has none")
+    rate = _with_defaults(_RATE_KEYS, cfg.rate)
+    s = cfg.sampler
+    base = s if cfg.chain == "sghmc" else replace(s, batch_size=None)  # full gradients
+    table = rate_study(obj, data, base, rate["lambdas"], rate["ref_divisor"], rate["t_end"],
+                       cfg.replicas)
+    emit("rate.csv", "lambda,distance,flag\n" + "".join(
+        f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}\n" for row in table["rows"]))
+    manifest.divergence.extend({"lambda": row["lambda"], "message": "dropped"}
+                               for row in table["rows"] if row["flag"] == "diverged")
+    manifest.results.update({"slope": table["slope"], "rows": table["rows"]})
+    if all(row["flag"] == "diverged" for row in table["rows"]):
+        raise DivergenceError("every grid point diverged", step=0)
+
+
+def _gibbs_check(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """stationary moments of the quadratic objective vs the exact law"""
+    if cfg.chain == "sgld":
+        raise ConfigurationError("gibbs-check needs a momentum chain; chain 'sgld' has none")
     if obj.name != "quadratic":
         raise ConfigurationError("gibbs-check needs the quadratic objective (exact law known)")
     s = cfg.sampler
@@ -716,7 +701,7 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
     pred_x, pred_v = sghmc_quadratic_stationary(s.lam, s.gamma, s.beta, m0)
     rel_x = abs(var_x - expected_x) / expected_x
     rel_v = abs(var_v - expected_v) / expected_v
-    return {
+    manifest.results.update({
         "expected_var_x": expected_x,
         "expected_var_v": expected_v,
         "empirical_var_x": var_x,
@@ -727,10 +712,12 @@ def _gibbs_check(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset) -> di
         "rel_err_v": rel_v,
         "pass": bool(rel_x <= 0.05 and rel_v <= 0.05),
         "tail_samples": res.tail_samples,
-    }
+    })
+    emit("gibbs.json", manifest.results)
 
 
-def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certified) -> dict:
+def _risk_bound(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """the three-term risk bound from pilot-calibrated constants"""
     s = cfg.sampler
     risk = _with_defaults(_RISK_KEYS, cfg.risk)
     p, q, sigma = risk["p"], risk["q"], risk["sigma"]
@@ -775,12 +762,27 @@ def _risk_bound(cfg: ExperimentConfig, obj: ObjectiveSpec, data: Dataset, certif
     bound = theory.risk_bound(cc, proof, obj.cert, s.gamma, s.beta, s.dim, data.n, s.lam, delta,
                               k, p, q, sigma, w_rho,
                               c_ls=risk["c_ls"], lambda_star=risk["lambda_star"])
-    out = {"B_1": theory.in_range(bound.B_1, bound.log_B_1), "B_2": bound.B_2, "B_3": bound.B_3,
-           "inputs": bound.inputs, "w_rho_init": w_rho, "sigma": sigma, "delta": delta}
+    results = manifest.results
+    results.update({"B_1": theory.in_range(bound.B_1, bound.log_B_1), "B_2": bound.B_2,
+                    "B_3": bound.B_3, "inputs": bound.inputs, "w_rho_init": w_rho,
+                    "sigma": sigma, "delta": delta})
     if (eps := risk["eps"]) is not None:
         cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], eps, p, w_rho)
-        out["budget"] = {"eps": eps, "cap": cap, "k_min": k_min}
-    return out
+        results["budget"] = {"eps": eps, "cap": cap, "k_min": k_min}
+    emit("risk.json", results)
+
+
+def _validate(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
+    """config findings only (step-size cap, p/q pairing, init law)"""
+    emit("findings.json", manifest.findings)
+    manifest.results["findings"] = manifest.findings
+
+
+# every kind by its name, in the order of ``sghmc --help``
+_KINDS = {"audit": _audit, "constants": _constants, "sample": _sample, "couple": _couple,
+          "rate-study": _rate_study, "gibbs-check": _gibbs_check, "risk-bound": _risk_bound,
+          "validate": _validate}
+KINDS = tuple(_KINDS)
 
 
 def rate_study(obj: ObjectiveSpec, data: Dataset, base: SamplerConfig, lambdas,

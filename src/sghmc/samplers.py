@@ -428,7 +428,7 @@ def run_chain(
     """Iterate the chosen step op, recording every thin-th state (incl. init)."""
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}; known: {CHAIN_KINDS}")
-    _check_sizes(steps=steps, thin=thin)
+    steps, thin = _count(steps, "steps"), _count(thin, "thin")
     x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, f"{kind}:init"), size=1)
     chain = _Chain(kind, cfg, x, v, derive_stream(cfg.seed, f"{kind}:minibatch"))
     return _traced([chain], obj, data, steps, thin, derive_stream(cfg.seed, f"{kind}:noise"))[0]
@@ -461,7 +461,7 @@ def coupled_run(
             raise ConfigurationError(f"unknown chain kind {k!r}")
     if cfg_a.dim != cfg_b.dim:
         raise ConfigurationError("coupled chains must share the dimension")
-    _check_sizes(steps=steps, thin=thin)
+    steps, thin = _count(steps, "steps"), _count(thin, "thin")
     noise = derive_stream(cfg_a.seed, "coupled:noise")
     xa, va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled:init", 0), size=1)
     xb, vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled:init", 1), size=1)
@@ -497,12 +497,6 @@ class EnsembleResult:
     tail_samples: int = 0
 
 
-def _check_sizes(**sizes) -> None:
-    for name, value in sizes.items():
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def ensemble_run(
     kind: str,
@@ -528,7 +522,8 @@ def ensemble_run(
     """
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
-    _check_sizes(steps=steps, replicas=replicas, record_every=record_every)
+    steps, replicas = _count(steps, "steps"), _count(replicas, "replicas")
+    record_every = _count(record_every, "record_every")
     if burn_in < 0:
         raise ConfigurationError(f"burn_in must be >= 0, got {burn_in}")
     functionals = dict(functionals or {})
@@ -629,7 +624,8 @@ def coupled_ensemble_run(
         raise ConfigurationError("coupled chains must share the dimension")
     if cfg_a.batch_size != cfg_b.batch_size:
         raise ConfigurationError("coupled chains must share the batch size")
-    _check_sizes(steps=steps, replicas=replicas, record_every=record_every)
+    steps, replicas = _count(steps, "steps"), _count(replicas, "replicas")
+    record_every = _count(record_every, "record_every")
     noise_rng = derive_stream(cfg_a.seed, "coupled-ensemble:noise")
     Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled-ensemble:init", 0),
                                size=replicas)
@@ -697,7 +693,7 @@ def brownian_coupled_distance(
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
-    _check_sizes(replicas=replicas)
+    replicas = _count(replicas, "replicas")
     noise_rng = derive_stream(cfg.seed, "rate:noise")
     init_rng = derive_stream(cfg.seed, "rate:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)

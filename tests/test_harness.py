@@ -14,7 +14,7 @@ import pytest
 
 from sghmc import ConfigurationError, DivergenceError, double_well, make_dataset
 from sghmc import harness, theory
-from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main
+from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from sghmc.harness import (
     ExperimentConfig,
     load_config,
@@ -658,6 +658,12 @@ class TestDiscreteStationaryOracle:
 
 
 class TestCli:
+    def test_subcommands_are_the_kinds_table(self):
+        # the eight kinds, in the order --help has always listed them
+        assert ("{audit,constants,sample,couple,rate-study,gibbs-check,risk-bound,validate}"
+                in build_parser().format_usage())
+        assert harness.KINDS == tuple(harness._KINDS)
+
     def test_validate_exit_codes(self, tmp_path):
         doc = base_config(kind="validate", out=str(tmp_path / "v"))
         doc["sampler"]["lambda"] = 0.5

@@ -1,7 +1,8 @@
 """The package's import graph: modules import their siblings at the top only,
 no two modules import each other, directly or through others, and every name
 a module imports at its top is read in it. Every module-level function and
-class is read somewhere that runs it, or is named in the README."""
+class is read somewhere that runs it, or is named in the README. No function
+of the harness is longer than 60 lines."""
 
 import ast
 import re
@@ -98,3 +99,13 @@ def test_no_dead_helper():
                     and not re.search(rf"\b{re.escape(node.name)}\b", readme)):
                 dead.append(f"{name}.{node.name}")
     assert dead == []
+
+
+def test_no_long_harness_function():
+    # one function per experiment kind keeps each of them, and run_experiment,
+    # short enough to read whole; a kind that outgrows this splits its steps
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    long = [f"{node.name}: {node.end_lineno - node.lineno + 1} lines" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.end_lineno - node.lineno + 1 > 60]
+    assert long == []

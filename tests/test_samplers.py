@@ -309,6 +309,32 @@ class TestBrownianCoupling:
         assert d == pytest.approx(want, abs=1e-4)
 
 
+# counts that are no integer >= 1, by id: the runners reject them, not truncate them
+NOT_COUNTS = {"10.5": 10.5, "inf": math.inf, "nan": math.nan, "true": True}
+# the runners that take replicas, each run with the given count
+REPLICA_RUNNERS = {
+    "ensemble_run": lambda obj, data, r: ensemble_run("sghmc", _cfg(), obj, data, steps=10,
+                                                      replicas=r),
+    "coupled_ensemble_run": lambda obj, data, r: coupled_ensemble_run(
+        "sghmc", _cfg(), _cfg(), obj, data, steps=10, replicas=r),
+    "brownian_coupled_distance": lambda obj, data, r: brownian_coupled_distance(
+        _cfg(lam=0.1), 0.05, obj, data, 1.0, r),
+}
+# each runner with the sizes it takes besides replicas, whose defaults are valid
+SIZED_RUNNERS = {
+    "ensemble_run": (lambda obj, data, steps=10, record_every=100: ensemble_run(
+        "sghmc", _cfg(), obj, data, steps=steps, replicas=2, record_every=record_every),
+        ("steps", "record_every")),
+    "coupled_ensemble_run": (lambda obj, data, steps=10, record_every=10: coupled_ensemble_run(
+        "sghmc", _cfg(), _cfg(), obj, data, steps=steps, replicas=2, record_every=record_every),
+        ("steps", "record_every")),
+    "run_chain": (lambda obj, data, steps=10, thin=100: run_chain(
+        "sghmc", _cfg(), obj, data, steps=steps, thin=thin), ("steps", "thin")),
+    "coupled_run": (lambda obj, data, steps=10, thin=100: coupled_run(
+        "sghmc", _cfg(), _cfg(), obj, data, steps=steps, thin=thin), ("steps", "thin")),
+}
+
+
 class TestEnsembles:
     def test_gibbs_variances(self, data2):
         obj = quadratic(2, m0=1.0)
@@ -391,26 +417,25 @@ class TestEnsembles:
                                  replicas=2, record_every=1)
         assert err.value.step == 1
 
-    @pytest.mark.parametrize("runner", [
-        lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=0),
-        lambda obj, data: coupled_ensemble_run("sghmc", _cfg(), _cfg(), obj, data, steps=10,
-                                               replicas=0),
-        lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, 1.0, 0),
-    ], ids=["ensemble_run", "coupled_ensemble_run", "brownian_coupled_distance"])
-    def test_zero_replicas_rejected(self, data2, runner):
-        with pytest.raises(ConfigurationError, match="replicas must be >= 1"):
-            runner(quadratic(2, m0=1.0), data2)
+    # 0 (the id is the runner's name alone), then each of NOT_COUNTS
+    @pytest.mark.parametrize("name, replicas", [(n, r) for r in (0, *NOT_COUNTS.values())
+                                                for n in REPLICA_RUNNERS],
+                             ids=[n + s for s in ("", *("-" + k for k in NOT_COUNTS))
+                                  for n in REPLICA_RUNNERS])
+    def test_zero_replicas_rejected(self, data2, name, replicas):
+        with pytest.raises(ConfigurationError, match="replicas must be an integer >= 1"):
+            REPLICA_RUNNERS[name](quadratic(2, m0=1.0), data2, replicas)
 
     @pytest.mark.parametrize("runner, message", [
         (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=0, replicas=2),
-         "steps must be >= 1"),
+         "steps must be an integer >= 1"),
         (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=2,
-                                        record_every=0), "record_every must be >= 1"),
+                                        record_every=0), "record_every must be an integer >= 1"),
         (lambda obj, data: coupled_ensemble_run("sghmc", _cfg(), _cfg(), obj, data, steps=0,
-                                                replicas=2), "steps must be >= 1"),
+                                                replicas=2), "steps must be an integer >= 1"),
         (lambda obj, data: coupled_ensemble_run("sghmc", _cfg(), _cfg(), obj, data, steps=10,
                                                 replicas=2, record_every=0),
-         "record_every must be >= 1"),
+         "record_every must be an integer >= 1"),
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.0, obj, data, 1.0, 2),
          "lambda_ref must be > 0"),
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), -0.05, obj, data, 1.0, 2),
@@ -426,9 +451,12 @@ class TestEnsembles:
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end too short") for t in (0.0, -1.0)],
         (lambda obj, data: run_chain("sghmc", _cfg(), obj, data, steps=10, thin=0),
-         "thin must be >= 1"),
+         "thin must be an integer >= 1"),
         (lambda obj, data: coupled_run("sghmc", _cfg(), _cfg(), obj, data, steps=10, thin=0),
-         "thin must be >= 1"),
+         "thin must be an integer >= 1"),
+        *[(lambda obj, data, run=run, size={key: n}: run(obj, data, **size),
+           f"{key} must be an integer >= 1")
+          for run, keys in SIZED_RUNNERS.values() for key in keys for n in NOT_COUNTS.values()],
     ], ids=["ensemble_run-steps-0", "ensemble_run-record-every-0",
             "coupled_ensemble_run-steps-0", "coupled_ensemble_run-record-every-0",
             "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg",
@@ -437,7 +465,9 @@ class TestEnsembles:
             "brownian_coupled_distance-lambda-ref-inf",
             "brownian_coupled_distance-lambda-ref-not-a-divisor",
             "brownian_coupled_distance-lambda-ref-above-lam", "brownian_coupled_distance-t-end-0",
-            "brownian_coupled_distance-t-end-neg", "run_chain-thin-0", "coupled_run-thin-0"])
+            "brownian_coupled_distance-t-end-neg", "run_chain-thin-0", "coupled_run-thin-0",
+            *[f"{name}-{key.replace('_', '-')}-{v}" for name, (_, keys) in SIZED_RUNNERS.items()
+              for key in keys for v in NOT_COUNTS]])
     def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
         with pytest.raises(ConfigurationError, match=message):
             runner(quadratic(2, m0=1.0), data2)
