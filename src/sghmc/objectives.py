@@ -21,9 +21,10 @@ of positions ``(R, d)`` at once; they exist purely as fast paths and must
 agree with the averaged single-position evaluators.
 
 A Dataset holds a read-only copy of its samples, and the samplers pass the
-hooks that same ``Z = data.samples`` on every step; the built-in hooks take
-its mean sample and mean squared norm from :func:`_moments`, which keeps
-them for that array instead of recomputing them each step.
+hooks that same ``Z = data.samples`` on every step; the built-in hooks that
+read the data take its mean sample and mean squared norm from
+:func:`_moments`, which keeps them for that array instead of recomputing
+them each step (the uncoupled quadratic's ``grad_rows`` reads neither).
 
 The optional ``grad_batches(X, Zs)`` hook is the minibatch fast path: for
 positions ``(R, d)`` and one minibatch per row ``(R, l, z_dim)`` it returns
@@ -447,12 +448,16 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
     exactly solvable reference case. With ``coupling = 0`` the loss ignores
     the data and the certificate is (A0, B, m, b) = (0, 0, m0, 0); otherwise
     ``z_radius`` must bound the norms of the dataset samples.
+
+    With ``coupling = 0``, ``grad_rows`` reads no data: ``X * m0`` (a 0-d m0,
+    numpy's cheapest scalar operand) has the bits of ``m0 * (X - 0 * zbar)``
+    but for an exact -0.0 where ``zbar`` is negative (that form gives +0.0).
     """
     if m0 <= 0:
         raise ConfigurationError("quadratic objective needs m0 > 0")
     if coupling != 0.0 and z_radius <= 0.0:
         raise ConfigurationError("a coupled quadratic objective needs z_radius > 0")
-    c = float(coupling)
+    c, m0_0d = float(coupling), np.array(m0, dtype=float)
 
     def f(x, Z):
         diff = x[None, :] - c * Z
@@ -491,7 +496,8 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
             b=0.5 * m0 * c * c * r * r,
         )
     return ObjectiveSpec("quadratic", dim, f, grad_f, cert, risk_rows=risk_rows,
-                         grad_rows=grad_rows, grad_batches=grad_batches)
+                         grad_rows=(lambda X, Z: X * m0_0d) if c == 0.0 else grad_rows,
+                         grad_batches=grad_batches)
 
 
 def _well_pieces(well_radius: float):

@@ -195,16 +195,16 @@ def _kernel(kind, lam, gamma):
     Momentum kinds: V' = V - lam (gamma V + G) + inc and X' = X + lam V
     (pre-update momentum). ``"sgld"``: X' = X - lam G + inc and V' = V.
     ``inc`` is the scaled Gaussian increment ``c * xi``. In-place ufuncs
-    round as those formulas do, so the bits are theirs: one product with the
-    (2, 1, 1) column (lam, gamma) gives (lam V, gamma V), and a + b as b + a
-    and a - b as a + (-b) are exact. G may be any array-like: each operation
-    that reads it has a float64 operand that is not a Python scalar, so a
-    float32 or list G steps as its float64 copy.
+    round as those formulas do, so the bits are theirs: two same-shape
+    products give lam V and gamma V, and a + b as b + a and a - b as
+    a + (-b) are exact. lam, gamma and -lam are 0-d float64 arrays, numpy's
+    cheapest scalar operand (it converts a Python float on every call and
+    runs its general iterator when an operand broadcasts). G may be any
+    array-like: each operation that reads it has a float64 operand that is
+    not a Python scalar, so a float32 or list G steps as its float64 copy.
     """
-    coef = np.array([lam, gamma]).reshape(2, 1, 1)
+    lam0, gamma0, neg_lam = (np.array(a, dtype=float) for a in (lam, gamma, -float(lam)))
     if kind == "sgld":
-        neg_lam = -coef[0, 0, 0]  # a float64 scalar: G * it is float64 for any G
-
         def step(src, dst, G, inc):
             Xn = dst[1]
             np.multiply(G, neg_lam, out=Xn)
@@ -212,13 +212,13 @@ def _kernel(kind, lam, gamma):
             Xn += inc
             np.copyto(dst[2], src[2])
         return step
-    neg_lam = -float(lam)
 
     def step(src, dst, G, inc):
-        S, Sn, Vn = src[0], dst[0], dst[2]
-        np.multiply(src[2], coef, out=Sn)
+        S, Sn, V, Xn, Vn = src[0], dst[0], src[2], dst[1], dst[2]
+        np.multiply(V, lam0, out=Xn)
+        np.multiply(V, gamma0, out=Vn)
         Vn += G
-        Vn *= neg_lam
+        np.multiply(Vn, neg_lam, out=Vn)
         Sn += S
         Vn += inc
     return step
@@ -524,8 +524,9 @@ def ensemble_run(
         raise ConfigurationError(f"unknown chain kind {kind!r}")
     steps, replicas = _count(steps, "steps"), _count(replicas, "replicas")
     record_every = _count(record_every, "record_every")
-    if burn_in < 0:
-        raise ConfigurationError(f"burn_in must be >= 0, got {burn_in}")
+    if isinstance(burn_in, bool) or not 0 <= burn_in < math.inf or burn_in % 1:  # NaN fails too
+        raise ConfigurationError(f"burn_in must be >= 0 and an integer, got {burn_in!r}")
+    burn_in = int(burn_in)
     functionals = dict(functionals or {})
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
@@ -536,11 +537,12 @@ def ensemble_run(
     series = {name: [float(np.mean(fn(X, V)))] for name, fn in functionals.items()}
     running_max = {name: series[name][0] for name in functionals}
     # [sum, sum of squares] x [x, v], each summed over replicas one after
-    # another, then over steps in step order. Copied to (R, [values, squares],
-    # steps, 2, d), the replicas are a leading axis, added in that order about
-    # 2.5 times as fast as a block's middle axis. Not at d = 1: numpy sums a
-    # block's contiguous replica axis pairwise, which the copy would not keep.
-    # The copy moves each (d,) row as one item: at d = 2, 4 times as fast.
+    # another, then over steps in step order. Copied to ([values, squares], R,
+    # steps, 2, d), the replicas are an outer axis, added in that order about
+    # 2.5 times as fast as a block's middle axis, and the squares are one
+    # contiguous product. Not at d = 1: numpy sums a block's contiguous
+    # replica axis pairwise, which the copy would not keep. The copy moves
+    # each (d,) row as one item: at d = 2, 4 times as fast.
     row = np.dtype((np.void, 8 * cfg.dim))
     tail_sums = np.zeros((2, 2, cfg.dim))
     tail_n = 0
@@ -561,10 +563,10 @@ def ensemble_run(
             if cfg.dim == 1:
                 sums = np.stack([tail.sum(axis=2), (tail * tail).sum(axis=2)], axis=1)
             else:
-                buf = np.empty((replicas, 2, n - t, 2, cfg.dim))
-                buf[:, 0].view(row)[..., 0] = tail.view(row)[..., 0].transpose(2, 0, 1)
-                np.multiply(buf[:, 0], buf[:, 0], out=buf[:, 1])
-                sums = np.add.reduce(buf, axis=0).transpose(1, 0, 2, 3)
+                buf = np.empty((2, replicas, n - t, 2, cfg.dim))
+                buf[0].view(row)[..., 0] = tail.view(row)[..., 0].transpose(2, 0, 1)
+                np.multiply(buf[0], buf[0], out=buf[1])
+                sums = np.add.reduce(buf, axis=1).transpose(1, 0, 2, 3)
             sums[0] += tail_sums
             tail_sums = np.add.accumulate(sums, axis=0)[-1]
             tail_n += (n - t) * replicas

@@ -65,6 +65,12 @@ class DriftConstants:
             raise ConfigurationError("A_c must be positive")
 
 
+def _check_friction(gamma) -> None:
+    """Reject a friction gamma that is not finite and > 0 (NaN included)."""
+    if not 0 < gamma < math.inf:
+        raise ConfigurationError("friction gamma must be positive here")
+
+
 def lambda_c_cap(cert: SmoothnessCertificate, gamma: float) -> float:
     """Upper end of the admissible lambda_c interval."""
     return min(0.25, cert.m / (cert.M + 2.0 * cert.B + gamma**2 / 2.0))
@@ -93,8 +99,7 @@ def derive_drift_constants(
     before giving up with the witnessing probe. The probes are drawn from the
     ball of radius ``default_probe_radius(cert)``.
     """
-    if not gamma > 0:
-        raise ConfigurationError("friction gamma must be positive here")
+    _check_friction(gamma)
     if not 0 < beta < math.inf:
         raise ConfigurationError("beta must be positive and finite here")
     drift = closed_form_drift(cert, gamma, beta)
@@ -265,6 +270,7 @@ def contraction_constants(
     """
     if not (1.0 <= p <= 2.0):
         raise ConfigurationError("contraction constants require p in [1, 2]")
+    _check_friction(gamma)
     if not (math.isfinite(beta) and beta > 0):
         raise ConfigurationError("beta must be positive and finite here")
     lam_c, a_c = drift.lambda_c, drift.A_c
@@ -476,6 +482,7 @@ def moment_bound_constants(
     """
     if not 0 <= delta < math.inf:  # NaN fails too
         raise ConfigurationError(f"noise level delta must be finite and >= 0, got {delta}")
+    _check_friction(gamma)
     lam_c, a_c = drift.lambda_c, drift.A_c
     M, B = cert.M, cert.B
     one = 1.0 - 2.0 * lam_c

@@ -345,6 +345,48 @@ class TestMomentCache:
             data.samples[0, 0] = 0.0
 
 
+class TestUncoupledQuadraticHook:
+    """The uncoupled quadratic's grad_rows reads no data: it returns X * m0,
+    the bits of m0 * (X - 0 * zbar) except at an exact -0.0 coordinate where
+    zbar's coordinate is negative."""
+
+    M0 = 1.3
+
+    @staticmethod
+    def samples(d):
+        # every coordinate of the mean is negative, so 0 * zbar is -0.0
+        data = Dataset(derive_stream(11, "hook-data").standard_normal((40, d)) - 0.5, "literal", 0)
+        assert (data.samples.mean(axis=0) < 0).all()
+        return data.samples
+
+    def data_formula(self, X, Z):
+        return self.M0 * (X - 0.0 * Z.mean(axis=0))
+
+    @pytest.mark.parametrize("stack", ["finite", "non-finite"])
+    @pytest.mark.parametrize("R", [1, 64])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_equals_the_data_formula_bit_for_bit(self, d, R, stack):
+        Z = self.samples(d)
+        X = 10.0 * derive_stream(12, f"hook-probe-{d}-{R}").standard_normal((R, d))
+        if stack == "non-finite":
+            flat = X.reshape(-1)
+            flat[::2] = np.resize([-np.inf, np.nan, np.inf], flat[::2].size)
+        got = quadratic(d, m0=self.M0).grad_rows(X, Z)
+        want = self.data_formula(X, Z)
+        assert got.dtype == want.dtype and got.shape == want.shape == (R, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_keeps_its_sign(self):
+        Z = self.samples(2)
+        X = np.array([[-0.0, -0.0], [0.0, 0.0]])
+        got = quadratic(2, m0=self.M0).grad_rows(X, Z)
+        want = self.data_formula(X, Z)
+        assert np.array_equal(got, want)  # equal up to the sign of zero
+        assert got[1].tobytes() == want[1].tobytes()
+        # the one difference: -0.0 * m0 is -0.0, while -0.0 - (-0.0) is +0.0
+        assert np.signbit(got[0]).all() and not np.signbit(want[0]).any()
+
+
 class TestAudit:
     def test_pure_quadratic_zero_dissipativity_slack(self):
         obj = quadratic(2, m0=1.3)

@@ -311,6 +311,9 @@ class TestBrownianCoupling:
 
 # counts that are no integer >= 1, by id: the runners reject them, not truncate them
 NOT_COUNTS = {"10.5": 10.5, "inf": math.inf, "nan": math.nan, "true": True}
+# burn-in values that are not an integer >= 0
+BAD_BURN_INS = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True,
+                "false": False, "np-nan": np.float64(math.nan)}
 # the runners that take replicas, each run with the given count
 REPLICA_RUNNERS = {
     "ensemble_run": lambda obj, data, r: ensemble_run("sghmc", _cfg(), obj, data, steps=10,
@@ -442,6 +445,9 @@ class TestEnsembles:
          "lambda_ref must be > 0"),
         (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=2,
                                         burn_in=-5), "burn_in must be >= 0"),
+        *[(lambda obj, data, b=b: ensemble_run("sghmc", _cfg(), obj, data, steps=20, replicas=2,
+                                               burn_in=b), "burn_in must be >= 0")
+          for b in BAD_BURN_INS.values()],
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end must be finite") for t in (math.nan, math.inf)],
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), math.nan, obj, data, 1.0, 2),
@@ -460,7 +466,8 @@ class TestEnsembles:
     ], ids=["ensemble_run-steps-0", "ensemble_run-record-every-0",
             "coupled_ensemble_run-steps-0", "coupled_ensemble_run-record-every-0",
             "brownian_coupled_distance-lambda-ref-0", "brownian_coupled_distance-lambda-ref-neg",
-            "ensemble_run-burn-in-neg", "brownian_coupled_distance-t-end-nan",
+            "ensemble_run-burn-in-neg", *[f"ensemble_run-burn-in-{v}" for v in BAD_BURN_INS],
+            "brownian_coupled_distance-t-end-nan",
             "brownian_coupled_distance-t-end-inf", "brownian_coupled_distance-lambda-ref-nan",
             "brownian_coupled_distance-lambda-ref-inf",
             "brownian_coupled_distance-lambda-ref-not-a-divisor",
@@ -471,6 +478,17 @@ class TestEnsembles:
     def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
         with pytest.raises(ConfigurationError, match=message):
             runner(quadratic(2, m0=1.0), data2)
+
+    @pytest.mark.parametrize("burn_in", [2.0, np.float64(2.0), np.int64(2)],
+                             ids=["float", "np-float64", "np-int64"])
+    def test_integral_burn_in_converted(self, data2, burn_in):
+        def run(b):
+            return ensemble_run("sghmc", _cfg(), quadratic(2, m0=1.0), data2, steps=20,
+                                replicas=2, burn_in=b)
+        got, want = run(burn_in), run(2)
+        assert got.tail_samples == want.tail_samples == 36
+        for name in ("tail_mean_x", "tail_var_x", "tail_mean_v", "tail_var_v"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestMinibatchEnsembles:

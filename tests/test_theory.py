@@ -44,6 +44,23 @@ class TestDriftConstants:
         with pytest.raises(ConfigurationError, match="gamma must be positive"):
             theory.derive_drift_constants(quad_obj.cert, 0.0, BETA, quad_obj, quad_data)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, -math.inf, math.nan],
+                             ids=["0", "-1", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("entry", ["derive_drift_constants", "contraction_constants",
+                                       "moment_bound_constants"])
+    def test_bad_friction_rejected(self, quad_obj, quad_data, quad_theory, entry, gamma):
+        drift, cert = quad_theory["drift"], quad_obj.cert
+        call = {
+            "derive_drift_constants": lambda: theory.derive_drift_constants(
+                cert, gamma, BETA, quad_obj, quad_data),
+            "contraction_constants": lambda: theory.contraction_constants(
+                drift, cert, gamma, BETA, 2),
+            "moment_bound_constants": lambda: theory.moment_bound_constants(
+                drift, cert, gamma, BETA, 2, 0.0),
+        }[entry]
+        with pytest.raises(ConfigurationError, match="friction gamma must be positive"):
+            call()
+
     def test_infinite_beta_rejected(self, quad_obj, quad_data):
         # up front, not after 21 NaN passes over the probes
         with pytest.raises(ConfigurationError, match="beta must be positive and finite here"):
