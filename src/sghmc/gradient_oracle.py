@@ -18,11 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, count, index
 from .objectives import (
     Dataset,
     ObjectiveSpec,
-    _count,
     empirical_gradient,
     minibatch_gradient_rows,
 )
@@ -44,12 +43,12 @@ def sample_gradient_many(obj: ObjectiveSpec, data: Dataset, batch_size: Optional
                          rng: np.random.Generator, x: np.ndarray, trials: int) -> np.ndarray:
     """``trials`` independent draws at x via ``minibatch_gradient_rows``: (trials, d).
     ``batch_size=None`` gives the full gradient ``trials`` times."""
-    trials = _count(trials, "trials")
+    trials = count(trials, "trials")
     x = _probe(obj, x)
     if batch_size is None:
         g = empirical_gradient(x, obj, data)
         return np.broadcast_to(g, (trials, g.size)).copy()
-    idx = rng.integers(0, data.n, size=(trials, _count(batch_size, "batch size")))
+    idx = rng.integers(0, data.n, size=(trials, count(batch_size, "batch size")))
     return minibatch_gradient_rows(np.broadcast_to(x, (trials, x.size)), obj, data, idx)
 
 
@@ -70,8 +69,7 @@ def estimate_delta(obj: ObjectiveSpec, data: Dataset, batch_size: Optional[int],
     estimated over ``trials`` fresh draws from ``rng`` and divided by
     2 (M^2 |x|^2 + B^2); delta_hat is the maximum ratio over probes.
     """
-    if not trials >= 100:  # NaN fails too
-        raise ConfigurationError(f"estimate_delta needs trials >= 100, got {trials!r}")
+    trials = count(trials, "trials", least=100)
     if len(probes) == 0:
         raise ConfigurationError("estimate_delta needs at least one probe")
     cert = obj.cert
@@ -110,12 +108,12 @@ def variance_scaling_curve(
 
     A single batch size yields a curve of length one and no slope.
     """
-    sizes = [_count(l, "batch size") for l in batch_sizes]
+    sizes = [count(l, "batch size") for l in batch_sizes]
     if not sizes:
         raise ConfigurationError("variance_scaling_curve needs at least one batch size")
     if len(set(sizes)) != len(sizes):
         raise ConfigurationError("batch sizes must be distinct")
-    trials = _count(trials, "trials")
+    trials, seed = count(trials, "trials"), index(seed, "seed")
     x = _probe(obj, x)
     full = empirical_gradient(x, obj, data)
     points = []

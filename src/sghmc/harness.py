@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DivergenceError, SghmcError
+from .errors import (ConfigurationError, DivergenceError, SghmcError, count, index, nonnegative,
+                     number, positive, real)
 from .gradient_oracle import estimate_delta
 from .metrics import SampleCloud, rho_distance_cloud
 from .objectives import (
@@ -60,40 +61,26 @@ _DATA_COUPLED = ("double_well", "gaussian_mixture")
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _real(value) -> float:
-    """A real config value: a number or a numeric string such as ``"inf"``;
-    a boolean is a ValueError instead of being read as 0.0/1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
+# A converter reads a config value and the key that names it: the scalar ones
+# are the package's (see :mod:`.errors`), which the entry points apply too.
 
-
-def _integer(value) -> int:
-    """An integer config value: an integer, an integral float (2000.0) or an
-    integer string; a non-integral number or a boolean is a ValueError
-    instead of being truncated or read as 0/1."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _order(value):
-    """The moment order q: an integer where it is integral, else the real
-    number, which :func:`theory.check_pq` reports as out of range."""
-    value = _real(value)
+def _order(value, key):
+    """The moment order q: an integer where it is integral, else the number,
+    which :func:`theory.check_pq` reports as out of range."""
+    value = number(value, key)
     return int(value) if value.is_integer() else value
 
 
-def _reals(value) -> list:
-    """A JSON list of real config values; a string is not split into them."""
+def _reals(value, key) -> list:
+    """A JSON list of finite real config values; a string is not split into them."""
     if not isinstance(value, list):
         raise ValueError(f"{value!r} is not a list")
-    return [_real(v) for v in value]
+    return [real(v, key) for v in value]
 
 
 def _instance(kind: type, name: str):
     """A converter that takes a value of type ``kind`` as is and no other value."""
-    def convert(value):
+    def convert(value, key):
         if not isinstance(value, kind):
             raise ValueError(f"{value!r} is not {name}")
         return value
@@ -103,31 +90,32 @@ def _instance(kind: type, name: str):
 _string = _instance(str, "a string")
 
 
-def _object(value) -> dict:
+def _object(value, key=None) -> dict:
     """A copy of a config block, which must be a JSON object."""
     if not isinstance(value, dict):
         raise ValueError(f"{value!r} is not an object")
     return dict(value)
 
 
-def _config_value(block: dict, key: str, default, kind=_real):
+def _config_value(block: dict, key: str, default, kind=real):
     """``block[key]`` (``default`` if absent) converted by ``kind``; None where
     the default is None. A config value that does not convert is a
-    ConfigurationError; one raised inside the value, a block, is prefixed
-    with ``key``, so the message names the path to the key at fault
-    ("audit: malformed config value 'seed': ...")."""
+    ConfigurationError, "malformed config value '<key>': ..."; one raised
+    inside the value, a block, is prefixed with ``key`` instead, so the
+    message names the path to the key at fault ("audit: malformed config
+    value 'seed': ...")."""
     value = block.get(key, default)
     if value is None and default is None:
         return None
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"malformed config value {key!r}: {exc}") from exc
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{key}: {exc}") from exc
+        return kind(value, key)
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        inner = isinstance(exc, ConfigurationError) and isinstance(value, dict)
+        raise ConfigurationError(f"{key}: {exc}" if inner
+                                 else f"malformed config value {key!r}: {exc}") from exc
 
 
-def _block(table, value) -> dict:
+def _block(table, value, key=None) -> dict:
     """The keys that a config block sets, each converted by its (key,
     default, converter) entry of ``table``. A block that is not a JSON object
     and a key that the table does not declare are a ValueError, a value that
@@ -150,7 +138,7 @@ def _read_block(name, table, value) -> dict:
     return _with_defaults(table, _config_value({name: value}, name, {}, partial(_block, table)))
 
 
-def _parse_init(value) -> InitialLaw:
+def _parse_init(value, key) -> InitialLaw:
     kind = _object(value).get("kind", "point")
     table = _INIT_KEYS.get(kind) if isinstance(kind, str) else None
     if table is None:
@@ -178,45 +166,46 @@ def _init_to_dict(init: InitialLaw) -> dict:
 # (key, default, converter) of each key that a block may set, the sampler's in
 # the order of its echo; a None default is resolved where the value is used
 _SAMPLER_KEYS = (
-    ("lambda", 0.01, _real),  # SamplerConfig.lam
-    ("gamma", 2.0, _real),
-    ("beta", 1.0, _real),
-    ("batch_size", None, _integer),
-    ("dim", 1, _integer),
-    ("seed", 0, _integer),
+    ("lambda", 0.01, nonnegative),  # SamplerConfig.lam
+    ("gamma", 2.0, nonnegative),
+    ("beta", 1.0, number),  # inf: the zero-noise limit
+    ("batch_size", None, count),
+    ("dim", 1, count),
+    ("seed", 0, index),
     ("init", InitialLaw(kind="point"), _parse_init),
 )
 _RATE_KEYS = (
     ("lambdas", (0.1, 0.05, 0.025, 0.0125), _reals),
-    ("ref_divisor", 16.0, _real),
-    ("t_end", 5.0, _real),
+    ("ref_divisor", 16.0, positive),  # an integer, which rate_study checks
+    ("t_end", 5.0, positive),
 )
+# p and q are read as numbers: a validate run reports them out of the theory's range
 _RISK_KEYS = (
-    ("p", 2.0, _real),
+    ("p", 2.0, number),
     ("q", 1, _order),
-    ("k", None, _integer),  # None: steps
-    ("delta", None, _real),  # None: 0, or measured by a minibatch risk-bound run
-    ("sigma", None, _real),  # None: from the pilot's radial moment
-    ("eps", None, _real),  # None: no iteration budget
-    ("c_ls", None, _real),
-    ("lambda_star", None, _real),
+    ("k", None, index),  # None: steps
+    ("delta", None, nonnegative),  # None: 0, or measured by a minibatch risk-bound run
+    ("sigma", None, nonnegative),  # None: from the pilot's radial moment
+    ("eps", None, positive),  # None: no iteration budget
+    ("c_ls", None, positive),
+    ("lambda_star", None, positive),
 )
 _AUDIT_KEYS = (
-    ("probes", 1000, _integer),
-    ("radius", None, _real),  # None: the certificate's default probe radius
-    ("seed", None, _integer),  # None: the sampler seed
+    ("probes", 1000, count),
+    ("radius", None, positive),  # None: the certificate's default probe radius
+    ("seed", None, index),  # None: the sampler seed
 )
 # the initial law's keys, by its kind
 _INIT_KEYS = {
     "point": (("kind", "point", _string), ("x0", None, _reals), ("v0", None, _reals)),
-    "gaussian": (("kind", "point", _string), ("mean", 0.0, _real), ("scale", 1.0, _real)),
+    "gaussian": (("kind", "point", _string), ("mean", 0.0, real), ("scale", 1.0, positive)),
 }
 # the dataset and objective blocks, which materialize reads
 _DATASET_KEYS = (
     ("generator", "gaussian", _string),
-    ("n", 100, _integer),
-    ("z_dim", None, _integer),  # None: the sampler's dim
-    ("seed", 7, _integer),
+    ("n", 100, count),
+    ("z_dim", None, count),  # None: the sampler's dim
+    ("seed", 7, index),
 )
 _OBJECTIVE_KEYS = (
     ("name", "quadratic", _string),
@@ -227,7 +216,7 @@ _OBJECTIVE = _with_defaults(_OBJECTIVE_KEYS, {})
 _DATASET = {key: v for key, v in _with_defaults(_DATASET_KEYS, {}).items() if v is not None}
 
 
-def _parse_sampler(value) -> SamplerConfig:
+def _parse_sampler(value, key=None) -> SamplerConfig:
     d = _with_defaults(_SAMPLER_KEYS, _block(_SAMPLER_KEYS, value))
     return SamplerConfig(lam=d.pop("lambda"), **d)
 
@@ -238,10 +227,12 @@ def _sampler_to_dict(cfg: SamplerConfig) -> dict:
             "init": _init_to_dict(cfg.init)}
 
 
-# the converter of each ExperimentConfig field, by its annotation (a string
-# under ``from __future__ import annotations``) or by its block's key table
-_CONVERTERS = {"str": _string, "bool": _instance(bool, "a boolean"),
-               "int": _integer, "Optional[int]": _integer, "dict": _object,
+# the converter of each ExperimentConfig field: a size's by its name, a block's
+# by its key table, any other's by its annotation (a string under ``from
+# __future__ import annotations``)
+_SIZES = {"steps": count, "replicas": count, "thin": count, "burn_in": index,
+          "pilot_steps": index}
+_CONVERTERS = {"str": _string, "bool": _instance(bool, "a boolean"), "dict": _object,
                "SamplerConfig": _parse_sampler, "Optional[SamplerConfig]": _parse_sampler}
 _OPTIONAL = {"optional": True}  # metadata: the echo leaves the field out while unset
 
@@ -274,15 +265,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}; known: {KINDS}")
         if self.chain not in CHAIN_KINDS:
             raise ConfigurationError(f"unknown chain kind {self.chain!r}; known: {CHAIN_KINDS}")
-        for name in ("steps", "replicas", "thin"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, convert in _SIZES.items():
+            if getattr(self, name) is not None:  # a burn_in of None is resolved below
+                setattr(self, name, convert(getattr(self, name), name))
         if self.burn_in is None:
             self.burn_in = max(self.steps // 10, 2000) if self.kind == "gibbs-check" else 0
-        if self.burn_in < 0:
-            raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.pilot_steps < 0:
-            raise ConfigurationError(f"pilot_steps must be >= 0, got {self.pilot_steps}")
 
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
@@ -301,7 +288,8 @@ class ExperimentConfig:
             d = {**d, "sampler_b": {**_config_value(d, "sampler", {}, _object),
                                     **_config_value(d, "sampler_b", {}, _object)}}
         values = {f.name: _config_value(d, f.name, f.default, partial(_block, f.metadata["keys"])
-                                        if "keys" in f.metadata else _CONVERTERS[f.type])
+                                        if "keys" in f.metadata
+                                        else _SIZES.get(f.name) or _CONVERTERS[f.type])
                   for f in fields(cls)[1:] if f.name in d}
         return cls(kind or d.get("kind"), **values)
 
@@ -327,7 +315,7 @@ def materialize(cfg: ExperimentConfig):
     """Build (objective, dataset) from a config, deriving z_radius if needed.
     A generator or objective the config cannot name, and objective parameters
     that the factory does not take or of the wrong type (a built-in's are
-    real numbers, read by :func:`_real`), are a ConfigurationError; so is a
+    finite real numbers, read by :func:`.errors.real`), are a ConfigurationError; so is a
     built-in's dataset whose z_dim is not the sampler's dim, and a key that
     the dataset or objective block does not declare."""
     try:
@@ -446,6 +434,8 @@ def sghmc_quadratic_stationary(lam: float, gamma: float, beta: float, m0: float)
     (I - A kron A) vec Sigma = vec Q (scipy's method below size 10).
     Returns (var_x, var_v).
     """
+    lam, gamma, beta, m0 = (positive(value, name) for value, name in
+                            ((lam, "lam"), (gamma, "gamma"), (beta, "beta"), (m0, "m0")))
     A = np.array([[1.0 - lam * gamma, -lam * m0], [lam, 1.0]])
     q = 2.0 * gamma * lam / beta
     Q = np.array([[q, 0.0], [0.0, 0.0]])
@@ -582,7 +572,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     if obj is None and cfg.kind != "validate":
         raise ConfigurationError(findings[0]["message"])
     try:
-        data_seed = _config_value(cfg.dataset, "seed", _DATASET["seed"], _integer)
+        data_seed = _config_value(cfg.dataset, "seed", _DATASET["seed"], index)
     except ConfigurationError:  # already the violation finding of _build
         data_seed = None
     out = Path(cfg.out)
@@ -692,13 +682,13 @@ def _gibbs_check(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Ru
         raise ConfigurationError(
             f"gibbs-check steps must be >= {cfg.burn_in + 1} to keep a tail sample after "
             f"burn_in {cfg.burn_in}, got {cfg.steps}")
+    pred_x, pred_v = sghmc_quadratic_stationary(s.lam, s.gamma, s.beta, m0)  # checks them first
     res = ensemble_run(cfg.chain, s, obj, data, steps=cfg.steps, replicas=cfg.replicas,
                        burn_in=cfg.burn_in, purpose="gibbs")
     expected_x = 1.0 / (s.beta * m0)
     expected_v = 1.0 / s.beta
     var_x = float(np.mean(res.tail_var_x))
     var_v = float(np.mean(res.tail_var_v))
-    pred_x, pred_v = sghmc_quadratic_stationary(s.lam, s.gamma, s.beta, m0)
     rel_x = abs(var_x - expected_x) / expected_x
     rel_v = abs(var_v - expected_v) / expected_v
     manifest.results.update({
@@ -795,15 +785,11 @@ def rate_study(obj: ObjectiveSpec, data: Dataset, base: SamplerConfig, lambdas,
     runaway ones whose distance is not finite, are dropped with a flag; the
     log-log slope is fitted over the survivors (None below two).
     """
-    lambdas = sorted(set(float(l) for l in lambdas), reverse=True)
-    if len(lambdas) < 1:
+    lambdas = sorted({positive(lam, "lambdas") for lam in lambdas}, reverse=True)
+    if not lambdas:
         raise ConfigurationError("rate study needs at least one step size")
-    if any(l <= 0 for l in lambdas):
-        raise ConfigurationError("step sizes must be positive")
-    if not 1 <= lambda_ref_divisor < math.inf or lambda_ref_divisor % 1:
-        raise ConfigurationError(f"ref_divisor must be >= 1 and integral, got {lambda_ref_divisor}")
-    if not 0 < t_end < math.inf:
-        raise ConfigurationError(f"t_end must be > 0 and finite, got {t_end}")
+    lambda_ref_divisor = count(lambda_ref_divisor, "lambda_ref_divisor")
+    t_end, replicas = positive(t_end, "t_end"), count(replicas, "replicas")
     rows = []
     for lam in lambdas:
         try:

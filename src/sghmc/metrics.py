@@ -21,8 +21,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .objectives import _count
+from .errors import ConfigurationError, NumericalError, count, index, real
 from .rng import derive_stream
 from .theory import ContractionConstants, LyapunovParams, rho_cost
 
@@ -125,8 +124,7 @@ def wasserstein_1d(a, b, p: float = 2.0, resample_seed: int = 0) -> float:
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != 1 or b.dim != 1:
         raise ConfigurationError("wasserstein_1d requires dimension 1")
-    if not 1 <= p < math.inf:  # NaN fails too
-        raise ConfigurationError(f"order p must be finite and >= 1, got {p}")
+    p, resample_seed = real(p, "order p", 1), index(resample_seed, "resample_seed")
     xa = a.points[:, 0]
     xb = b.points[:, 0]
     if xa.size != xb.size:
@@ -153,8 +151,7 @@ def wasserstein_exact_small(a, b, p: float = 2.0) -> float:
         raise ConfigurationError("exact solver is capped at 64 points")
     if a.dim != b.dim:
         raise ConfigurationError("clouds must share the dimension")
-    if not 1 <= p < math.inf:  # NaN fails too
-        raise ConfigurationError(f"order p must be finite and >= 1, got {p}")
+    p = real(p, "order p", 1)
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** p
     return float(np.mean(cost[np.arange(a.n), _assignment(cost)]) ** (1.0 / p))
@@ -170,9 +167,8 @@ def sliced_wasserstein(a, b, p: float = 2.0, n_projections: int = 128, seed: int
     a, b = _as_cloud(a), _as_cloud(b)
     if a.dim != b.dim:
         raise ConfigurationError("clouds must share the dimension")
-    if not 1 <= p < math.inf:  # NaN fails too
-        raise ConfigurationError(f"order p must be finite and >= 1, got {p}")
-    n_projections = _count(n_projections, "n_projections")
+    p, seed = real(p, "order p", 1), index(seed, "seed")
+    n_projections = count(n_projections, "n_projections")
     rng = derive_stream(seed, "sliced:directions")
     dirs = rng.standard_normal((n_projections, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -229,10 +225,9 @@ def quad_growth_continuity_check(
     The inequality lhs <= rhs is the property under test; this op only
     evaluates the two sides.
     """
-    if not 1 < p < math.inf:
-        raise ConfigurationError(f"order p must be finite and > 1, got {p}")
-    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:
-        raise ConfigurationError(f"(p, q) = ({p}, {q}) violates 1/p + 1/q = 1")
+    p, q = real(p, "order p", 1), real(q, "order q", 1)
+    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-9:  # p = 1 needs q = inf
+        raise ConfigurationError(f"order p = {p} and order q = {q} violate 1/p + 1/q = 1")
     a, b = _as_cloud(a), _as_cloud(b)
     c1, c2 = grad_bound
     ga = np.asarray(G(a.points), dtype=float)

@@ -48,7 +48,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import (ConfigurationError, EvaluationError, count, index, nonnegative, positive,
+                     real)
 from .rng import derive_stream
 
 
@@ -67,13 +68,10 @@ class SmoothnessCertificate:
     b: float
 
     def __post_init__(self):
-        vals = (self.A0, self.B, self.M, self.m, self.b)
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigurationError(f"certificate has non-finite entries: {vals}")
-        if self.M <= 0 or self.m <= 0:
-            raise ConfigurationError("certificate requires M > 0 and m > 0")
-        if self.A0 < 0 or self.B < 0 or self.b < 0:
-            raise ConfigurationError("certificate requires A0, B, b >= 0")
+        for name in ("A0", "B", "b"):
+            object.__setattr__(self, name, nonnegative(getattr(self, name), name))
+        for name in ("M", "m"):
+            object.__setattr__(self, name, positive(getattr(self, name), name))
         if self.m > self.M:
             # Dissipativity together with a Lipschitz gradient forces m <= M
             # at large |x|; a certificate violating this is inconsistent.
@@ -96,8 +94,7 @@ class ObjectiveSpec:
     grad_batches: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError("objective dimension must be a positive integer")
+        object.__setattr__(self, "dim", count(self.dim, "dim"))
 
 
 @dataclass(frozen=True)
@@ -112,6 +109,7 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", index(self.seed, "seed"))
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -148,8 +146,7 @@ def make_dataset(generator_id: str, n: int, z_dim: int, seed: int) -> Dataset:
         raise ConfigurationError(
             f"unknown dataset generator {generator_id!r}; known: {sorted(_GENERATORS)}"
         )
-    if n < 1:
-        raise ConfigurationError("dataset size must be positive")
+    n, z_dim, seed = count(n, "n"), count(z_dim, "z_dim"), index(seed, "seed")
     rng = derive_stream(seed, f"dataset:{generator_id}")
     samples = _GENERATORS[generator_id](rng, n, z_dim)
     return Dataset(samples=samples, generator_id=generator_id, seed=seed)
@@ -274,15 +271,6 @@ def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
                      for x, i in zip(X, idx)])
 
 
-def _count(value, name: str) -> int:
-    """A count (a batch size, a number of draws) as an int >= 1 (an integral
-    float converts); a fractional, boolean or non-finite one is a
-    ConfigurationError naming the count instead of being truncated."""
-    if isinstance(value, bool) or not 1 <= value < math.inf or value % 1:  # NaN fails too
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):
     """Quadratic-growth envelope around f(x, z).
 
@@ -344,8 +332,7 @@ def ball_probes(rng: np.random.Generator, k: int, dim: int, radius: float) -> np
     """k points (k, dim) drawn uniformly from the ball of the given radius:
     a direction, then a radius with density proportional to r^(dim-1). A
     radius that is not finite and > 0 is a ConfigurationError."""
-    if not 0 < radius < math.inf:  # NaN fails too
-        raise ConfigurationError(f"probe radius must be finite and > 0, got {radius}")
+    radius = positive(radius, "probe radius")
     u = rng.standard_normal((k, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return u * (radius * rng.uniform(0.0, 1.0, size=(k, 1)) ** (1.0 / dim))
@@ -373,8 +360,7 @@ def audit_assumptions(
     One walk over the probes evaluates grad_f at each probe and its Lipschitz
     partner. Failures are report entries with a witnessing point, never exceptions.
     """
-    if probes < 2:
-        raise ConfigurationError("audit needs at least 2 probes")
+    probes, seed = count(probes, "probes", least=2), index(seed, "seed")
     cert = obj.cert
     d = obj.dim
     if radius is None:
@@ -453,11 +439,9 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
     numpy's cheapest scalar operand) has the bits of ``m0 * (X - 0 * zbar)``
     but for an exact -0.0 where ``zbar`` is negative (that form gives +0.0).
     """
-    if m0 <= 0:
-        raise ConfigurationError("quadratic objective needs m0 > 0")
-    if coupling != 0.0 and z_radius <= 0.0:
-        raise ConfigurationError("a coupled quadratic objective needs z_radius > 0")
-    c, m0_0d = float(coupling), np.array(m0, dtype=float)
+    m0, c = positive(m0, "m0"), real(coupling, "coupling")
+    r = positive(z_radius, "z_radius") if c else nonnegative(z_radius, "z_radius")
+    m0_0d = np.array(m0, dtype=float)
 
     def f(x, Z):
         diff = x[None, :] - c * Z
@@ -470,16 +454,8 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
         zbar, m2 = _moments(Z)
         return 0.5 * m0 * (np.sum(X * X, axis=1) - 2.0 * c * (X @ zbar) + c * c * m2)
 
-    scaled = (None, None)  # (zbar, c * zbar) of the last zbar that _moments gave
-
     def grad_rows(X, Z):
-        nonlocal scaled
-        zbar, _ = _moments(Z)
-        key, czbar = scaled
-        if key is not zbar:  # a new zbar object: new moments, or a writable Z
-            czbar = c * zbar
-            scaled = (zbar, czbar)
-        return m0 * (X - czbar)
+        return m0 * (X - c * _moments(Z)[0])
 
     def grad_batches(X, Zs):
         return np.add.reduce(m0 * (X[:, None, :] - c * Zs), axis=1) / Zs.shape[1]
@@ -487,7 +463,6 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
     if c == 0.0:
         cert = SmoothnessCertificate(A0=0.0, B=0.0, M=m0, m=m0, b=0.0)
     else:
-        r = float(z_radius)
         cert = SmoothnessCertificate(
             A0=0.5 * m0 * c * c * r * r,
             B=m0 * abs(c) * r,
@@ -539,14 +514,11 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
     (the splice keeps the gradient globally Lipschitz) and the additive 1/4
     per coordinate makes the loss non-negative.
     """
+    dim, c = count(dim, "dim"), nonnegative(coupling, "coupling")
+    rz = positive(z_radius, "z_radius") if c else nonnegative(z_radius, "z_radius")
+    well_radius = real(well_radius, "well_radius")
     if well_radius < 1.5:
         raise ConfigurationError("well_radius must be >= 1.5 to contain both wells")
-    if coupling < 0:
-        raise ConfigurationError("coupling must be >= 0")
-    if coupling > 0 and z_radius <= 0:
-        raise ConfigurationError("a coupled double well needs z_radius > 0")
-    c = float(coupling)
-    rz = float(z_radius)
     w, w_prime, kappa = _well_pieces(well_radius)
 
     def f(x, Z):
@@ -622,12 +594,7 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
     is non-negative (it dominates (|x| - |z|)^2 / 2) and genuinely non-convex
     for samples with |z| > 1. ``z_radius`` must bound the sample norms.
     """
-    if ridge < 0:
-        raise ConfigurationError("ridge must be >= 0")
-    if z_radius <= 0:
-        raise ConfigurationError("gaussian_mixture needs z_radius > 0")
-    r0 = float(ridge)
-    rz = float(z_radius)
+    r0, rz = nonnegative(ridge, "ridge"), positive(z_radius, "z_radius")
 
     def f(x, Z):
         t = Z @ x

@@ -55,11 +55,11 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import (ConfigurationError, DivergenceError, count, index, nonnegative, number,
+                     positive, real)
 from .objectives import (
     Dataset,
     ObjectiveSpec,
-    _count,
     _reject_nonfinite_gradient,
     batch_empirical_gradient,
     minibatch_gradient_rows,
@@ -86,10 +86,10 @@ class InitialLaw:
     def __post_init__(self):
         if self.kind not in ("point", "gaussian"):
             raise ConfigurationError(f"unknown initial law kind {self.kind!r}")
-        if self.kind == "gaussian" and not 0 < self.scale < math.inf:  # NaN fails too
-            raise ConfigurationError(f"gaussian initial law needs finite scale > 0, got {self.scale}")
-        if not all(np.isfinite(a).all() for a in (self.mean, self.x0, self.v0) if a is not None):
-            raise ConfigurationError("initial law has a non-finite mean, x0 or v0")
+        object.__setattr__(self, "mean", real(self.mean, "mean"))
+        object.__setattr__(self, "scale", positive(self.scale, "scale"))
+        if not all(np.isfinite(a).all() for a in (self.x0, self.v0) if a is not None):
+            raise ConfigurationError("initial law has a non-finite x0 or v0")
 
     def sample(self, dim: int, rng: np.random.Generator, size: int):
         """Draw ``size`` stacked replicas (x, v), each of shape (size, dim)."""
@@ -133,16 +133,15 @@ class SamplerConfig:
     def __post_init__(self):
         # lam = 0 and gamma = 0 are accepted as degenerate limits (identity
         # step / free particle); theory ops still require strict positivity.
-        if not 0 <= self.lam < math.inf:  # NaN fails every comparison
-            raise ConfigurationError(f"step size must be finite and >= 0, got {self.lam}")
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigurationError(f"friction must be finite and >= 0, got {self.gamma}")
-        if not (self.beta > 0):
-            raise ConfigurationError("inverse temperature must be > 0 (inf allowed)")
-        if self.dim < 1:
-            raise ConfigurationError("dimension must be >= 1")
-        if self.batch_size is not None:
-            object.__setattr__(self, "batch_size", _count(self.batch_size, "batch size"))
+        beta = number(self.beta, "beta")
+        if beta != math.inf:  # the zero-noise limit
+            positive(beta, "beta")
+        converted = {"lam": nonnegative(self.lam, "lam"), "gamma": nonnegative(self.gamma, "gamma"),
+                     "beta": beta, "dim": count(self.dim, "dim"), "seed": index(self.seed, "seed"),
+                     "batch_size": None if self.batch_size is None
+                     else count(self.batch_size, "batch size")}
+        for name, value in converted.items():
+            object.__setattr__(self, name, value)
         if self.init.kind == "point" and any(
                 a is not None and np.shape(a) != (self.dim,) for a in (self.init.x0, self.init.v0)):
             raise ConfigurationError("point initial law has wrong dimension")
@@ -428,7 +427,7 @@ def run_chain(
     """Iterate the chosen step op, recording every thin-th state (incl. init)."""
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}; known: {CHAIN_KINDS}")
-    steps, thin = _count(steps, "steps"), _count(thin, "thin")
+    steps, thin = count(steps, "steps"), count(thin, "thin")
     x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, f"{kind}:init"), size=1)
     chain = _Chain(kind, cfg, x, v, derive_stream(cfg.seed, f"{kind}:minibatch"))
     return _traced([chain], obj, data, steps, thin, derive_stream(cfg.seed, f"{kind}:noise"))[0]
@@ -461,7 +460,7 @@ def coupled_run(
             raise ConfigurationError(f"unknown chain kind {k!r}")
     if cfg_a.dim != cfg_b.dim:
         raise ConfigurationError("coupled chains must share the dimension")
-    steps, thin = _count(steps, "steps"), _count(thin, "thin")
+    steps, thin = count(steps, "steps"), count(thin, "thin")
     noise = derive_stream(cfg_a.seed, "coupled:noise")
     xa, va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled:init", 0), size=1)
     xb, vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled:init", 1), size=1)
@@ -522,11 +521,8 @@ def ensemble_run(
     """
     if kind not in CHAIN_KINDS:
         raise ConfigurationError(f"unknown chain kind {kind!r}")
-    steps, replicas = _count(steps, "steps"), _count(replicas, "replicas")
-    record_every = _count(record_every, "record_every")
-    if isinstance(burn_in, bool) or not 0 <= burn_in < math.inf or burn_in % 1:  # NaN fails too
-        raise ConfigurationError(f"burn_in must be >= 0 and an integer, got {burn_in!r}")
-    burn_in = int(burn_in)
+    steps, replicas = count(steps, "steps"), count(replicas, "replicas")
+    record_every, burn_in = count(record_every, "record_every"), index(burn_in, "burn_in")
     functionals = dict(functionals or {})
     init_rng = derive_stream(cfg.seed, f"{purpose}:init")
     noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
@@ -626,8 +622,8 @@ def coupled_ensemble_run(
         raise ConfigurationError("coupled chains must share the dimension")
     if cfg_a.batch_size != cfg_b.batch_size:
         raise ConfigurationError("coupled chains must share the batch size")
-    steps, replicas = _count(steps, "steps"), _count(replicas, "replicas")
-    record_every = _count(record_every, "record_every")
+    steps, replicas = count(steps, "steps"), count(replicas, "replicas")
+    record_every = count(record_every, "record_every")
     noise_rng = derive_stream(cfg_a.seed, "coupled-ensemble:noise")
     Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled-ensemble:init", 0),
                                size=replicas)
@@ -684,18 +680,15 @@ def brownian_coupled_distance(
 
     Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
     """
-    if not lambda_ref > 0:
-        raise ConfigurationError(f"lambda_ref must be > 0, got {lambda_ref}")
+    lambda_ref, t_end = positive(lambda_ref, "lambda_ref"), real(t_end, "t_end")
+    replicas = count(replicas, "replicas")
     ratio = cfg.lam / lambda_ref
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
         raise ConfigurationError("cfg.lam must be an integer multiple of lambda_ref")
-    if not math.isfinite(t_end):
-        raise ConfigurationError(f"t_end must be finite, got {t_end}")
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
-    replicas = _count(replicas, "replicas")
     noise_rng = derive_stream(cfg.seed, "rate:noise")
     init_rng = derive_stream(cfg.seed, "rate:init")
     X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)

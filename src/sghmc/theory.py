@@ -28,7 +28,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import CertificationError, ConfigurationError, NumericalError
+from .errors import (CertificationError, ConfigurationError, NumericalError, count, index,
+                     nonnegative, positive, real)
 from .objectives import (
     Dataset,
     ObjectiveSpec,
@@ -59,16 +60,21 @@ class DriftConstants:
     A_c: float
 
     def __post_init__(self):
-        if not (0 < self.lambda_c <= 0.25):
-            raise ConfigurationError("lambda_c must lie in (0, 1/4]")
-        if self.A_c <= 0:
-            raise ConfigurationError("A_c must be positive")
+        object.__setattr__(self, "lambda_c", _check_lambda_c(self.lambda_c))
+        object.__setattr__(self, "A_c", positive(self.A_c, "A_c"))
 
 
-def _check_friction(gamma) -> None:
-    """Reject a friction gamma that is not finite and > 0 (NaN included)."""
-    if not 0 < gamma < math.inf:
-        raise ConfigurationError("friction gamma must be positive here")
+def _check_lambda_c(lambda_c) -> float:
+    """lambda_c as a float in (0, 1/4], the range the Lyapunov function needs."""
+    lambda_c = real(lambda_c, "lambda_c")
+    if not 0 < lambda_c <= 0.25:
+        raise ConfigurationError(f"lambda_c must lie in (0, 1/4], got {lambda_c}")
+    return lambda_c
+
+
+def _rates(gamma, beta):
+    """The friction gamma and inverse temperature beta, positive and finite."""
+    return positive(gamma, "friction gamma"), positive(beta, "beta")
 
 
 def lambda_c_cap(cert: SmoothnessCertificate, gamma: float) -> float:
@@ -99,9 +105,7 @@ def derive_drift_constants(
     before giving up with the witnessing probe. The probes are drawn from the
     ball of radius ``default_probe_radius(cert)``.
     """
-    _check_friction(gamma)
-    if not 0 < beta < math.inf:
-        raise ConfigurationError("beta must be positive and finite here")
+    (gamma, beta), probes = _rates(gamma, beta), count(probes, "probes")
     drift = closed_form_drift(cert, gamma, beta)
     radius = default_probe_radius(cert)
     X = ball_probes(derive_stream(0, "drift:probes"), probes, obj.dim, radius)
@@ -135,6 +139,11 @@ class LyapunovParams:
     lambda_c: float
     obj: ObjectiveSpec
     data: Dataset
+
+    def __post_init__(self):
+        (gamma, beta), lambda_c = _rates(self.gamma, self.beta), _check_lambda_c(self.lambda_c)
+        for name, value in zip(("gamma", "beta", "lambda_c"), (gamma, beta, lambda_c)):
+            object.__setattr__(self, name, value)
 
     def value(self, x, v) -> float:
         x = np.asarray(x, dtype=float)
@@ -268,11 +277,9 @@ def contraction_constants(
     c* and C* are evaluated once, in log space, so a stiff regime yields
     finite logs instead of an error.
     """
-    if not (1.0 <= p <= 2.0):
-        raise ConfigurationError("contraction constants require p in [1, 2]")
-    _check_friction(gamma)
-    if not (math.isfinite(beta) and beta > 0):
-        raise ConfigurationError("beta must be positive and finite here")
+    p, (gamma, beta), d = real(p, "p"), _rates(gamma, beta), count(d, "d")
+    if not 1.0 <= p <= 2.0:
+        raise ConfigurationError(f"contraction constants require p in [1, 2], got {p}")
     lam_c, a_c = drift.lambda_c, drift.A_c
     mg2 = cert.M / gamma**2
     alpha, Lam = _resolve_alpha_lambda(mg2, lam_c, a_c, d)
@@ -365,8 +372,7 @@ def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float) ->
     h'(0+) = 1, and h is constant on [R_1, inf). It is the last entry of
     ``h_profile`` on [0, min(r, R_1)].
     """
-    if r < 0:
-        raise ConfigurationError("h is defined on r >= 0")
+    r = nonnegative(r, "r")
     if r == 0.0:
         return 0.0
     return float(h_profile(cc, beta, gamma, r)[1][-1])
@@ -383,7 +389,8 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
     means the construction has left its validity range, and that radius is
     reported as a NumericalError, not repaired.
     """
-    r_eff = cc.R_1 if r_max is None else min(r_max, cc.R_1)
+    gamma, beta = _rates(gamma, beta)
+    r_eff = cc.R_1 if r_max is None else min(positive(r_max, "r_max"), cc.R_1)
     s = np.linspace(0.0, r_eff, _H_INTERVALS + 1)
     a = (1.0 + cc.eta_c) * cc.L_c / 8.0 + (
         gamma**2 * beta * cc.epsilon_c * max(1.0, 1.0 / (2.0 * cc.alpha_c)) / 2.0
@@ -480,13 +487,12 @@ def moment_bound_constants(
     the discrete-time ones 8 (d + A_c) / lambda_c; with B = 0 the first arm
     of the step cap is vacuous (infinite). delta must be finite and >= 0.
     """
-    if not 0 <= delta < math.inf:  # NaN fails too
-        raise ConfigurationError(f"noise level delta must be finite and >= 0, got {delta}")
-    _check_friction(gamma)
+    (gamma, beta), d = _rates(gamma, beta), count(d, "d")
+    delta = nonnegative(delta, "delta")
+    mu0 = nonnegative(mu0_lyapunov_integral, "mu0_lyapunov_integral")
     lam_c, a_c = drift.lambda_c, drift.A_c
     M, B = cert.M, cert.B
     one = 1.0 - 2.0 * lam_c
-    mu0 = float(mu0_lyapunov_integral)
     base5 = mu0 + 5.0 * (d + a_c) / lam_c
     base8 = mu0 + 8.0 * (d + a_c) / lam_c
     c_c_x = 8.0 * base5 / (one * beta * gamma**2)
@@ -550,6 +556,7 @@ def proof_constants(
     entries are absent. c_7 is exponential in M^2, so it and the entries built
     on it are evaluated in log space, like C*, and keep finite logs.
     """
+    (gamma, beta), delta = _rates(gamma, beta), nonnegative(delta, "delta")
     M, B = cert.M, cert.B
     cax, cav = moment.C_a_x, moment.C_a_v
     ccx, ccv = moment.C_c_x, moment.C_c_v
@@ -585,7 +592,8 @@ def proof_constants(
         "c_17": ConstantEntry(c17, "exact", "3 max(1 + alpha_c, 1/gamma)"),
     }
     if pilot_sup_v2 is not None:
-        c18 = c17 * (1.0 + 2.0 * cc.epsilon_c * math.sqrt(max(pilot_sup_v2, 0.0)))
+        sup_v2 = nonnegative(pilot_sup_v2, "pilot_sup_v2")
+        c18 = c17 * (1.0 + 2.0 * cc.epsilon_c * math.sqrt(sup_v2))
         # log(e^{-c*} / (1 - e^{-c*})) = -log(expm1(c*)); below e^-40,
         # expm1(c*) is c* to float precision (and c* may have underflowed to 0)
         log_tail = -math.log(math.expm1(cc.c_star)) if cc.log_c_star > -40.0 else -cc.log_c_star
@@ -622,21 +630,21 @@ class RiskBound:
     inputs: dict = field(default_factory=dict)
 
 
-def check_pq(p: float, q: int) -> None:
-    """The pairing 1/p + 1/(2q) = 1 with integer q (so p = 2q / (2q - 1))."""
-    if not (1.0 < p <= 2.0):
-        raise ConfigurationError("p must lie in (1, 2]")
-    if not (q >= 1 and q % 1 == 0):  # NaN and inf fail too
-        raise ConfigurationError(f"q must be a positive integer, got {q}")
+def check_pq(p: float, q: int):
+    """The pairing 1/p + 1/(2q) = 1 with integer q (so p = 2q / (2q - 1));
+    returns (p, q) as a float and an int."""
+    p, q = real(p, "p"), count(q, "q")
+    if not 1.0 < p <= 2.0:
+        raise ConfigurationError(f"p must lie in (1, 2], got {p}")
     if abs(1.0 / p + 1.0 / (2.0 * q) - 1.0) > 1e-9:
         raise ConfigurationError(f"(p, q) = ({p}, {q}) violates 1/p + 1/(2q) = 1")
+    return p, q
 
 
 def log_sobolev_constant(cert: SmoothnessCertificate, beta: float, d: int,
                          lambda_star: float) -> float:
     """c_LS from the certificate and a user-supplied uniform spectral gap."""
-    if not lambda_star > 0:  # NaN fails too
-        raise ConfigurationError("lambda_star must be positive")
+    lambda_star = positive(lambda_star, "lambda_star")
     m, M = cert.m, cert.M
     return (2.0 * m * m + 8.0 * M * M) / (m * m * M * beta) + (
         (6.0 * M * (d + beta) / m + 2.0) / lambda_star
@@ -674,19 +682,16 @@ def risk_bound(
     long-run law, both supplied by the caller (typically pilot estimates).
     sigma must be finite and >= 0, k >= 0 and c_ls finite and > 0.
     """
-    check_pq(p, q)
-    if not 0 <= sigma < math.inf:
-        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
-    if k < 0:
-        raise ConfigurationError(f"iteration count k must be >= 0, got {k}")
+    (p, q), (gamma, beta), d, n = check_pq(p, q), _rates(gamma, beta), count(d, "d"), count(n, "n")
+    lam, delta, k = nonnegative(lam, "lam"), nonnegative(delta, "delta"), index(k, "k")
+    sigma, w_rho_init = nonnegative(sigma, "sigma"), nonnegative(w_rho_init, "w_rho_init")
     if "C_tilde" not in proof:
         raise ConfigurationError("risk_bound needs the empirical C_tilde entry")
     if c_ls is None:
         if lambda_star is None:
             raise ConfigurationError("supply either c_ls or lambda_star")
         c_ls = log_sobolev_constant(cert, beta, d, lambda_star)
-    if not 0 < c_ls < math.inf:
-        raise ConfigurationError(f"c_ls must be finite and > 0, got {c_ls}")
+    c_ls = positive(c_ls, "c_ls")
     M, B, m, b = cert.M, cert.B, cert.m, cert.b
     c_tilde = proof["C_tilde"]
     expo = 1.0 / (2.0 * p)
@@ -727,8 +732,7 @@ def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: floa
     budget is zero. ``c_tilde`` is the C~ entry of ``proof_constants``, whose
     log stays finite beyond float range; both results go through in_range.
     """
-    if not eps > 0:  # NaN fails too
-        raise ConfigurationError("eps must be positive")
+    eps = positive(eps, "eps")
     log_ct = c_tilde.log
     log_cap = math.log(eps) - math.log(2.0) - log_ct
     cap = in_range(_exp(log_cap), log_cap)
@@ -751,8 +755,7 @@ def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: floa
 
 def gaussian_norm_moment(d: int, j: int) -> float:
     """E |xi|^j for a standard Gaussian in R^d (chi distribution moment)."""
-    if j < 0:
-        raise ConfigurationError("moment order must be >= 0")
+    d, j = count(d, "d"), index(j, "j")
     return float(2.0 ** (j / 2.0) * math.exp(math.lgamma((d + j) / 2.0) - math.lgamma(d / 2.0)))
 
 
@@ -776,10 +779,10 @@ def lyapunov_moment_certificate(
     When a pilot empirical maximum of V^{2q} is supplied the report states
     whether it complies with the (k = 0) envelope.
     """
+    (gamma, beta), d, q = _rates(gamma, beta), count(d, "d"), count(q, "q")
     if q not in (1, 2):
-        raise ConfigurationError("q must be 1 or 2")
-    if lam <= 0:
-        raise ConfigurationError("lam must be positive")
+        raise ConfigurationError(f"q must be 1 or 2, got {q}")
+    lam, v0_lyapunov = positive(lam, "lam"), nonnegative(v0_lyapunov, "v0_lyapunov")
     lam_c, a_c = drift.lambda_c, drift.A_c
     M, B = cert.M, cert.B
     one = 1.0 - 2.0 * lam_c
@@ -847,6 +850,6 @@ def lyapunov_moment_certificate(
         "gaussian_moments": {"E|xi|^2": e2, "E|xi|^4": e4, f"E|xi|^{2*q}": e2q},
     }
     if pilot_max_v2q is not None:
-        report["pilot_max_v2q"] = float(pilot_max_v2q)
-        report["satisfied"] = bool(pilot_max_v2q <= bound_sup)
+        report["pilot_max_v2q"] = nonnegative(pilot_max_v2q, "pilot_max_v2q")
+        report["satisfied"] = bool(report["pilot_max_v2q"] <= bound_sup)
     return report

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import hashlib
 
 import numpy as np
@@ -122,7 +123,8 @@ class TestEstimateDelta:
     def test_trials_floor(self, coupled_quad, trials):
         obj, data = coupled_quad
         rng = derive_stream(1, "minibatch")
-        with pytest.raises(ConfigurationError, match="needs trials >= 100"):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"trials must be an integer >= 100, got {trials!r}")):
             estimate_delta(obj, data, 2, rng, [np.zeros(2)], trials=trials)
 
     def test_zero_denominator(self, coupled_quad):

@@ -796,29 +796,38 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
-    @pytest.mark.parametrize("kind, over, argv", [
-        ("gibbs-check", {}, ["--replicas", "0"]),
-        ("rate-study", {}, ["--replicas", "0"]),
-        ("sample", {"replicas": -1}, []),
-        ("couple", {"thin": 0}, []),
-        ("sample", {"steps": 0}, []),
-        ("gibbs-check", {"burn_in": -1}, []),
-        ("gibbs-check", {"steps": 1500}, []),
-        ("rate-study", {"rate": {"ref_divisor": 0}}, []),
-        ("rate-study", {"rate": {"ref_divisor": "inf"}}, []),
-        ("rate-study", {"rate": {"ref_divisor": 2.5}}, []),
-        ("constants", {"pilot_steps": -5}, []),
-        ("risk-bound", {"pilot_steps": -5}, []),
+    @pytest.mark.parametrize("kind, over, argv, message", [
+        ("gibbs-check", {}, ["--replicas", "0"], "replicas must be an integer >= 1, got 0"),
+        ("rate-study", {}, ["--replicas", "0"], "replicas must be an integer >= 1, got 0"),
+        ("sample", {"replicas": -1}, [],
+         "malformed config value 'replicas': replicas must be an integer >= 1, got -1"),
+        ("couple", {"thin": 0}, [],
+         "malformed config value 'thin': thin must be an integer >= 1, got 0"),
+        ("sample", {"steps": 0}, [],
+         "malformed config value 'steps': steps must be an integer >= 1, got 0"),
+        ("gibbs-check", {"burn_in": -1}, [], "must be >="),
+        ("gibbs-check", {"steps": 1500}, [], "must be >="),
+        ("rate-study", {"rate": {"ref_divisor": 0}}, [],
+         "rate: malformed config value 'ref_divisor': ref_divisor must be positive and finite, "
+         "got 0"),
+        ("rate-study", {"rate": {"ref_divisor": "inf"}}, [],
+         "rate: malformed config value 'ref_divisor': ref_divisor must be positive and finite, "
+         "got 'inf'"),
+        ("rate-study", {"rate": {"ref_divisor": 2.5}}, [],
+         "lambda_ref_divisor must be an integer >= 1, got 2.5"),
+        ("constants", {"pilot_steps": -5}, [], "must be >="),
+        ("risk-bound", {"pilot_steps": -5}, [], "must be >="),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
             "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "ref-divisor-inf",
             "ref-divisor-fractional",
             "pilot-steps-neg-constants", "pilot-steps-neg-risk-bound"])
-    def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv):
+    def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv,
+                                                    message):
         doc = base_config(kind=kind, out=str(tmp_path / "r"), **over)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main([kind, "--config", str(path), *argv]) == EXIT_VALIDATION
-        assert "must be >=" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("kind, sampler, over", [
@@ -934,11 +943,14 @@ class TestCli:
     # names the path of blocks to it
     BLOCK_PATHS = {
         "audit-seed": ({"audit": {"seed": 1.5}},
-                       "audit: malformed config value 'seed': 1.5 is not an integer"),
+                       "audit: malformed config value 'seed': seed must be >= 0 and an integer, "
+                       "got 1.5"),
         "sampler-seed": ({"sampler": {"seed": 1.5}},
-                         "sampler: malformed config value 'seed': 1.5 is not an integer"),
+                         "sampler: malformed config value 'seed': seed must be >= 0 and an "
+                         "integer, got 1.5"),
         "sampler-b-seed": ({"sampler_b": {"seed": 1.5}},
-                           "sampler_b: malformed config value 'seed': 1.5 is not an integer"),
+                           "sampler_b: malformed config value 'seed': seed must be >= 0 and an "
+                           "integer, got 1.5"),
         "init-scale-x": ({"sampler": {"init": {"kind": "gaussian", "scale": "x"}}},
                          "sampler: init: malformed config value 'scale'"),
         "init-x0-x": ({"sampler": {"init": {"kind": "point", "x0": "x"}}},
@@ -971,7 +983,8 @@ class TestCli:
         "dataset-unknown": ("dataset", {"nn": 5000},
                             "malformed config value 'dataset': unknown key 'nn'"),
         "dataset-seed": ("dataset", {"seed": 1.5},
-                         "dataset: malformed config value 'seed': 1.5 is not an integer"),
+                         "dataset: malformed config value 'seed': seed must be >= 0 and an "
+                         "integer, got 1.5"),
         "objective-unknown": ("objective", {"parms": {"m0": 9}},
                               "malformed config value 'objective': unknown key 'parms'"),
         "objective-name": ("objective", {"name": 5},
@@ -1073,7 +1086,7 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main([kind, "--config", str(path)]) == EXIT_VALIDATION
-        assert "beta must be positive and finite here" in capsys.readouterr().err
+        assert "beta must be positive and finite, got inf" in capsys.readouterr().err
         # validate skips the certification at beta = inf, as before
         assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == EXIT_OK
         findings = json.loads((tmp_path / "v" / "findings.json").read_text())
@@ -1090,7 +1103,9 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == EXIT_OK
         [finding] = json.loads((tmp_path / "v" / "findings.json").read_text())
         assert finding["level"] == "violation" and finding["code"] == "objective"
-        assert "not a number" in finding["message"]
+        [key] = params
+        assert (f"malformed config value '{key}': {key} must be finite, got True"
+                in finding["message"])
 
     def test_gibbs_explicit_zero_burn_in(self, tmp_path):
         doc = base_config(kind="gibbs-check", out=str(tmp_path / "g"), steps=1500, burn_in=0)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import weakref
 
@@ -440,9 +441,9 @@ class TestEnsembles:
                                                 replicas=2, record_every=0),
          "record_every must be an integer >= 1"),
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.0, obj, data, 1.0, 2),
-         "lambda_ref must be > 0"),
+         re.escape("lambda_ref must be positive and finite, got 0.0")),
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), -0.05, obj, data, 1.0, 2),
-         "lambda_ref must be > 0"),
+         re.escape("lambda_ref must be positive and finite, got -0.05")),
         (lambda obj, data: ensemble_run("sghmc", _cfg(), obj, data, steps=10, replicas=2,
                                         burn_in=-5), "burn_in must be >= 0"),
         *[(lambda obj, data, b=b: ensemble_run("sghmc", _cfg(), obj, data, steps=20, replicas=2,
@@ -451,9 +452,11 @@ class TestEnsembles:
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end must be finite") for t in (math.nan, math.inf)],
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), math.nan, obj, data, 1.0, 2),
-         "lambda_ref must be > 0"),
+         re.escape("lambda_ref must be positive and finite, got nan")),
+        (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), math.inf, obj, data, 1.0, 2),
+         re.escape("lambda_ref must be positive and finite, got inf")),
         *[(lambda obj, data, h=h: brownian_coupled_distance(_cfg(lam=0.1), h, obj, data, 1.0, 2),
-           "integer multiple of lambda_ref") for h in (math.inf, 0.03, 0.3)],
+           "integer multiple of lambda_ref") for h in (0.03, 0.3)],
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end too short") for t in (0.0, -1.0)],
         (lambda obj, data: run_chain("sghmc", _cfg(), obj, data, steps=10, thin=0),

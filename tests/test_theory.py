@@ -63,7 +63,7 @@ class TestDriftConstants:
 
     def test_infinite_beta_rejected(self, quad_obj, quad_data):
         # up front, not after 21 NaN passes over the probes
-        with pytest.raises(ConfigurationError, match="beta must be positive and finite here"):
+        with pytest.raises(ConfigurationError, match="beta must be positive and finite, got inf"):
             theory.derive_drift_constants(quad_obj.cert, GAMMA, math.inf, quad_obj, quad_data)
 
     def test_degenerate_certificate_floors_A_c(self, quad_obj, quad_data, quad_theory):
