@@ -310,8 +310,8 @@ def test_value_is_converted_or_rejected(entry, param, label):
     assert re.search(rf"\b{re.escape(names.get(param, param))}\b", str(err.value)), err.value
 
 
-# The entry points that took these values at the parent commit, or ended
-# in a raw error on them
+# Values that an entry point once took without a word, or ended on in a raw
+# TypeError, ValueError or OverflowError
 HOLES = {
     "make_dataset-n": (lambda: make_dataset("gaussian", 2.5, 2, 0), "n"),
     "make_dataset-z_dim": (lambda: make_dataset("gaussian", 5, 2.5, 0), "z_dim"),
