@@ -642,13 +642,13 @@ class TestGoldenOutputs:
     }
 
     @classmethod
-    def digests(cls, runner):
+    def digests(cls, runner, pair=None):
         data = make_dataset("gaussian", 200, 2, seed=7)
         objs = {"double_well": double_well(2, coupling=0.1, z_radius=data.max_norm()),
                 "gaussian_mixture": gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm())}
         out = []
         for name, batch in cls.CASES:
-            cfg, cfg_b = cls._pair(batch)
+            cfg, cfg_b = (pair or cls._pair)(batch)
             h = hashlib.sha256()
             for a in cls.outputs(runner, cfg, cfg_b, objs[name], data, cls.STEPS):
                 h.update(np.ascontiguousarray(a, dtype=float).tobytes())
@@ -696,6 +696,37 @@ class TestGoldenOutputs:
         assert self.divergence_steps(runner) == self.DIVERGENCE_STEP[runner]
         assert self.divergence_steps(runner, "double_well") == \
             self.DOUBLE_WELL_DIVERGENCE_STEP[runner]
+
+    # Coupled pairs whose chain b has its own seed, 12, and a Gaussian init,
+    # so that each chain's init stream and index stream shows: case ->
+    # (runner, cfg_b's other changes, digests in CASES order). "own-batches"
+    # gives chain b a batch of 4, so it draws its own indices; "two-chains"
+    # gives it another step size, so the pair steps as two chains.
+    SEEDED = {
+        "coupled_run:shared": ("coupled_run:shared", {},
+            "bc04b8842ee13d17 9314b665b772969d bd177f66b2cea456 8fdb067d10bd57ce"),
+        "coupled_run:separate": ("coupled_run:separate", {},
+            "10b3f3bf30243750 9dc4c1f075473fae 7cb5e476ab78f94e eb8d26cf90cb3c93"),
+        "coupled_run:sghmc": ("coupled_run:sghmc", {},
+            "10b3f3bf30243750 0e2afaec764f6f45 dd513948520ad464 d457018fc9afb2b7"),
+        "coupled_run:own-batches": ("coupled_run:sghmc", {"batch_size": 4},
+            "8098cda650103689 cbb9fe59587c256d 2ec9441f05377bd3 eb18113b7a524e66"),
+        "coupled_ensemble_run:sghmc": ("coupled_ensemble_run:sghmc", {},
+            "58d112d70159b6f1 11ae7b391ca42dce 26a2830bc59d48b7 fd72d55c6730f8a5"),
+        "coupled_ensemble_run:two-chains": ("coupled_ensemble_run:sghmc", {"lam": 0.04},
+            "ed74e45b253f504c d878d9b2e6793dc7 42226ff122622697 e05397a4675976ee"),
+    }
+
+    @classmethod
+    def _seeded(cls, batch, **changes):
+        cfg = cls._pair(batch)[0]
+        return cfg, dataclasses.replace(cfg, seed=12, **changes)
+
+    @pytest.mark.parametrize("case", SEEDED)
+    def test_pairs_of_own_seeds_pinned(self, case):
+        runner, changes, golden = self.SEEDED[case]
+        assert self.digests(runner, lambda batch: self._seeded(batch, **changes)) == \
+            tuple(golden.split())
 
 
 class TestStrictHooks:
