@@ -266,12 +266,39 @@ class _Chain:
         return inc if self.copies == 1 else np.tile(inc, (1, 1, self.copies, 1))
 
 
-def _paired(a, b):
-    """Coupled chains a and b as one (2R, d) chain of 2 copies if they step alike."""
-    if (a.kind, a.lam, a.cfg.gamma, a.c, a.idx_rng) != (b.kind, b.lam, b.cfg.gamma, b.c, b.idx_rng):
-        return [a, b]
-    return [_Chain(a.kind, a.cfg, np.concatenate([a.X, b.X]), np.concatenate([a.V, b.V]),
-                   a.idx_rng, a.lam, a.c, copies=2)]
+def _chains(kinds, cfgs, replicas, purpose):
+    """The chains of a run and its noise stream: one chain of ``replicas``
+    replicas per config, of the kind at its place in ``kinds``, for one
+    config or a coupled pair of one dimension. Chain i draws its init from
+    the stream ``(cfg_i.seed, purpose:init, i)`` and, in a pair, its indices
+    from ``(cfg_i.seed, purpose:minibatch, i + 1)``; a chain alone, or two
+    minibatch chains of one batch size, draw them from index 0 of cfg_a's
+    seed. The noise stream is ``(cfg_a.seed, purpose:noise)``. A pair that
+    steps alike is one (2R, d) chain of 2 copies."""
+    if not isinstance(kinds, (tuple, list)) or len(kinds) != len(cfgs):
+        raise ConfigurationError(f"kind must be a chain kind or a pair of them, got {kinds!r}")
+    for kind in kinds:
+        if kind not in CHAIN_KINDS:
+            raise ConfigurationError(f"unknown chain kind {kind!r}; known: {CHAIN_KINDS}")
+    if cfgs[-1].dim != cfgs[0].dim:
+        raise ConfigurationError("coupled chains must share the dimension")
+    batches = [None if k == "exact_sghmc" else cfg.batch_size for k, cfg in zip(kinds, cfgs)]
+    shared = None
+    if batches[0] is not None and batches.count(batches[0]) == len(cfgs):
+        shared = derive_stream(cfgs[0].seed, f"{purpose}:minibatch")
+    chains = []
+    for i, (kind, cfg, batch) in enumerate(zip(kinds, cfgs, batches)):
+        X, V = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, f"{purpose}:init", i), replicas)
+        idx_rng = shared
+        if batch is not None and shared is None:
+            idx_rng = derive_stream(cfg.seed, f"{purpose}:minibatch", i + 1)
+        chains.append(_Chain(kind, cfg, X, V, idx_rng))
+    if len(chains) == 2 and len({(ch.kind, ch.lam, ch.cfg.gamma, ch.c, ch.idx_rng)
+                                 for ch in chains}) == 1:
+        a, b = chains
+        chains = [_Chain(a.kind, a.cfg, np.concatenate([a.X, b.X]), np.concatenate([a.V, b.V]),
+                         a.idx_rng, copies=2)]
+    return chains, derive_stream(cfgs[0].seed, f"{purpose}:noise")
 
 
 def _gradient(ch, obj, data):
@@ -399,7 +426,7 @@ def _recorded(k0, n, every):
     return range(k0 + every - k0 % every, k0 + n + 1, every)
 
 
-def _traced(chains, obj, data, steps, thin, noise_rng):
+def _traced(chains, noise_rng, obj, data, steps, thin):
     """Advance the chains; a Trajectory of each row at step 0 and every thin-th step."""
     steps_rec = [0]
     rows = [[np.stack([ch.X, ch.V])[None]] for ch in chains]
@@ -425,12 +452,8 @@ def run_chain(
     thin: int = 100,
 ) -> Trajectory:
     """Iterate the chosen step op, recording every thin-th state (incl. init)."""
-    if kind not in CHAIN_KINDS:
-        raise ConfigurationError(f"unknown chain kind {kind!r}; known: {CHAIN_KINDS}")
     steps, thin = count(steps, "steps"), count(thin, "thin")
-    x, v = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, f"{kind}:init"), size=1)
-    chain = _Chain(kind, cfg, x, v, derive_stream(cfg.seed, f"{kind}:minibatch"))
-    return _traced([chain], obj, data, steps, thin, derive_stream(cfg.seed, f"{kind}:noise"))[0]
+    return _traced(*_chains((kind,), (cfg,), 1, kind), obj, data, steps, thin)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -454,21 +477,9 @@ def coupled_run(
     Returns ``(traj_a, traj_b, distances)`` where ``distances`` is an array
     of rows ``(step, |x_a - x_b|, |v_a - v_b|)`` at each thinned step.
     """
-    kind_a, kind_b = (kind, kind) if isinstance(kind, str) else kind
-    for k in (kind_a, kind_b):
-        if k not in CHAIN_KINDS:
-            raise ConfigurationError(f"unknown chain kind {k!r}")
-    if cfg_a.dim != cfg_b.dim:
-        raise ConfigurationError("coupled chains must share the dimension")
     steps, thin = count(steps, "steps"), count(thin, "thin")
-    noise = derive_stream(cfg_a.seed, "coupled:noise")
-    xa, va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled:init", 0), size=1)
-    xb, vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled:init", 1), size=1)
-    a = _Chain(kind_a, cfg_a, xa, va, derive_stream(cfg_a.seed, "coupled:minibatch", 1))
-    b = _Chain(kind_b, cfg_b, xb, vb, derive_stream(cfg_b.seed, "coupled:minibatch", 2))
-    if a.idx_rng is not None and b.idx_rng is not None and cfg_a.batch_size == cfg_b.batch_size:
-        a.idx_rng = b.idx_rng = derive_stream(cfg_a.seed, "coupled:minibatch")
-    ta, tb = _traced(_paired(a, b), obj, data, steps, thin, noise)
+    kinds = (kind, kind) if isinstance(kind, str) else kind
+    ta, tb = _traced(*_chains(kinds, (cfg_a, cfg_b), 1, "coupled"), obj, data, steps, thin)
     distances = np.asarray([
         (k, float(np.linalg.norm(xa - xb)), float(np.linalg.norm(va - vb)))
         for k, xa, xb, va, vb in zip(ta.steps, ta.xs, tb.xs, ta.vs, tb.vs)
@@ -519,18 +530,13 @@ def ensemble_run(
     the moment-bound checks). Per-coordinate first and second moments of x
     and v are pooled over replicas and steps after ``burn_in``.
     """
-    if kind not in CHAIN_KINDS:
-        raise ConfigurationError(f"unknown chain kind {kind!r}")
     steps, replicas = count(steps, "steps"), count(replicas, "replicas")
     record_every, burn_in = count(record_every, "record_every"), index(burn_in, "burn_in")
     functionals = dict(functionals or {})
-    init_rng = derive_stream(cfg.seed, f"{purpose}:init")
-    noise_rng = derive_stream(cfg.seed, f"{purpose}:noise")
-    X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
-    chain = _Chain(kind, cfg, X, V, derive_stream(cfg.seed, f"{purpose}:minibatch"))
+    (chain,), noise_rng = _chains((kind,), (cfg,), replicas, purpose)
 
     rec_steps = [0]
-    series = {name: [float(np.mean(fn(X, V)))] for name, fn in functionals.items()}
+    series = {name: [float(np.mean(fn(chain.X, chain.V)))] for name, fn in functionals.items()}
     running_max = {name: series[name][0] for name in functionals}
     # [sum, sum of squares] x [x, v], each summed over replicas one after
     # another, then over steps in step order. Copied to ([values, squares], R,
@@ -616,23 +622,14 @@ def coupled_ensemble_run(
     they share step, friction and noise coefficient; the replica-averaged
     separation series is the empirical contraction diagnostic.
     """
-    if kind not in CHAIN_KINDS:
-        raise ConfigurationError(f"unknown chain kind {kind!r}")
-    if cfg_a.dim != cfg_b.dim:
-        raise ConfigurationError("coupled chains must share the dimension")
     if cfg_a.batch_size != cfg_b.batch_size:
         raise ConfigurationError("coupled chains must share the batch size")
     steps, replicas = count(steps, "steps"), count(replicas, "replicas")
     record_every = count(record_every, "record_every")
-    noise_rng = derive_stream(cfg_a.seed, "coupled-ensemble:noise")
-    Xa, Va = cfg_a.init.sample(cfg_a.dim, derive_stream(cfg_a.seed, "coupled-ensemble:init", 0),
-                               size=replicas)
-    Xb, Vb = cfg_b.init.sample(cfg_b.dim, derive_stream(cfg_b.seed, "coupled-ensemble:init", 1),
-                               size=replicas)
-    idx_rng = derive_stream(cfg_a.seed, "coupled-ensemble:minibatch")
-    chains = _paired(_Chain(kind, cfg_a, Xa, Va, idx_rng), _Chain(kind, cfg_b, Xb, Vb, idx_rng))
+    chains, noise_rng = _chains((kind, kind), (cfg_a, cfg_b), replicas, "coupled-ensemble")
 
-    def separation(k, A, B):
+    def separation(k, states):
+        A, B = (half for ch, S in zip(chains, states) for half in np.split(S, ch.copies, axis=1))
         dx2 = np.sum((A[0] - B[0]) ** 2, axis=1)
         dv2 = np.sum((A[1] - B[1]) ** 2, axis=1)
         return (
@@ -643,11 +640,10 @@ def coupled_ensemble_run(
             float(np.sqrt(np.mean(dv2))),
         )
 
-    rows = [separation(0, (Xa, Va), (Xb, Vb))]
+    rows = [separation(0, [np.stack([ch.X, ch.V]) for ch in chains])]
     for k0, n in _advance(chains, obj, data, steps, noise_rng,
                           "coupled ensemble diverged at step {}"):
-        rows.extend(separation(k, *(half for ch in chains
-                                    for half in np.split(ch.H[k - k0], ch.copies, axis=1)))
+        rows.extend(separation(k, [ch.H[k - k0] for ch in chains])
                     for k in _recorded(k0, n, record_every))
     arr = np.asarray(rows)
     return CoupledEnsembleResult(
