@@ -41,8 +41,20 @@ block when they step alike: the realized distance between them upper-bounds
 the Wasserstein distance between their laws, which is the desk-scale route
 to checking contraction and discretization rates. The continuous-time
 reference is ``brownian_coupled_distance``'s fine Euler chain, driven by the
-Brownian path whose sums drive the coarse chain. Every stream is derived
-from the config seed via :mod:`.rng`, so runs are reproducible bit-for-bit.
+Brownian path whose sums drive the coarse chain.
+
+Every stream is derived from a config seed via :mod:`.rng`, by one rule, so
+runs are reproducible bit-for-bit. A run has a purpose ``p``: the kind for
+``run_chain``, ``purpose`` for ``ensemble_run``, ``"coupled"`` for
+``coupled_run``, ``"coupled-ensemble"`` for ``coupled_ensemble_run`` and
+``"rate"`` for ``brownian_coupled_distance``. Chain i (a, then b) draws its
+init from ``(cfg_i.seed, "p:init", i)``. A minibatch chain draws its indices
+from ``(cfg_i.seed, "p:minibatch", i + 1)`` in a coupled pair; a chain alone,
+and two minibatch chains of one batch size, draw them from index 0 of
+cfg_a's seed. The noise comes from ``(cfg_a.seed, "p:noise")``. ``_chains``
+sets up every runner's chains by this rule; only
+``brownian_coupled_distance``, whose two chains differ in kind, step and
+substeps, sets up its own, from one init draw.
 """
 
 from __future__ import annotations
@@ -267,14 +279,10 @@ class _Chain:
 
 
 def _chains(kinds, cfgs, replicas, purpose):
-    """The chains of a run and its noise stream: one chain of ``replicas``
-    replicas per config, of the kind at its place in ``kinds``, for one
-    config or a coupled pair of one dimension. Chain i draws its init from
-    the stream ``(cfg_i.seed, purpose:init, i)`` and, in a pair, its indices
-    from ``(cfg_i.seed, purpose:minibatch, i + 1)``; a chain alone, or two
-    minibatch chains of one batch size, draw them from index 0 of cfg_a's
-    seed. The noise stream is ``(cfg_a.seed, purpose:noise)``. A pair that
-    steps alike is one (2R, d) chain of 2 copies."""
+    """The chains of a run and its noise stream, by the module's stream rule:
+    one chain of ``replicas`` replicas per config, of the kind at its place
+    in ``kinds``, for one config or a coupled pair of one dimension. A pair
+    that steps alike is one (2R, d) chain of 2 copies."""
     if not isinstance(kinds, (tuple, list)) or len(kinds) != len(cfgs):
         raise ConfigurationError(f"kind must be a chain kind or a pair of them, got {kinds!r}")
     for kind in kinds:
@@ -390,9 +398,12 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
     1..n of each ``H`` before the loop goes on. Once it is exhausted, each
     chain's ``X`` and ``V`` hold fresh copies of the final state, and its
     buffers and views are released. A run stopped by an error has drawn its
-    whole last block from ``noise_rng`` and from its index streams.
+    whole last block from ``noise_rng`` and from its index streams. An
+    objective whose dimension is not the chains' is a ConfigurationError.
     """
     R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
+    if obj.dim != d:
+        raise ConfigurationError(f"objective {obj.name!r} has dimension {obj.dim}, the chains {d}")
     fine = max(ch.sub for ch in chains)
     per_step = (8 * (d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
                      # a minibatch chain's indices: its stream's draws, and for a chain
@@ -682,6 +693,9 @@ def brownian_coupled_distance(
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
         raise ConfigurationError("cfg.lam must be an integer multiple of lambda_ref")
+    if t_end / cfg.lam == math.inf:
+        raise ConfigurationError(f"t_end / lam overflows the step count at t_end = {t_end!r}, "
+                                 f"lam = {cfg.lam!r}")
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")

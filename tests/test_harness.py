@@ -815,11 +815,13 @@ class TestCli:
          "got 'inf'"),
         ("rate-study", {"rate": {"ref_divisor": 2.5}}, [],
          "lambda_ref_divisor must be an integer >= 1, got 2.5"),
+        ("rate-study", {"rate": {"t_end": 1e308, "lambdas": [0.1], "ref_divisor": 2}}, [],
+         "t_end / lam overflows"),
         ("constants", {"pilot_steps": -5}, [], "must be >="),
         ("risk-bound", {"pilot_steps": -5}, [], "must be >="),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
             "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "ref-divisor-inf",
-            "ref-divisor-fractional",
+            "ref-divisor-fractional", "rate-t-end-overflow",
             "pilot-steps-neg-constants", "pilot-steps-neg-risk-bound"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv,
                                                     message):

@@ -2,7 +2,8 @@
 no two modules import each other, directly or through others, and every name
 a module imports at its top is read in it. Every module-level function and
 class is read somewhere that runs it, or is named in the README. No function
-of the harness is longer than 60 lines."""
+of the harness is longer than 60 lines. The samplers derive their streams and
+draw their initial states in one place."""
 
 import ast
 import re
@@ -109,3 +110,18 @@ def test_no_long_harness_function():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node.end_lineno - node.lineno + 1 > 60]
     assert long == []
+
+
+def test_one_stream_rule():
+    # every runner takes its streams and initial states from samplers._chains,
+    # so the stream rule is written once; brownian_coupled_distance sets up
+    # its own two chains, which differ in kind, step size and substeps
+    tree = ast.parse((PACKAGE / "samplers.py").read_text(encoding="utf-8"))
+    forks = []
+    for scope in tree.body:
+        if getattr(scope, "name", None) in ("_chains", "brownian_coupled_distance"):
+            continue
+        forks += [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(scope)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).endswith(("derive_stream", ".init.sample"))]
+    assert forks == []

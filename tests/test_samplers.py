@@ -459,6 +459,8 @@ class TestEnsembles:
            "integer multiple of lambda_ref") for h in (0.03, 0.3)],
         *[(lambda obj, data, t=t: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, t, 2),
            "t_end too short") for t in (0.0, -1.0)],
+        (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, 1e308, 2),
+         "t_end / lam overflows"),
         (lambda obj, data: run_chain("sghmc", _cfg(), obj, data, steps=10, thin=0),
          "thin must be an integer >= 1"),
         (lambda obj, data: coupled_run("sghmc", _cfg(), _cfg(), obj, data, steps=10, thin=0),
@@ -475,12 +477,51 @@ class TestEnsembles:
             "brownian_coupled_distance-lambda-ref-inf",
             "brownian_coupled_distance-lambda-ref-not-a-divisor",
             "brownian_coupled_distance-lambda-ref-above-lam", "brownian_coupled_distance-t-end-0",
-            "brownian_coupled_distance-t-end-neg", "run_chain-thin-0", "coupled_run-thin-0",
+            "brownian_coupled_distance-t-end-neg", "brownian_coupled_distance-t-end-overflow",
+            "run_chain-thin-0", "coupled_run-thin-0",
             *[f"{name}-{key.replace('_', '-')}-{v}" for name, (_, keys) in SIZED_RUNNERS.items()
               for key in keys for v in NOT_COUNTS]])
     def test_out_of_range_run_sizes_rejected(self, data2, runner, message):
         with pytest.raises(ConfigurationError, match=message):
             runner(quadratic(2, m0=1.0), data2)
+
+    # a coupled kind is one chain kind or a pair of them; every other runner
+    # takes one kind
+    @pytest.mark.parametrize("runner, kind, message", [
+        *[(coupled_run, kind, "kind must be a chain kind or a pair of them")
+          for kind in (None, ("sghmc",), ("sghmc", "sghmc", "sghmc"))],
+        (coupled_run, ("sghmc", "hmc"), "unknown chain kind 'hmc'"),
+        *[(run, kind, "unknown chain kind")
+          for run in (run_chain, ensemble_run, coupled_ensemble_run)
+          for kind in ("hmc", None, ("sghmc", "sgld"))],
+    ], ids=["coupled_run-none", "coupled_run-one-tuple", "coupled_run-3-tuple",
+            "coupled_run-unknown"] + [f"{name}-{kind}" for name in
+                                      ("run_chain", "ensemble_run", "coupled_ensemble_run")
+                                      for kind in ("unknown", "none", "pair")])
+    def test_malformed_kind_rejected(self, data2, runner, kind, message):
+        cfgs = (_cfg(),) if runner in (run_chain, ensemble_run) else (_cfg(), _cfg())
+        sizes = {"replicas": 2} if runner in (ensemble_run, coupled_ensemble_run) else {}
+        with pytest.raises(ConfigurationError, match=message):
+            runner(kind, *cfgs, quadratic(2, m0=1.0), data2, steps=10, **sizes)
+
+    # one runner per recorder: a chain run on an objective of another
+    # dimension is rejected before its first step
+    @pytest.mark.parametrize("objective", [
+        lambda data: quadratic(3, m0=1.0),
+        lambda data: double_well(3, coupling=0.1, z_radius=data.max_norm()),
+        lambda data: gaussian_mixture(3, ridge=0.05, z_radius=data.max_norm()),
+    ], ids=["quadratic", "double_well", "gaussian_mixture"])
+    @pytest.mark.parametrize("runner", [
+        lambda obj, data: run_chain("sghmc", _cfg(), obj, data, steps=10),
+        lambda obj, data: ensemble_run("sghmc", _cfg(batch_size=8), obj, data, steps=10,
+                                       replicas=2),
+        lambda obj, data: coupled_ensemble_run("sgld", _cfg(), _cfg(), obj, data, steps=10,
+                                               replicas=2),
+        lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, 1.0, 2),
+    ], ids=["run_chain", "ensemble_run", "coupled_ensemble_run", "brownian_coupled_distance"])
+    def test_objective_of_another_dimension_rejected(self, data2, runner, objective):
+        with pytest.raises(ConfigurationError, match="has dimension 3, the chains 2"):
+            runner(objective(data2), data2)
 
     @pytest.mark.parametrize("burn_in", [2.0, np.float64(2.0), np.int64(2)],
                              ids=["float", "np-float64", "np-int64"])
