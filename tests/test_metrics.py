@@ -54,6 +54,13 @@ class TestWasserstein1d:
         with pytest.raises(ConfigurationError):
             wasserstein_1d(SampleCloud(np.zeros((3, 2))), SampleCloud(np.zeros((3, 2))))
 
+    def test_unequal_sizes_pinned(self):
+        # the smaller cloud, a or b, is resampled up to the larger size
+        rng = derive_stream(12, "unequal")
+        a, b = rng.standard_normal(13), rng.standard_normal(8) + 0.3
+        assert wasserstein_1d(a, b, 2.0, resample_seed=4) == 0.8668380442550929
+        assert wasserstein_1d(b, a, 1.5, resample_seed=4) == 0.7771917825062276
+
     def test_matches_scipy_order_one(self):
         # independent implementation oracle for p = 1
         from scipy.stats import wasserstein_distance
@@ -218,6 +225,13 @@ class TestSlicedWasserstein:
         spread = np.std(vals_128)
         assert abs(v256 - np.mean(vals_128)) <= max(3.0 * spread, 0.01)
 
+    def test_unequal_sizes_pinned(self):
+        rng = derive_stream(12, "unequal")
+        rng.standard_normal(21)  # the 1-d pin's clouds
+        a, b = rng.standard_normal((9, 3)), rng.standard_normal((14, 3)) - 0.2
+        assert sliced_wasserstein(a, b, 2.0, 16, seed=4) == 0.881448934264432
+        assert sliced_wasserstein(b, a, 1.5, 16, seed=4) == 0.8081993176175375
+
     def test_deterministic_given_seed(self):
         rng = derive_stream(11, "sw-det")
         a = SampleCloud(rng.standard_normal((50, 2)))
@@ -327,3 +341,17 @@ def test_order_below_one_or_nan_rejected(estimator, p):
     b = SampleCloud(np.arange(4.0) + 1.0)
     with pytest.raises(ConfigurationError, match="order p"):
         estimator(a, b, p)
+
+
+@pytest.mark.parametrize("estimator, streams", [(wasserstein_1d, 0), (sliced_wasserstein, 1)])
+def test_resample_stream_derived_only_for_unequal_sizes(monkeypatch, estimator, streams):
+    import sghmc.metrics
+
+    calls = []
+    monkeypatch.setattr(sghmc.metrics, "derive_stream",
+                        lambda *args: calls.append(args) or derive_stream(*args))
+    a = np.arange(6.0)
+    estimator(a, a + 1.0, 2.0)
+    assert len(calls) == streams
+    estimator(a, a[:4], 2.0)
+    assert len(calls) == 2 * streams + 1

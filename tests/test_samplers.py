@@ -731,6 +731,27 @@ class TestGoldenOutputs:
             out.append(err.value.step)
         return tuple(out)
 
+    # brownian_coupled_distance at lam = 5 and gamma = 0.5, where both chains
+    # diverge and the coarse one first: DivergenceError.step, batch None and 8
+    BOTH_DIVERGE_STEP = {"quadratic": (450, 450), "gaussian_mixture": (436, 436),
+                         "double_well": (124, 124)}
+
+    @pytest.mark.parametrize("objective", BOTH_DIVERGE_STEP)
+    def test_coarse_divergence_before_the_reference_pinned(self, objective):
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        obj = {"quadratic": quadratic(2, m0=1.0),
+               "gaussian_mixture": gaussian_mixture(2, ridge=0.05, z_radius=data.max_norm()),
+               "double_well": double_well(2, coupling=0.1, z_radius=data.max_norm())}[objective]
+        steps = []
+        for batch in (None, 8):
+            cfg = dataclasses.replace(self._pair(batch, lam=5.0)[0], gamma=0.5,
+                                      init=point_init([1.0, 0.0], [0.0, 0.0]))
+            with pytest.raises(DivergenceError) as err:
+                brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=2000 * cfg.lam,
+                                          replicas=4)
+            steps.append(err.value.step)
+        assert tuple(steps) == self.BOTH_DIVERGE_STEP[objective]
+
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_outputs_and_divergence_step_pinned(self, runner):
         assert self.digests(runner) == tuple(self.GOLDEN[runner].split())
