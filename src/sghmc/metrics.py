@@ -114,6 +114,18 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
+def _resampled(a, b, seed, purpose):
+    """``a`` and ``b`` with the shorter one resampled with replacement along
+    its first axis up to the longer one's length, from the stream ``(seed,
+    purpose)``, which is derived only when their lengths differ."""
+    if len(a) == len(b):
+        return a, b
+    rng = derive_stream(seed, purpose)
+    if len(a) < len(b):
+        return a[rng.integers(0, len(a), size=len(b))], b
+    return a, b[rng.integers(0, len(b), size=len(a))]
+
+
 def wasserstein_1d(a, b, p: float = 2.0, resample_seed: int = 0) -> float:
     """Exact order-p Wasserstein distance between 1-D clouds.
 
@@ -125,15 +137,7 @@ def wasserstein_1d(a, b, p: float = 2.0, resample_seed: int = 0) -> float:
     if a.dim != 1 or b.dim != 1:
         raise ConfigurationError("wasserstein_1d requires dimension 1")
     p, resample_seed = real(p, "order p", 1), index(resample_seed, "resample_seed")
-    xa = a.points[:, 0]
-    xb = b.points[:, 0]
-    if xa.size != xb.size:
-        rng = derive_stream(resample_seed, "wasserstein:resample")
-        n = max(xa.size, xb.size)
-        if xa.size < n:
-            xa = xa[rng.integers(0, xa.size, size=n)]
-        else:
-            xb = xb[rng.integers(0, xb.size, size=n)]
+    xa, xb = _resampled(a.points[:, 0], b.points[:, 0], resample_seed, "wasserstein:resample")
     diff = np.abs(np.sort(xa) - np.sort(xb))
     return float(np.mean(diff**p) ** (1.0 / p))
 
@@ -172,16 +176,9 @@ def sliced_wasserstein(a, b, p: float = 2.0, n_projections: int = 128, seed: int
     rng = derive_stream(seed, "sliced:directions")
     dirs = rng.standard_normal((n_projections, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pa = a.points @ dirs.T  # (n, n_proj)
-    pb = b.points @ dirs.T
-    if pa.shape[0] != pb.shape[0]:
-        # projectwise resampling would decouple the directions; resample once
-        rng2 = derive_stream(seed, "sliced:resample")
-        n = max(pa.shape[0], pb.shape[0])
-        if pa.shape[0] < n:
-            pa = pa[rng2.integers(0, pa.shape[0], size=n)]
-        else:
-            pb = pb[rng2.integers(0, pb.shape[0], size=n)]
+    # (n, n_proj) projections; projectwise resampling would decouple the
+    # directions, so the points are resampled once
+    pa, pb = _resampled(a.points @ dirs.T, b.points @ dirs.T, seed, "sliced:resample")
     pa = np.sort(pa, axis=0)
     pb = np.sort(pb, axis=0)
     powers = np.mean(np.abs(pa - pb) ** p, axis=0)  # per-direction W_p^p

@@ -20,17 +20,16 @@ the shared Gaussian noise, and each minibatch stream's indices, in blocks
 capped by ``_BLOCK_BYTES`` (256 KB; the same draws, in the same order, as
 one per step), and each chain steps through one preallocated history
 buffer, whose row views it binds once per run and counts in the cap.
-``_sweep`` steps one chain through a block in one loop over those views, on
-the block's index draws of its stream and with the gradient evaluator that
-``_gradient`` binds once per run; the reference chain of
-``brownian_coupled_distance`` takes several fine steps per step. Each block
-is checked finite once per chain; one that fails is replayed step by step,
-all chains at each step, and ``_reject`` stops the run at its first
-non-finite state: with
-EvaluationError naming the sample where grad_f failed at a finite position
-below the certificate's overflow scale, else with DivergenceError. The loop,
-hooks included, and the runners that read its states ignore numpy's overflow
-and invalid warnings: a runaway state ends as a value or a DivergenceError.
+``_sweep`` steps one chain through a block in one loop over those views, one
+Euler step per noise draw, on the block's index draws of its stream and with
+the gradient evaluator that ``_gradient`` binds once per run. Each block is
+checked finite once per chain; one that fails is replayed step by step, all
+chains at each step, and ``_reject`` stops the run at its first non-finite
+state: with EvaluationError naming the sample where grad_f failed at a
+finite position below the certificate's overflow scale, else with
+DivergenceError. The loop, hooks included, and the runners that read its
+states ignore numpy's overflow and invalid warnings: a runaway state ends as
+a value or a DivergenceError.
 Each finished block goes to the runner's recorder, which reads its rows;
 results are copies, never views of a buffer. ``ensemble_run`` calls each
 functional once per block, on the block's stacked rows, so functionals must
@@ -40,8 +39,8 @@ Coupled runs advance two chains on shared randomness, as one paired (2R, d)
 block when they step alike: the realized distance between them upper-bounds
 the Wasserstein distance between their laws, which is the desk-scale route
 to checking contraction and discretization rates. The continuous-time
-reference is ``brownian_coupled_distance``'s fine Euler chain, driven by the
-Brownian path whose sums drive the coarse chain.
+reference is ``brownian_coupled_distance``'s fine Euler chain, a run of its
+own on the Brownian path whose r-fold sums drive the coarse chain's run.
 
 Every stream is derived from a config seed via :mod:`.rng`, by one rule, so
 runs are reproducible bit-for-bit. A run has a purpose ``p``: the kind for
@@ -52,16 +51,15 @@ init from ``(cfg_i.seed, "p:init", i)``. A minibatch chain draws its indices
 from ``(cfg_i.seed, "p:minibatch", i + 1)`` in a coupled pair; a chain alone,
 and two minibatch chains of one batch size, draw them from index 0 of
 cfg_a's seed. The noise comes from ``(cfg_a.seed, "p:noise")``. ``_chains``
-sets up every runner's chains by this rule; only
-``brownian_coupled_distance``, whose two chains differ in kind, step and
-substeps, sets up its own, from one init draw.
+sets up every runner's chains by this rule.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -247,35 +245,29 @@ def _noise(rate, beta) -> float:
 
 class _Chain:
     """An (R, d) block of replicas (a single chain is (1, d)), stepped by
-    :func:`_advance`.
+    :func:`_advance` at cfg's step size and friction.
 
-    ``lam`` and ``c`` (noise coefficient) default to cfg's. A minibatch chain
-    draws indices from ``idx_rng``, shared by the chains holding the same
-    generator. A chain takes ``sub`` Euler steps per loop step, one on each
-    of the step's noise draws; with ``fold`` set it takes one step on their
-    sum times ``fold``. ``X`` and ``V`` are the state before and after the
-    run; during it the state lives in ``_advance``'s history buffer ``H``,
-    which :func:`_sweep` steps through. Its ``copies`` stacked parts step on
-    the same noise and indices.
+    A minibatch chain draws indices from ``idx_rng``, shared by the chains
+    holding the same generator. ``c``, the noise coefficient, is cfg's unless
+    a runner sets it. ``X`` and ``V`` are the state before and after the run;
+    during it the state lives in ``_advance``'s history buffer ``H``, which
+    :func:`_sweep` steps through. Its ``copies`` stacked parts step on the
+    same noise and indices.
     """
 
-    def __init__(self, kind, cfg, X, V, idx_rng=None, lam=None, c=None, sub=1, fold=None,
-                 copies=1):
+    def __init__(self, kind, cfg, X, V, idx_rng=None, copies=1):
         self.kind, self.cfg, self.X, self.V = kind, cfg, X, V
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
-        self.lam = cfg.lam if lam is None else lam
-        self.step = _kernel(kind, self.lam, cfg.gamma)
-        if c is None:  # the noise rate is gamma * lam for the momentum kinds, lam for sgld
-            c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
-        self.c = c
-        self.sub, self.fold, self.copies = sub, fold, copies
-        self.prev = None
+        self.step = _kernel(kind, cfg.lam, cfg.gamma)
+        # the noise rate is gamma * lam for the momentum kinds, lam for sgld
+        self.c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
+        self.copies, self.prev = copies, None
 
     def increments(self, xi):
-        """The scaled increments (steps, sub, copies R, d) of a (steps, fine, R, d) noise block."""
-        inc = self.c * (xi if self.fold is None else self.fold * xi.sum(axis=1, keepdims=True))
-        return inc if self.copies == 1 else np.tile(inc, (1, 1, self.copies, 1))
+        """The scaled increments (steps, copies R, d) of a (steps, R, d) noise block."""
+        inc = self.c * xi
+        return inc if self.copies == 1 else np.tile(inc, (1, self.copies, 1))
 
 
 def _chains(kinds, cfgs, replicas, purpose):
@@ -301,7 +293,7 @@ def _chains(kinds, cfgs, replicas, purpose):
         if batch is not None and shared is None:
             idx_rng = derive_stream(cfg.seed, f"{purpose}:minibatch", i + 1)
         chains.append(_Chain(kind, cfg, X, V, idx_rng))
-    if len(chains) == 2 and len({(ch.kind, ch.lam, ch.cfg.gamma, ch.c, ch.idx_rng)
+    if len(chains) == 2 and len({(ch.kind, ch.cfg.lam, ch.cfg.gamma, ch.c, ch.idx_rng)
                                  for ch in chains}) == 1:
         a, b = chains
         chains = [_Chain(a.kind, a.cfg, np.concatenate([a.X, b.X]), np.concatenate([a.V, b.V]),
@@ -326,20 +318,14 @@ def _sweep(ch, incs, j0, j1, draws) -> None:
     on its increments ``incs[j]`` and, for a minibatch chain, on the index
     draw ``draws[j]``. It steps through the views of the rows that
     ``_advance`` bound, so the loop makes no view of them. ``prev`` keeps
-    the position and indices of its last Euler step."""
-    rows, grad, step, sub, scratch = ch.rows, ch.grad, ch.step, ch.sub, ch.scratch
+    the position and indices of its last step."""
+    rows, grad, step = ch.rows, ch.grad, ch.step
     idx = None
-    for j, src, dst, last in zip(range(j0, j1), rows[j0:j1], rows[j0 + 1:j1 + 1],
-                                 incs[j0:j1, sub - 1]):
+    for j, src, dst, inc in zip(range(j0, j1), rows[j0:j1], rows[j0 + 1:j1 + 1], incs[j0:j1]):
         if draws is not None:
             idx = draws[j]
-        for i in range(sub - 1):
-            # substeps alternate between two scratch states, so the
-            # position each step leaves stays intact for _reject
-            step(src, scratch[i % 2], grad(src[1], idx), incs[j, i])
-            src = scratch[i % 2]
         X = src[1]
-        step(src, dst, grad(X, idx), last)
+        step(src, dst, grad(X, idx), inc)
     ch.prev = (X, idx)
 
 
@@ -385,27 +371,27 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
 def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at step {}"):
     """The stepping loop of every runner.
 
-    The chains share one Gaussian stream, drawn in blocks of at most
-    ``_BLOCK_BYTES`` (with the chains' buffers, index draws and row views),
-    so a block's draws are the per-step draws in order. Each chain steps
+    The chains share one Gaussian stream, drawn in (steps, R, d) blocks of at
+    most ``_BLOCK_BYTES`` (with the chains' buffers, index draws and row
+    views), so a block's draws are the per-step draws in order; each chain
+    takes one step per draw of ``noise_rng.standard_normal``. Each chain steps
     through its own history buffer ``H`` of shape (block + 1, 2, R, d): row 0
     is the state before the block, row j the state after its j-th step. The
     views ``(S, X, V)`` of each row, ``ch.rows``, are bound once per run, at
-    ``_ROW_VIEW_BYTES`` per chain and step of the budget, so that no step
-    makes one. ``_step_block`` sweeps each chain through the block in turn
-    and checks it. After each block it yields ``(k0, n)``, the block's first
-    step index minus one and its length; the caller's recorder reads rows
-    1..n of each ``H`` before the loop goes on. Once it is exhausted, each
-    chain's ``X`` and ``V`` hold fresh copies of the final state, and its
-    buffers and views are released. A run stopped by an error has drawn its
-    whole last block from ``noise_rng`` and from its index streams. An
-    objective whose dimension is not the chains' is a ConfigurationError.
+    ``_ROW_VIEW_BYTES`` per chain and step of the budget, so that no step makes
+    one. ``_step_block`` sweeps each chain through the block in turn and checks
+    it. After each block it yields ``(k0, n)``, the block's first step index
+    minus one and its length; the caller's recorder reads rows 1..n of each
+    ``H`` before the loop goes on. Once it is exhausted, each chain's ``X`` and
+    ``V`` hold fresh copies of the final state, and its buffers and views are
+    released. A run stopped by an error has drawn its whole last block from
+    ``noise_rng`` and from its index streams. An objective whose dimension is
+    not the chains' is a ConfigurationError.
     """
     R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
     if obj.dim != d:
         raise ConfigurationError(f"objective {obj.name!r} has dimension {obj.dim}, the chains {d}")
-    fine = max(ch.sub for ch in chains)
-    per_step = (8 * (d * (R * fine + sum(len(ch.X) * (ch.sub + 2) for ch in chains))
+    per_step = (8 * (d * (R + 3 * sum(len(ch.X) for ch in chains))
                      # a minibatch chain's indices: its stream's draws, and for a chain
                      # of copies their tiled copy
                      + sum((R + len(ch.X) * (ch.copies > 1)) * ch.cfg.batch_size
@@ -416,11 +402,10 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
         ch.H = np.empty((block + 1, 2, len(ch.X), d))
         ch.H[0, 0], ch.H[0, 1] = ch.X, ch.V
         ch.rows = _rows(ch.H)
-        ch.scratch = _rows(np.empty((2, 2, len(ch.X), d))) if ch.sub > 1 else None
         ch.grad = _gradient(ch, obj, data)
     for k0 in range(0, steps, block):
         n = min(block, steps - k0)
-        xi = noise_rng.standard_normal((n, fine, R, d))
+        xi = noise_rng.standard_normal((n, R, d))
         with np.errstate(over="ignore", invalid="ignore"):
             _step_block(chains, obj, data, [ch.increments(xi) for ch in chains], n, message, k0)
         yield k0, n
@@ -429,7 +414,7 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
             ch.prev = None  # its indices are a view of the block's draws
     for ch in chains:
         ch.X, ch.V = ch.H[0, 0].copy(), ch.H[0, 1].copy()
-        ch.H = ch.rows = ch.scratch = ch.grad = ch.prev = None
+        ch.H = ch.rows = ch.grad = ch.prev = None
 
 
 def _recorded(k0, n, every):
@@ -629,15 +614,16 @@ def coupled_ensemble_run(
     """Replicated synchronous coupling of two chains of the same kind.
 
     Both chains see the same Gaussian draws (and the same minibatch indices when
-    minibatching, so their batch sizes must agree), as one (2R, d) block when
-    they share step, friction and noise coefficient; the replica-averaged
-    separation series is the empirical contraction diagnostic.
+    minibatching, so the batch sizes of minibatch chains must agree; an
+    ``"exact_sghmc"`` pair reads none), as one (2R, d) block when they share
+    step, friction and noise coefficient; the replica-averaged separation
+    series is the empirical contraction diagnostic.
     """
-    if cfg_a.batch_size != cfg_b.batch_size:
-        raise ConfigurationError("coupled chains must share the batch size")
     steps, replicas = count(steps, "steps"), count(replicas, "replicas")
     record_every = count(record_every, "record_every")
     chains, noise_rng = _chains((kind, kind), (cfg_a, cfg_b), replicas, "coupled-ensemble")
+    if len({ch.idx_rng for ch in chains}) > 1:
+        raise ConfigurationError("coupled chains must share the batch size")
 
     def separation(k, states):
         A, B = (half for ch, S in zip(chains, states) for half in np.split(S, ch.copies, axis=1))
@@ -656,14 +642,24 @@ def coupled_ensemble_run(
                           "coupled ensemble diverged at step {}"):
         rows.extend(separation(k, [ch.H[k - k0] for ch in chains])
                     for k in _recorded(k0, n, record_every))
-    arr = np.asarray(rows)
-    return CoupledEnsembleResult(
-        steps=arr[:, 0].astype(int),
-        mean_sep=arr[:, 1],
-        rms_sep=arr[:, 2],
-        rms_dx=arr[:, 3],
-        rms_dv=arr[:, 4],
-    )
+    arr = np.asarray(rows)  # columns: the step and the fields of the result, in order
+    return CoupledEnsembleResult(arr[:, 0].astype(int), *arr[:, 1:].T)
+
+
+class _Sums:
+    """A noise stream whose draw per step is ``scale`` times the sum of ``r``
+    draws of ``rng``, drawn in chunks of steps whose r draws fit in
+    ``_BLOCK_BYTES``."""
+
+    def __init__(self, rng, r, scale):
+        self.rng, self.r, self.scale = rng, r, scale
+
+    def standard_normal(self, shape):
+        n, *rest = shape
+        k = max(1, _BLOCK_BYTES // (8 * self.r * math.prod(rest)))
+        return np.concatenate([
+            self.scale * self.rng.standard_normal((min(k, n - i), self.r, *rest)).sum(axis=1)
+            for i in range(0, n, k)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -683,7 +679,10 @@ def brownian_coupled_distance(
     synchronously coupled at matched physical time. ``cfg.lam`` must be an
     integer multiple of ``lambda_ref``. The coarse chain uses minibatch
     gradients when ``cfg.batch_size`` is set; the reference always uses the
-    full dataset.
+    full dataset. Each is a run of its own from the coarse chain's initial
+    state, the reference first: if it diverges at fine step j, the coarse
+    chain runs only to the coarse step that holds j, so DivergenceError.step
+    is the first coarse step at which either chain is not finite.
 
     Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
     """
@@ -699,18 +698,21 @@ def brownian_coupled_distance(
     n_coarse = int(round(t_end / cfg.lam))
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
-    noise_rng = derive_stream(cfg.seed, "rate:noise")
-    init_rng = derive_stream(cfg.seed, "rate:init")
-    X, V = cfg.init.sample(cfg.dim, init_rng, size=replicas)
-    amp = _noise(cfg.gamma, cfg.beta)
-    sqrt_lref = math.sqrt(lambda_ref)
-    # reference: r fine steps, each with Brownian increment sqrt(l_ref) xi_j;
-    # coarse: one step with the summed increment
-    ref = _Chain("exact_sghmc", cfg, X, V, lam=lambda_ref, c=amp * sqrt_lref, sub=r)
-    coarse = _Chain("sghmc", cfg, X, V, derive_stream(cfg.seed, "rate:minibatch"), c=amp,
-                    fold=sqrt_lref)
-    for _ in _advance([ref, coarse], obj, data, n_coarse, noise_rng,
-                      "rate coupling diverged at coarse step {}"):
+    (coarse,), noise_rng = _chains(("sghmc",), (cfg,), replicas, "rate")
+    ref = _Chain("exact_sghmc", replace(cfg, lam=lambda_ref), coarse.X, coarse.V)
+    # reference: a step per Brownian increment sqrt(l_ref) xi_j; coarse: per sum of r
+    amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
+    coarse.c, ref.c = amp, amp * sqrt_lref
+    sums = _Sums(copy.deepcopy(noise_rng), r, sqrt_lref)
+    message, horizon = "rate coupling diverged at coarse step {}", None
+    try:
+        for _ in _advance([ref], obj, data, n_coarse * r, noise_rng):
+            pass
+    except DivergenceError as err:
+        horizon = -(-err.step // r)  # the coarse step that holds the fine one
+    for _ in _advance([coarse], obj, data, horizon or n_coarse, sums, message):
         pass
+    if horizon is not None:
+        raise DivergenceError(message.format(horizon), step=horizon)
     d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

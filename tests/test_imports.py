@@ -3,7 +3,7 @@ no two modules import each other, directly or through others, and every name
 a module imports at its top is read in it. Every module-level function and
 class is read somewhere that runs it, or is named in the README. No function
 of the harness is longer than 60 lines. The samplers derive their streams and
-draw their initial states in one place."""
+draw their initial states in one place, the chain builder, for every runner."""
 
 import ast
 import re
@@ -114,12 +114,11 @@ def test_no_long_harness_function():
 
 def test_one_stream_rule():
     # every runner takes its streams and initial states from samplers._chains,
-    # so the stream rule is written once; brownian_coupled_distance sets up
-    # its own two chains, which differ in kind, step size and substeps
+    # so the stream rule is written once
     tree = ast.parse((PACKAGE / "samplers.py").read_text(encoding="utf-8"))
     forks = []
     for scope in tree.body:
-        if getattr(scope, "name", None) in ("_chains", "brownian_coupled_distance"):
+        if getattr(scope, "name", None) == "_chains":
             continue
         forks += [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(scope)
                   if isinstance(node, ast.Call)

@@ -244,6 +244,16 @@ class TestCoupledRuns:
         with pytest.raises(ConfigurationError, match="batch size"):
             coupled_ensemble_run("sghmc", cfg_a, cfg_b, quadratic(2), data2, steps=5, replicas=2)
 
+    def test_coupled_ensemble_exact_pair_ignores_batch_sizes(self, data2):
+        # exact_sghmc reads no minibatch, so its configs' batch sizes are moot
+        obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
+        cfg = _cfg(lam=0.05, batch_size=8, init=gaussian_init(0.0, 1.0))
+        runs = [coupled_ensemble_run("exact_sghmc", cfg, dataclasses.replace(cfg, batch_size=b),
+                                     obj, data2, steps=30, replicas=3, record_every=5)
+                for b in (8, None)]
+        for field in dataclasses.fields(runs[0]):
+            assert np.array_equal(*(getattr(r, field.name) for r in runs))
+
     def test_shared_index_stream_same_batches(self, data2):
         obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
         cfg = _cfg(lam=0.005, seed=9, batch_size=3,
@@ -732,7 +742,9 @@ class TestGoldenOutputs:
         return tuple(out)
 
     # brownian_coupled_distance at lam = 5 and gamma = 0.5, where both chains
-    # diverge and the coarse one first: DivergenceError.step, batch None and 8
+    # diverge: DivergenceError.step, batch None and 8. On the quadratic and the
+    # mixture the coarse chain fails first (the reference at coarse steps 536
+    # and 480), on the double well the reference (the coarse chain at 254).
     BOTH_DIVERGE_STEP = {"quadratic": (450, 450), "gaussian_mixture": (436, 436),
                          "double_well": (124, 124)}
 
