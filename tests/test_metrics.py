@@ -345,10 +345,8 @@ def test_order_below_one_or_nan_rejected(estimator, p):
 
 @pytest.mark.parametrize("estimator, streams", [(wasserstein_1d, 0), (sliced_wasserstein, 1)])
 def test_resample_stream_derived_only_for_unequal_sizes(monkeypatch, estimator, streams):
-    import sghmc.metrics
-
     calls = []
-    monkeypatch.setattr(sghmc.metrics, "derive_stream",
+    monkeypatch.setattr("sghmc.metrics.derive_stream",
                         lambda *args: calls.append(args) or derive_stream(*args))
     a = np.arange(6.0)
     estimator(a, a + 1.0, 2.0)
