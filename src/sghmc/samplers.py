@@ -26,10 +26,10 @@ the gradient evaluator that ``_gradient`` binds once per run. Each block is
 checked finite once per chain; one that fails is replayed step by step, all
 chains at each step, and ``_reject`` stops the run at its first non-finite
 state: with EvaluationError naming the sample where grad_f failed at a
-finite position below the certificate's overflow scale, else with
-DivergenceError. The loop, hooks included, and the runners that read its
-states ignore numpy's overflow and invalid warnings: a runaway state ends as
-a value or a DivergenceError.
+finite position below the certificate's overflow scale, and as its ``step``
+the step, else with DivergenceError. The loop, hooks included, and the
+runners that read its states ignore numpy's overflow and invalid warnings:
+a runaway state ends as a value or a DivergenceError.
 Each finished block goes to the runner's recorder, which reads its rows;
 results are copies, never views of a buffer. ``ensemble_run`` calls each
 functional once per block, on the block's stacked rows, so functionals must
@@ -65,8 +65,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, DivergenceError, count, index, nonnegative, number,
-                     positive, real)
+from .errors import (ConfigurationError, DivergenceError, EvaluationError, count, index,
+                     nonnegative, number, positive, real)
 from .objectives import (
     Dataset,
     ObjectiveSpec,
@@ -348,7 +348,8 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
     generator state after, as one call per step); sweep each chain in turn
     through rows 1..n and check them finite once; on a failure replay the
     block in step order on the same draws, checking each step, to stop where
-    it failed."""
+    it failed; an EvaluationError, raised by the check or by an evaluator,
+    gets that step as its ``step``."""
     sizes = {ch.idx_rng: (n, len(ch.X) // ch.copies, ch.cfg.batch_size)
              for ch in chains if ch.idx_rng is not None}
     drawn = {rng: rng.integers(0, data.n, size=size) for rng, size in sizes.items()}
@@ -361,32 +362,35 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
         if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
             return
     for j in range(n):
-        for ch, inc, idx in zip(chains, incs, draws):
-            _sweep(ch, inc, j, j + 1, idx)
-        for ch in chains:
-            if not np.isfinite(ch.H[j + 1]).all():
-                _reject(chains, obj, data, message, k0 + j + 1)
+        try:
+            for ch, inc, idx in zip(chains, incs, draws):
+                _sweep(ch, inc, j, j + 1, idx)
+            for ch in chains:
+                if not np.isfinite(ch.H[j + 1]).all():
+                    _reject(chains, obj, data, message, k0 + j + 1)
+        except EvaluationError as err:
+            err.step = k0 + j + 1
+            raise
 
 
 def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at step {}"):
     """The stepping loop of every runner.
 
-    The chains share one Gaussian stream, drawn in (steps, R, d) blocks of at
-    most ``_BLOCK_BYTES`` (with the chains' buffers, index draws and row
-    views), so a block's draws are the per-step draws in order; each chain
-    takes one step per draw of ``noise_rng.standard_normal``. Each chain steps
+    The chains share one Gaussian stream, drawn in blocks of at most
+    ``_BLOCK_BYTES`` (with the chains' buffers, index draws and row views),
+    so a block's (n, R, d) draws are the per-step draws in order. Each chain steps
     through its own history buffer ``H`` of shape (block + 1, 2, R, d): row 0
     is the state before the block, row j the state after its j-th step. The
     views ``(S, X, V)`` of each row, ``ch.rows``, are bound once per run, at
-    ``_ROW_VIEW_BYTES`` per chain and step of the budget, so that no step makes
-    one. ``_step_block`` sweeps each chain through the block in turn and checks
-    it. After each block it yields ``(k0, n)``, the block's first step index
-    minus one and its length; the caller's recorder reads rows 1..n of each
-    ``H`` before the loop goes on. Once it is exhausted, each chain's ``X`` and
-    ``V`` hold fresh copies of the final state, and its buffers and views are
-    released. A run stopped by an error has drawn its whole last block from
-    ``noise_rng`` and from its index streams. An objective whose dimension is
-    not the chains' is a ConfigurationError.
+    ``_ROW_VIEW_BYTES`` per chain and step of the budget, so that no step
+    makes one. ``_step_block`` sweeps each chain through the block in turn
+    and checks it. After each block it yields ``(k0, n)``, the block's first
+    step index minus one and its length; the caller's recorder reads rows
+    1..n of each ``H`` before the loop goes on. Once it is exhausted, each
+    chain's ``X`` and ``V`` hold fresh copies of the final state, and its
+    buffers and views are released. A run stopped by an error has drawn its
+    whole last block from ``noise_rng`` and from its index streams. An
+    objective whose dimension is not the chains' is a ConfigurationError.
     """
     R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
     if obj.dim != d:
@@ -642,14 +646,21 @@ def coupled_ensemble_run(
                           "coupled ensemble diverged at step {}"):
         rows.extend(separation(k, [ch.H[k - k0] for ch in chains])
                     for k in _recorded(k0, n, record_every))
-    arr = np.asarray(rows)  # columns: the step and the fields of the result, in order
-    return CoupledEnsembleResult(arr[:, 0].astype(int), *arr[:, 1:].T)
+    arr = np.asarray(rows)
+    return CoupledEnsembleResult(
+        steps=arr[:, 0].astype(int),
+        mean_sep=arr[:, 1],
+        rms_sep=arr[:, 2],
+        rms_dx=arr[:, 3],
+        rms_dv=arr[:, 4],
+    )
 
 
 class _Sums:
     """A noise stream whose draw per step is ``scale`` times the sum of ``r``
     draws of ``rng``, drawn in chunks of steps whose r draws fit in
-    ``_BLOCK_BYTES``."""
+    ``_BLOCK_BYTES`` and summed into the block it returns: a chunk is held on
+    top of the run's own block."""
 
     def __init__(self, rng, r, scale):
         self.rng, self.r, self.scale = rng, r, scale
@@ -657,9 +668,11 @@ class _Sums:
     def standard_normal(self, shape):
         n, *rest = shape
         k = max(1, _BLOCK_BYTES // (8 * self.r * math.prod(rest)))
-        return np.concatenate([
-            self.scale * self.rng.standard_normal((min(k, n - i), self.r, *rest)).sum(axis=1)
-            for i in range(0, n, k)])
+        out = np.empty(shape)
+        for i in range(0, n, k):
+            np.sum(self.rng.standard_normal((min(k, n - i), self.r, *rest)), axis=1,
+                   out=out[i:i + k])
+        return np.multiply(out, self.scale, out=out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -680,9 +693,11 @@ def brownian_coupled_distance(
     integer multiple of ``lambda_ref``. The coarse chain uses minibatch
     gradients when ``cfg.batch_size`` is set; the reference always uses the
     full dataset. Each is a run of its own from the coarse chain's initial
-    state, the reference first: if it diverges at fine step j, the coarse
-    chain runs only to the coarse step that holds j, so DivergenceError.step
-    is the first coarse step at which either chain is not finite.
+    state; the reference follows the coarse chain a block behind, and fine
+    step j belongs to coarse step ceil(j / r). The chain that fails at the
+    earlier coarse step stops both, and on one coarse step an
+    EvaluationError does, the reference's first; so DivergenceError.step is
+    the first coarse step at which either chain is not finite.
 
     Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
     """
@@ -703,16 +718,42 @@ def brownian_coupled_distance(
     # reference: a step per Brownian increment sqrt(l_ref) xi_j; coarse: per sum of r
     amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
     coarse.c, ref.c = amp, amp * sqrt_lref
-    sums = _Sums(copy.deepcopy(noise_rng), r, sqrt_lref)
-    message, horizon = "rate coupling diverged at coarse step {}", None
-    try:
-        for _ in _advance([ref], obj, data, n_coarse * r, noise_rng):
-            pass
-    except DivergenceError as err:
-        horizon = -(-err.step // r)  # the coarse step that holds the fine one
-    for _ in _advance([coarse], obj, data, horizon or n_coarse, sums, message):
-        pass
-    if horizon is not None:
-        raise DivergenceError(message.format(horizon), step=horizon)
+    message = "rate coupling diverged at coarse step {}"
+    coarse_run = _advance([coarse], obj, data, n_coarse,
+                          _Sums(copy.deepcopy(noise_rng), r, sqrt_lref), message)
+    ref_run = _advance([ref], obj, data, n_coarse * r, noise_rng)
+    fine, failed = 0, None  # the fine steps the reference has taken, and its error
+
+    def reference_to(k):
+        """Step the reference to fine step k; if it failed by then, raise its
+        error at the coarse step that holds the failure."""
+        nonlocal fine, failed
+        try:
+            while failed is None and fine < k:
+                fine = sum(next(ref_run))
+        except (DivergenceError, EvaluationError) as err:
+            failed = err
+        if failed is not None and failed.step <= k:
+            h = -(-failed.step // r)
+            if isinstance(failed, DivergenceError):
+                raise DivergenceError(message.format(h), step=h)
+            failed.step = h
+            raise failed
+
+    # the reference follows the coarse chain block by block; the chain that
+    # fails at the earlier coarse step stops the run, and at one coarse step
+    # an EvaluationError does, the reference's first
+    while True:
+        try:
+            k0, n = next(coarse_run)
+        except StopIteration:
+            break
+        except (DivergenceError, EvaluationError) as err:
+            reference_to(r * (err.step - 1))
+            with suppress(DivergenceError):
+                reference_to(r * err.step)
+            raise
+        reference_to(r * (k0 + n))
+    next(ref_run, None)  # ends the reference's run, which keeps its final state
     d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

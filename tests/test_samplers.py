@@ -925,6 +925,85 @@ class TestNonFiniteGradients:
             self.RUNNERS[runner](cfg, self._objective("grad_batches", cut=1.0), data2)
         assert err.value.sample_index == self.FIRST_DRAWN_BAD[runner]
 
+    @staticmethod
+    def _reference_fails(data, radius, hook, minibatch_radius=math.inf):
+        """The quadratic, whose gradient is NaN on full-dataset evaluations
+        beyond |x| = radius: of a rate coupling at batch size 8, only the
+        reference reads it. The coarse chain's minibatch gradients are NaN
+        beyond ``minibatch_radius``."""
+        q = quadratic(2, m0=1.0)
+
+        def grad_f(x, Z):
+            g = q.grad_f(x, Z)
+            bad = np.hypot.reduce(x) > (radius if len(Z) == data.n else minibatch_radius)
+            return np.full_like(g, np.nan) if bad else g
+
+        hooks = {"grad_rows": lambda X, Z: np.stack([grad_f(x, Z).mean(axis=0) for x in X])}
+        return ObjectiveSpec("far-reference", 2, q.f, grad_f, q.cert,
+                             **({hook: hooks[hook]} if hook else {}))
+
+    @staticmethod
+    def _rate_coupling(obj, data):
+        # lam = 5 diverges at coarse step 506; its reference at lam / 16 stays
+        # near the origin, within 5 of it until coarse step 208 and within
+        # 5.2 until after step 506
+        cfg = _cfg(lam=5.0, batch_size=8, seed=9, init=gaussian_init(0.0, 1.0))
+        return brownian_coupled_distance(cfg, cfg.lam / 16, obj, data, t_end=3000.0, replicas=4)
+
+    @pytest.mark.parametrize("hook", [None, "grad_rows"])
+    def test_reference_failing_after_the_coarse_divergence_unseen(self, hook):
+        # the coarse chain diverges first, so the run stops there, before the
+        # reference meets the bad gradients
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        with pytest.raises(DivergenceError) as err:
+            self._rate_coupling(self._reference_fails(data, 5.2, hook), data)
+        assert err.value.step == 506
+
+    @pytest.mark.parametrize("hook", [None, "grad_rows"])
+    def test_reference_failing_within_a_coarse_step_named(self, hook):
+        # the reference meets the bad gradients at a fine step inside coarse
+        # step 208, at a finite position: an EvaluationError at step 208,
+        # whichever hook computes the reference's gradient
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        with pytest.raises(EvaluationError) as err:
+            self._rate_coupling(self._reference_fails(data, 5.0, hook), data)
+        assert (err.value.sample_index, err.value.step) == (0, 208)
+
+    def test_coarse_evaluation_error_before_the_reference_named(self):
+        # the coarse chain's minibatch gradients fail at its third step, long
+        # before the reference's fail inside coarse step 208
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        with pytest.raises(EvaluationError) as err:
+            self._rate_coupling(self._reference_fails(data, 5.0, None, minibatch_radius=10.0), data)
+        assert (err.value.sample_index, err.value.step) == (3, 3)
+
+    def test_reference_evaluation_error_first_on_one_coarse_step(self, data2):
+        # both chains read a bad sample at their first step, the coarse chain
+        # from its minibatch; the reference's EvaluationError is raised
+        bad = data2.samples[:, 0] > 1.0
+        cfg = _cfg(lam=0.05, batch_size=32, seed=5, init=gaussian_init(0.0, 1.0))
+        with pytest.raises(EvaluationError) as err:
+            brownian_coupled_distance(cfg, cfg.lam / 2, self._objective(None, cut=1.0), data2,
+                                      t_end=1.0, replicas=4)
+        assert (err.value.sample_index, err.value.step) == (int(np.argmax(bad)), 1)
+
+    def test_coarse_evaluation_error_first_on_one_coarse_step(self, data2):
+        # at the first step the reference's grad_rows hook is NaN where
+        # grad_f is not, a DivergenceError, and the coarse chain's minibatch
+        # gradients are NaN, an EvaluationError, which is raised
+        q = quadratic(2, m0=1.0)
+
+        def grad_f(x, Z):
+            g = q.grad_f(x, Z)
+            return g if len(Z) == data2.n else np.full_like(g, np.nan)
+
+        obj = ObjectiveSpec("nan-rows", 2, q.f, grad_f, q.cert,
+                            grad_rows=lambda X, Z: np.full_like(X, np.nan))
+        cfg = _cfg(lam=0.05, batch_size=8, seed=5, init=gaussian_init(0.0, 1.0))
+        with pytest.raises(EvaluationError) as err:
+            brownian_coupled_distance(cfg, cfg.lam / 2, obj, data2, t_end=1.0, replicas=4)
+        assert err.value.step == 1
+
 
 class TestNoiseBlocks:
     """Runs step through blocks of noise and history of at most
