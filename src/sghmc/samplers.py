@@ -40,7 +40,8 @@ block when they step alike: the realized distance between them upper-bounds
 the Wasserstein distance between their laws, which is the desk-scale route
 to checking contraction and discretization rates. The continuous-time
 reference is ``brownian_coupled_distance``'s fine Euler chain, a run of its
-own on the Brownian path whose r-fold sums drive the coarse chain's run.
+own on the Brownian path whose r-fold sums drive the coarse chain's run,
+which runs first: the reference runs only as far as the coarse chain got.
 
 Every stream is derived from a config seed via :mod:`.rng`, by one rule, so
 runs are reproducible bit-for-bit. A run has a purpose ``p``: the kind for
@@ -56,7 +57,6 @@ sets up every runner's chains by this rule.
 
 from __future__ import annotations
 
-import copy
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -656,6 +656,16 @@ def coupled_ensemble_run(
     )
 
 
+def _failure(run):
+    """Exhaust a run; its DivergenceError or EvaluationError, or None."""
+    try:
+        for _ in run:
+            pass
+    except (DivergenceError, EvaluationError) as err:
+        return err
+    return None
+
+
 class _Sums:
     """A noise stream whose draw per step is ``scale`` times the sum of ``r``
     draws of ``rng``, drawn in chunks of steps whose r draws fit in
@@ -693,11 +703,14 @@ def brownian_coupled_distance(
     integer multiple of ``lambda_ref``. The coarse chain uses minibatch
     gradients when ``cfg.batch_size`` is set; the reference always uses the
     full dataset. Each is a run of its own from the coarse chain's initial
-    state; the reference follows the coarse chain a block behind, and fine
-    step j belongs to coarse step ceil(j / r). The chain that fails at the
-    earlier coarse step stops both, and on one coarse step an
-    EvaluationError does, the reference's first; so DivergenceError.step is
-    the first coarse step at which either chain is not finite.
+    state, and fine step j belongs to coarse step ceil(j / r). The coarse
+    chain runs first, on a copy of the noise stream, to its end or its
+    failure at coarse step h; the reference then runs exactly r h fine
+    steps, so it stops at the coarse chain's failure step. The failure at
+    the earlier coarse step is raised, and on one coarse step the
+    reference's EvaluationError, then the coarse chain's error; so
+    DivergenceError.step is the first coarse step at which either chain is
+    not finite.
 
     Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
     """
@@ -719,41 +732,21 @@ def brownian_coupled_distance(
     amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
     coarse.c, ref.c = amp, amp * sqrt_lref
     message = "rate coupling diverged at coarse step {}"
-    coarse_run = _advance([coarse], obj, data, n_coarse,
-                          _Sums(copy.deepcopy(noise_rng), r, sqrt_lref), message)
-    ref_run = _advance([ref], obj, data, n_coarse * r, noise_rng)
-    fine, failed = 0, None  # the fine steps the reference has taken, and its error
-
-    def reference_to(k):
-        """Step the reference to fine step k; if it failed by then, raise its
-        error at the coarse step that holds the failure."""
-        nonlocal fine, failed
-        try:
-            while failed is None and fine < k:
-                fine = sum(next(ref_run))
-        except (DivergenceError, EvaluationError) as err:
-            failed = err
-        if failed is not None and failed.step <= k:
-            h = -(-failed.step // r)
-            if isinstance(failed, DivergenceError):
-                raise DivergenceError(message.format(h), step=h)
-            failed.step = h
-            raise failed
-
-    # the reference follows the coarse chain block by block; the chain that
-    # fails at the earlier coarse step stops the run, and at one coarse step
-    # an EvaluationError does, the reference's first
-    while True:
-        try:
-            k0, n = next(coarse_run)
-        except StopIteration:
-            break
-        except (DivergenceError, EvaluationError) as err:
-            reference_to(r * (err.step - 1))
-            with suppress(DivergenceError):
-                reference_to(r * err.step)
-            raise
-        reference_to(r * (k0 + n))
-    next(ref_run, None)  # ends the reference's run, which keeps its final state
+    # a copy of the stream: its state holds PCG64's buffered bits too
+    sums = np.random.Generator(type(noise_rng.bit_generator)(0))
+    sums.bit_generator.state = noise_rng.bit_generator.state
+    coarse_err = _failure(_advance([coarse], obj, data, n_coarse, _Sums(sums, r, sqrt_lref),
+                                   message))
+    h = n_coarse if coarse_err is None else coarse_err.step
+    ref_err = _failure(_advance([ref], obj, data, r * h, noise_rng))
+    if ref_err is not None and (coarse_err is None or ref_err.step <= r * (h - 1)
+                                or isinstance(ref_err, EvaluationError)):
+        h = -(-ref_err.step // r)
+        if isinstance(ref_err, DivergenceError):
+            raise DivergenceError(message.format(h), step=h)
+        ref_err.step = h
+        raise ref_err
+    if coarse_err is not None:
+        raise coarse_err
     d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
     return float(np.sqrt(np.mean(d2)))

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -318,6 +319,22 @@ class TestBrownianCoupling:
         A = np.array([[-1.0, -1.0], [1.0, 0.0]])  # d/dt (v, x)
         want = np.linalg.norm((coarse - expm(A * t_end)) @ np.array([0.0, 1.0]))
         assert d == pytest.approx(want, abs=1e-4)
+
+    def test_one_run_holds_its_buffers_at_a_time(self):
+        """The peak of all allocations of a long rate point is one run's block
+        and ``_Sums``' chunk: the coarse chain's buffers are released before
+        the reference's are made. ``TestNoiseBlocks`` measures only a chain's
+        history ``H``."""
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        obj = quadratic(2, m0=1.0)
+        cfg = _cfg(lam=0.1, init=gaussian_init(0.0, 1.0))
+        tracemalloc.start()
+        try:
+            brownian_coupled_distance(cfg, cfg.lam / 16, obj, data, t_end=200.0, replicas=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * samplers._BLOCK_BYTES
 
 
 # counts that are no integer >= 1, by id: the runners reject them, not truncate them
@@ -763,6 +780,25 @@ class TestGoldenOutputs:
                                           replicas=4)
             steps.append(err.value.step)
         assert tuple(steps) == self.BOTH_DIVERGE_STEP[objective]
+
+    def test_reference_stops_at_the_coarse_divergence(self):
+        # the quadratic case above at batch 8: the coarse chain reads
+        # grad_batches, so the counted grad_rows calls are the reference's,
+        # exactly the r = 4 fine steps of each coarse step up to its failure
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        q, calls = quadratic(2, m0=1.0), []
+
+        def grad_rows(X, Z):
+            calls.append(X)
+            return q.grad_rows(X, Z)
+
+        obj = dataclasses.replace(q, grad_rows=grad_rows)
+        cfg = dataclasses.replace(self._pair(8, lam=5.0)[0], gamma=0.5,
+                                  init=point_init([1.0, 0.0], [0.0, 0.0]))
+        with pytest.raises(DivergenceError) as err:
+            brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=2000 * cfg.lam,
+                                      replicas=4)
+        assert (err.value.step, len(calls)) == (450, 4 * 450)
 
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_outputs_and_divergence_step_pinned(self, runner):
