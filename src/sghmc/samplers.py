@@ -29,11 +29,11 @@ state: with EvaluationError naming the sample where grad_f failed at a
 finite position below the certificate's overflow scale, and as its ``step``
 the step, else with DivergenceError. The loop, hooks included, and the
 runners that read its states ignore numpy's overflow and invalid warnings:
-a runaway state ends as a value or a DivergenceError.
-Each finished block goes to the runner's recorder, which reads its rows;
-results are copies, never views of a buffer. ``ensemble_run`` calls each
-functional once per block, on the block's stacked rows, so functionals must
-treat rows independently.
+a runaway state ends as a value or a DivergenceError. Each finished block
+goes to the runner's recorder, which reads its rows; results are copies,
+never views of a buffer, which ``_advance`` frees on every exit.
+``ensemble_run`` calls each functional once per block, on the block's
+stacked rows, so functionals must treat rows independently.
 
 Coupled runs advance two chains on shared randomness, as one paired (2R, d)
 block when they step alike: the realized distance between them upper-bounds
@@ -42,6 +42,7 @@ to checking contraction and discretization rates. The continuous-time
 reference is ``brownian_coupled_distance``'s fine Euler chain, a run of its
 own on the Brownian path whose r-fold sums drive the coarse chain's run,
 which runs first: the reference runs only as far as the coarse chain got.
+``_chains`` builds both, so they start alike and draw two equal streams.
 
 Every stream is derived from a config seed via :mod:`.rng`, by one rule, so
 runs are reproducible bit-for-bit. A run has a purpose ``p``: the kind for
@@ -52,7 +53,7 @@ init from ``(cfg_i.seed, "p:init", i)``. A minibatch chain draws its indices
 from ``(cfg_i.seed, "p:minibatch", i + 1)`` in a coupled pair; a chain alone,
 and two minibatch chains of one batch size, draw them from index 0 of
 cfg_a's seed. The noise comes from ``(cfg_a.seed, "p:noise")``. ``_chains``
-sets up every runner's chains by this rule.
+builds every chain of every runner by this rule.
 """
 
 from __future__ import annotations
@@ -233,19 +234,14 @@ def _kernel(kind, lam, gamma):
     return step
 
 
-def _rows(A):
-    """Views ``(S, X, V)`` of each (2, R, d) state S = (X, V) along A's first axis."""
-    return [(S, S[0], S[1]) for S in A]
-
-
 def _noise(rate, beta) -> float:
     """Gaussian coefficient sqrt(2 rate / beta) of one step, 0 at beta = inf."""
     return 0.0 if math.isinf(beta) else math.sqrt(2.0 * rate / beta)
 
 
 class _Chain:
-    """An (R, d) block of replicas (a single chain is (1, d)), stepped by
-    :func:`_advance` at cfg's step size and friction.
+    """An (R, d) block of replicas (a single chain is (1, d)) that
+    :func:`_chains` builds and :func:`_advance` steps at cfg's step size and friction.
 
     A minibatch chain draws indices from ``idx_rng``, shared by the chains
     holding the same generator. ``c``, the noise coefficient, is cfg's unless
@@ -256,13 +252,12 @@ class _Chain:
     """
 
     def __init__(self, kind, cfg, X, V, idx_rng=None, copies=1):
-        self.kind, self.cfg, self.X, self.V = kind, cfg, X, V
+        self.kind, self.cfg, self.X, self.V, self.copies = kind, cfg, X, V, copies
         minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
         self.idx_rng = idx_rng if minibatch else None
         self.step = _kernel(kind, cfg.lam, cfg.gamma)
         # the noise rate is gamma * lam for the momentum kinds, lam for sgld
         self.c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
-        self.copies, self.prev = copies, None
 
     def increments(self, xi):
         """The scaled increments (steps, copies R, d) of a (steps, R, d) noise block."""
@@ -317,31 +312,29 @@ def _sweep(ch, incs, j0, j1, draws) -> None:
     """Step chain ``ch`` from row j0 of its history to row j1, taking step j
     on its increments ``incs[j]`` and, for a minibatch chain, on the index
     draw ``draws[j]``. It steps through the views of the rows that
-    ``_advance`` bound, so the loop makes no view of them. ``prev`` keeps
-    the position and indices of its last step."""
+    ``_advance`` bound, so the loop makes no view of them."""
     rows, grad, step = ch.rows, ch.grad, ch.step
     idx = None
     for j, src, dst, inc in zip(range(j0, j1), rows[j0:j1], rows[j0 + 1:j1 + 1], incs[j0:j1]):
         if draws is not None:
             idx = draws[j]
-        X = src[1]
-        step(src, dst, grad(X, idx), inc)
-    ch.prev = (X, idx)
+        step(src, dst, grad(src[1], idx), inc)
 
 
-def _reject(chains, obj, data, message, step) -> None:
-    """Stop a run whose state at ``step`` is not finite: EvaluationError if
-    grad_f is non-finite on a sample at a finite position that a chain just
-    left, DivergenceError with ``message.format(step)`` otherwise."""
-    for ch in chains:
-        X, idx = ch.prev
-        for i, x in enumerate(X):
-            rows = np.arange(data.n) if idx is None else idx[i]
+def _reject(chains, obj, data, message, step, j, draws) -> None:
+    """Stop a run whose state at ``step``, row j + 1 of the block, is not
+    finite: EvaluationError if grad_f is non-finite on a sample at a finite
+    position that a chain left, read from its row j, on its block ``draws``
+    (None: all samples); DivergenceError with ``message.format(step)`` else."""
+    for ch, idx in zip(chains, draws):
+        for i, x in enumerate(ch.rows[j][1]):
+            rows = np.arange(data.n) if idx is None else idx[j, i]
             if np.isfinite(x).all():
                 _reject_nonfinite_gradient(x, obj, obj.grad_f(x, data.samples[rows]), rows)
     raise DivergenceError(message.format(step), step=step)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _step_block(chains, obj, data, incs, n, message, k0) -> None:
     """Draw each index stream's per-step indices for the block in one call,
     which every chain on the stream reads (the same values, and the same
@@ -367,7 +360,7 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
                 _sweep(ch, inc, j, j + 1, idx)
             for ch in chains:
                 if not np.isfinite(ch.H[j + 1]).all():
-                    _reject(chains, obj, data, message, k0 + j + 1)
+                    _reject(chains, obj, data, message, k0 + j + 1, j, draws)
         except EvaluationError as err:
             err.step = k0 + j + 1
             raise
@@ -387,10 +380,11 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
     and checks it. After each block it yields ``(k0, n)``, the block's first
     step index minus one and its length; the caller's recorder reads rows
     1..n of each ``H`` before the loop goes on. Once it is exhausted, each
-    chain's ``X`` and ``V`` hold fresh copies of the final state, and its
-    buffers and views are released. A run stopped by an error has drawn its
-    whole last block from ``noise_rng`` and from its index streams. An
-    objective whose dimension is not the chains' is a ConfigurationError.
+    chain's ``X`` and ``V`` hold fresh copies of the final state; on every
+    exit, an error or ``close()`` too, its ``H``, ``rows`` and ``grad`` are
+    freed. A run stopped by an error has drawn its whole last block from
+    ``noise_rng`` and its index streams. An objective whose dimension is not
+    the chains' is a ConfigurationError.
     """
     R, d = len(chains[0].X) // chains[0].copies, chains[0].X.shape[1]
     if obj.dim != d:
@@ -402,23 +396,24 @@ def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at ste
                            for ch in chains if ch.idx_rng is not None))
                 + _ROW_VIEW_BYTES * len(chains))
     block = max(1, min(steps, _BLOCK_BYTES // per_step))
-    for ch in chains:
-        ch.H = np.empty((block + 1, 2, len(ch.X), d))
-        ch.H[0, 0], ch.H[0, 1] = ch.X, ch.V
-        ch.rows = _rows(ch.H)
-        ch.grad = _gradient(ch, obj, data)
-    for k0 in range(0, steps, block):
-        n = min(block, steps - k0)
-        xi = noise_rng.standard_normal((n, R, d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            _step_block(chains, obj, data, [ch.increments(xi) for ch in chains], n, message, k0)
-        yield k0, n
+    try:
         for ch in chains:
-            ch.H[0] = ch.H[n]
-            ch.prev = None  # its indices are a view of the block's draws
-    for ch in chains:
-        ch.X, ch.V = ch.H[0, 0].copy(), ch.H[0, 1].copy()
-        ch.H = ch.rows = ch.grad = ch.prev = None
+            ch.H = np.empty((block + 1, 2, len(ch.X), d))
+            ch.H[0, 0], ch.H[0, 1] = ch.X, ch.V
+            ch.rows = [(S, S[0], S[1]) for S in ch.H]
+            ch.grad = _gradient(ch, obj, data)
+        for k0 in range(0, steps, block):
+            n = min(block, steps - k0)
+            xi = noise_rng.standard_normal((n, R, d))
+            _step_block(chains, obj, data, [ch.increments(xi) for ch in chains], n, message, k0)
+            yield k0, n
+            for ch in chains:
+                ch.H[0] = ch.H[n]
+        for ch in chains:
+            ch.X, ch.V = ch.H[0, 0].copy(), ch.H[0, 1].copy()
+    finally:
+        for ch in chains:
+            ch.H = ch.rows = ch.grad = None
 
 
 def _recorded(k0, n, every):
@@ -657,12 +652,13 @@ def coupled_ensemble_run(
 
 
 def _failure(run):
-    """Exhaust a run; its DivergenceError or EvaluationError, or None."""
+    """Exhaust a run; its DivergenceError or EvaluationError, without the
+    traceback whose frames would hold the run's arrays, or None."""
     try:
         for _ in run:
             pass
     except (DivergenceError, EvaluationError) as err:
-        return err
+        return err.with_traceback(None)
     return None
 
 
@@ -699,24 +695,27 @@ def brownian_coupled_distance(
     Both chains are driven by one Brownian path: the reference at step size
     ``lambda_ref`` consumes the fine increments, the coarse chain at
     ``cfg.lam`` consumes their sums over each coarse interval, so the pair is
-    synchronously coupled at matched physical time. ``cfg.lam`` must be an
-    integer multiple of ``lambda_ref``. The coarse chain uses minibatch
+    synchronously coupled at matched physical time. ``cfg.lam`` must be a
+    finite integer multiple of ``lambda_ref``. The coarse chain uses minibatch
     gradients when ``cfg.batch_size`` is set; the reference always uses the
-    full dataset. Each is a run of its own from the coarse chain's initial
-    state, and fine step j belongs to coarse step ceil(j / r). The coarse
-    chain runs first, on a copy of the noise stream, to its end or its
-    failure at coarse step h; the reference then runs exactly r h fine
-    steps, so it stops at the coarse chain's failure step. The failure at
-    the earlier coarse step is raised, and on one coarse step the
-    reference's EvaluationError, then the coarse chain's error; so
-    DivergenceError.step is the first coarse step at which either chain is
-    not finite.
+    full dataset. ``_chains`` builds both, with purpose ``"rate"``: one
+    initial state, and the path drawn from two derivations of one stream.
+    Fine step j belongs to coarse step ceil(j / r). The coarse chain runs
+    first, to its end or its failure at coarse step h; the reference then
+    runs exactly r h fine steps, so it stops at the coarse chain's failure
+    step. The failure at the earlier coarse step is raised, and on one
+    coarse step the reference's EvaluationError, then the coarse chain's
+    error; so DivergenceError.step is the first coarse step at which either
+    chain is not finite.
 
     Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
     """
     lambda_ref, t_end = positive(lambda_ref, "lambda_ref"), real(t_end, "t_end")
     replicas = count(replicas, "replicas")
     ratio = cfg.lam / lambda_ref
+    if ratio == math.inf:
+        raise ConfigurationError(f"lam / lambda_ref overflows the step ratio at lam = "
+                                 f"{cfg.lam!r}, lambda_ref = {lambda_ref!r}")
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
         raise ConfigurationError("cfg.lam must be an integer multiple of lambda_ref")
@@ -727,18 +726,16 @@ def brownian_coupled_distance(
     if n_coarse < 1:
         raise ConfigurationError("t_end too short for one coarse step")
     (coarse,), noise_rng = _chains(("sghmc",), (cfg,), replicas, "rate")
-    ref = _Chain("exact_sghmc", replace(cfg, lam=lambda_ref), coarse.X, coarse.V)
+    (ref,), ref_rng = _chains(("exact_sghmc",), (replace(cfg, lam=lambda_ref),), replicas,
+                              "rate")
     # reference: a step per Brownian increment sqrt(l_ref) xi_j; coarse: per sum of r
     amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
     coarse.c, ref.c = amp, amp * sqrt_lref
     message = "rate coupling diverged at coarse step {}"
-    # a copy of the stream: its state holds PCG64's buffered bits too
-    sums = np.random.Generator(type(noise_rng.bit_generator)(0))
-    sums.bit_generator.state = noise_rng.bit_generator.state
-    coarse_err = _failure(_advance([coarse], obj, data, n_coarse, _Sums(sums, r, sqrt_lref),
-                                   message))
+    coarse_err = _failure(_advance([coarse], obj, data, n_coarse,
+                                   _Sums(noise_rng, r, sqrt_lref), message))
     h = n_coarse if coarse_err is None else coarse_err.step
-    ref_err = _failure(_advance([ref], obj, data, r * h, noise_rng))
+    ref_err = _failure(_advance([ref], obj, data, r * h, ref_rng))
     if ref_err is not None and (coarse_err is None or ref_err.step <= r * (h - 1)
                                 or isinstance(ref_err, EvaluationError)):
         h = -(-ref_err.step // r)

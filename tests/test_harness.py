@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sghmc import ConfigurationError, DivergenceError, double_well, make_dataset
-from sghmc import harness, theory
+from sghmc import (ConfigurationError, DivergenceError, ObjectiveSpec, double_well, make_dataset,
+                   quadratic, register_objective)
+from sghmc import harness, objectives, theory
 from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from sghmc.harness import (
     ExperimentConfig,
@@ -263,6 +264,48 @@ class TestExperiments:
         assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["audit.json"]
         doc["strict"] = False
         assert run_experiment(ExperimentConfig.from_dict(doc)).results["all_passed"] is False
+
+
+class TestUserObjectives:
+    """An objective registered by name runs through the harness on its f and
+    grad_f alone, with its parameters as the config gives them; where it has
+    no ``risk_rows``, ``grad_rows`` or ``grad_batches`` hook, the fallbacks
+    reach the built-in quadratic's outputs."""
+
+    @staticmethod
+    def hookless_quadratic(dim, m0):
+        q = quadratic(dim, m0=m0)
+        return ObjectiveSpec("hookless_quadratic", dim, q.f, q.grad_f, q.cert)
+
+    @pytest.fixture
+    def registered(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_REGISTRY", dict(objectives._REGISTRY))
+        register_objective("hookless_quadratic", self.hookless_quadratic)
+
+    @pytest.mark.parametrize("kind, output, batch", [
+        ("sample", "trajectory.csv", None), ("sample", "trajectory.csv", 10),
+        ("couple", "distances.csv", None), ("couple", "distances.csv", 10),
+        ("validate", "findings.json", None)])
+    def test_runs_as_the_built_in(self, tmp_path, registered, kind, output, batch):
+        got = []
+        for name in ("quadratic", "hookless_quadratic"):
+            doc = base_config(kind=kind, out=str(tmp_path / name),
+                              objective={"name": name, "params": {"m0": 1.5}})
+            doc["sampler"].update(batch_size=batch, init={"kind": "point", "x0": [2, 0],
+                                                          "v0": [0, 0]})
+            doc["sampler_b"] = {"init": {"kind": "point", "x0": [-2, 0], "v0": [0, 0]}}
+            run_experiment(ExperimentConfig.from_dict(doc))
+            got.append((tmp_path / name / output).read_text())
+        if kind == "validate":
+            assert got[0] == got[1]
+        else:
+            want, hookless = (np.loadtxt(text.splitlines()[1:], delimiter=",") for text in got)
+            assert np.array_equal(hookless[:, 0], want[:, 0])  # the recorded steps
+            assert np.abs(hookless - want).max() <= 1e-12 * np.abs(want[:, 1:]).max()
+
+    def test_a_name_registers_once(self, registered):
+        with pytest.raises(ConfigurationError, match="'hookless_quadratic' is already registered"):
+            register_objective("hookless_quadratic", self.hookless_quadratic)
 
 
 def _unflagged_non_finite(doc, path=""):

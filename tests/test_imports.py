@@ -2,8 +2,9 @@
 no two modules import each other, directly or through others, and every name
 a module imports at its top is read in it. Every module-level function and
 class is read somewhere that runs it, or is named in the README. No function
-of the harness is longer than 60 lines. The samplers derive their streams and
-draw their initial states in one place, the chain builder, for every runner."""
+of the harness is longer than 60 lines. The samplers derive their streams,
+draw their initial states and make their chains in one place, the chain
+builder, for every runner."""
 
 import ast
 import re
@@ -112,15 +113,25 @@ def test_no_long_harness_function():
     assert long == []
 
 
-def test_one_stream_rule():
-    # every runner takes its streams and initial states from samplers._chains,
-    # so the stream rule is written once
+def _calls_outside_the_builder(*callees):
+    """The calls in ``samplers`` outside ``_chains`` of a callee whose name
+    ends with one of ``callees``."""
     tree = ast.parse((PACKAGE / "samplers.py").read_text(encoding="utf-8"))
-    forks = []
+    calls = []
     for scope in tree.body:
         if getattr(scope, "name", None) == "_chains":
             continue
-        forks += [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(scope)
-                  if isinstance(node, ast.Call)
-                  and ast.unparse(node.func).endswith(("derive_stream", ".init.sample"))]
-    assert forks == []
+        calls += [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(scope)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(callees)]
+    return calls
+
+
+def test_one_stream_rule():
+    # every runner takes its streams and initial states from samplers._chains,
+    # so the stream rule is written once
+    assert _calls_outside_the_builder("derive_stream", ".init.sample") == []
+
+
+def test_one_chain_builder():
+    # and its chains: a runner that needs another chain calls _chains again
+    assert _calls_outside_the_builder("_Chain") == []

@@ -336,6 +336,23 @@ class TestBrownianCoupling:
             tracemalloc.stop()
         assert peak <= 2.25 * samplers._BLOCK_BYTES
 
+    def test_a_failed_coarse_chain_holds_no_buffer_during_the_reference(self, monkeypatch):
+        # the coarse chain diverges at coarse step 506; when the reference
+        # binds its evaluator, no array of the coarse chain's history is
+        # left, not even in the frames of the error that stopped it
+        gradient, made = samplers._gradient, []
+
+        def spy(ch, obj, data):
+            assert all(history() is None for history in made)
+            made.append(weakref.ref(ch.H))
+            return gradient(ch, obj, data)
+
+        monkeypatch.setattr(samplers, "_gradient", spy)
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        with pytest.raises(DivergenceError) as err:
+            TestNonFiniteGradients._rate_coupling(quadratic(2, m0=1.0), data)
+        assert (err.value.step, len(made)) == (506, 2)
+
 
 # counts that are no integer >= 1, by id: the runners reject them, not truncate them
 NOT_COUNTS = {"10.5": 10.5, "inf": math.inf, "nan": math.nan, "true": True}
@@ -488,6 +505,8 @@ class TestEnsembles:
            "t_end too short") for t in (0.0, -1.0)],
         (lambda obj, data: brownian_coupled_distance(_cfg(lam=0.1), 0.05, obj, data, 1e308, 2),
          "t_end / lam overflows"),
+        (lambda obj, data: brownian_coupled_distance(_cfg(lam=1.0), 1e-310, obj, data, 1.0, 2),
+         re.escape("lam / lambda_ref overflows the step ratio at lam = 1.0, lambda_ref = 1e-310")),
         (lambda obj, data: run_chain("sghmc", _cfg(), obj, data, steps=10, thin=0),
          "thin must be an integer >= 1"),
         (lambda obj, data: coupled_run("sghmc", _cfg(), _cfg(), obj, data, steps=10, thin=0),
@@ -505,6 +524,7 @@ class TestEnsembles:
             "brownian_coupled_distance-lambda-ref-not-a-divisor",
             "brownian_coupled_distance-lambda-ref-above-lam", "brownian_coupled_distance-t-end-0",
             "brownian_coupled_distance-t-end-neg", "brownian_coupled_distance-t-end-overflow",
+            "brownian_coupled_distance-lambda-ref-overflow",
             "run_chain-thin-0", "coupled_run-thin-0",
             *[f"{name}-{key.replace('_', '-')}-{v}" for name, (_, keys) in SIZED_RUNNERS.items()
               for key in keys for v in NOT_COUNTS]])
@@ -1122,9 +1142,30 @@ class TestNoiseBlocks:
         view = weakref.ref(chain.rows[1][1])
         for _ in run:
             pass
-        assert chain.H is chain.rows is chain.prev is None
+        assert chain.H is chain.rows is None
         assert view() is None
         assert (len(spy.drawn) > 1) == bool(batch)  # more than one block was drawn
+
+    @pytest.mark.parametrize("exit", ["completion", "divergence", "evaluation", "close"])
+    def test_every_exit_frees_the_buffers(self, data2, exit):
+        # a minibatch chain and a full-gradient one, in blocks of 105 steps
+        cfg = _cfg(lam=5.0 if exit == "divergence" else 0.05, batch_size=32, seed=5,
+                   init=gaussian_init(0.0, 1.0))
+        obj = TestNonFiniteGradients._objective(None) if exit == "evaluation" else quadratic(2)
+        chains, noise_rng = samplers._chains(("sghmc", "exact_sghmc"), (cfg, cfg), 4, "test")
+        run = samplers._advance(chains, obj, data2, 2000, noise_rng)
+        error = {"divergence": DivergenceError, "evaluation": EvaluationError}.get(exit)
+        if exit == "close":
+            assert next(run)[1] < 2000
+            run.close()
+        elif error is None:
+            for _ in run:
+                pass
+        else:
+            with pytest.raises(error):
+                for _ in run:
+                    pass
+        assert all(ch.H is ch.rows is ch.grad is None for ch in chains)
 
 
 class TestBlockIndexDraws:
