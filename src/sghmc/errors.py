@@ -15,11 +15,8 @@ class SghmcError(Exception):
 class EvaluationError(SghmcError):
     """A loss or gradient evaluation produced a non-finite value.
 
-    Carries the index of the offending dataset sample when known, and as
-    ``step`` the step at which a run raised it (else None).
+    Carries the index of the offending dataset sample when known.
     """
-
-    step = None
 
     def __init__(self, message, sample_index=None):
         super().__init__(message)

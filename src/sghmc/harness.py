@@ -45,7 +45,7 @@ from .samplers import (
     CHAIN_KINDS,
     InitialLaw,
     SamplerConfig,
-    brownian_coupled_distance,
+    _rate_coupling,
     coupled_run,
     ensemble_run,
     gaussian_init,
@@ -777,27 +777,25 @@ KINDS = tuple(_KINDS)
 
 def rate_study(obj: ObjectiveSpec, data: Dataset, base: SamplerConfig, lambdas,
                lambda_ref_divisor: float, t_end: float, replicas: int) -> dict:
-    """Coupled distance to a finer reference across a decreasing step grid.
+    """Coupled distance to one finer reference across a decreasing step grid.
 
-    For each lambda the chain at that step size is synchronously coupled (one
-    Brownian path) to a full-gradient reference at lambda / divisor and
-    compared at matched physical time ``t_end``. Divergent grid points, and
-    runaway ones whose distance is not finite, are dropped with a flag; the
-    log-log slope is fitted over the survivors (None below two).
+    The chain at each lambda is synchronously coupled (one Brownian path) to
+    one full-gradient reference at lambda_min / divisor and compared at
+    matched physical time ``t_end`` (see ``samplers._rate_coupling``).
+    Divergent grid points, and runaway ones whose distance is not finite,
+    are dropped with a flag; the log-log slope is fitted over the survivors
+    (None below two).
     """
     lambdas = sorted({positive(lam, "lambdas") for lam in lambdas}, reverse=True)
     if not lambdas:
         raise ConfigurationError("rate study needs at least one step size")
     lambda_ref_divisor = count(lambda_ref_divisor, "lambda_ref_divisor")
     t_end, replicas = positive(t_end, "t_end"), count(replicas, "replicas")
+    dists = _rate_coupling(base, lambdas, lambdas[-1] / lambda_ref_divisor, obj, data, t_end,
+                           replicas)
     rows = []
-    for lam in lambdas:
-        try:
-            dist = brownian_coupled_distance(replace(base, lam=lam), lam / lambda_ref_divisor,
-                                             obj, data, t_end, replicas)
-        except DivergenceError:
-            dist = math.inf
-        if math.isfinite(dist):
+    for lam, dist in zip(lambdas, dists):
+        if not isinstance(dist, DivergenceError) and math.isfinite(dist):
             rows.append({"lambda": lam, "distance": dist, "flag": "ok"})
         else:  # diverged, or ran away so far that the squared distance overflowed
             rows.append({"lambda": lam, "distance": float("nan"), "flag": "diverged"})

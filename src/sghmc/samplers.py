@@ -26,29 +26,30 @@ the gradient evaluator that ``_gradient`` binds once per run. Each block is
 checked finite once per chain; one that fails is replayed step by step, all
 chains at each step, and ``_reject`` stops the run at its first non-finite
 state: with EvaluationError naming the sample where grad_f failed at a
-finite position below the certificate's overflow scale, and as its ``step``
-the step, else with DivergenceError. The loop, hooks included, and the
-runners that read its states ignore numpy's overflow and invalid warnings:
-a runaway state ends as a value or a DivergenceError. Each finished block
-goes to the runner's recorder, which reads its rows; results are copies,
-never views of a buffer, which ``_advance`` frees on every exit.
-``ensemble_run`` calls each functional once per block, on the block's
-stacked rows, so functionals must treat rows independently.
+finite position below the certificate's overflow scale, else with
+DivergenceError. The loop, hooks included, and the runners that read its
+states ignore numpy's overflow and invalid warnings: a runaway state ends as
+a value or a DivergenceError. Each finished block goes to the runner's
+recorder, which reads its rows; results are copies, never views of a buffer,
+which ``_advance`` frees on every exit. ``ensemble_run`` calls each
+functional once per block, on the block's stacked rows, so functionals must
+treat rows independently.
 
 Coupled runs advance two chains on shared randomness, as one paired (2R, d)
 block when they step alike: the realized distance between them upper-bounds
 the Wasserstein distance between their laws, which is the desk-scale route
-to checking contraction and discretization rates. The continuous-time
-reference is ``brownian_coupled_distance``'s fine Euler chain, a run of its
-own on the Brownian path whose r-fold sums drive the coarse chain's run,
-which runs first: the reference runs only as far as the coarse chain got.
-``_chains`` builds both, so they start alike and draw two equal streams.
+to checking contraction and discretization rates. A rate study is one
+coupling, ``_rate_coupling``: each step size, an integer multiple r of the
+reference's and a divisor of t_end, has its chain run first on the r-fold
+sums of one Brownian path; one fine Euler chain, the continuous-time
+reference, then runs on the path itself. A point whose chain failed, or
+whose reference did, gets a DivergenceError; the others, their distance.
 
 Every stream is derived from a config seed via :mod:`.rng`, by one rule, so
 runs are reproducible bit-for-bit. A run has a purpose ``p``: the kind for
 ``run_chain``, ``purpose`` for ``ensemble_run``, ``"coupled"`` for
 ``coupled_run``, ``"coupled-ensemble"`` for ``coupled_ensemble_run`` and
-``"rate"`` for ``brownian_coupled_distance``. Chain i (a, then b) draws its
+``"rate"`` for ``_rate_coupling``. Chain i (a, then b) draws its
 init from ``(cfg_i.seed, "p:init", i)``. A minibatch chain draws its indices
 from ``(cfg_i.seed, "p:minibatch", i + 1)`` in a coupled pair; a chain alone,
 and two minibatch chains of one batch size, draw them from index 0 of
@@ -66,8 +67,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, DivergenceError, EvaluationError, count, index,
-                     nonnegative, number, positive, real)
+from .errors import (ConfigurationError, DivergenceError, count, index, nonnegative, number,
+                     positive, real)
 from .objectives import (
     Dataset,
     ObjectiveSpec,
@@ -341,8 +342,7 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
     generator state after, as one call per step); sweep each chain in turn
     through rows 1..n and check them finite once; on a failure replay the
     block in step order on the same draws, checking each step, to stop where
-    it failed; an EvaluationError, raised by the check or by an evaluator,
-    gets that step as its ``step``."""
+    it failed."""
     sizes = {ch.idx_rng: (n, len(ch.X) // ch.copies, ch.cfg.batch_size)
              for ch in chains if ch.idx_rng is not None}
     drawn = {rng: rng.integers(0, data.n, size=size) for rng, size in sizes.items()}
@@ -355,15 +355,11 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
         if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
             return
     for j in range(n):
-        try:
-            for ch, inc, idx in zip(chains, incs, draws):
-                _sweep(ch, inc, j, j + 1, idx)
-            for ch in chains:
-                if not np.isfinite(ch.H[j + 1]).all():
-                    _reject(chains, obj, data, message, k0 + j + 1, j, draws)
-        except EvaluationError as err:
-            err.step = k0 + j + 1
-            raise
+        for ch, inc, idx in zip(chains, incs, draws):
+            _sweep(ch, inc, j, j + 1, idx)
+        for ch in chains:
+            if not np.isfinite(ch.H[j + 1]).all():
+                _reject(chains, obj, data, message, k0 + j + 1, j, draws)
 
 
 def _advance(chains, obj, data, steps, noise_rng, message="chain diverged at step {}"):
@@ -599,6 +595,14 @@ class CoupledEnsembleResult:
     rms_dv: np.ndarray
 
 
+def _separation(a, b):
+    """The mean, RMS, RMS-dx and RMS-dv separations, over replicas, of two
+    (x, v) states ``(X, V)`` of R replicas each."""
+    dx2, dv2 = (np.sum((p - q) ** 2, axis=1) for p, q in zip(a, b))
+    return (float(np.mean(np.sqrt(dx2 + dv2))), float(np.sqrt(np.mean(dx2 + dv2))),
+            float(np.sqrt(np.mean(dx2))), float(np.sqrt(np.mean(dv2))))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def coupled_ensemble_run(
     kind: str,
@@ -625,16 +629,8 @@ def coupled_ensemble_run(
         raise ConfigurationError("coupled chains must share the batch size")
 
     def separation(k, states):
-        A, B = (half for ch, S in zip(chains, states) for half in np.split(S, ch.copies, axis=1))
-        dx2 = np.sum((A[0] - B[0]) ** 2, axis=1)
-        dv2 = np.sum((A[1] - B[1]) ** 2, axis=1)
-        return (
-            k,
-            float(np.mean(np.sqrt(dx2 + dv2))),
-            float(np.sqrt(np.mean(dx2 + dv2))),
-            float(np.sqrt(np.mean(dx2))),
-            float(np.sqrt(np.mean(dv2))),
-        )
+        return k, *_separation(*(half for ch, S in zip(chains, states)
+                                 for half in np.split(S, ch.copies, axis=1)))
 
     rows = [separation(0, [np.stack([ch.X, ch.V]) for ch in chains])]
     for k0, n in _advance(chains, obj, data, steps, noise_rng,
@@ -652,36 +648,94 @@ def coupled_ensemble_run(
 
 
 def _failure(run):
-    """Exhaust a run; its DivergenceError or EvaluationError, without the
-    traceback whose frames would hold the run's arrays, or None."""
+    """Exhaust a run; its DivergenceError, without the traceback whose frames
+    would hold the run's arrays, or None."""
     try:
         for _ in run:
             pass
-    except (DivergenceError, EvaluationError) as err:
+    except DivergenceError as err:
         return err.with_traceback(None)
     return None
 
 
 class _Sums:
     """A noise stream whose draw per step is ``scale`` times the sum of ``r``
-    draws of ``rng``, drawn in chunks of steps whose r draws fit in
-    ``_BLOCK_BYTES`` and summed into the block it returns: a chunk is held on
-    top of the run's own block."""
+    draws of ``rng``, drawn in chunks of whole steps, or of one step's draws,
+    that fit in ``_BLOCK_BYTES``: a chunk is held on top of the run's block."""
 
     def __init__(self, rng, r, scale):
         self.rng, self.r, self.scale = rng, r, scale
 
     def standard_normal(self, shape):
         n, *rest = shape
-        k = max(1, _BLOCK_BYTES // (8 * self.r * math.prod(rest)))
-        out = np.empty(shape)
+        m = max(1, _BLOCK_BYTES // (8 * math.prod(rest)))  # the draws a chunk holds
+        k = max(1, m // self.r)  # the steps a chunk holds
+        out = np.zeros(shape)
         for i in range(0, n, k):
-            np.sum(self.rng.standard_normal((min(k, n - i), self.r, *rest)), axis=1,
-                   out=out[i:i + k])
+            for j in range(0, self.r, m):
+                out[i:i + k] += self.rng.standard_normal(
+                    (min(k, n - i), min(m, self.r - j), *rest)).sum(axis=1)
         return np.multiply(out, self.scale, out=out)
 
 
+def _multiple(a, b, x, y):
+    """a / b, an integer >= 1 up to rounding, else a ConfigurationError naming
+    a as x and b as y."""
+    q = a / b
+    if q == math.inf:
+        raise ConfigurationError(f"{x} / {y} overflows the step ratio at {x} = {a!r}, {y} = {b!r}")
+    n = round(q)
+    if n < 1 or not math.isclose(q, n, rel_tol=1e-9):
+        short = f"{x} too short: " if n < 1 else ""
+        raise ConfigurationError(f"{short}{x} = {a!r} must be an integer multiple of {y} = {b!r}")
+    return n
+
+
 @np.errstate(over="ignore", invalid="ignore")
+def _rate_coupling(cfg, lambdas, lambda_ref, obj, data, t_end, replicas):
+    """Each lambda's distance at time ``t_end`` to one finer reference on one
+    Brownian path, sqrt(mean over replicas of |dx|^2 + |dv|^2), or its
+    DivergenceError.
+
+    Each lambda must be r times ``lambda_ref`` and t_end n times lambda, for
+    integers r and n. Every chain comes from ``_chains`` with cfg and purpose
+    ``"rate"``: one initial state, and the path drawn from its own derivation
+    of one stream. Each lambda's ``"sghmc"`` chain runs first, n steps on
+    sqrt(lambda_ref) times the sums of r draws; then, if one completed, the
+    ``"exact_sghmc"`` reference runs all r n steps. A point whose chain failed
+    takes its DivergenceError; else, if the reference failed at fine step s,
+    one at coarse step ceil(s / r). An EvaluationError is raised.
+    """
+    lambda_ref, t_end = positive(lambda_ref, "lambda_ref"), real(t_end, "t_end")
+    replicas = count(replicas, "replicas")
+    steps = [(_multiple(lam, lambda_ref, "lam", "lambda_ref"),
+              _multiple(t_end, lam, "t_end", "lam")) for lam in lambdas]
+    (fine,) = {r * n for r, n in steps}  # t_end / lambda_ref
+    amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
+    message = "rate coupling diverged at coarse step {}"
+    coarse = []  # each lambda's chain, or its DivergenceError
+    for lam, (r, n) in zip(lambdas, steps):
+        (ch,), noise_rng = _chains(("sghmc",), (replace(cfg, lam=lam),), replicas, "rate")
+        ch.c = amp  # on the sums of r increments of variance lambda_ref
+        coarse.append(_failure(_advance([ch], obj, data, n, _Sums(noise_rng, r, sqrt_lref),
+                                        message)) or ch)
+    if all(isinstance(ch, DivergenceError) for ch in coarse):
+        return coarse
+    (ref,), ref_rng = _chains(("exact_sghmc",), (replace(cfg, lam=lambda_ref),), replicas, "rate")
+    ref.c = amp * sqrt_lref
+    ref_err = _failure(_advance([ref], obj, data, fine, ref_rng))
+    out = []
+    for ch, (r, _) in zip(coarse, steps):
+        if isinstance(ch, DivergenceError):
+            out.append(ch)
+        elif ref_err is not None:
+            h = -(-ref_err.step // r)
+            out.append(DivergenceError(message.format(h), step=h))
+        else:
+            out.append(_separation((ch.X, ch.V), (ref.X, ref.V))[1])
+    return out
+
+
 def brownian_coupled_distance(
     cfg: SamplerConfig,
     lambda_ref: float,
@@ -690,60 +744,10 @@ def brownian_coupled_distance(
     t_end: float,
     replicas: int,
 ) -> float:
-    """Terminal RMS distance between a chain at cfg.lam and a finer reference.
-
-    Both chains are driven by one Brownian path: the reference at step size
-    ``lambda_ref`` consumes the fine increments, the coarse chain at
-    ``cfg.lam`` consumes their sums over each coarse interval, so the pair is
-    synchronously coupled at matched physical time. ``cfg.lam`` must be a
-    finite integer multiple of ``lambda_ref``. The coarse chain uses minibatch
-    gradients when ``cfg.batch_size`` is set; the reference always uses the
-    full dataset. ``_chains`` builds both, with purpose ``"rate"``: one
-    initial state, and the path drawn from two derivations of one stream.
-    Fine step j belongs to coarse step ceil(j / r). The coarse chain runs
-    first, to its end or its failure at coarse step h; the reference then
-    runs exactly r h fine steps, so it stops at the coarse chain's failure
-    step. The failure at the earlier coarse step is raised, and on one
-    coarse step the reference's EvaluationError, then the coarse chain's
-    error; so DivergenceError.step is the first coarse step at which either
-    chain is not finite.
-
-    Returns sqrt(mean over replicas of |dx|^2 + |dv|^2) at time ``t_end``.
-    """
-    lambda_ref, t_end = positive(lambda_ref, "lambda_ref"), real(t_end, "t_end")
-    replicas = count(replicas, "replicas")
-    ratio = cfg.lam / lambda_ref
-    if ratio == math.inf:
-        raise ConfigurationError(f"lam / lambda_ref overflows the step ratio at lam = "
-                                 f"{cfg.lam!r}, lambda_ref = {lambda_ref!r}")
-    r = int(round(ratio))
-    if r < 1 or abs(ratio - r) > 1e-9:
-        raise ConfigurationError("cfg.lam must be an integer multiple of lambda_ref")
-    if t_end / cfg.lam == math.inf:
-        raise ConfigurationError(f"t_end / lam overflows the step count at t_end = {t_end!r}, "
-                                 f"lam = {cfg.lam!r}")
-    n_coarse = int(round(t_end / cfg.lam))
-    if n_coarse < 1:
-        raise ConfigurationError("t_end too short for one coarse step")
-    (coarse,), noise_rng = _chains(("sghmc",), (cfg,), replicas, "rate")
-    (ref,), ref_rng = _chains(("exact_sghmc",), (replace(cfg, lam=lambda_ref),), replicas,
-                              "rate")
-    # reference: a step per Brownian increment sqrt(l_ref) xi_j; coarse: per sum of r
-    amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
-    coarse.c, ref.c = amp, amp * sqrt_lref
-    message = "rate coupling diverged at coarse step {}"
-    coarse_err = _failure(_advance([coarse], obj, data, n_coarse,
-                                   _Sums(noise_rng, r, sqrt_lref), message))
-    h = n_coarse if coarse_err is None else coarse_err.step
-    ref_err = _failure(_advance([ref], obj, data, r * h, ref_rng))
-    if ref_err is not None and (coarse_err is None or ref_err.step <= r * (h - 1)
-                                or isinstance(ref_err, EvaluationError)):
-        h = -(-ref_err.step // r)
-        if isinstance(ref_err, DivergenceError):
-            raise DivergenceError(message.format(h), step=h)
-        ref_err.step = h
-        raise ref_err
-    if coarse_err is not None:
-        raise coarse_err
-    d2 = np.sum((coarse.X - ref.X) ** 2, axis=1) + np.sum((coarse.V - ref.V) ** 2, axis=1)
-    return float(np.sqrt(np.mean(d2)))
+    """Terminal RMS distance between a chain at cfg.lam and a finer reference
+    at ``lambda_ref`` on one Brownian path: :func:`_rate_coupling` of one
+    step size, whose DivergenceError is raised."""
+    [dist] = _rate_coupling(cfg, [cfg.lam], lambda_ref, obj, data, t_end, replicas)
+    if isinstance(dist, DivergenceError):
+        raise dist
+    return dist

@@ -26,7 +26,7 @@ from sghmc.harness import (
     validate_config,
 )
 from sghmc.objectives import AuditEntry, AuditReport
-from sghmc.samplers import SamplerConfig, gaussian_init, point_init
+from sghmc.samplers import SamplerConfig, brownian_coupled_distance, gaussian_init, point_init
 
 
 def base_config(**over):
@@ -469,10 +469,10 @@ class TestRateStudy:
         assert table["slope"] is None
 
     def test_non_finite_distance_left_out_of_slope(self, quad_obj, quad_data, monkeypatch):
-        def distance(cfg, lambda_ref, obj, data, t_end, replicas):
-            return math.inf if cfg.lam == 0.4 else cfg.lam**2
+        def distances(cfg, lambdas, lambda_ref, obj, data, t_end, replicas):
+            return [math.inf if lam == 0.4 else lam**2 for lam in lambdas]
 
-        monkeypatch.setattr(harness, "brownian_coupled_distance", distance)
+        monkeypatch.setattr(harness, "_rate_coupling", distances)
         base = SamplerConfig(lam=0.1, gamma=2.0, beta=1.0, batch_size=None,
                              dim=2, seed=9, init=gaussian_init(0.0, 1.0))
         table = rate_study(quad_obj, quad_data, base, lambdas=[0.4, 0.2, 0.1],
@@ -480,6 +480,42 @@ class TestRateStudy:
         row = table["rows"][0]
         assert row["flag"] == "diverged" and math.isnan(row["distance"])
         assert table["slope"] == pytest.approx(2.0, rel=1e-12)
+
+    # the cli-kinds shape of the benchmark: grid, reference divisor, t_end,
+    # replicas, init and data seed
+    GRID, DIVISOR, T_END = [0.1, 0.05, 0.025], 16, 2.0
+
+    @classmethod
+    def _study(cls, obj, batch_size, seed=0):
+        data = make_dataset("gaussian", 100, 2, seed=7)
+        base = SamplerConfig(lam=0.01, gamma=2.0, beta=1.0, batch_size=batch_size, dim=2,
+                             seed=seed, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        return base, data, rate_study(obj, data, base, cls.GRID, cls.DIVISOR, cls.T_END, 16)
+
+    def test_one_reference_per_study(self):
+        # the coarse chains read grad_batches at batch 10, so the grad_rows
+        # calls are the one reference's steps: t_end / (lambda_min / 16)
+        q, calls = double_well(2, coupling=0.1, z_radius=10.0), []
+
+        def grad_rows(X, Z):
+            calls.append(X)
+            return q.grad_rows(X, Z)
+
+        _, _, table = self._study(dataclasses.replace(q, grad_rows=grad_rows), 10)
+        assert [r["flag"] for r in table["rows"]] == ["ok"] * 3
+        assert len(calls) == round(self.T_END / (min(self.GRID) / self.DIVISOR)) == 1280
+
+    @pytest.mark.parametrize("batch_size", [None, 10])
+    def test_each_point_is_its_own_coupling(self, batch_size):
+        # a point of a study is the one-point coupling against the study's
+        # reference, bit for bit
+        obj = double_well(2, coupling=0.1, z_radius=10.0)
+        base, data, table = self._study(obj, batch_size, seed=3)
+        for row in table["rows"]:
+            assert row["flag"] == "ok"
+            assert row["distance"] == brownian_coupled_distance(
+                dataclasses.replace(base, lam=row["lambda"]), min(self.GRID) / self.DIVISOR,
+                obj, data, self.T_END, 16)
 
 
 class TestMomentumKinds:
@@ -563,7 +599,7 @@ class TestGoldenRuns:
         "validate": {"findings.json": "93866b932ee90b51", "manifest.json": "3426d95c9fc25016"},
         "sample": {"trajectory.csv": "ad6efd2c62390280", "manifest.json": "30fd543b780671c8"},
         "couple": {"distances.csv": "7f056c5c7212826d", "manifest.json": "1d1b5fec00cab82f"},
-        "rate-study": {"rate.csv": "688394dfd90f68b0", "manifest.json": "3f0739c02a74ea9a"},
+        "rate-study": {"rate.csv": "79f25e706b195a8a", "manifest.json": "10752ced1732628f"},
         "constants": {"constants.json": "064232b898ca188e", "manifest.json": "5fb433ade0549808"},
         "risk-bound": {"risk.json": "ff3201524fc00f92", "manifest.json": "71e2c362e70fc1bf"},
         # the manifest echoes the burn-in that ran (2000, resolved from the default)
@@ -593,8 +629,8 @@ class TestGoldenRuns:
         ("double_well", "sample", 10): ("fab0ec46d2346896", "c93f5b3ee3b8f21f"),
         ("double_well", "couple", None): ("4a9f848e05971a96", "dc74dd70d2c7fc2b"),
         ("double_well", "couple", 10): ("020a8c6e662c1cc4", "0552fb2acb444e1b"),
-        ("double_well", "rate-study", None): ("6611fc21250bd6fd", "e2334c052cea3277"),
-        ("double_well", "rate-study", 10): ("8e3f5714fb81b9f5", "c275a4409a09a381"),
+        ("double_well", "rate-study", None): ("69c8d5bf98d6d396", "81fca1f4fa997833"),
+        ("double_well", "rate-study", 10): ("5b7bfd27a519865b", "f3b3b97792749dc6"),
         ("double_well", "constants", None): ("a696c35997fb5693", "48f3bd2d9e13955d"),
         ("double_well", "constants", 10): ("a696c35997fb5693", "0d527b1261337b9c"),
         ("double_well", "risk-bound", None): ("826cc377cc6c313d", "625a6fc01fc0f0cb"),
@@ -607,8 +643,8 @@ class TestGoldenRuns:
         ("gaussian_mixture", "sample", 10): ("0e8b63431e42b140", "43a7677bd271c38e"),
         ("gaussian_mixture", "couple", None): ("9fb9aa0297540311", "24af8f7d9e93f06a"),
         ("gaussian_mixture", "couple", 10): ("e3c404b8944f384f", "2a5a38d782605d26"),
-        ("gaussian_mixture", "rate-study", None): ("6527b909bbadb2c5", "a7e556e6dd631d88"),
-        ("gaussian_mixture", "rate-study", 10): ("cc2bf19c952d9155", "656fb3b6a3606a33"),
+        ("gaussian_mixture", "rate-study", None): ("2431619ec19fec25", "de28c0f8e32ed110"),
+        ("gaussian_mixture", "rate-study", 10): ("d0d2576813d64573", "207adefff12ed84a"),
         ("gaussian_mixture", "constants", None): ("b4990e5f8751f3a9", "bba76597b8f34307"),
         ("gaussian_mixture", "constants", 10): ("b4990e5f8751f3a9", "cdd68d81637b4a8e"),
         ("gaussian_mixture", "risk-bound", None): ("b8482a8589d7f738", "75baf54d66af1000"),
@@ -617,7 +653,7 @@ class TestGoldenRuns:
         ("quadratic", "validate", 10): ("93866b932ee90b51", "1f248e77931f05f8"),
         ("quadratic", "sample", 10): ("b531b8e79480950e", "c76d35942e6acf3d"),
         ("quadratic", "couple", 10): ("7da548d35810c94f", "81f713ea189a7b87"),
-        ("quadratic", "rate-study", 10): ("233931e1b18aed77", "98eb2ff36ccb6106"),
+        ("quadratic", "rate-study", 10): ("ee18925fc280922a", "9c6922ff06115884"),
         ("quadratic", "constants", 10): ("064232b898ca188e", "31361729e2ce6b9b"),
         ("quadratic", "gibbs-check", 10): ("605a2fb23462d3fb", "d642555253919c82"),
     }
@@ -860,11 +896,16 @@ class TestCli:
          "lambda_ref_divisor must be an integer >= 1, got 2.5"),
         ("rate-study", {"rate": {"t_end": 1e308, "lambdas": [0.1], "ref_divisor": 2}}, [],
          "t_end / lam overflows"),
+        ("rate-study", {"rate": {"lambdas": [0.1, 0.03]}}, [],
+         "lam = 0.1 must be an integer multiple of lambda_ref = 0.001875"),
+        ("rate-study", {"rate": {"lambdas": [0.3, 0.1], "t_end": 1.0}}, [],
+         "t_end = 1.0 must be an integer multiple of lam = 0.3"),
         ("constants", {"pilot_steps": -5}, [], "must be >="),
         ("risk-bound", {"pilot_steps": -5}, [], "must be >="),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
             "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "ref-divisor-inf",
-            "ref-divisor-fractional", "rate-t-end-overflow",
+            "ref-divisor-fractional", "rate-t-end-overflow", "rate-grid-not-nested",
+            "rate-t-end-not-a-multiple",
             "pilot-steps-neg-constants", "pilot-steps-neg-risk-bound"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv,
                                                     message):
