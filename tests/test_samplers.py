@@ -816,6 +816,19 @@ class TestGoldenOutputs:
             steps.append(err.value.step)
         assert tuple(steps) == self.BOTH_DIVERGE_STEP[objective]
 
+    def test_reference_failure_at_its_coarse_step(self):
+        # the double well case above, at t_end 1000: the chain at lam 5
+        # completes its 200 steps and the reference at lam / 4 fails at fine
+        # step 496, so the point fails at coarse step 124; the chain at 2.5
+        # fails itself, at its step 336, and keeps its own error
+        data = make_dataset("gaussian", 200, 2, seed=7)
+        obj = double_well(2, coupling=0.1, z_radius=data.max_norm())
+        for batch in (None, 8):
+            cfg = dataclasses.replace(self._pair(batch, lam=5.0)[0], gamma=0.5,
+                                      init=point_init([1.0, 0.0], [0.0, 0.0]))
+            errs = samplers._rate_coupling(cfg, [5.0, 2.5], 1.25, obj, data, 1000.0, 4)
+            assert [err.step for err in errs] == [124, 336]
+
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_outputs_and_divergence_step_pinned(self, runner):
         assert self.digests(runner) == tuple(self.GOLDEN[runner].split())
@@ -1057,6 +1070,19 @@ class TestNoiseBlocks:
     # and coupled_run 7-step ones, so the divergence runs end in a partial
     # block. At 9300 bytes the blocks are 12, 16 and 14 steps.
     CAPS = [1, 4800, 9300]
+
+    def test_sums_in_parts_of_a_step(self, monkeypatch, data2):
+        # a cap of 20 draws sums each coarse step's 64 draws in four parts:
+        # the same draws in the same order, so only the rounding moves
+        cfg = _cfg(lam=0.1, seed=6, init=gaussian_init(0.0, 1.0))
+
+        def distance():
+            return brownian_coupled_distance(cfg, 0.1 / 64, quadratic(2, m0=1.0), data2,
+                                             t_end=2.0, replicas=4)
+
+        whole = distance()
+        monkeypatch.setattr(samplers, "_BLOCK_BYTES", 20 * 8 * 4 * 2)
+        assert distance() == pytest.approx(whole, rel=1e-12)
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("runner", TestGoldenOutputs.RUNNERS)
