@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind, run in _KINDS.items():
         sp = sub.add_parser(kind, help=run.__doc__)
         sp.add_argument("--config", required=False, help="JSON config (or manifest) path")
-        sp.add_argument("--seed", type=int, default=None, help="override the sampler seed")
+        sp.add_argument("--seed", type=int, default=None, help="override every sampler's seed")
         sp.add_argument("--out", default=None, help="override the output directory")
         sp.add_argument("--replicas", type=int, default=None, help="override replica count")
         sp.add_argument("--strict", action="store_true", help="escalate findings to errors")
@@ -48,7 +48,8 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig.from_dict({"kind": args.kind})
         over = {}
         if args.seed is not None:
-            over["sampler"] = dataclasses.replace(cfg.sampler, seed=args.seed)
+            over.update({name: dataclasses.replace(s, seed=args.seed)
+                         for name in ("sampler", "sampler_b") if (s := getattr(cfg, name))})
         if args.out is not None:
             over["out"] = args.out
         if args.replicas is not None:

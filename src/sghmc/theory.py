@@ -6,7 +6,7 @@ empirical pilot statistics. The chain of quantities:
 
 * drift constants (lambda_c, A_c) -- verified numerically on probe points;
 * the Lyapunov function 'V' of the dynamics and its integral under the
-  initial law;
+  initial law (one evaluation of V, on rows of states);
 * contraction constants (Lambda_c, alpha_c, c*, C*, epsilon_c, R_1) and the
   concave comparison function h, evaluated by composite Simpson quadrature;
 * the semimetrics r and rho built from h and V (one evaluation of rho);
@@ -38,7 +38,6 @@ from .objectives import (
     batch_empirical_gradient,
     batch_empirical_risk,
     default_probe_radius,
-    empirical_risk,
 )
 from .rng import derive_stream
 
@@ -132,6 +131,9 @@ class LyapunovParams:
 
     V(x, v) = beta F(x) + (beta gamma^2 / 4)(|x + v/gamma|^2 + |v/gamma|^2
               - lambda_c |x|^2).
+
+    ``value_rows`` is the one evaluation of V, with F read through
+    ``batch_empirical_risk``; ``value`` is its one-row case.
     """
 
     beta: float
@@ -146,15 +148,7 @@ class LyapunovParams:
             object.__setattr__(self, name, value)
 
     def value(self, x, v) -> float:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        g = self.gamma
-        quad = (
-            float(np.sum((x + v / g) ** 2))
-            + float(np.sum((v / g) ** 2))
-            - self.lambda_c * float(np.sum(x * x))
-        )
-        return self.beta * empirical_risk(x, self.obj, self.data) + 0.25 * self.beta * g * g * quad
+        return float(self.value_rows(x, v)[0])
 
     def value_rows(self, X, V) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -180,14 +174,12 @@ def lyapunov_lower_bound(params: LyapunovParams, x, v) -> float:
 
 
 def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int) -> float:
-    """Integral of the Lyapunov functional under the initial law.
-
-    Exact for a point mass, Monte Carlo (4096 draws) for a Gaussian.
+    """Integral of the Lyapunov functional under the initial law: the mean of
+    V over draws of it, 4096 for a Gaussian and the one row of a point mass,
+    whose integral is V at the point.
     """
     rng = derive_stream(0, "mu0:lyapunov")
     X, V = init.sample(dim, rng, size=1 if init.kind == "point" else 4096)
-    if init.kind == "point":
-        return lyap.value(X[0], V[0])
     return float(np.mean(lyap.value_rows(X, V)))
 
 

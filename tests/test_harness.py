@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sghmc import (ConfigurationError, DivergenceError, ObjectiveSpec, double_well, make_dataset,
-                   quadratic, register_objective)
+from sghmc import (ConfigurationError, DivergenceError, EvaluationError, ObjectiveSpec,
+                   double_well, make_dataset, quadratic, register_objective)
 from sghmc import harness, objectives, theory
 from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from sghmc.harness import (
@@ -26,6 +26,7 @@ from sghmc.harness import (
     validate_config,
 )
 from sghmc.objectives import AuditEntry, AuditReport
+from sghmc.rng import derive_stream
 from sghmc.samplers import SamplerConfig, brownian_coupled_distance, gaussian_init, point_init
 
 
@@ -306,6 +307,71 @@ class TestUserObjectives:
     def test_a_name_registers_once(self, registered):
         with pytest.raises(ConfigurationError, match="'hookless_quadratic' is already registered"):
             register_objective("hookless_quadratic", self.hookless_quadratic)
+
+
+class TestLyapunovAtANonFiniteStart:
+    """V reads the objective only through ``batch_empirical_risk``. An objective
+    without ``risk_rows`` whose loss is NaN at the initial point fails its
+    certification with the sample named; one whose ``risk_rows`` hook is NaN
+    there gets a non-finite integral of V, which the moment bounds reject."""
+
+    X0 = np.array([1.0, 0.0])
+
+    @classmethod
+    def nan_loss(cls, dim):
+        """The quadratic, without its row hooks, with a NaN loss on sample 3 at x0."""
+        q = quadratic(dim, m0=1.0)
+
+        def f(x, Z):
+            vals = np.array(q.f(x, Z), dtype=float)
+            if np.array_equal(x, cls.X0):
+                vals[3] = np.nan
+            return vals
+        return ObjectiveSpec("nan_loss", dim, f, q.grad_f, q.cert)
+
+    @classmethod
+    def nan_rows(cls, dim):
+        """The quadratic with a finite loss and a ``risk_rows`` hook that is NaN at x0."""
+        q = quadratic(dim, m0=1.0)
+
+        def risk_rows(X, Z):
+            return np.where((X == cls.X0).all(axis=1), np.nan, q.risk_rows(X, Z))
+        return dataclasses.replace(q, name="nan_rows", risk_rows=risk_rows)
+
+    @pytest.fixture
+    def registered(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_REGISTRY", dict(objectives._REGISTRY))
+        register_objective("nan_loss", self.nan_loss)
+        register_objective("nan_rows", self.nan_rows)
+
+    def config(self, tmp_path, kind, name):
+        doc = base_config(kind=kind, out=str(tmp_path / kind), objective={"name": name},
+                          **TestGoldenRuns.CONFIGS[kind])
+        doc["sampler"]["init"] = {"kind": "point", "x0": self.X0.tolist(), "v0": [0, 0]}
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_a_nan_loss_names_its_sample(self, quad_data):
+        obj = self.nan_loss(2)
+        lyap = theory.LyapunovParams(1.0, 2.0, 0.125, obj, quad_data)
+        with pytest.raises(EvaluationError, match="sample index 3") as info:
+            theory.initial_lyapunov_integral(point_init(self.X0, [0, 0]), lyap, 2)
+        assert info.value.sample_index == 3
+
+    @pytest.mark.parametrize("name, message", [
+        ("nan_loss", "'nan_loss' returned a non-finite value at sample index 3"),
+        ("nan_rows", "mu0_lyapunov_integral must be"),
+    ], ids=["nan-loss", "nan-rows"])
+    def test_certification_fails(self, tmp_path, capsys, registered, name, message):
+        assert main(["validate", "--config", str(self.config(tmp_path, "validate", name)),
+                     "--out", str(tmp_path / "v")]) == EXIT_OK
+        findings = json.loads((tmp_path / "v" / "findings.json").read_text())
+        [entry] = [f for f in findings if f["code"] == "certification"]
+        assert entry["level"] == "warning" and message in entry["message"]
+        for kind in ("constants", "risk-bound"):
+            assert main([kind, "--config", str(self.config(tmp_path, kind, name))]) == EXIT_VALIDATION
+            assert message in capsys.readouterr().err
 
 
 def _unflagged_non_finite(doc, path=""):
@@ -618,7 +684,9 @@ class TestGoldenRuns:
     # (output, manifest) digests of every kind on the built-in double well and
     # mixture (gibbs-check needs the quadratic) at full gradients and at batch
     # 10, and on the quadratic at batch 10 (risk-bound's is PINS' own),
-    # recorded before the kinds became one table; never re-record
+    # recorded before the kinds became one table (the mixture's constants.json
+    # again when V became one evaluation, which moved its mu0 by one ulp);
+    # never re-record
     BUILTINS = {"double_well": ({"coupling": 0.1}, 11), "gaussian_mixture": ({"ridge": 0.05}, 13)}
     BUILTIN_PINS = {
         ("double_well", "audit", None): ("30ea1012248884db", "7f2c80a2efcc54cf"),
@@ -645,8 +713,8 @@ class TestGoldenRuns:
         ("gaussian_mixture", "couple", 10): ("e3c404b8944f384f", "2a5a38d782605d26"),
         ("gaussian_mixture", "rate-study", None): ("2431619ec19fec25", "de28c0f8e32ed110"),
         ("gaussian_mixture", "rate-study", 10): ("d0d2576813d64573", "207adefff12ed84a"),
-        ("gaussian_mixture", "constants", None): ("b4990e5f8751f3a9", "bba76597b8f34307"),
-        ("gaussian_mixture", "constants", 10): ("b4990e5f8751f3a9", "cdd68d81637b4a8e"),
+        ("gaussian_mixture", "constants", None): ("006584bcecaad9ac", "bba76597b8f34307"),
+        ("gaussian_mixture", "constants", 10): ("006584bcecaad9ac", "cdd68d81637b4a8e"),
         ("gaussian_mixture", "risk-bound", None): ("b8482a8589d7f738", "75baf54d66af1000"),
         ("gaussian_mixture", "risk-bound", 10): ("56b7ea4a01efb389", "50f033701c71c4b3"),
         ("quadratic", "audit", 10): ("45d7692e93e2c442", "2fc7ac8324bab248"),
@@ -750,6 +818,29 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(path)]) == EXIT_OK
         assert main(["validate", "--config", str(path), "--strict"]) == EXIT_VALIDATION
+
+    def test_seed_flag_reseeds_every_sampler(self, tmp_path):
+        # chain b of a couple run draws its start from sampler_b's seed, which
+        # the flag sets as it sets sampler's: two seeds, two starts of chain b
+        starts = []
+        for seed in (5, 6):
+            doc = base_config(kind="couple", out=str(tmp_path / str(seed)), steps=10, thin=10)
+            doc["sampler"]["init"] = {"kind": "gaussian", "mean": 0.0, "scale": 1.0}
+            doc["sampler_b"] = {"init": {"kind": "gaussian", "mean": 1.0, "scale": 1.0}}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            assert main(["couple", "--config", str(path), "--seed", str(seed)]) == EXIT_OK
+            manifest = json.loads((tmp_path / str(seed) / "manifest.json").read_text())
+            assert manifest["config"]["sampler"]["seed"] == seed
+            assert manifest["config"]["sampler_b"]["seed"] == seed
+            cfg = load_config(tmp_path / str(seed) / "manifest.json")
+            (xa, va), (xb, vb) = (c.init.sample(2, derive_stream(seed, "coupled:init", i), 1)
+                                  for i, c in enumerate((cfg.sampler, cfg.sampler_b)))
+            first = (tmp_path / str(seed) / "distances.csv").read_text().splitlines()[1]
+            assert [float(v) for v in first.split(",")] == pytest.approx(
+                [0.0, np.linalg.norm(xa - xb), np.linalg.norm(va - vb)], rel=1e-12)
+            starts.append(np.concatenate([xb, vb], axis=1))
+        assert not np.array_equal(*starts)
 
     def test_divergence_exit_code(self, tmp_path):
         doc = base_config(out=str(tmp_path / "d"), steps=5000)

@@ -4,7 +4,7 @@ a module imports at its top is read in it. Every module-level function and
 class is read somewhere that runs it, or is named in the README. No function
 of the harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
-builder, for every runner."""
+builder, for every runner. The theory chain reads the objective by rows."""
 
 import ast
 import re
@@ -130,6 +130,17 @@ def test_one_stream_rule():
     # every runner takes its streams and initial states from samplers._chains,
     # so the stream rule is written once
     assert _calls_outside_the_builder("derive_stream", ".init.sample") == []
+
+
+def test_theory_reads_the_objective_by_rows():
+    # the theory chain reads the objective through the row evaluators
+    # (batch_empirical_risk, batch_empirical_gradient) alone, so V and the
+    # drift certificate have one evaluation each; it names no per-sample one
+    per_sample = {"empirical_risk", "empirical_gradient", "f", "grad_f"}
+    path = PACKAGE / "theory.py"
+    imported = {a.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted((_reads(path) | imported) & per_sample) == []
 
 
 def test_one_chain_builder():

@@ -147,6 +147,17 @@ class TestLyapunov:
             for x, v in zip(X, V):
                 assert lyap.value(x, v) >= theory.lyapunov_lower_bound(lyap, x, v) - 1e-9
 
+    def test_one_evaluation_of_v(self, builtin_suite):
+        # at the golden runs' point law the integral of V, V at the point and
+        # the one-row stack are one number, bit for bit, on every built-in
+        x0, v0 = np.array([1.0, 0.0]), np.zeros(2)
+        for obj, data in builtin_suite:
+            drift = theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data)
+            lyap = theory.LyapunovParams(BETA, GAMMA, drift.lambda_c, obj, data)
+            mu0 = theory.initial_lyapunov_integral(point_init(x0, v0), lyap, 2)
+            rows = lyap.value_rows(x0[None], v0[None])
+            assert mu0 == lyap.value(x0, v0) == rows[0], obj.name
+
     def test_rows_match_scalar(self, quad_theory):
         lyap = quad_theory["lyap"]
         rng = derive_stream(31, "lyap-rows")
