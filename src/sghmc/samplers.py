@@ -40,8 +40,8 @@ block when they step alike: the realized distance between them upper-bounds
 the Wasserstein distance between their laws, which is the desk-scale route
 to checking contraction and discretization rates. A rate study is one
 coupling, ``_rate_coupling``: each step size, an integer multiple r of the
-reference's and a divisor of t_end, has its chain run first on the r-fold
-sums of one Brownian path; one fine Euler chain, the continuous-time
+reference's and a divisor of t_end, has its chain run first on the normalized
+r-fold sums of one Brownian path; one fine Euler chain, the continuous-time
 reference, then runs on the path itself. A point whose chain failed, or
 whose reference did, gets a DivergenceError; the others, their distance.
 
@@ -245,11 +245,10 @@ class _Chain:
     :func:`_chains` builds and :func:`_advance` steps at cfg's step size and friction.
 
     A minibatch chain draws indices from ``idx_rng``, shared by the chains
-    holding the same generator. ``c``, the noise coefficient, is cfg's unless
-    a runner sets it. ``X`` and ``V`` are the state before and after the run;
-    during it the state lives in ``_advance``'s history buffer ``H``, which
-    :func:`_sweep` steps through. Its ``copies`` stacked parts step on the
-    same noise and indices.
+    holding the same generator. ``c``, the noise coefficient, is cfg's. ``X``
+    and ``V`` are the state before and after the run; during it the state
+    lives in ``_advance``'s history buffer ``H``, which :func:`_sweep` steps
+    through. Its ``copies`` stacked parts step on the same noise and indices.
     """
 
     def __init__(self, kind, cfg, X, V, idx_rng=None, copies=1):
@@ -530,12 +529,11 @@ def ensemble_run(
     series = {name: [float(np.mean(fn(chain.X, chain.V)))] for name, fn in functionals.items()}
     running_max = {name: series[name][0] for name in functionals}
     # [sum, sum of squares] x [x, v], each summed over replicas one after
-    # another, then over steps in step order. Copied to ([values, squares], R,
-    # steps, 2, d), the replicas are an outer axis, added in that order about
-    # 2.5 times as fast as a block's middle axis, and the squares are one
-    # contiguous product. Not at d = 1: numpy sums a block's contiguous
-    # replica axis pairwise, which the copy would not keep. The copy moves
-    # each (d,) row as one item: at d = 2, 4 times as fast.
+    # another, then over steps in step order, at every dimension. Copied to
+    # ([values, squares], R, steps, 2, d), the replicas are an outer axis,
+    # added in that order about 2.5 times as fast as a block's middle axis,
+    # and the squares are one contiguous product. The copy moves each (d,)
+    # row as one item: at d = 2, 4 times as fast.
     row = np.dtype((np.void, 8 * cfg.dim))
     tail_sums = np.zeros((2, 2, cfg.dim))
     tail_n = 0
@@ -552,14 +550,10 @@ def ensemble_run(
             series[name].extend(vals[k - k0 - 1] for k in ks)
         t = max(0, burn_in - k0)  # the block's first row past burn-in
         if t < n:
-            tail = block[t:]
-            if cfg.dim == 1:
-                sums = np.stack([tail.sum(axis=2), (tail * tail).sum(axis=2)], axis=1)
-            else:
-                buf = np.empty((2, replicas, n - t, 2, cfg.dim))
-                buf[0].view(row)[..., 0] = tail.view(row)[..., 0].transpose(2, 0, 1)
-                np.multiply(buf[0], buf[0], out=buf[1])
-                sums = np.add.reduce(buf, axis=1).transpose(1, 0, 2, 3)
+            buf = np.empty((2, replicas, n - t, 2, cfg.dim))
+            buf[0].view(row)[..., 0] = block[t:].view(row)[..., 0].transpose(2, 0, 1)
+            np.multiply(buf[0], buf[0], out=buf[1])
+            sums = np.add.reduce(buf, axis=1).transpose(1, 0, 2, 3)
             sums[0] += tail_sums
             tail_sums = np.add.accumulate(sums, axis=0)[-1]
             tail_n += (n - t) * replicas
@@ -659,12 +653,13 @@ def _failure(run):
 
 
 class _Sums:
-    """A noise stream whose draw per step is ``scale`` times the sum of ``r``
-    draws of ``rng``, drawn in chunks of whole steps, or of one step's draws,
-    that fit in ``_BLOCK_BYTES``: a chunk is held on top of the run's block."""
+    """A standard-normal stream whose draw per step is the sum of ``r``
+    consecutive draws of ``rng`` divided by sqrt(r), drawn in chunks of whole
+    steps, or of one step's draws, that fit in ``_BLOCK_BYTES``: a chunk is
+    held on top of the run's block."""
 
-    def __init__(self, rng, r, scale):
-        self.rng, self.r, self.scale = rng, r, scale
+    def __init__(self, rng, r):
+        self.rng, self.r = rng, r
 
     def standard_normal(self, shape):
         n, *rest = shape
@@ -675,7 +670,7 @@ class _Sums:
             for j in range(0, self.r, m):
                 out[i:i + k] += self.rng.standard_normal(
                     (min(k, n - i), min(m, self.r - j), *rest)).sum(axis=1)
-        return np.multiply(out, self.scale, out=out)
+        return np.divide(out, math.sqrt(self.r), out=out)
 
 
 def _multiple(a, b, x, y):
@@ -698,38 +693,39 @@ def _rate_coupling(cfg, lambdas, lambda_ref, obj, data, t_end, replicas):
     DivergenceError.
 
     Each lambda must be r times ``lambda_ref`` and t_end n times lambda, for
-    integers r and n. Every chain comes from ``_chains`` with cfg and purpose
-    ``"rate"``: one initial state, and the path drawn from its own derivation
-    of one stream. Each lambda's ``"sghmc"`` chain runs first, n steps on
-    sqrt(lambda_ref) times the sums of r draws; then, if one completed, the
-    ``"exact_sghmc"`` reference runs all r n steps. A point whose chain failed
-    takes its DivergenceError; else, if the reference failed at fine step s,
-    one at coarse step ceil(s / r). An EvaluationError is raised.
+    integers r and n. Every chain is an ordinary one from ``_chains``, of cfg
+    at its step size and purpose ``"rate"``: one initial state, and the path
+    drawn from its own derivation of one stream. Each lambda's ``"sghmc"``
+    chain runs first, n steps on the ``_Sums`` of r draws; then, if one
+    completed, the ``"exact_sghmc"`` reference runs all r n steps on the draws
+    themselves. A point whose chain failed takes its DivergenceError; else, if
+    the reference failed at fine step s, one at coarse step ceil(s / r). An
+    EvaluationError is raised.
     """
     lambda_ref, t_end = positive(lambda_ref, "lambda_ref"), real(t_end, "t_end")
     replicas = count(replicas, "replicas")
     steps = [(_multiple(lam, lambda_ref, "lam", "lambda_ref"),
               _multiple(t_end, lam, "t_end", "lam")) for lam in lambdas]
     (fine,) = {r * n for r, n in steps}  # t_end / lambda_ref
-    amp, sqrt_lref = _noise(cfg.gamma, cfg.beta), math.sqrt(lambda_ref)
     message = "rate coupling diverged at coarse step {}"
-    coarse = []  # each lambda's chain, or its DivergenceError
-    for lam, (r, n) in zip(lambdas, steps):
-        (ch,), noise_rng = _chains(("sghmc",), (replace(cfg, lam=lam),), replicas, "rate")
-        ch.c = amp  # on the sums of r increments of variance lambda_ref
-        coarse.append(_failure(_advance([ch], obj, data, n, _Sums(noise_rng, r, sqrt_lref),
-                                        message)) or ch)
+
+    def run(kind, lam, n, r):
+        """``kind``'s chain at step size lam after n steps on the ``_Sums`` of r
+        draws of its stream (at r = 1, the draws), or its DivergenceError."""
+        (ch,), rng = _chains((kind,), (replace(cfg, lam=lam),), replicas, "rate")
+        return _failure(_advance([ch], obj, data, n, _Sums(rng, r) if r > 1 else rng,
+                                 message)) or ch
+
+    coarse = [run("sghmc", lam, n, r) for lam, (r, n) in zip(lambdas, steps)]
     if all(isinstance(ch, DivergenceError) for ch in coarse):
         return coarse
-    (ref,), ref_rng = _chains(("exact_sghmc",), (replace(cfg, lam=lambda_ref),), replicas, "rate")
-    ref.c = amp * sqrt_lref
-    ref_err = _failure(_advance([ref], obj, data, fine, ref_rng))
+    ref = run("exact_sghmc", lambda_ref, fine, 1)
     out = []
     for ch, (r, _) in zip(coarse, steps):
         if isinstance(ch, DivergenceError):
             out.append(ch)
-        elif ref_err is not None:
-            h = -(-ref_err.step // r)
+        elif isinstance(ref, DivergenceError):
+            h = -(-ref.step // r)
             out.append(DivergenceError(message.format(h), step=h))
         else:
             out.append(_separation((ch.X, ch.V), (ref.X, ref.V))[1])

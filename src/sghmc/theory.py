@@ -178,7 +178,7 @@ def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int) -> float:
     V over draws of it, 4096 for a Gaussian and the one row of a point mass,
     whose integral is V at the point.
     """
-    rng = derive_stream(0, "mu0:lyapunov")
+    dim, rng = count(dim, "dim"), derive_stream(0, "mu0:lyapunov")
     X, V = init.sample(dim, rng, size=1 if init.kind == "point" else 4096)
     return float(np.mean(lyap.value_rows(X, V)))
 
@@ -720,15 +720,15 @@ def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: floa
 
     Returns ``(cap, k_min)`` where the run must satisfy
     lam^{1/(2p)} + delta^{1/(2p)} <= cap = eps / (2 C~) and k >= k_min.
-    When the initial transient is already below eps (log argument <= 1) the
-    budget is zero. ``c_tilde`` is the C~ entry of ``proof_constants``, whose
-    log stays finite beyond float range; both results go through in_range.
+    When the initial transient is already below eps (log argument <= 1, or
+    w_rho_init = 0) the budget is zero. ``c_tilde`` is C~ of ``proof_constants``,
+    whose log stays finite beyond float range; both results go through in_range.
     """
-    eps = positive(eps, "eps")
+    eps, p, w_rho = positive(eps, "eps"), positive(p, "p"), nonnegative(w_rho_init, "w_rho_init")
     log_ct = c_tilde.log
     log_cap = math.log(eps) - math.log(2.0) - log_ct
     cap = in_range(_exp(log_cap), log_cap)
-    log_arg = cc.log_C_star + math.log(w_rho_init) / p - math.log(eps)
+    log_arg = cc.log_C_star + _ln(w_rho) / p - math.log(eps)
     if log_arg <= 0.0:
         return cap, 0
     log_k = (

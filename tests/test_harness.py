@@ -659,13 +659,14 @@ class TestGoldenRuns:
     }
 
     # recorded before the run pipeline was merged (sample and couple again when
-    # single chains became ensembles of one); never re-record
+    # single chains became ensembles of one, rate-study when its chains became
+    # ordinary ones, which moved a distance by one ulp); never re-record
     PINS = {
         "audit": {"audit.json": "45d7692e93e2c442", "manifest.json": "c7aa139ac443557f"},
         "validate": {"findings.json": "93866b932ee90b51", "manifest.json": "3426d95c9fc25016"},
         "sample": {"trajectory.csv": "ad6efd2c62390280", "manifest.json": "30fd543b780671c8"},
         "couple": {"distances.csv": "7f056c5c7212826d", "manifest.json": "1d1b5fec00cab82f"},
-        "rate-study": {"rate.csv": "79f25e706b195a8a", "manifest.json": "10752ced1732628f"},
+        "rate-study": {"rate.csv": "5119e3a1ae8dd4c5", "manifest.json": "9e89b2de1f671356"},
         "constants": {"constants.json": "064232b898ca188e", "manifest.json": "5fb433ade0549808"},
         "risk-bound": {"risk.json": "ff3201524fc00f92", "manifest.json": "71e2c362e70fc1bf"},
         # the manifest echoes the burn-in that ran (2000, resolved from the default)
@@ -685,8 +686,9 @@ class TestGoldenRuns:
     # mixture (gibbs-check needs the quadratic) at full gradients and at batch
     # 10, and on the quadratic at batch 10 (risk-bound's is PINS' own),
     # recorded before the kinds became one table (the mixture's constants.json
-    # again when V became one evaluation, which moved its mu0 by one ulp);
-    # never re-record
+    # again when V became one evaluation, which moved its mu0 by one ulp, and
+    # three rate-study pins when its chains became ordinary ones, which moved
+    # a distance by one ulp); never re-record
     BUILTINS = {"double_well": ({"coupling": 0.1}, 11), "gaussian_mixture": ({"ridge": 0.05}, 13)}
     BUILTIN_PINS = {
         ("double_well", "audit", None): ("30ea1012248884db", "7f2c80a2efcc54cf"),
@@ -711,8 +713,8 @@ class TestGoldenRuns:
         ("gaussian_mixture", "sample", 10): ("0e8b63431e42b140", "43a7677bd271c38e"),
         ("gaussian_mixture", "couple", None): ("9fb9aa0297540311", "24af8f7d9e93f06a"),
         ("gaussian_mixture", "couple", 10): ("e3c404b8944f384f", "2a5a38d782605d26"),
-        ("gaussian_mixture", "rate-study", None): ("2431619ec19fec25", "de28c0f8e32ed110"),
-        ("gaussian_mixture", "rate-study", 10): ("d0d2576813d64573", "207adefff12ed84a"),
+        ("gaussian_mixture", "rate-study", None): ("84fd1578e896440f", "2999ba9ee8b9af6c"),
+        ("gaussian_mixture", "rate-study", 10): ("1602b3e725575d4b", "1b58d41d2de81e80"),
         ("gaussian_mixture", "constants", None): ("006584bcecaad9ac", "bba76597b8f34307"),
         ("gaussian_mixture", "constants", 10): ("006584bcecaad9ac", "cdd68d81637b4a8e"),
         ("gaussian_mixture", "risk-bound", None): ("b8482a8589d7f738", "75baf54d66af1000"),
@@ -721,7 +723,7 @@ class TestGoldenRuns:
         ("quadratic", "validate", 10): ("93866b932ee90b51", "1f248e77931f05f8"),
         ("quadratic", "sample", 10): ("b531b8e79480950e", "c76d35942e6acf3d"),
         ("quadratic", "couple", 10): ("7da548d35810c94f", "81f713ea189a7b87"),
-        ("quadratic", "rate-study", 10): ("ee18925fc280922a", "9c6922ff06115884"),
+        ("quadratic", "rate-study", 10): ("00d377f558db6a68", "5703547bccf163bd"),
         ("quadratic", "constants", 10): ("064232b898ca188e", "31361729e2ce6b9b"),
         ("quadratic", "gibbs-check", 10): ("605a2fb23462d3fb", "d642555253919c82"),
     }
@@ -841,6 +843,18 @@ class TestCli:
                 [0.0, np.linalg.norm(xa - xb), np.linalg.norm(va - vb)], rel=1e-12)
             starts.append(np.concatenate([xb, vb], axis=1))
         assert not np.array_equal(*starts)
+
+    def test_risk_bound_of_a_chain_at_rest(self, tmp_path):
+        # at lambda 0 the chain never leaves its start, so its W_rho to the
+        # pilot's law is 0: the transient is already below eps, a zero budget
+        doc = base_config(kind="risk-bound", out=str(tmp_path / "r"),
+                          risk={"lambda_star": 1.0, "eps": 0.1})
+        doc["sampler"]["lambda"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["risk-bound", "--config", str(path)]) == EXIT_OK
+        risk = json.loads((tmp_path / "r" / "risk.json").read_text())
+        assert (risk["w_rho_init"], risk["budget"]["k_min"]) == (0.0, 0)
 
     def test_divergence_exit_code(self, tmp_path):
         doc = base_config(out=str(tmp_path / "d"), steps=5000)

@@ -4,7 +4,8 @@ a module imports at its top is read in it. Every module-level function and
 class is read somewhere that runs it, or is named in the README. No function
 of the harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
-builder, for every runner. The theory chain reads the objective by rows."""
+builder, for every runner, and only the chain itself sets how it steps. The
+theory chain reads the objective by rows."""
 
 import ast
 import re
@@ -146,3 +147,21 @@ def test_theory_reads_the_objective_by_rows():
 def test_one_chain_builder():
     # and its chains: a runner that needs another chain calls _chains again
     assert _calls_outside_the_builder("_Chain") == []
+
+
+def test_one_place_decides_how_a_chain_steps():
+    # a chain's kind, config, kernel, noise coefficient, index stream and
+    # copies are set where _chains makes it, in _Chain.__init__, and nowhere else
+    decided = {"c", "step", "kind", "cfg", "idx_rng", "copies"}
+    tree = ast.parse((PACKAGE / "samplers.py").read_text(encoding="utf-8"))
+    chain_init = next(node for scope in tree.body if getattr(scope, "name", None) == "_Chain"
+                      for node in scope.body if getattr(node, "name", None) == "__init__")
+    setters = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)) or scope is chain_init:
+            continue
+        setters += [f"{scope.name}, line {node.lineno}: {ast.unparse(node)}"
+                    for node in ast.walk(scope)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and node.attr in decided]
+    assert setters == []

@@ -349,6 +349,25 @@ class TestBrownianCoupling:
             t_end=1.0, replicas=1))
         assert peak <= 2.25 * samplers._BLOCK_BYTES
 
+    @pytest.mark.parametrize("r", [1, 3, 16])
+    def test_sums_are_standard_normal(self, r):
+        # N = 40000 draws: the mean's standard error is 1 / sqrt(N) = 0.005 and
+        # the variance's sqrt(2 / N) = 0.0071; both within 4 of them
+        xi = samplers._Sums(derive_stream(4, "sums", r), r).standard_normal((5000, 4, 2))
+        n = xi.size
+        assert abs(xi.mean()) < 4 / math.sqrt(n)
+        assert abs(xi.var() - 1.0) < 4 * math.sqrt(2 / n)
+
+    @pytest.mark.parametrize("r", [1, 3, 16])
+    def test_sums_are_normalized_sums_of_consecutive_draws(self, r):
+        # 50 steps of r (4, 2) draws fit in one chunk, so the sums are numpy's
+        # over the draws' axis, divided by sqrt(r)
+        shape = (50, 4, 2)
+        assert 50 * r * 8 * 8 <= samplers._BLOCK_BYTES
+        xi = samplers._Sums(derive_stream(4, "sums"), r).standard_normal(shape)
+        draws = derive_stream(4, "sums").standard_normal((50, r, 4, 2))
+        assert np.array_equal(xi, draws.sum(axis=1) / math.sqrt(r))
+
     def test_a_failed_coarse_chain_holds_no_buffer_during_the_reference(self, monkeypatch):
         # the chain at lam = 5 diverges at coarse step 506, the one at 1.25
         # completes; when the reference binds its evaluator, no array of a
@@ -902,12 +921,13 @@ class TestStrictHooks:
 
 class TestTailMoments:
     """Pins of ``ensemble_run``'s pooled tail moments, where the order of the
-    replica sum shows: at d = 1 the replica axis is contiguous, and numpy
-    sums it pairwise from 8 replicas on. The burn-in of 21 steps ends inside
-    a block (blocks of 200, 128, 200 and 64 steps in CASES order)."""
+    sums shows: at every dimension, over replicas one after another, then
+    over steps in step order (numpy would sum a contiguous replica axis
+    pairwise from 8 replicas on). The burn-in of 21 steps ends inside a block
+    (blocks of 200, 128, 200 and 64 steps in CASES order)."""
 
     CASES = [(d, R) for d in (1, 2) for R in (7, 64)]
-    GOLDEN = {(1, 7): "46674f95ff9da360", (1, 64): "bdd735ddaecf00cb",
+    GOLDEN = {(1, 7): "46674f95ff9da360", (1, 64): "2b819ff12579b272",
               (2, 7): "301ff6168efe1d71", (2, 64): "1a1aabc1acadf2e8"}
 
     @staticmethod
@@ -924,6 +944,36 @@ class TestTailMoments:
     @pytest.mark.parametrize("d, R", CASES)
     def test_tail_moments_pinned(self, d, R):
         assert self.digest(d, R) == self.GOLDEN[(d, R)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sums_replicas_in_turn_then_steps_in_order(self, d):
+        # a functional keeps every stepped row; the hand-written sums of the
+        # rows past burn-in match ensemble_run's moments bit for bit
+        R, burn_in, rows = 64, 21, []
+
+        def keep(X, V):
+            rows.append(np.stack([X, V], axis=1).reshape(-1, R, 2, d))
+            return np.zeros(len(X))
+
+        data = make_dataset("gaussian", 200, d, seed=7)
+        obj = double_well(d, coupling=0.1, z_radius=data.max_norm())
+        cfg = _cfg(lam=0.05, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
+        r = ensemble_run("exact_sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=burn_in,
+                         functionals={"keep": keep})
+        tail = np.concatenate(rows[1:])[burn_in:]  # rows[0] is the initial state
+        assert len(tail) == 200 - burn_in
+        total = np.zeros((2, 2, d))  # [sum, sum of squares] x [x, v]
+        for step in tail:
+            per_step = np.zeros((2, 2, d))
+            for state in step:
+                per_step = per_step + np.stack([state, state * state])
+            total = total + per_step
+        n = len(tail) * R
+        (sx, sv), (sx2, sv2) = total
+        mean_x, mean_v = sx / n, sv / n
+        want = (mean_x, sx2 / n - mean_x**2, mean_v, sv2 / n - mean_v**2)
+        got = (r.tail_mean_x, r.tail_var_x, r.tail_mean_v, r.tail_var_v)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestNonFiniteGradients:

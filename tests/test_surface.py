@@ -6,7 +6,8 @@ ConfigurationError that names the parameter, or the value is one that the
 parameter's row accepts, for the reason it gives; no call ends in a raw
 TypeError, ValueError, OverflowError or ZeroDivisionError. The entry points are
 the package's exports, plus the runners and theory functions that
-tests/test_acceptance.py and perfbench reach through their modules. A numeric
+tests/test_acceptance.py and perfbench reach through their modules, and the
+theory functions that the harness calls (``theory.<name>``). A numeric
 parameter of one of them (annotated int or float, or with a numeric default)
 that has no row fails the test, so a new public parameter cannot skip the
 converters.
@@ -46,6 +47,8 @@ REAL = {**NONNEG, "-1": "any finite real"}
 ORDER = {"2.5": "a transport order is a finite real >= 1"}
 RULE = {}  # a theory interval rule, or a pairing with another parameter, rejects all six
 RECORD = {label: "a field of a result record, which the package fills in" for label in SIX}
+INFINITE = {label: "a constant outside float range is recorded as it is, by design"
+            for label in SIX}
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,7 @@ DRIFT = theory.derive_drift_constants(OBJ.cert, 2.0, 1.0, OBJ, DATA, probes=50)
 CC = theory.contraction_constants(DRIFT, OBJ.cert, 2.0, 1.0, 2)
 MOMENT = theory.moment_bound_constants(DRIFT, OBJ.cert, 2.0, 1.0, 2, 1.0)
 PROOF = theory.proof_constants(OBJ.cert, MOMENT, 2.0, 1.0, 0.0, CC, pilot_sup_v2=4.0)
+LYAP = theory.LyapunovParams(obj=OBJ, data=DATA, beta=1.0, gamma=2.0, lambda_c=0.1)
 CLOUD, CLOUD_B, CLOUD_1D = (SampleCloud(derive_stream(3, "surface", i).standard_normal(shape))
                             for i, shape in enumerate([(6, 2), (6, 2), (5, 1)]))
 
@@ -182,6 +186,22 @@ ENTRIES = {
               t_end=0.5, replicas=2),
         # lambda_ref must divide lam = 0.1, and t_end hold a coarse step
         {"lambda_ref": RULE, "t_end": POSITIVE, "replicas": COUNT}, {}),
+    "theory.ConstantEntry": (
+        _call(theory.ConstantEntry, value=1.0, status="exact", formula="", log=0.0),
+        {"value": INFINITE, "log": INFINITE}, {}),
+    "theory.check_pq": (_call(theory.check_pq, p=2.0, q=1), {"p": RULE, "q": RULE}, {}),
+    "theory.gaussian_norm_moment": (
+        _call(theory.gaussian_norm_moment, d=2, j=2), {"d": COUNT, "j": INDEX}, {}),
+    "theory.in_range": (
+        _call(theory.in_range, value=1.0, log_value=0.0),
+        {"value": INFINITE, "log_value": INFINITE}, {}),
+    "theory.initial_lyapunov_integral": (
+        _call(theory.initial_lyapunov_integral, point_init([1.0, 0.0], [0.0, 0.0]), LYAP, dim=2),
+        {"dim": COUNT}, {}),
+    "theory.iteration_budget": (
+        _call(theory.iteration_budget, CC, PROOF["C_tilde"], eps=0.1, p=2.0, w_rho_init=1.0),
+        {"eps": POSITIVE, "p": POSITIVE,
+         "w_rho_init": {**NONNEG, "0": "a chain that starts at its law: a zero budget"}}, {}),
     "theory.LyapunovParams": (
         _call(theory.LyapunovParams, obj=OBJ, data=DATA, beta=1.0, gamma=2.0, lambda_c=0.1),
         {"beta": POSITIVE, "gamma": POSITIVE, "lambda_c": RULE}, {}),
@@ -232,9 +252,13 @@ ENTRIES["theory.SmoothnessCertificate"] = ENTRIES["objectives.SmoothnessCertific
 def _entry_points() -> set:
     """(module, name) of the exports of sghmc/__init__.py, of every
     ``<module>.<name>``, ``sghmc.<module>.<name>`` and ``from sghmc.<module>
-    import <name>`` in tests/test_acceptance.py and perfbench, and of the
-    ("sghmc.<module>", "<name>") pairs that perfbench's tracer patches."""
-    found = set()
+    import <name>`` in tests/test_acceptance.py and perfbench, of the
+    ("sghmc.<module>", "<name>") pairs that perfbench's tracer patches, and of
+    every ``theory.<name>`` in the harness."""
+    harness_tree = ast.parse((ROOT / "src" / "sghmc" / "harness.py").read_text(encoding="utf-8"))
+    found = {("theory", node.attr) for node in ast.walk(harness_tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "theory"}
     sources = [ROOT / "src" / "sghmc" / "__init__.py", ROOT / "tests" / "test_acceptance.py",
                *sorted((ROOT / "perfbench").glob("*.py"))]
     for path in sources:
