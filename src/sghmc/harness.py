@@ -629,7 +629,7 @@ def _constants(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunM
     if cfg.pilot_steps > 0:
         pilot = _pilot_statistics(cfg, obj, data, lyap, cfg.pilot_steps)
         pilot_sup_v2 = manifest.results["pilot_sup_v2"] = pilot.running_max["v2"]
-    table.update(theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
+    table.update(theory.proof_constants(obj.cert, moment, s.gamma, s.beta, cc,
                                         pilot_sup_v2=pilot_sup_v2))
     emit("constants.json", _constants_doc(table))
     manifest.results.update(lambda_c=drift.lambda_c, lambda_cap=moment.lambda_cap)
@@ -714,9 +714,9 @@ def _risk_bound(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Run
     theory.check_pq(p, q)
     k = cfg.steps if risk["k"] is None else risk["k"]
 
-    # noise level: explicit, or measured for minibatch runs, else 0
+    # noise level: explicit, or measured for a chain that draws minibatches, else 0
     delta = risk["delta"]
-    if delta is None and s.batch_size is None:
+    if delta is None and (s.batch_size is None or cfg.chain == "exact_sghmc"):
         delta = 0.0
     elif delta is None:
         probe_rng = derive_stream(s.seed, "risk:probes")
@@ -727,7 +727,7 @@ def _risk_bound(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Run
     drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
     pilot_steps = cfg.pilot_steps or max(2000, min(cfg.steps, 20000))
     pilot = _pilot_statistics(cfg, obj, data, lyap, pilot_steps, q=q)
-    proof = theory.proof_constants(obj.cert, moment, s.gamma, s.beta, delta, cc,
+    proof = theory.proof_constants(obj.cert, moment, s.gamma, s.beta, cc,
                                    pilot_sup_v2=pilot.running_max["v2"])
 
     if sigma is None:

@@ -244,8 +244,8 @@ class _Chain:
     """An (R, d) block of replicas (a single chain is (1, d)) that
     :func:`_chains` builds and :func:`_advance` steps at cfg's step size and friction.
 
-    A minibatch chain draws indices from ``idx_rng``, shared by the chains
-    holding the same generator. ``c``, the noise coefficient, is cfg's. ``X``
+    A chain that :func:`_chains` gave an ``idx_rng`` draws indices from it,
+    shared by the chains holding it. ``c``, the noise coefficient, is cfg's. ``X``
     and ``V`` are the state before and after the run; during it the state
     lives in ``_advance``'s history buffer ``H``, which :func:`_sweep` steps
     through. Its ``copies`` stacked parts step on the same noise and indices.
@@ -253,8 +253,7 @@ class _Chain:
 
     def __init__(self, kind, cfg, X, V, idx_rng=None, copies=1):
         self.kind, self.cfg, self.X, self.V, self.copies = kind, cfg, X, V, copies
-        minibatch = kind != "exact_sghmc" and cfg.batch_size is not None
-        self.idx_rng = idx_rng if minibatch else None
+        self.idx_rng = idx_rng
         self.step = _kernel(kind, cfg.lam, cfg.gamma)
         # the noise rate is gamma * lam for the momentum kinds, lam for sgld
         self.c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)

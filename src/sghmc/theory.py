@@ -536,7 +536,6 @@ def proof_constants(
     moment: MomentBoundConstants,
     gamma: float,
     beta: float,
-    delta: float,
     cc: ContractionConstants,
     pilot_sup_v2: Optional[float] = None,
 ) -> dict:
@@ -546,9 +545,10 @@ def proof_constants(
     the sup over the chain of E[V^2]; supplied as ``pilot_sup_v2`` from a
     pilot run) and hence ``C_tilde``. Without pilot statistics those two
     entries are absent. c_7 is exponential in M^2, so it and the entries built
-    on it are evaluated in log space, like C*, and keep finite logs.
+    on it are evaluated in log space, like C*, and keep finite logs. No entry
+    depends on the noise level delta, as ``moment``'s envelopes do not.
     """
-    (gamma, beta), delta = _rates(gamma, beta), nonnegative(delta, "delta")
+    gamma, beta = _rates(gamma, beta)
     M, B = cert.M, cert.B
     cax, cav = moment.C_a_x, moment.C_a_v
     ccx, ccv = moment.C_c_x, moment.C_c_v
@@ -768,6 +768,9 @@ def lyapunov_moment_certificate(
     with all Gaussian norm moments in closed form, and reports the implied
     bound  E[V_k^{2q}] <= (1 - lam gamma lambda_c / 4)^k V_0^{2q}
                           + 4 N~ / (gamma lambda_c).
+    K_1 and K_2 are :func:`moment_bound_constants`' at delta = 1, where its
+    2 (1/2 + gamma + delta) is 3 + 2 gamma; both grow with delta. K_1 is
+    scaled by beta, as V carries a factor of beta.
     When a pilot empirical maximum of V^{2q} is supplied the report states
     whether it complies with the (k = 0) envelope.
     """
@@ -779,11 +782,8 @@ def lyapunov_moment_certificate(
     M, B = cert.M, cert.B
     one = 1.0 - 2.0 * lam_c
     phi = 1.0 - lam * gamma * lam_c / 2.0
-    K1 = max(
-        16.0 * M * M * (3.0 + 2.0 * gamma) / (one * gamma**2),
-        8.0 * (M / 2.0 + gamma**2 / 4.0 - gamma**2 * lam_c / 4.0 + gamma) / one,
-    )
-    K2 = B * B * (3.0 + 2.0 * gamma)
+    moment = moment_bound_constants(drift, cert, gamma, beta, d, 0.0, delta=1.0)
+    K1, K2 = beta * moment.K_1, moment.K_2
     P1 = 2.0 * max(
         32.0 * gamma * (3.0 * gamma**2 + 10.0 * M * M) / (beta * one * gamma**2),
         16.0 * gamma * (3.0 + 2.0 * (1.0 - lam * gamma) ** 2) / (beta * one),
@@ -791,9 +791,8 @@ def lyapunov_moment_certificate(
     P2 = 20.0 * gamma * B * B / beta
     c19 = gamma * a_c + beta * K2 + gamma * d
 
-    e2 = gaussian_norm_moment(d, 2)
-    e4 = gaussian_norm_moment(d, 4)
-    e2q = gaussian_norm_moment(d, 2 * q)
+    chi = [gaussian_norm_moment(d, j) for j in range(4 * q + 1)]
+    e2, e4, e2q = chi[2], chi[4], chi[2 * q]
     # E (a + b S + gamma S^2)^{2q} with S = |xi|, expanded over chi moments
     a = gamma * a_c + beta * K2
     b = beta * math.sqrt(P2)
@@ -801,7 +800,7 @@ def lyapunov_moment_certificate(
     coeffs = base
     for _ in range(2 * q - 1):
         coeffs = np.convolve(coeffs, base)
-    e_poly = float(sum(c * gaussian_norm_moment(d, j) for j, c in enumerate(coeffs)))
+    e_poly = float(sum(c * e for c, e in zip(coeffs, chi)))
 
     m1 = max(
         (a * a + gamma**2 * e4 + beta**2 * d * P2) / (beta * d * P1),

@@ -152,7 +152,7 @@ def test_criterion_4_constant_formulas(quad_obj, quad_theory):
     # B_3 = 1/2 at (d, beta, M, m, b) = (1, 1, 1, 1, 0)
     cert = theory.SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
     proof = theory.proof_constants(quad_obj.cert, quad_theory["moment"], GAMMA,
-                                   BETA, 0.0, cc, pilot_sup_v2=10.0)
+                                   BETA, cc, pilot_sup_v2=10.0)
     rb = theory.risk_bound(cc, proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
                            k=100, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
     checks["B3=1/2"] = abs(rb.B_3 - 0.5) <= 1e-12

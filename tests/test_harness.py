@@ -587,7 +587,7 @@ class TestRateStudy:
 class TestMomentumKinds:
     """gibbs-check and rate-study run the momentum recursion: they reject
     sgld, and rate-study's coarse chain under exact_sghmc takes full
-    gradients."""
+    gradients. risk-bound measures no minibatch noise under exact_sghmc."""
 
     @staticmethod
     def _run(tmp_path, name, kind, chain, batch_size=None, **over):
@@ -625,6 +625,22 @@ class TestMomentumKinds:
             assert self._run(tmp_path, name, "rate-study", chain, batch, **over) == EXIT_OK
             csv[name] = (tmp_path / name / "rate.csv").read_bytes()
         assert csv["exact"] == csv["full"] != csv["mini"]
+
+    def test_risk_bound_exact_sghmc_measures_no_delta(self, tmp_path):
+        # its chains take full gradients, whatever the batch size
+        over = {"steps": 1000, "pilot_steps": 500, "replicas": 2,
+                "risk": {"p": 2.0, "q": 1, "lambda_star": 1.0},
+                "objective": {"name": "double_well", "params": {"coupling": 0.1}}}
+        risk = {}
+        for name, batch in (("mini", 10), ("full", None)):
+            doc = base_config(kind="risk-bound", chain="exact_sghmc",
+                              out=str(tmp_path / name), **over)
+            doc["sampler"].update(batch_size=batch, seed=3, init={
+                "kind": "point", "x0": [1, 0], "v0": [0, 0]}, **{"lambda": 0.01})
+            run_experiment(ExperimentConfig.from_dict(doc))
+            risk[name] = (tmp_path / name / "risk.json").read_bytes()
+        assert risk["mini"] == risk["full"]
+        assert json.loads(risk["full"])["delta"] == 0.0
 
 
 def _golden_digests(out: Path) -> dict:

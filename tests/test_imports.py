@@ -1,8 +1,9 @@
 """The package's import graph: modules import their siblings at the top only,
 no two modules import each other, directly or through others, and every name
 a module imports at its top is read in it. Every module-level function and
-class is read somewhere that runs it, or is named in the README. No function
-of the harness is longer than 60 lines. The samplers derive their streams,
+class is read somewhere that runs it, or is named in the README, and every
+function outside the harness reads each of its parameters. No function of the
+harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
 builder, for every runner, and only the chain itself sets how it steps. The
 theory chain reads the objective by rows."""
@@ -102,6 +103,26 @@ def test_no_dead_helper():
                     and not re.search(rf"\b{re.escape(node.name)}\b", readme)):
                 dead.append(f"{name}.{node.name}")
     assert dead == []
+
+
+def test_every_parameter_is_read():
+    # a parameter is read more often than it is reassigned, so one that is
+    # only converted, or never named, fails; the harness is exempt, as its
+    # converters take (value, key) and its kinds one signature by design
+    unread = []
+    for name, path in MODULES.items():
+        if name == "harness":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            for arg in filter(None, [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]):
+                uses = [type(node.ctx) for node in ast.walk(fn)
+                        if isinstance(node, ast.Name) and node.id == arg.arg]
+                if uses.count(ast.Load) <= uses.count(ast.Store):
+                    unread.append(f"{name}.{fn.name}({arg.arg})")
+    assert unread == []
 
 
 def test_no_long_harness_function():

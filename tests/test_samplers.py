@@ -1194,7 +1194,7 @@ class TestNoiseBlocks:
         cfg = _cfg(batch_size=batch)
         X, V = cfg.init.sample(cfg.dim, derive_stream(0, "init"), size=replicas)
         spy = self.DrawSpy(derive_stream(0, "minibatch"))
-        chain = samplers._Chain("sghmc", cfg, X, V, spy)
+        chain = samplers._Chain("sghmc", cfg, X, V, spy if batch else None)
         run = samplers._advance([chain], quadratic(2), data2, 2000, derive_stream(0, "noise"))
         next(run)
         assert len(chain.rows) == len(chain.H) > 1
@@ -1228,6 +1228,22 @@ class TestNoiseBlocks:
                 for _ in run:
                     pass
         assert all(ch.H is ch.rows is ch.grad is None for ch in chains)
+
+
+class TestIndexStreams:
+    """_chains alone decides which chains draw minibatches: it hands a
+    full-gradient chain no index stream, whatever its config's batch size."""
+
+    @pytest.mark.parametrize("kinds, batch, drawing", [
+        (("exact_sghmc",), 8, [False]),
+        (("sghmc",), None, [False]),
+        (("sghmc",), 8, [True]),
+        (("sghmc", "exact_sghmc"), 8, [True, False]),
+    ])
+    def test_full_gradient_chains_get_none(self, kinds, batch, drawing):
+        cfg = _cfg(batch_size=batch)
+        chains, _ = samplers._chains(kinds, (cfg,) * len(kinds), 4, "test")
+        assert [ch.idx_rng is not None for ch in chains] == drawing
 
 
 class TestBlockIndexDraws:

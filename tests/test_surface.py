@@ -62,7 +62,7 @@ CFG = dict(lam=0.1, gamma=2.0, beta=1.0, batch_size=None, dim=2, seed=0,
 DRIFT = theory.derive_drift_constants(OBJ.cert, 2.0, 1.0, OBJ, DATA, probes=50)
 CC = theory.contraction_constants(DRIFT, OBJ.cert, 2.0, 1.0, 2)
 MOMENT = theory.moment_bound_constants(DRIFT, OBJ.cert, 2.0, 1.0, 2, 1.0)
-PROOF = theory.proof_constants(OBJ.cert, MOMENT, 2.0, 1.0, 0.0, CC, pilot_sup_v2=4.0)
+PROOF = theory.proof_constants(OBJ.cert, MOMENT, 2.0, 1.0, CC, pilot_sup_v2=4.0)
 LYAP = theory.LyapunovParams(obj=OBJ, data=DATA, beta=1.0, gamma=2.0, lambda_c=0.1)
 CLOUD, CLOUD_B, CLOUD_1D = (SampleCloud(derive_stream(3, "surface", i).standard_normal(shape))
                             for i, shape in enumerate([(6, 2), (6, 2), (5, 1)]))
@@ -229,9 +229,9 @@ ENTRIES = {
         {"gamma": POSITIVE, "beta": POSITIVE, "d": COUNT, "mu0_lyapunov_integral": NONNEG,
          "delta": NONNEG}, {}),
     "theory.proof_constants": (
-        _call(theory.proof_constants, OBJ.cert, MOMENT, cc=CC, gamma=2.0, beta=1.0, delta=0.0,
+        _call(theory.proof_constants, OBJ.cert, MOMENT, cc=CC, gamma=2.0, beta=1.0,
               pilot_sup_v2=None),
-        {"gamma": POSITIVE, "beta": POSITIVE, "delta": NONNEG, "pilot_sup_v2": NONNEG}, {}),
+        {"gamma": POSITIVE, "beta": POSITIVE, "pilot_sup_v2": NONNEG}, {}),
     "theory.risk_bound": (
         _call(theory.risk_bound, CC, PROOF, OBJ.cert, gamma=2.0, beta=1.0, d=2, n=12, lam=0.01,
               delta=0.0, k=10, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, c_ls=None,

@@ -458,12 +458,12 @@ class TestProofConstants:
             log_C_star=cc.log_C_star, log_epsilon_c=cc.log_epsilon_c,
         )
         cert = SmoothnessCertificate(A0=0, B=0, M=1, m=1, b=0)
-        table = theory.proof_constants(cert, quad_theory["moment"], 2.0, BETA, 0.0, fake)
+        table = theory.proof_constants(cert, quad_theory["moment"], 2.0, BETA, fake)
         assert table["c_17"].value == pytest.approx(4.5)
 
     def test_c7_self_consistency(self, quad_obj, quad_theory):
         table = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0, quad_theory["cc"]
+            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"]
         )
         c7 = table["c_7"].value
         c9 = table["c_9"].value
@@ -472,11 +472,11 @@ class TestProofConstants:
 
     def test_empirical_entries_need_pilot(self, quad_obj, quad_theory):
         bare = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0, quad_theory["cc"]
+            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"]
         )
         assert "c_18" not in bare and "C_tilde" not in bare
         full = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0, quad_theory["cc"],
+            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"],
             pilot_sup_v2=50.0,
         )
         assert full["c_18"].status == "empirical"
@@ -499,7 +499,7 @@ class TestProofConstants:
         base = None
         for lam in (0.003, 0.0015):
             table = theory.proof_constants(
-                quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0,
+                quad_obj.cert, quad_theory["moment"], GAMMA, BETA,
                 quad_theory["cc"], pilot_sup_v2=pilot_sup(lam),
             )
             val = table["C_tilde"].value
@@ -511,7 +511,7 @@ class TestProofConstants:
         # M = 25: c_10 = 4 M^2 = 2500, so exp(c_10 / 2) and everything built
         # on c_7 leave float range; their logs do not
         cert = SmoothnessCertificate(A0=10.0, B=0.0, M=25.0, m=0.6, b=10.0)
-        table = theory.proof_constants(cert, quad_theory["moment"], GAMMA, BETA, 0.0,
+        table = theory.proof_constants(cert, quad_theory["moment"], GAMMA, BETA,
                                        quad_theory["cc"], pilot_sup_v2=50.0)
         c9, c10 = table["c_9"].value, table["c_10"].value
         assert table["c_7"].log == pytest.approx(0.5 * math.log(2 * c9) + c10 / 2, rel=1e-15)
@@ -526,7 +526,7 @@ class TestProofConstants:
 
     def test_json_serialization(self, quad_obj, quad_theory):
         table = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0, quad_theory["cc"]
+            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"]
         )
         doc = harness.to_json(harness._constants_doc(table))
         assert '"status"' in doc and '"formula_ref"' in doc
@@ -540,7 +540,7 @@ class TestRiskBound:
     @pytest.fixture()
     def proof(self, quad_obj, quad_theory):
         return theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, 0.0,
+            quad_obj.cert, quad_theory["moment"], GAMMA, BETA,
             quad_theory["cc"], pilot_sup_v2=50.0,
         )
 
@@ -659,8 +659,9 @@ class TestIterationBudget:
 class TestLyapunovMomentCertificate:
     # first 16 hex digits of the SHA-256 of the JSON report (sort_keys) at
     # gamma = 2, beta = 1, d = 2, lam = 0.01, V_0 = 1 on each built-in's
-    # certificate and GRID_CERT, recorded when the chi-moment polynomial was
-    # raised by numpy.polynomial.polypow
+    # certificate and GRID_CERT. They were recorded with the chi-moment
+    # polynomial raised by numpy.polynomial.polypow and hold, to the bit, with
+    # the np.convolve expansion
     REPORTS = {
         ("quadratic", 1): "3e8df398f07b03ef", ("quadratic", 2): "8c7243f8b8e23c07",
         ("double_well", 1): "16c1ac21cecfdde0", ("double_well", 2): "61ff9407f9aa7c65",
@@ -677,6 +678,55 @@ class TestLyapunovMomentCertificate:
                                                  v0_lyapunov=1.0)
         digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()[:16]
         assert digest == self.REPORTS[name, q]
+
+    @staticmethod
+    def _closed_form(drift, cert, gamma, beta, d, q, lam):
+        """The report's numbers from the certificate's own K_1 = max(16 M^2 (3 +
+        2 gamma) / ((1 - 2 lambda_c) gamma^2), ...) and K_2 = B^2 (3 + 2 gamma)."""
+        lam_c, a_c, M, B = drift.lambda_c, drift.A_c, cert.M, cert.B
+        one = 1.0 - 2.0 * lam_c
+        K1 = max(16.0 * M * M * (3.0 + 2.0 * gamma) / (one * gamma**2),
+                 8.0 * (M / 2.0 + gamma**2 / 4.0 - gamma**2 * lam_c / 4.0 + gamma) / one)
+        K2 = B * B * (3.0 + 2.0 * gamma)
+        P1 = 2.0 * max(32.0 * gamma * (3.0 * gamma**2 + 10.0 * M * M) / (beta * one * gamma**2),
+                       16.0 * gamma * (3.0 + 2.0 * (1.0 - lam * gamma) ** 2) / (beta * one))
+        P2 = 20.0 * gamma * B * B / beta
+        c19 = gamma * a_c + beta * K2 + gamma * d
+        e2, e4, e2q = (theory.gaussian_norm_moment(d, j) for j in (2, 4, 2 * q))
+        a, b = gamma * a_c + beta * K2, beta * math.sqrt(P2)
+        coeffs = base = np.array([a, b, gamma])
+        for _ in range(2 * q - 1):
+            coeffs = np.convolve(coeffs, base)
+        e_poly = float(sum(c * theory.gaussian_norm_moment(d, j) for j, c in enumerate(coeffs)))
+        m1 = max((a * a + gamma**2 * e4 + beta**2 * d * P2) / (beta * d * P1),
+                 e_poly ** (1.0 / q) / (beta * P1 * e2q ** (1.0 / q)))
+        gl, r = gamma * lam_c, q * (2 * q - 1)
+        m_tilde = max(m1, 24.0 * c19 * q / gl, 72.0 * r * 2.0 ** (2 * q - 3) * beta * d * P1 / gl,
+                      (12.0 * r * 2.0 ** (4 * q - 3) * beta**q * P1**q * e2q / gl) ** (1.0 / q))
+        n_tilde = (2.0 * c19 * q * m_tilde ** (2 * q - 1)
+                   + 6.0 * r * 2.0 ** (2 * q - 3) * beta * d * P1 * m_tilde ** (2 * q - 1)
+                   + r * 2.0 ** (4 * q - 3) * beta**q * P1**q * e2q * m_tilde**q)
+        return {"q": q, "lambda": lam, "phi": 1.0 - lam * gamma * lam_c / 2.0, "K_1": K1,
+                "K_2": K2, "P_1": P1, "P_2": P2, "c_19": c19, "M_tilde_1": m1,
+                "M_tilde": m_tilde, "N_tilde": n_tilde,
+                "decay_factor": 1.0 - lam * gamma * lam_c / 4.0, "v0_lyapunov": 1.0,
+                "bound_tail": 4.0 * n_tilde / gl, "bound_sup": 1.0 + 4.0 * n_tilde / gl,
+                "gaussian_moments": {"E|xi|^2": e2, "E|xi|^4": e4, f"E|xi|^{2*q}": e2q}}
+
+    @pytest.mark.parametrize("name", ["quadratic", "double_well", "gaussian_mixture", "grid"])
+    def test_moment_constants_match_the_closed_forms(self, builtin_suite, name):
+        # K_1 and K_2 are moment_bound_constants' at delta = 1: K_2 to the bit,
+        # K_1 (scaled by beta) within an ulp or so, and every other number to the bit
+        cert = GRID_CERT if name == "grid" else {o.name: o.cert for o, _ in builtin_suite}[name]
+        for gamma in (0.5, 2.0, 8.0):
+            for beta in (0.5, 1.0, 1.7, 8.0):
+                drift = theory.closed_form_drift(cert, gamma, beta)
+                for q in (1, 2):
+                    rep = theory.lyapunov_moment_certificate(drift, cert, gamma, beta, 2, q,
+                                                             lam=0.01, v0_lyapunov=1.0)
+                    want = self._closed_form(drift, cert, gamma, beta, 2, q, 0.01)
+                    assert rep["K_1"] == pytest.approx(want.pop("K_1"), rel=1e-15, abs=0.0)
+                    assert {k: v for k, v in rep.items() if k != "K_1"} == want
 
     def test_phi_plug(self, quad_obj, quad_theory):
         drift = quad_theory["drift"]
