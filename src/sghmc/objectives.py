@@ -27,17 +27,13 @@ read the data take its mean sample and mean squared norm from
 them each step (the uncoupled quadratic's ``grad_rows`` reads neither).
 
 The optional ``grad_batches(X, Zs)`` hook is the minibatch fast path: for
-positions ``(R, d)`` and one minibatch per row ``(R, l, z_dim)`` it returns
-``(R, d)`` whose row i must agree with ``grad_f(X[i], Zs[i]).mean(axis=0)``;
-without it :func:`minibatch_gradient_rows` falls back to that per-row loop.
-``Zs`` may be a strided view, so a custom hook must accept any strides: for
-z_dim > 1 its memory is in ``(l, R, z_dim)`` order (``Zs.transpose(1, 0, 2)``
-is C-contiguous). numpy sums in memory order, and the built-ins reduce over
-l on that leading axis. That adds the l terms one after another, as the
-per-row loop does, so the hooks keep the loop's bits, and it is several
-times faster than reducing the middle axis of a C-ordered block. With
-z_dim = 1, ``Zs`` is a C-ordered ``(R, l, 1)`` block instead: the loop sums
-a one-column minibatch pairwise, and only a contiguous l axis does the same.
+positions ``(R, d)`` and one minibatch per row ``(R, l, z_dim)``, a strided
+view in ``(l, R, z_dim)`` memory order, it returns the per-sample gradients
+``(R, l, d)``: ``[i, j]`` is row j of ``grad_f(X[i], Zs[i])``. It takes no
+mean. :func:`minibatch_gradient_rows` takes it, or loops ``grad_f`` over the
+same ``Zs`` without a hook, in ``grad_f(x, Z).mean(axis=0)``'s order for any
+result whose d axis varies fastest in memory, as in any array that numpy
+broadcasts from ``X`` and ``Zs``.
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ class ObjectiveSpec:
     # optional vectorized dataset-mean evaluators, see module docstring
     risk_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     grad_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    # optional per-row minibatch means (R, d), (R, l, z_dim) -> (R, d), see above
+    # optional per-sample minibatch gradients (R, d), (R, l, z_dim) -> (R, l, d), see above
     grad_batches: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -258,17 +254,20 @@ def minibatch_gradient_rows(X: np.ndarray, obj: ObjectiveSpec, data: Dataset,
                             idx: np.ndarray) -> np.ndarray:
     """Row i averages grad_f at X[i] over data.samples[idx[i]]: (R, d), (R, l) -> (R, d).
 
-    Positions are always a stack: a single chain is one row, (1, d) with
-    indices (1, l).
+    Positions are a stack: a single chain is (1, d), indices (1, l). Like the
+    loop's ``mean(axis=0)``, it adds the l terms one after another for d >= 2
+    and pairwise for d = 1, which numpy does only along a contiguous axis.
     """
+    Zs = np.take(data.samples, idx.T, axis=0).transpose(1, 0, 2)
     if obj.grad_batches is not None:
-        # Zs's memory order sets the order the hooks sum over l in (see the
-        # module docstring): the loop's order, fast
-        Zs = (np.take(data.samples, idx, axis=0) if data.z_dim == 1
-              else np.take(data.samples, idx.T, axis=0).transpose(1, 0, 2))
-        return np.asarray(obj.grad_batches(X, Zs), dtype=float)
-    return np.stack([np.asarray(obj.grad_f(x, data.samples[i]), dtype=float).mean(axis=0)
-                     for x, i in zip(X, idx)])
+        G = np.asarray(obj.grad_batches(X, Zs), dtype=float)
+    else:
+        G = np.stack([obj.grad_f(x, Z) for x, Z in zip(X, Zs)], dtype=float)
+    shape = (*idx.shape, X.shape[1])
+    if G.shape != shape:
+        raise ConfigurationError(f"objective {obj.name!r}: minibatch gradients have shape "
+                                 f"{G.shape}, expected (R, l, d) = {shape}")
+    return np.add.reduce(np.ascontiguousarray(G) if shape[2] == 1 else G, axis=1) / shape[1]
 
 
 def quad_growth_sandwich(obj: ObjectiveSpec, x: np.ndarray, z: np.ndarray):
@@ -458,7 +457,7 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
         return m0 * (X - c * _moments(Z)[0])
 
     def grad_batches(X, Zs):
-        return np.add.reduce(m0 * (X[:, None, :] - c * Zs), axis=1) / Zs.shape[1]
+        return m0 * (X[:, None, :] - c * Zs)
 
     if c == 0.0:
         cert = SmoothnessCertificate(A0=0.0, B=0.0, M=m0, m=m0, b=0.0)
@@ -540,8 +539,7 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         return w_prime(X) + c * (X - zbar[None, :])
 
     def grad_batches(X, Zs):
-        return np.add.reduce(w_prime(X)[:, None, :] + c * (X[:, None, :] - Zs),
-                             axis=1) / Zs.shape[1]
+        return w_prime(X)[:, None, :] + c * (X[:, None, :] - Zs)
 
     # Per-coordinate dissipativity t * w'(t) >= t^2 - 1 (tight at |t| = 1);
     # the coupling term contributes (c/2)|x|^2 - (c/2) z_radius^2 by Young.
@@ -618,7 +616,7 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
     def grad_batches(X, Zs):
         T = (Zs @ X[:, :, None])[:, :, 0]
         G = (1.0 + 2.0 * r0) * X - np.tanh(T.T)[:, :, None] * Zs.transpose(1, 0, 2)
-        return np.add.reduce(G, axis=0) / len(G)  # (l, R, d): l is the leading axis
+        return G.transpose(1, 0, 2)  # G is (l, R, d), in the memory order of Zs
 
     cert = SmoothnessCertificate(
         A0=0.5 * rz * rz,

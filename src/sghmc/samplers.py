@@ -210,28 +210,29 @@ def _kernel(kind, lam, gamma):
     products give lam V and gamma V, and a + b as b + a and a - b as
     a + (-b) are exact. lam, gamma and -lam are 0-d float64 arrays, numpy's
     cheapest scalar operand (it converts a Python float on every call and
-    runs its general iterator when an operand broadcasts). G may be any
-    array-like: each operation that reads it has a float64 operand that is
-    not a Python scalar, so a float32 or list G steps as its float64 copy.
+    runs its general iterator when an operand broadcasts), and the outputs
+    are positional, cheaper than ``out=`` or an in-place operator. G may be
+    any array-like: each operation that reads it has a float64 operand that
+    is not a Python scalar, so a float32 or list G steps as its float64 copy.
     """
     lam0, gamma0, neg_lam = (np.array(a, dtype=float) for a in (lam, gamma, -float(lam)))
     if kind == "sgld":
         def step(src, dst, G, inc):
             Xn = dst[1]
-            np.multiply(G, neg_lam, out=Xn)
-            Xn += src[1]
-            Xn += inc
+            np.multiply(G, neg_lam, Xn)
+            np.add(Xn, src[1], Xn)
+            np.add(Xn, inc, Xn)
             np.copyto(dst[2], src[2])
         return step
 
     def step(src, dst, G, inc):
         S, Sn, V, Xn, Vn = src[0], dst[0], src[2], dst[1], dst[2]
-        np.multiply(V, lam0, out=Xn)
-        np.multiply(V, gamma0, out=Vn)
-        Vn += G
-        np.multiply(Vn, neg_lam, out=Vn)
-        Sn += S
-        Vn += inc
+        np.multiply(V, lam0, Xn)
+        np.multiply(V, gamma0, Vn)
+        np.add(Vn, G, Vn)
+        np.multiply(Vn, neg_lam, Vn)
+        np.add(Sn, S, Sn)
+        np.add(Vn, inc, Vn)
     return step
 
 

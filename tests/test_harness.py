@@ -304,6 +304,25 @@ class TestUserObjectives:
             assert np.array_equal(hookless[:, 0], want[:, 0])  # the recorded steps
             assert np.abs(hookless - want).max() <= 1e-12 * np.abs(want[:, 1:]).max()
 
+    @staticmethod
+    def row_mean_quadratic(dim):
+        """The quadratic with a grad_batches hook that returns each row's
+        mean gradient (R, d), not the per-sample gradients (R, l, d)."""
+        q = quadratic(dim)
+        return dataclasses.replace(q, name="row_mean_quadratic",
+                                   grad_batches=lambda X, Zs: q.grad_batches(X, Zs).mean(axis=1))
+
+    def test_a_hook_of_row_means_fails_validation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(objectives, "_REGISTRY", dict(objectives._REGISTRY))
+        register_objective("row_mean_quadratic", self.row_mean_quadratic)
+        doc = base_config(kind="sample", out=str(tmp_path / "o"),
+                          objective={"name": "row_mean_quadratic"})
+        doc["sampler"]["batch_size"] = 10
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--config", str(path)]) == EXIT_VALIDATION
+        assert "expected (R, l, d) = (1, 10, 2)" in capsys.readouterr().err
+
     def test_a_name_registers_once(self, registered):
         with pytest.raises(ConfigurationError, match="'hookless_quadratic' is already registered"):
             register_objective("hookless_quadratic", self.hookless_quadratic)

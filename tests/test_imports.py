@@ -6,7 +6,8 @@ function outside the harness reads each of its parameters. No function of the
 harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
 builder, for every runner, and only the chain itself sets how it steps. The
-theory chain reads the objective by rows."""
+theory chain reads the objective by rows, and one function takes the minibatch
+mean."""
 
 import ast
 import re
@@ -186,3 +187,36 @@ def test_one_place_decides_how_a_chain_steps():
                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                     and node.attr in decided]
     assert setters == []
+
+
+def _own_nodes(fn):
+    """The nodes of function ``fn``, without those of the functions it defines."""
+    todo, nodes = list(ast.iter_child_nodes(fn)), []
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.append(node)
+            todo += ast.iter_child_nodes(node)
+    return nodes
+
+
+def test_one_place_takes_the_minibatch_mean():
+    # the built-in grad_batches hooks return per-sample gradients; of the
+    # functions in objectives that read a minibatch (Zs), only
+    # minibatch_gradient_rows reduces (reduce, sum, mean), so the l terms of
+    # every minibatch mean add in one order
+    tree = ast.parse((PACKAGE / "objectives.py").read_text(encoding="utf-8"))
+    reducers, hooks = set(), 0
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = _own_nodes(fn)
+        hooks += fn.name == "grad_batches"
+        if any(isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or
+                                               getattr(node.func, "id", None))
+               in ("reduce", "sum", "mean") for node in nodes) and (
+                fn.name == "grad_batches"
+                or any(isinstance(node, ast.Name) and node.id == "Zs" for node in nodes)):
+            reducers.add(fn.name)
+    assert hooks == 3
+    assert reducers == {"minibatch_gradient_rows"}

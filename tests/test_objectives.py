@@ -162,17 +162,16 @@ class TestMinibatchGradientRows:
         for obj, data in suite:
             X = ball_probes(rng, replicas, obj.dim, 4.0)
             idx = rng.integers(0, data.n, size=(replicas, ell))
-            want = np.stack([np.asarray(obj.grad_f(x, data.samples[i])).mean(axis=0)
-                             for x, i in zip(X, idx)])
-            # the hook on a C-ordered block, and for z_dim > 1 on the
+            per_sample = np.stack([np.asarray(obj.grad_f(x, data.samples[i]))
+                                   for x, i in zip(X, idx)])
+            want = np.stack([g.mean(axis=0) for g in per_sample])
+            # the hook's per-sample gradients on a C-ordered block and on the
             # (l, R, z)-ordered view that minibatch_gradient_rows passes
-            views = [data.samples[idx]]
-            if data.z_dim > 1:
-                views.append(np.take(data.samples, idx.T, axis=0).transpose(1, 0, 2))
-            for Zs in views:
+            for Zs in (data.samples[idx],
+                       np.take(data.samples, idx.T, axis=0).transpose(1, 0, 2)):
                 got = obj.grad_batches(X, Zs)
-                assert got.shape == (replicas, obj.dim)
-                assert np.array_equal(got, want), obj.name
+                assert got.shape == (replicas, ell, obj.dim)
+                assert np.array_equal(got, per_sample), obj.name
             loop = dataclasses.replace(obj, grad_batches=None)
             assert np.array_equal(minibatch_gradient_rows(X, loop, data, idx), want)
             assert np.array_equal(minibatch_gradient_rows(X, obj, data, idx), want)
@@ -194,10 +193,51 @@ class TestMinibatchGradientRows:
                  (gaussian_mixture(z_dim, ridge=0.05, z_radius=r), data)]
         self.check(suite, replicas, ell, 1000 * z_dim + replicas * 100 + ell)
 
+    @staticmethod
+    def per_sample(d):
+        """An objective of dimension d on any z_dim whose grad_f and
+        grad_batches hook are written per sample, with no reduction."""
+        w = 0.3 * np.arange(1.0, d + 1.0)
+
+        def grad_f(x, Z):
+            return x[None, :] * (1.0 + Z[:, :1] * Z[:, :1]) - Z[:, -1:] * w
+
+        def grad_batches(X, Zs):
+            return X[:, None, :] * (1.0 + Zs[:, :, :1] * Zs[:, :, :1]) - Zs[:, :, -1:] * w
+
+        return ObjectiveSpec("per-sample", d, lambda x, Z: np.zeros(len(Z)), grad_f,
+                             SmoothnessCertificate(A0=0.0, B=1.0, M=1.0, m=1.0, b=0.0),
+                             grad_batches=grad_batches)
+
+    @pytest.mark.parametrize("d, z_dim", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+    def test_per_sample_hook_keeps_the_loop_bits(self, d, z_dim):
+        # the mean adds the l terms as grad_f(x, Z).mean(axis=0) does,
+        # pairwise at d = 1 and one after another above, whatever z_dim is
+        data = make_dataset("gaussian", 500, z_dim, seed=29)
+        obj = self.per_sample(d)
+        rng = derive_stream(31, "per-sample-hook", 10 * d + z_dim)
+        X = rng.standard_normal((16, d))
+        idx = rng.integers(0, data.n, size=(16, 64))
+        want = np.stack([obj.grad_f(x, data.samples[i]).mean(axis=0) for x, i in zip(X, idx)])
+        loop = dataclasses.replace(obj, grad_batches=None)
+        assert np.array_equal(minibatch_gradient_rows(X, obj, data, idx), want)
+        assert np.array_equal(minibatch_gradient_rows(X, loop, data, idx), want)
+
+    def test_a_hook_of_row_means_is_rejected(self):
+        # a hook that takes the mean itself returns (R, d), not (R, l, d)
+        data = make_dataset("gaussian", 50, 2, seed=5)
+        obj = quadratic(2)
+        means = dataclasses.replace(
+            obj, grad_batches=lambda X, Zs: obj.grad_batches(X, Zs).mean(axis=1))
+        idx = np.zeros((7, 5), dtype=int)
+        with pytest.raises(ConfigurationError, match=r"\(7, 2\).*\(R, l, d\) = \(7, 5, 2\)"):
+            minibatch_gradient_rows(np.ones((7, 2)), means, data, idx)
+
     @pytest.mark.parametrize("z_dim", [1, 2, 20])
     def test_hook_gets_the_layout_that_keeps_the_bits(self, z_dim):
-        # a guard on the gather: the hooks' bits and speed depend on the
-        # memory order of Zs, which a plain data.samples[idx] would change
+        # a guard on the gather: the hooks' speed depends on the memory order
+        # of Zs, (l, R, z_dim) at every z_dim, which a plain
+        # data.samples[idx] would change
         data = make_dataset("gaussian", 50, z_dim, seed=5)
         obj = quadratic(z_dim)
         seen = []
@@ -212,10 +252,7 @@ class TestMinibatchGradientRows:
         minibatch_gradient_rows(X, dataclasses.replace(obj, grad_batches=spy), data, idx)
         (Zs,) = seen
         assert Zs.shape == (7, 5, z_dim) and np.array_equal(Zs, data.samples[idx])
-        if z_dim == 1:
-            assert Zs.flags.c_contiguous
-        else:
-            assert Zs.transpose(1, 0, 2).flags.c_contiguous
+        assert Zs.transpose(1, 0, 2).flags.c_contiguous
 
 
 class TestRowChunks:
