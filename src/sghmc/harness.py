@@ -382,11 +382,13 @@ def _build(cfg: ExperimentConfig):
     findings = []
     certified = None
     s = cfg.sampler
+    risk = _with_defaults(_RISK_KEYS, cfg.risk)
     if math.isfinite(s.beta):
         try:
             certified = _certify(cfg, obj, data)
             drift, _, mu0 = certified
-            moment = theory.moment_bound_constants(drift, obj.cert, s.gamma, s.beta, s.dim, mu0)
+            moment = theory.moment_bound_constants(drift, obj.cert, s.gamma, s.beta, s.dim, mu0,
+                                                   risk["delta"] or 0.0)
             ok = not s.lam > moment.lambda_cap
             findings.append(_finding(
                 "info" if ok else "warning", "admissible-step" if ok else "inadmissible-step",
@@ -396,7 +398,6 @@ def _build(cfg: ExperimentConfig):
         except SghmcError as exc:  # certification trouble is a finding, not a crash
             findings.append(_finding("warning", "certification", str(exc)))
     if cfg.risk:
-        risk = _with_defaults(_RISK_KEYS, cfg.risk)
         try:
             theory.check_pq(risk["p"], risk["q"])
             findings.append(_finding("info", "pq-pairing",
@@ -540,14 +541,17 @@ def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: 
     return drift, lyap, mu0, cc, moment
 
 
-def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int, q: int = 2):
-    """Short ensemble tracking sup of E V^2, E V^{2q} and the 2q radial moment."""
+def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int,
+                      q: Optional[int] = None):
+    """Short ensemble tracking sup of E V^2 and, given q, of E V^{2q} and the
+    2q radial moment."""
+    functionals = {"v2": lambda X, V: lyap.value_rows(X, V) ** 2}
+    if q is not None:
+        functionals.update(v2q=lambda X, V: lyap.value_rows(X, V) ** (2 * q),
+                           radial2q=lambda X, V: np.sum(X * X, axis=1) ** q)
     return ensemble_run(
         cfg.chain, cfg.sampler, obj, data, steps=steps, replicas=min(cfg.replicas, 8),
-        record_every=max(1, steps // 50), burn_in=steps // 2,
-        functionals={"v2": lambda X, V: lyap.value_rows(X, V) ** 2,
-                     "v2q": lambda X, V: lyap.value_rows(X, V) ** (2 * q),
-                     "radial2q": lambda X, V: np.sum(X * X, axis=1) ** q},
+        record_every=max(1, steps // 50), burn_in=steps // 2, functionals=functionals,
         purpose="pilot",
     )
 
@@ -620,17 +624,15 @@ def _audit(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManif
 
 def _constants(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
     """the full derived-constants table (with a pilot chain for the empirical entries)"""
-    s = cfg.sampler
     risk = _with_defaults(_RISK_KEYS, cfg.risk)
-    delta = 0.0 if risk["delta"] is None else risk["delta"]
-    drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, risk["p"], delta)
-    table = _constants_table(s.init, drift, mu0, cc, moment)
+    drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, risk["p"],
+                                                 risk["delta"] or 0.0)
+    table = _constants_table(cfg.sampler.init, drift, mu0, cc, moment)
     pilot_sup_v2 = None
     if cfg.pilot_steps > 0:
         pilot = _pilot_statistics(cfg, obj, data, lyap, cfg.pilot_steps)
         pilot_sup_v2 = manifest.results["pilot_sup_v2"] = pilot.running_max["v2"]
-    table.update(theory.proof_constants(obj.cert, moment, s.gamma, s.beta, cc,
-                                        pilot_sup_v2=pilot_sup_v2))
+    table.update(theory.proof_constants(cc, moment, pilot_sup_v2=pilot_sup_v2))
     emit("constants.json", _constants_doc(table))
     manifest.results.update(lambda_c=drift.lambda_c, lambda_cap=moment.lambda_cap)
 
@@ -727,8 +729,7 @@ def _risk_bound(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Run
     drift, lyap, mu0, cc, moment = _theory_chain(cfg, obj, data, certified, p, delta)
     pilot_steps = cfg.pilot_steps or max(2000, min(cfg.steps, 20000))
     pilot = _pilot_statistics(cfg, obj, data, lyap, pilot_steps, q=q)
-    proof = theory.proof_constants(obj.cert, moment, s.gamma, s.beta, cc,
-                                   pilot_sup_v2=pilot.running_max["v2"])
+    proof = theory.proof_constants(cc, moment, pilot_sup_v2=pilot.running_max["v2"])
 
     if sigma is None:
         sigma = pilot.running_max["radial2q"] ** (1.0 / (2.0 * q))
@@ -749,15 +750,14 @@ def _risk_bound(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Run
     long_cloud = SampleCloud(np.hstack([tail.xs[-cloud_n:], tail.vs[-cloud_n:]]))
     w_rho = rho_distance_cloud(init_cloud, long_cloud, cc, lyap)
 
-    bound = theory.risk_bound(cc, proof, obj.cert, s.gamma, s.beta, s.dim, data.n, s.lam, delta,
-                              k, p, q, sigma, w_rho,
+    bound = theory.risk_bound(cc, proof, data.n, s.lam, delta, k, q, sigma, w_rho,
                               c_ls=risk["c_ls"], lambda_star=risk["lambda_star"])
     results = manifest.results
     results.update({"B_1": theory.in_range(bound.B_1, bound.log_B_1), "B_2": bound.B_2,
                     "B_3": bound.B_3, "inputs": bound.inputs, "w_rho_init": w_rho,
                     "sigma": sigma, "delta": delta})
     if (eps := risk["eps"]) is not None:
-        cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], eps, p, w_rho)
+        cap, k_min = theory.iteration_budget(cc, proof["C_tilde"], eps, w_rho)
         results["budget"] = {"eps": eps, "cap": cap, "k_min": k_min}
     emit("risk.json", results)
 

@@ -7,8 +7,10 @@ empirical pilot statistics. The chain of quantities:
 * drift constants (lambda_c, A_c) -- verified numerically on probe points;
 * the Lyapunov function 'V' of the dynamics and its integral under the
   initial law (one evaluation of V, on rows of states);
-* contraction constants (Lambda_c, alpha_c, c*, C*, epsilon_c, R_1) and the
-  concave comparison function h, evaluated by composite Simpson quadrature;
+* contraction constants (Lambda_c, alpha_c, c*, C*, epsilon_c, R_1) with the
+  inputs (cert, gamma, beta, d, p) they were evaluated at, which every
+  function that takes them reads from them, and the concave comparison
+  function h, evaluated by composite Simpson quadrature;
 * the semimetrics r and rho built from h and V (one evaluation of rho);
 * uniform second-moment bounds (C^c/C^a families) and the step-size cap;
 * the proof-constant chain c_2 ... c_18 and the aggregate C~ (the last two
@@ -84,6 +86,7 @@ def lambda_c_cap(cert: SmoothnessCertificate, gamma: float) -> float:
 def closed_form_drift(cert: SmoothnessCertificate, gamma: float, beta: float) -> DriftConstants:
     """The unverified starting pair: lambda_c at half its cap and
     A_c = (beta/2)(b + 2B + A0), floored at the smallest positive float."""
+    gamma, beta = _rates(gamma, beta)
     return DriftConstants(0.5 * lambda_c_cap(cert, gamma),
                           max(0.5 * beta * (cert.b + 2.0 * cert.B + cert.A0), _TINY))
 
@@ -189,7 +192,9 @@ def initial_lyapunov_integral(init, lyap: LyapunovParams, dim: int) -> float:
 
 @dataclass(frozen=True)
 class ContractionConstants:
-    """Constants of the exponential contraction estimate for the dynamics.
+    """Constants of the exponential contraction estimate for the dynamics, with
+    the certificate, friction gamma, inverse temperature beta, dimension d and
+    Hoelder exponent p they were evaluated at.
 
     ``c_star`` is the contraction rate, ``C_star`` the prefactor; the
     auxiliary pair (Lambda_c, alpha_c) solves a two-way fixed point, and
@@ -201,15 +206,18 @@ class ContractionConstants:
     (``log_epsilon_c`` is its log).
     """
 
+    cert: SmoothnessCertificate
+    gamma: float
+    beta: float
+    d: int
+    p: float
     c_star: float
     C_star: float
     Lambda_c: float
     alpha_c: float
     epsilon_c: float
     R_1: float
-    L_c: float
     eta_c: float
-    p: float
     A_c: float
     log_c_star: float
     log_C_star: float
@@ -284,8 +292,6 @@ def contraction_constants(
     c_star = math.exp(log_c_star)
     eps_c = 4.0 * c_star / (gamma * (d + a_c))
     log_eps_c = log_c_star + math.log(4.0 / (gamma * (d + a_c)))
-    eta_c = 1.0 / Lam
-    L_c = beta * cert.M
     R_1 = (
         4.0
         * math.sqrt(1.2)
@@ -308,19 +314,9 @@ def contraction_constants(
     )
     C_star = _exp(log_C_star)
     return ContractionConstants(
-        c_star=c_star,
-        C_star=C_star,
-        Lambda_c=Lam,
-        alpha_c=alpha,
-        epsilon_c=eps_c,
-        R_1=R_1,
-        L_c=L_c,
-        eta_c=eta_c,
-        p=p,
-        A_c=a_c,
-        log_c_star=log_c_star,
-        log_C_star=log_C_star,
-        log_epsilon_c=log_eps_c,
+        cert=cert, gamma=gamma, beta=beta, d=d, p=p, c_star=c_star, C_star=C_star,
+        Lambda_c=Lam, alpha_c=alpha, epsilon_c=eps_c, R_1=R_1, eta_c=1.0 / Lam, A_c=a_c,
+        log_c_star=log_c_star, log_C_star=log_C_star, log_epsilon_c=log_eps_c,
     )
 
 
@@ -356,7 +352,7 @@ def _cumulative_simpson(y: np.ndarray, s: np.ndarray) -> np.ndarray:
 _H_INTERVALS = 4096
 
 
-def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float) -> float:
+def h_function(cc: ContractionConstants, r: float) -> float:
     """The concave comparison function h evaluated at r.
 
     h(r) = integral_0^{min(r, R_1)} phi(s) g(s) ds with a Gaussian weight phi
@@ -367,11 +363,10 @@ def h_function(cc: ContractionConstants, beta: float, gamma: float, r: float) ->
     r = nonnegative(r, "r")
     if r == 0.0:
         return 0.0
-    return float(h_profile(cc, beta, gamma, r)[1][-1])
+    return float(h_profile(cc, r)[1][-1])
 
 
-def h_profile(cc: ContractionConstants, beta: float, gamma: float,
-              r_max: Optional[float] = None):
+def h_profile(cc: ContractionConstants, r_max: Optional[float] = None):
     """h over an even grid on [0, r_eff], r_eff = min(r_max, R_1); returns (s, h(s)).
 
     One cumulative pass of composite Simpson over ``_H_INTERVALS`` intervals
@@ -381,10 +376,10 @@ def h_profile(cc: ContractionConstants, beta: float, gamma: float,
     means the construction has left its validity range, and that radius is
     reported as a NumericalError, not repaired.
     """
-    gamma, beta = _rates(gamma, beta)
+    gamma, beta = cc.gamma, cc.beta
     r_eff = cc.R_1 if r_max is None else min(positive(r_max, "r_max"), cc.R_1)
     s = np.linspace(0.0, r_eff, _H_INTERVALS + 1)
-    a = (1.0 + cc.eta_c) * cc.L_c / 8.0 + (
+    a = (1.0 + cc.eta_c) * (beta * cc.cert.M) / 8.0 + (
         gamma**2 * beta * cc.epsilon_c * max(1.0, 1.0 / (2.0 * cc.alpha_c)) / 2.0
     )
     phi = np.exp(-a * s * s)
@@ -414,12 +409,12 @@ def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray,
              B: np.ndarray) -> np.ndarray:
     """rho = h(r) (1 + eps_c V(x1, v1) + eps_c V(x2, v2)) between the (x, v)
     rows of A (n, 2d) and B (k, 2d): (n, k), with the semimetric
-    r = alpha_c |x1 - x2| + |x1 - x2 + (v1 - v2) / gamma|. The one evaluation
-    of r and rho, the cost W_rho of B_1 is measured in
-    (``metrics.rho_distance_cloud``): r is capped at R_1, where h is flat, and
-    h interpolated on one ``h_profile``."""
+    r = alpha_c |x1 - x2| + |x1 - x2 + (v1 - v2) / gamma| at ``cc.gamma``;
+    ``lyap`` supplies V only. The one evaluation of r and rho, the cost W_rho
+    of B_1 is measured in (``metrics.rho_distance_cloud``): r is capped at
+    R_1, where h is flat, and h interpolated on one ``h_profile``."""
     d = A.shape[1] // 2
-    gamma = lyap.gamma
+    gamma = cc.gamma
     Xa, Va = A[:, :d], A[:, d:]
     Xb, Vb = B[:, :d], B[:, d:]
     DX = Xa[:, None, :] - Xb[None, :, :]
@@ -430,7 +425,7 @@ def rho_cost(cc: ContractionConstants, lyap: LyapunovParams, A: np.ndarray,
     if r_max <= 0.0:
         h_r = np.zeros_like(r)
     else:
-        grid, h_vals = h_profile(cc, lyap.beta, gamma, r_max=r_max)
+        grid, h_vals = h_profile(cc, r_max=r_max)
         h_r = np.interp(r_eff, grid, h_vals)
     va = lyap.value_rows(Xa, Va)
     vb = lyap.value_rows(Xb, Vb)
@@ -532,11 +527,8 @@ class ConstantEntry:
 
 
 def proof_constants(
-    cert: SmoothnessCertificate,
-    moment: MomentBoundConstants,
-    gamma: float,
-    beta: float,
     cc: ContractionConstants,
+    moment: MomentBoundConstants,
     pilot_sup_v2: Optional[float] = None,
 ) -> dict:
     """The c_2 ... c_18 chain and the aggregate C~.
@@ -548,8 +540,8 @@ def proof_constants(
     on it are evaluated in log space, like C*, and keep finite logs. No entry
     depends on the noise level delta, as ``moment``'s envelopes do not.
     """
-    gamma, beta = _rates(gamma, beta)
-    M, B = cert.M, cert.B
+    gamma, beta = cc.gamma, cc.beta
+    M, B = cc.cert.M, cc.cert.B
     cax, cav = moment.C_a_x, moment.C_a_v
     ccx, ccv = moment.C_c_x, moment.C_c_v
     log_m2 = _ln(4.0 * M**2)
@@ -646,15 +638,10 @@ def log_sobolev_constant(cert: SmoothnessCertificate, beta: float, d: int,
 def risk_bound(
     cc: ContractionConstants,
     proof: Mapping[str, ConstantEntry],
-    cert: SmoothnessCertificate,
-    gamma: float,
-    beta: float,
-    d: int,
     n: int,
     lam: float,
     delta: float,
     k: int,
-    p: float,
     q: int,
     sigma: float,
     w_rho_init: float,
@@ -672,9 +659,12 @@ def risk_bound(
     user-supplied spectral gap ``lambda_star``. ``sigma`` is the 2q-moment
     scale and ``w_rho_init`` the rho-distance of the initial law from the
     long-run law, both supplied by the caller (typically pilot estimates).
-    sigma must be finite and >= 0, k >= 0 and c_ls finite and > 0.
+    sigma must be finite and >= 0, k >= 0 and c_ls finite and > 0; q must
+    pair with ``cc.p`` (``check_pq``). The certificate, gamma, beta and d are
+    ``cc``'s.
     """
-    (p, q), (gamma, beta), d, n = check_pq(p, q), _rates(gamma, beta), count(d, "d"), count(n, "n")
+    (p, q), n = check_pq(cc.p, q), count(n, "n")
+    cert, gamma, beta, d = cc.cert, cc.gamma, cc.beta, cc.d
     lam, delta, k = nonnegative(lam, "lam"), nonnegative(delta, "delta"), index(k, "k")
     sigma, w_rho_init = nonnegative(sigma, "sigma"), nonnegative(w_rho_init, "w_rho_init")
     if "C_tilde" not in proof:
@@ -715,7 +705,7 @@ def risk_bound(
 
 
 def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: float,
-                     p: float, w_rho_init: float):
+                     w_rho_init: float):
     """Step-size/noise cap and minimum iteration count for accuracy eps.
 
     Returns ``(cap, k_min)`` where the run must satisfy
@@ -724,7 +714,7 @@ def iteration_budget(cc: ContractionConstants, c_tilde: ConstantEntry, eps: floa
     w_rho_init = 0) the budget is zero. ``c_tilde`` is C~ of ``proof_constants``,
     whose log stays finite beyond float range; both results go through in_range.
     """
-    eps, p, w_rho = positive(eps, "eps"), positive(p, "p"), nonnegative(w_rho_init, "w_rho_init")
+    eps, w_rho, p = positive(eps, "eps"), nonnegative(w_rho_init, "w_rho_init"), cc.p
     log_ct = c_tilde.log
     log_cap = math.log(eps) - math.log(2.0) - log_ct
     cap = in_range(_exp(log_cap), log_cap)

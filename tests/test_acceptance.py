@@ -149,22 +149,24 @@ def test_criterion_4_constant_formulas(quad_obj, quad_theory):
     checks["eta-identity"] = cc.eta_c == 1 / cc.Lambda_c
     # lambda_c hand value
     checks["lambda_c=1/8"] = drift.lambda_c == 0.125
-    # B_3 = 1/2 at (d, beta, M, m, b) = (1, 1, 1, 1, 0)
+    # B_3 = 1/2 at (d, beta, M, m, b) = (1, 1, 1, 1, 0), on that certificate's own chain
     cert = theory.SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
-    proof = theory.proof_constants(quad_obj.cert, quad_theory["moment"], GAMMA,
-                                   BETA, cc, pilot_sup_v2=10.0)
-    rb = theory.risk_bound(cc, proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
-                           k=100, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
+    unit_drift = theory.closed_form_drift(cert, GAMMA, 1.0)
+    unit_cc = theory.contraction_constants(unit_drift, cert, GAMMA, 1.0, 1)
+    unit_moment = theory.moment_bound_constants(unit_drift, cert, GAMMA, 1.0, 1, 0.0)
+    proof = theory.proof_constants(unit_cc, unit_moment, pilot_sup_v2=10.0)
+    rb = theory.risk_bound(unit_cc, proof, 100, 0.001, 0.0,
+                           k=100, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
     checks["B3=1/2"] = abs(rb.B_3 - 0.5) <= 1e-12
     # h properties
-    checks["h(0)=0"] = theory.h_function(cc, BETA, GAMMA, 0.0) == 0.0
+    checks["h(0)=0"] = theory.h_function(cc, 0.0) == 0.0
     eps = 1e-6
-    checks["h'(0+)=1"] = abs(theory.h_function(cc, BETA, GAMMA, eps) / eps - 1.0) <= 1e-3
-    h_r1 = theory.h_function(cc, BETA, GAMMA, cc.R_1)
+    checks["h'(0+)=1"] = abs(theory.h_function(cc, eps) / eps - 1.0) <= 1e-3
+    h_r1 = theory.h_function(cc, cc.R_1)
     checks["h flat beyond R1"] = all(
-        theory.h_function(cc, BETA, GAMMA, r) == h_r1 for r in (1.5 * cc.R_1, 3 * cc.R_1)
+        theory.h_function(cc, r) == h_r1 for r in (1.5 * cc.R_1, 3 * cc.R_1)
     )
-    grid, h_vals = theory.h_profile(cc, BETA, GAMMA)
+    grid, h_vals = theory.h_profile(cc)
     full = np.linspace(0, 2 * cc.R_1, 1000)
     h_full = np.where(full <= cc.R_1, np.interp(full, grid, h_vals), h_vals[-1])
     checks["h concave on grid"] = bool(np.all(np.diff(h_full, 2) <= 1e-6 * h_vals[-1]))

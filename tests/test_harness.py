@@ -196,6 +196,17 @@ class TestExperiments:
         assert table["C_tilde"]["status"] == "empirical"
         assert man.results["lambda_c"] == pytest.approx(0.125)
 
+    def test_step_finding_reads_the_tabulated_cap(self, tmp_path):
+        # the finding takes the step-size cap at risk.delta, as the table does:
+        # at delta = 1 the cap is 0.00335, below the step 0.0034 (at delta = 0
+        # it would be 0.00347)
+        doc = base_config(kind="constants", out=str(tmp_path / "c"), risk={"delta": 1.0})
+        doc["sampler"].update(batch_size=10, **{"lambda": 0.0034})
+        man = run_experiment(ExperimentConfig.from_dict(doc))
+        [step] = [f for f in man.findings if f["code"].endswith("admissible-step")]
+        assert step["lambda_cap"] == man.results["lambda_cap"]
+        assert step["code"] == "inadmissible-step"
+
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_config(out=str(tmp_path / "r1"))
         doc2 = base_config(out=str(tmp_path / "r2"))
@@ -723,7 +734,9 @@ class TestGoldenRuns:
     # recorded before the kinds became one table (the mixture's constants.json
     # again when V became one evaluation, which moved its mu0 by one ulp, and
     # three rate-study pins when its chains became ordinary ones, which moved
-    # a distance by one ulp); never re-record
+    # a distance by one ulp, and the four constants manifests when the
+    # step-size finding took the cap at risk.delta, as the table does); never
+    # re-record
     BUILTINS = {"double_well": ({"coupling": 0.1}, 11), "gaussian_mixture": ({"ridge": 0.05}, 13)}
     BUILTIN_PINS = {
         ("double_well", "audit", None): ("30ea1012248884db", "7f2c80a2efcc54cf"),
@@ -736,8 +749,8 @@ class TestGoldenRuns:
         ("double_well", "couple", 10): ("020a8c6e662c1cc4", "0552fb2acb444e1b"),
         ("double_well", "rate-study", None): ("69c8d5bf98d6d396", "81fca1f4fa997833"),
         ("double_well", "rate-study", 10): ("5b7bfd27a519865b", "f3b3b97792749dc6"),
-        ("double_well", "constants", None): ("a696c35997fb5693", "48f3bd2d9e13955d"),
-        ("double_well", "constants", 10): ("a696c35997fb5693", "0d527b1261337b9c"),
+        ("double_well", "constants", None): ("a696c35997fb5693", "0cfa9e743124ad0f"),
+        ("double_well", "constants", 10): ("a696c35997fb5693", "b4d3a3ee8e7d839e"),
         ("double_well", "risk-bound", None): ("826cc377cc6c313d", "625a6fc01fc0f0cb"),
         ("double_well", "risk-bound", 10): ("85f9bb8b8f0c32d4", "ea8ac479b867989f"),
         ("gaussian_mixture", "audit", None): ("801f30e3262d4371", "cbe5962a8fde6d5e"),
@@ -750,8 +763,8 @@ class TestGoldenRuns:
         ("gaussian_mixture", "couple", 10): ("e3c404b8944f384f", "2a5a38d782605d26"),
         ("gaussian_mixture", "rate-study", None): ("84fd1578e896440f", "2999ba9ee8b9af6c"),
         ("gaussian_mixture", "rate-study", 10): ("1602b3e725575d4b", "1b58d41d2de81e80"),
-        ("gaussian_mixture", "constants", None): ("006584bcecaad9ac", "bba76597b8f34307"),
-        ("gaussian_mixture", "constants", 10): ("006584bcecaad9ac", "cdd68d81637b4a8e"),
+        ("gaussian_mixture", "constants", None): ("006584bcecaad9ac", "ce65dbcbe2a0aa50"),
+        ("gaussian_mixture", "constants", 10): ("006584bcecaad9ac", "b29d2fb3dbd8286c"),
         ("gaussian_mixture", "risk-bound", None): ("b8482a8589d7f738", "75baf54d66af1000"),
         ("gaussian_mixture", "risk-bound", 10): ("56b7ea4a01efb389", "50f033701c71c4b3"),
         ("quadratic", "audit", 10): ("45d7692e93e2c442", "2fc7ac8324bab248"),

@@ -6,8 +6,9 @@ function outside the harness reads each of its parameters. No function of the
 harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
 builder, for every runner, and only the chain itself sets how it steps. The
-theory chain reads the objective by rows, and one function takes the minibatch
-mean."""
+theory chain reads the objective by rows, one function takes the minibatch
+mean, and a function that takes the contraction constants takes none of their
+inputs again."""
 
 import ast
 import re
@@ -220,3 +221,21 @@ def test_one_place_takes_the_minibatch_mean():
             reducers.add(fn.name)
     assert hooks == 3
     assert reducers == {"minibatch_gradient_rows"}
+
+
+def test_contraction_constants_carry_their_inputs():
+    # the certificate, gamma, beta, d and p that the contraction constants were
+    # evaluated at are read from them, so a function that takes cc cannot be
+    # handed inputs that disagree with it
+    inputs = {"cert", "gamma", "beta", "d", "p"}
+    retaken = []
+    for name, path in MODULES.items():
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+            if any(arg.arg == "cc" or (arg.annotation is not None
+                                       and ast.unparse(arg.annotation) == "ContractionConstants")
+                   for arg in args):
+                retaken += [f"{name}.{fn.name}({arg.arg})" for arg in args if arg.arg in inputs]
+    assert retaken == []

@@ -10,7 +10,10 @@ tests/test_acceptance.py and perfbench reach through their modules, and the
 theory functions that the harness calls (``theory.<name>``). A numeric
 parameter of one of them (annotated int or float, or with a numeric default)
 that has no row fails the test, so a new public parameter cannot skip the
-converters.
+converters. The functions downstream of ``contraction_constants`` read the
+certificate, gamma, beta, d and p from the ``cc`` they take; their rows for
+those inputs pass each value through the constants evaluated at it, under the
+acceptance of ``contraction_constants``' row.
 """
 
 import ast
@@ -62,7 +65,7 @@ CFG = dict(lam=0.1, gamma=2.0, beta=1.0, batch_size=None, dim=2, seed=0,
 DRIFT = theory.derive_drift_constants(OBJ.cert, 2.0, 1.0, OBJ, DATA, probes=50)
 CC = theory.contraction_constants(DRIFT, OBJ.cert, 2.0, 1.0, 2)
 MOMENT = theory.moment_bound_constants(DRIFT, OBJ.cert, 2.0, 1.0, 2, 1.0)
-PROOF = theory.proof_constants(OBJ.cert, MOMENT, 2.0, 1.0, CC, pilot_sup_v2=4.0)
+PROOF = theory.proof_constants(CC, MOMENT, pilot_sup_v2=4.0)
 LYAP = theory.LyapunovParams(obj=OBJ, data=DATA, beta=1.0, gamma=2.0, lambda_c=0.1)
 CLOUD, CLOUD_B, CLOUD_1D = (SampleCloud(derive_stream(3, "surface", i).standard_normal(shape))
                             for i, shape in enumerate([(6, 2), (6, 2), (5, 1)]))
@@ -199,12 +202,15 @@ ENTRIES = {
         _call(theory.initial_lyapunov_integral, point_init([1.0, 0.0], [0.0, 0.0]), LYAP, dim=2),
         {"dim": COUNT}, {}),
     "theory.iteration_budget": (
-        _call(theory.iteration_budget, CC, PROOF["C_tilde"], eps=0.1, p=2.0, w_rho_init=1.0),
-        {"eps": POSITIVE, "p": POSITIVE,
+        _call(theory.iteration_budget, CC, PROOF["C_tilde"], eps=0.1, w_rho_init=1.0),
+        {"eps": POSITIVE,
          "w_rho_init": {**NONNEG, "0": "a chain that starts at its law: a zero budget"}}, {}),
     "theory.LyapunovParams": (
         _call(theory.LyapunovParams, obj=OBJ, data=DATA, beta=1.0, gamma=2.0, lambda_c=0.1),
         {"beta": POSITIVE, "gamma": POSITIVE, "lambda_c": RULE}, {}),
+    "theory.closed_form_drift": (
+        _call(theory.closed_form_drift, OBJ.cert, gamma=2.0, beta=1.0),
+        {"gamma": POSITIVE, "beta": POSITIVE}, {}),
     "theory.contraction_constants": (
         _call(theory.contraction_constants, DRIFT, OBJ.cert, gamma=2.0, beta=1.0, d=2, p=2.0),
         {"gamma": POSITIVE, "beta": POSITIVE, "d": COUNT, "p": RULE}, {}),
@@ -212,12 +218,8 @@ ENTRIES = {
         _call(theory.derive_drift_constants, OBJ.cert, obj=OBJ, data=DATA, gamma=2.0, beta=1.0,
               probes=20),
         {"gamma": POSITIVE, "beta": POSITIVE, "probes": COUNT}, {}),
-    "theory.h_function": (
-        _call(theory.h_function, CC, beta=1.0, gamma=2.0, r=0.5),
-        {"beta": POSITIVE, "gamma": POSITIVE, "r": NONNEG}, {}),
-    "theory.h_profile": (
-        _call(theory.h_profile, CC, beta=1.0, gamma=2.0, r_max=None),
-        {"beta": POSITIVE, "gamma": POSITIVE, "r_max": POSITIVE}, {}),
+    "theory.h_function": (_call(theory.h_function, CC, r=0.5), {"r": NONNEG}, {}),
+    "theory.h_profile": (_call(theory.h_profile, CC, r_max=None), {"r_max": POSITIVE}, {}),
     "theory.lyapunov_moment_certificate": (
         _call(theory.lyapunov_moment_certificate, DRIFT, OBJ.cert, gamma=2.0, beta=1.0, d=2,
               q=1, lam=0.01, v0_lyapunov=1.0, pilot_max_v2q=None),
@@ -229,16 +231,14 @@ ENTRIES = {
         {"gamma": POSITIVE, "beta": POSITIVE, "d": COUNT, "mu0_lyapunov_integral": NONNEG,
          "delta": NONNEG}, {}),
     "theory.proof_constants": (
-        _call(theory.proof_constants, OBJ.cert, MOMENT, cc=CC, gamma=2.0, beta=1.0,
-              pilot_sup_v2=None),
-        {"gamma": POSITIVE, "beta": POSITIVE, "pilot_sup_v2": NONNEG}, {}),
+        _call(theory.proof_constants, CC, MOMENT, pilot_sup_v2=None),
+        {"pilot_sup_v2": NONNEG}, {}),
     "theory.risk_bound": (
-        _call(theory.risk_bound, CC, PROOF, OBJ.cert, gamma=2.0, beta=1.0, d=2, n=12, lam=0.01,
-              delta=0.0, k=10, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, c_ls=None,
-              lambda_star=1.0),
-        {"gamma": POSITIVE, "beta": POSITIVE, "d": COUNT, "n": COUNT,
+        _call(theory.risk_bound, CC, PROOF, n=12, lam=0.01, delta=0.0, k=10, q=1, sigma=1.0,
+              w_rho_init=1.0, c_ls=None, lambda_star=1.0),
+        {"n": COUNT,
          "lam": {**POSITIVE, "0": "the bound at the step-size limit, as SamplerConfig takes it"},
-         "delta": NONNEG, "k": INDEX, "p": RULE, "q": RULE, "sigma": NONNEG,
+         "delta": NONNEG, "k": INDEX, "q": RULE, "sigma": NONNEG,
          "w_rho_init": NONNEG, "c_ls": POSITIVE, "lambda_star": POSITIVE}, {}),
 }
 # the same class under another module's name
@@ -317,21 +317,64 @@ def test_every_numeric_parameter_has_a_row():
     assert missing == [] and stale == []
 
 
-CASES = [(entry, param, label) for entry, (_, rows, _) in ENTRIES.items() for param in rows
-         for label in SIX]
+def _chain(gamma=2.0, beta=1.0, d=2, p=2.0):
+    """(cc, moment, proof) of OBJ, each evaluated at the given inputs."""
+    drift = theory.derive_drift_constants(OBJ.cert, gamma, beta, OBJ, DATA, probes=50)
+    cc = theory.contraction_constants(drift, OBJ.cert, gamma, beta, d, p)
+    moment = theory.moment_bound_constants(drift, OBJ.cert, cc.gamma, cc.beta, cc.d, 1.0)
+    return cc, moment, theory.proof_constants(cc, moment, pilot_sup_v2=4.0)
+
+
+# function downstream of contraction_constants: (call on (cc, moment, proof), the
+# inputs it reads from cc that a caller picks); a value reaches it only through
+# the constants evaluated at that value
+CARRIED = {
+    "theory.h_function": (lambda cc, *_: theory.h_function(cc, r=0.5), ("beta", "gamma")),
+    "theory.h_profile": (lambda cc, *_: theory.h_profile(cc), ("beta", "gamma")),
+    "theory.proof_constants": (
+        lambda cc, moment, _: theory.proof_constants(cc, moment), ("gamma", "beta")),
+    "theory.risk_bound": (
+        lambda cc, _, proof: theory.risk_bound(cc, proof, n=12, lam=0.01, delta=0.0, k=10, q=1,
+                                               sigma=1.0, w_rho_init=1.0, lambda_star=1.0),
+        ("gamma", "beta", "d", "p")),
+    "theory.iteration_budget": (
+        lambda cc, _, proof: theory.iteration_budget(cc, proof["C_tilde"], eps=0.1,
+                                                     w_rho_init=1.0),
+        ("p",)),
+}
+
+
+def _carried(fn):
+    return lambda **kw: fn(*_chain(**kw))
+
+
+# (entry point, parameter): (call, accepted values, the name its messages use)
+ROWS = {(entry, param): (call, accepted, names.get(param, param))
+        for entry, (call, rows, names) in ENTRIES.items() for param, accepted in rows.items()}
+ROWS.update({(entry, param): (_carried(fn), ENTRIES["theory.contraction_constants"][1][param],
+                              param)
+             for entry, (fn, params) in CARRIED.items() for param in params})
+CASES = [(entry, param, label) for entry, param in ROWS for label in SIX]
+
+
+def test_carried_inputs_are_read_from_cc():
+    for entry, (_, params) in CARRIED.items():
+        signature = inspect.signature(getattr(theory, entry.removeprefix("theory.")))
+        assert "cc" in signature.parameters and not set(params) & set(signature.parameters)
+        assert set(params) <= set(theory.ContractionConstants.__dataclass_fields__)
 
 
 @pytest.mark.parametrize("entry, param, label", CASES,
                          ids=[f"{e}-{p}-{v}" for e, p, v in CASES])
 def test_value_is_converted_or_rejected(entry, param, label):
-    call, rows, names = ENTRIES[entry]
+    call, accepted, name = ROWS[entry, param]
     with np.errstate(all="ignore"):
-        if label in rows[param]:  # accepted, for the reason the row gives
+        if label in accepted:  # accepted, for the reason the row gives
             call(**{param: SIX[label]})
             return
         with pytest.raises(ConfigurationError) as err:
             call(**{param: SIX[label]})
-    assert re.search(rf"\b{re.escape(names.get(param, param))}\b", str(err.value)), err.value
+    assert re.search(rf"\b{re.escape(name)}\b", str(err.value)), err.value
 
 
 # Values that an entry point once took without a word, or ended on in a raw

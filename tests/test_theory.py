@@ -193,7 +193,7 @@ class TestContractionConstants:
         assert cc.eta_c == 1.0 / cc.Lambda_c
         # eta solves alpha = (1 + eta) L_c / (beta gamma^2) with L_c = beta M
         assert cc.alpha_c == pytest.approx(
-            (1 + cc.eta_c) * cc.L_c / (BETA * GAMMA**2), rel=1e-12
+            (1 + cc.eta_c) * cc.beta * cc.cert.M / (BETA * GAMMA**2), rel=1e-12
         )
 
     def test_rate_decreases_in_beta_and_d(self, quad_obj, quad_theory):
@@ -246,22 +246,22 @@ class TestContractionConstants:
 
 class TestHFunction:
     def test_zero_at_zero(self, quad_theory):
-        assert theory.h_function(quad_theory["cc"], BETA, GAMMA, 0.0) == 0.0
+        assert theory.h_function(quad_theory["cc"], 0.0) == 0.0
 
     def test_unit_right_derivative(self, quad_theory):
         eps = 1e-6
-        h = theory.h_function(quad_theory["cc"], BETA, GAMMA, eps)
+        h = theory.h_function(quad_theory["cc"], eps)
         assert abs(h / eps - 1.0) <= 1e-3
 
     def test_flat_beyond_R1(self, quad_theory):
         cc = quad_theory["cc"]
-        h_r1 = theory.h_function(cc, BETA, GAMMA, cc.R_1)
+        h_r1 = theory.h_function(cc, cc.R_1)
         for r in (cc.R_1 * 1.01, cc.R_1 * 2, cc.R_1 * 10):
-            assert theory.h_function(cc, BETA, GAMMA, r) == h_r1
+            assert theory.h_function(cc, r) == h_r1
 
     def test_monotone_and_concave_on_grid(self, quad_theory):
         cc = quad_theory["cc"]
-        grid, h_vals = theory.h_profile(cc, BETA, GAMMA)
+        grid, h_vals = theory.h_profile(cc)
         full = np.linspace(0, 2 * cc.R_1, 1000)
         h_full = np.where(full <= cc.R_1, np.interp(full, grid, h_vals), h_vals[-1])
         dh = np.diff(h_full)
@@ -271,19 +271,19 @@ class TestHFunction:
 
     def test_negative_r_rejected(self, quad_theory):
         with pytest.raises(ConfigurationError):
-            theory.h_function(quad_theory["cc"], BETA, GAMMA, -1.0)
+            theory.h_function(quad_theory["cc"], -1.0)
 
     def test_negative_correction_factor_reported(self, quad_theory):
         fast = dataclasses.replace(quad_theory["cc"], c_star=1.0)
         with pytest.raises(NumericalError, match="went negative at r = "):
-            theory.h_function(fast, BETA, GAMMA, fast.R_1)
+            theory.h_function(fast, fast.R_1)
         with pytest.raises(NumericalError, match="went negative at r = "):
-            theory.h_profile(fast, BETA, GAMMA)
+            theory.h_profile(fast)
 
     def test_nan_correction_factor_reported(self, quad_theory):
         broken = dataclasses.replace(quad_theory["cc"], c_star=math.nan)
         with pytest.raises(NumericalError, match="is NaN at r = "):
-            theory.h_function(broken, BETA, GAMMA, broken.R_1)
+            theory.h_function(broken, broken.R_1)
 
     @pytest.mark.parametrize("which", [1, 2], ids=["double_well", "gaussian_mixture"])
     def test_stiff_profile_stays_finite(self, builtin_suite, which):
@@ -293,8 +293,8 @@ class TestHFunction:
         obj, data = builtin_suite[which]
         drift = theory.derive_drift_constants(obj.cert, GAMMA, BETA, obj, data)
         cc = theory.contraction_constants(drift, obj.cert, GAMMA, BETA, 2)
-        grid, h_vals = theory.h_profile(cc, BETA, GAMMA)
-        a = (1 + cc.eta_c) * cc.L_c / 8
+        grid, h_vals = theory.h_profile(cc)
+        a = (1 + cc.eta_c) * cc.beta * cc.cert.M / 8
         assert a * cc.R_1**2 > 1e4
         assert np.all(np.isfinite(h_vals)) and np.all(np.diff(h_vals) >= 0.0)
         assert h_vals[-1] == pytest.approx(math.sqrt(math.pi / a) / 2, rel=1e-9)
@@ -306,12 +306,12 @@ class TestHFunction:
         from scipy.integrate import cumulative_simpson
 
         cc = quad_theory["cc"]
-        L_c = 8.0 * 650.0 / cc.R_1**2 / (1 + cc.eta_c)
+        M = 8.0 * 650.0 / cc.R_1**2 / (1 + cc.eta_c) / cc.beta
         c_star = 1e-281
-        stiff = dataclasses.replace(cc, L_c=L_c, c_star=c_star, log_c_star=math.log(c_star),
-                                    epsilon_c=0.0)
-        grid, got = theory.h_profile(stiff, BETA, GAMMA)
-        a = (1 + cc.eta_c) * L_c / 8
+        stiff = dataclasses.replace(cc, cert=dataclasses.replace(cc.cert, M=M), c_star=c_star,
+                                    log_c_star=math.log(c_star), epsilon_c=0.0)
+        grid, got = theory.h_profile(stiff)
+        a = (1 + cc.eta_c) * cc.beta * M / 8
         phi = np.exp(-a * grid * grid)
         Phi = cumulative_simpson(phi, x=grid, initial=0.0)
         g = 1.0 - 2.25 * c_star * GAMMA * BETA * cumulative_simpson(Phi / phi, x=grid, initial=0.0)
@@ -338,7 +338,7 @@ class TestHFunction:
         from scipy.integrate import quad
 
         cc = quad_theory["cc"]
-        a = (1 + cc.eta_c) * cc.L_c / 8 + (
+        a = (1 + cc.eta_c) * cc.beta * cc.cert.M / 8 + (
             GAMMA**2 * BETA * cc.epsilon_c * max(1, 1 / (2 * cc.alpha_c)) / 2
         )
         phi = lambda s: math.exp(-a * s * s)
@@ -348,7 +348,7 @@ class TestHFunction:
         )[0]
         for r in (0.5, 2.0, 7.0):
             want = quad(lambda s: phi(s) * g(s), 0, r, limit=200)[0]
-            got = theory.h_function(cc, BETA, GAMMA, r)
+            got = theory.h_function(cc, r)
             assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -370,7 +370,7 @@ class TestSemimetrics:
             a = np.array([a])
             weight = 1.0 + cc.epsilon_c * (lyap.value(a[0, :2], a[0, 2:])
                                            + lyap.value(b[0, :2], b[0, 2:]))
-            want = theory.h_function(cc, BETA, GAMMA, r) * weight
+            want = theory.h_function(cc, r) * weight
             assert theory.rho_cost(cc, lyap, a, b)[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_symmetry(self, quad_theory):
@@ -450,35 +450,23 @@ class TestMomentBounds:
 
 class TestProofConstants:
     def test_c17_plug(self, quad_theory):
-        cc = quad_theory["cc"]
-        fake = type(cc)(
-            c_star=cc.c_star, C_star=cc.C_star, Lambda_c=cc.Lambda_c, alpha_c=0.5,
-            epsilon_c=cc.epsilon_c, R_1=cc.R_1, L_c=cc.L_c, eta_c=cc.eta_c, p=2.0,
-            A_c=cc.A_c, log_c_star=cc.log_c_star,
-            log_C_star=cc.log_C_star, log_epsilon_c=cc.log_epsilon_c,
-        )
         cert = SmoothnessCertificate(A0=0, B=0, M=1, m=1, b=0)
-        table = theory.proof_constants(cert, quad_theory["moment"], 2.0, BETA, fake)
+        fake = dataclasses.replace(quad_theory["cc"], cert=cert, alpha_c=0.5)
+        table = theory.proof_constants(fake, quad_theory["moment"])
         assert table["c_17"].value == pytest.approx(4.5)
 
-    def test_c7_self_consistency(self, quad_obj, quad_theory):
-        table = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"]
-        )
+    def test_c7_self_consistency(self, quad_theory):
+        table = theory.proof_constants(quad_theory["cc"], quad_theory["moment"])
         c7 = table["c_7"].value
         c9 = table["c_9"].value
         c10 = table["c_10"].value
         assert abs(c7 - math.sqrt(2 * c9) * math.exp(c10 / 2)) / c7 <= 1e-12
 
-    def test_empirical_entries_need_pilot(self, quad_obj, quad_theory):
-        bare = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"]
-        )
+    def test_empirical_entries_need_pilot(self, quad_theory):
+        bare = theory.proof_constants(quad_theory["cc"], quad_theory["moment"])
         assert "c_18" not in bare and "C_tilde" not in bare
-        full = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"],
-            pilot_sup_v2=50.0,
-        )
+        full = theory.proof_constants(quad_theory["cc"], quad_theory["moment"],
+                                      pilot_sup_v2=50.0)
         assert full["c_18"].status == "empirical"
         assert full["C_tilde"].status == "empirical"
         assert math.isfinite(full["C_tilde"].value) and full["C_tilde"].value > 0
@@ -498,10 +486,8 @@ class TestProofConstants:
 
         base = None
         for lam in (0.003, 0.0015):
-            table = theory.proof_constants(
-                quad_obj.cert, quad_theory["moment"], GAMMA, BETA,
-                quad_theory["cc"], pilot_sup_v2=pilot_sup(lam),
-            )
+            table = theory.proof_constants(quad_theory["cc"], quad_theory["moment"],
+                                           pilot_sup_v2=pilot_sup(lam))
             val = table["C_tilde"].value
             if base is None:
                 base = val
@@ -511,8 +497,8 @@ class TestProofConstants:
         # M = 25: c_10 = 4 M^2 = 2500, so exp(c_10 / 2) and everything built
         # on c_7 leave float range; their logs do not
         cert = SmoothnessCertificate(A0=10.0, B=0.0, M=25.0, m=0.6, b=10.0)
-        table = theory.proof_constants(cert, quad_theory["moment"], GAMMA, BETA,
-                                       quad_theory["cc"], pilot_sup_v2=50.0)
+        table = theory.proof_constants(dataclasses.replace(quad_theory["cc"], cert=cert),
+                                       quad_theory["moment"], pilot_sup_v2=50.0)
         c9, c10 = table["c_9"].value, table["c_10"].value
         assert table["c_7"].log == pytest.approx(0.5 * math.log(2 * c9) + c10 / 2, rel=1e-15)
         for key in ("c_7", "c_15", "c_16", "C_tilde"):
@@ -524,10 +510,8 @@ class TestProofConstants:
             assert doc[key]["log10"] == pytest.approx(table[key].log / math.log(10.0))
         assert doc["c_2"]["status"] == "exact" and "log10" not in doc["c_2"]
 
-    def test_json_serialization(self, quad_obj, quad_theory):
-        table = theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA, quad_theory["cc"]
-        )
+    def test_json_serialization(self, quad_theory):
+        table = theory.proof_constants(quad_theory["cc"], quad_theory["moment"])
         doc = harness.to_json(harness._constants_doc(table))
         assert '"status"' in doc and '"formula_ref"' in doc
 
@@ -538,44 +522,47 @@ class TestProofConstants:
 
 class TestRiskBound:
     @pytest.fixture()
-    def proof(self, quad_obj, quad_theory):
-        return theory.proof_constants(
-            quad_obj.cert, quad_theory["moment"], GAMMA, BETA,
-            quad_theory["cc"], pilot_sup_v2=50.0,
-        )
+    def proof(self, quad_theory):
+        return theory.proof_constants(quad_theory["cc"], quad_theory["moment"],
+                                      pilot_sup_v2=50.0)
+
+    @staticmethod
+    def _cc(quad_theory, d=1, **cert):
+        """The quadratic's contraction constants at dimension d and the
+        certificate (A0, B, M, m, b) = (0, 0, 1, 1, 0) with ``cert``'s
+        overrides: B_2 and B_3 read only those and beta."""
+        base = dict(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
+        return dataclasses.replace(quad_theory["cc"], d=d,
+                                   cert=SmoothnessCertificate(**{**base, **cert}))
 
     def test_b3_hand_value(self, quad_theory, proof):
-        cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
         rb = theory.risk_bound(
-            quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
-            k=1000, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
+            self._cc(quad_theory), proof, 100, 0.001, 0.0,
+            k=1000, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
         )
         assert rb.B_3 == pytest.approx(0.5)
 
     def test_b2_inverse_n(self, quad_theory, proof):
-        cert = SmoothnessCertificate(A0=0.0, B=0.5, M=1.0, m=1.0, b=1.0)
-        kw = dict(k=1000, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
-        big = theory.risk_bound(quad_theory["cc"], proof, cert, GAMMA, 1.0, 2, 200, 0.001, 0.0, **kw)
-        small = theory.risk_bound(quad_theory["cc"], proof, cert, GAMMA, 1.0, 2, 100, 0.001, 0.0, **kw)
+        cc = self._cc(quad_theory, d=2, B=0.5, b=1.0)
+        kw = dict(k=1000, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
+        big = theory.risk_bound(cc, proof, 200, 0.001, 0.0, **kw)
+        small = theory.risk_bound(cc, proof, 100, 0.001, 0.0, **kw)
         assert small.B_2 == pytest.approx(2.0 * big.B_2, rel=1e-12)
 
     def test_b1_longrun_limit(self, quad_theory, proof):
-        cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
-        kw = dict(p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
+        kw = dict(q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
         lam, delta = 0.001, 0.0
-        late = theory.risk_bound(
-            quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, lam, delta, k=10**9, **kw
-        )
+        late = theory.risk_bound(self._cc(quad_theory), proof, 100, lam, delta, k=10**9, **kw)
         c_tilde = proof["C_tilde"].value
         want = (1.0 * 1.0 + 0.0) * c_tilde * (lam ** 0.25 + delta ** 0.25)
         assert late.B_1 == pytest.approx(want, rel=1e-6)
 
     def test_pq_validation(self, quad_theory, proof):
-        cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
-        with pytest.raises(ConfigurationError):
+        # cc.p = 2 pairs with q = 1 only
+        with pytest.raises(ConfigurationError, match="violates"):
             theory.risk_bound(
-                quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
-                k=10, p=1.5, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
+                self._cc(quad_theory), proof, 100, 0.001, 0.0,
+                k=10, q=2, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
             )
         theory.check_pq(2.0, 1)
         theory.check_pq(4.0 / 3.0, 2)
@@ -587,12 +574,19 @@ class TestRiskBound:
         ({"c_ls": -1.0}, "c_ls"), ({"c_ls": math.inf}, "c_ls"),
     ], ids=["sigma-neg", "sigma-nan", "k-neg", "c-ls-neg", "c-ls-inf"])
     def test_out_of_range_inputs_rejected(self, quad_theory, proof, over, what):
-        cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
-        kw = dict(k=10, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
+        kw = dict(k=10, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
         kw.update(over)
         with pytest.raises(ConfigurationError, match=what):
-            theory.risk_bound(quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
-                              **kw)
+            theory.risk_bound(self._cc(quad_theory), proof, 100, 0.001, 0.0, **kw)
+
+    def test_inputs_echo_the_contraction_constants(self, quad_theory, proof):
+        # d, beta, gamma and p of the bound are the ones cc was evaluated at
+        cc = quad_theory["cc"]
+        rb = theory.risk_bound(cc, proof, 100, 0.001, 0.0, k=10, q=1, sigma=1.0,
+                               w_rho_init=1.0, lambda_star=1.0)
+        echo = {key: rb.inputs[key] for key in ("d", "beta", "gamma", "p")}
+        assert echo == {"d": cc.d, "beta": cc.beta, "gamma": cc.gamma, "p": cc.p}
+        assert echo == {"d": 2, "beta": BETA, "gamma": GAMMA, "p": 2.0}
 
     def test_c_ls_from_spectral_gap(self):
         cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
@@ -602,22 +596,19 @@ class TestRiskBound:
 
     def test_b3_increasing_in_b(self, quad_theory, proof):
         def b3(b):
-            cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=b)
             return theory.risk_bound(
-                quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
-                k=10, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
+                self._cc(quad_theory, b=b), proof, 100, 0.001, 0.0,
+                k=10, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
             ).B_3
 
         vals = [b3(b) for b in (0.0, 0.5, 1.0, 2.0)]
         assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
     def test_b1_decreasing_in_k(self, quad_theory, proof):
-        cert = SmoothnessCertificate(A0=0.0, B=0.0, M=1.0, m=1.0, b=0.0)
-
         def b1(k):
             return theory.risk_bound(
-                quad_theory["cc"], proof, cert, GAMMA, 1.0, 1, 100, 0.001, 0.0,
-                k=k, p=2.0, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
+                self._cc(quad_theory), proof, 100, 0.001, 0.0,
+                k=k, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0,
             ).B_1
 
         ks = [10, 10**4, 10**8]
@@ -629,8 +620,9 @@ class TestIterationBudget:
     @staticmethod
     def _cc(c_star, C_star):
         return theory.ContractionConstants(
+            cert=GRID_CERT, gamma=GAMMA, beta=BETA, d=2, p=2.0,
             c_star=c_star, C_star=C_star, Lambda_c=10.0, alpha_c=0.3,
-            epsilon_c=1e-3, R_1=5.0, L_c=1.0, eta_c=0.1, p=2.0, A_c=1.0,
+            epsilon_c=1e-3, R_1=5.0, eta_c=0.1, A_c=1.0,
             log_c_star=math.log(c_star), log_C_star=math.log(C_star),
             log_epsilon_c=math.log(1e-3),
         )
@@ -639,20 +631,20 @@ class TestIterationBudget:
 
     def test_hand_value(self):
         cc = self._cc(0.01, 5.0)
-        cap, k_min = theory.iteration_budget(cc, self.C_TILDE, 0.5, 2.0, 1.0)
+        cap, k_min = theory.iteration_budget(cc, self.C_TILDE, 0.5, 1.0)
         assert cap == pytest.approx(0.5 / 20.0)
         want = math.ceil((20.0**4 / 0.01) * 0.5**-4 * math.log(5.0 / 0.5))
         assert k_min == want
 
     def test_zero_when_already_converged(self):
         cc = self._cc(0.01, 5.0)
-        _, k_min = theory.iteration_budget(cc, self.C_TILDE, 5.0, 2.0, 1.0)
+        _, k_min = theory.iteration_budget(cc, self.C_TILDE, 5.0, 1.0)
         assert k_min == 0
 
     def test_waiting_shrinks_fast_in_eps(self):
         cc = self._cc(0.01, 50.0)
-        _, k1 = theory.iteration_budget(cc, self.C_TILDE, 0.25, 2.0, 1.0)
-        _, k2 = theory.iteration_budget(cc, self.C_TILDE, 0.5, 2.0, 1.0)
+        _, k1 = theory.iteration_budget(cc, self.C_TILDE, 0.25, 1.0)
+        _, k2 = theory.iteration_budget(cc, self.C_TILDE, 0.5, 1.0)
         assert k1 > k2 * 2**4
 
 
