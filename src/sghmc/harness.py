@@ -544,14 +544,16 @@ def _theory_chain(cfg: ExperimentConfig, obj, data, certified, p: float, delta: 
 def _pilot_statistics(cfg: ExperimentConfig, obj, data, lyap, steps: int,
                       q: Optional[int] = None):
     """Short ensemble tracking sup of E V^2 and, given q, of E V^{2q} and the
-    2q radial moment."""
-    functionals = {"v2": lambda X, V: lyap.value_rows(X, V) ** 2}
-    if q is not None:
-        functionals.update(v2q=lambda X, V: lyap.value_rows(X, V) ** (2 * q),
-                           radial2q=lambda X, V: np.sum(X * X, axis=1) ** q)
+    2q radial moment, on one evaluation of V a block; it sums no tail moments."""
+    def functionals(X, V):
+        W = lyap.value_rows(X, V)
+        if q is None:
+            return {"v2": W ** 2}
+        return {"v2": W ** 2, "v2q": W ** (2 * q), "radial2q": np.sum(X * X, axis=1) ** q}
+
     return ensemble_run(
         cfg.chain, cfg.sampler, obj, data, steps=steps, replicas=min(cfg.replicas, 8),
-        record_every=max(1, steps // 50), burn_in=steps // 2, functionals=functionals,
+        record_every=max(1, steps // 50), burn_in=steps, functionals=functionals,
         purpose="pilot",
     )
 

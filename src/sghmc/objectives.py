@@ -15,10 +15,12 @@ regressions and user-supplied objectives are caught at run time.
 
 Vectorization contract: ``f(x, Z)`` and ``grad_f(x, Z)`` take a single
 position ``x`` of shape ``(d,)`` and a stack of samples ``Z`` of shape
-``(k, z_dim)`` and return ``(k,)`` / ``(k, d)``. The optional ``risk_rows`` /
-``grad_rows`` hooks evaluate the dataset-averaged loss/gradient for a stack
-of positions ``(R, d)`` at once; they exist purely as fast paths and must
-agree with the averaged single-position evaluators.
+``(k, z_dim)`` and return ``(k,)`` / ``(k, d)``. A built-in writes its
+per-sample gradient once, as ``grad_batches`` below; its ``grad_f`` is the
+one-row case, row 0 of ``grad_batches(x[None], Z[None])``. The optional
+``risk_rows`` / ``grad_rows`` hooks evaluate the dataset-averaged
+loss/gradient for a stack of positions ``(R, d)`` at once; they exist purely
+as fast paths and must agree with the averaged single-position evaluators.
 
 A Dataset holds a read-only copy of its samples, and the samplers pass the
 hooks that same ``Z = data.samples`` on every step; the built-in hooks that
@@ -426,6 +428,11 @@ def audit_assumptions(
 # Built-in objectives
 # ---------------------------------------------------------------------------
 
+def _one_row(grad_batches):
+    """A built-in's ``grad_f(x, Z)``: row 0 of ``grad_batches(x[None], Z[None])``."""
+    return lambda x, Z: grad_batches(x[None], Z[None])[0]
+
+
 def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float = 0.0) -> ObjectiveSpec:
     """Quadratic loss ``f(x, z) = (m0/2) |x - coupling * z|^2``.
 
@@ -445,9 +452,6 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
     def f(x, Z):
         diff = x[None, :] - c * Z
         return 0.5 * m0 * np.sum(diff * diff, axis=1)
-
-    def grad_f(x, Z):
-        return m0 * (x[None, :] - c * Z)
 
     def risk_rows(X, Z):
         zbar, m2 = _moments(Z)
@@ -469,7 +473,7 @@ def quadratic(dim: int, m0: float = 1.0, coupling: float = 0.0, z_radius: float 
             m=0.5 * m0,
             b=0.5 * m0 * c * c * r * r,
         )
-    return ObjectiveSpec("quadratic", dim, f, grad_f, cert, risk_rows=risk_rows,
+    return ObjectiveSpec("quadratic", dim, f, _one_row(grad_batches), cert, risk_rows=risk_rows,
                          grad_rows=(lambda X, Z: X * m0_0d) if c == 0.0 else grad_rows,
                          grad_batches=grad_batches)
 
@@ -525,9 +529,6 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         diff = x[None, :] - Z
         return base + 0.5 * c * np.sum(diff * diff, axis=1)
 
-    def grad_f(x, Z):
-        return w_prime(x)[None, :] + c * (x[None, :] - Z)
-
     def risk_rows(X, Z):
         zbar, m2 = _moments(Z)
         base = np.sum(w(X), axis=1) + 0.25 * X.shape[1]
@@ -550,7 +551,7 @@ def double_well(dim: int, coupling: float = 0.1, z_radius: float = 0.0,
         m=1.0 + 0.5 * c,
         b=float(dim) + 0.5 * c * rz * rz,
     )
-    return ObjectiveSpec("double_well", dim, f, grad_f, cert, risk_rows=risk_rows,
+    return ObjectiveSpec("double_well", dim, f, _one_row(grad_batches), cert, risk_rows=risk_rows,
                          grad_rows=grad_rows, grad_batches=grad_batches)
 
 
@@ -598,10 +599,6 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
         t = Z @ x
         return 0.5 * (float(x @ x) + np.sum(Z * Z, axis=1)) - _log_cosh(t) + r0 * float(x @ x)
 
-    def grad_f(x, Z):
-        t = Z @ x
-        return (1.0 + 2.0 * r0) * x[None, :] - np.tanh(t)[:, None] * Z
-
     @_row_chunked
     def risk_rows(X, Z):
         T = X @ Z.T
@@ -625,8 +622,8 @@ def gaussian_mixture(dim: int, ridge: float = 0.05, z_radius: float = 0.0) -> Ob
         m=0.5 + 2.0 * r0,
         b=0.5 * rz * rz,
     )
-    return ObjectiveSpec("gaussian_mixture", dim, f, grad_f, cert, risk_rows=risk_rows,
-                         grad_rows=grad_rows, grad_batches=grad_batches)
+    return ObjectiveSpec("gaussian_mixture", dim, f, _one_row(grad_batches), cert,
+                         risk_rows=risk_rows, grad_rows=grad_rows, grad_batches=grad_batches)
 
 
 _REGISTRY = {

@@ -31,8 +31,8 @@ DivergenceError. The loop, hooks included, and the runners that read its
 states ignore numpy's overflow and invalid warnings: a runaway state ends as
 a value or a DivergenceError. Each finished block goes to the runner's
 recorder, which reads its rows; results are copies, never views of a buffer,
-which ``_advance`` frees on every exit. ``ensemble_run`` calls each
-functional once per block, on the block's stacked rows, so functionals must
+which ``_advance`` frees on every exit. ``ensemble_run`` calls its one
+functionals callable once per block, on the block's stacked rows, so it must
 treat rows independently.
 
 Coupled runs advance two chains on shared randomness, as one paired (2R, d)
@@ -507,27 +507,29 @@ def ensemble_run(
     replicas: int,
     record_every: int = 100,
     burn_in: int = 0,
-    functionals: Optional[Mapping[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]] = None,
+    functionals: Optional[Callable[[np.ndarray, np.ndarray], Mapping[str, np.ndarray]]] = None,
     purpose: str = "ensemble",
 ) -> EnsembleResult:
     """Advance ``replicas`` independent chains in lockstep.
 
-    ``functionals`` maps names to row-wise callables ``(X, V) -> (rows,)``,
+    ``functionals`` is one row-wise callable ``(X, V) -> {name: (rows,)}``,
     called on the initial state and then once per block on its stacked
-    (steps * R, d) rows, so they must treat rows independently; for each the
+    (steps * R, d) rows, so it must treat rows independently, and functionals
+    that share a quantity (such as V) evaluate it once; for each name the
     replica mean is recorded every ``record_every`` steps and its running
     maximum over *all* steps is tracked (that is the empirical sup used by
     the moment-bound checks). Per-coordinate first and second moments of x
-    and v are pooled over replicas and steps after ``burn_in``.
+    and v are pooled over replicas and steps after ``burn_in`` (none for
+    ``burn_in >= steps``).
     """
     steps, replicas = count(steps, "steps"), count(replicas, "replicas")
     record_every, burn_in = count(record_every, "record_every"), index(burn_in, "burn_in")
-    functionals = dict(functionals or {})
     (chain,), noise_rng = _chains((kind,), (cfg,), replicas, purpose)
 
     rec_steps = [0]
-    series = {name: [float(np.mean(fn(chain.X, chain.V)))] for name, fn in functionals.items()}
-    running_max = {name: series[name][0] for name in functionals}
+    initial = {} if functionals is None else functionals(chain.X, chain.V)
+    series = {name: [float(np.mean(vals))] for name, vals in initial.items()}
+    running_max = {name: vals[0] for name, vals in series.items()}
     # [sum, sum of squares] x [x, v], each summed over replicas one after
     # another, then over steps in step order, at every dimension. Copied to
     # ([values, squares], R, steps, 2, d), the replicas are an outer axis,
@@ -542,12 +544,12 @@ def ensemble_run(
         block = chain.H[1:n + 1]
         ks = _recorded(k0, n, record_every)
         rec_steps.extend(ks)
-        if functionals:
-            rows = block[:, 0].reshape(-1, cfg.dim), block[:, 1].reshape(-1, cfg.dim)
-        for name, fn in functionals.items():
-            vals = fn(*rows).reshape(n, replicas).mean(axis=1).tolist()
-            running_max[name] = max(running_max[name], *vals)
-            series[name].extend(vals[k - k0 - 1] for k in ks)
+        if functionals is not None:
+            rows = functionals(block[:, 0].reshape(-1, cfg.dim), block[:, 1].reshape(-1, cfg.dim))
+            for name, vals in rows.items():
+                vals = vals.reshape(n, replicas).mean(axis=1).tolist()
+                running_max[name] = max(running_max[name], *vals)
+                series[name].extend(vals[k - k0 - 1] for k in ks)
         t = max(0, burn_in - k0)  # the block's first row past burn-in
         if t < n:
             buf = np.empty((2, replicas, n - t, 2, cfg.dim))

@@ -157,11 +157,9 @@ class LyapunovParams:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
         g = self.gamma
-        quad = (
-            np.sum((X + V / g) ** 2, axis=1)
-            + np.sum((V / g) ** 2, axis=1)
-            - self.lambda_c * np.sum(X * X, axis=1)
-        )
+        W = V / g
+        quad = (np.sum((X + W) ** 2, axis=1) + np.sum(W ** 2, axis=1)
+                - self.lambda_c * np.sum(X * X, axis=1))
         return self.beta * batch_empirical_risk(X, self.obj, self.data) + 0.25 * self.beta * g * g * quad
 
 

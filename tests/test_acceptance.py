@@ -181,15 +181,15 @@ def test_criterion_5_moment_bound_compliance(quad_obj, quad_data, quad_theory):
     lam = min(0.003, moment.lambda_cap)
     cfg = SamplerConfig(lam=lam, gamma=GAMMA, beta=BETA, batch_size=None,
                         dim=2, seed=61, init=point_init([0.0, 0.0], [0.0, 0.0]))
+
+    def moments(X, V):
+        W = lyap.value_rows(X, V)  # one V for both of its powers
+        return {"x2": np.sum(X * X, axis=1), "v2": np.sum(V * V, axis=1),
+                "lyap2": W ** 2, "lyap4": W ** 4}
+
     res = ensemble_run(
         "sghmc", cfg, quad_obj, quad_data, steps=100_000, replicas=8,
-        record_every=10**9,
-        functionals={
-            "x2": lambda X, V: np.sum(X * X, axis=1),
-            "v2": lambda X, V: np.sum(V * V, axis=1),
-            "lyap2": lambda X, V: lyap.value_rows(X, V) ** 2,
-            "lyap4": lambda X, V: lyap.value_rows(X, V) ** 4,
-        },
+        record_every=10**9, functionals=moments,
     )
     v0 = lyap.value(np.zeros(2), np.zeros(2))
     rep_q1 = theory.lyapunov_moment_certificate(

@@ -14,7 +14,7 @@ import pytest
 
 from sghmc import (ConfigurationError, DivergenceError, EvaluationError, ObjectiveSpec,
                    double_well, make_dataset, quadratic, register_objective)
-from sghmc import harness, objectives, theory
+from sghmc import harness, objectives, samplers, theory
 from sghmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from sghmc.harness import (
     ExperimentConfig,
@@ -817,6 +817,43 @@ class TestGoldenRuns:
             h.update(pilot.series[key].tobytes())
             h.update(np.float64(pilot.running_max[key]).tobytes())
         assert h.hexdigest()[:16] == self.PILOT_PINS[name, replicas, batch]
+
+
+class TestPilotStatistics:
+    @staticmethod
+    def pilot(monkeypatch, obj, data):
+        """The q = 2 pilot's result, its value_rows calls and its stepped blocks."""
+        doc = base_config(kind="risk-bound", replicas=8)
+        doc["sampler"].update(batch_size=10, init={"kind": "gaussian", "mean": 0.0, "scale": 1.0})
+        cfg = ExperimentConfig.from_dict(doc)
+        lyap = harness._certify(cfg, obj, data)[1]
+        counts = {"value_rows": 0, "blocks": 0}
+
+        def value_rows(self, X, V, _fn=theory.LyapunovParams.value_rows):
+            counts["value_rows"] += 1
+            return _fn(self, X, V)
+
+        def advance(*args, _fn=samplers._advance):
+            for block in _fn(*args):
+                counts["blocks"] += 1
+                yield block
+
+        monkeypatch.setattr(theory.LyapunovParams, "value_rows", value_rows)
+        monkeypatch.setattr(samplers, "_advance", advance)
+        return harness._pilot_statistics(cfg, obj, data, lyap, steps=600, q=2), counts
+
+    def test_one_evaluation_of_v_a_block(self, builtin_suite, monkeypatch):
+        obj, data = next((o, d) for o, d in builtin_suite if o.name == "gaussian_mixture")
+        pilot, counts = self.pilot(monkeypatch, obj, data)
+        assert counts["blocks"] > 1
+        assert counts["value_rows"] == 1 + counts["blocks"]  # the initial state, then each block
+        assert sorted(pilot.series) == ["radial2q", "v2", "v2q"]
+
+    def test_sums_no_tail_moments(self, builtin_suite, monkeypatch):
+        obj, data = next((o, d) for o, d in builtin_suite if o.name == "double_well")
+        pilot, _ = self.pilot(monkeypatch, obj, data)
+        assert pilot.tail_samples == 0
+        assert np.isnan(pilot.tail_var_x).all()
 
 
 class TestCertifyOnce:

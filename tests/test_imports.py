@@ -7,8 +7,9 @@ harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
 builder, for every runner, and only the chain itself sets how it steps. The
 theory chain reads the objective by rows, one function takes the minibatch
-mean, and a function that takes the contraction constants takes none of their
-inputs again."""
+mean, a built-in objective writes its per-sample gradient once, and a
+function that takes the contraction constants takes none of their inputs
+again."""
 
 import ast
 import re
@@ -239,3 +240,18 @@ def test_contraction_constants_carry_their_inputs():
                    for arg in args):
                 retaken += [f"{name}.{fn.name}({arg.arg})" for arg in args if arg.arg in inputs]
     assert retaken == []
+
+
+def test_builtins_write_their_gradient_once():
+    # a built-in's per-sample gradient is written once, as grad_batches; its
+    # grad_f is the one-row case that objectives derives, not a second formula
+    tree = ast.parse((PACKAGE / "objectives.py").read_text(encoding="utf-8"))
+    factories = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name in ("quadratic", "double_well", "gaussian_mixture")}
+    assert len(factories) == 3
+    nested = [f"{name}, line {node.lineno}" for name, fn in factories.items()
+              for node in ast.walk(fn)
+              if (isinstance(node, ast.FunctionDef) and node.name == "grad_f")
+              or (isinstance(node, ast.Name) and node.id == "grad_f"
+                  and isinstance(node.ctx, ast.Store))]
+    assert nested == []

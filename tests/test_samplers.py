@@ -431,7 +431,7 @@ class TestEnsembles:
         cfg = _cfg(lam=0.01, seed=8, init=point_init([3.0, 0.0], [0.0, 0.0]))
         res = ensemble_run(
             "sghmc", cfg, obj, data2, steps=2000, replicas=4, record_every=100,
-            functionals={"x2": lambda X, V: np.sum(X * X, axis=1)},
+            functionals=lambda X, V: {"x2": np.sum(X * X, axis=1)},
         )
         # started far out: the sup is attained near the start, above the tail
         assert res.running_max["x2"] >= res.series["x2"][-1]
@@ -443,10 +443,10 @@ class TestEnsembles:
 
         def x2(X, V):
             rows.append(len(X))
-            return np.sum(X * X, axis=1)
+            return {"x2": np.sum(X * X, axis=1)}
 
         ensemble_run("sghmc", _cfg(seed=8, batch_size=batch_size), quadratic(2, m0=1.0),
-                     data, steps=1000, replicas=8, functionals={"x2": x2})
+                     data, steps=1000, replicas=8, functionals=x2)
         return rows
 
     def test_functionals_called_once_per_block(self, data2):
@@ -474,7 +474,7 @@ class TestEnsembles:
         cfg = _cfg(lam=0.02, batch_size=10, seed=5, init=gaussian_init(0.0, 1.0))
         steps = 160  # more than one block at R = 8
         res = ensemble_run("sghmc", cfg, obj, data, steps, replicas, record_every=1,
-                           functionals=fns)
+                           functionals=lambda X, V: {name: fn(X, V) for name, fn in fns.items()})
         # the state after k steps is the final state of a k-step run
         states = [cfg.init.sample(2, derive_stream(cfg.seed, "ensemble:init"), size=replicas)]
         for k in range(1, steps + 1):
@@ -695,7 +695,7 @@ class TestGoldenOutputs:
             return [t.steps, t.xs, t.vs]
         if name == "ensemble_run":
             r = ensemble_run(kind, cfg, obj, data, steps=n, replicas=4, record_every=7,
-                             burn_in=20, functionals={"x2": lambda X, V: np.sum(X * X, axis=1)})
+                             burn_in=20, functionals=lambda X, V: {"x2": np.sum(X * X, axis=1)})
             return [r.steps, r.series["x2"], [r.running_max["x2"], r.tail_samples],
                     r.tail_mean_x, r.tail_var_x, r.tail_mean_v, r.tail_var_v, r.X, r.V]
         if name == "coupled_ensemble_run":
@@ -953,13 +953,13 @@ class TestTailMoments:
 
         def keep(X, V):
             rows.append(np.stack([X, V], axis=1).reshape(-1, R, 2, d))
-            return np.zeros(len(X))
+            return {"keep": np.zeros(len(X))}
 
         data = make_dataset("gaussian", 200, d, seed=7)
         obj = double_well(d, coupling=0.1, z_radius=data.max_norm())
         cfg = _cfg(lam=0.05, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
         r = ensemble_run("exact_sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=burn_in,
-                         functionals={"keep": keep})
+                         functionals=keep)
         tail = np.concatenate(rows[1:])[burn_in:]  # rows[0] is the initial state
         assert len(tail) == 200 - burn_in
         total = np.zeros((2, 2, d))  # [sum, sum of squares] x [x, v]

@@ -480,7 +480,7 @@ class TestProofConstants:
             res = ensemble_run(
                 "sghmc", cfg, quad_obj, quad_data, steps=20_000, replicas=8,
                 record_every=10**9,
-                functionals={"v2": lambda X, V: lyap.value_rows(X, V) ** 2},
+                functionals=lambda X, V: {"v2": lyap.value_rows(X, V) ** 2},
             )
             return res.running_max["v2"]
 
@@ -769,7 +769,7 @@ class TestLyapunovMomentCertificate:
             res = ensemble_run(
                 "sghmc", cfg, quad_obj, quad_data, steps=20_000, replicas=8,
                 record_every=10**9,
-                functionals={"v2q": lambda X, V: lyap.value_rows(X, V) ** (2 * q)},
+                functionals=lambda X, V: {"v2q": lyap.value_rows(X, V) ** (2 * q)},
             )
             rep = theory.lyapunov_moment_certificate(
                 drift, quad_obj.cert, GAMMA, BETA, 2, q=q, lam=lam,
