@@ -21,7 +21,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -270,6 +270,9 @@ class ExperimentConfig:
                 setattr(self, name, convert(getattr(self, name), name))
         if self.burn_in is None:
             self.burn_in = max(self.steps // 10, 2000) if self.kind == "gibbs-check" else 0
+        if self.chain == "sgld" and (self.kind in ("gibbs-check", "rate-study", "risk-bound")
+                                     or self.kind == "constants" and self.pilot_steps > 0):
+            raise ConfigurationError(f"{self.kind} needs a momentum chain; chain 'sgld' has none")
 
     @classmethod
     def from_dict(cls, d: dict, kind: Optional[str] = None) -> "ExperimentConfig":
@@ -658,13 +661,9 @@ def _couple(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunMani
 
 def _rate_study(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
     """coupled distance against a finer reference across step sizes"""
-    if cfg.chain == "sgld":
-        raise ConfigurationError("rate-study needs a momentum chain; chain 'sgld' has none")
     rate = _with_defaults(_RATE_KEYS, cfg.rate)
-    s = cfg.sampler
-    base = s if cfg.chain == "sghmc" else replace(s, batch_size=None)  # full gradients
-    table = rate_study(obj, data, base, rate["lambdas"], rate["ref_divisor"], rate["t_end"],
-                       cfg.replicas)
+    table = rate_study(obj, data, cfg.sampler, rate["lambdas"], rate["ref_divisor"],
+                       rate["t_end"], cfg.replicas)
     emit("rate.csv", "lambda,distance,flag\n" + "".join(
         f"{row['lambda']:.17g},{row['distance']:.17g},{row['flag']}\n" for row in table["rows"]))
     manifest.divergence.extend({"lambda": row["lambda"], "message": "dropped"}
@@ -676,8 +675,6 @@ def _rate_study(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Run
 
 def _gibbs_check(cfg: ExperimentConfig, obj, data, certified, emit, manifest: RunManifest) -> None:
     """stationary moments of the quadratic objective vs the exact law"""
-    if cfg.chain == "sgld":
-        raise ConfigurationError("gibbs-check needs a momentum chain; chain 'sgld' has none")
     if obj.name != "quadratic":
         raise ConfigurationError("gibbs-check needs the quadratic objective (exact law known)")
     s = cfg.sampler
@@ -716,11 +713,13 @@ def _risk_bound(cfg: ExperimentConfig, obj, data, certified, emit, manifest: Run
     risk = _with_defaults(_RISK_KEYS, cfg.risk)
     p, q, sigma = risk["p"], risk["q"], risk["sigma"]
     theory.check_pq(p, q)
+    if risk["c_ls"] is None and risk["lambda_star"] is None:  # before any chain runs
+        raise ConfigurationError("supply either c_ls or lambda_star")
     k = cfg.steps if risk["k"] is None else risk["k"]
 
     # noise level: explicit, or measured for a chain that draws minibatches, else 0
     delta = risk["delta"]
-    if delta is None and (s.batch_size is None or cfg.chain == "exact_sghmc"):
+    if delta is None and s.batch_size is None:
         delta = 0.0
     elif delta is None:
         probe_rng = derive_stream(s.seed, "risk:probes")

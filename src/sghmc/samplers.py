@@ -1,11 +1,11 @@
 """Discrete Langevin dynamics, plus coupled runs.
 
-The runners step the chain kinds of ``CHAIN_KINDS`` on one empirical risk:
+The runners step the chain kinds of ``CHAIN_KINDS`` on one empirical risk,
+by minibatches of ``batch_size`` samples or, at ``batch_size=None``, by the
+full-dataset gradient:
 
-* ``"sgld"``        -- overdamped Euler step with minibatch gradients,
-* ``"sghmc"``       -- underdamped (momentum) Euler step with minibatch
-                       gradients,
-* ``"exact_sghmc"`` -- the same recursion with the full-dataset gradient.
+* ``"sgld"``  -- overdamped Euler step,
+* ``"sghmc"`` -- underdamped (momentum) Euler step.
 
 The momentum update uses the pre-update momentum in the position update
 (``x' = x + lam * v``); this ordering is observable and pinned by tests.
@@ -78,7 +78,7 @@ from .objectives import (
 )
 from .rng import derive_stream
 
-CHAIN_KINDS = ("sgld", "sghmc", "exact_sghmc")
+CHAIN_KINDS = ("sgld", "sghmc")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ class SamplerConfig:
     """Step size, friction, inverse temperature, batch size, dimension, seed, init.
 
     ``beta = inf`` is the zero-noise limit (noise coefficient 0).
-    ``batch_size = None`` selects full-dataset gradients for minibatch kinds.
+    ``batch_size = None`` selects full-dataset gradients for either chain kind.
     Admissibility of ``lam`` against the moment-bound step cap is checked by
     the theory module and reported by the harness, never enforced here.
     """
@@ -203,7 +203,7 @@ def _kernel(kind, lam, gamma):
     ``(S, X, V)`` of bound views of a (2, R, d) state ``S = (X, V)``, which
     must not overlap.
 
-    Momentum kinds: V' = V - lam (gamma V + G) + inc and X' = X + lam V
+    ``"sghmc"``: V' = V - lam (gamma V + G) + inc and X' = X + lam V
     (pre-update momentum). ``"sgld"``: X' = X - lam G + inc and V' = V.
     ``inc`` is the scaled Gaussian increment ``c * xi``. In-place ufuncs
     round as those formulas do, so the bits are theirs: two same-shape
@@ -256,7 +256,7 @@ class _Chain:
         self.kind, self.cfg, self.X, self.V, self.copies = kind, cfg, X, V, copies
         self.idx_rng = idx_rng
         self.step = _kernel(kind, cfg.lam, cfg.gamma)
-        # the noise rate is gamma * lam for the momentum kinds, lam for sgld
+        # the noise rate is gamma * lam for sghmc, lam for sgld
         self.c = _noise(cfg.lam if kind == "sgld" else cfg.gamma * cfg.lam, cfg.beta)
 
     def increments(self, xi):
@@ -277,15 +277,15 @@ def _chains(kinds, cfgs, replicas, purpose):
             raise ConfigurationError(f"unknown chain kind {kind!r}; known: {CHAIN_KINDS}")
     if cfgs[-1].dim != cfgs[0].dim:
         raise ConfigurationError("coupled chains must share the dimension")
-    batches = [None if k == "exact_sghmc" else cfg.batch_size for k, cfg in zip(kinds, cfgs)]
+    batches = [cfg.batch_size for cfg in cfgs]
     shared = None
     if batches[0] is not None and batches.count(batches[0]) == len(cfgs):
         shared = derive_stream(cfgs[0].seed, f"{purpose}:minibatch")
     chains = []
-    for i, (kind, cfg, batch) in enumerate(zip(kinds, cfgs, batches)):
+    for i, (kind, cfg) in enumerate(zip(kinds, cfgs)):
         X, V = cfg.init.sample(cfg.dim, derive_stream(cfg.seed, f"{purpose}:init", i), replicas)
         idx_rng = shared
-        if batch is not None and shared is None:
+        if cfg.batch_size is not None and shared is None:
             idx_rng = derive_stream(cfg.seed, f"{purpose}:minibatch", i + 1)
         chains.append(_Chain(kind, cfg, X, V, idx_rng))
     if len(chains) == 2 and len({(ch.kind, ch.cfg.lam, ch.cfg.gamma, ch.c, ch.idx_rng)
@@ -612,11 +612,11 @@ def coupled_ensemble_run(
 ) -> CoupledEnsembleResult:
     """Replicated synchronous coupling of two chains of the same kind.
 
-    Both chains see the same Gaussian draws (and the same minibatch indices when
-    minibatching, so the batch sizes of minibatch chains must agree; an
-    ``"exact_sghmc"`` pair reads none), as one (2R, d) block when they share
-    step, friction and noise coefficient; the replica-averaged separation
-    series is the empirical contraction diagnostic.
+    Both chains see the same Gaussian draws (and the same minibatch indices
+    when minibatching, so their batch sizes must agree, None for both being
+    full gradients), as one (2R, d) block when they share step, friction and
+    noise coefficient; the replica-averaged separation series is the
+    empirical contraction diagnostic.
     """
     steps, replicas = count(steps, "steps"), count(replicas, "replicas")
     record_every = count(record_every, "record_every")
@@ -698,11 +698,11 @@ def _rate_coupling(cfg, lambdas, lambda_ref, obj, data, t_end, replicas):
     integers r and n. Every chain is an ordinary one from ``_chains``, of cfg
     at its step size and purpose ``"rate"``: one initial state, and the path
     drawn from its own derivation of one stream. Each lambda's ``"sghmc"``
-    chain runs first, n steps on the ``_Sums`` of r draws; then, if one
-    completed, the ``"exact_sghmc"`` reference runs all r n steps on the draws
-    themselves. A point whose chain failed takes its DivergenceError; else, if
-    the reference failed at fine step s, one at coarse step ceil(s / r). An
-    EvaluationError is raised.
+    chain, on cfg's gradient, runs first, n steps on the ``_Sums`` of r draws;
+    then, if one completed, the full-gradient ``"sghmc"`` reference runs all
+    r n steps on the draws themselves. A point whose chain failed takes its
+    DivergenceError; else, if the reference failed at fine step s, one at
+    coarse step ceil(s / r). An EvaluationError is raised.
     """
     lambda_ref, t_end = positive(lambda_ref, "lambda_ref"), real(t_end, "t_end")
     replicas = count(replicas, "replicas")
@@ -711,17 +711,17 @@ def _rate_coupling(cfg, lambdas, lambda_ref, obj, data, t_end, replicas):
     (fine,) = {r * n for r, n in steps}  # t_end / lambda_ref
     message = "rate coupling diverged at coarse step {}"
 
-    def run(kind, lam, n, r):
-        """``kind``'s chain at step size lam after n steps on the ``_Sums`` of r
+    def run(sampler, n, r):
+        """``sampler``'s ``"sghmc"`` chain after n steps on the ``_Sums`` of r
         draws of its stream (at r = 1, the draws), or its DivergenceError."""
-        (ch,), rng = _chains((kind,), (replace(cfg, lam=lam),), replicas, "rate")
+        (ch,), rng = _chains(("sghmc",), (sampler,), replicas, "rate")
         return _failure(_advance([ch], obj, data, n, _Sums(rng, r) if r > 1 else rng,
                                  message)) or ch
 
-    coarse = [run("sghmc", lam, n, r) for lam, (r, n) in zip(lambdas, steps)]
+    coarse = [run(replace(cfg, lam=lam), n, r) for lam, (r, n) in zip(lambdas, steps)]
     if all(isinstance(ch, DivergenceError) for ch in coarse):
         return coarse
-    ref = run("exact_sghmc", lambda_ref, fine, 1)
+    ref = run(replace(cfg, lam=lambda_ref, batch_size=None), fine, 1)
     out = []
     for ch, (r, _) in zip(coarse, steps):
         if isinstance(ch, DivergenceError):

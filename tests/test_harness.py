@@ -100,6 +100,12 @@ class TestConfig:
         assert cfg.sampler_b.lam == cfg.sampler.lam
         assert cfg.sampler_b.init.x0[0] == 3
 
+    def test_point_init_without_x0_or_v0_is_the_origin_at_rest(self):
+        doc = base_config()
+        doc["sampler"]["init"] = {"kind": "point"}
+        X, V = ExperimentConfig.from_dict(doc).sampler.init.sample(2, None, 3)
+        assert np.array_equal(X, np.zeros((3, 2))) and np.array_equal(V, np.zeros((3, 2)))
+
     def test_objective_z_radius_injected(self):
         doc = base_config(objective={"name": "double_well", "params": {"coupling": 0.1}})
         obj, data = materialize(ExperimentConfig.from_dict(doc))
@@ -115,7 +121,7 @@ class TestConfig:
         "risk": {"p": 2.0, "q": 1, "delta": 0.1},
         "audit": {"probes": 300},
         "pilot_steps": 500,
-        "chain": "exact_sghmc",
+        "chain": "sgld",
         "strict": True,
     }
 
@@ -130,7 +136,7 @@ class TestConfig:
         "gibbs-check": "181af5cfe2252ccc",
         "risk-bound": "330055057245202e",
         "validate": "3b639aac339e4864",
-        "every-key": "782349fc7b0cc618",
+        "every-key": "67c130b7d1aa07a8",
     }
 
     @pytest.mark.parametrize("case", list(ECHO_PINS))
@@ -615,9 +621,10 @@ class TestRateStudy:
 
 
 class TestMomentumKinds:
-    """gibbs-check and rate-study run the momentum recursion: they reject
-    sgld, and rate-study's coarse chain under exact_sghmc takes full
-    gradients. risk-bound measures no minibatch noise under exact_sghmc."""
+    """gibbs-check, rate-study, risk-bound and a piloted constants read a
+    momentum chain's statistics: the config rejects sgld for them. Under
+    sghmc, batch_size alone picks the gradient: rate-study's coarse chain
+    follows it, and risk-bound measures minibatch noise exactly when it is set."""
 
     @staticmethod
     def _run(tmp_path, name, kind, chain, batch_size=None, **over):
@@ -627,50 +634,68 @@ class TestMomentumKinds:
         path.write_text(json.dumps(doc))
         return main([kind, "--config", str(path)])
 
-    @pytest.mark.parametrize("kind", ["gibbs-check", "rate-study"])
-    def test_sgld_exits_before_writing(self, tmp_path, capsys, kind):
-        assert self._run(tmp_path, "r", kind, "sgld", batch_size=10) == EXIT_VALIDATION
-        assert f"{kind} needs a momentum chain" in capsys.readouterr().err
+    @pytest.mark.parametrize("kind, pilot_steps", [
+        ("gibbs-check", 0), ("rate-study", 0), ("risk-bound", 0), ("constants", 200)])
+    def test_sgld_exits_before_writing(self, tmp_path, capsys, kind, pilot_steps):
+        assert self._run(tmp_path, "r", kind, "sgld", batch_size=10,
+                         pilot_steps=pilot_steps) == EXIT_VALIDATION
+        assert f"{kind} needs a momentum chain; chain 'sgld' has none" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
-    @pytest.mark.parametrize("chain", ["sghmc", "exact_sghmc"])
-    def test_gibbs_check_moves_the_momentum(self, tmp_path, chain):
-        assert self._run(tmp_path, "g", "gibbs-check", chain, batch_size=10,
+    @pytest.mark.parametrize("kind", ["sample", "couple", "validate", "audit"])
+    def test_sgld_loads_where_no_momentum_is_read(self, kind):
+        assert ExperimentConfig.from_dict(base_config(kind=kind, chain="sgld")).chain == "sgld"
+
+    def test_constants_without_a_pilot_runs_under_sgld(self, tmp_path):
+        assert self._run(tmp_path, "c", "constants", "sgld", batch_size=10) == EXIT_OK
+        assert "c_18" not in json.loads((tmp_path / "c" / "constants.json").read_text())
+
+    @pytest.mark.parametrize("batch_size", [10, None])
+    def test_gibbs_check_moves_the_momentum(self, tmp_path, batch_size):
+        assert self._run(tmp_path, "g", "gibbs-check", "sghmc", batch_size=batch_size,
                          steps=3000) == EXIT_OK
         assert json.loads((tmp_path / "g" / "gibbs.json").read_text())["empirical_var_v"] > 0.0
 
-    def test_gibbs_check_exact_sghmc_takes_full_gradients(self, tmp_path):
-        for name, batch in (("mini", 10), ("full", None)):
-            assert self._run(tmp_path, name, "gibbs-check", "exact_sghmc", batch,
-                             steps=3000) == EXIT_OK
-        assert (tmp_path / "mini" / "gibbs.json").read_bytes() == \
-            (tmp_path / "full" / "gibbs.json").read_bytes()
-
-    def test_rate_study_exact_sghmc_takes_full_gradients(self, tmp_path):
+    def test_rate_study_coarse_chain_follows_batch_size(self, tmp_path):
         over = {"rate": {"lambdas": [0.1, 0.05], "t_end": 1.0},
                 "objective": {"name": "double_well", "params": {"coupling": 0.1}}}
-        runs = {"exact": ("exact_sghmc", 10), "full": ("sghmc", None), "mini": ("sghmc", 10)}
         csv = {}
-        for name, (chain, batch) in runs.items():
-            assert self._run(tmp_path, name, "rate-study", chain, batch, **over) == EXIT_OK
+        for name, batch in (("full", None), ("mini", 10)):
+            assert self._run(tmp_path, name, "rate-study", "sghmc", batch, **over) == EXIT_OK
             csv[name] = (tmp_path / name / "rate.csv").read_bytes()
-        assert csv["exact"] == csv["full"] != csv["mini"]
+        assert csv["full"] != csv["mini"]
 
-    def test_risk_bound_exact_sghmc_measures_no_delta(self, tmp_path):
-        # its chains take full gradients, whatever the batch size
+    def test_risk_bound_measures_delta_exactly_with_a_batch_size(self, tmp_path):
         over = {"steps": 1000, "pilot_steps": 500, "replicas": 2,
                 "risk": {"p": 2.0, "q": 1, "lambda_star": 1.0},
                 "objective": {"name": "double_well", "params": {"coupling": 0.1}}}
-        risk = {}
+        delta = {}
         for name, batch in (("mini", 10), ("full", None)):
-            doc = base_config(kind="risk-bound", chain="exact_sghmc",
-                              out=str(tmp_path / name), **over)
+            doc = base_config(kind="risk-bound", out=str(tmp_path / name), **over)
             doc["sampler"].update(batch_size=batch, seed=3, init={
                 "kind": "point", "x0": [1, 0], "v0": [0, 0]}, **{"lambda": 0.01})
             run_experiment(ExperimentConfig.from_dict(doc))
-            risk[name] = (tmp_path / name / "risk.json").read_bytes()
-        assert risk["mini"] == risk["full"]
-        assert json.loads(risk["full"])["delta"] == 0.0
+            delta[name] = json.loads((tmp_path / name / "risk.json").read_text())["delta"]
+        assert delta["full"] == 0.0
+        assert delta["mini"] > 0.0
+
+    def test_risk_bound_without_c_ls_or_lambda_star_runs_no_chain(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the bound cannot be evaluated, so the run stops before its chains
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("ensemble_run", "run_chain", "estimate_delta"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        assert self._run(tmp_path, "r", "risk-bound", "sghmc", batch_size=10,
+                         risk={"p": 2.0, "q": 1}) == EXIT_VALIDATION
+        assert "supply either c_ls or lambda_star" in capsys.readouterr().err
+        assert calls == []
 
 
 def _golden_digests(out: Path) -> dict:
@@ -1090,12 +1115,13 @@ class TestCli:
          "lam = 0.1 must be an integer multiple of lambda_ref = 0.001875"),
         ("rate-study", {"rate": {"lambdas": [0.3, 0.1], "t_end": 1.0}}, [],
          "t_end = 1.0 must be an integer multiple of lam = 0.3"),
+        ("rate-study", {"rate": {"lambdas": []}}, [], "rate study needs at least one step size"),
         ("constants", {"pilot_steps": -5}, [], "must be >="),
         ("risk-bound", {"pilot_steps": -5}, [], "must be >="),
     ], ids=["replicas-flag-0", "rate-replicas-flag-0", "replicas-neg", "thin-0", "steps-0",
             "burn-in-neg", "gibbs-no-tail", "ref-divisor-0", "ref-divisor-inf",
             "ref-divisor-fractional", "rate-t-end-overflow", "rate-grid-not-nested",
-            "rate-t-end-not-a-multiple",
+            "rate-t-end-not-a-multiple", "rate-no-lambdas",
             "pilot-steps-neg-constants", "pilot-steps-neg-risk-bound"])
     def test_out_of_range_run_sizes_exit_validation(self, tmp_path, capsys, kind, over, argv,
                                                     message):
@@ -1185,6 +1211,8 @@ class TestCli:
     BAD_KEYS = {
         "top-steps-x": ({"steps": "x"}, "malformed config value 'steps'"),
         "top-unknown": ({"setps": 10}, "unknown config key 'setps'"),
+        # full gradients are "chain": "sghmc", "batch_size": null
+        "chain-exact-sghmc": ({"chain": "exact_sghmc"}, "unknown chain kind 'exact_sghmc'"),
         "sampler-lambda-x": ({"sampler": {"lambda": "x"}}, "malformed config value 'lambda'"),
         "sampler-unknown": ({"sampler": {"lamda": 5.0}}, "unknown key 'lamda'"),
         "sampler-b-gamma-x": ({"sampler_b": {"gamma": "x"}}, "malformed config value 'gamma'"),
@@ -1231,6 +1259,8 @@ class TestCli:
                          "sampler: init: malformed config value 'scale'"),
         "init-x0-x": ({"sampler": {"init": {"kind": "point", "x0": "x"}}},
                       "sampler: init: malformed config value 'x0': 'x' is not a list"),
+        "init-kind-unknown": ({"sampler": {"init": {"kind": "uniform"}}},
+                              "sampler: init: unknown initial law kind 'uniform'"),
         "init-unknown": ({"sampler": {"init": {"kind": "gaussian", "scael": 0.1}}},
                          "sampler: malformed config value 'init': unknown key 'scael'"),
         "init-point-unknown": ({"sampler": {"init": {"kind": "point", "scale": 0.1}}},

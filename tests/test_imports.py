@@ -7,13 +7,15 @@ harness is longer than 60 lines. The samplers derive their streams,
 draw their initial states and make their chains in one place, the chain
 builder, for every runner, and only the chain itself sets how it steps. The
 theory chain reads the objective by rows, one function takes the minibatch
-mean, a built-in objective writes its per-sample gradient once, and a
+mean, a built-in objective writes its per-sample gradient once, a
 function that takes the contraction constants takes none of their inputs
-again."""
+again, and one place each decides what a chain kind does."""
 
 import ast
 import re
 from pathlib import Path
+
+from sghmc.samplers import CHAIN_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sghmc"
@@ -255,3 +257,33 @@ def test_builtins_write_their_gradient_once():
               or (isinstance(node, ast.Name) and node.id == "grad_f"
                   and isinstance(node.ctx, ast.Store))]
     assert nested == []
+
+
+def _kind_comparisons(node, scope, kinds):
+    """(scope, comparison) of each comparison under ``node`` with a string
+    constant in ``kinds``, by the qualified name of the function or class
+    around it (``scope`` at the top)."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Compare) and any(
+                isinstance(c, ast.Constant) and c.value in kinds
+                for operand in (child.left, *child.comparators) for c in ast.walk(operand)):
+            yield inner, child
+        yield from _kind_comparisons(child, inner, kinds)
+
+
+def test_one_place_decides_a_chain_kind():
+    # chain picks the update and batch_size alone the gradient: only the
+    # kernel, the chain's noise rate and the config's momentum rule compare a
+    # value with a chain kind, so no other function branches on one
+    kinds = {*CHAIN_KINDS, "exact_sghmc"}
+    allowed = {"samplers._kernel", "samplers._Chain.__init__",
+               "harness.ExperimentConfig.__post_init__"}
+    found = [f"{scope}, line {node.lineno}: {ast.unparse(node)}"
+             for name, path in MODULES.items()
+             for scope, node in _kind_comparisons(ast.parse(path.read_text(encoding="utf-8")),
+                                                  name, kinds)
+             if scope not in allowed]
+    assert found == []

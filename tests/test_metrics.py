@@ -29,6 +29,15 @@ def brute_force_wasserstein(a, b, p, perms):
     return float((totals.min() / a.shape[0]) ** (1.0 / p))
 
 
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((0, 2)), "a sample cloud needs at least one point"),
+    ([[0.0, 1.0], [math.nan, 0.0]], "sample cloud contains non-finite points"),
+], ids=["empty", "nan"])
+def test_malformed_cloud_rejected(points, message):
+    with pytest.raises(ConfigurationError, match=message):
+        SampleCloud(points)
+
+
 class TestWasserstein1d:
     def test_identical_clouds(self):
         a = SampleCloud(np.arange(10.0))
@@ -111,10 +120,14 @@ class TestWassersteinExact:
                 wasserstein_1d(a, b, p), rel=1e-12
             )
 
-    def test_size_cap(self):
-        big = SampleCloud(np.zeros((65, 1)))
-        with pytest.raises(ConfigurationError):
-            wasserstein_exact_small(big, big, 2.0)
+    @pytest.mark.parametrize("shape_a, shape_b, message", [
+        ((65, 1), (65, 1), "exact solver is capped at 64 points"),
+        ((3, 1), (4, 1), "exact solver needs equal cloud sizes"),
+        ((3, 1), (3, 2), "clouds must share the dimension"),
+    ], ids=["cap", "sizes", "dimensions"])
+    def test_shape_guards(self, shape_a, shape_b, message):
+        with pytest.raises(ConfigurationError, match=message):
+            wasserstein_exact_small(np.zeros(shape_a), np.zeros(shape_b), 2.0)
 
     def test_triangle_inequality(self):
         rng = derive_stream(5, "triangle")
@@ -232,6 +245,10 @@ class TestSlicedWasserstein:
         assert sliced_wasserstein(a, b, 2.0, 16, seed=4) == 0.881448934264432
         assert sliced_wasserstein(b, a, 1.5, 16, seed=4) == 0.8081993176175375
 
+    def test_dimension_guard(self):
+        with pytest.raises(ConfigurationError, match="clouds must share the dimension"):
+            sliced_wasserstein(np.zeros((3, 1)), np.zeros((3, 2)))
+
     def test_deterministic_given_seed(self):
         rng = derive_stream(11, "sw-det")
         a = SampleCloud(rng.standard_normal((50, 2)))
@@ -286,11 +303,15 @@ class TestRhoDistance:
         far = SampleCloud(pts + 2 * shift)
         assert rho_distance_cloud(a, far, cc, lyap) > rho_distance_cloud(a, near, cc, lyap)
 
-    def test_shape_guards(self, quad_theory):
+    @pytest.mark.parametrize("shape_a, shape_b, message", [
+        ((4, 3), (4, 3), "phase-space clouds need even, equal dimension"),
+        ((4, 4), (5, 4), "rho distance needs equal cloud sizes"),
+        ((65, 4), (65, 4), "rho distance is capped at 64 points"),
+    ], ids=["odd", "sizes", "cap"])
+    def test_shape_guards(self, quad_theory, shape_a, shape_b, message):
         cc, lyap = quad_theory["cc"], quad_theory["lyap"]
-        odd = SampleCloud(np.zeros((4, 3)))
-        with pytest.raises(ConfigurationError):
-            rho_distance_cloud(odd, odd, cc, lyap)
+        with pytest.raises(ConfigurationError, match=message):
+            rho_distance_cloud(np.zeros(shape_a), np.zeros(shape_b), cc, lyap)
 
 
 class TestQuadGrowthContinuity:
@@ -321,6 +342,12 @@ class TestQuadGrowthContinuity:
             lambda W: np.sum(W * W, axis=1), (2.0, 0.0), a, b, 2.0, 2.0
         )
         assert lhs <= rhs
+
+    def test_non_finite_values_rejected(self):
+        a = SampleCloud(np.zeros((4, 2)))
+        with pytest.raises(ConfigurationError, match="G produced non-finite values"):
+            quad_growth_continuity_check(lambda W: np.full(len(W), math.nan), (1.0, 0.0), a, a,
+                                         2.0, 2.0)
 
     def test_pq_guard(self):
         a = SampleCloud(np.zeros((4, 2)))

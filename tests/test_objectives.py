@@ -17,6 +17,7 @@ from sghmc import (
     gaussian_mixture,
     empirical_risk,
     make_dataset,
+    make_objective,
     quad_growth_sandwich,
     quadratic,
 )
@@ -108,6 +109,15 @@ class TestEmpiricalRisk:
             Dataset([], "literal", seed=0)
         with pytest.raises(ConfigurationError):
             make_dataset("gaussian", 0, 1, seed=1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_dataset("cauchy", 10, 1, seed=1), "unknown dataset generator 'cauchy'"),
+    (lambda: make_objective("rosenbrock", 2), "unknown objective 'rosenbrock'"),
+], ids=["generator", "objective"])
+def test_unknown_name_rejected(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
 
 
 class TestEmpiricalGradient:

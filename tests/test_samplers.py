@@ -13,6 +13,7 @@ from sghmc import (
     ConfigurationError,
     DivergenceError,
     EvaluationError,
+    InitialLaw,
     ObjectiveSpec,
     SamplerConfig,
     SmoothnessCertificate,
@@ -76,6 +77,20 @@ class TestSamplerConfig:
         assert cfg.batch_size == 2 and type(cfg.batch_size) is int
 
 
+class TestInitialLaw:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown initial law kind 'uniform'"):
+            InitialLaw(kind="uniform")
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ConfigurationError, match="initial law has a non-finite x0 or v0"):
+            point_init([math.nan, 0.0], [0.0, 0.0])
+
+    def test_point_of_another_dimension_rejected(self, quad_theory):
+        with pytest.raises(ConfigurationError, match="point initial law has wrong dimension"):
+            theory.initial_lyapunov_integral(point_init([0, 0], [0, 0]), quad_theory["lyap"], 3)
+
+
 class TestSteps:
     """The update equations, one step of ``run_chain``: a trajectory at
     ``steps=1, thin=1`` holds the initial state and the state after it."""
@@ -89,32 +104,25 @@ class TestSteps:
         assert np.array_equal(traj.xs[1], traj.xs[0])
         assert np.array_equal(traj.vs[1], traj.vs[0])
 
-    @pytest.mark.parametrize("kind", ["sghmc", "exact_sghmc"])
-    def test_free_particle(self, data2, kind):
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_free_particle(self, data2, batch):
         # no friction, no force, no noise: straight-line motion
-        cfg = _cfg(lam=0.5, gamma=0.0, beta=math.inf,
+        cfg = _cfg(lam=0.5, gamma=0.0, beta=math.inf, batch_size=batch,
                    init=point_init([1.0, 0.0], [2.0, -1.0]))
-        traj = run_chain(kind, cfg, zero_objective(2), data2, steps=1, thin=1)
+        traj = run_chain("sghmc", cfg, zero_objective(2), data2, steps=1, thin=1)
         assert np.allclose(traj.vs[1], traj.vs[0])
         assert np.allclose(traj.xs[1], traj.xs[0] + 0.5 * traj.vs[0])
 
-    @pytest.mark.parametrize("kind", ["sghmc", "exact_sghmc"])
-    def test_pinned_noise(self, data2, kind):
-        # at rest at the minimum the first step is the noise alone:
-        # v_1 = sqrt(2 gamma lam / beta) xi_1 with xi_1 the first draw of the stream
-        cfg = _cfg(lam=0.1, gamma=1.0, beta=1.0)
-        traj = run_chain(kind, cfg, quadratic(2, m0=1.0), data2, steps=1, thin=1)
-        xi = derive_stream(cfg.seed, f"{kind}:noise").standard_normal(cfg.dim)
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_pinned_noise(self, data2, batch):
+        # at rest at the minimum the first step is the noise alone, whatever the
+        # gradient reads: v_1 = sqrt(2 gamma lam / beta) xi_1 with xi_1 the
+        # first draw of the noise stream
+        cfg = _cfg(lam=0.1, gamma=1.0, beta=1.0, batch_size=batch)
+        traj = run_chain("sghmc", cfg, quadratic(2, m0=1.0), data2, steps=1, thin=1)
+        xi = derive_stream(cfg.seed, "sghmc:noise").standard_normal(cfg.dim)
         assert np.array_equal(traj.vs[1], math.sqrt(0.2) * xi)
         assert np.array_equal(traj.xs[1], np.zeros(2))
-
-    def test_exact_matches_full_pass_under_shared_noise(self, data2):
-        obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
-        cfg = _cfg(lam=0.02, init=point_init([1.0, 1.0], [0.0, 0.0]))
-        _, _, dist = coupled_run(("sghmc", "exact_sghmc"), cfg, cfg, obj, data2,
-                                 steps=10, thin=1)
-        assert len(dist) == 11
-        assert np.all(dist[:, 1:] == 0.0)
 
     def test_sgld_pinned_arithmetic(self, data2):
         # beta = inf: no noise, x_1 = x_0 - lam grad F(x_0)
@@ -124,9 +132,9 @@ class TestSteps:
 
     def test_divergence_carries_step_index(self, data2):
         obj = quadratic(2, m0=1.0)
-        cfg = _cfg(lam=5.0, init=point_init([1.0, 0.0], [0.0, 0.0]))
+        cfg = _cfg(lam=5.0, batch_size=None, init=point_init([1.0, 0.0], [0.0, 0.0]))
         with pytest.raises(DivergenceError) as err:
-            run_chain("exact_sghmc", cfg, obj, data2, steps=10_000, thin=100)
+            run_chain("sghmc", cfg, obj, data2, steps=10_000, thin=100)
         assert err.value.step >= 1
 
 
@@ -154,7 +162,7 @@ class TestSingleChainIsEnsembleOfOne:
         }
 
     @pytest.mark.parametrize("init", ["gaussian", "point"])
-    @pytest.mark.parametrize("kind", ["sgld", "sghmc", "exact_sghmc"])
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
     @pytest.mark.parametrize("batch", [None, 8])
     @pytest.mark.parametrize("name", ["quadratic", "double_well", "gaussian_mixture"])
     def test_run_chain_bit_equal_to_ensemble_of_one(self, problems, name, batch, kind, init):
@@ -224,8 +232,8 @@ class TestCoupledRuns:
         assert slope < 0.0
 
     def test_minibatch_noise_shrinks_with_batch_size(self, data2):
-        # coupling an approximate chain to the exact one: the gradient-noise
-        # gap shrinks as the batch grows
+        # coupling a minibatch chain to a full-gradient one: the
+        # gradient-noise gap shrinks as the batch grows
         obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
         terminal = {}
         for ell in (1, 4, 16):
@@ -233,8 +241,8 @@ class TestCoupledRuns:
             for rep in range(16):
                 cfg = _cfg(lam=0.01, seed=100 + rep, batch_size=ell,
                            init=point_init([0.5, 0.5], [0.0, 0.0]))
-                _, _, dist = coupled_run(("sghmc", "exact_sghmc"), cfg, cfg, obj,
-                                         data2, steps=400, thin=400)
+                _, _, dist = coupled_run("sghmc", cfg, dataclasses.replace(cfg, batch_size=None),
+                                         obj, data2, steps=400, thin=400)
                 sq += dist[-1, 1] ** 2 + dist[-1, 2] ** 2
             terminal[ell] = math.sqrt(sq / 16)
         assert terminal[1] > terminal[4] > terminal[16]
@@ -245,15 +253,12 @@ class TestCoupledRuns:
         with pytest.raises(ConfigurationError, match="batch size"):
             coupled_ensemble_run("sghmc", cfg_a, cfg_b, quadratic(2), data2, steps=5, replicas=2)
 
-    def test_coupled_ensemble_exact_pair_ignores_batch_sizes(self, data2):
-        # exact_sghmc reads no minibatch, so its configs' batch sizes are moot
-        obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
-        cfg = _cfg(lam=0.05, batch_size=8, init=gaussian_init(0.0, 1.0))
-        runs = [coupled_ensemble_run("exact_sghmc", cfg, dataclasses.replace(cfg, batch_size=b),
-                                     obj, data2, steps=30, replicas=3, record_every=5)
-                for b in (8, None)]
-        for field in dataclasses.fields(runs[0]):
-            assert np.array_equal(*(getattr(r, field.name) for r in runs))
+    @pytest.mark.parametrize("runner", [coupled_run, coupled_ensemble_run])
+    def test_pair_of_two_dimensions_rejected(self, data2, runner):
+        cfg_b = _cfg(dim=3, init=InitialLaw(kind="point"))
+        sizes = {"replicas": 2} if runner is coupled_ensemble_run else {}
+        with pytest.raises(ConfigurationError, match="coupled chains must share the dimension"):
+            runner("sghmc", _cfg(), cfg_b, quadratic(2), data2, steps=5, **sizes)
 
     def test_shared_index_stream_same_batches(self, data2):
         obj = quadratic(2, m0=1.0, coupling=1.0, z_radius=data2.max_norm())
@@ -572,11 +577,12 @@ class TestEnsembles:
         *[(coupled_run, kind, "kind must be a chain kind or a pair of them")
           for kind in (None, ("sghmc",), ("sghmc", "sghmc", "sghmc"))],
         (coupled_run, ("sghmc", "hmc"), "unknown chain kind 'hmc'"),
+        (coupled_run, ("sghmc", "exact_sghmc"), "unknown chain kind 'exact_sghmc'"),
         *[(run, kind, "unknown chain kind")
           for run in (run_chain, ensemble_run, coupled_ensemble_run)
           for kind in ("hmc", None, ("sghmc", "sgld"))],
     ], ids=["coupled_run-none", "coupled_run-one-tuple", "coupled_run-3-tuple",
-            "coupled_run-unknown"] + [f"{name}-{kind}" for name in
+            "coupled_run-unknown", "coupled_run-exact-sghmc"] + [f"{name}-{kind}" for name in
                                       ("run_chain", "ensemble_run", "coupled_ensemble_run")
                                       for kind in ("unknown", "none", "pair")])
     def test_malformed_kind_rejected(self, data2, runner, kind, message):
@@ -652,9 +658,10 @@ class TestMinibatchEnsembles:
         b = coupled_ensemble_run(kind, cfg, cfg_b, loop, data, steps=50, replicas=8)
         for name in ("mean_sep", "rms_sep", "rms_dx", "rms_dv"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        for pair in (kind, (kind, "exact_sghmc")):  # shared, then own indices
-            a = coupled_run(pair, cfg, cfg_b, obj, data, steps=50, thin=10)
-            b = coupled_run(pair, cfg, cfg_b, loop, data, steps=50, thin=10)
+        full_b = dataclasses.replace(cfg_b, batch_size=None)
+        for pair, b_cfg in ((kind, cfg_b), ((kind, "sghmc"), full_b)):  # shared, then own indices
+            a = coupled_run(pair, cfg, b_cfg, obj, data, steps=50, thin=10)
+            b = coupled_run(pair, cfg, b_cfg, loop, data, steps=50, thin=10)
             assert all(np.array_equal(u.xs, w.xs) and np.array_equal(u.vs, w.vs)
                        for u, w in zip(a[:2], b[:2]))
 
@@ -681,9 +688,9 @@ class TestGoldenOutputs:
         return cfg, dataclasses.replace(cfg, init=point_init([1.0, -1.0], [0.0, 0.5]))
 
     RUNNERS = [f"{r}:{k}" for r in ("run_chain", "ensemble_run", "coupled_ensemble_run")
-               for k in ("sgld", "sghmc", "exact_sghmc")] + [
+               for k in CHAIN_KINDS] + [
         "coupled_run:shared", "coupled_run:separate", "coupled_run:sgld", "coupled_run:sghmc",
-        "coupled_run:exact_sghmc", "brownian_coupled_distance",
+        "brownian_coupled_distance",
     ]
 
     @staticmethod
@@ -703,9 +710,12 @@ class TestGoldenOutputs:
                                      record_every=7)
             return [r.steps, r.mean_sep, r.rms_sep, r.rms_dx, r.rms_dv]
         if name == "coupled_run":
-            # mixed kinds step as two chains, one kind as one paired block
-            pair = {"shared": ("sgld", "sghmc"), "separate": ("sghmc", "exact_sghmc")}.get(
-                kind, kind)
+            # mixed kinds step as two chains, one kind as one paired block;
+            # "separate" gives chain b full gradients, so a minibatch pair
+            # steps as two chains
+            if kind == "separate":
+                kind, cfg_b = "sghmc", dataclasses.replace(cfg_b, batch_size=None)
+            pair = ("sgld", "sghmc") if kind == "shared" else kind
             ta, tb, dist = coupled_run(pair, cfg, cfg_b, obj, data, steps=n, thin=7)
             return [ta.steps, ta.xs, ta.vs, tb.xs, tb.vs, dist]
         return [brownian_coupled_distance(cfg, cfg.lam / 4, obj, data, t_end=n * cfg.lam,
@@ -715,30 +725,22 @@ class TestGoldenOutputs:
     GOLDEN = {
         "brownian_coupled_distance":
             "11aa703daf0a1bf2 2ceff951597961f1 27778a90ddf68114 083863b842625973",
-        "coupled_ensemble_run:exact_sghmc":
-            "b4e6579052ddc2ae b4e6579052ddc2ae ca29d532fd000800 ca29d532fd000800",
         "coupled_ensemble_run:sghmc":
             "b4e6579052ddc2ae 126997441a91cff2 ca29d532fd000800 b9a973736702d237",
         "coupled_ensemble_run:sgld":
             "09002111519cbcec 8777b247aa1a6e10 79c043d74e168aa1 3c608a74e8218bb8",
         "coupled_run:separate":
-            "63ee2100b63a7c59 e9e21c606198c2dc 4c83c426d5bc4af3 9215072c0dd1c8e8",
+            "63ee2100b63a7c59 e9e21c606198c2dc adfc1152e82a70d7 9215072c0dd1c8e8",
         "coupled_run:shared":
             "553ce09874c8fcee 0c961b0903e5050d 2b5953d55af24398 fb58e1bcac2d6ed9",
         "coupled_run:sgld":
             "c59447286c44d77b 249d914931a7671f f4c9327c61447694 0d486575ab32b8dc",
         "coupled_run:sghmc":
             "63ee2100b63a7c59 28ea60d177db606d adfc1152e82a70d7 fc661c187664837b",
-        "coupled_run:exact_sghmc":
-            "63ee2100b63a7c59 63ee2100b63a7c59 adfc1152e82a70d7 adfc1152e82a70d7",
-        "ensemble_run:exact_sghmc":
-            "8461636d97bba483 8461636d97bba483 38e583af2cbfc641 38e583af2cbfc641",
         "ensemble_run:sghmc":
             "8461636d97bba483 90a8b386d9d92bb5 38e583af2cbfc641 0cbd4080822ef379",
         "ensemble_run:sgld":
             "d87755840a6ff55e a811e6a73e638573 a11a425f936a76a7 cff660b688f0af9c",
-        "run_chain:exact_sghmc":
-            "597f83ffae78e145 597f83ffae78e145 43b8163490b3aabc 43b8163490b3aabc",
         "run_chain:sghmc":
             "ae7eeb30515195d4 973feb9c01298758 38c0919eee6d77e4 ec03291cfb47973b",
         "run_chain:sgld":
@@ -747,18 +749,14 @@ class TestGoldenOutputs:
     # DivergenceError.step at lam = 5 on the quadratic, batch_size None and 8
     DIVERGENCE_STEP = {
         "brownian_coupled_distance": (507, 506),
-        "coupled_ensemble_run:exact_sghmc": (507, 507),
         "coupled_ensemble_run:sghmc": (507, 507),
         "coupled_ensemble_run:sgld": (512, 512),
         "coupled_run:separate": (507, 507),
         "coupled_run:shared": (507, 507),
         "coupled_run:sgld": (512, 512),
         "coupled_run:sghmc": (507, 507),
-        "coupled_run:exact_sghmc": (507, 507),
-        "ensemble_run:exact_sghmc": (507, 507),
         "ensemble_run:sghmc": (507, 507),
         "ensemble_run:sgld": (512, 512),
-        "run_chain:exact_sghmc": (507, 507),
         "run_chain:sghmc": (508, 508),
         "run_chain:sgld": (513, 513),
     }
@@ -781,18 +779,14 @@ class TestGoldenOutputs:
     # x beyond the wells.
     DOUBLE_WELL_DIVERGENCE_STEP = {
         "brownian_coupled_distance": (255, 255),
-        "coupled_ensemble_run:exact_sghmc": (255, 255),
         "coupled_ensemble_run:sghmc": (255, 255),
         "coupled_ensemble_run:sgld": (179, 179),
         "coupled_run:separate": (255, 255),
         "coupled_run:shared": (179, 179),
         "coupled_run:sgld": (179, 179),
         "coupled_run:sghmc": (255, 255),
-        "coupled_run:exact_sghmc": (255, 255),
-        "ensemble_run:exact_sghmc": (255, 255),
         "ensemble_run:sghmc": (255, 255),
         "ensemble_run:sgld": (179, 179),
-        "run_chain:exact_sghmc": (255, 255),
         "run_chain:sghmc": (255, 255),
         "run_chain:sgld": (179, 179),
     }
@@ -864,7 +858,7 @@ class TestGoldenOutputs:
         "coupled_run:shared": ("coupled_run:shared", {},
             "bc04b8842ee13d17 9314b665b772969d bd177f66b2cea456 8fdb067d10bd57ce"),
         "coupled_run:separate": ("coupled_run:separate", {},
-            "10b3f3bf30243750 9dc4c1f075473fae 7cb5e476ab78f94e eb8d26cf90cb3c93"),
+            "10b3f3bf30243750 9dc4c1f075473fae dd513948520ad464 eb8d26cf90cb3c93"),
         "coupled_run:sghmc": ("coupled_run:sghmc", {},
             "10b3f3bf30243750 0e2afaec764f6f45 dd513948520ad464 d457018fc9afb2b7"),
         "coupled_run:own-batches": ("coupled_run:sghmc", {"batch_size": 4},
@@ -934,8 +928,8 @@ class TestTailMoments:
     def digest(d, R):
         data = make_dataset("gaussian", 200, d, seed=7)
         obj = double_well(d, coupling=0.1, z_radius=data.max_norm())
-        cfg = _cfg(lam=0.05, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
-        r = ensemble_run("exact_sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=21)
+        cfg = _cfg(lam=0.05, batch_size=None, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
+        r = ensemble_run("sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=21)
         h = hashlib.sha256()
         for a in (r.tail_mean_x, r.tail_var_x, r.tail_mean_v, r.tail_var_v):
             h.update(np.ascontiguousarray(a, dtype=float).tobytes())
@@ -957,8 +951,8 @@ class TestTailMoments:
 
         data = make_dataset("gaussian", 200, d, seed=7)
         obj = double_well(d, coupling=0.1, z_radius=data.max_norm())
-        cfg = _cfg(lam=0.05, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
-        r = ensemble_run("exact_sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=burn_in,
+        cfg = _cfg(lam=0.05, batch_size=None, dim=d, seed=11, init=gaussian_init(0.0, 1.0))
+        r = ensemble_run("sghmc", cfg, obj, data, steps=200, replicas=R, burn_in=burn_in,
                          functionals=keep)
         tail = np.concatenate(rows[1:])[burn_in:]  # rows[0] is the initial state
         assert len(tail) == 200 - burn_in
@@ -1213,7 +1207,8 @@ class TestNoiseBlocks:
         cfg = _cfg(lam=5.0 if exit == "divergence" else 0.05, batch_size=32, seed=5,
                    init=gaussian_init(0.0, 1.0))
         obj = TestNonFiniteGradients._objective(None) if exit == "evaluation" else quadratic(2)
-        chains, noise_rng = samplers._chains(("sghmc", "exact_sghmc"), (cfg, cfg), 4, "test")
+        full = dataclasses.replace(cfg, batch_size=None)
+        chains, noise_rng = samplers._chains(("sghmc", "sghmc"), (cfg, full), 4, "test")
         run = samplers._advance(chains, obj, data2, 2000, noise_rng)
         error = {"divergence": DivergenceError, "evaluation": EvaluationError}.get(exit)
         if exit == "close":
@@ -1230,18 +1225,18 @@ class TestNoiseBlocks:
 
 
 class TestIndexStreams:
-    """_chains alone decides which chains draw minibatches: it hands a
-    full-gradient chain no index stream, whatever its config's batch size."""
+    """_chains alone decides which chains draw minibatches: it hands a chain
+    an index stream exactly when its config has a batch size, whatever its kind."""
 
-    @pytest.mark.parametrize("kinds, batch, drawing", [
-        (("exact_sghmc",), 8, [False]),
-        (("sghmc",), None, [False]),
-        (("sghmc",), 8, [True]),
-        (("sghmc", "exact_sghmc"), 8, [True, False]),
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    @pytest.mark.parametrize("batches, drawing", [
+        ((None,), [False]),
+        ((8,), [True]),
+        ((8, None), [True, False]),
     ])
-    def test_full_gradient_chains_get_none(self, kinds, batch, drawing):
-        cfg = _cfg(batch_size=batch)
-        chains, _ = samplers._chains(kinds, (cfg,) * len(kinds), 4, "test")
+    def test_full_gradient_chains_get_none(self, kind, batches, drawing):
+        cfgs = [_cfg(batch_size=batch) for batch in batches]
+        chains, _ = samplers._chains((kind,) * len(cfgs), cfgs, 4, "test")
         assert [ch.idx_rng is not None for ch in chains] == drawing
 
 
@@ -1267,10 +1262,11 @@ class TestGradRowsResults:
 
     @pytest.mark.parametrize("convert", [lambda G: G.tolist(), lambda G: G.astype(np.float32)],
                              ids=["list", "float32"])
+    @pytest.mark.parametrize("batch", [None, 8])
     @pytest.mark.parametrize("kind", CHAIN_KINDS)
-    def test_steps_as_the_float64_copy(self, data2, kind, convert):
+    def test_steps_as_the_float64_copy(self, data2, kind, batch, convert):
         obj = quadratic(2, m0=1.0, coupling=0.5, z_radius=data2.max_norm())
-        cfg = _cfg(lam=0.05, seed=3, init=gaussian_init(0.0, 1.0))
+        cfg = _cfg(lam=0.05, seed=3, batch_size=batch, init=gaussian_init(0.0, 1.0))
         runs = []
         for hook in (convert, lambda G: np.asarray(convert(G), dtype=float)):
             spec = dataclasses.replace(obj, grad_rows=lambda X, Z, h=hook: h(obj.grad_rows(X, Z)))
@@ -1285,15 +1281,13 @@ class TestTwoStepCoupling:
     Its two chains step apart, and with minibatches they share one index
     stream, one draw a step, so a change to the draw order shows here."""
 
-    KINDS = ("sgld", "sghmc", "exact_sghmc")
     # digests in TestGoldenOutputs.CASES order
     GOLDEN = {
         "sgld": "ce10b05637fb031c 03449a9ca312b267 1bcd1fc1ef8604d6 cec45dce59539fde",
         "sghmc": "44f2adc540379b4b 6fbd5a141789f4ef c2c6c55866cff878 9f13c8483b5cbdc6",
-        "exact_sghmc": "44f2adc540379b4b 44f2adc540379b4b c2c6c55866cff878 c2c6c55866cff878",
     }
     # DivergenceError.step at lam = 5 on the quadratic, batch_size None and 8
-    DIVERGENCE_STEP = {"sgld": (512, 511), "sghmc": (507, 507), "exact_sghmc": (507, 507)}
+    DIVERGENCE_STEP = {"sgld": (512, 511), "sghmc": (507, 507)}
 
     @staticmethod
     def outputs(kind, batch, obj, data, steps, lam=0.05):
@@ -1326,7 +1320,7 @@ class TestTwoStepCoupling:
         return tuple(out)
 
     @pytest.mark.parametrize("cap", [None] + TestNoiseBlocks.CAPS)
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
     def test_outputs_and_divergence_step_pinned(self, monkeypatch, kind, cap):
         if cap is not None:
             monkeypatch.setattr(samplers, "_BLOCK_BYTES", cap)

@@ -572,12 +572,19 @@ class TestRiskBound:
     @pytest.mark.parametrize("over, what", [
         ({"sigma": -1.0}, "sigma"), ({"sigma": math.nan}, "sigma"), ({"k": -5}, "k must"),
         ({"c_ls": -1.0}, "c_ls"), ({"c_ls": math.inf}, "c_ls"),
-    ], ids=["sigma-neg", "sigma-nan", "k-neg", "c-ls-neg", "c-ls-inf"])
+        ({"lambda_star": None}, "supply either c_ls or lambda_star"),
+    ], ids=["sigma-neg", "sigma-nan", "k-neg", "c-ls-neg", "c-ls-inf", "no-c-ls"])
     def test_out_of_range_inputs_rejected(self, quad_theory, proof, over, what):
         kw = dict(k=10, q=1, sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
         kw.update(over)
         with pytest.raises(ConfigurationError, match=what):
             theory.risk_bound(self._cc(quad_theory), proof, 100, 0.001, 0.0, **kw)
+
+    def test_proof_without_c_tilde_rejected(self, quad_theory, proof):
+        bare = {key: entry for key, entry in proof.items() if key != "C_tilde"}
+        with pytest.raises(ConfigurationError, match="risk_bound needs the empirical C_tilde"):
+            theory.risk_bound(self._cc(quad_theory), bare, 100, 0.001, 0.0, k=10, q=1,
+                              sigma=1.0, w_rho_init=1.0, lambda_star=1.0)
 
     def test_inputs_echo_the_contraction_constants(self, quad_theory, proof):
         # d, beta, gamma and p of the bound are the ones cc was evaluated at
