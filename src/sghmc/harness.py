@@ -415,7 +415,7 @@ def _build(cfg: ExperimentConfig):
     if init.kind == "point":
         findings.append(_finding("info", "initial-law", "point mass: exponential moment finite"))
     elif math.isfinite(s.beta):
-        curv = max(s.beta * (obj.cert.M / 2.0 + s.gamma**2 / 2.0), 0.75 * s.beta)
+        curv = max(s.beta * (obj.cert.M / 2.0 + s.gamma * s.gamma / 2.0), 0.75 * s.beta)
         ok = 1.0 / (2.0 * init.scale**2) > curv
         findings.append(_finding(
             "info" if ok else "warning", "initial-law",
@@ -429,6 +429,7 @@ def _build(cfg: ExperimentConfig):
 # Oracles used by the verification kinds
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def sghmc_quadratic_stationary(lam: float, gamma: float, beta: float, m0: float):
     """Exact stationary per-coordinate variances of the discrete momentum chain
     on the decoupled quadratic objective (the discretization-bias oracle).
@@ -436,7 +437,8 @@ def sghmc_quadratic_stationary(lam: float, gamma: float, beta: float, m0: float)
     The chain is linear per coordinate; its stationary covariance solves the
     discrete Lyapunov equation Sigma = A Sigma A^T + Q, solved directly as
     (I - A kron A) vec Sigma = vec Q (scipy's method below size 10).
-    Returns (var_x, var_v).
+    Returns (var_x, var_v); for an unstable chain, one that diverges (A kron A
+    leaves float range, unwarned, at gamma lam past 1e154), they are no variances.
     """
     lam, gamma, beta, m0 = (positive(value, name) for value, name in
                             ((lam, "lam"), (gamma, "gamma"), (beta, "beta"), (m0, "m0")))

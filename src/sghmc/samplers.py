@@ -339,9 +339,10 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
     """Draw each index stream's per-step indices for the block in one call,
     which every chain on the stream reads (the same values, and the same
     generator state after, as one call per step); sweep each chain in turn
-    through rows 1..n and check them finite once; on a failure replay the
-    block in step order on the same draws, checking each step, to stop where
-    it failed."""
+    through rows 1..n and check row n finite, as a non-finite X, V or G
+    leaves the next row non-finite under either kernel; on a failure replay
+    the block in step order on the same draws, checking each step, to stop
+    where it failed."""
     sizes = {ch.idx_rng: (n, len(ch.X) // ch.copies, ch.cfg.batch_size)
              for ch in chains if ch.idx_rng is not None}
     drawn = {rng: rng.integers(0, data.n, size=size) for rng, size in sizes.items()}
@@ -351,7 +352,7 @@ def _step_block(chains, obj, data, incs, n, message, k0) -> None:
     with suppress(Exception):  # the replay raises it again or stops before it
         for ch, inc, idx in zip(chains, incs, draws):
             _sweep(ch, inc, 0, n, idx)
-        if all(np.isfinite(ch.H[1:n + 1]).all() for ch in chains):
+        if all(np.isfinite(ch.H[n]).all() for ch in chains):
             return
     for j in range(n):
         for ch, inc, idx in zip(chains, incs, draws):

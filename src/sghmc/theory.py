@@ -74,8 +74,13 @@ def _check_lambda_c(lambda_c) -> float:
 
 
 def _rates(gamma, beta):
-    """The friction gamma and inverse temperature beta, positive and finite."""
-    return positive(gamma, "friction gamma"), positive(beta, "beta")
+    """The friction gamma and inverse temperature beta, positive and finite, with
+    gamma^2 and beta gamma^2, which the theory divides by, normal finite floats."""
+    gamma, beta = positive(gamma, "friction gamma"), positive(beta, "beta")
+    if not (_TINY <= (g2 := gamma * gamma) < math.inf and _TINY <= beta * g2 < math.inf):
+        raise ConfigurationError(f"gamma^2 = {g2:g} and beta gamma^2 = {beta * g2:g} must be "
+                                 f"normal finite floats (gamma {gamma:g}, beta {beta:g})")
+    return gamma, beta
 
 
 def lambda_c_cap(cert: SmoothnessCertificate, gamma: float) -> float:
@@ -195,7 +200,7 @@ class ContractionConstants:
     Hoelder exponent p they were evaluated at.
 
     ``c_star`` is the contraction rate, ``C_star`` the prefactor; the
-    auxiliary pair (Lambda_c, alpha_c) solves a two-way fixed point, and
+    auxiliary pair (Lambda_c, alpha_c), both finite, solves a two-way fixed point, and
     ``eta_c = 1 / Lambda_c`` follows from substituting L_c = beta M into the
     two displays that define alpha_c. c* and C* are exponential in
     Lambda_c = O(beta + d), so the logs are the evaluated quantities:
@@ -236,26 +241,22 @@ def _ln(x: float) -> float:
 
 
 def _resolve_alpha_lambda(mg2: float, lam_c: float, a_c: float, d: int):
-    """Damped fixed-point iteration for (alpha_c, Lambda_c) from alpha = mg2."""
+    """(alpha_c, Lambda_c): Newton on f(alpha) = (alpha - a) Lambda(alpha) - a, a = mg2,
+    from a + a / Lambda(a), where f >= 0. f is convex and increasing on [a, inf) with
+    f(a) = -a, so the iterates decrease to its one root there; the loop steps while they
+    do, then closes with alpha_c = (1 + 1/Lambda(alpha)) a and Lambda_c = Lambda(alpha_c),
+    which is inf where Lambda leaves float range (a NaN step ends the loop)."""
 
     def lam_of_alpha(alpha):
         one = 1.0 + 2.0 * alpha + 2.0 * alpha * alpha
         return 2.4 * one * (d + a_c) * mg2 / (lam_c * (1.0 - 2.0 * lam_c))
 
-    alpha = mg2
-    converged = False
-    for _ in range(200):
-        Lam = lam_of_alpha(alpha)
-        alpha_next = (1.0 + 1.0 / Lam) * mg2
-        if abs(alpha_next - alpha) <= 1e-13 * abs(alpha_next):
-            alpha = alpha_next
-            converged = True
-            break
-        alpha = 0.5 * (alpha + alpha_next)
-    if not converged:
-        raise NumericalError("Lambda_c / alpha_c fixed point did not converge in 200 iterations")
-    Lam = lam_of_alpha(alpha)
-    alpha = (1.0 + 1.0 / Lam) * mg2
+    s, prev, alpha = lam_of_alpha(0.0), math.inf, (1.0 + 1.0 / lam_of_alpha(mg2)) * mg2
+    while alpha < prev:
+        Lam = lam_of_alpha(alpha)  # s (1 + 2 alpha + 2 alpha^2), with s = Lambda(0)
+        fa, slope = (alpha - mg2) * Lam - mg2, Lam + (alpha - mg2) * s * (2.0 + 4.0 * alpha)
+        prev, alpha = alpha, alpha - fa / slope
+    alpha = (1.0 + 1.0 / lam_of_alpha(prev)) * mg2
     return alpha, lam_of_alpha(alpha)
 
 
@@ -267,13 +268,13 @@ def contraction_constants(
     d: int,
     p: float = 2.0,
 ) -> ContractionConstants:
-    """Resolve the (Lambda_c, alpha_c) fixed point, then the derived constants.
+    """Solve for (Lambda_c, alpha_c), then the derived constants.
 
     alpha_c = (1 + 1/Lambda_c) M / gamma^2 and Lambda_c is an explicit
-    function of alpha_c; the pair is solved by damped iteration from
-    alpha_c = M / gamma^2 to relative tolerance 1e-13 (both residuals).
-    c* and C* are evaluated once, in log space, so a stiff regime yields
-    finite logs instead of an error.
+    function of alpha_c; alpha_c is the root above M / gamma^2 of a cubic
+    (``_resolve_alpha_lambda``). A Lambda_c past float range, where log c* is
+    too, is a NumericalError. c* and C* are evaluated once, in log space, so
+    a stiff regime otherwise yields finite logs instead of an error.
     """
     p, (gamma, beta), d = real(p, "p"), _rates(gamma, beta), count(d, "d")
     if not 1.0 <= p <= 2.0:
@@ -281,6 +282,8 @@ def contraction_constants(
     lam_c, a_c = drift.lambda_c, drift.A_c
     mg2 = cert.M / gamma**2
     alpha, Lam = _resolve_alpha_lambda(mg2, lam_c, a_c, d)
+    if not math.isfinite(Lam):
+        raise NumericalError(f"Lambda_c overflows at gamma = {gamma:g}, M / gamma^2 = {mg2:g}")
     one = 1.0 + 2.0 * alpha + 2.0 * alpha * alpha
     log_c_star = math.log(gamma / (384.0 * p)) + min(
         math.log(lam_c) + math.log(mg2),

@@ -966,6 +966,42 @@ class TestCli:
         risk = json.loads((tmp_path / "r" / "risk.json").read_text())
         assert (risk["w_rho_init"], risk["budget"]["k_min"]) == (0.0, 0)
 
+    # (gamma, beta) that the config accepts but whose gamma^2 or beta gamma^2
+    # leaves float range, or whose Lambda_c does (gamma 1e-60)
+    EXTREME_RATES = [(1e-200, 1.0), (1e-150, 1e-300), (1e-60, 1.0), (1e160, 1.0), (1e60, 1e300)]
+
+    @pytest.mark.parametrize("kind", harness.KINDS)
+    def test_extreme_rates_end_in_an_exit_code(self, tmp_path, capsys, kind):
+        # each run exits 0, 2 or 3 and raises nothing: gamma^2 and beta gamma^2
+        # are checked where the theory reads them, and an overflow of Lambda_c
+        # is a NumericalError; on the quadratic a Gaussian init's finding forms
+        # gamma^2 too
+        inits = {"quadratic": {"kind": "gaussian", "mean": 0.0, "scale": 0.1},
+                 "double_well": {"kind": "point", "x0": [1, 0], "v0": [0, 0]}}
+        params = {"quadratic": {"m0": 1.0}, "double_well": {"coupling": 0.1}}
+        for (gamma, beta), name in itertools.product(self.EXTREME_RATES, inits):
+            doc = base_config(kind=kind, out=str(tmp_path / "o"), steps=30, replicas=2,
+                              pilot_steps=20, burn_in=10, thin=10, audit={"probes": 5},
+                              rate={"lambdas": [0.1], "t_end": 0.2}, risk={"lambda_star": 1},
+                              objective={"name": name, "params": params[name]})
+            doc["sampler"].update(gamma=gamma, beta=beta, init=inits[name])
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            code = main([kind, "--config", str(path)])
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DIVERGENCE), (gamma, beta, name)
+        capsys.readouterr()
+
+    def test_overflowed_lambda_exits_validation(self, tmp_path, capsys):
+        # at gamma = 1e-60 Lambda_c leaves float range: no constants.json (it
+        # used to be written, with an 'exact' c_star of 1.6e56)
+        doc = base_config(kind="constants", out=str(tmp_path / "c"))
+        doc["sampler"]["gamma"] = 1e-60
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["constants", "--config", str(path)]) == EXIT_VALIDATION
+        assert "Lambda_c overflows at gamma = 1e-60" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "constants.json").exists()
+
     def test_divergence_exit_code(self, tmp_path):
         doc = base_config(out=str(tmp_path / "d"), steps=5000)
         doc["sampler"]["lambda"] = 5.0

@@ -1256,6 +1256,28 @@ class TestBlockIndexDraws:
         assert block.integers(0, n, size=3).tolist() == per_step.integers(0, n, size=3).tolist()
 
 
+class TestNonFiniteStates:
+    """An inf or NaN in one replica's X, V or G makes the next row non-finite
+    in that replica, under either kernel, at lam or gamma 0 and without noise
+    too: the stepping loop checks only each block's last row."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    @pytest.mark.parametrize("lam, gamma", [(0.1, 2.0), (0.0, 2.0), (0.1, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", ["X", "V", "G"])
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_next_row_non_finite_in_that_replica(self, kind, where, bad, lam, gamma, noise):
+        rng = derive_stream(5, "non-finite-kernel")
+        src, dst = rng.standard_normal((2, 2, 3, 2))  # rows (X, V) of 3 replicas, d = 2
+        G, inc = rng.standard_normal((3, 2)), noise * rng.standard_normal((3, 2))
+        (G if where == "G" else src[0 if where == "X" else 1])[1, 0] = bad
+        step = samplers._kernel(kind, lam, gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step((src, src[0], src[1]), (dst, dst[0], dst[1]), G, inc)
+        assert not np.isfinite(dst[:, 1]).all()
+        assert np.isfinite(dst[:, [0, 2]]).all()
+
+
 class TestGradRowsResults:
     """The loop hands a ``grad_rows`` result to the update as it is: one that
     is a list, or a float32 array, steps as its float64 copy."""

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,80 @@ class TestContractionConstants:
         assert cc.C_star == math.inf
         assert math.isfinite(cc.log_c_star) and cc.log_c_star < -745.0
         assert math.isfinite(cc.log_C_star) and cc.log_C_star > 710.0
+
+    @staticmethod
+    def damped_fixed_point(mg2, lam_c, a_c, d):
+        """The reference: the damped fixed-point iteration that Newton's method
+        replaced, from alpha = M / gamma^2 to relative tolerance 1e-13, with
+        the same closing evaluation."""
+        def lam_of_alpha(alpha):
+            one = 1.0 + 2.0 * alpha + 2.0 * alpha * alpha
+            return 2.4 * one * (d + a_c) * mg2 / (lam_c * (1.0 - 2.0 * lam_c))
+
+        alpha = mg2
+        for _ in range(200):
+            alpha_next = (1.0 + 1.0 / lam_of_alpha(alpha)) * mg2
+            if abs(alpha_next - alpha) <= 1e-13 * abs(alpha_next):
+                break
+            alpha = 0.5 * (alpha + alpha_next)
+        else:
+            raise AssertionError("the reference did not converge")
+        alpha = (1.0 + 1.0 / lam_of_alpha(alpha_next)) * mg2
+        return alpha, lam_of_alpha(alpha)
+
+    @staticmethod
+    def solve_inputs(n, a, lam_c, a_c, d_max):
+        """n seeded (M / gamma^2, lambda_c, A_c, d), log-uniform over the
+        decade ranges given, as Python floats and ints."""
+        rng = np.random.default_rng(1703)
+        cols = [10.0 ** rng.uniform(*span, n) for span in (a, lam_c, a_c)]
+        return list(zip(*(c.tolist() for c in cols), rng.integers(1, d_max + 1, n).tolist()))
+
+    def test_newton_matches_the_damped_fixed_point(self):
+        # within 8 eps relative on M / gamma^2 in [1e-6, 1e4], lambda_c in
+        # [1e-5, 1/4], A_c in [1e-300, 1e5] and d in [1, 199]
+        inputs = self.solve_inputs(2000, (-6, 4), (-5, math.log10(0.25)), (-300, 5), 199)
+        for args in inputs:
+            got, want = theory._resolve_alpha_lambda(*args), self.damped_fixed_point(*args)
+            assert got == pytest.approx(want, rel=8 * np.finfo(float).eps, abs=0), args
+
+    def test_newton_ends_on_every_input(self):
+        # M / gamma^2 and A_c in [1e-300, 1e300], lambda_c in [1e-300, 1/4] and
+        # d up to 10^6: the loop has no cap, and ends with Lambda_c positive,
+        # inf past float range, and alpha_c = (1 + 1/Lambda_c) M / gamma^2
+        inputs = self.solve_inputs(2000, (-300, 300), (-300, math.log10(0.25)), (-300, 300), 10**6)
+        for mg2, lam_c, a_c, d in inputs:
+            alpha, Lam = theory._resolve_alpha_lambda(mg2, lam_c, a_c, d)
+            assert 0.0 < Lam <= math.inf and alpha == (1.0 + 1.0 / Lam) * mg2
+
+    def test_overflowed_lambda_is_a_numerical_error(self, quad_obj, quad_data):
+        # at gamma = 1e-60, Lambda_c ~ (M / gamma^2)^3 leaves float range, and
+        # with it log c*; the constants used to come back with c* = 1.6e56
+        drift = theory.derive_drift_constants(quad_obj.cert, 1e-60, BETA, quad_obj, quad_data)
+        with pytest.raises(NumericalError,
+                           match=r"Lambda_c overflows at gamma = 1e-60, M / gamma\^2 = 1e\+120"):
+            theory.contraction_constants(drift, quad_obj.cert, 1e-60, BETA, 2)
+
+    @pytest.mark.parametrize("gamma, beta, shown", [
+        (1e160, 1.0, "gamma^2 = inf"), (1e-200, 1.0, "gamma^2 = 0"),
+        (1e-150, 1e-300, "beta gamma^2 = 0"), (1e60, 1e300, "beta gamma^2 = inf"),
+        (1e-155, 1.0, "gamma^2 = 1e-310"),
+    ], ids=["gamma2-overflows", "gamma2-underflows", "beta-gamma2-underflows",
+            "beta-gamma2-overflows", "gamma2-subnormal"])
+    @pytest.mark.parametrize("entry", ["closed_form_drift", "contraction_constants",
+                                       "moment_bound_constants"])
+    def test_rates_out_of_float_range_rejected(self, quad_obj, quad_theory, entry, gamma, beta,
+                                               shown):
+        drift, cert = quad_theory["drift"], quad_obj.cert
+        call = {
+            "closed_form_drift": lambda: theory.closed_form_drift(cert, gamma, beta),
+            "contraction_constants": lambda: theory.contraction_constants(
+                drift, cert, gamma, beta, 2),
+            "moment_bound_constants": lambda: theory.moment_bound_constants(
+                drift, cert, gamma, beta, 2, 0.0),
+        }[entry]
+        with pytest.raises(ConfigurationError, match=re.escape(shown)):
+            call()
 
 
 class TestHFunction:
